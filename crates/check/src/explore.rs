@@ -196,7 +196,7 @@ impl std::fmt::Debug for ExploreScenario {
 }
 
 /// All built-in exploration workloads.
-pub const EXPLORE_SCENARIOS: [ExploreScenario; 6] = [
+pub const EXPLORE_SCENARIOS: [ExploreScenario; 7] = [
     ExploreScenario {
         name: "mp",
         description: "message passing: origin writes, barrier, two nodes read (2 nodes, 3 threads)",
@@ -256,6 +256,17 @@ pub const EXPLORE_SCENARIOS: [ExploreScenario; 6] = [
         with_faults: false,
         dir_shards: 2,
         setup: invalidate_setup,
+    },
+    ExploreScenario {
+        name: "republish",
+        description: "origin publishes, a remote reader replicates, origin publishes again, \
+                      reader re-reads: the second write must revoke the replica \
+                      (2 nodes, 2 threads)",
+        nodes: 2,
+        threads: 2,
+        with_faults: false,
+        dir_shards: 1,
+        setup: republish_setup,
     },
 ];
 
@@ -318,6 +329,32 @@ fn invalidate_setup(p: &DexProcess<'_>) {
         b.wait(ctx); // B
         let _ = v.get(ctx, 1);
         let _ = v.get(ctx, 0);
+    });
+}
+
+/// Write, remote read, write again, remote read again. The first read
+/// replicates the page, so the origin must downgrade its own mapping to
+/// shared; had it stayed writable, the second write would take no fault,
+/// revoke nothing, and leave the reader's replica stale.
+fn republish_setup(p: &DexProcess<'_>) {
+    let x = p.alloc_cell_aligned::<u64>(0, "republish.x");
+    let b = p.new_barrier(2, "republish.barrier");
+    p.spawn(move |ctx| {
+        ctx.set_site("republish.writer");
+        x.set(ctx, 1);
+        b.wait(ctx); // A: first value published
+        b.wait(ctx); // B: the reader holds a replica
+        x.set(ctx, 2);
+        b.wait(ctx); // C: second value published
+    });
+    p.spawn(move |ctx| {
+        ctx.migrate(1).unwrap();
+        ctx.set_site("republish.reader");
+        b.wait(ctx); // A
+        let _ = x.get(ctx);
+        b.wait(ctx); // B
+        b.wait(ctx); // C
+        let _ = x.get(ctx);
     });
 }
 
@@ -905,17 +942,44 @@ mod tests {
         );
     }
 
+    /// The `explore --mutation all` sweep at CI's budget, run once.
+    fn ci_sweep() -> &'static [SweepEntry] {
+        static SWEEP: std::sync::OnceLock<Vec<SweepEntry>> = std::sync::OnceLock::new();
+        SWEEP.get_or_init(|| mutation_sweep(60))
+    }
+
+    #[test]
+    fn the_three_sweeps_cover_every_mutation_and_catch_each() {
+        // What CI runs: `model --mutation all`, `model --sharded --mutation
+        // all` (coalescing worlds) and `explore --mutation all`.
+        use crate::model_check::{mutation_sweep as model_sweep, CheckOptions};
+        use dex_core::model::ModelConfig;
+        let world = ModelConfig::new(2, 1).with_extra_thread(1);
+        let opts = CheckOptions::default();
+        let classic = model_sweep(&world, &opts).unwrap();
+        let sharded = model_sweep(&world.with_sharding(), &opts).unwrap();
+        for m in ALL_MUTATIONS {
+            let model_rows = classic.iter().chain(&sharded).filter(|r| r.mutation == m);
+            let mut verdicts: Vec<Option<bool>> = model_rows.map(|r| r.caught).collect();
+            assert_eq!(verdicts.len(), 2, "{m}: a row in each model sweep");
+            let explored = ci_sweep().iter().filter(|e| e.mutation == m);
+            verdicts.extend(explored.map(|e| Some(e.caught_by.is_some())));
+            assert_eq!(verdicts.len(), 3, "{m}: a row in the explore sweep");
+            // Every sweep that can exercise the variant catches it...
+            assert!(!verdicts.contains(&Some(false)), "{m} missed: {verdicts:?}");
+            // ...and only page contents are beyond the model's reach.
+            let modelled = verdicts[..2].iter().all(|v| *v == Some(true));
+            assert_eq!(modelled, !m.corrupts_payload_only(), "{m}: {verdicts:?}");
+        }
+    }
+
     #[test]
     fn every_mutation_is_caught_with_a_replayable_counterexample() {
-        let entries = mutation_sweep(60);
-        assert_eq!(entries.len(), 4);
-        for e in &entries {
+        let entries = ci_sweep();
+        assert_eq!(entries.len(), ALL_MUTATIONS.len());
+        for e in entries {
             let cx = e.counterexample.as_ref().unwrap_or_else(|| {
-                panic!(
-                    "mutation {} missed:\n{}",
-                    e.mutation,
-                    render_sweep(&entries)
-                )
+                panic!("mutation {} missed:\n{}", e.mutation, render_sweep(entries))
             });
             // The counterexample round-trips through text and replays.
             let text = cx.log.to_text();

@@ -83,7 +83,7 @@ pub use faults::{
 pub use lint::{run_lint, LintHit};
 pub use model_check::{
     check_model, counterexample_to_log, mutation_sweep, render_counterexample, replay_log,
-    CheckOptions, CheckOutcome, Counterexample, PassReport, ReplayOutcome,
+    CheckOptions, CheckOutcome, Counterexample, PassReport, ReplayOutcome, SweepRow,
 };
 pub use observe::{run_observed_workload, ObserveOutcome};
 pub use perf::{

@@ -9,13 +9,19 @@
 //!   own constructors; building one from a raw bitmask outside
 //!   `core/src/directory.rs` bypasses the ≤64-node width discipline.
 //! * **pte-mutation** — page-table entries may only be mutated by the
-//!   protocol engines (fault path, dispatcher, process setup, the
-//!   verification model) and the defining `dex-os` crate. A stray
-//!   `page_table.set(...)` elsewhere silently breaks owner-set/PTE
-//!   agreement.
-//! * **diraction-wildcard** — every `match` consuming [`DirAction`]
-//!   (`dex_core::DirAction`) must stay exhaustive. A `_ =>` wildcard
-//!   would silently ignore actions added to the protocol later.
+//!   protocol core (`core/src/protocol.rs`, which every driver —
+//!   runtime, model, explorer — goes through) and the defining `dex-os`
+//!   crate. A stray `page_table.set(...)` elsewhere silently breaks
+//!   owner-set/PTE agreement, and is a protocol decision the model
+//!   checker never sees.
+//! * **diraction-interpreter** — a production `match` over
+//!   [`DirAction`] (`dex_core::DirAction`) may appear only where actions
+//!   are produced (`core/src/directory.rs`) and in their single
+//!   interpreter (`core/src/protocol.rs`). A second interpreter is how
+//!   the runtime and the verified model drifted apart before.
+//! * **diraction-wildcard** — where such a `match` is allowed it must
+//!   stay exhaustive. A `_ =>` wildcard would silently ignore actions
+//!   added to the protocol later.
 //! * **fabric-unwrap** — no `unwrap()` on the fabric send/receive paths
 //!   (`crates/net` non-test code); messaging errors must propagate.
 //! * **relaxed-ordering** — `Ordering::Relaxed` on shared atomics is
@@ -63,13 +69,15 @@ impl std::fmt::Display for LintHit {
 /// Files allowed to construct `NodeSet` from raw bits.
 const NODESET_ALLOWLIST: [&str; 1] = ["crates/core/src/directory.rs"];
 
-/// Files allowed to mutate page-table entries (the protocol engines and
-/// the defining crate; `crates/os/` as a whole is the definer).
-const PTE_ALLOWLIST: [&str; 4] = [
-    "crates/core/src/dispatch.rs",
-    "crates/core/src/thread.rs",
-    "crates/core/src/process.rs",
-    "crates/core/src/directory/model.rs",
+/// Files allowed to mutate page-table entries: the protocol core
+/// (`crates/os/` as a whole, the definer, is exempt separately).
+const PTE_ALLOWLIST: [&str; 1] = ["crates/core/src/protocol.rs"];
+
+/// Files allowed to `match` on `DirAction`: its producer and its single
+/// interpreter.
+const DIRACTION_ALLOWLIST: [&str; 2] = [
+    "crates/core/src/directory.rs",
+    "crates/core/src/protocol.rs",
 ];
 
 /// Files allowed to use `Ordering::Relaxed` on shared atomics: traffic
@@ -188,8 +196,9 @@ pub fn lint_source(rel: &str, content: &str) -> Vec<LintHit> {
     hits
 }
 
-/// Flags `_ =>` wildcards at the top level of any `match` whose arms
-/// consume `DirAction::` variants.
+/// Finds every `match` whose top-level arms consume `DirAction::`
+/// variants; flags it outright outside [`DIRACTION_ALLOWLIST`], and its
+/// top-level `_ =>` wildcards inside.
 fn lint_diraction_matches(rel: &str, content: &str) -> Vec<LintHit> {
     let mut hits = Vec::new();
     // Join with comment stripping while remembering line starts. Stop at
@@ -278,6 +287,17 @@ fn lint_diraction_matches(rel: &str, content: &str) -> Vec<LintHit> {
             .collect::<Vec<_>>()
             .join("\u{0}");
         if !top_text.contains("DirAction::") {
+            continue;
+        }
+        // Integration tests (`crates/*/tests/`) replay actions by hand on
+        // purpose; only the wildcard rule applies to them.
+        if !DIRACTION_ALLOWLIST.contains(&rel) && !rel.contains("/tests/") {
+            hits.push(LintHit {
+                rule: "diraction-interpreter",
+                file: rel.to_string(),
+                line: line_of(start),
+                text: "`match` over DirAction outside directory.rs/protocol.rs".to_string(),
+            });
             continue;
         }
         // A top-level wildcard arm?
@@ -371,11 +391,50 @@ mod tests {
     #[test]
     fn pte_mutation_is_flagged_outside_the_allowlist() {
         let bad = "fn f(s: &mut AddressSpace) { s.page_table.set(vpn, Pte::READ_WRITE); }\n";
-        let hits = lint_source("crates/core/src/handle.rs", bad);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].rule, "pte-mutation");
-        assert!(lint_source("crates/core/src/thread.rs", bad).is_empty());
+        // The former protocol engines are plain drivers now: no exemption.
+        for rel in [
+            "crates/core/src/handle.rs",
+            "crates/core/src/thread.rs",
+            "crates/core/src/dispatch.rs",
+            "crates/core/src/process.rs",
+            "crates/core/src/directory/model.rs",
+        ] {
+            let hits = lint_source(rel, bad);
+            assert_eq!(hits.len(), 1, "{rel}: {hits:?}");
+            assert_eq!(hits[0].rule, "pte-mutation");
+        }
+        let model_style = "fn f(&mut self) { self.ptes[0].clear(vpn); }\n";
+        assert_eq!(
+            lint_source("crates/core/src/directory/model.rs", model_style).len(),
+            1
+        );
+        assert!(lint_source("crates/core/src/protocol.rs", bad).is_empty());
         assert!(lint_source("crates/os/src/mm.rs", bad).is_empty());
+    }
+
+    #[test]
+    fn diraction_match_is_flagged_outside_its_producer_and_interpreter() {
+        let second_interpreter = r#"
+fn f(actions: Vec<DirAction>) {
+    for action in actions {
+        match action {
+            DirAction::Grant { to, .. } => grant(to),
+            DirAction::Retry { to } => retry(to),
+        }
+    }
+}
+"#;
+        for rel in ["crates/core/src/thread.rs", "crates/core/src/dispatch.rs"] {
+            let hits = lint_source(rel, second_interpreter);
+            assert_eq!(hits.len(), 1, "{rel}: {hits:?}");
+            assert_eq!(hits[0].rule, "diraction-interpreter");
+            assert_eq!(hits[0].line, 4);
+        }
+        assert!(lint_source("crates/core/src/directory.rs", second_interpreter).is_empty());
+        assert!(lint_source("crates/core/src/protocol.rs", second_interpreter).is_empty());
+        // Tests may pattern-pick actions freely.
+        let test_code = format!("#[cfg(test)]\nmod tests {{{second_interpreter}}}\n");
+        assert!(lint_source("crates/core/src/thread.rs", &test_code).is_empty());
     }
 
     #[test]
@@ -388,7 +447,7 @@ fn f(a: DirAction) {
     }
 }
 "#;
-        let hits = lint_source("crates/core/src/x.rs", bad);
+        let hits = lint_source("crates/core/src/protocol.rs", bad);
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].rule, "diraction-wildcard");
     }
@@ -406,7 +465,7 @@ fn f(a: DirAction) {
     }
 }
 "#;
-        assert!(lint_source("crates/core/src/x.rs", ok).is_empty());
+        assert!(lint_source("crates/core/src/protocol.rs", ok).is_empty());
     }
 
     #[test]

@@ -30,7 +30,8 @@ use dex_check::{
     replay_log, replay_plan, run_fault_scenario, run_lint, run_observed_workload, run_scenario,
     CheckOptions, CheckOutcome, FAULT_SCENARIOS, SCENARIOS,
 };
-use dex_core::model::{ModelConfig, Mutation};
+use dex_core::model::ModelConfig;
+use dex_core::ProtocolMutation;
 
 /// One-line description of a model world for status output.
 fn describe_world(config: &ModelConfig) -> String {
@@ -120,7 +121,8 @@ MODEL OPTIONS:
   --sharded          move the directory home to node 1 (two-hop forwarded
                      grants, batched invalidations, home != origin paths)
   --mutation NAME    inject a protocol bug; `all` sweeps every mutation
-                     and expects each to be caught (default none)
+                     the world can exercise and expects each to be caught
+                     (payload corruption is `explore`'s; default none)
   --max-states N     state-count safety valve (default 4000000)
   --write-trace F    on violation, write the counterexample replay log to F
 
@@ -262,10 +264,11 @@ fn cmd_model(args: &[String]) -> Result<bool, String> {
 
     if parsed.mutation.as_deref() == Some("all") {
         let started = std::time::Instant::now();
-        let (lines, all_ok) = mutation_sweep(&config, &opts)?;
-        for line in &lines {
-            println!("{line}");
+        let rows = mutation_sweep(&config, &opts)?;
+        for row in &rows {
+            println!("{}", row.line);
         }
+        let all_ok = rows.iter().all(|row| row.ok());
         println!(
             "mutation sweep: {} in {:.2?}",
             if all_ok { "PASS" } else { "FAIL" },
@@ -275,7 +278,7 @@ fn cmd_model(args: &[String]) -> Result<bool, String> {
     }
 
     if let Some(name) = &parsed.mutation {
-        let mutation = Mutation::parse(name)
+        let mutation = ProtocolMutation::parse(name)
             .ok_or_else(|| format!("unknown mutation `{name}` (try `--mutation all`)"))?;
         config = config.with_mutation(mutation);
     }
@@ -374,9 +377,9 @@ fn cmd_explore(args: &[String]) -> Result<bool, String> {
     }
 
     let mutation = match &parsed.mutation {
-        Some(name) => dex_core::ProtocolMutation::parse(name)
+        Some(name) => ProtocolMutation::parse(name)
             .ok_or_else(|| format!("unknown mutation `{name}` (try `--mutation all`)"))?,
-        None => dex_core::ProtocolMutation::None,
+        None => ProtocolMutation::None,
     };
     let scenarios: Vec<dex_check::ExploreScenario> = match parsed.scenario.as_deref() {
         Some(name) if name != "all" => {
@@ -398,7 +401,7 @@ fn cmd_explore(args: &[String]) -> Result<bool, String> {
     };
     // A seeded mutation is a checker self-test: finding the bug is the
     // pass condition. Without one, clean exploration is the pass.
-    let expect_violation = mutation != dex_core::ProtocolMutation::None;
+    let expect_violation = mutation != ProtocolMutation::None;
     let mut all_ok = true;
     let mut caught_any = false;
     for scenario in &scenarios {

@@ -29,7 +29,8 @@
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
-use dex_core::model::{ModelConfig, ModelEvent, ModelState, Mutation, Op, Violation};
+use dex_core::model::{ModelConfig, ModelEvent, ModelKey, ModelState, Op, Violation};
+use dex_core::{ProtocolMutation, ALL_MUTATIONS};
 use dex_os::Vpn;
 use dex_sim::{ReplayCursor, ScheduleLog};
 
@@ -123,7 +124,7 @@ pub fn check_model(config: &ModelConfig, opts: &CheckOptions) -> Result<CheckOut
     }
 
     let mut states: Vec<ModelState> = vec![init];
-    let mut keys: HashMap<Vec<u64>, u32> = HashMap::new();
+    let mut keys: HashMap<ModelKey, u32> = HashMap::new();
     keys.insert(states[0].canonical_key(), 0);
     // Discovery edge into each state (None for the root).
     let mut preds: Vec<Option<(u32, ModelEvent)>> = vec![None];
@@ -362,7 +363,7 @@ fn config_from_header(header: &str) -> Result<ModelConfig, String> {
     let mut nodes: Option<u16> = None;
     let mut pages: Option<u64> = None;
     let mut threads: Option<Vec<u16>> = None;
-    let mut mutation = Mutation::None;
+    let mut mutation = ProtocolMutation::None;
     let mut sharded = false;
     for token in header.split_whitespace() {
         let Some((key, value)) = token.split_once('=') else {
@@ -377,8 +378,8 @@ fn config_from_header(header: &str) -> Result<ModelConfig, String> {
                 threads = Some(parsed.map_err(|e| format!("bad threads: {e}"))?);
             }
             "mutation" => {
-                mutation =
-                    Mutation::parse(value).ok_or_else(|| format!("unknown mutation {value:?}"))?;
+                mutation = ProtocolMutation::parse(value)
+                    .ok_or_else(|| format!("unknown mutation {value:?}"))?;
             }
             "sharded" => {
                 sharded = value
@@ -427,49 +428,66 @@ pub fn render_counterexample(cex: &Counterexample) -> String {
     out
 }
 
-/// Whether `mutation` can fire at all in `config`. The two coalescing
-/// mutations only matter when some node hosts at least two threads
-/// (otherwise no leader–follower pair ever forms), so a sweep over a
-/// one-thread-per-node world must not count their trivial pass as a
-/// missed bug.
-fn exercisable(mutation: Mutation, config: &ModelConfig) -> bool {
-    match mutation {
-        Mutation::DropWakeup | Mutation::FollowerBypass => {
-            let mut nodes = config.threads.clone();
-            nodes.sort_unstable();
-            nodes.windows(2).any(|w| w[0] == w[1])
-        }
-        _ => true,
+/// Why `mutation` cannot fire in `config`, if it cannot — a sweep must
+/// not count a trivial pass as a missed bug. Payload mutations corrupt
+/// page contents the model does not carry (`dex-check explore` hunts
+/// those over real frames); the coalescing mutations need a node hosting
+/// two threads, else no leader–follower pair ever forms.
+pub fn not_exercisable(mutation: ProtocolMutation, config: &ModelConfig) -> Option<&'static str> {
+    let mut nodes = config.threads.clone();
+    nodes.sort_unstable();
+    let coalesces = nodes.windows(2).any(|w| w[0] == w[1]);
+    if mutation.corrupts_payload_only() {
+        Some("corrupts page contents only (hunted by `explore`)")
+    } else if mutation.needs_coalescing() && !coalesces {
+        Some("needs two same-node threads (use --coalesce)")
+    } else {
+        None
+    }
+}
+
+/// One row of a model mutation sweep.
+#[derive(Clone, Debug)]
+pub struct SweepRow {
+    /// The protocol explored ([`ProtocolMutation::None`]: the faithful one).
+    pub mutation: ProtocolMutation,
+    /// Whether a violation was found; `None` when the world cannot
+    /// exercise the mutation (listed as `n/a`, never counted as a miss).
+    pub caught: Option<bool>,
+    /// Human-readable outcome.
+    pub line: String,
+}
+
+impl SweepRow {
+    /// The row is as it should be: the faithful protocol passes, an
+    /// exercisable mutation is caught.
+    pub fn ok(&self) -> bool {
+        self.caught
+            .is_none_or(|caught| caught == (self.mutation != ProtocolMutation::None))
     }
 }
 
 /// Explores `base` unmutated, then once per seeded mutation, verifying
-/// the faithful protocol passes and every exercisable mutation is
-/// caught (coalescing mutations are skipped as `n/a` in worlds without
-/// two same-node threads). Returns one line of human-readable outcome
-/// per run plus an overall verdict.
-pub fn mutation_sweep(
-    base: &ModelConfig,
-    opts: &CheckOptions,
-) -> Result<(Vec<String>, bool), String> {
-    let mut lines = Vec::new();
-    let mut all_ok = true;
-    for mutation in std::iter::once(Mutation::None).chain(Mutation::ALL) {
+/// the faithful protocol passes and every mutation the world can
+/// exercise is caught (the rest are listed as `n/a` with the reason).
+pub fn mutation_sweep(base: &ModelConfig, opts: &CheckOptions) -> Result<Vec<SweepRow>, String> {
+    let mut rows = Vec::new();
+    for mutation in std::iter::once(ProtocolMutation::None).chain(ALL_MUTATIONS) {
         let config = base.clone().with_mutation(mutation);
-        if mutation != Mutation::None && !exercisable(mutation, &config) {
-            lines.push(format!(
-                "mutation {:<16} n/a: needs two same-node threads (use --coalesce)",
-                mutation.name()
-            ));
+        if let Some(why) = not_exercisable(mutation, &config) {
+            let line = format!("mutation {:<20} n/a: {why}", mutation.name());
+            rows.push(SweepRow {
+                mutation,
+                caught: None,
+                line,
+            });
             continue;
         }
         let outcome = check_model(&config, opts)?;
-        let expected_pass = mutation == Mutation::None;
-        let ok = outcome.is_pass() == expected_pass;
-        all_ok &= ok;
+        let expected_pass = mutation == ProtocolMutation::None;
         let line = match &outcome {
             CheckOutcome::Pass(r) => format!(
-                "mutation {:<16} pass: {} states, {} transitions, {} quiescent{}",
+                "mutation {:<20} pass: {} states, {} transitions, {} quiescent{}",
                 mutation.name(),
                 r.states,
                 r.transitions,
@@ -477,7 +495,7 @@ pub fn mutation_sweep(
                 if expected_pass { "" } else { "  ** MISSED **" },
             ),
             CheckOutcome::Fail(cex) => format!(
-                "mutation {:<16} caught: {} violation `{}` in {} steps{}",
+                "mutation {:<20} caught: {} violation `{}` in {} steps{}",
                 mutation.name(),
                 cex.kind,
                 cex.violations
@@ -492,9 +510,13 @@ pub fn mutation_sweep(
                 },
             ),
         };
-        lines.push(line);
+        rows.push(SweepRow {
+            mutation,
+            caught: Some(!outcome.is_pass()),
+            line,
+        });
     }
-    Ok((lines, all_ok))
+    Ok(rows)
 }
 
 #[cfg(test)]
@@ -526,10 +548,13 @@ mod tests {
 
     #[test]
     fn every_mutation_is_caught_with_minimal_counterexample() {
-        for mutation in Mutation::ALL {
+        for mutation in ALL_MUTATIONS {
             let config = ModelConfig::new(2, 1)
                 .with_extra_thread(1)
                 .with_mutation(mutation);
+            if not_exercisable(mutation, &config).is_some() {
+                continue;
+            }
             match check_model(&config, &opts()).unwrap() {
                 CheckOutcome::Pass(_) => {
                     panic!("mutation {} escaped the checker", mutation.name())
@@ -568,7 +593,7 @@ mod tests {
         // included.
         let config = ModelConfig::new(2, 1)
             .with_sharding()
-            .with_mutation(Mutation::KeepOriginPte);
+            .with_mutation(ProtocolMutation::KeepOriginPte);
         let cex = match check_model(&config, &opts()).unwrap() {
             CheckOutcome::Fail(cex) => cex,
             CheckOutcome::Pass(_) => panic!("keep-origin-pte escaped the sharded checker"),
@@ -589,7 +614,7 @@ mod tests {
     fn counterexample_round_trips_through_replay() {
         let config = ModelConfig::new(2, 1)
             .with_extra_thread(1)
-            .with_mutation(Mutation::SkipInvalidateApply);
+            .with_mutation(ProtocolMutation::SkipInvalidate);
         let cex = match check_model(&config, &opts()).unwrap() {
             CheckOutcome::Fail(cex) => cex,
             CheckOutcome::Pass(_) => panic!("mutation must be caught"),
@@ -612,7 +637,7 @@ mod tests {
     fn liveness_counterexample_replays_to_a_clean_but_stuck_state() {
         let config = ModelConfig::new(2, 1)
             .with_extra_thread(1)
-            .with_mutation(Mutation::DropInvAck);
+            .with_mutation(ProtocolMutation::DropAck);
         let cex = match check_model(&config, &opts()).unwrap() {
             CheckOutcome::Fail(cex) => cex,
             CheckOutcome::Pass(_) => panic!("drop-ack must be caught"),

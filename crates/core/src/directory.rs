@@ -26,7 +26,7 @@ use dex_net::NodeId;
 use dex_os::{Access, RadixTree, Vpn};
 
 /// A compact set of node ids (the cluster is rack-scale: ≤ 64 nodes).
-#[derive(Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct NodeSet(u64);
 
 impl NodeSet {
@@ -95,7 +95,7 @@ impl std::fmt::Debug for NodeSet {
 }
 
 /// Who is waiting for a page-request to complete.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Requester {
     /// A remote node's thread; the grant travels over the fabric.
     Remote {
@@ -196,7 +196,7 @@ pub enum DirAction {
 }
 
 /// The state the directory keeps per page.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 struct PageInfo {
     /// Nodes holding a valid copy.
     owners: NodeSet,
@@ -206,7 +206,7 @@ struct PageInfo {
     txn: Option<Txn>,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 struct Txn {
     access: Access,
     requester: Requester,
@@ -339,6 +339,12 @@ impl Directory {
             Some(info) => info.writer,
             None => Some(self.origin),
         }
+    }
+
+    /// Whether `vpn` has an in-flight transaction.
+    pub fn has_txn(&self, vpn: Vpn) -> bool {
+        let info = self.pages.get(vpn.index());
+        info.is_some_and(|info| info.txn.is_some())
     }
 
     /// The nodes holding a valid copy of `vpn`.
@@ -1259,6 +1265,51 @@ mod tests {
         assert_eq!(actions, vec![DirAction::SendFlush { to: NodeId(1) }]);
         let done = dir.flush_ack(Vpn::new(1), NodeId(1));
         assert_eq!(grant_of(&done), Some((local, Access::Read, false)));
+        dir.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn write_request_from_current_writer_is_no_data_fast_path() {
+        // Degenerate re-request: the exclusive owner asks to write again
+        // (reachable when a coalesced sibling's request raced ahead).
+        let mut dir = Directory::new(O);
+        let vpn = Vpn::new(0);
+        for a in dir.request(vpn, Access::Write, remote(1, 1)) {
+            if let DirAction::SendInvalidate { to, needs_data } = a {
+                dir.invalidate_ack(vpn, to, needs_data);
+            }
+        }
+        assert_eq!(dir.current_writer(vpn), Some(NodeId(1)));
+        let again = dir.request(vpn, Access::Write, remote(1, 1));
+        assert_eq!(
+            again,
+            vec![DirAction::Grant {
+                to: remote(1, 1),
+                access: Access::Write,
+                with_data: false,
+            }],
+            "re-request by the current writer must skip the data transfer"
+        );
+        assert_eq!(dir.current_writer(vpn), Some(NodeId(1)));
+        assert_eq!(dir.owners(vpn), NodeSet::single(NodeId(1)));
+        assert!(!dir.has_txn(vpn));
+    }
+
+    #[test]
+    fn read_request_from_existing_owner_leaves_owner_set_unchanged() {
+        let mut dir = Directory::new(O);
+        let vpn = Vpn::new(0);
+        dir.request(vpn, Access::Read, remote(1, 1));
+        let before = dir.owners(vpn);
+        assert!(before.contains(NodeId(1)));
+        // Second read from a node already in the owner set (reachable
+        // after a raced coalesced fault): grant, owner set unchanged.
+        let again = dir.request(vpn, Access::Read, remote(1, 1));
+        assert_eq!(grant_of(&again), Some((remote(1, 1), Access::Read, true)));
+        assert_eq!(again.len(), 1);
+        assert_eq!(dir.owners(vpn), before);
+        assert_eq!(dir.current_writer(vpn), None);
+        assert!(!dir.has_txn(vpn));
         dir.check_invariants().unwrap();
     }
 

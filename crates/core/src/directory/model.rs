@@ -1,15 +1,17 @@
-//! A closed, finite-state model of the DEX ownership protocol.
+//! A closed, finite-state world around the DEX ownership protocol.
 //!
-//! This module turns the pure directory logic in [`super`] into an
-//! *executable world model*: one origin-side [`Directory`], one simulated
-//! page table per node, a multiset of in-flight protocol messages, and a
-//! small set of client threads that may, at any moment, fault on any page
-//! (read or write) or unmap it. Exploring every interleaving of the
-//! enabled [`ModelEvent`]s enumerates every behavior the protocol can
-//! exhibit for a small configuration — exactly what the `dex-check`
-//! model checker does by breadth-first search over canonicalized states.
+//! The protocol itself lives in [`Directory`] and in the sans-IO role
+//! steps of [`crate::protocol`] — the same code the simulator runtime
+//! drives. This module only closes them into an *executable world*: one
+//! directory at its home node, one page table (and `()` frames) per node,
+//! per-link FIFO channels of in-flight [`PageMsg`]s, and a small set of
+//! client threads that may, at any moment, fault on any page (read or
+//! write) or unmap it. Exploring every interleaving of the enabled
+//! [`ModelEvent`]s enumerates every behavior the protocol can exhibit for
+//! a small configuration — exactly what the `dex-check` model checker
+//! does by breadth-first search over canonicalized states.
 //!
-//! Why a closed model instead of fixed per-thread programs: the protocol
+//! Why a closed world instead of fixed per-thread programs: the protocol
 //! state (owner sets, writers, transactions, PTEs, in-flight messages)
 //! is finite, so letting idle threads issue *any* operation at *any*
 //! time yields a finite transition system whose reachable set covers
@@ -19,119 +21,20 @@
 //! both lost-message deadlocks and retry livelocks without modeling
 //! retry counters.
 //!
-//! The model also reproduces the two mechanisms layered over the raw
-//! directory in `thread.rs`:
-//!
-//! * **leader–follower fault coalescing** (§III-C): a thread faulting on
-//!   a `(page, access-class)` that a same-node sibling is already
-//!   negotiating becomes a *follower* and completes only when its leader
-//!   does;
-//! * **retry-on-busy** (§III-B): a `Retry` answer parks the requester in
-//!   a back-off state from which it re-issues the same request.
-//!
-//! [`Mutation`]s inject protocol bugs (skipped invalidation, dropped
-//! ack, skipped downgrade, lost wakeup, follower bypass) so the checker
-//! can prove its own teeth: each mutation must produce a printed,
-//! minimal counterexample.
+//! What belongs here and nowhere else: event enumeration, the channels,
+//! the canonical state key, the safety and liveness predicates, and
+//! rendering. A [`ProtocolMutation`] in the configuration reaches the
+//! shared steps unchanged, so the checker proves its teeth on the very
+//! hooks the runtime carries.
 
-use super::{DirAction, Directory, NodeSet, Requester};
+use super::{Directory, NodeSet, PageInfo};
+use crate::mutation::ProtocolMutation;
+use crate::protocol::{
+    self, holder_admit, holder_step, home_step, requester_step, Deferred, HomeIn, Node, NodeState,
+    Output, PageMsg, RequesterIn, Role,
+};
 use dex_net::NodeId;
-use dex_os::{Access, PageTable, Pte, Vpn};
-
-/// A point-in-time view of one page's directory record (untracked pages
-/// report the origin-exclusive default).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PageModel {
-    /// Nodes the directory believes hold a valid copy.
-    pub owners: NodeSet,
-    /// The exclusive writer, if any.
-    pub writer: Option<NodeId>,
-    /// The in-flight transaction, if any.
-    pub txn: Option<TxnModel>,
-}
-
-/// A point-in-time view of an in-flight directory transaction.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TxnModel {
-    /// Access the requester asked for.
-    pub access: Access,
-    /// Who is waiting for the transaction to complete.
-    pub requester: Requester,
-    /// Owners that have not yet acknowledged revocation/flush.
-    pub pending: NodeSet,
-    /// The requester already held a valid copy (data transfer skipped).
-    pub requester_had_copy: bool,
-}
-
-impl Directory {
-    /// Introspects the directory record for `vpn` (model/checker hook).
-    pub fn page_model(&self, vpn: Vpn) -> PageModel {
-        match self.pages.get(vpn.index()) {
-            Some(info) => PageModel {
-                owners: info.owners,
-                writer: info.writer,
-                txn: info.txn.as_ref().map(|t| TxnModel {
-                    access: t.access,
-                    requester: t.requester,
-                    pending: t.pending,
-                    requester_had_copy: t.requester_had_copy,
-                }),
-            },
-            None => PageModel {
-                owners: NodeSet::single(self.origin),
-                writer: Some(self.origin),
-                txn: None,
-            },
-        }
-    }
-
-    /// Whether `vpn` has an in-flight transaction.
-    pub fn has_txn(&self, vpn: Vpn) -> bool {
-        self.pages
-            .get(vpn.index())
-            .is_some_and(|info| info.txn.is_some())
-    }
-
-    /// A canonical, order-independent encoding of the full directory
-    /// state, suitable for seen-set keys in explicit-state exploration.
-    pub fn canonical(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.pages.len() * 4);
-        for (key, info) in self.pages.iter() {
-            out.push(key);
-            out.push(info.owners.0);
-            out.push(match info.writer {
-                Some(w) => w.0 as u64 + 1,
-                None => 0,
-            });
-            out.push(match &info.txn {
-                None => 0,
-                Some(t) => {
-                    // Pack: bit0 = present, bit1 = write, bit2 = had_copy,
-                    // bits 3..5 = requester kind, then node/req id bytes.
-                    let mut word = 1u64;
-                    if t.access.is_write() {
-                        word |= 2;
-                    }
-                    if t.requester_had_copy {
-                        word |= 4;
-                    }
-                    match t.requester {
-                        Requester::Remote { node, req_id } => {
-                            word |= (node.0 as u64 + 1) << 8;
-                            word |= (req_id & 0xffff) << 24;
-                        }
-                        Requester::Local { req_id } => {
-                            word |= (req_id & 0xffff) << 24;
-                            word |= 1 << 40;
-                        }
-                    }
-                    word | (t.pending.0 << 41)
-                }
-            });
-        }
-        out
-    }
-}
+use dex_os::{Access, PageTable, Vpn};
 
 /// One client operation a modeled thread can attempt.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -142,15 +45,6 @@ pub enum Op {
     Write(Vpn),
     /// Unmap the page at the origin (synchronous VMA broadcast).
     Evict(Vpn),
-}
-
-impl Op {
-    /// The page this operation touches.
-    pub fn vpn(self) -> Vpn {
-        match self {
-            Op::Read(v) | Op::Write(v) | Op::Evict(v) => v,
-        }
-    }
 }
 
 impl std::fmt::Display for Op {
@@ -168,7 +62,7 @@ impl std::fmt::Display for Op {
 pub enum ThreadState {
     /// Ready to issue any operation.
     Idle,
-    /// Request sent; waiting for `Grant` or `Retry`.
+    /// Request sent; waiting for a grant or a retry notice.
     Waiting {
         /// Requested page.
         vpn: Vpn,
@@ -193,345 +87,38 @@ pub enum ThreadState {
     },
 }
 
-/// An in-flight protocol message.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum Msg {
-    /// A page request traveling to the origin directory.
-    Request {
-        /// Issuing thread.
-        thread: usize,
-        /// Requested page.
-        vpn: Vpn,
-        /// Requested access.
-        access: Access,
-    },
-    /// Revocation traveling to an owner.
-    Invalidate {
-        /// Target owner.
-        to: NodeId,
-        /// Page being revoked.
-        vpn: Vpn,
-        /// Target must ship page contents back.
-        needs_data: bool,
-    },
-    /// Revocation acknowledgment traveling back to the origin.
-    InvAck {
-        /// Acknowledged page.
-        vpn: Vpn,
-        /// Acknowledging node.
-        from: NodeId,
-        /// Ack carries the only up-to-date copy.
-        carried_data: bool,
-    },
-    /// Downgrade-and-flush traveling to the exclusive writer.
-    Flush {
-        /// The writer node.
-        to: NodeId,
-        /// Page to flush.
-        vpn: Vpn,
-    },
-    /// Flush acknowledgment traveling back to the origin.
-    FlushAck {
-        /// Flushed page.
-        vpn: Vpn,
-        /// The downgraded writer.
-        from: NodeId,
-    },
-    /// A grant traveling to a remote requester. `from` is the sending
-    /// node: the home classically, possibly a forwarding owner in
-    /// sharded mode — grants from different senders ride different
-    /// FIFO channels, which is exactly the reordering the sharded
-    /// protocol must survive.
-    Grant {
-        /// Sending node (home or forwarding owner).
-        from: NodeId,
-        /// Thread being granted.
-        thread: usize,
-        /// Granted page.
-        vpn: Vpn,
-        /// Granted access.
-        access: Access,
-        /// Page contents accompany the grant.
-        with_data: bool,
-    },
-    /// A retry notice traveling to a remote requester.
-    Retry {
-        /// Sending node.
-        from: NodeId,
-        /// Thread being bounced.
-        thread: usize,
-        /// Requested page.
-        vpn: Vpn,
-        /// Requested access.
-        access: Access,
-    },
-    /// Sharded mode: the home hands a request to the current owner,
-    /// which will grant straight to the requester (two-hop path).
-    Forward {
-        /// The owner being asked to grant.
-        to: NodeId,
-        /// The requesting thread.
-        thread: usize,
-        /// Requested page.
-        vpn: Vpn,
-        /// Requested access.
-        access: Access,
-    },
-    /// Sharded mode: the forwarding owner's asynchronous ownership
-    /// acknowledgment traveling back to the home.
-    OwnerAck {
-        /// Acknowledged page.
-        vpn: Vpn,
-        /// The owner that serviced the forward.
-        from: NodeId,
-        /// Access that was granted.
-        access: Access,
-    },
-    /// Sharded mode: a batched revocation traveling to an owner (one
-    /// page per entry here — the model's directory emits singleton
-    /// batches, which the runtime aggregates per destination).
-    InvBatch {
-        /// Target owner.
-        to: NodeId,
-        /// Page being revoked.
-        vpn: Vpn,
-        /// Target must ship page contents back.
-        needs_data: bool,
-    },
-    /// Sharded mode: the aggregated revocation acknowledgment.
-    InvBatchAck {
-        /// Acknowledged page.
-        vpn: Vpn,
-        /// Acknowledging node.
-        from: NodeId,
-        /// Ack carries the only up-to-date copy.
-        carried_data: bool,
-    },
-}
-
-impl Msg {
-    /// The page this message concerns.
-    pub fn vpn(self) -> Vpn {
+impl ThreadState {
+    /// The fault the thread is part of, if any.
+    fn fault(self) -> Option<(Vpn, Access)> {
         match self {
-            Msg::Request { vpn, .. }
-            | Msg::Invalidate { vpn, .. }
-            | Msg::InvAck { vpn, .. }
-            | Msg::Flush { vpn, .. }
-            | Msg::FlushAck { vpn, .. }
-            | Msg::Grant { vpn, .. }
-            | Msg::Retry { vpn, .. }
-            | Msg::Forward { vpn, .. }
-            | Msg::OwnerAck { vpn, .. }
-            | Msg::InvBatch { vpn, .. }
-            | Msg::InvBatchAck { vpn, .. } => vpn,
-        }
-    }
-
-    fn canonical(self) -> [u64; 4] {
-        match self {
-            Msg::Request {
-                thread,
-                vpn,
-                access,
-            } => [1, thread as u64, vpn.index(), access.is_write() as u64],
-            Msg::Invalidate {
-                to,
-                vpn,
-                needs_data,
-            } => [2, to.0 as u64, vpn.index(), needs_data as u64],
-            Msg::InvAck {
-                vpn,
-                from,
-                carried_data,
-            } => [3, from.0 as u64, vpn.index(), carried_data as u64],
-            Msg::Flush { to, vpn } => [4, to.0 as u64, vpn.index(), 0],
-            Msg::FlushAck { vpn, from } => [5, from.0 as u64, vpn.index(), 0],
-            Msg::Grant {
-                from,
-                thread,
-                vpn,
-                access,
-                with_data,
-            } => [
-                6,
-                thread as u64 | (from.0 as u64) << 32,
-                vpn.index(),
-                access.is_write() as u64 | (with_data as u64) << 1,
-            ],
-            Msg::Retry {
-                from,
-                thread,
-                vpn,
-                access,
-            } => [
-                7,
-                thread as u64 | (from.0 as u64) << 32,
-                vpn.index(),
-                access.is_write() as u64,
-            ],
-            Msg::Forward {
-                to,
-                thread,
-                vpn,
-                access,
-            } => [
-                8,
-                thread as u64 | (to.0 as u64) << 32,
-                vpn.index(),
-                access.is_write() as u64,
-            ],
-            Msg::OwnerAck { vpn, from, access } => {
-                [9, from.0 as u64, vpn.index(), access.is_write() as u64]
-            }
-            Msg::InvBatch {
-                to,
-                vpn,
-                needs_data,
-            } => [10, to.0 as u64, vpn.index(), needs_data as u64],
-            Msg::InvBatchAck {
-                vpn,
-                from,
-                carried_data,
-            } => [11, from.0 as u64, vpn.index(), carried_data as u64],
+            ThreadState::Idle => None,
+            ThreadState::Waiting { vpn, access }
+            | ThreadState::Backoff { vpn, access }
+            | ThreadState::Follower { vpn, access, .. } => Some((vpn, access)),
         }
     }
 }
 
-impl std::fmt::Display for Msg {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Msg::Request {
-                thread,
-                vpn,
-                access,
-            } => write!(f, "request({access} page {}) from T{thread}", vpn.index()),
-            Msg::Invalidate {
-                to,
-                vpn,
-                needs_data,
-            } => write!(
-                f,
-                "invalidate(page {}) to node {to}{}",
-                vpn.index(),
-                if *needs_data { " +data" } else { "" }
-            ),
-            Msg::InvAck { vpn, from, .. } => {
-                write!(f, "inv-ack(page {}) from node {from}", vpn.index())
-            }
-            Msg::Flush { to, vpn } => write!(f, "flush(page {}) to node {to}", vpn.index()),
-            Msg::FlushAck { vpn, from } => {
-                write!(f, "flush-ack(page {}) from node {from}", vpn.index())
-            }
-            Msg::Grant {
-                from,
-                thread,
-                vpn,
-                access,
-                ..
-            } => write!(
-                f,
-                "grant({access} page {}) to T{thread} from node {from}",
-                vpn.index()
-            ),
-            Msg::Retry { thread, vpn, .. } => {
-                write!(f, "retry(page {}) to T{thread}", vpn.index())
-            }
-            Msg::Forward {
-                to,
-                thread,
-                vpn,
-                access,
-            } => write!(
-                f,
-                "forward({access} page {} for T{thread}) to owner node {to}",
-                vpn.index()
-            ),
-            Msg::OwnerAck { vpn, from, .. } => {
-                write!(f, "owner-ack(page {}) from node {from}", vpn.index())
-            }
-            Msg::InvBatch {
-                to,
-                vpn,
-                needs_data,
-            } => write!(
-                f,
-                "inv-batch(page {}) to node {to}{}",
-                vpn.index(),
-                if *needs_data { " +data" } else { "" }
-            ),
-            Msg::InvBatchAck { vpn, from, .. } => {
-                write!(f, "inv-batch-ack(page {}) from node {from}", vpn.index())
-            }
-        }
-    }
-}
-
-/// A protocol bug injected into the model, used to validate that the
-/// checker's invariants have teeth.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Mutation {
-    /// Faithful protocol (the default).
-    #[default]
-    None,
-    /// A revoked node acknowledges the invalidation but keeps its stale
-    /// mapping — a lost invalidation.
-    SkipInvalidateApply,
-    /// An invalidation acknowledgment is lost in the fabric — the
-    /// transaction never drains.
-    DropInvAck,
-    /// The origin ignores `DowngradeOriginPte` and keeps its writable
-    /// mapping while replicating readers — broken exclusivity.
-    SkipOriginDowngrade,
-    /// A granted leader never wakes its coalesced followers — lost
-    /// wakeup, the followers hang forever.
-    DropWakeup,
-    /// A coalescing follower also sends its own request instead of
-    /// waiting for the leader — the directory may grant the follower
-    /// before the leader.
-    FollowerBypass,
-    /// The node handing exclusivity away (the origin classically, a
-    /// forwarding owner in sharded mode) keeps its writable mapping —
-    /// broken ownership transfer.
-    KeepOriginPte,
-}
-
-impl Mutation {
-    /// All injectable mutations (excludes [`Mutation::None`]).
-    pub const ALL: [Mutation; 6] = [
-        Mutation::SkipInvalidateApply,
-        Mutation::DropInvAck,
-        Mutation::SkipOriginDowngrade,
-        Mutation::DropWakeup,
-        Mutation::FollowerBypass,
-        Mutation::KeepOriginPte,
-    ];
-
-    /// Parses the CLI spelling of a mutation.
-    pub fn parse(name: &str) -> Option<Mutation> {
-        Some(match name {
-            "none" => Mutation::None,
-            "skip-invalidate" => Mutation::SkipInvalidateApply,
-            "drop-ack" => Mutation::DropInvAck,
-            "skip-downgrade" => Mutation::SkipOriginDowngrade,
-            "drop-wakeup" => Mutation::DropWakeup,
-            "follower-bypass" => Mutation::FollowerBypass,
-            "keep-origin-pte" => Mutation::KeepOriginPte,
-            _ => return None,
-        })
-    }
-
-    /// The CLI spelling of this mutation.
-    pub fn name(self) -> &'static str {
-        match self {
-            Mutation::None => "none",
-            Mutation::SkipInvalidateApply => "skip-invalidate",
-            Mutation::DropInvAck => "drop-ack",
-            Mutation::SkipOriginDowngrade => "skip-downgrade",
-            Mutation::DropWakeup => "drop-wakeup",
-            Mutation::FollowerBypass => "follower-bypass",
-            Mutation::KeepOriginPte => "keep-origin-pte",
-        }
-    }
+/// A protocol message in flight on the ordered fabric channel
+/// `(src, dst)`.
+///
+/// DEX runs over RDMA reliable connections, which deliver in order per
+/// connection; the single-writer invariant *depends* on that ordering (a
+/// read grant overtaken by a later invalidation to the same node would
+/// resurrect a revoked mapping). The model therefore only enables
+/// delivery of the *oldest* message on each channel; distinct channels
+/// interleave freely — a forwarded grant (owner → requester) reorders
+/// against the home's own traffic, the hazard the holder's parking
+/// absorbs. A home-local thread's trap travels the `(home, home)` channel
+/// so it, too, reaches the directory after an arbitrary delay.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub struct InFlight {
+    /// Sending node.
+    pub src: NodeId,
+    /// Receiving node.
+    pub dst: NodeId,
+    /// The message (payload-free: contents are not protocol state).
+    pub msg: PageMsg<()>,
 }
 
 /// Configuration of a model instance.
@@ -545,7 +132,7 @@ pub struct ModelConfig {
     /// `i`). Two threads on one node exercise fault coalescing.
     pub threads: Vec<u16>,
     /// Injected protocol bug.
-    pub mutation: Mutation,
+    pub mutation: ProtocolMutation,
     /// Model the sharded-directory variant: the directory lives at a
     /// non-origin home node (node 1 when the world has one) and runs
     /// the two-hop protocol — owner-forwarded grants and batched
@@ -560,7 +147,7 @@ impl ModelConfig {
             nodes,
             pages,
             threads: (0..nodes).collect(),
-            mutation: Mutation::None,
+            mutation: ProtocolMutation::None,
             sharded: false,
         }
     }
@@ -573,7 +160,7 @@ impl ModelConfig {
     }
 
     /// Sets the injected mutation.
-    pub fn with_mutation(mut self, mutation: Mutation) -> Self {
+    pub fn with_mutation(mut self, mutation: ProtocolMutation) -> Self {
         self.mutation = mutation;
         self
     }
@@ -614,6 +201,16 @@ pub enum ModelEvent {
     },
 }
 
+impl std::fmt::Display for ModelEvent {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ModelEvent::Issue { thread, op } => write!(f, "T{thread}: {op}"),
+            ModelEvent::ReIssue { thread } => write!(f, "T{thread}: re-issue after retry"),
+            ModelEvent::Deliver { msg } => write!(f, "deliver message #{msg}"),
+        }
+    }
+}
+
 /// A safety violation detected while applying an event.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Violation {
@@ -623,26 +220,57 @@ pub struct Violation {
     pub detail: String,
 }
 
+impl Violation {
+    fn new(invariant: &'static str, detail: String) -> Self {
+        Violation { invariant, detail }
+    }
+}
+
 impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}: {}", self.invariant, self.detail)
     }
 }
 
-/// The full world state: directory + per-node page tables + in-flight
-/// messages + thread states.
+/// One node of the world: what the protocol steps run on.
+#[derive(Clone)]
+struct ModelNode {
+    state: NodeState<()>,
+    page_table: PageTable,
+    frames: (),
+}
+
+impl ModelNode {
+    fn view(&mut self, mutation: ProtocolMutation) -> Node<'_, ()> {
+        Node {
+            state: &mut self.state,
+            page_table: &mut self.page_table,
+            frames: &mut self.frames,
+            mutation,
+        }
+    }
+}
+
+/// An order-independent digest of a whole world state, for seen-set
+/// deduplication.
+#[derive(PartialEq, Eq, Hash)]
+pub struct ModelKey {
+    dir: Vec<(u64, PageInfo)>,
+    mapped: Vec<Vec<(Vpn, bool)>>,
+    msgs: Vec<InFlight>,
+    parked: Vec<Vec<Deferred<()>>>,
+    threads: Vec<ThreadState>,
+}
+
+/// The full world state: directory + per-node protocol state and page
+/// tables + in-flight messages + thread states.
 #[derive(Clone)]
 pub struct ModelState {
     config: ModelConfig,
     dir: Directory,
-    ptes: Vec<PageTable>,
-    msgs: Vec<Msg>,
+    nodes: Vec<ModelNode>,
+    msgs: Vec<InFlight>,
     threads: Vec<ThreadState>,
-    /// Sharded mode: protocol messages a node has parked because a
-    /// grant for the same page is still in flight to it (the runtime's
-    /// requester-side deferral). Released when the grant (or retry)
-    /// lands.
-    deferred: Vec<(NodeId, Msg)>,
 }
 
 impl ModelState {
@@ -651,11 +279,15 @@ impl ModelState {
     pub fn new(config: ModelConfig) -> Self {
         assert!(config.nodes >= 1 && config.nodes <= 64);
         assert!(config.threads.iter().all(|&n| n < config.nodes));
-        let mut ptes: Vec<PageTable> = (0..config.nodes).map(|_| PageTable::new()).collect();
+        let blank = ModelNode {
+            state: NodeState::default(),
+            page_table: PageTable::new(),
+            frames: (),
+        };
+        let mut nodes = vec![blank; config.nodes as usize];
         for vpn in 0..config.pages {
-            ptes[0].set(Vpn::new(vpn), Pte::READ_WRITE);
+            protocol::map_origin_default(&mut nodes[0].page_table, Vpn::new(vpn));
         }
-        let threads = vec![ThreadState::Idle; config.threads.len()];
         let dir = if config.sharded {
             Directory::forwarded(config.home(), NodeId(0))
         } else {
@@ -663,160 +295,74 @@ impl ModelState {
         };
         ModelState {
             dir,
-            ptes,
+            nodes,
             msgs: Vec::new(),
-            threads,
-            deferred: Vec::new(),
+            threads: vec![ThreadState::Idle; config.threads.len()],
             config,
         }
     }
 
-    /// The model's configuration.
-    pub fn config(&self) -> &ModelConfig {
-        &self.config
-    }
-
-    /// The origin directory (checker introspection).
-    pub fn directory(&self) -> &Directory {
-        &self.dir
-    }
-
-    /// The page table of `node`.
-    pub fn page_table(&self, node: NodeId) -> &PageTable {
-        &self.ptes[node.0 as usize]
-    }
-
-    /// In-flight messages in insertion order.
-    pub fn messages(&self) -> &[Msg] {
-        &self.msgs
-    }
-
-    /// Number of parked messages awaiting an in-flight grant (sharded
-    /// mode's requester-side deferral).
-    pub fn deferred_len(&self) -> usize {
-        self.deferred.len()
-    }
-
-    /// Thread states, indexed by thread id.
-    pub fn threads(&self) -> &[ThreadState] {
-        &self.threads
-    }
-
-    /// The home node of thread `t`.
-    pub fn thread_node(&self, t: usize) -> NodeId {
+    /// The node thread `t` runs on.
+    fn thread_node(&self, t: usize) -> NodeId {
         NodeId(self.config.threads[t])
     }
 
-    fn requester_for(&self, thread: usize) -> Requester {
-        let node = self.thread_node(thread);
-        if node == self.config.home() {
-            Requester::Local {
-                req_id: thread as u64,
-            }
-        } else {
-            Requester::Remote {
-                node,
-                req_id: thread as u64,
-            }
-        }
+    fn pte(&self, node: NodeId, vpn: Vpn) -> dex_os::Pte {
+        self.nodes[node.0 as usize].page_table.entry(vpn)
     }
 
-    fn thread_of(&self, requester: Requester) -> usize {
-        let req_id = match requester {
-            Requester::Remote { req_id, .. } | Requester::Local { req_id } => req_id,
-        };
-        req_id as usize
+    /// Runs `f` on node `n` as the protocol steps see it.
+    fn with_node<R>(&mut self, n: NodeId, f: impl FnOnce(&mut Node<'_, ()>) -> R) -> R {
+        f(&mut self.nodes[n.0 as usize].view(self.config.mutation))
     }
 
-    /// The ordered fabric channel `(src, dst)` a message travels on.
-    ///
-    /// DEX runs over RDMA reliable connections, which deliver in order
-    /// per connection; the single-writer invariant *depends* on that
-    /// ordering (a read `Grant` overtaken by a later `Invalidate` to the
-    /// same node would resurrect a revoked mapping). The model therefore
-    /// only enables delivery of the *oldest* in-flight message on each
-    /// channel; messages on distinct channels still interleave freely.
-    fn channel_of(&self, m: &Msg) -> (NodeId, NodeId) {
-        let home = self.config.home();
-        match *m {
-            Msg::Request { thread, .. } => (self.thread_node(thread), home),
-            Msg::Invalidate { to, .. } | Msg::Flush { to, .. } | Msg::InvBatch { to, .. } => {
-                (home, to)
-            }
-            Msg::InvAck { from, .. }
-            | Msg::FlushAck { from, .. }
-            | Msg::OwnerAck { from, .. }
-            | Msg::InvBatchAck { from, .. } => (from, home),
-            // Grants/retries travel from their actual sender: a
-            // forwarded grant (owner → requester) rides a different
-            // channel than the home's own traffic, so the two reorder
-            // freely — the hazard requester-side deferral absorbs.
-            Msg::Grant { from, thread, .. } | Msg::Retry { from, thread, .. } => {
-                (from, self.thread_node(thread))
-            }
-            Msg::Forward { to, .. } => (home, to),
-        }
+    fn parked(&self) -> impl Iterator<Item = &Deferred<()>> {
+        self.nodes.iter().flat_map(|n| n.state.deferred())
     }
 
-    /// Whether in-flight message `m` is at the head of its FIFO channel.
-    fn is_channel_head(&self, m: usize) -> bool {
-        let chan = self.channel_of(&self.msgs[m]);
-        !self.msgs[..m].iter().any(|e| self.channel_of(e) == chan)
-    }
-
-    /// True when no message is in flight, no transaction is open, and
-    /// every thread is idle — the drained states liveness requires to be
-    /// co-reachable from every reachable state.
+    /// True when no message is in flight or parked, no transaction is
+    /// open, and every thread is idle — the drained states liveness
+    /// requires to be co-reachable from every reachable state.
     pub fn is_quiescent(&self) -> bool {
         self.msgs.is_empty()
-            && self.deferred.is_empty()
+            && self.parked().next().is_none()
             && self.threads.iter().all(|t| *t == ThreadState::Idle)
             && (0..self.config.pages).all(|v| !self.dir.has_txn(Vpn::new(v)))
     }
 
-    /// Whether any in-flight message or open transaction concerns `vpn`.
+    /// Whether any message, parked work, open transaction or faulting
+    /// thread concerns `vpn`. (The model's directory emits one-page
+    /// batches, so a batch's first page is its only page.)
     fn page_in_flight(&self, vpn: Vpn) -> bool {
         self.dir.has_txn(vpn)
-            || self.msgs.iter().any(|m| m.vpn() == vpn)
-            || self.deferred.iter().any(|(_, m)| m.vpn() == vpn)
-            || self.threads.iter().any(|t| match *t {
-                ThreadState::Idle => false,
-                ThreadState::Waiting { vpn: v, .. }
-                | ThreadState::Backoff { vpn: v, .. }
-                | ThreadState::Follower { vpn: v, .. } => v == vpn,
-            })
+            || self.msgs.iter().any(|m| m.msg.page() == vpn)
+            || self.parked().any(|d| d.msg.page() == vpn)
+            || self
+                .threads
+                .iter()
+                .any(|t| t.fault().is_some_and(|(v, _)| v == vpn))
     }
 
     /// Every event enabled in this state.
     pub fn enabled_events(&self) -> Vec<ModelEvent> {
         let mut events = Vec::new();
         for (t, state) in self.threads.iter().enumerate() {
+            let issue = |op| ModelEvent::Issue { thread: t, op };
             match *state {
                 ThreadState::Idle => {
-                    let node = self.thread_node(t);
-                    for v in 0..self.config.pages {
-                        let vpn = Vpn::new(v);
-                        let pte = self.ptes[node.0 as usize].entry(vpn);
+                    for vpn in (0..self.config.pages).map(Vpn::new) {
+                        let pte = self.pte(self.thread_node(t), vpn);
                         // A thread only enters the protocol on a fault.
                         if !pte.permits(Access::Read) {
-                            events.push(ModelEvent::Issue {
-                                thread: t,
-                                op: Op::Read(vpn),
-                            });
+                            events.push(issue(Op::Read(vpn)));
                         }
                         if !pte.permits(Access::Write) {
-                            events.push(ModelEvent::Issue {
-                                thread: t,
-                                op: Op::Write(vpn),
-                            });
+                            events.push(issue(Op::Write(vpn)));
                         }
                         // Unmap models a synchronous VMA broadcast; the
                         // caller guarantees the page is quiescent.
                         if !self.page_in_flight(vpn) {
-                            events.push(ModelEvent::Issue {
-                                thread: t,
-                                op: Op::Evict(vpn),
-                            });
+                            events.push(issue(Op::Evict(vpn)));
                         }
                     }
                 }
@@ -824,12 +370,12 @@ impl ModelState {
                 ThreadState::Waiting { .. } | ThreadState::Follower { .. } => {}
             }
         }
-        for m in 0..self.msgs.len() {
-            // Per-channel FIFO: the fabric (RDMA RC) delivers in order,
-            // so only the oldest message on each (src, dst) channel is
-            // deliverable. See [`Self::channel_of`].
-            if self.is_channel_head(m) {
-                events.push(ModelEvent::Deliver { msg: m });
+        for (i, m) in self.msgs.iter().enumerate() {
+            // Per-channel FIFO: only the oldest message on each channel
+            // is deliverable (see [`InFlight`]).
+            let overtaken = |e: &InFlight| (e.src, e.dst) == (m.src, m.dst);
+            if !self.msgs[..i].iter().any(overtaken) {
+                events.push(ModelEvent::Deliver { msg: i });
             }
         }
         events
@@ -844,21 +390,16 @@ impl ModelState {
         let mut violations = Vec::new();
         match event {
             ModelEvent::Issue { thread, op } => match op {
-                Op::Read(vpn) => self.issue_fault(thread, vpn, Access::Read),
-                Op::Write(vpn) => self.issue_fault(thread, vpn, Access::Write),
+                Op::Read(vpn) => self.fault(thread, vpn, Access::Read),
+                Op::Write(vpn) => self.fault(thread, vpn, Access::Write),
                 Op::Evict(vpn) => self.evict(vpn),
             },
             ModelEvent::ReIssue { thread } => {
-                let (vpn, access) = match self.threads[thread] {
-                    ThreadState::Backoff { vpn, access } => (vpn, access),
-                    other => panic!("re-issue from non-backoff state {other:?}"),
+                let ThreadState::Backoff { vpn, access } = self.threads[thread] else {
+                    panic!("re-issue from state {:?}", self.threads[thread]);
                 };
                 self.threads[thread] = ThreadState::Waiting { vpn, access };
-                self.msgs.push(Msg::Request {
-                    thread,
-                    vpn,
-                    access,
-                });
+                self.send_request(thread, vpn, access);
             }
             ModelEvent::Deliver { msg } => {
                 let m = self.msgs.remove(msg);
@@ -869,407 +410,166 @@ impl ModelState {
         violations
     }
 
-    fn issue_fault(&mut self, thread: usize, vpn: Vpn, access: Access) {
-        // Leader–follower coalescing: join a same-node sibling already
-        // negotiating the same (page, access-class) fault.
+    /// A thread traps: the requester step decides whether it leads the
+    /// fault or coalesces behind a same-node sibling.
+    fn fault(&mut self, thread: usize, vpn: Vpn, access: Access) {
+        let fault = RequesterIn::Fault {
+            vpn,
+            access,
+            thread: thread as u64,
+            tag: 0,
+        };
         let node = self.thread_node(thread);
-        let leader = self.threads.iter().enumerate().find_map(|(u, s)| {
-            if u == thread || self.thread_node(u) != node {
-                return None;
-            }
-            match *s {
-                ThreadState::Waiting { vpn: v, access: a }
-                | ThreadState::Backoff { vpn: v, access: a }
-                    if v == vpn && a.is_write() == access.is_write() =>
-                {
-                    Some(u)
-                }
-                _ => None,
-            }
-        });
-        if let Some(leader) = leader {
+        let role = self.with_node(node, |n| requester_step(n, fault)).pop();
+        if let Some(Output::Follow { leader, bypass, .. }) = role {
+            let leader = leader as usize;
             self.threads[thread] = ThreadState::Follower {
                 vpn,
                 access,
                 leader,
             };
-            if self.config.mutation == Mutation::FollowerBypass {
-                // Bug: the follower races its own request to the origin.
-                self.msgs.push(Msg::Request {
-                    thread,
-                    vpn,
-                    access,
-                });
+            if bypass {
+                self.send_request(thread, vpn, access);
             }
-            return;
+        } else {
+            self.threads[thread] = ThreadState::Waiting { vpn, access };
+            self.send_request(thread, vpn, access);
         }
-        self.threads[thread] = ThreadState::Waiting { vpn, access };
-        self.msgs.push(Msg::Request {
-            thread,
-            vpn,
-            access,
-        });
+    }
+
+    fn send_request(&mut self, thread: usize, vpn: Vpn, access: Access) {
+        let (node, home) = (self.thread_node(thread), self.config.home());
+        let req_id = thread as u64;
+        let outs = if node == home {
+            // A home-local trap reaches the directory like a message, on
+            // the (home, home) channel.
+            let msg = PageMsg::Request {
+                vpn,
+                access,
+                req_id,
+            };
+            vec![Output::Send { to: home, msg }]
+        } else {
+            let issue = RequesterIn::Issue {
+                vpn,
+                access,
+                req_id,
+                home,
+            };
+            self.with_node(node, |n| requester_step(n, issue))
+        };
+        self.perform(node, outs, &mut Vec::new());
     }
 
     fn evict(&mut self, vpn: Vpn) {
         // Synchronous origin-side unmap: revoke every remote copy, then
         // forget the page; re-touching it re-creates the origin-exclusive
         // default, so the origin mapping resets to read-write.
-        let revokes = self.dir.drop_pages(&[vpn]);
-        for (node, v) in revokes {
-            self.ptes[node.0 as usize].clear(v);
+        for (node, v) in self.dir.drop_pages(&[vpn]) {
+            let node = &mut self.nodes[node.0 as usize];
+            protocol::unmap(&mut node.page_table, &mut node.frames, v);
         }
-        self.ptes[0].set(vpn, Pte::READ_WRITE);
+        protocol::map_origin_default(&mut self.nodes[0].page_table, vpn);
     }
 
-    fn deliver(&mut self, m: Msg, violations: &mut Vec<Violation>) {
-        match m {
-            Msg::Request {
-                thread,
-                vpn,
-                access,
-            } => {
-                let requester = self.requester_for(thread);
-                let actions = self.dir.request(vpn, access, requester);
-                self.run_actions(vpn, actions, violations);
+    /// Hands an arriving message to the role step it is addressed to and
+    /// performs the step's outputs.
+    fn deliver(&mut self, m: InFlight, violations: &mut Vec<Violation>) {
+        let InFlight { src, dst, msg } = m;
+        let outs = match msg.role() {
+            Role::Home => {
+                let home = &mut self.nodes[dst.0 as usize].view(self.config.mutation);
+                home_step(&mut self.dir, home, false, HomeIn::Msg { from: src, msg })
             }
-            Msg::Invalidate {
-                to,
-                vpn,
-                needs_data,
-            } => {
-                if self.config.mutation != Mutation::SkipInvalidateApply {
-                    self.ptes[to.0 as usize].clear(vpn);
-                }
-                if self.config.mutation == Mutation::DropInvAck {
-                    return; // The ack is lost in the fabric.
-                }
-                self.msgs.push(Msg::InvAck {
-                    vpn,
-                    from: to,
-                    carried_data: needs_data,
-                });
+            Role::Holder => {
+                let state = &mut self.nodes[dst.0 as usize].state;
+                let admitted = holder_admit(state, src, msg, 0);
+                admitted.map_or_else(Vec::new, |msg| self.serve(dst, src, msg))
             }
-            Msg::InvAck {
-                vpn,
-                from,
-                carried_data,
-            } => {
-                let actions = self.dir.invalidate_ack(vpn, from, carried_data);
-                self.run_actions(vpn, actions, violations);
-            }
-            Msg::Flush { to, vpn } => {
-                self.ptes[to.0 as usize].downgrade(vpn);
-                self.msgs.push(Msg::FlushAck { vpn, from: to });
-            }
-            Msg::FlushAck { vpn, from } => {
-                let actions = self.dir.flush_ack(vpn, from);
-                self.run_actions(vpn, actions, violations);
-            }
-            Msg::Grant {
-                thread,
-                vpn,
-                access,
-                ..
-            } => {
-                self.complete_grant(thread, vpn, access, violations);
-                self.maybe_release_deferred(self.thread_node(thread), vpn);
-            }
-            Msg::Retry {
-                thread,
-                vpn,
-                access,
-                ..
-            } => {
-                self.threads[thread] = ThreadState::Backoff { vpn, access };
-                self.maybe_release_deferred(self.thread_node(thread), vpn);
-            }
-            Msg::Forward {
-                to,
-                thread,
-                vpn,
-                access,
-            } => {
-                if self.node_waiting_on(to, vpn) {
-                    // A grant for this page is still in flight to the
-                    // new owner: servicing the forward now would grant
-                    // from a copy the node does not hold yet. Park it.
-                    self.deferred.push((
-                        to,
-                        Msg::Forward {
-                            to,
-                            thread,
-                            vpn,
-                            access,
-                        },
-                    ));
-                } else {
-                    self.apply_forward(to, thread, vpn, access);
-                }
-            }
-            Msg::OwnerAck { vpn, from, .. } => {
-                let actions = self.dir.owner_ack(vpn, from);
-                self.run_actions(vpn, actions, violations);
-            }
-            Msg::InvBatch {
-                to,
-                vpn,
-                needs_data,
-            } => {
-                if self.node_waiting_on(to, vpn) {
-                    // The revocation overtook the grant it revokes
-                    // (different channels): defer until the grant lands.
-                    self.deferred.push((
-                        to,
-                        Msg::InvBatch {
-                            to,
-                            vpn,
-                            needs_data,
-                        },
-                    ));
-                } else {
-                    self.apply_inv_batch(to, vpn, needs_data);
-                }
-            }
-            Msg::InvBatchAck {
-                vpn,
-                from,
-                carried_data,
-            } => {
-                let actions = self.dir.invalidate_ack(vpn, from, carried_data);
-                self.run_actions(vpn, actions, violations);
-            }
-        }
+            Role::Requester => self.with_node(dst, |n| requester_step(n, RequesterIn::Msg(msg))),
+        };
+        self.perform(dst, outs, violations);
     }
 
-    /// Whether some thread homed at `node` still awaits a grant for
-    /// `vpn` — the model analogue of the runtime's in-flight mark.
-    fn node_waiting_on(&self, node: NodeId, vpn: Vpn) -> bool {
-        self.threads.iter().enumerate().any(|(t, s)| {
-            self.thread_node(t) == node
-                && matches!(*s, ThreadState::Waiting { vpn: v, .. } if v == vpn)
-        })
+    /// Serves an admitted (or released) holder-role message at `node`.
+    fn serve(&mut self, node: NodeId, from: NodeId, msg: PageMsg<()>) -> Vec<Output<()>> {
+        self.with_node(node, |n| holder_step(n, from, msg, 0))
     }
 
-    /// Releases work parked at `(node, vpn)` once no grant is in flight
-    /// to that node for that page anymore.
-    fn maybe_release_deferred(&mut self, node: NodeId, vpn: Vpn) {
-        if self.node_waiting_on(node, vpn) {
-            return; // another same-page grant is still outstanding
-        }
-        let mut i = 0;
-        while i < self.deferred.len() {
-            if self.deferred[i].0 == node && self.deferred[i].1.vpn() == vpn {
-                let (_, m) = self.deferred.remove(i);
-                match m {
-                    Msg::Forward {
-                        to,
-                        thread,
+    /// Performs a role step's outputs at `node`, in order.
+    fn perform(&mut self, node: NodeId, outs: Vec<Output<()>>, violations: &mut Vec<Violation>) {
+        for out in outs {
+            match out {
+                Output::Send { to, msg } => {
+                    if let PageMsg::Grant {
+                        retry: true,
+                        req_id,
                         vpn,
-                        access,
-                    } => self.apply_forward(to, thread, vpn, access),
-                    Msg::InvBatch {
-                        to,
-                        vpn,
-                        needs_data,
-                    } => self.apply_inv_batch(to, vpn, needs_data),
-                    other => panic!("non-deferrable message parked: {other}"),
-                }
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Owner-side servicing of a forwarded request: adjust the local
-    /// mapping, grant straight to the requester, ack the home.
-    fn apply_forward(&mut self, to: NodeId, thread: usize, vpn: Vpn, access: Access) {
-        if access.is_write() {
-            // Mutation: the forwarding owner keeps its mapping after
-            // handing exclusivity away.
-            if self.config.mutation != Mutation::KeepOriginPte {
-                self.ptes[to.0 as usize].clear(vpn);
-            }
-        } else {
-            self.ptes[to.0 as usize].downgrade(vpn);
-        }
-        self.msgs.push(Msg::Grant {
-            from: to,
-            thread,
-            vpn,
-            access,
-            with_data: true,
-        });
-        self.msgs.push(Msg::OwnerAck {
-            vpn,
-            from: to,
-            access,
-        });
-    }
-
-    /// A node's handling of one batched-revocation entry.
-    fn apply_inv_batch(&mut self, to: NodeId, vpn: Vpn, needs_data: bool) {
-        if self.config.mutation != Mutation::SkipInvalidateApply {
-            self.ptes[to.0 as usize].clear(vpn);
-        }
-        if self.config.mutation == Mutation::DropInvAck {
-            return; // The ack is lost in the fabric.
-        }
-        self.msgs.push(Msg::InvBatchAck {
-            vpn,
-            from: to,
-            carried_data: needs_data,
-        });
-    }
-
-    fn run_actions(&mut self, vpn: Vpn, actions: Vec<DirAction>, violations: &mut Vec<Violation>) {
-        for action in actions {
-            match action {
-                DirAction::Grant {
-                    to,
-                    access,
-                    with_data,
-                } => {
-                    let thread = self.thread_of(to);
-                    if matches!(to, Requester::Local { .. }) {
-                        // Home-local grants complete synchronously.
-                        self.complete_grant(thread, vpn, access, violations);
-                    } else {
-                        self.msgs.push(Msg::Grant {
-                            from: self.config.home(),
-                            thread,
-                            vpn,
-                            access,
-                            with_data,
-                        });
-                    }
-                }
-                DirAction::Retry { to } => {
-                    let thread = self.thread_of(to);
-                    let access = match self.threads[thread] {
-                        ThreadState::Waiting { access, .. }
-                        | ThreadState::Backoff { access, .. }
-                        | ThreadState::Follower { access, .. } => access,
-                        ThreadState::Idle => {
-                            // A retry addressed to a thread with no
-                            // outstanding request: the faithful protocol
-                            // never does this, so surface it as a
-                            // violation instead of crashing the checker
-                            // (mutated protocols do reach this state).
-                            violations.push(Violation {
-                                invariant: "request/response pairing",
-                                detail: format!(
-                                    "retry for page {} addressed to idle thread T{thread}",
-                                    vpn.index()
-                                ),
-                            });
+                        ..
+                    } = msg
+                    {
+                        // A retry addressed to a thread with no outstanding
+                        // request: the faithful protocol never sends one,
+                        // so surface it as a violation instead of crashing
+                        // the checker (mutated protocols do reach it).
+                        if self.threads[req_id as usize] == ThreadState::Idle {
+                            let detail = format!(
+                                "retry for page {} addressed to idle thread T{req_id}",
+                                vpn.index()
+                            );
+                            violations.push(Violation::new("request/response pairing", detail));
                             continue;
                         }
-                    };
-                    if matches!(to, Requester::Local { .. }) {
-                        self.threads[thread] = ThreadState::Backoff { vpn, access };
-                    } else {
-                        self.msgs.push(Msg::Retry {
-                            from: self.config.home(),
-                            thread,
-                            vpn,
-                            access,
-                        });
+                    }
+                    let (src, dst) = (node, to);
+                    self.msgs.push(InFlight { src, dst, msg });
+                }
+                Output::Released(work) => {
+                    let outs = self.serve(node, work.from, work.msg);
+                    self.perform(node, outs, violations);
+                }
+                // Home-local answers complete synchronously.
+                Output::Wake { req_id, retry } => self.wake(req_id as usize, retry, violations),
+                Output::WakeFollower(t) => {
+                    if let ThreadState::Follower { .. } = self.threads[t as usize] {
+                        self.threads[t as usize] = ThreadState::Idle;
                     }
                 }
-                DirAction::SendFlush { to } => self.msgs.push(Msg::Flush { to, vpn }),
-                DirAction::SendInvalidate { to, needs_data } => self.msgs.push(Msg::Invalidate {
-                    to,
-                    vpn,
-                    needs_data,
-                }),
-                DirAction::ClearOriginPte => {
-                    // Mutation: the handling node keeps its mapping after
-                    // handing ownership away.
-                    if self.config.mutation != Mutation::KeepOriginPte {
-                        self.ptes[self.config.home().0 as usize].clear(vpn);
-                    }
-                }
-                DirAction::DowngradeOriginPte => {
-                    if self.config.mutation != Mutation::SkipOriginDowngrade {
-                        self.ptes[self.config.home().0 as usize].downgrade(vpn);
-                    }
-                }
-                DirAction::SetOriginPteRo => {
-                    self.ptes[self.config.home().0 as usize].set(vpn, Pte::READ_ONLY);
-                }
-                DirAction::InstallOriginData => {} // Data movement: no protocol state.
-                DirAction::Forward {
-                    to,
-                    requester,
-                    access,
-                } => {
-                    let thread = self.thread_of(requester);
-                    self.msgs.push(Msg::Forward {
-                        to,
-                        thread,
-                        vpn,
-                        access,
-                    });
-                }
-                DirAction::SendInvalidateBatch { to, entries } => {
-                    for (v, needs_data) in entries {
-                        self.msgs.push(Msg::InvBatch {
-                            to,
-                            vpn: v,
-                            needs_data,
-                        });
-                    }
-                }
-                DirAction::DropHomeCopy { .. } => {
-                    // The home's own replica is one of the doomed copies;
-                    // data staging is not protocol state.
-                    self.ptes[self.config.home().0 as usize].clear(vpn);
+                Output::ZeroPageGrant => {}
+                Output::Lead | Output::Follow { .. } => {
+                    unreachable!("fault roles are consumed where the fault is raised")
                 }
             }
         }
     }
 
-    fn complete_grant(
-        &mut self,
-        thread: usize,
-        vpn: Vpn,
-        access: Access,
-        violations: &mut Vec<Violation>,
-    ) {
+    /// The answer to `thread`'s request arrived (its mapping is already
+    /// installed unless `retry`). A granted leader resolves its fault at
+    /// once — the model has no fix-up phase — releasing its followers.
+    fn wake(&mut self, thread: usize, retry: bool, violations: &mut Vec<Violation>) {
+        let Some((vpn, access)) = self.threads[thread].fault() else {
+            return;
+        };
         if let ThreadState::Follower { leader, .. } = self.threads[thread] {
-            violations.push(Violation {
-                invariant: "leader-follower ordering",
-                detail: format!(
+            // Only the follower-bypass bug gets a follower answered: a
+            // bounce leaves it waiting for its leader, a grant is wrong.
+            if !retry {
+                let detail = format!(
                     "follower T{thread} (leader T{leader}) granted {access} on page {} \
                      before its leader completed",
                     vpn.index()
-                ),
-            });
-        }
-        let node = self.thread_node(thread);
-        let table = &mut self.ptes[node.0 as usize];
-        match access {
-            Access::Write => table.set(vpn, Pte::READ_WRITE),
-            Access::Read => {
-                // The degenerate read-grant to the current writer keeps
-                // the writable mapping.
-                if !table.entry(vpn).writable {
-                    table.set(vpn, Pte::READ_ONLY);
-                }
+                );
+                violations.push(Violation::new("leader-follower ordering", detail));
+                self.threads[thread] = ThreadState::Idle;
             }
-        }
-        self.threads[thread] = ThreadState::Idle;
-        // Release coalesced followers: the leader installed the mapping
-        // on behalf of the whole node.
-        if self.config.mutation != Mutation::DropWakeup {
-            for u in 0..self.threads.len() {
-                if let ThreadState::Follower { leader, .. } = self.threads[u] {
-                    if leader == thread {
-                        self.threads[u] = ThreadState::Idle;
-                    }
-                }
-            }
+        } else if retry {
+            self.threads[thread] = ThreadState::Backoff { vpn, access };
+        } else {
+            self.threads[thread] = ThreadState::Idle;
+            let node = self.thread_node(thread);
+            let resolved = RequesterIn::Resolved { vpn, access };
+            let outs = self.with_node(node, |n| requester_step(n, resolved));
+            self.perform(node, outs, violations);
         }
     }
 
@@ -1282,31 +582,24 @@ impl ModelState {
             // anywhere else. This must hold in EVERY reachable state.
             let present: Vec<NodeId> = (0..self.config.nodes)
                 .map(NodeId)
-                .filter(|n| self.ptes[n.0 as usize].entry(vpn).present)
+                .filter(|n| self.pte(*n, vpn).present)
                 .collect();
             let writable: Vec<NodeId> = present
                 .iter()
                 .copied()
-                .filter(|n| self.ptes[n.0 as usize].entry(vpn).writable)
+                .filter(|n| self.pte(*n, vpn).writable)
                 .collect();
             if !writable.is_empty() && present.len() > 1 {
-                violations.push(Violation {
-                    invariant: "single-writer exclusivity",
-                    detail: format!(
-                        "page {v}: node {} maps it writable while nodes {:?} also map it",
-                        writable[0],
-                        present
-                            .iter()
-                            .filter(|n| **n != writable[0])
-                            .collect::<Vec<_>>()
-                    ),
-                });
+                let others: Vec<_> = present.iter().filter(|n| **n != writable[0]).collect();
+                let detail = format!(
+                    "page {v}: node {} maps it writable while nodes {others:?} also map it",
+                    writable[0]
+                );
+                violations.push(Violation::new("single-writer exclusivity", detail));
             }
             if writable.len() > 1 {
-                violations.push(Violation {
-                    invariant: "single-writer exclusivity",
-                    detail: format!("page {v}: multiple writable mappings on nodes {writable:?}"),
-                });
+                let detail = format!("page {v}: multiple writable mappings on nodes {writable:?}");
+                violations.push(Violation::new("single-writer exclusivity", detail));
             }
             // (2)+(3) Owner-set/PTE agreement and no lost invalidations:
             // once a page is quiescent (no transaction, no in-flight
@@ -1314,96 +607,53 @@ impl ModelState {
             // exactly the directory's owner set, and the writable node
             // must be the registered writer.
             if !self.page_in_flight(vpn) {
-                let model = self.dir.page_model(vpn);
+                let (owners, writer) = (self.dir.owners(vpn), self.dir.current_writer(vpn));
                 let mapped: NodeSet = present.iter().copied().collect();
-                if mapped != model.owners {
-                    violations.push(Violation {
-                        invariant: "owner-set/PTE agreement",
-                        detail: format!(
-                            "page {v}: directory owners {:?} but mapped on {:?} \
-                             (stale or lost invalidation)",
-                            model.owners, mapped
-                        ),
-                    });
+                let mut disagree = |detail| {
+                    violations.push(Violation::new("owner-set/PTE agreement", detail));
+                };
+                if mapped != owners {
+                    disagree(format!(
+                        "page {v}: directory owners {owners:?} but mapped on {mapped:?} \
+                         (stale or lost invalidation)"
+                    ));
                 }
-                match model.writer {
-                    Some(w) if !self.ptes[w.0 as usize].entry(vpn).writable => {
-                        violations.push(Violation {
-                            invariant: "owner-set/PTE agreement",
-                            detail: format!(
-                                "page {v}: directory writer {w} lacks a writable mapping"
-                            ),
-                        });
-                    }
-                    None if !writable.is_empty() => {
-                        violations.push(Violation {
-                            invariant: "owner-set/PTE agreement",
-                            detail: format!(
-                                "page {v}: no directory writer but node {} maps it writable",
-                                writable[0]
-                            ),
-                        });
-                    }
+                match writer {
+                    Some(w) if !self.pte(w, vpn).writable => disagree(format!(
+                        "page {v}: directory writer {w} lacks a writable mapping"
+                    )),
+                    None if !writable.is_empty() => disagree(format!(
+                        "page {v}: no directory writer but node {} maps it writable",
+                        writable[0]
+                    )),
                     _ => {}
                 }
             }
         }
         // The directory's own internal consistency.
         if let Err(err) = self.dir.check_invariants() {
-            violations.push(Violation {
-                invariant: "directory internal consistency",
-                detail: err,
-            });
+            violations.push(Violation::new("directory internal consistency", err));
         }
     }
 
-    /// A canonical, order-independent encoding of the whole world state
-    /// for seen-set deduplication.
-    pub fn canonical_key(&self) -> Vec<u64> {
-        let mut key = self.dir.canonical();
-        key.push(u64::MAX); // Section separator.
-        for pt in &self.ptes {
-            for (vpn, pte) in pt.iter() {
-                key.push(vpn.index() << 2 | (pte.present as u64) << 1 | pte.writable as u64);
-            }
-            key.push(u64::MAX - 1);
-        }
-        let mut msgs: Vec<[u64; 4]> = self.msgs.iter().map(|m| m.canonical()).collect();
+    /// A canonical, order-independent digest of the whole world state
+    /// for seen-set deduplication. Coalescing tables and in-flight marks
+    /// are functions of the thread states, so those stand in for them.
+    pub fn canonical_key(&self) -> ModelKey {
+        let mapped = |n: &ModelNode| n.page_table.iter().map(|(v, p)| (v, p.writable)).collect();
+        let parked = |n: &ModelNode| n.state.deferred().cloned().collect();
+        let mut msgs = self.msgs.clone();
         msgs.sort_unstable();
-        for m in msgs {
-            key.extend_from_slice(&m);
+        // Tracked pages only: an untracked page and a tracked one in the
+        // default state are told apart, as the directory does.
+        let tracked = self.dir.pages.iter();
+        ModelKey {
+            dir: tracked.map(|(key, info)| (key, info.clone())).collect(),
+            mapped: self.nodes.iter().map(mapped).collect(),
+            msgs,
+            parked: self.nodes.iter().map(parked).collect(),
+            threads: self.threads.clone(),
         }
-        key.push(u64::MAX);
-        let mut parked: Vec<[u64; 5]> = self
-            .deferred
-            .iter()
-            .map(|(n, m)| {
-                let c = m.canonical();
-                [n.0 as u64, c[0], c[1], c[2], c[3]]
-            })
-            .collect();
-        parked.sort_unstable();
-        for p in parked {
-            key.extend_from_slice(&p);
-        }
-        key.push(u64::MAX);
-        for t in &self.threads {
-            key.push(match *t {
-                ThreadState::Idle => 0,
-                ThreadState::Waiting { vpn, access } => {
-                    1 | vpn.index() << 8 | (access.is_write() as u64) << 4
-                }
-                ThreadState::Backoff { vpn, access } => {
-                    2 | vpn.index() << 8 | (access.is_write() as u64) << 4
-                }
-                ThreadState::Follower {
-                    vpn,
-                    access,
-                    leader,
-                } => 3 | vpn.index() << 8 | (access.is_write() as u64) << 4 | (leader as u64) << 32,
-            });
-        }
-        key
     }
 
     /// Renders the state compactly (counterexample traces).
@@ -1412,23 +662,19 @@ impl ModelState {
         let mut out = String::new();
         for v in 0..self.config.pages {
             let vpn = Vpn::new(v);
-            let model = self.dir.page_model(vpn);
             let mapped: Vec<String> = (0..self.config.nodes)
                 .filter_map(|n| {
-                    let pte = self.ptes[n as usize].entry(vpn);
-                    if pte.present {
-                        Some(format!("{n}{}", if pte.writable { "w" } else { "r" }))
-                    } else {
-                        None
-                    }
+                    let pte = self.pte(NodeId(n), vpn);
+                    let mode = if pte.writable { "w" } else { "r" };
+                    pte.present.then(|| format!("{n}{mode}"))
                 })
                 .collect();
             let _ = write!(
                 out,
                 "page {v}: owners={:?} writer={:?} txn={} mapped=[{}]  ",
-                model.owners,
-                model.writer.map(|w| w.0),
-                if model.txn.is_some() { "yes" } else { "no" },
+                self.dir.owners(vpn),
+                self.dir.current_writer(vpn).map(|w| w.0),
+                if self.dir.has_txn(vpn) { "yes" } else { "no" },
                 mapped.join(",")
             );
         }
@@ -1436,26 +682,10 @@ impl ModelState {
             out,
             "msgs={} deferred={} threads={:?}",
             self.msgs.len(),
-            self.deferred.len(),
+            self.parked().count(),
             self.threads
         );
         out
-    }
-}
-
-impl std::fmt::Debug for ModelState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.describe())
-    }
-}
-
-impl std::fmt::Display for ModelEvent {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ModelEvent::Issue { thread, op } => write!(f, "T{thread}: {op}"),
-            ModelEvent::ReIssue { thread } => write!(f, "T{thread}: re-issue after retry"),
-            ModelEvent::Deliver { msg } => write!(f, "deliver message #{msg}"),
-        }
     }
 }
 
@@ -1463,16 +693,38 @@ impl std::fmt::Display for ModelEvent {
 mod tests {
     use super::*;
 
+    const PAGE: Vpn = Vpn::new(0);
+
+    fn issue(state: &mut ModelState, thread: usize, op: Op) -> Vec<Violation> {
+        state.apply(ModelEvent::Issue { thread, op })
+    }
+
+    /// Delivers messages (FIFO) until none is in flight; no new ops issued.
     fn drain(state: &mut ModelState) -> Vec<Violation> {
-        // Deliver messages (FIFO) until quiescent; no new ops issued.
         let mut violations = Vec::new();
-        let mut budget = 10_000;
-        while !state.msgs.is_empty() {
-            budget -= 1;
-            assert!(budget > 0, "model failed to drain");
+        for _ in 0..10_000 {
+            if state.msgs.is_empty() {
+                return violations;
+            }
             violations.extend(state.apply(ModelEvent::Deliver { msg: 0 }));
         }
+        panic!("model failed to drain");
+    }
+
+    /// Issues each `(thread, op)` and drains after it.
+    fn run(state: &mut ModelState, ops: &[(usize, Op)]) -> Vec<Violation> {
+        let mut violations = Vec::new();
+        for &(thread, op) in ops {
+            violations.extend(issue(state, thread, op));
+            violations.extend(drain(state));
+        }
         violations
+    }
+
+    fn deliver_where(state: &mut ModelState, pred: impl Fn(&InFlight) -> bool) -> Vec<Violation> {
+        let msg = state.msgs.iter().position(pred);
+        let msg = msg.expect("expected message in flight");
+        state.apply(ModelEvent::Deliver { msg })
     }
 
     #[test]
@@ -1486,301 +738,152 @@ mod tests {
 
     #[test]
     fn remote_write_transfers_ownership() {
-        let mut state = ModelState::new(ModelConfig::new(2, 1));
-        let vpn = Vpn::new(0);
-        let mut violations = state.apply(ModelEvent::Issue {
-            thread: 1,
-            op: Op::Write(vpn),
-        });
-        violations.extend(drain(&mut state));
-        assert!(violations.is_empty(), "{violations:?}");
-        assert!(state.is_quiescent());
-        assert_eq!(state.directory().current_writer(vpn), Some(NodeId(1)));
-        assert!(state.page_table(NodeId(1)).entry(vpn).writable);
-        assert!(!state.page_table(NodeId(0)).entry(vpn).present);
+        for (config, writer) in [
+            (ModelConfig::new(2, 1), 1),
+            // Home = node 1, origin = node 0: the write by node 2 must be
+            // forwarded by the home to the origin, which grants directly.
+            (ModelConfig::new(3, 1).with_sharding(), 2),
+        ] {
+            let mut state = ModelState::new(config);
+            let violations = run(&mut state, &[(writer, Op::Write(PAGE))]);
+            assert!(violations.is_empty(), "{violations:?}");
+            assert!(state.is_quiescent());
+            let node = NodeId(writer as u16);
+            assert_eq!(state.dir.current_writer(PAGE), Some(node));
+            assert!(state.pte(node, PAGE).writable);
+            assert!(!state.pte(NodeId(0), PAGE).present);
+        }
     }
 
     #[test]
-    fn skip_invalidate_mutation_is_caught() {
-        let cfg = ModelConfig::new(3, 1).with_mutation(Mutation::SkipInvalidateApply);
-        let mut state = ModelState::new(cfg);
-        let vpn = Vpn::new(0);
-        // Node 1 reads (replica), then node 2 writes (revokes node 1).
-        let mut violations = state.apply(ModelEvent::Issue {
-            thread: 1,
-            op: Op::Read(vpn),
-        });
-        violations.extend(drain(&mut state));
-        violations.extend(state.apply(ModelEvent::Issue {
-            thread: 2,
-            op: Op::Write(vpn),
-        }));
-        violations.extend(drain(&mut state));
-        assert!(
-            violations
-                .iter()
-                .any(|v| v.invariant.contains("exclusivity") || v.invariant.contains("agreement")),
-            "stale mapping must be detected: {violations:?}"
-        );
+    fn stale_mappings_left_by_seeded_bugs_are_detected() {
+        // Node 1 reads (replica), then node 2 writes (revokes node 1): a
+        // skipped invalidation leaves node 1 mapped. Sharded, the write
+        // alone is forwarded to the origin, which must drop its mapping.
+        let ops = [(1, Op::Read(PAGE)), (2, Op::Write(PAGE))];
+        let classic = ModelConfig::new(3, 1).with_mutation(ProtocolMutation::SkipInvalidate);
+        let sharded = ModelConfig::new(3, 1)
+            .with_sharding()
+            .with_mutation(ProtocolMutation::KeepOriginPte);
+        for (cfg, ops) in [(classic, &ops[..]), (sharded, &ops[1..])] {
+            let violations = run(&mut ModelState::new(cfg), ops);
+            let stale = |v: &Violation| {
+                v.invariant.contains("exclusivity") || v.invariant.contains("agreement")
+            };
+            assert!(violations.iter().any(stale), "{violations:?}");
+        }
     }
 
     #[test]
     fn drop_ack_mutation_prevents_drain() {
-        let cfg = ModelConfig::new(3, 1).with_mutation(Mutation::DropInvAck);
+        let cfg = ModelConfig::new(3, 1).with_mutation(ProtocolMutation::DropAck);
         let mut state = ModelState::new(cfg);
-        let vpn = Vpn::new(0);
-        let mut v = state.apply(ModelEvent::Issue {
-            thread: 1,
-            op: Op::Read(vpn),
-        });
-        v.extend(drain(&mut state));
-        v.extend(state.apply(ModelEvent::Issue {
-            thread: 2,
-            op: Op::Write(vpn),
-        }));
-        // Deliver everything deliverable; the transaction must stay open.
-        let mut budget = 100;
-        while !state.msgs.is_empty() && budget > 0 {
-            state.apply(ModelEvent::Deliver { msg: 0 });
-            budget -= 1;
-        }
-        assert!(state.directory().has_txn(vpn), "txn should never drain");
+        // Everything deliverable gets delivered; the write's transaction
+        // must stay open.
+        run(&mut state, &[(1, Op::Read(PAGE)), (2, Op::Write(PAGE))]);
+        assert!(state.dir.has_txn(PAGE), "txn should never drain");
         assert!(!state.is_quiescent());
     }
 
     #[test]
     fn coalesced_follower_completes_with_leader() {
-        let cfg = ModelConfig::new(2, 1).with_extra_thread(1);
-        let mut state = ModelState::new(cfg);
-        let vpn = Vpn::new(0);
+        let mut state = ModelState::new(ModelConfig::new(2, 1).with_extra_thread(1));
         // Thread 1 (node 1) write-faults; thread 2 (node 1) coalesces.
-        state.apply(ModelEvent::Issue {
-            thread: 1,
-            op: Op::Write(vpn),
-        });
-        state.apply(ModelEvent::Issue {
-            thread: 2,
-            op: Op::Write(vpn),
-        });
-        assert!(matches!(
-            state.threads()[2],
-            ThreadState::Follower { leader: 1, .. }
-        ));
+        issue(&mut state, 1, Op::Write(PAGE));
+        issue(&mut state, 2, Op::Write(PAGE));
+        let follower = ThreadState::Follower {
+            vpn: PAGE,
+            access: Access::Write,
+            leader: 1,
+        };
+        assert_eq!(state.threads[2], follower);
         let violations = drain(&mut state);
         assert!(violations.is_empty(), "{violations:?}");
-        assert_eq!(state.threads()[1], ThreadState::Idle);
-        assert_eq!(state.threads()[2], ThreadState::Idle, "follower released");
+        assert_eq!(state.threads[1], ThreadState::Idle);
+        assert_eq!(state.threads[2], ThreadState::Idle, "follower released");
+    }
+
+    #[test]
+    fn write_leader_keeps_its_writable_mapping_when_a_read_leader_is_granted() {
+        // Same node, one page, a write leader and a read leader (different
+        // access classes do not coalesce). The home answers the write
+        // first, so the read is the degenerate "requester is the writer"
+        // grant: it must not demote the mapping the directory still
+        // records as the writer's.
+        let mut state = ModelState::new(ModelConfig::new(2, 1).with_extra_thread(1));
+        issue(&mut state, 1, Op::Write(PAGE));
+        issue(&mut state, 2, Op::Read(PAGE));
+        assert_eq!(state.msgs.len(), 2, "two leaders, two requests");
+        let violations = drain(&mut state);
+        assert!(violations.is_empty(), "{violations:?}");
+        assert!(state.is_quiescent());
+        assert_eq!(state.dir.current_writer(PAGE), Some(NodeId(1)));
+        assert!(state.pte(NodeId(1), PAGE).writable);
     }
 
     #[test]
     fn canonical_key_is_stable_under_message_reordering() {
         let mut a = ModelState::new(ModelConfig::new(3, 1));
         let mut b = a.clone();
-        let vpn = Vpn::new(0);
         // Same requests issued in different orders; before any delivery
         // the in-flight multisets are equal.
-        a.apply(ModelEvent::Issue {
-            thread: 1,
-            op: Op::Read(vpn),
-        });
-        a.apply(ModelEvent::Issue {
-            thread: 2,
-            op: Op::Write(vpn),
-        });
-        b.apply(ModelEvent::Issue {
-            thread: 2,
-            op: Op::Write(vpn),
-        });
-        b.apply(ModelEvent::Issue {
-            thread: 1,
-            op: Op::Read(vpn),
-        });
-        assert_eq!(a.canonical_key(), b.canonical_key());
-    }
-
-    #[test]
-    fn write_request_from_current_writer_is_no_data_fast_path() {
-        // Degenerate re-request: the exclusive owner asks to write again
-        // (reachable when a coalesced sibling's request raced ahead).
-        let mut dir = Directory::new(NodeId(0));
-        let vpn = Vpn::new(0);
-        let who = Requester::Remote {
-            node: NodeId(1),
-            req_id: 1,
-        };
-        for a in dir.request(vpn, Access::Write, who) {
-            if let DirAction::SendInvalidate { to, needs_data } = a {
-                dir.invalidate_ack(vpn, to, needs_data);
-            }
-        }
-        assert_eq!(dir.page_model(vpn).writer, Some(NodeId(1)));
-        let again = dir.request(vpn, Access::Write, who);
-        assert_eq!(
-            again,
-            vec![DirAction::Grant {
-                to: who,
-                access: Access::Write,
-                with_data: false,
-            }],
-            "re-request by the current writer must skip the data transfer"
-        );
-        let model = dir.page_model(vpn);
-        assert_eq!(model.writer, Some(NodeId(1)));
-        assert_eq!(model.owners, NodeSet::single(NodeId(1)));
-        assert!(model.txn.is_none());
-    }
-
-    #[test]
-    fn read_request_from_existing_owner_leaves_owner_set_unchanged() {
-        let mut dir = Directory::new(NodeId(0));
-        let vpn = Vpn::new(0);
-        let who = Requester::Remote {
-            node: NodeId(1),
-            req_id: 1,
-        };
-        dir.request(vpn, Access::Read, who);
-        let before = dir.page_model(vpn);
-        assert!(before.owners.contains(NodeId(1)));
-        // Second read from a node already in the owner set (reachable
-        // after a raced coalesced fault): grant, owner set unchanged.
-        let again = dir.request(vpn, Access::Read, who);
-        assert_eq!(
-            again,
-            vec![DirAction::Grant {
-                to: who,
-                access: Access::Read,
-                with_data: true,
-            }]
-        );
-        let after = dir.page_model(vpn);
-        assert_eq!(after.owners, before.owners);
-        assert_eq!(after.writer, None);
-        assert!(after.txn.is_none());
-        dir.check_invariants().unwrap();
-    }
-
-    fn deliver_where(state: &mut ModelState, pred: impl Fn(&Msg) -> bool) -> Vec<Violation> {
-        let idx = state
-            .messages()
-            .iter()
-            .position(pred)
-            .expect("expected message in flight");
-        state.apply(ModelEvent::Deliver { msg: idx })
-    }
-
-    #[test]
-    fn sharded_remote_write_transfers_ownership_via_forward() {
-        // Home = node 1, origin = node 0: the write by node 2 must be
-        // forwarded by the home to the origin, which grants directly.
-        let mut state = ModelState::new(ModelConfig::new(3, 1).with_sharding());
-        let vpn = Vpn::new(0);
-        let mut violations = state.apply(ModelEvent::Issue {
-            thread: 2,
-            op: Op::Write(vpn),
-        });
-        violations.extend(drain(&mut state));
-        assert!(violations.is_empty(), "{violations:?}");
-        assert!(state.is_quiescent());
-        assert_eq!(state.directory().current_writer(vpn), Some(NodeId(2)));
-        assert!(state.page_table(NodeId(2)).entry(vpn).writable);
-        assert!(!state.page_table(NodeId(0)).entry(vpn).present);
-    }
-
-    #[test]
-    fn sharded_keep_origin_pte_mutation_is_caught() {
-        let cfg = ModelConfig::new(3, 1)
-            .with_sharding()
-            .with_mutation(Mutation::KeepOriginPte);
-        let mut state = ModelState::new(cfg);
-        let vpn = Vpn::new(0);
-        let mut violations = state.apply(ModelEvent::Issue {
-            thread: 2,
-            op: Op::Write(vpn),
-        });
-        violations.extend(drain(&mut state));
-        assert!(
-            violations
-                .iter()
-                .any(|v| v.invariant.contains("exclusivity") || v.invariant.contains("agreement")),
-            "forwarding owner keeping its PTE must be detected: {violations:?}"
-        );
+        issue(&mut a, 1, Op::Read(PAGE));
+        issue(&mut a, 2, Op::Write(PAGE));
+        issue(&mut b, 2, Op::Write(PAGE));
+        issue(&mut b, 1, Op::Read(PAGE));
+        assert!(a.canonical_key() == b.canonical_key());
     }
 
     #[test]
     fn sharded_invalidate_overtaking_forwarded_grant_is_deferred() {
         let mut state = ModelState::new(ModelConfig::new(3, 1).with_sharding());
-        let vpn = Vpn::new(0);
+        let request = |m: &InFlight| matches!(m.msg, PageMsg::Request { .. });
         // Make node 2 the exclusive writer.
-        let mut v = state.apply(ModelEvent::Issue {
-            thread: 2,
-            op: Op::Write(vpn),
-        });
-        v.extend(drain(&mut state));
+        let mut v = run(&mut state, &[(2, Op::Write(PAGE))]);
         assert!(v.is_empty(), "{v:?}");
         // T0 (origin) read-faults; the home forwards to owner node 2,
         // which grants straight to node 0 and acks the home. Complete
         // the home's transaction first, leaving the grant in flight.
-        v.extend(state.apply(ModelEvent::Issue {
-            thread: 0,
-            op: Op::Read(vpn),
+        v.extend(issue(&mut state, 0, Op::Read(PAGE)));
+        v.extend(deliver_where(&mut state, request));
+        v.extend(deliver_where(&mut state, |m| {
+            matches!(m.msg, PageMsg::OwnerForward { .. })
         }));
         v.extend(deliver_where(&mut state, |m| {
-            matches!(*m, Msg::Request { .. })
-        }));
-        v.extend(deliver_where(&mut state, |m| {
-            matches!(*m, Msg::Forward { .. })
-        }));
-        v.extend(deliver_where(&mut state, |m| {
-            matches!(*m, Msg::OwnerAck { .. })
+            matches!(m.msg, PageMsg::OwnerAck { .. })
         }));
         // The home's own thread write-faults: revocations fan out while
         // node 0's grant is still traveling on another channel.
-        v.extend(state.apply(ModelEvent::Issue {
-            thread: 1,
-            op: Op::Write(vpn),
-        }));
-        v.extend(deliver_where(&mut state, |m| {
-            matches!(*m, Msg::Request { .. })
-        }));
+        v.extend(issue(&mut state, 1, Op::Write(PAGE)));
+        v.extend(deliver_where(&mut state, request));
         // Deliver the revocation aimed at node 0 ahead of its grant: it
         // must park instead of acking a copy that never arrived.
-        v.extend(deliver_where(
-            &mut state,
-            |m| matches!(*m, Msg::InvBatch { to, .. } if to == NodeId(0)),
-        ));
-        assert_eq!(state.deferred_len(), 1, "revocation parked behind grant");
+        v.extend(deliver_where(&mut state, |m| {
+            m.dst == NodeId(0) && matches!(m.msg, PageMsg::InvalidateBatch { .. })
+        }));
+        assert_eq!(state.parked().count(), 1, "revocation parked behind grant");
         // The grant lands; the parked revocation applies right after it.
         v.extend(deliver_where(&mut state, |m| {
-            matches!(*m, Msg::Grant { thread: 0, .. })
+            m.dst == NodeId(0) && matches!(m.msg, PageMsg::Grant { .. })
         }));
-        assert_eq!(state.deferred_len(), 0, "parked revocation released");
+        assert_eq!(state.parked().count(), 0, "parked revocation released");
         v.extend(drain(&mut state));
         assert!(v.is_empty(), "{v:?}");
         assert!(state.is_quiescent());
-        assert_eq!(state.directory().current_writer(vpn), Some(NodeId(1)));
-        assert!(!state.page_table(NodeId(0)).entry(vpn).present);
-        assert!(state.page_table(NodeId(1)).entry(vpn).writable);
+        assert_eq!(state.dir.current_writer(PAGE), Some(NodeId(1)));
+        assert!(!state.pte(NodeId(0), PAGE).present);
+        assert!(state.pte(NodeId(1), PAGE).writable);
     }
 
     #[test]
     fn evict_last_remote_owner_resets_to_origin() {
         let mut state = ModelState::new(ModelConfig::new(2, 1));
-        let vpn = Vpn::new(0);
-        state.apply(ModelEvent::Issue {
-            thread: 1,
-            op: Op::Write(vpn),
-        });
-        let violations = drain(&mut state);
-        assert!(violations.is_empty(), "{violations:?}");
-        // Node 1 is now the sole (remote) owner; evict the page.
-        let violations = state.apply(ModelEvent::Issue {
-            thread: 0,
-            op: Op::Evict(vpn),
-        });
+        // Node 1 becomes the sole (remote) owner; then evict the page.
+        let violations = run(&mut state, &[(1, Op::Write(PAGE)), (0, Op::Evict(PAGE))]);
         assert!(violations.is_empty(), "{violations:?}");
         assert!(state.is_quiescent());
-        assert_eq!(state.directory().current_writer(vpn), Some(NodeId(0)));
-        assert!(!state.page_table(NodeId(1)).entry(vpn).present);
-        assert!(state.page_table(NodeId(0)).entry(vpn).writable);
+        assert_eq!(state.dir.current_writer(PAGE), Some(NodeId(0)));
+        assert!(!state.pte(NodeId(1), PAGE).present);
+        assert!(state.pte(NodeId(0), PAGE).writable);
     }
 }

@@ -16,13 +16,15 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use dex_net::{NodeId, SpanContext};
-use dex_os::{Access, PageFrame, Pid, Pte, Tid, Vpn, PAGE_SIZE};
+use dex_os::{Access, PageFrame, Pid, Tid, Vpn, PAGE_SIZE};
 use dex_sim::{SimChannel, SimCtx, SimDuration};
 
-use crate::directory::DirAction;
 use crate::msg::{DexMsg, MigrationPhases, VmaOp};
-use crate::mutation::ProtocolMutation;
-use crate::process::{DeferredWork, DelegationJob, ProcessShared, Reply};
+use crate::process::{DelegationJob, ProcessShared, Reply};
+use crate::protocol::{
+    self, holder_admit, holder_step, requester_step, Deferred, HomeIn, Output, PageMsg,
+    RequesterIn, Role,
+};
 use crate::span::{Span, SpanId, SpanKind};
 use crate::trace::{FaultEvent, FaultKind};
 
@@ -67,135 +69,20 @@ pub(crate) fn dispatcher_loop(
         let from = delivery.src;
         let span = delivery.span;
         match delivery.msg {
-            DexMsg::PageRequest {
-                pid,
-                vpn,
-                access,
-                req_id,
-            } => {
+            DexMsg::Page { pid, msg } => {
                 let shared = registry.get(pid);
-                handle_page_request(
-                    ctx, &shared, &endpoint, node, from, vpn, access, req_id, span,
-                );
-            }
-            DexMsg::PageGrant {
-                pid,
-                vpn,
-                access,
-                data,
-                retry,
-                req_id,
-            } => {
-                let shared = registry.get(pid);
-                handle_page_grant(
-                    ctx, &shared, &endpoint, node, vpn, access, data, retry, req_id, span,
-                );
-            }
-            DexMsg::Invalidate {
-                pid,
-                vpn,
-                needs_data,
-            } => {
-                let shared = registry.get(pid);
-                handle_invalidate(ctx, &shared, &endpoint, node, from, vpn, needs_data, span);
-            }
-            DexMsg::InvalidateAck { pid, vpn, data } => {
-                let shared = registry.get(pid);
-                ctx.advance(shared.cost.protocol_handling);
-                let actions =
-                    shared
-                        .directory_for(vpn)
-                        .lock()
-                        .invalidate_ack(vpn, from, data.is_some());
-                // `span` is the original directory-handling span, echoed
-                // back by the sharer so the deferred grant stays stitched.
-                apply_origin_actions(ctx, &shared, &endpoint, node, vpn, actions, data, span);
-            }
-            DexMsg::OwnerForward {
-                pid,
-                vpn,
-                access,
-                requester,
-                req_id,
-            } => {
-                let shared = registry.get(pid);
-                if shared.inflight(node, vpn) {
-                    // This node's own grant for the page is still in
-                    // flight on another channel: it cannot service the
-                    // forward until it actually owns the copy.
-                    shared.defer_work(
-                        node,
-                        vpn,
-                        DeferredWork::Forward {
-                            home: from,
-                            access,
-                            requester,
-                            req_id,
-                            span,
-                        },
-                    );
-                } else {
-                    handle_owner_forward(
-                        ctx, &shared, &endpoint, node, from, vpn, access, requester, req_id, span,
-                    );
-                }
-            }
-            DexMsg::OwnerAck { pid, vpn, .. } => {
-                let shared = registry.get(pid);
-                ctx.advance(shared.cost.protocol_handling);
-                let actions = shared.directory_for(vpn).lock().owner_ack(vpn, from);
-                apply_origin_actions(ctx, &shared, &endpoint, node, vpn, actions, None, span);
-            }
-            DexMsg::InvalidateBatch { pid, entries } => {
-                let shared = registry.get(pid);
-                handle_invalidate_batch(ctx, &shared, &endpoint, node, from, entries, span);
-            }
-            DexMsg::InvalidateBatchAck { pid, entries } => {
-                let shared = registry.get(pid);
-                ctx.advance(shared.cost.protocol_handling);
-                for (vpn, data) in entries {
-                    let carried = data.is_some();
-                    if let Some(frame) = data {
-                        // Stage the contents out of band: the home's own
-                        // frame is not part of a forwarded transfer, and
-                        // the grant may wait on further acks.
-                        shared.stage_frame(node, vpn, frame);
+                match msg.role() {
+                    Role::Home => handle_home_msg(ctx, &shared, &endpoint, node, from, msg, span),
+                    Role::Holder => {
+                        let tag = span.0;
+                        let admitted =
+                            holder_admit(&mut shared.proto[node.0 as usize].lock(), from, msg, tag);
+                        if let Some(msg) = admitted {
+                            serve_holder_msg(ctx, &shared, &endpoint, node, from, msg, span);
+                        }
                     }
-                    let actions = shared
-                        .directory_for(vpn)
-                        .lock()
-                        .invalidate_ack(vpn, from, carried);
-                    if actions.is_empty() {
-                        continue;
-                    }
-                    let staged = shared.take_staged(node, vpn);
-                    apply_origin_actions(ctx, &shared, &endpoint, node, vpn, actions, staged, span);
+                    Role::Requester => handle_grant(ctx, &shared, &endpoint, node, msg, span),
                 }
-            }
-            DexMsg::Flush { pid, vpn } => {
-                let shared = registry.get(pid);
-                ctx.advance(shared.cost.protocol_handling);
-                let data = {
-                    let mut space = shared.space(node).lock();
-                    space.page_table.downgrade(vpn);
-                    space.frame(vpn).cloned().unwrap_or_else(PageFrame::zeroed)
-                };
-                endpoint.send_traced(ctx, from, DexMsg::FlushAck { pid, vpn, data }, span);
-            }
-            DexMsg::FlushAck { pid, vpn, data } => {
-                let shared = registry.get(pid);
-                ctx.advance(shared.cost.protocol_handling);
-                let actions = shared.directory_for(vpn).lock().flush_ack(vpn, from);
-                apply_origin_actions(
-                    ctx,
-                    &shared,
-                    &endpoint,
-                    node,
-                    vpn,
-                    actions,
-                    Some(data),
-                    span,
-                );
             }
             DexMsg::VmaRequest { pid, addr, req_id } => {
                 let shared = registry.get(pid);
@@ -330,34 +217,37 @@ pub(crate) fn dispatcher_loop(
     }
 }
 
-/// Home-side handling of a remote page request: run the directory state
-/// machine and apply/dispatch its actions. `node` is the handling node —
-/// the origin classically, the page's home shard otherwise.
-#[allow(clippy::too_many_arguments)]
-fn handle_page_request(
+/// Home-side handling of a request or acknowledgment: charge the handler
+/// cost, run the home step (directory transition + the home's own PTE and
+/// frame changes, atomically), then perform its outputs. `node` is the
+/// handling node — the origin classically, the page's home shard
+/// otherwise.
+fn handle_home_msg(
     ctx: &SimCtx,
     shared: &Arc<ProcessShared>,
     endpoint: &crate::process::Endpoint,
     node: NodeId,
     from: NodeId,
-    vpn: Vpn,
-    access: Access,
-    req_id: u64,
+    msg: PageMsg<PageFrame>,
     span: SpanContext,
 ) {
     let t0 = ctx.now();
-    let handling = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
+    // A request opens a directory-handling span; acknowledgments continue
+    // under the span of the transaction they complete (echoed back by the
+    // sharer), so the deferred grant stays stitched to it.
+    let request = match &msg {
+        PageMsg::Request { access, .. } => Some(*access),
+        _ => None,
+    };
+    let spanned = request.is_some();
+    let handling = (spanned && shared.spans.is_enabled()).then(|| shared.spans.alloc_id());
     ctx.advance(shared.cost.protocol_handling);
-    let actions = shared.directory_for(vpn).lock().request(
-        vpn,
-        access,
-        crate::directory::Requester::Remote { node: from, req_id },
-    );
+    let outs = shared.home_step(node, msg.page(), HomeIn::Msg { from, msg });
     // Grants and invalidations stitch to the *handling* span so the
     // requester-side fixup becomes its child; with spans off the incoming
     // context (necessarily NONE then) is forwarded unchanged.
     let out = handling.map_or(span, |id| SpanContext(id.0));
-    apply_origin_actions(ctx, shared, endpoint, node, vpn, actions, None, out);
+    perform_outputs(ctx, shared, endpoint, node, outs, out);
     if let Some(id) = handling {
         shared.spans.record(Span {
             id,
@@ -367,7 +257,7 @@ fn handle_page_request(
             task: PROTOCOL_TASK,
             start: t0,
             end: ctx.now(),
-            label: if access.is_write() {
+            label: if request.is_some_and(Access::is_write) {
                 "page_request_write"
             } else {
                 "page_request_read"
@@ -377,239 +267,74 @@ fn handle_page_request(
     }
 }
 
-/// Applies directory actions at the handling node (`home`: the origin
-/// classically, the page's home shard otherwise): local PTE/frame changes
-/// happen atomically (no yield), then grants/messages are sent. Also the
-/// engine behind crash recovery's page reclamation (`handle_node_crash`).
+/// Performs a role step's outputs at `node`, in order: the one place the
+/// runtime turns protocol decisions into fabric sends and thread wakeups.
+/// Serves the dispatcher, home-local faults and crash recovery's page
+/// reclamation (`handle_node_crash`) alike.
 ///
 /// `span` rides every outgoing message, so grants/invalidations carry the
 /// directory-handling span of the transaction that produced them.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_origin_actions(
-    ctx: &SimCtx,
-    shared: &Arc<ProcessShared>,
-    endpoint: &crate::process::Endpoint,
-    home: NodeId,
-    vpn: Vpn,
-    actions: Vec<DirAction>,
-    mut staged: Option<PageFrame>,
-    span: SpanContext,
-) {
-    let mut sends: Vec<(NodeId, DexMsg)> = Vec::new();
-    let mut local_completions: Vec<(u64, Reply)> = Vec::new();
-    {
-        let mut space = shared.space(home).lock();
-        for action in actions {
-            match action {
-                DirAction::Grant {
-                    to,
-                    access,
-                    with_data,
-                } => match to {
-                    crate::directory::Requester::Remote { node, req_id } => {
-                        // Data source: contents staged by this transaction
-                        // (a data-carrying ack or the home's own dropped
-                        // copy), else the handling node's frame. A page
-                        // the origin never materialized is the kernel
-                        // zero page; with the optimization enabled the
-                        // receiver zero-fills locally instead of pulling
-                        // 4 KiB of zeros over the wire.
-                        let data = if with_data {
-                            match staged.take().or_else(|| space.frame(vpn).cloned()) {
-                                // Mutation: grant a zeroed page instead of
-                                // the live frame, losing every write.
-                                Some(_) if shared.mutation == ProtocolMutation::StaleGrantData => {
-                                    Some(PageFrame::zeroed())
-                                }
-                                Some(frame) => Some(frame),
-                                None if shared.cost.zero_page_optimization => {
-                                    shared.stats.counters.incr("protocol.zero_page_grants");
-                                    None
-                                }
-                                None => Some(PageFrame::zeroed()),
-                            }
-                        } else {
-                            None
-                        };
-                        sends.push((
-                            node,
-                            DexMsg::PageGrant {
-                                pid: shared.pid,
-                                vpn,
-                                access,
-                                data,
-                                retry: false,
-                                req_id,
-                            },
-                        ));
-                    }
-                    crate::directory::Requester::Local { req_id } => {
-                        if let Some(frame) = staged.take() {
-                            // A completed forwarded transaction staged the
-                            // contents for the home's own waiter.
-                            space.install_frame(vpn, frame);
-                        }
-                        space.page_table.set(
-                            vpn,
-                            if access.is_write() {
-                                Pte::READ_WRITE
-                            } else {
-                                Pte::READ_ONLY
-                            },
-                        );
-                        let _ = space.frame_mut(vpn);
-                        local_completions.push((req_id, Reply::PageGrant { retry: false }));
-                    }
-                },
-                DirAction::Retry { to } => match to {
-                    crate::directory::Requester::Remote { node, req_id } => {
-                        sends.push((
-                            node,
-                            DexMsg::PageGrant {
-                                pid: shared.pid,
-                                vpn,
-                                access: Access::Read,
-                                data: None,
-                                retry: true,
-                                req_id,
-                            },
-                        ));
-                    }
-                    crate::directory::Requester::Local { req_id } => {
-                        local_completions.push((req_id, Reply::PageGrant { retry: true }));
-                    }
-                },
-                DirAction::SendFlush { to } => {
-                    sends.push((
-                        to,
-                        DexMsg::Flush {
-                            pid: shared.pid,
-                            vpn,
-                        },
-                    ));
-                }
-                DirAction::SendInvalidate { to, needs_data } => {
-                    sends.push((
-                        to,
-                        DexMsg::Invalidate {
-                            pid: shared.pid,
-                            vpn,
-                            needs_data,
-                        },
-                    ));
-                }
-                DirAction::ClearOriginPte => {
-                    // Mutation: the origin keeps its PTE after handing
-                    // ownership away, so origin accesses bypass the
-                    // protocol and read stale data.
-                    if shared.mutation == ProtocolMutation::KeepOriginPte {
-                        continue;
-                    }
-                    space.page_table.clear(vpn);
-                }
-                DirAction::DowngradeOriginPte => {
-                    space.page_table.downgrade(vpn);
-                }
-                DirAction::SetOriginPteRo => {
-                    space.page_table.set(vpn, Pte::READ_ONLY);
-                }
-                DirAction::InstallOriginData => {
-                    if let Some(frame) = staged.clone() {
-                        space.install_frame(vpn, frame);
-                    }
-                }
-                DirAction::Forward {
-                    to,
-                    requester,
-                    access,
-                } => {
-                    let (rnode, req_id) = match requester {
-                        crate::directory::Requester::Remote { node, req_id } => (node, req_id),
-                        crate::directory::Requester::Local { req_id } => (home, req_id),
-                    };
-                    shared.stats.counters.incr("protocol.forwards");
-                    if let Some(m) = &shared.metrics {
-                        m.node(home).incr("protocol.forwards");
-                    }
-                    sends.push((
-                        to,
-                        DexMsg::OwnerForward {
-                            pid: shared.pid,
-                            vpn,
-                            access,
-                            requester: rnode,
-                            req_id,
-                        },
-                    ));
-                }
-                DirAction::SendInvalidateBatch { to, entries } => {
-                    sends.push((
-                        to,
-                        DexMsg::InvalidateBatch {
-                            pid: shared.pid,
-                            entries,
-                        },
-                    ));
-                }
-                DirAction::DropHomeCopy { needs_data } => {
-                    if needs_data {
-                        // The home's copy is the elected data source:
-                        // stage it for the grant before dropping it.
-                        staged = Some(space.frame(vpn).cloned().unwrap_or_else(PageFrame::zeroed));
-                    }
-                    space.page_table.clear(vpn);
-                    space.evict_frame(vpn);
-                }
-            }
-        }
-    }
-    // Local waiters were parked at the handling node: retry completions
-    // must be delivered like grants.
-    for (req_id, reply) in local_completions {
-        shared.complete_pending(ctx, home, req_id, reply);
-    }
-    for (to, msg) in sends {
-        endpoint.send_traced(ctx, to, msg, span);
-    }
-}
-
-/// Requester-side handling of a page grant: install data + PTE, run any
-/// protocol work deferred behind the grant, then wake the leader.
-#[allow(clippy::too_many_arguments)]
-fn handle_page_grant(
+pub(crate) fn perform_outputs(
     ctx: &SimCtx,
     shared: &Arc<ProcessShared>,
     endpoint: &crate::process::Endpoint,
     node: NodeId,
-    vpn: Vpn,
-    access: Access,
-    data: Option<PageFrame>,
-    retry: bool,
-    req_id: u64,
+    outs: Vec<Output<PageFrame>>,
+    span: SpanContext,
+) {
+    let pid = shared.pid;
+    for out in outs {
+        match out {
+            Output::Send { to, msg } => {
+                if matches!(msg, PageMsg::OwnerForward { .. }) {
+                    shared.stats.counters.incr("protocol.forwards");
+                    if let Some(m) = &shared.metrics {
+                        m.node(node).incr("protocol.forwards");
+                    }
+                }
+                endpoint.send_traced(ctx, to, DexMsg::Page { pid, msg }, span);
+            }
+            Output::Wake { req_id, retry } => {
+                shared.complete_pending(ctx, node, req_id, Reply::PageGrant { retry });
+            }
+            // Sharded mode: the grant the parked work was waiting for has
+            // landed (or been turned into a retry) — it runs before the
+            // requester's `Wake`, so the node's state is
+            // protocol-consistent when the thread resumes.
+            Output::Released(work) => run_deferred(ctx, shared, endpoint, node, work),
+            Output::ZeroPageGrant => shared.stats.counters.incr("protocol.zero_page_grants"),
+            Output::WakeFollower(_) | Output::Lead | Output::Follow { .. } => {
+                unreachable!("{out:?} is the faulting thread's to perform")
+            }
+        }
+    }
+}
+
+/// Requester-side handling of a page grant: install data + PTE, run any
+/// protocol work parked behind the grant, then wake the leader.
+fn handle_grant(
+    ctx: &SimCtx,
+    shared: &Arc<ProcessShared>,
+    endpoint: &crate::process::Endpoint,
+    node: NodeId,
+    msg: PageMsg<PageFrame>,
     span: SpanContext,
 ) {
     let t0 = ctx.now();
     let fixup = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
-    let with_data = data.is_some();
-    if !retry {
-        let mut space = shared.space(node).lock();
-        if let Some(frame) = data {
+    let label = match &msg {
+        PageMsg::Grant { retry: true, .. } => "grant_retry",
+        PageMsg::Grant { data: Some(_), .. } => {
+            let bytes = PAGE_SIZE as u64;
             shared
                 .stats
                 .counters
-                .add("protocol.page_bytes_received", PAGE_SIZE as u64);
-            space.install_frame(vpn, frame);
+                .add("protocol.page_bytes_received", bytes);
+            "grant_with_data"
         }
-        space.page_table.set(
-            vpn,
-            if access.is_write() {
-                Pte::READ_WRITE
-            } else {
-                Pte::READ_ONLY
-            },
-        );
-        let _ = space.frame_mut(vpn);
-    }
+        _ => "grant_no_transfer",
+    };
+    let outs = shared.with_node(node, |n| requester_step(n, RequesterIn::Msg(msg)));
     if let Some(id) = fixup {
         shared.spans.record(Span {
             id,
@@ -619,359 +344,174 @@ fn handle_page_grant(
             task: PROTOCOL_TASK,
             start: t0,
             end: ctx.now(),
-            label: match (retry, with_data) {
-                (true, _) => "grant_retry",
-                (false, true) => "grant_with_data",
-                (false, false) => "grant_no_transfer",
-            },
+            label,
             tag: None,
         });
     }
-    // Sharded mode: the grant the deferred work was waiting for has
-    // landed (or been turned into a retry) — run it before waking the
-    // requester so the node's state is protocol-consistent.
-    if let Some(work) = shared.unmark_inflight(node, vpn) {
-        run_deferred(ctx, shared, endpoint, node, vpn, work);
-    }
-    shared.complete_pending(ctx, node, req_id, Reply::PageGrant { retry });
+    perform_outputs(ctx, shared, endpoint, node, outs, SpanContext::NONE);
 }
 
-/// Runs protocol work a node deferred until its in-flight grant landed.
+/// Runs protocol work a node parked until its in-flight grant landed.
 fn run_deferred(
     ctx: &SimCtx,
     shared: &Arc<ProcessShared>,
     endpoint: &crate::process::Endpoint,
     node: NodeId,
-    vpn: Vpn,
-    work: DeferredWork,
+    work: Deferred<PageFrame>,
 ) {
     shared.stats.counters.incr("protocol.deferred_work");
-    match work {
-        DeferredWork::Invalidate {
-            home,
-            needs_data,
-            span,
-        } => {
-            let data = invalidate_local(shared, node, vpn, needs_data);
-            shared.stats.counters.incr("protocol.invalidations");
-            if let Some(m) = &shared.metrics {
-                m.node(node).incr("dsm.invalidations");
-            }
-            endpoint.send_traced(
-                ctx,
-                home,
-                DexMsg::InvalidateBatchAck {
-                    pid: shared.pid,
-                    entries: vec![(vpn, data)],
-                },
-                span,
-            );
-        }
-        DeferredWork::Forward {
-            home,
-            access,
-            requester,
-            req_id,
-            span,
-        } => {
-            handle_owner_forward(
-                ctx, shared, endpoint, node, home, vpn, access, requester, req_id, span,
-            );
-        }
+    let span = SpanContext(work.tag);
+    if matches!(work.msg, PageMsg::OwnerForward { .. }) {
+        return serve_holder_msg(ctx, shared, endpoint, node, work.from, work.msg, span);
     }
+    // A parked revocation was charged and spanned with the batch it
+    // arrived in; only its (partial) ack is outstanding.
+    let acks = shared.with_node(node, |n| holder_step(n, work.from, work.msg, work.tag));
+    for ack in &acks {
+        count_invalidations(ctx, shared, node, ack, None);
+    }
+    perform_outputs(ctx, shared, endpoint, node, acks, span);
 }
 
-/// Owner-side handling of a forwarded request (sharded mode): adjust the
-/// local mapping, grant (with data) straight to the requester — the
-/// two-hop critical path — and acknowledge the ownership change to the
-/// home asynchronously.
-#[allow(clippy::too_many_arguments)]
-fn handle_owner_forward(
+/// Accounts the invalidations an ack reports as applied at `node`:
+/// counters, and (with a `site`) one trace event each. Returns whether
+/// any of them ships page contents back.
+fn count_invalidations(
     ctx: &SimCtx,
-    shared: &Arc<ProcessShared>,
-    endpoint: &crate::process::Endpoint,
+    shared: &ProcessShared,
     node: NodeId,
-    from: NodeId,
-    vpn: Vpn,
-    access: Access,
-    requester: NodeId,
-    req_id: u64,
-    span: SpanContext,
-) {
-    let t0 = ctx.now();
-    let handling = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
-    ctx.advance(shared.cost.forward_handling);
-    let data = {
-        let mut space = shared.space(node).lock();
-        let frame = space.frame(vpn).cloned().unwrap_or_else(PageFrame::zeroed);
-        if access.is_write() {
-            // Mutation: the owner keeps its mapping after handing
-            // exclusivity away (the sharded analogue of keep-origin-pte),
-            // so its threads keep reading the stale copy.
-            if shared.mutation != ProtocolMutation::KeepOriginPte {
-                space.page_table.clear(vpn);
-                space.evict_frame(vpn);
-            }
-        } else {
-            // The owner keeps a shared copy, downgrading if it was the
-            // exclusive writer.
-            space.page_table.downgrade(vpn);
-        }
-        if shared.mutation == ProtocolMutation::StaleGrantData {
-            PageFrame::zeroed()
-        } else {
-            frame
-        }
-    };
-    shared.stats.counters.incr("protocol.forwards_serviced");
-    if let Some(m) = &shared.metrics {
-        m.node(node).incr("protocol.forwards_serviced");
-    }
-    let out = handling.map_or(span, |id| SpanContext(id.0));
-    endpoint.send_traced(
-        ctx,
-        requester,
-        DexMsg::PageGrant {
-            pid: shared.pid,
-            vpn,
-            access,
-            data: Some(data),
-            retry: false,
-            req_id,
-        },
-        out,
-    );
-    endpoint.send_traced(
-        ctx,
-        from,
-        DexMsg::OwnerAck {
-            pid: shared.pid,
-            vpn,
-            access,
-        },
-        out,
-    );
-    if let Some(id) = handling {
-        shared.spans.record(Span {
-            id,
-            parent: SpanId(span.0),
-            kind: SpanKind::OwnerForward,
-            node,
-            task: PROTOCOL_TASK,
-            start: t0,
-            end: ctx.now(),
-            label: if access.is_write() {
-                "owner_forward_write"
-            } else {
-                "owner_forward_read"
-            },
-            tag: None,
-        });
-    }
-}
-
-/// Clears a node's copy of one page for an invalidation, returning the
-/// contents when the ack must carry them. Shared by the unicast and
-/// batched invalidation paths.
-fn invalidate_local(
-    shared: &Arc<ProcessShared>,
-    node: NodeId,
-    vpn: Vpn,
-    needs_data: bool,
-) -> Option<PageFrame> {
-    let mut space = shared.space(node).lock();
-    let data = if needs_data {
-        // Mutation: ack with a zeroed page instead of the dirty frame,
-        // dropping this node's writes on ownership transfer.
-        if shared.mutation == ProtocolMutation::LoseInvalidateData {
-            Some(PageFrame::zeroed())
-        } else {
-            Some(space.frame(vpn).cloned().unwrap_or_else(PageFrame::zeroed))
-        }
-    } else {
-        None
-    };
-    // Mutation: ack the invalidation but keep the local PTE and frame,
-    // so this node keeps reading its stale copy.
-    if shared.mutation != ProtocolMutation::SkipInvalidateClear {
-        space.page_table.clear(vpn);
-        space.evict_frame(vpn);
-    }
-    data
-}
-
-/// A node's handling of a batched ownership revocation (sharded mode):
-/// every doomed replica the home condemned at this node is cleared in one
-/// message, acknowledged with one aggregated ack, and accounted as one
-/// span. Entries whose page has a grant still in flight are deferred and
-/// acknowledged in a later partial ack.
-fn handle_invalidate_batch(
-    ctx: &SimCtx,
-    shared: &Arc<ProcessShared>,
-    endpoint: &crate::process::Endpoint,
-    node: NodeId,
-    from: NodeId,
-    entries: Vec<(Vpn, bool)>,
-    span: SpanContext,
-) {
-    let t0 = ctx.now();
-    let inval = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
-    ctx.advance(shared.cost.protocol_handling);
-    let mut acks: Vec<(Vpn, Option<PageFrame>)> = Vec::new();
-    let mut carried = false;
-    for (vpn, needs_data) in entries {
-        if shared.inflight(node, vpn) {
-            // The grant for this page is still in flight on another
-            // channel: revoking now would ack a copy the node does not
-            // hold yet. Defer; the ack follows the grant.
-            shared.defer_work(
-                node,
-                vpn,
-                DeferredWork::Invalidate {
-                    home: from,
-                    needs_data,
-                    span,
-                },
-            );
-            continue;
-        }
-        let data = invalidate_local(shared, node, vpn, needs_data);
-        carried |= data.is_some();
+    ack: &Output<PageFrame>,
+    site: Option<&'static str>,
+) -> bool {
+    let note = |vpn: Vpn| {
         shared.stats.counters.incr("protocol.invalidations");
         if let Some(m) = &shared.metrics {
             m.node(node).incr("dsm.invalidations");
         }
-        if shared.trace.is_enabled() {
+        if let Some(site) = site.filter(|_| shared.trace.is_enabled()) {
             shared.trace.record(FaultEvent {
                 time: ctx.now(),
                 node,
-                task: Tid(u64::MAX),
+                task: PROTOCOL_TASK,
                 kind: FaultKind::Invalidate,
-                site: "protocol.invalidate_batch",
+                site,
                 addr: vpn.base(),
                 tag: shared.tag_for(shared.origin, vpn.base()),
             });
         }
-        acks.push((vpn, data));
-    }
-    shared.stats.counters.incr("protocol.invalidate_batches");
-    if let Some(m) = &shared.metrics {
-        m.node(node).incr("protocol.invalidate_batches");
-    }
-    if let Some(id) = inval {
-        shared.spans.record(Span {
-            id,
-            parent: SpanId(span.0),
-            kind: SpanKind::InvalidateBatch,
-            node,
-            task: PROTOCOL_TASK,
-            start: t0,
-            end: ctx.now(),
-            label: if carried {
-                "invalidate_batch_flush"
-            } else {
-                "invalidate_batch_drop"
-            },
-            tag: None,
-        });
-    }
-    // One aggregated ack for every entry applied now; deferred entries
-    // follow in partial acks of their own. The ack echoes the incoming
-    // directory span so the home's deferred grant stays stitched.
-    if !acks.is_empty() {
-        endpoint.send_traced(
-            ctx,
-            from,
-            DexMsg::InvalidateBatchAck {
-                pid: shared.pid,
-                entries: acks,
-            },
-            span,
-        );
+    };
+    let Output::Send { msg, .. } = ack else {
+        return false;
+    };
+    match msg {
+        PageMsg::InvalidateAck { vpn, data } => {
+            note(*vpn);
+            data.is_some()
+        }
+        PageMsg::InvalidateBatchAck { entries } => {
+            entries.iter().for_each(|(vpn, _)| note(*vpn));
+            entries.iter().any(|(_, data)| data.is_some())
+        }
+        _ => false,
     }
 }
 
-/// A node's handling of an ownership revocation.
-#[allow(clippy::too_many_arguments)]
-fn handle_invalidate(
+/// Holder-side handling of an admitted revocation, flush or forward:
+/// charge the handler cost, run the holder step on the local copy, account
+/// and span it, send what it produced.
+///
+/// * `Invalidate` / `InvalidateBatch` — the ack echoes the *incoming*
+///   (directory) span, not the local invalidation span, so the home's
+///   deferred grant stays parented to the directory transaction that
+///   caused the fan-out. A batch is one message, one aggregated ack and
+///   one span however many replicas it revokes.
+/// * `OwnerForward` (sharded) — the grant goes straight to the requester
+///   (the two-hop critical path) and the ownership change is acknowledged
+///   to the home asynchronously, both under the forward's own span.
+fn serve_holder_msg(
     ctx: &SimCtx,
     shared: &Arc<ProcessShared>,
     endpoint: &crate::process::Endpoint,
     node: NodeId,
     from: NodeId,
-    vpn: Vpn,
-    needs_data: bool,
+    msg: PageMsg<PageFrame>,
     span: SpanContext,
 ) {
-    let t0 = ctx.now();
-    let inval = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
-    ctx.advance(shared.cost.protocol_handling);
-    let data = {
-        let mut space = shared.space(node).lock();
-        let data = if needs_data {
-            // Mutation: ack with a zeroed page instead of the dirty
-            // frame, dropping this node's writes on ownership transfer.
-            if shared.mutation == ProtocolMutation::LoseInvalidateData {
-                Some(PageFrame::zeroed())
-            } else {
-                Some(space.frame(vpn).cloned().unwrap_or_else(PageFrame::zeroed))
-            }
-        } else {
-            None
-        };
-        // Mutation: ack the invalidation but keep the local PTE and
-        // frame, so this node keeps reading its stale copy.
-        if shared.mutation != ProtocolMutation::SkipInvalidateClear {
-            space.page_table.clear(vpn);
-            space.evict_frame(vpn);
-        }
-        data
-    };
-    if shared.trace.is_enabled() {
-        shared.trace.record(FaultEvent {
-            time: ctx.now(),
-            node,
-            task: Tid(u64::MAX),
-            kind: FaultKind::Invalidate,
-            site: "protocol.invalidate",
-            addr: vpn.base(),
-            tag: shared.tag_for(shared.origin, vpn.base()),
-        });
-    }
-    shared.stats.counters.incr("protocol.invalidations");
-    if let Some(m) = &shared.metrics {
-        m.node(node).incr("dsm.invalidations");
-    }
-    if let Some(id) = inval {
-        shared.spans.record(Span {
-            id,
-            parent: SpanId(span.0),
-            kind: SpanKind::Invalidation,
-            node,
-            task: PROTOCOL_TASK,
-            start: t0,
-            end: ctx.now(),
-            label: if needs_data {
+    let (kind, cost, mut label, site) = match &msg {
+        PageMsg::Invalidate { needs_data, .. } => (
+            Some(SpanKind::Invalidation),
+            shared.cost.protocol_handling,
+            if *needs_data {
                 "invalidate_flush"
             } else {
                 "invalidate_drop"
             },
-            tag: None,
-        });
+            "protocol.invalidate",
+        ),
+        PageMsg::InvalidateBatch { .. } => (
+            Some(SpanKind::InvalidateBatch),
+            shared.cost.protocol_handling,
+            "invalidate_batch_drop",
+            "protocol.invalidate_batch",
+        ),
+        PageMsg::Flush { .. } => (None, shared.cost.protocol_handling, "", ""),
+        PageMsg::OwnerForward { access, .. } => (
+            Some(SpanKind::OwnerForward),
+            shared.cost.forward_handling,
+            if access.is_write() {
+                "owner_forward_write"
+            } else {
+                "owner_forward_read"
+            },
+            "",
+        ),
+        other => unreachable!("{other:?} is not addressed to a holder"),
+    };
+    let (spanned, forward) = (kind.is_some(), kind == Some(SpanKind::OwnerForward));
+    let t0 = ctx.now();
+    let handling = (spanned && shared.spans.is_enabled()).then(|| shared.spans.alloc_id());
+    ctx.advance(cost);
+    let sends = shared.with_node(node, |n| holder_step(n, from, msg, span.0));
+    for ack in &sends {
+        let carried = count_invalidations(ctx, shared, node, ack, Some(site));
+        if carried && kind == Some(SpanKind::InvalidateBatch) {
+            label = "invalidate_batch_flush";
+        }
     }
-    // The ack echoes the *incoming* (directory) span, not the local
-    // invalidation span, so the origin's deferred grant stays parented to
-    // the directory transaction that caused the fan-out.
-    endpoint.send_traced(
-        ctx,
-        from,
-        DexMsg::InvalidateAck {
-            pid: shared.pid,
-            vpn,
-            data,
-        },
-        span,
-    );
+    let counter = match kind {
+        Some(SpanKind::InvalidateBatch) => Some("protocol.invalidate_batches"),
+        Some(SpanKind::OwnerForward) => Some("protocol.forwards_serviced"),
+        _ => None,
+    };
+    if let Some(name) = counter {
+        shared.stats.counters.incr(name);
+        if let Some(m) = &shared.metrics {
+            m.node(node).incr(name);
+        }
+    }
+    let handled = |id| Span {
+        id,
+        parent: SpanId(span.0),
+        kind: kind.expect("spanned kinds only"),
+        node,
+        task: PROTOCOL_TASK,
+        start: t0,
+        end: ctx.now(),
+        label,
+        tag: None,
+    };
+    // A revocation's span closes before its ack leaves; a forward's
+    // covers its sends, which ride the forward's own span.
+    if let Some(id) = handling.filter(|_| !forward) {
+        shared.spans.record(handled(id));
+    }
+    let out = handling
+        .filter(|_| forward)
+        .map_or(span, |id| SpanContext(id.0));
+    perform_outputs(ctx, shared, endpoint, node, sends, out);
+    if let Some(id) = handling.filter(|_| forward) {
+        shared.spans.record(handled(id));
+    }
 }
 
 /// Remote-node handling of a forward migration: create the per-process
@@ -1097,9 +637,9 @@ fn apply_vma_op(shared: &Arc<ProcessShared>, node: NodeId, op: &VmaOp) {
     match op {
         VmaOp::Unmap { addr, len } => {
             let pages = space.vmas.munmap(*addr, *len).unwrap_or_default();
+            let (page_table, frames) = space.page_table_and_frames();
             for vpn in pages {
-                space.page_table.clear(vpn);
-                space.evict_frame(vpn);
+                protocol::unmap(page_table, frames, vpn);
             }
         }
         VmaOp::Protect { addr, len, prot } => {
@@ -1107,7 +647,7 @@ fn apply_vma_op(shared: &Arc<ProcessShared>, node: NodeId, op: &VmaOp) {
             // known. Clear PTEs so the next touch revalidates.
             let _ = space.vmas.mprotect(*addr, *len, *prot);
             for vpn in dex_os::pages_covering(*addr, *len) {
-                space.page_table.clear(vpn);
+                protocol::unmap_keep_frame(&mut space.page_table, vpn);
             }
         }
     }

@@ -61,6 +61,7 @@ mod handle;
 mod msg;
 mod mutation;
 mod process;
+pub mod protocol;
 mod race;
 mod span;
 mod sync;

@@ -7,12 +7,13 @@
 //! variants carrying page data report 4 KiB of page payload and take the
 //! RDMA path in the messaging layer.
 
-use dex_net::{NodeId, WireMessage};
+use dex_net::WireMessage;
 use dex_os::{
-    Access, ExecutionContext, PageFrame, Pid, Prot, Tid, VirtAddr, Vma, Vpn, CONTEXT_BYTES,
-    PAGE_SIZE,
+    ExecutionContext, PageFrame, Pid, Prot, Tid, VirtAddr, Vma, CONTEXT_BYTES, PAGE_SIZE,
 };
 use dex_sim::SimDuration;
+
+use crate::protocol::PageMsg;
 
 /// An operation a remote thread delegates to its original thread at the
 /// origin (§III-A: futexes and other stateful kernel features).
@@ -99,118 +100,14 @@ pub type MigrationPhases = Vec<(&'static str, SimDuration)>;
 /// A DEX inter-node message.
 #[derive(Debug)]
 pub enum DexMsg {
-    // ---- memory consistency protocol (§III-B) ----
-    /// A node requests ownership of (and possibly data for) a page.
-    PageRequest {
+    // ---- memory consistency protocol (§III-B), sharded or not ----
+    /// Page-protocol traffic; the variants and their handling live in
+    /// [`crate::protocol`].
+    Page {
         /// Owning process.
         pid: Pid,
-        /// Requested page.
-        vpn: Vpn,
-        /// Read (shared) or write (exclusive) ownership.
-        access: Access,
-        /// Correlates the grant with the waiting thread.
-        req_id: u64,
-    },
-    /// The origin grants (or asks to retry) a page request.
-    PageGrant {
-        /// Owning process.
-        pid: Pid,
-        /// Granted page.
-        vpn: Vpn,
-        /// Granted access.
-        access: Access,
-        /// Page contents; `None` when the requester's copy is up to date
-        /// (the paper's no-transfer optimization) or on retry.
-        data: Option<PageFrame>,
-        /// The request conflicted with an in-flight transaction; back off
-        /// and resend.
-        retry: bool,
-        /// Correlates with the request.
-        req_id: u64,
-    },
-    /// The origin revokes a node's copy of a page.
-    Invalidate {
-        /// Owning process.
-        pid: Pid,
-        /// Page being revoked.
-        vpn: Vpn,
-        /// The revoked node holds the only up-to-date copy and must ship
-        /// it back.
-        needs_data: bool,
-    },
-    /// A node acknowledges an invalidation.
-    InvalidateAck {
-        /// Owning process.
-        pid: Pid,
-        /// Acknowledged page.
-        vpn: Vpn,
-        /// The up-to-date contents, when requested.
-        data: Option<PageFrame>,
-    },
-    /// The origin asks the exclusive writer to downgrade to shared and
-    /// ship the current contents.
-    Flush {
-        /// Owning process.
-        pid: Pid,
-        /// Page to flush.
-        vpn: Vpn,
-    },
-    /// The writer's reply to a flush.
-    FlushAck {
-        /// Owning process.
-        pid: Pid,
-        /// Flushed page.
-        vpn: Vpn,
-        /// Up-to-date contents.
-        data: PageFrame,
-    },
-
-    // ---- sharded directory / owner forwarding ----
-    /// The page's home asks the current owner to service a request
-    /// directly: the owner adjusts its own PTE, sends the grant (with
-    /// data) straight to the requester, and acknowledges the ownership
-    /// change back to the home asynchronously. This keeps the home off
-    /// the data critical path (three hops become two).
-    OwnerForward {
-        /// Owning process.
-        pid: Pid,
-        /// Requested page.
-        vpn: Vpn,
-        /// Access the requester asked for.
-        access: Access,
-        /// The node the grant must be delivered to.
-        requester: NodeId,
-        /// Correlates the grant with the requester's waiting thread.
-        req_id: u64,
-    },
-    /// The owner's asynchronous acknowledgment that a forwarded request
-    /// was serviced; closes the home's transaction.
-    OwnerAck {
-        /// Owning process.
-        pid: Pid,
-        /// Page whose forwarded transaction completes.
-        vpn: Vpn,
-        /// Access that was granted to the requester.
-        access: Access,
-    },
-    /// One batched invalidation per destination node: every doomed
-    /// replica of the faulting transaction held by that node, revoked
-    /// with a single message and a single aggregated ack.
-    InvalidateBatch {
-        /// Owning process.
-        pid: Pid,
-        /// `(page, needs_data)` for each replica to revoke; `needs_data`
-        /// marks the replica elected to ship contents back.
-        entries: Vec<(Vpn, bool)>,
-    },
-    /// Aggregated acknowledgment of an [`DexMsg::InvalidateBatch`]. May
-    /// cover a subset of the batch when some pages had in-flight grants
-    /// at the destination (those are acked after the grant lands).
-    InvalidateBatchAck {
-        /// Owning process.
-        pid: Pid,
-        /// `(page, contents)` per acknowledged replica.
-        entries: Vec<(Vpn, Option<PageFrame>)>,
+        /// The protocol message.
+        msg: PageMsg<PageFrame>,
     },
 
     // ---- on-demand VMA synchronization (§III-D) ----
@@ -327,17 +224,19 @@ pub enum DexMsg {
 impl WireMessage for DexMsg {
     fn control_bytes(&self) -> usize {
         match self {
-            DexMsg::PageRequest { .. } => 24,
-            DexMsg::PageGrant { .. } => 32,
-            DexMsg::Invalidate { .. } => 24,
-            DexMsg::InvalidateAck { .. } => 24,
-            DexMsg::Flush { .. } => 16,
-            DexMsg::FlushAck { .. } => 16,
-            DexMsg::OwnerForward { .. } => 32,
-            DexMsg::OwnerAck { .. } => 24,
-            // 16-byte header plus a packed (vpn, flags) word per entry.
-            DexMsg::InvalidateBatch { entries, .. } => 16 + entries.len() * 9,
-            DexMsg::InvalidateBatchAck { entries, .. } => 16 + entries.len() * 9,
+            DexMsg::Page { msg, .. } => match msg {
+                PageMsg::Request { .. } => 24,
+                PageMsg::Grant { .. } => 32,
+                PageMsg::Invalidate { .. } => 24,
+                PageMsg::InvalidateAck { .. } => 24,
+                PageMsg::Flush { .. } => 16,
+                PageMsg::FlushAck { .. } => 16,
+                PageMsg::OwnerForward { .. } => 32,
+                PageMsg::OwnerAck { .. } => 24,
+                // 16-byte header plus a packed (vpn, flags) word per entry.
+                PageMsg::InvalidateBatch { entries } => 16 + entries.len() * 9,
+                PageMsg::InvalidateBatchAck { entries } => 16 + entries.len() * 9,
+            },
             DexMsg::VmaRequest { .. } => 24,
             DexMsg::VmaReply { .. } => 64,
             DexMsg::VmaUpdate { .. } => 40,
@@ -353,11 +252,14 @@ impl WireMessage for DexMsg {
     }
 
     fn page_bytes(&self) -> usize {
-        match self {
-            DexMsg::PageGrant { data: Some(_), .. } => PAGE_SIZE,
-            DexMsg::InvalidateAck { data: Some(_), .. } => PAGE_SIZE,
-            DexMsg::FlushAck { .. } => PAGE_SIZE,
-            DexMsg::InvalidateBatchAck { entries, .. } => {
+        let DexMsg::Page { msg, .. } = self else {
+            return 0;
+        };
+        match msg {
+            PageMsg::Grant { data: Some(_), .. } => PAGE_SIZE,
+            PageMsg::InvalidateAck { data: Some(_), .. } => PAGE_SIZE,
+            PageMsg::FlushAck { .. } => PAGE_SIZE,
+            PageMsg::InvalidateBatchAck { entries } => {
                 entries.iter().filter(|(_, d)| d.is_some()).count() * PAGE_SIZE
             }
             _ => 0,
@@ -368,14 +270,17 @@ impl WireMessage for DexMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dex_os::{Access, Vpn};
 
     #[test]
     fn control_messages_are_small() {
-        let m = DexMsg::PageRequest {
+        let m = DexMsg::Page {
             pid: Pid(1),
-            vpn: Vpn::new(7),
-            access: Access::Write,
-            req_id: 1,
+            msg: PageMsg::Request {
+                vpn: Vpn::new(7),
+                access: Access::Write,
+                req_id: 1,
+            },
         };
         assert!(
             m.control_bytes() <= 64,
@@ -386,22 +291,18 @@ mod tests {
 
     #[test]
     fn grants_with_data_take_the_page_path() {
-        let with = DexMsg::PageGrant {
+        let grant = |access, data, req_id| DexMsg::Page {
             pid: Pid(1),
-            vpn: Vpn::new(7),
-            access: Access::Read,
-            data: Some(PageFrame::zeroed()),
-            retry: false,
-            req_id: 1,
+            msg: PageMsg::Grant {
+                vpn: Vpn::new(7),
+                access,
+                data,
+                retry: false,
+                req_id,
+            },
         };
-        let without = DexMsg::PageGrant {
-            pid: Pid(1),
-            vpn: Vpn::new(7),
-            access: Access::Write,
-            data: None,
-            retry: false,
-            req_id: 2,
-        };
+        let with = grant(Access::Read, Some(PageFrame::zeroed()), 1);
+        let without = grant(Access::Write, None, 2);
         assert_eq!(with.page_bytes(), PAGE_SIZE);
         assert_eq!(without.page_bytes(), 0);
     }

@@ -16,7 +16,7 @@ use parking_lot::Mutex;
 
 use dex_net::{MetricsRegistry, NodeId, SpanContext};
 use dex_os::{
-    Access, AddressSpace, FutexTable, PageFrame, Pid, Tid, VirtAddr, Vma, Vpn, PAGE_SIZE,
+    AddressSpace, FutexTable, PageFrame, Pid, RadixTree, Tid, VirtAddr, Vma, Vpn, PAGE_SIZE,
 };
 use dex_sim::{
     Counters, Histogram, MultiResource, Resource, SimChannel, SimCtx, SimDuration, ThreadId,
@@ -25,6 +25,7 @@ use dex_sim::{
 use crate::cost::CostModel;
 use crate::directory::Directory;
 use crate::msg::{DelegatedOp, DexMsg, MigrationPhases};
+use crate::protocol::{self, HomeIn, Node, NodeState, Output};
 use crate::span::SpanBuffer;
 use crate::trace::TraceBuffer;
 
@@ -87,40 +88,6 @@ pub(crate) struct PendingTable {
     map: HashMap<u64, Pending>,
 }
 
-/// Protocol work a node postponed because the page it targets has a
-/// grant still in flight: in the sharded configuration a forwarded grant
-/// (owner → requester) and the home's next message about the same page
-/// travel different channels and may be delivered out of order. The
-/// dispatcher runs the deferred work as soon as the grant lands.
-#[derive(Debug)]
-pub(crate) enum DeferredWork {
-    /// A batched-invalidation entry whose revocation must wait for the
-    /// in-flight grant (otherwise the node would ack before holding the
-    /// copy being revoked).
-    Invalidate {
-        /// The home to send the (partial) batch ack to.
-        home: NodeId,
-        /// Whether the ack must carry the page contents.
-        needs_data: bool,
-        /// The directory-handling span the ack echoes.
-        span: SpanContext,
-    },
-    /// A forwarded request targeting ownership this node has not
-    /// finished acquiring yet.
-    Forward {
-        /// The home that forwarded the request.
-        home: NodeId,
-        /// The access requested.
-        access: Access,
-        /// The node the grant must go straight to.
-        requester: NodeId,
-        /// Correlation id of the requester's fault.
-        req_id: u64,
-        /// The incoming forward's span context.
-        span: SpanContext,
-    },
-}
-
 /// A job routed to a thread's original (pair) thread at the origin.
 pub(crate) struct DelegationJob {
     pub op: DelegatedOp,
@@ -140,22 +107,6 @@ pub(crate) struct RemoteNodeState {
     /// Ack routing for queued node-wide operations: `(req_id, reply_to)`
     /// in the same order ops were queued to the worker.
     pub pending_acks: Vec<(u64, NodeId)>,
-}
-
-/// Leader–follower fault coalescing table (§III-C): one entry per
-/// in-flight (page, access-type) fault on a node.
-#[derive(Default)]
-pub(crate) struct FaultTable {
-    pub entries: HashMap<(Vpn, bool), FaultEntry>,
-}
-
-/// The in-flight fault led by the first faulting thread.
-#[derive(Default)]
-pub(crate) struct FaultEntry {
-    pub followers: Vec<ThreadId>,
-    /// The leader's span id (0 when spans are disabled): followers read
-    /// it before parking so their wait spans parent to the leader fault.
-    pub leader_span: u64,
 }
 
 /// An object span registered by a tagged allocation; the profiler
@@ -222,23 +173,13 @@ pub struct ProcessShared {
     /// Number of directory homes pages hash across (1 = classic
     /// single-origin directory).
     pub dir_shards: usize,
-    /// Per-node count of in-flight page requests keyed by page. Only
-    /// maintained in the sharded configuration: protocol messages about
-    /// a page with a grant still in flight are deferred until it lands.
-    pub(crate) inflight_pages: Vec<Mutex<HashMap<Vpn, u32>>>,
-    /// Per-node deferred protocol work (see [`DeferredWork`]), at most
-    /// one entry per page (homes serialize transactions per page).
-    pub(crate) deferred_work: Vec<Mutex<HashMap<Vpn, DeferredWork>>>,
-    /// Page contents a home received in a batch-invalidation ack, staged
-    /// until the transaction's grant consumes them (in sharded mode the
-    /// home's own frame is not part of the transfer).
-    pub(crate) staged_frames: Mutex<HashMap<(NodeId, Vpn), PageFrame>>,
+    /// Per-node page-protocol state (coalescing table, in-flight marks,
+    /// parked work, staged contents) the [`protocol`] steps run on.
+    pub(crate) proto: Vec<Mutex<NodeState<PageFrame>>>,
     /// Origin-side futex wait queues (waiters keyed by request id).
     pub futex: Mutex<FutexTable>,
     /// Node each futex waiter's reply must be sent to.
     pub futex_nodes: Mutex<HashMap<u64, NodeId>>,
-    /// Per-node leader–follower fault tables.
-    pub(crate) fault_tables: Vec<Mutex<FaultTable>>,
     /// Per-node pending-request tables.
     pub(crate) pending: Vec<Mutex<PendingTable>>,
     /// Delegation channels to each migrated thread's original thread.
@@ -342,14 +283,9 @@ impl ProcessShared {
             spaces,
             directories,
             dir_shards,
-            inflight_pages: (0..nodes).map(|_| Mutex::new(HashMap::new())).collect(),
-            deferred_work: (0..nodes).map(|_| Mutex::new(HashMap::new())).collect(),
-            staged_frames: Mutex::new(HashMap::new()),
+            proto: (0..nodes).map(|_| Mutex::default()).collect(),
             futex: Mutex::new(FutexTable::new()),
             futex_nodes: Mutex::new(HashMap::new()),
-            fault_tables: (0..nodes)
-                .map(|_| Mutex::new(FaultTable::default()))
-                .collect(),
             pending: (0..nodes)
                 .map(|_| Mutex::new(PendingTable::default()))
                 .collect(),
@@ -432,75 +368,41 @@ impl ProcessShared {
         }
     }
 
-    // ---- in-flight grant tracking (sharded configuration only) ----
+    // ---- protocol-core plumbing ----
 
-    /// Records an in-flight page request at `node`. No-op in the classic
-    /// configuration (grants and invalidations share the origin channel
-    /// there, so they cannot reorder).
-    pub(crate) fn mark_inflight(&self, node: NodeId, vpn: Vpn) {
-        if !self.is_sharded() {
-            return;
-        }
-        *self.inflight_pages[node.0 as usize]
-            .lock()
-            .entry(vpn)
-            .or_insert(0) += 1;
+    /// Runs `f` on `node` as the protocol steps see it — protocol state,
+    /// page table and frames — locked for the duration of one step.
+    pub(crate) fn with_node<R>(
+        &self,
+        node: NodeId,
+        f: impl FnOnce(&mut Node<'_, RadixTree<PageFrame>>) -> R,
+    ) -> R {
+        let mut state = self.proto[node.0 as usize].lock();
+        let mut space = self.space(node).lock();
+        let (page_table, frames) = space.page_table_and_frames();
+        f(&mut Node {
+            state: &mut state,
+            page_table,
+            frames,
+            mutation: self.mutation,
+        })
     }
 
-    /// Whether `node` has a page request for `vpn` still awaiting its
-    /// grant.
-    pub(crate) fn inflight(&self, node: NodeId, vpn: Vpn) -> bool {
-        self.is_sharded()
-            && self.inflight_pages[node.0 as usize]
-                .lock()
-                .contains_key(&vpn)
-    }
-
-    /// Drops one in-flight mark for `vpn` at `node`; when the last mark
-    /// goes, returns the protocol work that was deferred behind the
-    /// grant (the caller must run it now).
-    pub(crate) fn unmark_inflight(&self, node: NodeId, vpn: Vpn) -> Option<DeferredWork> {
-        if !self.is_sharded() {
-            return None;
-        }
-        {
-            let mut map = self.inflight_pages[node.0 as usize].lock();
-            match map.get_mut(&vpn) {
-                Some(count) => {
-                    *count -= 1;
-                    if *count > 0 {
-                        return None;
-                    }
-                    map.remove(&vpn);
-                }
-                // A grant with no mark: a home-local fault's forwarded
-                // grant (same-channel FIFO already orders those).
-                None => return None,
-            }
-        }
-        self.deferred_work[node.0 as usize].lock().remove(&vpn)
-    }
-
-    /// Defers protocol work for `vpn` at `node` until its in-flight
-    /// grant lands. Homes serialize transactions per page, so at most
-    /// one deferral can exist at a time.
-    pub(crate) fn defer_work(&self, node: NodeId, vpn: Vpn, work: DeferredWork) {
-        let prev = self.deferred_work[node.0 as usize].lock().insert(vpn, work);
-        debug_assert!(
-            prev.is_none(),
-            "two deferred protocol actions for {vpn} at {node}"
-        );
-    }
-
-    /// Stages page contents a batch-invalidation ack carried to `home`,
-    /// replacing any stale leftover for the page.
-    pub(crate) fn stage_frame(&self, home: NodeId, vpn: Vpn, frame: PageFrame) {
-        self.staged_frames.lock().insert((home, vpn), frame);
-    }
-
-    /// Takes the staged contents for `vpn` at `home`, if any.
-    pub(crate) fn take_staged(&self, home: NodeId, vpn: Vpn) -> Option<PageFrame> {
-        self.staged_frames.lock().remove(&(home, vpn))
+    /// Runs one home-role step for `vpn` at its home node `home`. The
+    /// directory transition and the home's PTE changes happen under one
+    /// set of locks, so they are atomic with respect to other simulated
+    /// threads; the caller performs the returned outputs in order.
+    pub(crate) fn home_step(
+        &self,
+        home: NodeId,
+        vpn: Vpn,
+        input: HomeIn<PageFrame>,
+    ) -> Vec<Output<PageFrame>> {
+        let mut dir = self.directory_for(vpn).lock();
+        let zero_page = self.cost.zero_page_optimization;
+        self.with_node(home, |node| {
+            protocol::home_step(&mut dir, node, zero_page, input)
+        })
     }
 
     /// Bump-allocates `len` bytes in the shared heap with the given
@@ -775,16 +677,9 @@ impl ProcessShared {
             let endpoint = self.fabric.endpoint(home);
             for (vpn, actions) in reclaimed {
                 self.stats.counters.incr("faults.pages_reclaimed");
-                crate::dispatch::apply_origin_actions(
-                    ctx,
-                    self,
-                    &endpoint,
-                    home,
-                    vpn,
-                    actions,
-                    None,
-                    SpanContext::NONE,
-                );
+                let outs = self.home_step(home, vpn, HomeIn::Reclaim { vpn, actions });
+                let span = SpanContext::NONE;
+                crate::dispatch::perform_outputs(ctx, self, &endpoint, home, outs, span);
             }
         }
         self.complete_broadcasts_for_dead(ctx, dead);

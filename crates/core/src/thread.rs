@@ -11,7 +11,6 @@
 //! that services delegated work while the thread is away.
 
 use std::cell::Cell;
-use std::collections::hash_map::Entry;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -20,9 +19,10 @@ use dex_net::{NodeId, SpanContext};
 use dex_os::{Access, ExecutionContext, MemFault, Prot, Tid, VirtAddr, VmaKind, Vpn, PAGE_SIZE};
 use dex_sim::{SimChannel, SimCtx, SimDuration, ThreadId};
 
-use crate::directory::{DirAction, Requester};
+use crate::dispatch::perform_outputs;
 use crate::msg::{DelegatedOp, DexMsg, VmaOp};
-use crate::process::{DelegationJob, FaultEntry, MigrationSample, ProcessShared, Reply, WaitError};
+use crate::process::{DelegationJob, MigrationSample, ProcessShared, Reply, WaitError};
+use crate::protocol::{self, requester_step, HomeIn, Output, PageMsg, RequesterIn};
 use crate::race::{RaceEvent, RaceEventKind};
 use crate::span::{Span, SpanId, SpanKind};
 use crate::trace::{FaultEvent, FaultKind};
@@ -504,28 +504,28 @@ impl<'a> ThreadCtx<'a> {
         // (Disabled only for the ablation study: every thread then runs
         // the full protocol itself.)
         let coalesce = shared.cost.coalesce_faults;
-        let mut leader_span = 0u64;
-        let is_leader = !coalesce || {
-            let mut table = shared.fault_tables[node.0 as usize].lock();
-            match table.entries.entry((vpn, is_write)) {
-                Entry::Occupied(mut e) => {
-                    e.get_mut().followers.push(ctx.id());
-                    leader_span = e.get().leader_span;
-                    false
-                }
-                Entry::Vacant(v) => {
-                    v.insert(FaultEntry {
-                        followers: Vec::new(),
-                        leader_span: fault_span.map_or(0, |s| s.0),
-                    });
-                    true
-                }
-            }
+        let role = if coalesce {
+            let fault = RequesterIn::Fault {
+                vpn,
+                access,
+                thread: ctx.id().0,
+                tag: fault_span.map_or(0, |s| s.0),
+            };
+            shared.with_node(node, |n| requester_step(n, fault)).pop()
+        } else {
+            None
         };
-        if !is_leader {
+        if let Some(Output::Follow {
+            leader_tag, bypass, ..
+        }) = role
+        {
             shared.stats.counters.incr("faults.coalesced");
             if let Some(m) = &shared.metrics {
                 m.node(node).incr("dsm.faults_coalesced");
+            }
+            if bypass && node != shared.home_of(vpn) {
+                // Seeded bug: race a request nobody waits for.
+                self.issue_request(vpn, access, shared.new_req_id(), SpanContext::NONE);
             }
             ctx.park();
             // The follower's wait parents to the leader's fault span —
@@ -533,7 +533,7 @@ impl<'a> ThreadCtx<'a> {
             if let Some(id) = fault_span {
                 shared.spans.record(Span {
                     id,
-                    parent: SpanId(leader_span),
+                    parent: SpanId(leader_tag),
                     kind: SpanKind::FollowerWait,
                     node,
                     task: self.tid,
@@ -648,16 +648,12 @@ impl<'a> ThreadCtx<'a> {
         }
 
         if coalesce {
-            let followers = {
-                let mut table = shared.fault_tables[node.0 as usize].lock();
-                table
-                    .entries
-                    .remove(&(vpn, is_write))
-                    .expect("leader owns the entry")
-                    .followers
-            };
-            for f in followers {
-                ctx.unpark(f);
+            let resolved = RequesterIn::Resolved { vpn, access };
+            for out in shared.with_node(node, |n| requester_step(n, resolved)) {
+                match out {
+                    Output::WakeFollower(thread) => ctx.unpark(ThreadId(thread)),
+                    other => unreachable!("resolved fault produced {other:?}"),
+                }
             }
         }
     }
@@ -671,122 +667,23 @@ impl<'a> ThreadCtx<'a> {
         let ctx = self.sim;
         let node = self.node.get();
         let req_id = shared.new_req_id();
-        let actions =
-            shared
-                .directory_for(vpn)
-                .lock()
-                .request(vpn, access, Requester::Local { req_id });
-
-        // Apply local actions and gather sends *without yielding*, so the
-        // directory transition and the PTE changes are atomic with respect
-        // to other simulated threads.
-        let mut sends: Vec<(NodeId, DexMsg)> = Vec::new();
-        let mut granted = false;
-        let mut retry = false;
-        let mut opened_txn = false;
-        {
-            let mut space = shared.space(node).lock();
-            for action in &actions {
-                match action {
-                    DirAction::Grant { access, .. } => {
-                        space.page_table.set(
-                            vpn,
-                            if access.is_write() {
-                                dex_os::Pte::READ_WRITE
-                            } else {
-                                dex_os::Pte::READ_ONLY
-                            },
-                        );
-                        // Touch the frame so reads observe the page even
-                        // if it was never written.
-                        let _ = space.frame_mut(vpn);
-                        granted = true;
-                    }
-                    DirAction::Retry { .. } => retry = true,
-                    DirAction::ClearOriginPte => space.page_table.clear(vpn),
-                    DirAction::DowngradeOriginPte => space.page_table.downgrade(vpn),
-                    DirAction::SendFlush { to } => {
-                        opened_txn = true;
-                        sends.push((
-                            *to,
-                            DexMsg::Flush {
-                                pid: shared.pid,
-                                vpn,
-                            },
-                        ));
-                    }
-                    DirAction::SendInvalidate { to, needs_data } => {
-                        opened_txn = true;
-                        sends.push((
-                            *to,
-                            DexMsg::Invalidate {
-                                pid: shared.pid,
-                                vpn,
-                                needs_data: *needs_data,
-                            },
-                        ));
-                    }
-                    DirAction::Forward {
-                        to,
-                        access: fwd_access,
-                        ..
-                    } => {
-                        // Sharded mode: the current owner grants straight
-                        // to us (the home); the home's directory waits for
-                        // its async ownership ack.
-                        opened_txn = true;
-                        shared.stats.counters.incr("protocol.forwards");
-                        if let Some(m) = &shared.metrics {
-                            m.node(node).incr("protocol.forwards");
-                        }
-                        sends.push((
-                            *to,
-                            DexMsg::OwnerForward {
-                                pid: shared.pid,
-                                vpn,
-                                access: *fwd_access,
-                                requester: node,
-                                req_id,
-                            },
-                        ));
-                    }
-                    DirAction::SendInvalidateBatch { to, entries } => {
-                        opened_txn = true;
-                        sends.push((
-                            *to,
-                            DexMsg::InvalidateBatch {
-                                pid: shared.pid,
-                                entries: entries.clone(),
-                            },
-                        ));
-                    }
-                    DirAction::DropHomeCopy { .. } => {
-                        // A local requester is never elected as a doomed
-                        // replica holder: the directory skips the
-                        // requesting node when revoking.
-                        unreachable!("home asked to drop its copy for its own request")
-                    }
-                    DirAction::SetOriginPteRo | DirAction::InstallOriginData => {
-                        unreachable!("ack-only action out of request()")
-                    }
-                }
-            }
-        }
-        if granted {
-            return (true, true);
-        }
-        if retry {
-            return (false, false);
+        let msg = PageMsg::Request {
+            vpn,
+            access,
+            req_id,
+        };
+        let outs = shared.home_step(node, vpn, HomeIn::Msg { from: node, msg });
+        if let Some(Output::Wake { retry, .. }) = outs.first() {
+            // Answered on the spot: granted (mapping already installed)
+            // or told to retry.
+            return (!retry, !retry);
         }
         assert!(
-            opened_txn,
+            !outs.is_empty(),
             "request must grant, retry, or open a transaction"
         );
         let slot = shared.register_pending(ctx, node, req_id);
-        let endpoint = self.endpoint(node);
-        for (to, msg) in sends {
-            endpoint.send_traced(ctx, to, msg, span);
-        }
+        perform_outputs(ctx, shared, &self.endpoint(node), node, outs, span);
         match shared.wait_reply_watching(ctx, &slot, node, req_id, None, false) {
             Ok(Reply::PageGrant { retry }) => (!retry, false),
             Ok(other) => unreachable!("page fault answered with {other:?}"),
@@ -801,6 +698,21 @@ impl<'a> ThreadCtx<'a> {
         }
     }
 
+    /// Sends a page request to the page's (remote) home through the
+    /// requester step, which marks the page in flight at this node.
+    fn issue_request(&self, vpn: Vpn, access: Access, req_id: u64, span: SpanContext) {
+        let shared = &self.shared;
+        let node = self.node.get();
+        let issue = RequesterIn::Issue {
+            vpn,
+            access,
+            req_id,
+            home: shared.home_of(vpn),
+        };
+        let outs = shared.with_node(node, |n| requester_step(n, issue));
+        perform_outputs(self.sim, shared, &self.endpoint(node), node, outs, span);
+    }
+
     /// One protocol round for a fault away from the page's home. The
     /// fault span rides the request so home-side handling stitches to
     /// this fault.
@@ -811,22 +723,7 @@ impl<'a> ThreadCtx<'a> {
         let home = shared.home_of(vpn);
         let req_id = shared.new_req_id();
         let slot = shared.register_pending(ctx, node, req_id);
-        // Sharded mode: a grant for this page may be forwarded by a third
-        // node, racing protocol traffic from the home on another channel.
-        // Mark the page in flight so the dispatcher defers such traffic
-        // until the grant lands (no-op when sharding is off).
-        shared.mark_inflight(node, vpn);
-        self.endpoint(node).send_traced(
-            ctx,
-            home,
-            DexMsg::PageRequest {
-                pid: shared.pid,
-                vpn,
-                access,
-                req_id,
-            },
-            span,
-        );
+        self.issue_request(vpn, access, req_id, span);
         let peer = shared.is_sharded().then_some(home);
         match shared.wait_reply_watching(ctx, &slot, node, req_id, peer, false) {
             Ok(Reply::PageGrant { retry }) => !retry,
@@ -1121,22 +1018,11 @@ impl<'a> ThreadCtx<'a> {
         if missing.is_empty() {
             return;
         }
-        let endpoint = self.endpoint(node);
         let mut slots = Vec::with_capacity(missing.len());
         for vpn in &missing {
             let req_id = shared.new_req_id();
             let slot = shared.register_pending(self.sim, node, req_id);
-            shared.mark_inflight(node, *vpn);
-            endpoint.send(
-                self.sim,
-                shared.home_of(*vpn),
-                DexMsg::PageRequest {
-                    pid: shared.pid,
-                    vpn: *vpn,
-                    access,
-                    req_id,
-                },
-            );
+            self.issue_request(*vpn, access, req_id, SpanContext::NONE);
             slots.push((*vpn, req_id, slot));
         }
         // Prefetch is advisory end to end: grants are counted, denials
@@ -1685,9 +1571,9 @@ pub(crate) fn munmap_at_origin(
     let pages = {
         let mut space = shared.space(shared.origin).lock();
         let pages = space.vmas.munmap(addr, len).expect("munmap with bad range");
+        let (page_table, frames) = space.page_table_and_frames();
         for vpn in &pages {
-            space.page_table.clear(*vpn);
-            space.evict_frame(*vpn);
+            protocol::unmap(page_table, frames, *vpn);
         }
         pages
     };

@@ -638,3 +638,48 @@ fn condvar_wakes_waiters() {
     });
     assert_eq!(result.unwrap().snapshot(&report), 42);
 }
+
+#[test]
+fn degenerate_read_grant_keeps_the_writers_mapping_writable() {
+    // Same node, one page: a write leader and, 8 µs later (inside the
+    // write's round trip), a read leader — different access classes do not
+    // coalesce. The home answers the write first, so the read gets the
+    // degenerate "requester is the writer" grant. That grant used to
+    // demote the mapping to read-only while the directory went on
+    // recording the node as writer — the state the model's owner-set/PTE
+    // agreement invariant forbids.
+    let observed = std::sync::Arc::new(std::sync::Mutex::new(None));
+    let seen = std::sync::Arc::clone(&observed);
+    let start_at = |ctx: &dex_core::ThreadCtx<'_>, us| {
+        ctx.migrate(1).unwrap();
+        let start = dex_sim::SimTime::ZERO + SimDuration::from_micros(us);
+        ctx.compute(start - ctx.sim().now());
+    };
+    let report = two_nodes().run(|p| {
+        let cell = p.alloc_cell_aligned::<u64>(1, "x");
+        p.spawn(move |ctx| {
+            start_at(ctx, 2_000);
+            cell.set(ctx, 2);
+        });
+        p.spawn(move |ctx| {
+            start_at(ctx, 2_008);
+            let _ = cell.get(ctx);
+            let vpn = cell.addr().vpn();
+            let shared = ctx.process();
+            let writer = shared.directory_for(vpn).lock().current_writer(vpn);
+            let pte = shared.space(NodeId(1)).lock().page_table.entry(vpn);
+            *seen.lock().unwrap() = Some((writer, pte.writable));
+        });
+    });
+    assert_eq!(report.stats.write_faults, 1);
+    assert_eq!(
+        report.stats.read_faults, 1,
+        "the read led a fault of its own"
+    );
+    let (writer, writable) = observed.lock().unwrap().expect("reader ran");
+    assert_eq!(writer, Some(NodeId(1)), "the write was granted first");
+    assert!(
+        writable,
+        "the directory's writer must still map the page writable"
+    );
+}

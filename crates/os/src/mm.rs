@@ -110,6 +110,13 @@ impl AddressSpace {
         self.frames.remove(vpn.index())
     }
 
+    /// The page table and the frame store as two disjoint borrows, so
+    /// the protocol core can change a mapping and its contents in one
+    /// step.
+    pub fn page_table_and_frames(&mut self) -> (&mut PageTable, &mut RadixTree<PageFrame>) {
+        (&mut self.page_table, &mut self.frames)
+    }
+
     /// Number of resident frames.
     pub fn resident_pages(&self) -> usize {
         self.frames.len()

@@ -9,7 +9,7 @@ use crate::page::Vpn;
 use crate::radix::RadixTree;
 
 /// The access kind of a memory operation.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Access {
     /// A load.
     Read,
