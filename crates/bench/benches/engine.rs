@@ -1,0 +1,86 @@
+//! Criterion bench: host cost of one engine event, on a bare engine.
+//!
+//! The four shapes are the frozen benchmark's `sim.*` probes
+//! (`benchmark/src/probes.rs`), so the engine can be iterated on here
+//! without touching `benchmark/`. Each line reports ns per event
+//! (`ns/element`); `spawn` reports ns per spawned thread.
+//!
+//! Pin it, as the frozen benchmark does (`taskset -c 0 cargo bench -p
+//! dex-bench --bench engine`): unpinned on a multi-core box every hand-off
+//! is either same-core (a few µs) or a cross-core wake (tens of µs), and
+//! which one a run gets is the host scheduler's choice, not the engine's.
+
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use dex_sim::{Engine, SimDuration, ThreadId};
+
+/// `threads` threads each `advance(1 ns)` `events` times: with two, a
+/// strict alternation in which neither is ever resumed before it fell
+/// asleep; with 32, the event queue and the slot table carry weight.
+fn alternate(threads: u64, events: u64) {
+    let engine = Engine::new();
+    for t in 0..threads {
+        engine.spawn(format!("t{t}"), move |ctx| {
+            for _ in 0..events {
+                ctx.advance(SimDuration::from_nanos(1));
+            }
+        });
+    }
+    engine.run().expect("no deadlock");
+}
+
+/// Two threads hand a baton back and forth with `unpark` + `park`.
+fn park_unpark(rounds: u64) {
+    let engine = Engine::new();
+    let a_id = Arc::new(AtomicU64::new(0));
+    let a_for_b = Arc::clone(&a_id);
+    let b = engine.spawn("b", move |ctx| {
+        for _ in 0..rounds {
+            ctx.park();
+            ctx.unpark(ThreadId(a_for_b.load(Ordering::SeqCst)));
+        }
+    });
+    let a = engine.spawn("a", move |ctx| {
+        for _ in 0..rounds {
+            ctx.unpark(b);
+            ctx.park();
+        }
+    });
+    // Threads first run inside `run`, after this store.
+    a_id.store(a.0, Ordering::SeqCst);
+    engine.run().expect("no deadlock");
+}
+
+/// One thread spawns `n` children that exit at once.
+fn spawn_many(n: u64) {
+    let engine = Engine::new();
+    engine.spawn("parent", move |ctx| {
+        for i in 0..n {
+            ctx.spawn(format!("child{i}"), |_| {});
+        }
+    });
+    engine.run().expect("no deadlock");
+}
+
+fn engine(c: &mut Criterion) {
+    let mut group = c.benchmark_group("engine");
+
+    group.throughput(Throughput::Elements(2 * 2_500));
+    group.bench_function("advance_2_threads", |b| b.iter(|| alternate(2, 2_500)));
+
+    group.throughput(Throughput::Elements(32 * 125));
+    group.bench_function("advance_32_threads", |b| b.iter(|| alternate(32, 125)));
+
+    group.throughput(Throughput::Elements(2 * 1_250));
+    group.bench_function("park_unpark_pair", |b| b.iter(|| park_unpark(1_250)));
+
+    group.throughput(Throughput::Elements(128));
+    group.bench_function("spawn", |b| b.iter(|| spawn_many(128)));
+
+    group.finish();
+}
+
+criterion_group!(benches, engine);
+criterion_main!(benches);

@@ -4,13 +4,27 @@
 //!
 //! Simulated threads are real OS threads that run **one at a time** under a
 //! strict handshake with the engine's driver loop: the driver resumes a
-//! thread, then blocks until that thread yields back (by advancing virtual
+//! thread, then sleeps until that thread yields back (by advancing virtual
 //! time, parking, or exiting). All inter-thread ordering is decided by a
 //! single event queue ordered by `(virtual time, sequence number)`, so a
 //! simulation is fully deterministic regardless of host scheduling.
 //!
+//! The hand-off is one *wake word* per OS thread — every simulated thread
+//! and the thread inside [`Engine::run`]: an atomic signal (`Go` or
+//! `Shutdown`, stored with `Release`, taken with `Acquire`) plus that
+//! thread's [`std::thread::Thread`] handle. Waking is store + `unpark`;
+//! sleeping is "take the signal, `park` while there is none", so a thread
+//! that is resumed before it got to sleep never sleeps. A simulated
+//! thread's handle is published at spawn, before its first event is
+//! queued; the driver's at the top of `run`. What a yielding thread has to
+//! say (`Scheduled`, `Parked`, `Exited`, `Panicked`) travels in a one-entry
+//! slot, because only the one running thread can yield. Each turn of the
+//! driver loop is one `step()` — pick the next event in default order or
+//! by the [`SchedulePolicy`], accept it, fire the sampler, mark the thread
+//! running — then wake that thread and wait for its yield.
+//!
 //! Because exactly one simulated thread runs at any moment (and the driver
-//! is blocked while it does), simulated threads may freely share state via
+//! is asleep while it does), simulated threads may freely share state via
 //! ordinary `Mutex`es — the locks are never contended.
 //!
 //! # Thread lifecycle
@@ -26,14 +40,16 @@
 //! them; a remaining parked **non-daemon** thread is reported as a
 //! deadlock.
 
+use std::cell::Cell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
+use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::thread::{self, JoinHandle, Thread};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::replay::ScheduleLog;
 use crate::time::{SimDuration, SimTime};
@@ -185,9 +201,49 @@ enum ParkState {
     ParkedScheduled,
 }
 
-enum Resume {
-    Go,
-    Shutdown,
+/// What a wake word can say. `0` in the word means "nothing yet".
+#[derive(Clone, Copy, PartialEq)]
+enum Signal {
+    Go = 1,
+    Shutdown = 2,
+}
+
+/// One OS thread's end of the hand-off: the signal it sleeps on and the
+/// handle others `unpark` it through. The store is `Release` and the take
+/// `Acquire`, so whatever the waker wrote before waking (the yield slot,
+/// the slot's park state) is visible to the woken thread.
+#[derive(Default)]
+struct WakeWord {
+    signal: AtomicU8,
+    /// Published before anyone can wake this word: a simulated thread's
+    /// from `JoinHandle::thread()` at spawn, the driver's at the top of
+    /// `run()` — never by the sleeping thread itself, which may not have
+    /// been scheduled by the host yet when its first wake arrives.
+    thread: OnceLock<Thread>,
+}
+
+impl WakeWord {
+    fn wake(&self, signal: Signal) {
+        self.signal.store(signal as u8, Ordering::Release);
+        self.thread
+            .get()
+            .expect("wake word's thread handle is published before its first wake")
+            .unpark();
+    }
+
+    /// Sleeps the calling thread (which must own this word) until a signal
+    /// arrives, and consumes it. `park` may return spuriously or on a stale
+    /// token from an earlier wake that found the thread still awake; the
+    /// loop absorbs both.
+    fn wait(&self) -> Signal {
+        loop {
+            match self.signal.swap(0, Ordering::Acquire) {
+                0 => thread::park(),
+                1 => return Signal::Go,
+                _ => return Signal::Shutdown,
+            }
+        }
+    }
 }
 
 enum YieldMsg {
@@ -204,7 +260,7 @@ enum YieldMsg {
 struct ThreadSlot {
     name: String,
     daemon: bool,
-    resume_tx: mpsc::Sender<Resume>,
+    wake: Arc<WakeWord>,
     park: ParkState,
     exited: bool,
     /// Bumped on every `park`/`park_until` entry; a queued timer event
@@ -240,10 +296,12 @@ impl PartialOrd for EventKey {
 struct State {
     clock: SimTime,
     next_seq: u64,
-    next_tid: u64,
     queue: BinaryHeap<Reverse<(EventKey, ThreadId, u64)>>,
-    threads: HashMap<ThreadId, ThreadSlot>,
-    yield_tx: mpsc::Sender<(ThreadId, YieldMsg)>,
+    /// Indexed by `ThreadId`, which is handed out sequentially.
+    threads: Vec<ThreadSlot>,
+    /// The one-entry yield slot: filled by the running thread just before
+    /// it wakes the driver, emptied by the driver when it wakes.
+    yielded: Option<(ThreadId, YieldMsg)>,
     events_processed: u64,
     /// When present, every accepted scheduling decision is appended here
     /// (pure bookkeeping: recording never schedules, parks, or advances,
@@ -255,6 +313,14 @@ struct State {
 }
 
 impl State {
+    fn slot(&self, tid: ThreadId) -> Option<&ThreadSlot> {
+        self.threads.get(usize::try_from(tid.0).ok()?)
+    }
+
+    fn slot_mut(&mut self, tid: ThreadId) -> Option<&mut ThreadSlot> {
+        self.threads.get_mut(usize::try_from(tid.0).ok()?)
+    }
+
     fn schedule(&mut self, at: SimTime, tid: ThreadId) {
         let key = EventKey {
             time: at,
@@ -282,8 +348,7 @@ impl State {
     /// Whether a popped timer event is still live: the thread must be
     /// parked in the same `park_until` call that queued it.
     fn timer_valid(&self, tid: ThreadId, epoch: u64) -> bool {
-        self.threads
-            .get(&tid)
+        self.slot(tid)
             .is_some_and(|s| !s.exited && s.park_epoch == epoch && s.park == ParkState::Parked)
     }
 
@@ -297,10 +362,7 @@ impl State {
             let label = format!(
                 "t={} {}",
                 time.as_nanos(),
-                self.threads
-                    .get(&tid)
-                    .map(|s| s.name.as_str())
-                    .unwrap_or("?")
+                self.slot(tid).map(|s| s.name.as_str()).unwrap_or("?")
             );
             if let Some(log) = &self.schedule {
                 log.lock().push(tid.0, label);
@@ -344,8 +406,7 @@ fn pick_with_policy(st: &mut State, policy: &SchedulePolicyHandle) -> Option<(Si
         .map(|(_, tid, epoch)| ScheduleChoice {
             tid: *tid,
             name: st
-                .threads
-                .get(tid)
+                .slot(*tid)
                 .map(|s| s.name.clone())
                 .unwrap_or_else(|| "?".to_string()),
             is_timer: *epoch != NORMAL_EVENT,
@@ -364,12 +425,34 @@ fn pick_with_policy(st: &mut State, policy: &SchedulePolicyHandle) -> Option<(Si
     }
     let (tid, epoch) = picked.expect("chosen index within frontier");
     if epoch != NORMAL_EVENT {
-        if let Some(slot) = st.threads.get_mut(&tid) {
+        if let Some(slot) = st.slot_mut(tid) {
             slot.timed_out = true;
         }
     }
     st.accept(time, tid);
     Some((time, tid))
+}
+
+/// The default scheduling path: pops the earliest live event in
+/// `(time, seq)` order and accepts it.
+fn pick_default(st: &mut State) -> Option<(SimTime, ThreadId)> {
+    loop {
+        let Reverse((key, tid, epoch)) = st.queue.pop()?;
+        if epoch != NORMAL_EVENT {
+            // Park-timeout event: only valid if the thread is still parked
+            // in the same park_until call. Stale timers are discarded
+            // *before* the clock/event counter update so runs that never
+            // time out are indistinguishable from runs without timers.
+            if !st.timer_valid(tid, epoch) {
+                continue;
+            }
+            if let Some(slot) = st.slot_mut(tid) {
+                slot.timed_out = true;
+            }
+        }
+        st.accept(key.time, tid);
+        return Some((key.time, tid));
+    }
 }
 
 /// A recurring virtual-time sampler installed via [`Engine::set_sampler`].
@@ -393,6 +476,8 @@ struct Shared {
     /// released, so it may freely read shared simulation data (metric
     /// registries, span buffers) without deadlocking against the driver.
     sampler: Mutex<Option<Sampler>>,
+    /// The wake word of the thread inside [`Engine::run`].
+    driver: WakeWord,
 }
 
 /// The discrete-event simulation engine. See the crate-level docs for
@@ -420,7 +505,6 @@ struct Shared {
 /// ```
 pub struct Engine {
     shared: Arc<Shared>,
-    yield_rx: mpsc::Receiver<(ThreadId, YieldMsg)>,
     event_budget: u64,
 }
 
@@ -440,23 +524,21 @@ impl Engine {
     /// [`SimError::EventBudgetExhausted`] after processing `budget` events —
     /// a guard against livelocked simulations.
     pub fn with_event_budget(budget: u64) -> Self {
-        let (yield_tx, yield_rx) = mpsc::channel();
         Engine {
             shared: Arc::new(Shared {
                 state: Mutex::new(State {
                     clock: SimTime::ZERO,
                     next_seq: 0,
-                    next_tid: 0,
                     queue: BinaryHeap::new(),
-                    threads: HashMap::new(),
-                    yield_tx,
+                    threads: Vec::new(),
+                    yielded: None,
                     events_processed: 0,
                     schedule: None,
                     policy: None,
                 }),
                 sampler: Mutex::new(None),
+                driver: WakeWord::default(),
             }),
-            yield_rx,
             event_budget: budget,
         }
     }
@@ -554,155 +636,41 @@ impl Engine {
     /// Re-raises any panic from a simulated thread (so `assert!` inside
     /// simulated code fails the enclosing test).
     pub fn run(self) -> Result<SimTime, SimError> {
-        let mut deadlocked: Vec<String> = Vec::new();
-        let mut budget_hit = false;
+        let shared = &*self.shared;
+        shared
+            .driver
+            .thread
+            .set(thread::current())
+            .expect("run() consumes the engine, so it publishes the driver once");
         let mut panic_msg: Option<String> = None;
 
-        loop {
-            let next = {
-                let mut st = self.shared.state.lock();
-                if st.events_processed >= self.event_budget {
-                    budget_hit = true;
-                    None
-                } else if let Some(policy) = st.policy.clone() {
-                    pick_with_policy(&mut st, &policy)
-                } else {
-                    loop {
-                        let Some(Reverse((key, tid, epoch))) = st.queue.pop() else {
-                            break None;
-                        };
-                        if epoch != NORMAL_EVENT {
-                            // Park-timeout event: only valid if the thread is
-                            // still parked in the same park_until call. Stale
-                            // timers are discarded *before* the clock/event
-                            // counter update so runs that never time out are
-                            // indistinguishable from runs without timers.
-                            if !st.timer_valid(tid, epoch) {
-                                continue;
-                            }
-                            if let Some(slot) = st.threads.get_mut(&tid) {
-                                slot.timed_out = true;
-                            }
-                        }
-                        st.accept(key.time, tid);
-                        break Some((key.time, tid));
-                    }
-                }
+        let budget_hit = loop {
+            let (tid, wake) = match step(shared, self.event_budget) {
+                Step::Run(tid, wake) => (tid, wake),
+                Step::Drained => break false,
+                Step::BudgetHit => break true,
             };
-            let Some((time, tid)) = next else { break };
-
-            // Fire the sampler for every window boundary the clock just
-            // crossed, *before* the chosen thread runs: the event at
-            // `time` belongs to the window starting at the boundary, so a
-            // callback at boundary `b` sees exactly the state produced by
-            // events strictly before `b`. The state lock is released here
-            // — the callback may read shared simulation data freely.
-            {
-                let mut sampler = self.shared.sampler.lock();
-                if let Some(s) = sampler.as_mut() {
-                    while s.next_boundary <= time {
-                        let boundary = s.next_boundary;
-                        s.next_boundary = boundary + s.period;
-                        (s.callback)(boundary);
-                    }
-                }
+            wake.wake(Signal::Go);
+            shared.driver.wait();
+            let mut st = shared.state.lock();
+            let (ytid, msg) = st.yielded.take().expect("driver woken without a yield");
+            debug_assert_eq!(ytid, tid, "yield from unexpected thread");
+            match msg {
+                YieldMsg::Scheduled | YieldMsg::Parked => continue,
+                YieldMsg::Exited => {}
+                YieldMsg::Panicked(msg) => panic_msg = Some(msg),
             }
-
-            // Resume the thread and wait for it to yield back.
-            {
-                let mut st = self.shared.state.lock();
-                let slot = st.threads.get_mut(&tid).expect("event for unknown thread");
-                if slot.exited {
-                    continue;
-                }
-                slot.park = ParkState::Running;
-                // Thread may not be at its receiver yet only on the very
-                // first resume; mpsc buffers the message either way.
-                let _ = slot.resume_tx.send(Resume::Go);
+            st.slot_mut(tid).expect("yielder has a slot").exited = true;
+            if panic_msg.is_some() {
+                break false;
             }
-            match self.yield_rx.recv() {
-                Ok((ytid, msg)) => {
-                    debug_assert_eq!(ytid, tid, "yield from unexpected thread");
-                    match msg {
-                        YieldMsg::Scheduled | YieldMsg::Parked => {}
-                        YieldMsg::Exited => {
-                            let mut st = self.shared.state.lock();
-                            if let Some(slot) = st.threads.get_mut(&tid) {
-                                slot.exited = true;
-                            }
-                        }
-                        YieldMsg::Panicked(msg) => {
-                            let mut st = self.shared.state.lock();
-                            if let Some(slot) = st.threads.get_mut(&tid) {
-                                slot.exited = true;
-                            }
-                            panic_msg = Some(msg);
-                            break;
-                        }
-                    }
-                }
-                Err(_) => break,
-            }
-        }
-
-        // The queue is drained (or we aborted). Shut down every thread that
-        // is still alive; collect non-daemon ones as deadlocked unless we
-        // are aborting for another reason.
-        let alive: Vec<ThreadId> = {
-            let st = self.shared.state.lock();
-            st.threads
-                .iter()
-                .filter(|(_, s)| !s.exited)
-                .map(|(tid, _)| *tid)
-                .collect()
         };
-        for tid in alive {
-            let (is_daemon, name) = {
-                let mut st = self.shared.state.lock();
-                let slot = match st.threads.get_mut(&tid) {
-                    Some(s) if !s.exited => s,
-                    _ => continue,
-                };
-                let info = (slot.daemon, slot.name.clone());
-                let _ = slot.resume_tx.send(Resume::Shutdown);
-                info
-            };
-            if !is_daemon && panic_msg.is_none() && !budget_hit {
-                deadlocked.push(name);
-            }
-            // Wait for the Exited acknowledgment so joins cannot hang.
-            loop {
-                match self.yield_rx.recv() {
-                    Ok((ytid, YieldMsg::Exited)) if ytid == tid => break,
-                    Ok((ytid, YieldMsg::Panicked(m))) if ytid == tid => {
-                        if panic_msg.is_none() {
-                            panic_msg = Some(m);
-                        }
-                        break;
-                    }
-                    Ok(_) => continue,
-                    Err(_) => break,
-                }
-            }
-            let mut st = self.shared.state.lock();
-            if let Some(slot) = st.threads.get_mut(&tid) {
-                slot.exited = true;
-            }
-        }
 
-        // Join all real threads.
-        let joins: Vec<JoinHandle<()>> = {
-            let mut st = self.shared.state.lock();
-            st.threads
-                .values_mut()
-                .filter_map(|s| s.join.take())
-                .collect()
-        };
-        for j in joins {
-            let _ = j.join();
-        }
-
-        if let Some(msg) = panic_msg {
+        // The queue is drained (or we aborted). Shut down and join every
+        // thread that is still alive; the non-daemon ones are deadlocked
+        // unless we are aborting for another reason.
+        let (mut deadlocked, late_panic) = shutdown_all(shared);
+        if let Some(msg) = panic_msg.or(late_panic) {
             panic!("simulated thread panicked: {msg}");
         }
         if budget_hit {
@@ -714,38 +682,138 @@ impl Engine {
             deadlocked.sort();
             return Err(SimError::Deadlock { parked: deadlocked });
         }
-        let clock = self.shared.state.lock().clock;
+        let clock = shared.state.lock().clock;
         Ok(clock)
     }
+}
+
+/// An engine dropped without [`Engine::run`] (or unwound out of it by a
+/// panicking sampler or policy) still owns one OS thread per spawned
+/// simulated thread, each asleep on its wake word and keeping `Shared`
+/// alive through its `SimCtx`; shut them down and join them. A no-op after
+/// a completed `run`.
+impl Drop for Engine {
+    fn drop(&mut self) {
+        shutdown_all(&self.shared);
+    }
+}
+
+/// What one scheduling step decided.
+enum Step {
+    /// Wake this thread and wait for it to yield.
+    Run(ThreadId, Arc<WakeWord>),
+    /// No live event is left.
+    Drained,
+    /// The event budget is spent.
+    BudgetHit,
+}
+
+/// One scheduling step: picks the next event (default order, or the
+/// installed policy's choice among same-instant ties), accepts it, fires
+/// the sampler, and marks the chosen thread running. Everything the engine
+/// decides between one thread's yield and the next thread's wake is in
+/// here, so whoever holds the baton can call it.
+fn step(shared: &Shared, budget: u64) -> Step {
+    loop {
+        let (time, tid) = {
+            let mut st = shared.state.lock();
+            if st.events_processed >= budget {
+                return Step::BudgetHit;
+            }
+            let next = match st.policy.clone() {
+                Some(policy) => pick_with_policy(&mut st, &policy),
+                None => pick_default(&mut st),
+            };
+            match next {
+                Some(next) => next,
+                None => return Step::Drained,
+            }
+        };
+
+        // Fire the sampler for every window boundary the clock just
+        // crossed, *before* the chosen thread runs: the event at `time`
+        // belongs to the window starting at the boundary, so a callback at
+        // boundary `b` sees exactly the state produced by events strictly
+        // before `b`. The state lock is released here — the callback may
+        // read shared simulation data freely.
+        if let Some(s) = shared.sampler.lock().as_mut() {
+            while s.next_boundary <= time {
+                let boundary = s.next_boundary;
+                s.next_boundary = boundary + s.period;
+                (s.callback)(boundary);
+            }
+        }
+
+        let mut st = shared.state.lock();
+        let slot = st.slot_mut(tid).expect("event for unknown thread");
+        if slot.exited {
+            continue;
+        }
+        // A parked thread is running again; an unpark token delivered while
+        // it was not parked (`Notified`) stays for its next `park()`.
+        if matches!(slot.park, ParkState::Parked | ParkState::ParkedScheduled) {
+            slot.park = ParkState::Running;
+        }
+        return Step::Run(tid, Arc::clone(&slot.wake));
+    }
+}
+
+/// Shuts down and joins every simulated OS thread, one at a time in id
+/// order (so unwinding threads never run concurrently). Returns the names
+/// of the non-daemon threads that were still alive and the first panic
+/// raised while unwinding.
+fn shutdown_all(shared: &Shared) -> (Vec<String>, Option<String>) {
+    let mut stuck = Vec::new();
+    let mut panic_msg = None;
+    for i in 0.. {
+        let (wake, join) = {
+            let mut st = shared.state.lock();
+            let Some(slot) = st.threads.get_mut(i) else {
+                break;
+            };
+            let wake = (!slot.exited).then(|| Arc::clone(&slot.wake));
+            slot.exited = true;
+            if wake.is_some() && !slot.daemon {
+                stuck.push(slot.name.clone());
+            }
+            (wake, slot.join.take())
+        };
+        if let Some(wake) = wake {
+            wake.wake(Signal::Shutdown);
+        }
+        if let Some(join) = join {
+            // The thread's wrapper catches every panic; the result is in
+            // the yield slot.
+            let _ = join.join();
+        }
+        if let Some((_, YieldMsg::Panicked(msg))) = shared.state.lock().yielded.take() {
+            panic_msg.get_or_insert(msg);
+        }
+    }
+    (stuck, panic_msg)
 }
 
 fn spawn_thread<F>(shared: &Arc<Shared>, name: String, daemon: bool, f: F) -> ThreadId
 where
     F: FnOnce(&SimCtx) + Send + 'static,
 {
-    let (resume_tx, resume_rx) = mpsc::channel();
+    let wake = Arc::new(WakeWord::default());
     let mut st = shared.state.lock();
-    let tid = ThreadId(st.next_tid);
-    st.next_tid += 1;
-    let yield_tx = st.yield_tx.clone();
+    let tid = ThreadId(st.threads.len() as u64);
     let ctx = SimCtx {
         tid,
         shared: Arc::clone(shared),
-        resume_rx,
-        yield_tx: yield_tx.clone(),
+        wake: Arc::clone(&wake),
+        _not_sync: PhantomData,
     };
-    let tname = name.clone();
-    let join = std::thread::Builder::new()
-        .name(format!("{tname}#{}", tid.0))
+    let join = thread::Builder::new()
+        .name(format!("{name}#{}", tid.0))
         .stack_size(512 * 1024)
         .spawn(move || {
-            // Wait for the first resume before touching anything.
-            match ctx.resume_rx.recv() {
-                Ok(Resume::Go) => {}
-                Ok(Resume::Shutdown) | Err(_) => {
-                    let _ = ctx.yield_tx.send((tid, YieldMsg::Exited));
-                    return;
-                }
+            // Wait for the first resume before touching anything; a thread
+            // shut down before it ever ran has nothing to report.
+            if ctx.wake.wait() == Signal::Shutdown {
+                return;
             }
             let result = panic::catch_unwind(AssertUnwindSafe(|| f(&ctx)));
             let msg = match result {
@@ -762,22 +830,24 @@ where
                     }
                 }
             };
-            let _ = ctx.yield_tx.send((tid, msg));
+            ctx.yield_to_driver(ctx.shared.state.lock(), msg);
         })
         .expect("failed to spawn simulated thread");
-    st.threads.insert(
-        tid,
-        ThreadSlot {
-            name,
-            daemon,
-            resume_tx,
-            park: ParkState::Running,
-            exited: false,
-            park_epoch: 0,
-            timed_out: false,
-            join: Some(join),
-        },
-    );
+    // Publish the handle under the state lock, before the first event is
+    // queued: the driver can only learn of this thread through that event.
+    wake.thread
+        .set(join.thread().clone())
+        .expect("fresh wake word");
+    st.threads.push(ThreadSlot {
+        name,
+        daemon,
+        wake,
+        park: ParkState::Running,
+        exited: false,
+        park_epoch: 0,
+        timed_out: false,
+        join: Some(join),
+    });
     // First run at the current virtual instant.
     let now = st.clock;
     st.schedule(now, tid);
@@ -790,8 +860,9 @@ where
 pub struct SimCtx {
     tid: ThreadId,
     shared: Arc<Shared>,
-    resume_rx: mpsc::Receiver<Resume>,
-    yield_tx: mpsc::Sender<(ThreadId, YieldMsg)>,
+    wake: Arc<WakeWord>,
+    /// Only the owning thread may sleep on `wake`.
+    _not_sync: PhantomData<Cell<()>>,
 }
 
 impl SimCtx {
@@ -839,12 +910,10 @@ impl SimCtx {
     /// in the meantime. `advance(ZERO)` yields the (virtual) CPU without
     /// moving the clock.
     pub fn advance(&self, d: SimDuration) {
-        {
-            let mut st = self.shared.state.lock();
-            let at = st.clock + d;
-            st.schedule(at, self.tid);
-        }
-        self.yield_and_wait(YieldMsg::Scheduled);
+        let mut st = self.shared.state.lock();
+        let at = st.clock + d;
+        st.schedule(at, self.tid);
+        self.yield_and_wait(st, YieldMsg::Scheduled);
     }
 
     /// Advances this thread to the absolute instant `t` (no-op if `t` is in
@@ -858,22 +927,20 @@ impl SimCtx {
     /// its id. If an unpark was already delivered since the last `park`,
     /// returns immediately (token semantics, like [`std::thread::park`]).
     pub fn park(&self) {
-        {
-            let mut st = self.shared.state.lock();
-            let slot = st.threads.get_mut(&self.tid).expect("own slot missing");
-            slot.park_epoch += 1; // invalidate timers from earlier park_untils
-            match slot.park {
-                ParkState::Notified => {
-                    slot.park = ParkState::Running;
-                    return;
-                }
-                ParkState::Running => slot.park = ParkState::Parked,
-                ParkState::Parked | ParkState::ParkedScheduled => {
-                    unreachable!("thread parked while already parked")
-                }
+        let mut st = self.shared.state.lock();
+        let slot = st.slot_mut(self.tid).expect("own slot missing");
+        slot.park_epoch += 1; // invalidate timers from earlier park_untils
+        match slot.park {
+            ParkState::Notified => {
+                slot.park = ParkState::Running;
+                return;
+            }
+            ParkState::Running => slot.park = ParkState::Parked,
+            ParkState::Parked | ParkState::ParkedScheduled => {
+                unreachable!("thread parked while already parked")
             }
         }
-        self.yield_and_wait(YieldMsg::Parked);
+        self.yield_and_wait(st, YieldMsg::Parked);
     }
 
     /// Like [`SimCtx::park`], but with a deadline: blocks until another
@@ -891,27 +958,25 @@ impl SimCtx {
     /// actually times out produces exactly the same schedule as code using
     /// plain `park`.
     pub fn park_until(&self, deadline: SimTime) -> bool {
-        {
-            let mut st = self.shared.state.lock();
-            let slot = st.threads.get_mut(&self.tid).expect("own slot missing");
-            slot.park_epoch += 1;
-            slot.timed_out = false;
-            match slot.park {
-                ParkState::Notified => {
-                    slot.park = ParkState::Running;
-                    return false;
-                }
-                ParkState::Running => slot.park = ParkState::Parked,
-                ParkState::Parked | ParkState::ParkedScheduled => {
-                    unreachable!("thread parked while already parked")
-                }
-            }
-            let epoch = slot.park_epoch;
-            st.schedule_timer(deadline, self.tid, epoch);
-        }
-        self.yield_and_wait(YieldMsg::Parked);
         let mut st = self.shared.state.lock();
-        let slot = st.threads.get_mut(&self.tid).expect("own slot missing");
+        let slot = st.slot_mut(self.tid).expect("own slot missing");
+        slot.park_epoch += 1;
+        slot.timed_out = false;
+        match slot.park {
+            ParkState::Notified => {
+                slot.park = ParkState::Running;
+                return false;
+            }
+            ParkState::Running => slot.park = ParkState::Parked,
+            ParkState::Parked | ParkState::ParkedScheduled => {
+                unreachable!("thread parked while already parked")
+            }
+        }
+        let epoch = slot.park_epoch;
+        st.schedule_timer(deadline, self.tid, epoch);
+        self.yield_and_wait(st, YieldMsg::Parked);
+        let mut st = self.shared.state.lock();
+        let slot = st.slot_mut(self.tid).expect("own slot missing");
         std::mem::take(&mut slot.timed_out)
     }
 
@@ -920,7 +985,7 @@ impl SimCtx {
     pub fn unpark(&self, target: ThreadId) {
         let mut st = self.shared.state.lock();
         let now = st.clock;
-        let Some(slot) = st.threads.get_mut(&target) else {
+        let Some(slot) = st.slot_mut(target) else {
             return;
         };
         if slot.exited {
@@ -953,15 +1018,19 @@ impl SimCtx {
         spawn_thread(&self.shared, name.into(), true, f)
     }
 
-    fn yield_and_wait(&self, msg: YieldMsg) {
-        self.yield_tx
-            .send((self.tid, msg))
-            .expect("engine dropped yield channel");
-        match self.resume_rx.recv() {
-            Ok(Resume::Go) => {}
-            Ok(Resume::Shutdown) | Err(_) => {
-                panic::resume_unwind(Box::new(ShutdownToken));
-            }
+    /// Puts `msg` in the yield slot (under the lock the caller already
+    /// holds for its own bookkeeping) and wakes the driver.
+    fn yield_to_driver(&self, mut st: MutexGuard<'_, State>, msg: YieldMsg) {
+        debug_assert!(st.yielded.is_none(), "two threads yielding at once");
+        st.yielded = Some((self.tid, msg));
+        drop(st);
+        self.shared.driver.wake(Signal::Go);
+    }
+
+    fn yield_and_wait(&self, st: MutexGuard<'_, State>, msg: YieldMsg) {
+        self.yield_to_driver(st, msg);
+        if self.wake.wait() == Signal::Shutdown {
+            panic::resume_unwind(Box::new(ShutdownToken));
         }
     }
 }
@@ -1499,6 +1568,139 @@ mod tests {
             assert_eq!(ctx.now(), SimTime::from_nanos(10_000));
         });
         engine.run().unwrap();
+    }
+
+    #[test]
+    fn unpark_during_advance_is_not_lost() {
+        // The token lands while `a` is inside `advance`; resuming `a` must
+        // not erase it.
+        let engine = Engine::new();
+        let a = engine.spawn("a", |ctx| {
+            ctx.advance(SimDuration::from_micros(10));
+            ctx.park();
+        });
+        engine.spawn("b", move |ctx| {
+            ctx.advance(SimDuration::from_micros(5));
+            ctx.unpark(a);
+        });
+        assert_eq!(engine.run(), Ok(SimTime::from_nanos(10_000)));
+    }
+
+    #[test]
+    fn unpark_before_first_run_is_not_lost() {
+        let engine = Engine::new();
+        let target = StdArc::new(Mutex::new(None));
+        {
+            let target = StdArc::clone(&target);
+            engine.spawn("early", move |ctx| {
+                // Spawned at t=0 after this thread: queued, not yet run.
+                let late = target.lock().expect("set before run()");
+                ctx.unpark(late);
+            });
+        }
+        *target.lock() = Some(engine.spawn("late", |ctx| ctx.park()));
+        assert_eq!(engine.run(), Ok(SimTime::ZERO));
+    }
+
+    #[test]
+    fn unpark_of_unknown_thread_is_a_noop() {
+        let engine = Engine::new();
+        engine.spawn("t", |ctx| {
+            ctx.unpark(ThreadId(1));
+            ctx.unpark(ThreadId(u64::MAX));
+            ctx.advance(SimDuration::from_nanos(1));
+        });
+        assert_eq!(engine.run(), Ok(SimTime::from_nanos(1)));
+    }
+
+    /// Adds four threads that park forever (the first a daemon), each
+    /// holding a clone of the returned token until it exits or is dropped.
+    fn populate(engine: &Engine) -> StdArc<()> {
+        let token = StdArc::new(());
+        for i in 0..4 {
+            let token = StdArc::clone(&token);
+            let body = move |ctx: &SimCtx| {
+                let _held = token;
+                ctx.park();
+            };
+            if i == 0 {
+                engine.spawn_daemon("d", body);
+            } else {
+                engine.spawn(format!("t{i}"), body);
+            }
+        }
+        token
+    }
+
+    #[test]
+    fn dropping_an_engine_without_run_joins_its_threads() {
+        let engine = Engine::new();
+        let token = populate(&engine);
+        assert_eq!(StdArc::strong_count(&token), 5);
+        drop(engine);
+        // Joined, not merely signalled: every closure is already dropped.
+        assert_eq!(StdArc::strong_count(&token), 1);
+    }
+
+    #[test]
+    fn budget_exhaustion_shuts_down_never_started_threads() {
+        let engine = Engine::with_event_budget(2);
+        let token = populate(&engine);
+        assert_eq!(
+            engine.run(),
+            Err(SimError::EventBudgetExhausted { budget: 2 })
+        );
+        assert_eq!(StdArc::strong_count(&token), 1);
+    }
+
+    #[test]
+    fn deadlock_names_every_parked_non_daemon_in_order() {
+        let engine = Engine::new();
+        let token = populate(&engine);
+        let parked = vec!["t1".to_string(), "t2".to_string(), "t3".to_string()];
+        assert_eq!(engine.run(), Err(SimError::Deadlock { parked }));
+        assert_eq!(StdArc::strong_count(&token), 1);
+    }
+
+    /// Runs `engine`, expecting `run()` to unwind; returns the panic text.
+    fn run_panics(engine: Engine) -> String {
+        let payload = panic::catch_unwind(AssertUnwindSafe(|| engine.run()))
+            .expect_err("run() should have panicked");
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(p) => p.downcast_ref::<&str>().expect("string panic").to_string(),
+        }
+    }
+
+    #[test]
+    fn panics_surface_from_run_and_leave_no_thread_behind() {
+        // In a simulated thread, while the other four have not started.
+        let engine = Engine::new();
+        engine.spawn("bomber", |_ctx| panic!("boom"));
+        let token = populate(&engine);
+        assert_eq!(run_panics(engine), "simulated thread panicked: boom");
+        assert_eq!(StdArc::strong_count(&token), 1);
+
+        // In the sampler, on the driver thread, with every thread mid-run.
+        let engine = Engine::new();
+        let token = populate(&engine);
+        engine.spawn("clock", |ctx| ctx.advance(SimDuration::from_micros(3)));
+        engine.set_sampler(SimDuration::from_micros(1), |_| panic!("sampler boom"));
+        assert_eq!(run_panics(engine), "sampler boom");
+        assert_eq!(StdArc::strong_count(&token), 1);
+
+        // In a policy, under the state lock, before anything ran.
+        struct Bomb;
+        impl SchedulePolicy for Bomb {
+            fn choose_event(&mut self, _now: SimTime, _c: &[ScheduleChoice]) -> usize {
+                panic!("policy boom")
+            }
+        }
+        let engine = Engine::new();
+        let token = populate(&engine);
+        engine.set_schedule_policy(SchedulePolicyHandle::new(Bomb));
+        assert_eq!(run_panics(engine), "policy boom");
+        assert_eq!(StdArc::strong_count(&token), 1);
     }
 
     #[test]
