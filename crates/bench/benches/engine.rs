@@ -1,9 +1,12 @@
 //! Criterion bench: host cost of one engine event, on a bare engine.
 //!
-//! The four shapes are the frozen benchmark's `sim.*` probes
+//! The first four shapes are the frozen benchmark's `sim.*` probes
 //! (`benchmark/src/probes.rs`), so the engine can be iterated on here
-//! without touching `benchmark/`. Each line reports ns per event
-//! (`ns/element`); `spawn` reports ns per spawned thread.
+//! without touching `benchmark/`. The last two are not frozen probes: they
+//! are the shapes in which the thread that ends its turn is itself next, so
+//! nobody is woken — which the strictly alternating probes never are. Each
+//! line reports ns per event (`ns/element`); `spawn` reports ns per spawned
+//! thread.
 //!
 //! Pin it, as the frozen benchmark does (`taskset -c 0 cargo bench -p
 //! dex-bench --bench engine`): unpinned on a multi-core box every hand-off
@@ -53,6 +56,25 @@ fn park_unpark(rounds: u64) {
     engine.run().expect("no deadlock");
 }
 
+/// One thread `advance`s `events` times while `parked` others sit in
+/// `park()` until it unparks them at the end: a fault path charging costs
+/// while the rest of the cluster waits on messages.
+fn one_runner(parked: u64, events: u64) {
+    let engine = Engine::new();
+    let sleepers: Vec<ThreadId> = (0..parked)
+        .map(|p| engine.spawn(format!("p{p}"), |ctx| ctx.park()))
+        .collect();
+    engine.spawn("runner", move |ctx| {
+        for _ in 0..events {
+            ctx.advance(SimDuration::from_nanos(1));
+        }
+        for sleeper in sleepers {
+            ctx.unpark(sleeper);
+        }
+    });
+    engine.run().expect("no deadlock");
+}
+
 /// One thread spawns `n` children that exit at once.
 fn spawn_many(n: u64) {
     let engine = Engine::new();
@@ -78,6 +100,16 @@ fn engine(c: &mut Criterion) {
 
     group.throughput(Throughput::Elements(128));
     group.bench_function("spawn", |b| b.iter(|| spawn_many(128)));
+
+    group.throughput(Throughput::Elements(5_000));
+    group.bench_function("advance_alone", |b| b.iter(|| alternate(1, 5_000)));
+
+    // Long enough that spawning and joining 32 threads (about 1.2 ms) is
+    // the smaller part of an iteration.
+    group.throughput(Throughput::Elements(20_000));
+    group.bench_function("one_runner_31_parked", |b| {
+        b.iter(|| one_runner(31, 20_000))
+    });
 
     group.finish();
 }

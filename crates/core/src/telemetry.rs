@@ -25,7 +25,7 @@
 //! span timeline / Perfetto export.
 //!
 //! Like spans and metrics, telemetry is pure bookkeeping: the sampler
-//! runs on the driver thread between events and never advances time,
+//! runs inside the engine between events and never advances time,
 //! parks, or sends, so a telemetry-enabled run takes byte-for-byte the
 //! same schedule as a bare one (enforced by
 //! `crates/core/tests/telemetry.rs`).

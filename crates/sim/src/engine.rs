@@ -2,30 +2,39 @@
 //!
 //! # Execution model
 //!
-//! Simulated threads are real OS threads that run **one at a time** under a
-//! strict handshake with the engine's driver loop: the driver resumes a
-//! thread, then sleeps until that thread yields back (by advancing virtual
-//! time, parking, or exiting). All inter-thread ordering is decided by a
-//! single event queue ordered by `(virtual time, sequence number)`, so a
-//! simulation is fully deterministic regardless of host scheduling.
+//! Simulated threads are real OS threads that run **one at a time**. All
+//! inter-thread ordering is decided by a single event queue ordered by
+//! `(virtual time, sequence number)`, so a simulation is fully
+//! deterministic regardless of host scheduling.
+//!
+//! The running thread holds the *baton*, and whoever holds the baton
+//! decides who runs next. A thread that finishes its turn (by advancing
+//! virtual time, parking, or exiting) queues its own event if it has one
+//! and calls `step()` itself: pick the next event in default order or by
+//! the [`SchedulePolicy`], accept it, fire the sampler, mark its thread
+//! running. If that event is the caller's own, the caller keeps running:
+//! no wake, no sleep. If it is another thread's, the caller wakes that
+//! thread directly and goes to sleep. If the run is over — the queue
+//! drained, the event budget is spent, a callback or the thread's own
+//! closure panicked — the caller leaves the reason in a one-entry slot and
+//! wakes the driver, the thread inside [`Engine::run`]. The driver runs the
+//! first `step()`, sleeps until someone reports the end, then shuts down and
+//! joins every thread and translates the reason into `run`'s result.
 //!
 //! The hand-off is one *wake word* per OS thread — every simulated thread
-//! and the thread inside [`Engine::run`]: an atomic signal (`Go` or
-//! `Shutdown`, stored with `Release`, taken with `Acquire`) plus that
-//! thread's [`std::thread::Thread`] handle. Waking is store + `unpark`;
-//! sleeping is "take the signal, `park` while there is none", so a thread
-//! that is resumed before it got to sleep never sleeps. A simulated
-//! thread's handle is published at spawn, before its first event is
-//! queued; the driver's at the top of `run`. What a yielding thread has to
-//! say (`Scheduled`, `Parked`, `Exited`, `Panicked`) travels in a one-entry
-//! slot, because only the one running thread can yield. Each turn of the
-//! driver loop is one `step()` — pick the next event in default order or
-//! by the [`SchedulePolicy`], accept it, fire the sampler, mark the thread
-//! running — then wake that thread and wait for its yield.
+//! and the driver: an atomic signal (`Go` or `Shutdown`, stored with
+//! `Release`, taken with `Acquire`) plus that thread's
+//! [`std::thread::Thread`] handle. Waking is store + `unpark`; sleeping is
+//! "take the signal, `park` while there is none", so a thread that is
+//! resumed before it got to sleep never sleeps. A simulated thread's handle
+//! is published at spawn, before its first event is queued; the driver's at
+//! the top of `run`.
 //!
-//! Because exactly one simulated thread runs at any moment (and the driver
-//! is asleep while it does), simulated threads may freely share state via
-//! ordinary `Mutex`es — the locks are never contended.
+//! Exactly one simulated thread runs at any moment, and the only thread
+//! awake besides it is one that has finished its turn and is going to
+//! sleep, touching nothing but its own wake word. So simulated threads may
+//! freely share state via ordinary `Mutex`es — the locks are never
+//! contended.
 //!
 //! # Thread lifecycle
 //!
@@ -103,7 +112,7 @@ impl std::error::Error for SimError {}
 /// distinguish engine shutdown from a genuine panic.
 pub struct ShutdownToken;
 
-/// One candidate event at a scheduling frontier — an event the driver
+/// One candidate event at a scheduling frontier — an event the engine
 /// could legally accept next. All candidates handed to a policy are
 /// pending at the *same* virtual instant; picking among them permutes a
 /// same-timestamp tie, never reorders virtual time itself.
@@ -134,7 +143,9 @@ pub trait SchedulePolicy: Send {
     /// Picks which of `candidates` runs next. All candidates are pending
     /// at virtual instant `now` and are presented in queue order (lowest
     /// sequence number first), so returning `0` reproduces the default
-    /// schedule. Out-of-range returns are clamped.
+    /// schedule. Out-of-range returns are clamped. Like the sampler, this
+    /// runs on whichever OS thread holds the baton, with no simulated code
+    /// running: do not rely on thread-locals.
     fn choose_event(&mut self, now: SimTime, candidates: &[ScheduleChoice]) -> usize {
         let _ = (now, candidates);
         0
@@ -210,8 +221,8 @@ enum Signal {
 
 /// One OS thread's end of the hand-off: the signal it sleeps on and the
 /// handle others `unpark` it through. The store is `Release` and the take
-/// `Acquire`, so whatever the waker wrote before waking (the yield slot,
-/// the slot's park state) is visible to the woken thread.
+/// `Acquire`, so whatever the waker wrote before waking (the slot's park
+/// state, why the run ended) is visible to the woken thread.
 #[derive(Default)]
 struct WakeWord {
     signal: AtomicU8,
@@ -246,15 +257,16 @@ impl WakeWord {
     }
 }
 
-enum YieldMsg {
-    /// The thread scheduled its own resume (via `advance`).
-    Scheduled,
-    /// The thread parked and must be woken via `unpark`.
-    Parked,
-    /// The thread's closure returned (or it was shut down).
-    Exited,
-    /// The thread's closure panicked with this message.
-    Panicked(String),
+/// Why a run ended: what the thread that found out tells the driver.
+enum End {
+    /// No live event is left.
+    Drained,
+    /// A live event is waiting but the event budget is spent.
+    BudgetHit,
+    /// A simulated thread's closure panicked with this message.
+    ThreadPanicked(String),
+    /// The sampler or the schedule policy panicked with this message.
+    CallbackPanicked(String),
 }
 
 struct ThreadSlot {
@@ -264,9 +276,9 @@ struct ThreadSlot {
     park: ParkState,
     exited: bool,
     /// Bumped on every `park`/`park_until` entry; a queued timer event
-    /// whose epoch does not match is stale and is skipped by the driver.
+    /// whose epoch does not match is stale and is skipped by `step()`.
     park_epoch: u64,
-    /// Set by the driver when the thread is resumed by its own timer
+    /// Set by `step()` when the thread is resumed by its own timer
     /// (deadline reached) rather than by an `unpark`.
     timed_out: bool,
     join: Option<JoinHandle<()>>,
@@ -299,9 +311,9 @@ struct State {
     queue: BinaryHeap<Reverse<(EventKey, ThreadId, u64)>>,
     /// Indexed by `ThreadId`, which is handed out sequentially.
     threads: Vec<ThreadSlot>,
-    /// The one-entry yield slot: filled by the running thread just before
-    /// it wakes the driver, emptied by the driver when it wakes.
-    yielded: Option<(ThreadId, YieldMsg)>,
+    /// The one-entry slot for why the run ended: filled by the thread that
+    /// found out just before it wakes the driver, emptied by the driver.
+    ended: Option<End>,
     events_processed: u64,
     /// When present, every accepted scheduling decision is appended here
     /// (pure bookkeeping: recording never schedules, parks, or advances,
@@ -332,7 +344,7 @@ impl State {
 
     /// Schedules a park-timeout event for `tid`. The event only fires if the
     /// thread is still parked in the same `park_until` call (identified by
-    /// `epoch`) when it is popped; otherwise the driver discards it without
+    /// `epoch`) when it is popped; otherwise `step()` discards it without
     /// touching the clock or the event counter.
     fn schedule_timer(&mut self, at: SimTime, tid: ThreadId, epoch: u64) {
         debug_assert_ne!(epoch, NORMAL_EVENT);
@@ -457,13 +469,13 @@ fn pick_default(st: &mut State) -> Option<(SimTime, ThreadId)> {
 
 /// A recurring virtual-time sampler installed via [`Engine::set_sampler`].
 ///
-/// The sampler is a *driver-level* callback, not a queued event: the
-/// driver invokes it between accepting an event and resuming the chosen
+/// The sampler is an *engine-level* callback, not a queued event:
+/// `step()` invokes it between accepting an event and resuming the chosen
 /// thread, once for every window boundary at or before the accepted
-/// instant. Because it adds nothing to the event queue, touches no
-/// timers, and runs while no simulated thread does, an installed sampler
-/// is schedule-invisible — runs with and without one are byte-identical
-/// (enforced by test).
+/// instant, on whichever OS thread holds the baton. Because it adds nothing
+/// to the event queue, touches no timers, and runs while no simulated code
+/// does, an installed sampler is schedule-invisible — runs with and without
+/// one are byte-identical (enforced by test).
 struct Sampler {
     period: SimDuration,
     next_boundary: SimTime,
@@ -474,10 +486,11 @@ struct Shared {
     state: Mutex<State>,
     /// Separate lock from `state`: the callback runs with the state lock
     /// released, so it may freely read shared simulation data (metric
-    /// registries, span buffers) without deadlocking against the driver.
+    /// registries, span buffers) without deadlocking against the engine.
     sampler: Mutex<Option<Sampler>>,
     /// The wake word of the thread inside [`Engine::run`].
     driver: WakeWord,
+    event_budget: u64,
 }
 
 /// The discrete-event simulation engine. See the crate-level docs for
@@ -505,7 +518,6 @@ struct Shared {
 /// ```
 pub struct Engine {
     shared: Arc<Shared>,
-    event_budget: u64,
 }
 
 impl Default for Engine {
@@ -531,19 +543,19 @@ impl Engine {
                     next_seq: 0,
                     queue: BinaryHeap::new(),
                     threads: Vec::new(),
-                    yielded: None,
+                    ended: None,
                     events_processed: 0,
                     schedule: None,
                     policy: None,
                 }),
                 sampler: Mutex::new(None),
                 driver: WakeWord::default(),
+                event_budget: budget,
             }),
-            event_budget: budget,
         }
     }
 
-    /// Turns on schedule recording: every scheduling decision the driver
+    /// Turns on schedule recording: every scheduling decision the engine
     /// accepts (which thread ran, at what virtual time) is appended to
     /// the returned [`ScheduleLog`]. Read it after [`Engine::run`]
     /// finishes.
@@ -575,12 +587,14 @@ impl Engine {
     /// *next* window, so the callback for boundary `b` observes precisely
     /// the events that happened strictly before `b`.
     ///
-    /// The callback runs on the driver thread while every simulated
-    /// thread is suspended and the engine's scheduling state is unlocked:
-    /// it may read any shared simulation data, but it cannot advance
-    /// time, park, send, or spawn. Like schedule recording, sampling is
-    /// pure observation — it adds no events and is byte-identical to a
-    /// run without a sampler (enforced by test).
+    /// The callback runs on whichever OS thread holds the baton — the
+    /// `run()` caller for the first event, afterwards a simulated thread's
+    /// 512 KiB stack — so it must not rely on thread-locals. No simulated
+    /// code is running and the engine's scheduling state is unlocked: it
+    /// may read any shared simulation data, but it cannot advance time,
+    /// park, send, or spawn. Like schedule recording, sampling is pure
+    /// observation — it adds no events and is byte-identical to a run
+    /// without a sampler (enforced by test).
     ///
     /// Virtual instants with no events are never sampled on their own:
     /// boundaries fire lazily when the clock next moves past them, and
@@ -634,7 +648,8 @@ impl Engine {
     /// # Panics
     ///
     /// Re-raises any panic from a simulated thread (so `assert!` inside
-    /// simulated code fails the enclosing test).
+    /// simulated code fails the enclosing test), and any panic from the
+    /// sampler or the schedule policy under its own message.
     pub fn run(self) -> Result<SimTime, SimError> {
         let shared = &*self.shared;
         shared
@@ -642,92 +657,72 @@ impl Engine {
             .thread
             .set(thread::current())
             .expect("run() consumes the engine, so it publishes the driver once");
-        let mut panic_msg: Option<String> = None;
+        // Pick the first event and wake its thread; from here on the baton
+        // travels between the simulated threads until one reports the end.
+        pass_baton(shared, None);
+        shared.driver.wait();
+        let end = shared.state.lock().ended.take();
+        let end = end.expect("the driver is woken with a reason");
 
-        let budget_hit = loop {
-            let (tid, wake) = match step(shared, self.event_budget) {
-                Step::Run(tid, wake) => (tid, wake),
-                Step::Drained => break false,
-                Step::BudgetHit => break true,
-            };
-            wake.wake(Signal::Go);
-            shared.driver.wait();
-            let mut st = shared.state.lock();
-            let (ytid, msg) = st.yielded.take().expect("driver woken without a yield");
-            debug_assert_eq!(ytid, tid, "yield from unexpected thread");
-            match msg {
-                YieldMsg::Scheduled | YieldMsg::Parked => continue,
-                YieldMsg::Exited => {}
-                YieldMsg::Panicked(msg) => panic_msg = Some(msg),
-            }
-            st.slot_mut(tid).expect("yielder has a slot").exited = true;
-            if panic_msg.is_some() {
-                break false;
-            }
-        };
-
-        // The queue is drained (or we aborted). Shut down and join every
-        // thread that is still alive; the non-daemon ones are deadlocked
-        // unless we are aborting for another reason.
+        // The run is over. Shut down and join every thread that is still
+        // alive; the non-daemon ones are deadlocked unless we are aborting
+        // for another reason.
         let (mut deadlocked, late_panic) = shutdown_all(shared);
-        if let Some(msg) = panic_msg.or(late_panic) {
-            panic!("simulated thread panicked: {msg}");
+        match (end, late_panic) {
+            (End::CallbackPanicked(msg), _) => panic!("{msg}"),
+            (End::ThreadPanicked(msg), _) | (_, Some(msg)) => {
+                panic!("simulated thread panicked: {msg}")
+            }
+            (End::BudgetHit, _) => Err(SimError::EventBudgetExhausted {
+                budget: shared.event_budget,
+            }),
+            (End::Drained, _) if !deadlocked.is_empty() => {
+                deadlocked.sort();
+                Err(SimError::Deadlock { parked: deadlocked })
+            }
+            (End::Drained, _) => Ok(shared.state.lock().clock),
         }
-        if budget_hit {
-            return Err(SimError::EventBudgetExhausted {
-                budget: self.event_budget,
-            });
-        }
-        if !deadlocked.is_empty() {
-            deadlocked.sort();
-            return Err(SimError::Deadlock { parked: deadlocked });
-        }
-        let clock = shared.state.lock().clock;
-        Ok(clock)
     }
 }
 
-/// An engine dropped without [`Engine::run`] (or unwound out of it by a
-/// panicking sampler or policy) still owns one OS thread per spawned
-/// simulated thread, each asleep on its wake word and keeping `Shared`
-/// alive through its `SimCtx`; shut them down and join them. A no-op after
-/// a completed `run`.
+/// An engine dropped without [`Engine::run`] still owns one OS thread per
+/// spawned simulated thread, each asleep on its wake word and keeping
+/// `Shared` alive through its `SimCtx`; shut them down and join them. A
+/// no-op after `run`.
 impl Drop for Engine {
     fn drop(&mut self) {
         shutdown_all(&self.shared);
     }
 }
 
-/// What one scheduling step decided.
-enum Step {
-    /// Wake this thread and wait for it to yield.
-    Run(ThreadId, Arc<WakeWord>),
-    /// No live event is left.
-    Drained,
-    /// The event budget is spent.
-    BudgetHit,
-}
-
 /// One scheduling step: picks the next event (default order, or the
 /// installed policy's choice among same-instant ties), accepts it, fires
 /// the sampler, and marks the chosen thread running. Everything the engine
-/// decides between one thread's yield and the next thread's wake is in
-/// here, so whoever holds the baton can call it.
-fn step(shared: &Shared, budget: u64) -> Step {
+/// decides between one thread's turn and the next is in here, and whoever
+/// holds the baton calls it. `Err` says why there is no next thread.
+fn step(shared: &Shared) -> Result<(ThreadId, Arc<WakeWord>), End> {
     loop {
         let (time, tid) = {
             let mut st = shared.state.lock();
-            if st.events_processed >= budget {
-                return Step::BudgetHit;
+            // The budget only fires when a live event is waiting: a run
+            // that finishes on its last budgeted event has drained.
+            while let Some(&Reverse((_, tid, epoch))) = st.queue.peek() {
+                if epoch == NORMAL_EVENT || st.timer_valid(tid, epoch) {
+                    break;
+                }
+                st.queue.pop();
             }
-            let next = match st.policy.clone() {
+            if st.queue.is_empty() {
+                return Err(End::Drained);
+            }
+            if st.events_processed >= shared.event_budget {
+                return Err(End::BudgetHit);
+            }
+            match st.policy.clone() {
                 Some(policy) => pick_with_policy(&mut st, &policy),
                 None => pick_default(&mut st),
-            };
-            match next {
-                Some(next) => next,
-                None => return Step::Drained,
             }
+            .expect("a live event is queued")
         };
 
         // Fire the sampler for every window boundary the clock just
@@ -754,7 +749,37 @@ fn step(shared: &Shared, budget: u64) -> Step {
         if matches!(slot.park, ParkState::Parked | ParkState::ParkedScheduled) {
             slot.park = ParkState::Running;
         }
-        return Step::Run(tid, Arc::clone(&slot.wake));
+        return Ok((tid, Arc::clone(&slot.wake)));
+    }
+}
+
+/// Holding the baton: runs one `step()` and wakes whoever is next — that
+/// thread, or the driver with the reason the run ended. Returns `true`,
+/// waking nobody, when the next event is `me`'s own. A panic in a callback
+/// ends the run under its own message, whichever thread it happened on.
+fn pass_baton(shared: &Shared, me: Option<ThreadId>) -> bool {
+    match panic::catch_unwind(AssertUnwindSafe(|| step(shared))) {
+        Ok(Ok((tid, _))) if Some(tid) == me => return true,
+        Ok(Ok((_, wake))) => wake.wake(Signal::Go),
+        Ok(Err(end)) => end_run(shared, end),
+        Err(payload) => end_run(shared, End::CallbackPanicked(panic_message(&*payload))),
+    }
+    false
+}
+
+/// Leaves `end` for the driver and wakes it.
+fn end_run(shared: &Shared, end: End) {
+    shared.state.lock().ended = Some(end);
+    shared.driver.wake(Signal::Go);
+}
+
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 
@@ -782,11 +807,11 @@ fn shutdown_all(shared: &Shared) -> (Vec<String>, Option<String>) {
             wake.wake(Signal::Shutdown);
         }
         if let Some(join) = join {
-            // The thread's wrapper catches every panic; the result is in
-            // the yield slot.
+            // The thread's wrapper catches every panic; the message is in
+            // the `ended` slot.
             let _ = join.join();
         }
-        if let Some((_, YieldMsg::Panicked(msg))) = shared.state.lock().yielded.take() {
+        if let Some(End::ThreadPanicked(msg)) = shared.state.lock().ended.take() {
             panic_msg.get_or_insert(msg);
         }
     }
@@ -815,26 +840,25 @@ where
             if ctx.wake.wait() == Signal::Shutdown {
                 return;
             }
-            let result = panic::catch_unwind(AssertUnwindSafe(|| f(&ctx)));
-            let msg = match result {
-                Ok(()) => YieldMsg::Exited,
-                Err(payload) => {
-                    if payload.downcast_ref::<ShutdownToken>().is_some() {
-                        YieldMsg::Exited
-                    } else if let Some(s) = payload.downcast_ref::<&str>() {
-                        YieldMsg::Panicked((*s).to_string())
-                    } else if let Some(s) = payload.downcast_ref::<String>() {
-                        YieldMsg::Panicked(s.clone())
-                    } else {
-                        YieldMsg::Panicked("non-string panic payload".to_string())
-                    }
-                }
+            let panicked = match panic::catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
+                Err(payload) if !payload.is::<ShutdownToken>() => Some(panic_message(&*payload)),
+                _ => None,
             };
-            ctx.yield_to_driver(ctx.shared.state.lock(), msg);
+            let mut st = ctx.shared.state.lock();
+            let slot = st.slot_mut(ctx.tid).expect("own slot missing");
+            // Already marked exited: the driver shut this thread down and
+            // is joining it, so the baton is not this thread's to pass.
+            let joining = std::mem::replace(&mut slot.exited, true);
+            drop(st);
+            if let Some(msg) = panicked {
+                end_run(&ctx.shared, End::ThreadPanicked(msg));
+            } else if !joining {
+                pass_baton(&ctx.shared, None);
+            }
         })
         .expect("failed to spawn simulated thread");
     // Publish the handle under the state lock, before the first event is
-    // queued: the driver can only learn of this thread through that event.
+    // queued: the engine can only learn of this thread through that event.
     wake.thread
         .set(join.thread().clone())
         .expect("fresh wake word");
@@ -913,7 +937,7 @@ impl SimCtx {
         let mut st = self.shared.state.lock();
         let at = st.clock + d;
         st.schedule(at, self.tid);
-        self.yield_and_wait(st, YieldMsg::Scheduled);
+        self.yield_and_wait(st);
     }
 
     /// Advances this thread to the absolute instant `t` (no-op if `t` is in
@@ -940,7 +964,7 @@ impl SimCtx {
                 unreachable!("thread parked while already parked")
             }
         }
-        self.yield_and_wait(st, YieldMsg::Parked);
+        self.yield_and_wait(st);
     }
 
     /// Like [`SimCtx::park`], but with a deadline: blocks until another
@@ -974,7 +998,7 @@ impl SimCtx {
         }
         let epoch = slot.park_epoch;
         st.schedule_timer(deadline, self.tid, epoch);
-        self.yield_and_wait(st, YieldMsg::Parked);
+        self.yield_and_wait(st);
         let mut st = self.shared.state.lock();
         let slot = st.slot_mut(self.tid).expect("own slot missing");
         std::mem::take(&mut slot.timed_out)
@@ -1018,18 +1042,12 @@ impl SimCtx {
         spawn_thread(&self.shared, name.into(), true, f)
     }
 
-    /// Puts `msg` in the yield slot (under the lock the caller already
-    /// holds for its own bookkeeping) and wakes the driver.
-    fn yield_to_driver(&self, mut st: MutexGuard<'_, State>, msg: YieldMsg) {
-        debug_assert!(st.yielded.is_none(), "two threads yielding at once");
-        st.yielded = Some((self.tid, msg));
+    /// The end of this thread's turn: releases the lock the caller took for
+    /// its own bookkeeping, passes the baton, and — unless its own event
+    /// was next — sleeps until this thread is resumed or shut down.
+    fn yield_and_wait(&self, st: MutexGuard<'_, State>) {
         drop(st);
-        self.shared.driver.wake(Signal::Go);
-    }
-
-    fn yield_and_wait(&self, st: MutexGuard<'_, State>, msg: YieldMsg) {
-        self.yield_to_driver(st, msg);
-        if self.wake.wait() == Signal::Shutdown {
+        if !pass_baton(&self.shared, Some(self.tid)) && self.wake.wait() == Signal::Shutdown {
             panic::resume_unwind(Box::new(ShutdownToken));
         }
     }
@@ -1666,10 +1684,7 @@ mod tests {
     fn run_panics(engine: Engine) -> String {
         let payload = panic::catch_unwind(AssertUnwindSafe(|| engine.run()))
             .expect_err("run() should have panicked");
-        match payload.downcast::<String>() {
-            Ok(s) => *s,
-            Err(p) => p.downcast_ref::<&str>().expect("string panic").to_string(),
-        }
+        panic_message(&*payload)
     }
 
     #[test]
@@ -1701,6 +1716,176 @@ mod tests {
         engine.set_schedule_policy(SchedulePolicyHandle::new(Bomb));
         assert_eq!(run_panics(engine), "policy boom");
         assert_eq!(StdArc::strong_count(&token), 1);
+    }
+
+    #[test]
+    fn run_finishing_on_its_last_budgeted_event_is_ok() {
+        // One thread, one advance: exactly two events.
+        let engine = Engine::with_event_budget(2);
+        engine.spawn("t", |ctx| ctx.advance(SimDuration::from_nanos(1)));
+        assert_eq!(engine.run(), Ok(SimTime::from_nanos(1)));
+
+        // A stale timer at the head of the queue is not a live event.
+        let engine = Engine::with_event_budget(3);
+        let waiter = engine.spawn("waiter", |ctx| {
+            assert!(!ctx.park_until(SimTime::from_nanos(500)));
+        });
+        engine.spawn("waker", move |ctx| ctx.unpark(waiter));
+        assert_eq!(engine.run(), Ok(SimTime::ZERO));
+    }
+
+    #[test]
+    fn a_simulated_thread_finding_the_end_reports_it_like_the_driver_did() {
+        // Budget: the fourth event resumes t0, whose next `advance` finds
+        // the budget spent with t1's event waiting.
+        let engine = Engine::with_event_budget(4);
+        let token = StdArc::new(());
+        for i in 0..3 {
+            let token = StdArc::clone(&token);
+            engine.spawn(format!("t{i}"), move |ctx| {
+                let _held = token;
+                ctx.advance(SimDuration::from_nanos(1));
+                ctx.advance(SimDuration::from_nanos(1));
+            });
+        }
+        assert_eq!(
+            engine.run(),
+            Err(SimError::EventBudgetExhausted { budget: 4 })
+        );
+        assert_eq!(StdArc::strong_count(&token), 1);
+
+        // Deadlock: the last runner exits and finds the queue drained with
+        // non-daemons still parked.
+        let engine = Engine::new();
+        let token = populate(&engine);
+        engine.spawn("runner", |ctx| ctx.advance(SimDuration::from_nanos(1)));
+        let parked = vec!["t1".to_string(), "t2".to_string(), "t3".to_string()];
+        assert_eq!(engine.run(), Err(SimError::Deadlock { parked }));
+        assert_eq!(StdArc::strong_count(&token), 1);
+    }
+
+    #[test]
+    fn callback_panics_on_a_simulated_thread_surface_bare_from_run() {
+        // The policy's fifth call is made by a simulated thread mid-run.
+        struct FifthCallBomb(u32);
+        impl SchedulePolicy for FifthCallBomb {
+            fn choose_event(&mut self, _now: SimTime, _c: &[ScheduleChoice]) -> usize {
+                self.0 += 1;
+                assert!(self.0 < 5, "policy boom on call {}", self.0);
+                0
+            }
+        }
+        let engine = Engine::new();
+        let token = populate(&engine);
+        engine.spawn("clock", |ctx| loop {
+            ctx.advance(SimDuration::from_nanos(1));
+        });
+        engine.set_schedule_policy(SchedulePolicyHandle::new(FifthCallBomb(0)));
+        assert_eq!(run_panics(engine), "policy boom on call 5");
+        assert_eq!(StdArc::strong_count(&token), 1);
+
+        // The sampler's third boundary is crossed by a simulated thread.
+        let engine = Engine::new();
+        let token = populate(&engine);
+        engine.spawn("clock", |ctx| loop {
+            ctx.advance(SimDuration::from_nanos(700));
+        });
+        engine.set_sampler(SimDuration::from_micros(1), |boundary| {
+            assert!(boundary < SimTime::from_nanos(3_000), "sampler boom");
+        });
+        assert_eq!(run_panics(engine), "sampler boom");
+        assert_eq!(StdArc::strong_count(&token), 1);
+    }
+
+    #[test]
+    fn exit_passes_the_baton_down_a_chain_of_a_thousand_threads() {
+        fn link(ctx: &SimCtx, left: u64, last_count: StdArc<AtomicU64>) {
+            if left == 0 {
+                last_count.store(ctx.events_processed(), Ordering::SeqCst);
+            } else {
+                ctx.spawn(format!("link{left}"), move |ctx| {
+                    link(ctx, left - 1, last_count)
+                });
+            }
+        }
+        let engine = Engine::new();
+        let last_count = StdArc::new(AtomicU64::new(0));
+        let seen = StdArc::clone(&last_count);
+        engine.spawn("link1000", move |ctx| link(ctx, 999, seen));
+        assert_eq!(engine.run(), Ok(SimTime::ZERO));
+        assert_eq!(last_count.load(Ordering::SeqCst), 1000);
+    }
+
+    #[test]
+    fn sampler_on_a_simulated_thread_sees_a_quiescent_world() {
+        // Every thread bumps the counter just before and just after each
+        // advance, so a sampler that ran beside simulated code, or before
+        // an earlier event's thread had finished its turn, reads a value
+        // off the one implied by "events strictly before the boundary".
+        const ROUNDS: u64 = 40;
+        const STEPS_NS: [u64; 4] = [300, 500, 700, 1_000];
+        let engine = Engine::new();
+        let counter = StdArc::new(AtomicU64::new(0));
+        let samples = StdArc::new(Mutex::new(Vec::new()));
+        {
+            let counter = StdArc::clone(&counter);
+            let samples = StdArc::clone(&samples);
+            engine.set_sampler(SimDuration::from_micros(1), move |boundary| {
+                samples
+                    .lock()
+                    .push((boundary.as_nanos(), counter.load(Ordering::SeqCst)));
+            });
+        }
+        for step in STEPS_NS {
+            let counter = StdArc::clone(&counter);
+            engine.spawn(format!("every{step}"), move |ctx| {
+                for _ in 0..ROUNDS {
+                    counter.fetch_add(1, Ordering::SeqCst);
+                    ctx.advance(SimDuration::from_nanos(step));
+                    counter.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+        }
+        assert_eq!(engine.run(), Ok(SimTime::from_nanos(ROUNDS * 1_000)));
+        let samples = samples.lock();
+        assert_eq!(samples.len() as u64, ROUNDS);
+        for &(boundary, seen) in samples.iter() {
+            let expected: u64 = STEPS_NS
+                .iter()
+                .map(|step| match (boundary - 1) / step {
+                    done if done < ROUNDS => 1 + 2 * done,
+                    _ => 2 * ROUNDS,
+                })
+                .sum();
+            assert_eq!(seen, expected, "boundary {boundary} ns");
+        }
+    }
+
+    /// The zero-wake path: a thread whose own event is next never sleeps.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_lone_thread_advancing_does_not_context_switch() {
+        fn voluntary_switches() -> u64 {
+            let status = std::fs::read_to_string("/proc/thread-self/status").expect("procfs");
+            let line = status
+                .lines()
+                .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+                .expect("voluntary_ctxt_switches line");
+            line.trim().parse().expect("a count")
+        }
+        let engine = Engine::new();
+        let delta = StdArc::new(AtomicU64::new(u64::MAX));
+        let out = StdArc::clone(&delta);
+        engine.spawn("alone", move |ctx| {
+            let before = voluntary_switches();
+            for _ in 0..10_000 {
+                ctx.advance(SimDuration::from_nanos(1));
+            }
+            out.store(voluntary_switches() - before, Ordering::SeqCst);
+        });
+        assert_eq!(engine.run(), Ok(SimTime::from_nanos(10_000)));
+        let delta = delta.load(Ordering::SeqCst);
+        assert!(delta < 50, "{delta} voluntary context switches");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! The pieces:
 //!
-//! * [`Engine`] / [`SimCtx`] — the driver loop and the per-thread handle
+//! * [`Engine`] / [`SimCtx`] — the event queue and the per-thread handle
 //!   (spawn, advance virtual time, park/unpark).
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time.
 //! * [`SimChannel`] — deterministic FIFO channels with virtual-time
