@@ -4,14 +4,13 @@
 //! (`benchmark/src/probes.rs`), so the engine can be iterated on here
 //! without touching `benchmark/`. The last two are not frozen probes: they
 //! are the shapes in which the thread that ends its turn is itself next, so
-//! nobody is woken — which the strictly alternating probes never are. Each
-//! line reports ns per event (`ns/element`); `spawn` reports ns per spawned
-//! thread.
+//! no context is switched — which the strictly alternating probes never
+//! are. Each line reports ns per event (`ns/element`); `spawn` reports ns
+//! per spawned thread (an `mmap`, an `mprotect` and a `munmap`).
 //!
-//! Pin it, as the frozen benchmark does (`taskset -c 0 cargo bench -p
-//! dex-bench --bench engine`): unpinned on a multi-core box every hand-off
-//! is either same-core (a few µs) or a cross-core wake (tens of µs), and
-//! which one a run gets is the host scheduler's choice, not the engine's.
+//! No pinning needed (`cargo bench -p dex-bench --bench engine`): every
+//! simulated thread runs on the OS thread that called `run()`, so a
+//! hand-off never crosses cores and pinned and unpinned runs read the same.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -20,8 +19,8 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dex_sim::{Engine, SimDuration, ThreadId};
 
 /// `threads` threads each `advance(1 ns)` `events` times: with two, a
-/// strict alternation in which neither is ever resumed before it fell
-/// asleep; with 32, the event queue and the slot table carry weight.
+/// strict alternation in which every event switches contexts; with 32, the
+/// event queue and the slot table carry weight.
 fn alternate(threads: u64, events: u64) {
     let engine = Engine::new();
     for t in 0..threads {

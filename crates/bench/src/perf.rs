@@ -139,6 +139,7 @@ impl BenchResult {
     /// files with a missing or different `schema`.
     pub fn parse_json(text: &str) -> Result<Self, String> {
         let mut p = Parser {
+            src: text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -248,6 +249,8 @@ fn json_escape(s: &str) -> String {
 /// of string keys mapping to strings, unsigned integers, or one nested
 /// flat object.
 struct Parser<'a> {
+    src: &'a str,
+    /// `src.as_bytes()`.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -319,11 +322,9 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().unwrap();
+                    // Consume one UTF-8 scalar. `pos` only ever moves past
+                    // whole scalars; off a boundary this slice would panic.
+                    let c = self.src[self.pos..].chars().next().unwrap();
                     out.push(c);
                     self.pos += c.len_utf8();
                 }

@@ -40,6 +40,11 @@
 //!   `spans.record(...)` only inside an `if let Some(...)` guard (within
 //!   a few lines above). An unguarded site would make tracing perturb
 //!   the schedule, breaking the bit-identity guarantee.
+//! * **unsafe-confined** — the keyword `unsafe` may appear under `crates/`
+//!   only in `sim/src/context.rs`, the stack switch every simulated thread
+//!   runs on. One file is what a reader can audit; a second site would have
+//!   to argue its own soundness with nobody looking. (`benchmark/` is a
+//!   separate, frozen package and out of scope.)
 
 use std::path::{Path, PathBuf};
 
@@ -96,6 +101,9 @@ const PARK_ALLOWLIST: [&str; 3] = [
     "crates/core/src/thread.rs",
 ];
 
+/// The one file allowed to contain the `unsafe` keyword.
+const UNSAFE_ALLOWLIST: [&str; 1] = ["crates/sim/src/context.rs"];
+
 /// Strips `//` comments (keeps string contents intact well enough for
 /// these lints — the sources do not hide the flagged tokens in strings).
 fn strip_line_comment(line: &str) -> &str {
@@ -103,6 +111,17 @@ fn strip_line_comment(line: &str) -> &str {
         Some(pos) => &line[..pos],
         None => line,
     }
+}
+
+/// Whether `word` occurs in `line` as a whole word outside string literals
+/// (best-effort: a literal is whatever sits between two `"` on the line).
+fn has_keyword(line: &str, word: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    line.split('"').step_by(2).any(|code| {
+        code.match_indices(word).any(|(pos, _)| {
+            !code[..pos].ends_with(ident) && !code[pos + word.len()..].starts_with(ident)
+        })
+    })
 }
 
 /// Lints one file's contents. `rel` is the workspace-relative path used
@@ -162,6 +181,10 @@ pub fn lint_source(rel: &str, content: &str) -> Vec<LintHit> {
 
         if !RELAXED_ALLOWLIST.contains(&rel) && !in_tests && line.contains("Ordering::Relaxed") {
             push("relaxed-ordering");
+        }
+
+        if !UNSAFE_ALLOWLIST.contains(&rel) && !in_tests && has_keyword(line, "unsafe") {
+            push("unsafe-confined");
         }
 
         let park_scope = rel.starts_with("crates/core/src/") || rel.starts_with("crates/apps/src/");
@@ -557,6 +580,27 @@ fn f() {
         assert!(lint_source("crates/apps/src/bfs.rs", ok).is_empty());
         let test_code = "#[cfg(test)]\nmod tests {\n fn t(ctx: &Ctx) { ctx.park(); }\n}\n";
         assert!(lint_source("crates/apps/src/bfs.rs", test_code).is_empty());
+    }
+
+    #[test]
+    fn unsafe_is_flagged_outside_the_context_switch() {
+        let block = "fn f(p: *const u8) -> u8 { unsafe { *p } }\n";
+        let imp = "unsafe impl Send for Slot {}\n";
+        for (rel, bad) in [
+            ("crates/sim/src/engine.rs", block),
+            ("crates/core/src/thread.rs", imp),
+        ] {
+            let hits = lint_source(rel, bad);
+            assert_eq!(hits.len(), 1, "{rel}: {hits:?}");
+            assert_eq!(hits[0].rule, "unsafe-confined");
+        }
+        assert!(lint_source("crates/sim/src/context.rs", block).is_empty());
+        assert!(lint_source("crates/sim/src/context.rs", imp).is_empty());
+        // Comments, strings, longer identifiers and test code do not count.
+        let ok = "// no unsafe here\n#![forbid(unsafe_code)]\nfn f() { g(\"unsafe\"); }\n";
+        assert!(lint_source("crates/core/src/thread.rs", ok).is_empty());
+        let test_code = format!("#[cfg(test)]\nmod tests {{\n {block}}}\n");
+        assert!(lint_source("crates/sim/src/engine.rs", &test_code).is_empty());
     }
 
     #[test]

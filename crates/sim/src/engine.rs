@@ -2,39 +2,47 @@
 //!
 //! # Execution model
 //!
-//! Simulated threads are real OS threads that run **one at a time**. All
+//! A simulated thread is a *context* — a stack of its own and the place
+//! execution stopped on it (`context.rs`) — not an OS thread. Every context
+//! of an engine runs on the one OS thread that called [`Engine::run`], one
+//! at a time, and a hand-off is a switch of stacks in user space: nobody is
+//! woken, nobody sleeps, and the host scheduler has nothing to place. All
 //! inter-thread ordering is decided by a single event queue ordered by
 //! `(virtual time, sequence number)`, so a simulation is fully
-//! deterministic regardless of host scheduling.
+//! deterministic.
 //!
-//! The running thread holds the *baton*, and whoever holds the baton
+//! The running context holds the *baton*, and whoever holds the baton
 //! decides who runs next. A thread that finishes its turn (by advancing
 //! virtual time, parking, or exiting) queues its own event if it has one
 //! and calls `step()` itself: pick the next event in default order or by
 //! the [`SchedulePolicy`], accept it, fire the sampler, mark its thread
-//! running. If that event is the caller's own, the caller keeps running:
-//! no wake, no sleep. If it is another thread's, the caller wakes that
-//! thread directly and goes to sleep. If the run is over — the queue
-//! drained, the event budget is spent, a callback or the thread's own
-//! closure panicked — the caller leaves the reason in a one-entry slot and
-//! wakes the driver, the thread inside [`Engine::run`]. The driver runs the
-//! first `step()`, sleeps until someone reports the end, then shuts down and
-//! joins every thread and translates the reason into `run`'s result.
+//! running. If that event is the caller's own, the caller keeps running.
+//! If it is another thread's, the caller switches to that thread's context
+//! and is running again when someone switches back. If the run is over —
+//! the queue drained, the event budget is spent, a callback or the thread's
+//! own closure panicked — the caller leaves the reason in a one-entry slot
+//! and switches to the *driver*: the context `run` was called on. The
+//! driver runs the first `step()`, switches to the thread it picked, and is
+//! next resumed with the reason the run ended. It then switches into every
+//! context that is still alive with its slot marked exited — the context
+//! unwinds to its entry function, or drops its closure unrun if it never
+//! started, and switches back — and translates the reason into `run`'s
+//! result. A thread that exits runs its last `step()` and returns the
+//! context it picked to `context.rs`, which makes the switch that never
+//! returns.
 //!
-//! The hand-off is one *wake word* per OS thread — every simulated thread
-//! and the driver: an atomic signal (`Go` or `Shutdown`, stored with
-//! `Release`, taken with `Acquire`) plus that thread's
-//! [`std::thread::Thread`] handle. Waking is store + `unpark`; sleeping is
-//! "take the signal, `park` while there is none", so a thread that is
-//! resumed before it got to sleep never sleeps. A simulated thread's handle
-//! is published at spawn, before its first event is queued; the driver's at
-//! the top of `run`.
+//! Exactly one context runs at any moment and a switch is an ordinary
+//! function call on one OS thread, so simulated threads may freely share
+//! state via ordinary `Mutex`es — the locks are never contended. (A guard
+//! held *across* `advance` or `park` blocks every other simulated thread
+//! that wants the lock forever, as it always has.)
 //!
-//! Exactly one simulated thread runs at any moment, and the only thread
-//! awake besides it is one that has finished its turn and is going to
-//! sleep, touching nothing but its own wake word. So simulated threads may
-//! freely share state via ordinary `Mutex`es — the locks are never
-//! contended.
+//! Callbacks — the sampler, [`SchedulePolicy::choose_event`] — run inside
+//! `step()`, so always on the `run()` caller's OS thread, but after the
+//! first event on a simulated thread's 512 KiB stack: no deep recursion
+//! there. `thread_local!` state is per OS thread and therefore shared by
+//! the driver and *all* simulated threads of the engine; nothing can be
+//! kept per simulated thread in one.
 //!
 //! # Thread lifecycle
 //!
@@ -54,12 +62,11 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::thread::{self, JoinHandle, Thread};
+use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
 
+use crate::context::{self, Context};
 use crate::replay::ScheduleLog;
 use crate::time::{SimDuration, SimTime};
 
@@ -144,8 +151,9 @@ pub trait SchedulePolicy: Send {
     /// at virtual instant `now` and are presented in queue order (lowest
     /// sequence number first), so returning `0` reproduces the default
     /// schedule. Out-of-range returns are clamped. Like the sampler, this
-    /// runs on whichever OS thread holds the baton, with no simulated code
-    /// running: do not rely on thread-locals.
+    /// runs inside the engine's `step()`: on the `run()` caller's OS thread
+    /// but usually on a simulated thread's 512 KiB stack, with no simulated
+    /// code running.
     fn choose_event(&mut self, now: SimTime, candidates: &[ScheduleChoice]) -> usize {
         let _ = (now, candidates);
         0
@@ -212,68 +220,25 @@ enum ParkState {
     ParkedScheduled,
 }
 
-/// What a wake word can say. `0` in the word means "nothing yet".
-#[derive(Clone, Copy, PartialEq)]
-enum Signal {
-    Go = 1,
-    Shutdown = 2,
-}
-
-/// One OS thread's end of the hand-off: the signal it sleeps on and the
-/// handle others `unpark` it through. The store is `Release` and the take
-/// `Acquire`, so whatever the waker wrote before waking (the slot's park
-/// state, why the run ended) is visible to the woken thread.
-#[derive(Default)]
-struct WakeWord {
-    signal: AtomicU8,
-    /// Published before anyone can wake this word: a simulated thread's
-    /// from `JoinHandle::thread()` at spawn, the driver's at the top of
-    /// `run()` — never by the sleeping thread itself, which may not have
-    /// been scheduled by the host yet when its first wake arrives.
-    thread: OnceLock<Thread>,
-}
-
-impl WakeWord {
-    fn wake(&self, signal: Signal) {
-        self.signal.store(signal as u8, Ordering::Release);
-        self.thread
-            .get()
-            .expect("wake word's thread handle is published before its first wake")
-            .unpark();
-    }
-
-    /// Sleeps the calling thread (which must own this word) until a signal
-    /// arrives, and consumes it. `park` may return spuriously or on a stale
-    /// token from an earlier wake that found the thread still awake; the
-    /// loop absorbs both.
-    fn wait(&self) -> Signal {
-        loop {
-            match self.signal.swap(0, Ordering::Acquire) {
-                0 => thread::park(),
-                1 => return Signal::Go,
-                _ => return Signal::Shutdown,
-            }
-        }
-    }
-}
-
 /// Why a run ended: what the thread that found out tells the driver.
 enum End {
     /// No live event is left.
     Drained,
     /// A live event is waiting but the event budget is spent.
     BudgetHit,
-    /// A simulated thread's closure panicked with this message.
-    ThreadPanicked(String),
-    /// The sampler or the schedule policy panicked with this message.
-    CallbackPanicked(String),
+    /// A simulated thread's closure, the sampler or the schedule policy
+    /// panicked; `run` re-raises this message.
+    Panicked(String),
 }
 
 struct ThreadSlot {
     name: String,
     daemon: bool,
-    wake: Arc<WakeWord>,
+    context: Arc<Context>,
     park: ParkState,
+    /// Set by the thread when its closure is done, or by `shutdown_all`
+    /// before it resumes the thread one last time: a context that finds
+    /// itself resumed with this set unwinds instead of carrying on.
     exited: bool,
     /// Bumped on every `park`/`park_until` entry; a queued timer event
     /// whose epoch does not match is stale and is skipped by `step()`.
@@ -281,7 +246,6 @@ struct ThreadSlot {
     /// Set by `step()` when the thread is resumed by its own timer
     /// (deadline reached) rather than by an `unpark`.
     timed_out: bool,
-    join: Option<JoinHandle<()>>,
 }
 
 /// Sentinel epoch marking an ordinary (non-timer) event in the queue.
@@ -312,8 +276,12 @@ struct State {
     /// Indexed by `ThreadId`, which is handed out sequentially.
     threads: Vec<ThreadSlot>,
     /// The one-entry slot for why the run ended: filled by the thread that
-    /// found out just before it wakes the driver, emptied by the driver.
+    /// found out just before it switches to the driver, emptied by the
+    /// driver.
     ended: Option<End>,
+    /// The context inside [`Engine::run`] (or the engine's `Drop`): where a
+    /// thread that found the end, or was shut down, switches to.
+    driver: Option<Arc<Context>>,
     events_processed: u64,
     /// When present, every accepted scheduling decision is appended here
     /// (pure bookkeeping: recording never schedules, parks, or advances,
@@ -331,6 +299,11 @@ impl State {
 
     fn slot_mut(&mut self, tid: ThreadId) -> Option<&mut ThreadSlot> {
         self.threads.get_mut(usize::try_from(tid.0).ok()?)
+    }
+
+    /// Where to switch when the run is over, or after being shut down.
+    fn driver(&self) -> Arc<Context> {
+        Arc::clone(self.driver.as_ref().expect("only a driver resumes threads"))
     }
 
     fn schedule(&mut self, at: SimTime, tid: ThreadId) {
@@ -472,7 +445,7 @@ fn pick_default(st: &mut State) -> Option<(SimTime, ThreadId)> {
 /// The sampler is an *engine-level* callback, not a queued event:
 /// `step()` invokes it between accepting an event and resuming the chosen
 /// thread, once for every window boundary at or before the accepted
-/// instant, on whichever OS thread holds the baton. Because it adds nothing
+/// instant, on whichever context holds the baton. Because it adds nothing
 /// to the event queue, touches no timers, and runs while no simulated code
 /// does, an installed sampler is schedule-invisible — runs with and without
 /// one are byte-identical (enforced by test).
@@ -488,8 +461,6 @@ struct Shared {
     /// released, so it may freely read shared simulation data (metric
     /// registries, span buffers) without deadlocking against the engine.
     sampler: Mutex<Option<Sampler>>,
-    /// The wake word of the thread inside [`Engine::run`].
-    driver: WakeWord,
     event_budget: u64,
 }
 
@@ -544,12 +515,12 @@ impl Engine {
                     queue: BinaryHeap::new(),
                     threads: Vec::new(),
                     ended: None,
+                    driver: None,
                     events_processed: 0,
                     schedule: None,
                     policy: None,
                 }),
                 sampler: Mutex::new(None),
-                driver: WakeWord::default(),
                 event_budget: budget,
             }),
         }
@@ -587,9 +558,11 @@ impl Engine {
     /// *next* window, so the callback for boundary `b` observes precisely
     /// the events that happened strictly before `b`.
     ///
-    /// The callback runs on whichever OS thread holds the baton — the
-    /// `run()` caller for the first event, afterwards a simulated thread's
-    /// 512 KiB stack — so it must not rely on thread-locals. No simulated
+    /// The callback always runs on the OS thread that called `run()`, on
+    /// whichever context holds the baton: `run()`'s own stack for the first
+    /// event, afterwards a simulated thread's 512 KiB stack, so it must not
+    /// recurse deeply. Thread-locals it sees are the `run()` caller's, the
+    /// same ones every simulated thread sees. No simulated
     /// code is running and the engine's scheduling state is unlocked: it
     /// may read any shared simulation data, but it cannot advance time,
     /// park, send, or spawn. Like schedule recording, sampling is pure
@@ -652,27 +625,25 @@ impl Engine {
     /// sampler or the schedule policy under its own message.
     pub fn run(self) -> Result<SimTime, SimError> {
         let shared = &*self.shared;
-        shared
-            .driver
-            .thread
-            .set(thread::current())
-            .expect("run() consumes the engine, so it publishes the driver once");
-        // Pick the first event and wake its thread; from here on the baton
-        // travels between the simulated threads until one reports the end.
-        pass_baton(shared, None);
-        shared.driver.wait();
+        let driver = Context::current();
+        shared.state.lock().driver = Some(Arc::clone(&driver));
+        // Pick the first event and switch to its thread; the baton travels
+        // between the simulated threads until one finds the end and
+        // switches back. With nothing to run, or a callback that panics at
+        // once, the driver has found the end itself and stays where it is.
+        let first = pass_baton(shared, None).expect("the driver has no event of its own");
+        if !Arc::ptr_eq(&first, &driver) {
+            context::switch_to(first);
+        }
         let end = shared.state.lock().ended.take();
-        let end = end.expect("the driver is woken with a reason");
+        let end = end.expect("the driver is resumed with a reason");
 
-        // The run is over. Shut down and join every thread that is still
-        // alive; the non-daemon ones are deadlocked unless we are aborting
-        // for another reason.
+        // The run is over. Shut down every thread that is still alive; the
+        // non-daemon ones are deadlocked unless we are aborting for another
+        // reason.
         let (mut deadlocked, late_panic) = shutdown_all(shared);
         match (end, late_panic) {
-            (End::CallbackPanicked(msg), _) => panic!("{msg}"),
-            (End::ThreadPanicked(msg), _) | (_, Some(msg)) => {
-                panic!("simulated thread panicked: {msg}")
-            }
+            (End::Panicked(msg), _) | (_, Some(msg)) => panic!("{msg}"),
             (End::BudgetHit, _) => Err(SimError::EventBudgetExhausted {
                 budget: shared.event_budget,
             }),
@@ -685,10 +656,9 @@ impl Engine {
     }
 }
 
-/// An engine dropped without [`Engine::run`] still owns one OS thread per
-/// spawned simulated thread, each asleep on its wake word and keeping
-/// `Shared` alive through its `SimCtx`; shut them down and join them. A
-/// no-op after `run`.
+/// An engine dropped without [`Engine::run`] still owns one context per
+/// spawned simulated thread, each holding its closure, which keeps `Shared`
+/// alive; shut them down so the closures are dropped. A no-op after `run`.
 impl Drop for Engine {
     fn drop(&mut self) {
         shutdown_all(&self.shared);
@@ -700,7 +670,7 @@ impl Drop for Engine {
 /// the sampler, and marks the chosen thread running. Everything the engine
 /// decides between one thread's turn and the next is in here, and whoever
 /// holds the baton calls it. `Err` says why there is no next thread.
-fn step(shared: &Shared) -> Result<(ThreadId, Arc<WakeWord>), End> {
+fn step(shared: &Shared) -> Result<(ThreadId, Arc<Context>), End> {
     loop {
         let (time, tid) = {
             let mut st = shared.state.lock();
@@ -749,31 +719,32 @@ fn step(shared: &Shared) -> Result<(ThreadId, Arc<WakeWord>), End> {
         if matches!(slot.park, ParkState::Parked | ParkState::ParkedScheduled) {
             slot.park = ParkState::Running;
         }
-        return Ok((tid, Arc::clone(&slot.wake)));
+        return Ok((tid, Arc::clone(&slot.context)));
     }
 }
 
-/// Holding the baton: runs one `step()` and wakes whoever is next — that
-/// thread, or the driver with the reason the run ended. Returns `true`,
-/// waking nobody, when the next event is `me`'s own. A panic in a callback
-/// ends the run under its own message, whichever thread it happened on.
-fn pass_baton(shared: &Shared, me: Option<ThreadId>) -> bool {
-    match panic::catch_unwind(AssertUnwindSafe(|| step(shared))) {
-        Ok(Ok((tid, _))) if Some(tid) == me => return true,
-        Ok(Ok((_, wake))) => wake.wake(Signal::Go),
-        Ok(Err(end)) => end_run(shared, end),
-        Err(payload) => end_run(shared, End::CallbackPanicked(panic_message(&*payload))),
-    }
-    false
+/// Holding the baton: runs one `step()` and returns the context to switch
+/// to — the next thread's, or the driver's with the reason the run ended
+/// left for it. `None` when the next event is `me`'s own. A panic in a
+/// callback ends the run under its own message, whichever context it
+/// happened on.
+fn pass_baton(shared: &Shared, me: Option<ThreadId>) -> Option<Arc<Context>> {
+    let end = match panic::catch_unwind(AssertUnwindSafe(|| step(shared))) {
+        Ok(Ok((tid, _))) if Some(tid) == me => return None,
+        Ok(Ok((_, context))) => return Some(context),
+        Ok(Err(end)) => end,
+        Err(payload) => End::Panicked(panic_message(&*payload)),
+    };
+    Some(end_run(&mut shared.state.lock(), end))
 }
 
-/// Leaves `end` for the driver and wakes it.
-fn end_run(shared: &Shared, end: End) {
-    shared.state.lock().ended = Some(end);
-    shared.driver.wake(Signal::Go);
+/// Leaves `end` for the driver and returns the driver's context.
+fn end_run(st: &mut State, end: End) -> Arc<Context> {
+    st.ended = Some(end);
+    st.driver()
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -783,35 +754,33 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Shuts down and joins every simulated OS thread, one at a time in id
-/// order (so unwinding threads never run concurrently). Returns the names
-/// of the non-daemon threads that were still alive and the first panic
-/// raised while unwinding.
+/// Shuts down every simulated thread that has not exited, one at a time in
+/// id order: marks it exited and switches to it; it unwinds to its entry
+/// function — or, never started, drops its closure unrun — and switches
+/// back. Returns the names of the non-daemon threads that were still alive
+/// and the first panic raised while unwinding.
 fn shutdown_all(shared: &Shared) -> (Vec<String>, Option<String>) {
     let mut stuck = Vec::new();
     let mut panic_msg = None;
+    // The caller is the driver: `run`, which has said so already, or the
+    // `Drop` of an engine never run.
+    shared.state.lock().driver = Some(Context::current());
     for i in 0.. {
-        let (wake, join) = {
+        let context = {
             let mut st = shared.state.lock();
             let Some(slot) = st.threads.get_mut(i) else {
                 break;
             };
-            let wake = (!slot.exited).then(|| Arc::clone(&slot.wake));
-            slot.exited = true;
-            if wake.is_some() && !slot.daemon {
+            if std::mem::replace(&mut slot.exited, true) {
+                continue;
+            }
+            if !slot.daemon {
                 stuck.push(slot.name.clone());
             }
-            (wake, slot.join.take())
+            Arc::clone(&slot.context)
         };
-        if let Some(wake) = wake {
-            wake.wake(Signal::Shutdown);
-        }
-        if let Some(join) = join {
-            // The thread's wrapper catches every panic; the message is in
-            // the `ended` slot.
-            let _ = join.join();
-        }
-        if let Some(End::ThreadPanicked(msg)) = shared.state.lock().ended.take() {
+        context::switch_to(context);
+        if let Some(End::Panicked(msg)) = shared.state.lock().ended.take() {
             panic_msg.get_or_insert(msg);
         }
     }
@@ -822,55 +791,52 @@ fn spawn_thread<F>(shared: &Arc<Shared>, name: String, daemon: bool, f: F) -> Th
 where
     F: FnOnce(&SimCtx) + Send + 'static,
 {
-    let wake = Arc::new(WakeWord::default());
     let mut st = shared.state.lock();
     let tid = ThreadId(st.threads.len() as u64);
     let ctx = SimCtx {
         tid,
         shared: Arc::clone(shared),
-        wake: Arc::clone(&wake),
         _not_sync: PhantomData,
     };
-    let join = thread::Builder::new()
-        .name(format!("{name}#{}", tid.0))
-        .stack_size(512 * 1024)
-        .spawn(move || {
-            // Wait for the first resume before touching anything; a thread
-            // shut down before it ever ran has nothing to report.
-            if ctx.wake.wait() == Signal::Shutdown {
-                return;
-            }
-            let panicked = match panic::catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
-                Err(payload) if !payload.is::<ShutdownToken>() => Some(panic_message(&*payload)),
-                _ => None,
-            };
-            let mut st = ctx.shared.state.lock();
-            let slot = st.slot_mut(ctx.tid).expect("own slot missing");
-            // Already marked exited: the driver shut this thread down and
-            // is joining it, so the baton is not this thread's to pass.
-            let joining = std::mem::replace(&mut slot.exited, true);
-            drop(st);
-            if let Some(msg) = panicked {
-                end_run(&ctx.shared, End::ThreadPanicked(msg));
-            } else if !joining {
-                pass_baton(&ctx.shared, None);
-            }
-        })
-        .expect("failed to spawn simulated thread");
-    // Publish the handle under the state lock, before the first event is
-    // queued: the engine can only learn of this thread through that event.
-    wake.thread
-        .set(join.thread().clone())
-        .expect("fresh wake word");
+    // The context starts when `step()` first picks its event, or when it is
+    // shut down before that. It returns the context to run after it, having
+    // dropped `ctx` and everything else it owns: the switch away from a
+    // finished context never returns.
+    let context = Context::new(Box::new(move || {
+        let st = ctx.shared.state.lock();
+        if st.slot(tid).expect("own slot missing").exited {
+            // Shut down before it ever ran: `f` is dropped unrun and there
+            // is nothing to report.
+            return st.driver();
+        }
+        drop(st);
+        let panicked = match panic::catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
+            Err(payload) if !payload.is::<ShutdownToken>() => Some(panic_message(&*payload)),
+            _ => None,
+        };
+        let mut st = ctx.shared.state.lock();
+        let slot = st.slot_mut(tid).expect("own slot missing");
+        // Already marked exited: the driver shut this thread down and is
+        // waiting for it, so the baton is not this thread's to pass.
+        let shut_down = std::mem::replace(&mut slot.exited, true);
+        if let Some(msg) = panicked {
+            let msg = format!("simulated thread '{}#{}' panicked: {msg}", slot.name, tid.0);
+            return end_run(&mut st, End::Panicked(msg));
+        }
+        if shut_down {
+            return st.driver();
+        }
+        drop(st);
+        pass_baton(&ctx.shared, None).expect("an exited thread has no event of its own")
+    }));
     st.threads.push(ThreadSlot {
         name,
         daemon,
-        wake,
+        context,
         park: ParkState::Running,
         exited: false,
         park_epoch: 0,
         timed_out: false,
-        join: Some(join),
     });
     // First run at the current virtual instant.
     let now = st.clock;
@@ -884,8 +850,7 @@ where
 pub struct SimCtx {
     tid: ThreadId,
     shared: Arc<Shared>,
-    wake: Arc<WakeWord>,
-    /// Only the owning thread may sleep on `wake`.
+    /// Only the owning thread may yield through it.
     _not_sync: PhantomData<Cell<()>>,
 }
 
@@ -1044,11 +1009,17 @@ impl SimCtx {
 
     /// The end of this thread's turn: releases the lock the caller took for
     /// its own bookkeeping, passes the baton, and — unless its own event
-    /// was next — sleeps until this thread is resumed or shut down.
+    /// was next — is suspended until this thread is resumed or shut down.
     fn yield_and_wait(&self, st: MutexGuard<'_, State>) {
         drop(st);
-        if !pass_baton(&self.shared, Some(self.tid)) && self.wake.wait() == Signal::Shutdown {
-            panic::resume_unwind(Box::new(ShutdownToken));
+        if let Some(next) = pass_baton(&self.shared, Some(self.tid)) {
+            context::switch_to(next);
+            // Resumed: to carry on, or — slot marked `exited` — to unwind.
+            let st = self.shared.state.lock();
+            if st.slot(self.tid).expect("own slot missing").exited {
+                drop(st);
+                panic::resume_unwind(Box::new(ShutdownToken));
+            }
         }
     }
 }
@@ -1651,12 +1622,12 @@ mod tests {
     }
 
     #[test]
-    fn dropping_an_engine_without_run_joins_its_threads() {
+    fn dropping_an_engine_without_run_shuts_down_its_threads() {
         let engine = Engine::new();
         let token = populate(&engine);
         assert_eq!(StdArc::strong_count(&token), 5);
         drop(engine);
-        // Joined, not merely signalled: every closure is already dropped.
+        // Shut down, not merely marked: every closure is already dropped.
         assert_eq!(StdArc::strong_count(&token), 1);
     }
 
@@ -1693,7 +1664,10 @@ mod tests {
         let engine = Engine::new();
         engine.spawn("bomber", |_ctx| panic!("boom"));
         let token = populate(&engine);
-        assert_eq!(run_panics(engine), "simulated thread panicked: boom");
+        assert_eq!(
+            run_panics(engine),
+            "simulated thread 'bomber#0' panicked: boom"
+        );
         assert_eq!(StdArc::strong_count(&token), 1);
 
         // In the sampler, on the driver thread, with every thread mid-run.
@@ -1861,10 +1835,11 @@ mod tests {
         }
     }
 
-    /// The zero-wake path: a thread whose own event is next never sleeps.
+    /// Voluntary context switches the OS thread makes while a simulated
+    /// thread `advance`s 10 000 times in lockstep with `others` more,
+    /// counted from inside that thread.
     #[cfg(target_os = "linux")]
-    #[test]
-    fn a_lone_thread_advancing_does_not_context_switch() {
+    fn voluntary_switches_while_advancing(others: u64) -> u64 {
         fn voluntary_switches() -> u64 {
             let status = std::fs::read_to_string("/proc/thread-self/status").expect("procfs");
             let line = status
@@ -1873,19 +1848,162 @@ mod tests {
                 .expect("voluntary_ctxt_switches line");
             line.trim().parse().expect("a count")
         }
-        let engine = Engine::new();
-        let delta = StdArc::new(AtomicU64::new(u64::MAX));
-        let out = StdArc::clone(&delta);
-        engine.spawn("alone", move |ctx| {
-            let before = voluntary_switches();
+        fn advance_10_000(ctx: &SimCtx) {
             for _ in 0..10_000 {
                 ctx.advance(SimDuration::from_nanos(1));
             }
+        }
+        let engine = Engine::new();
+        let delta = StdArc::new(AtomicU64::new(u64::MAX));
+        let out = StdArc::clone(&delta);
+        engine.spawn("measured", move |ctx| {
+            let before = voluntary_switches();
+            advance_10_000(ctx);
             out.store(voluntary_switches() - before, Ordering::SeqCst);
         });
+        for i in 0..others {
+            engine.spawn(format!("other{i}"), advance_10_000);
+        }
         assert_eq!(engine.run(), Ok(SimTime::from_nanos(10_000)));
-        let delta = delta.load(Ordering::SeqCst);
-        assert!(delta < 50, "{delta} voluntary context switches");
+        delta.load(Ordering::SeqCst)
+    }
+
+    /// The own-event path: a thread whose own event is next just carries on.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_lone_thread_advancing_does_not_context_switch() {
+        let switches = voluntary_switches_while_advancing(0);
+        assert!(switches < 50, "{switches} voluntary context switches");
+    }
+
+    /// A hand-off is a switch of stacks, not a sleep and a wake: 20 000 of
+    /// them in strict alternation never give up the CPU.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn two_threads_alternating_do_not_context_switch() {
+        let switches = voluntary_switches_while_advancing(1);
+        assert!(switches < 50, "{switches} voluntary context switches");
+    }
+
+    #[test]
+    fn everything_runs_on_the_os_thread_that_called_run() {
+        struct Spy(StdArc<Mutex<Vec<std::thread::ThreadId>>>);
+        impl SchedulePolicy for Spy {
+            fn choose_event(&mut self, _now: SimTime, _c: &[ScheduleChoice]) -> usize {
+                self.0.lock().push(std::thread::current().id());
+                0
+            }
+        }
+        let engine = Engine::new();
+        let seen = StdArc::new(Mutex::new(Vec::new()));
+        engine.set_schedule_policy(SchedulePolicyHandle::new(Spy(StdArc::clone(&seen))));
+        let in_sampler = StdArc::clone(&seen);
+        engine.set_sampler(SimDuration::from_nanos(2), move |_| {
+            in_sampler.lock().push(std::thread::current().id());
+        });
+        for i in 0..4 {
+            let seen = StdArc::clone(&seen);
+            engine.spawn(format!("t{i}"), move |ctx| {
+                for _ in 0..3 {
+                    seen.lock().push(std::thread::current().id());
+                    ctx.advance(SimDuration::from_nanos(1));
+                }
+            });
+        }
+        assert_eq!(engine.run(), Ok(SimTime::from_nanos(3)));
+        let seen = seen.lock();
+        // 12 turns, 16 events, one boundary.
+        assert_eq!(seen.len(), 12 + 16 + 1);
+        let here = std::thread::current().id();
+        assert!(seen.iter().all(|id| *id == here), "{seen:?} vs {here:?}");
+    }
+
+    /// Recurses until ≈ 384 KiB of a 512 KiB stack are in use, runs
+    /// `bottom` there, and returns the depth reached.
+    fn descend(top: usize, bottom: &mut dyn FnMut()) -> usize {
+        let frame = std::hint::black_box([1u8; 256]);
+        if top - frame.as_ptr() as usize >= 384 * 1024 {
+            bottom();
+            return 1;
+        }
+        // The frame is read after the call: not a tail call, not a loop.
+        descend(top, bottom) + frame[0] as usize
+    }
+
+    #[test]
+    fn a_simulated_thread_runs_on_a_real_stack() {
+        // Deep frames survive being switched away from and back to.
+        let engine = Engine::new();
+        let depth = StdArc::new(AtomicU64::new(0));
+        let out = StdArc::clone(&depth);
+        engine.spawn("deep", move |ctx| {
+            // A misaligned stack faults on the `movaps` spills in here.
+            let text = format!("{:.3} {}", 1.5f64, u128::MAX);
+            assert_eq!(text, "1.500 340282366920938463463374607431768211455");
+            let top = &text as *const String as usize;
+            let reached = descend(top, &mut || ctx.advance(SimDuration::from_nanos(2)));
+            out.store(reached as u64, Ordering::SeqCst);
+        });
+        engine.spawn("other", |ctx| ctx.advance(SimDuration::from_nanos(1)));
+        assert_eq!(engine.run(), Ok(SimTime::from_nanos(2)));
+        assert!(depth.load(Ordering::SeqCst) > 100);
+
+        // A panic down there unwinds to the entry function, and the
+        // backtrace printer (also run by the panic hook when
+        // `RUST_BACKTRACE` is set, as in CI) walks the hand-built stack to
+        // its end.
+        let engine = Engine::new();
+        engine.spawn("deep", |_ctx| {
+            let top = 0u8;
+            descend(&top as *const u8 as usize, &mut || {
+                let trace = std::backtrace::Backtrace::force_capture().to_string();
+                assert!(trace.contains("descend"), "{trace}");
+                panic!("at the bottom");
+            });
+        });
+        assert_eq!(
+            run_panics(engine),
+            "simulated thread 'deep#0' panicked: at the bottom"
+        );
+    }
+
+    /// A simulated thread that overflows its stack runs into the guard page
+    /// and takes the process down rather than scribbling on a neighbour's
+    /// stack. The victim is this test binary again, running only
+    /// `overflow_a_simulated_stack`.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn overflowing_a_simulated_stack_kills_the_process() {
+        use std::os::unix::process::ExitStatusExt;
+        use std::process::{Command, Stdio};
+        let status = Command::new(std::env::current_exe().expect("own path"))
+            .args(["--exact", "engine::tests::overflow_a_simulated_stack"])
+            .arg("--ignored")
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .status()
+            .expect("re-run this test binary");
+        assert!(
+            status.signal().is_some(),
+            "the child was not killed: {status:?}"
+        );
+    }
+
+    #[test]
+    #[ignore = "overflows its stack on purpose; overflowing_a_simulated_stack_kills_the_process runs it"]
+    fn overflow_a_simulated_stack() {
+        fn forever(n: u64) -> u64 {
+            let frame = std::hint::black_box([n; 64]);
+            if frame[0] == u64::MAX {
+                return 0;
+            }
+            forever(n + 1) + frame[1]
+        }
+        let engine = Engine::new();
+        engine.spawn("bottomless", |_ctx| {
+            std::hint::black_box(forever(0));
+        });
+        let _ = engine.run();
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! # dex-sim — deterministic discrete-event simulation kernel
 //!
 //! This crate is the foundation of the DEX reproduction: a discrete-event
-//! simulator whose "threads" are real OS threads cooperatively scheduled
-//! one at a time under a strict handshake, giving bit-for-bit reproducible
-//! runs in *virtual* time.
+//! simulator whose "threads" are stackful contexts that one OS thread
+//! switches between in user space, one running at a time, giving
+//! bit-for-bit reproducible runs in *virtual* time.
 //!
 //! The pieces:
 //!
@@ -50,6 +50,7 @@
 #![warn(missing_docs)]
 
 mod channel;
+mod context;
 mod engine;
 mod fault;
 mod replay;
