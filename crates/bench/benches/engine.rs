@@ -2,11 +2,13 @@
 //!
 //! The first four shapes are the frozen benchmark's `sim.*` probes
 //! (`benchmark/src/probes.rs`), so the engine can be iterated on here
-//! without touching `benchmark/`. The last two are not frozen probes: they
+//! without touching `benchmark/`. The last three are not frozen probes: they
 //! are the shapes in which the thread that ends its turn is itself next, so
 //! no context is switched — which the strictly alternating probes never
-//! are. Each line reports ns per event (`ns/element`); `spawn` reports ns
-//! per spawned thread (an `mmap`, an `mprotect` and a `munmap`).
+//! are — and `clock_reads` adds eight `now()` to each such event, about
+//! what the fabric, the resources and the span sites read per message.
+//! Each line reports ns per event (`ns/element`); `spawn` reports ns per
+//! spawned thread (an `mmap`, an `mprotect` and a `munmap`).
 //!
 //! No pinning needed (`cargo bench -p dex-bench --bench engine`): every
 //! simulated thread runs on the OS thread that called `run()`, so a
@@ -74,6 +76,22 @@ fn one_runner(parked: u64, events: u64) {
     engine.run().expect("no deadlock");
 }
 
+/// One thread reads the clock eight times around each of `events` advances.
+fn clock_reads(events: u64) {
+    let engine = Engine::new();
+    engine.spawn("reader", move |ctx| {
+        let mut sum = 0;
+        for _ in 0..events {
+            ctx.advance(SimDuration::from_nanos(1));
+            for _ in 0..8 {
+                sum += std::hint::black_box(ctx).now().as_nanos();
+            }
+        }
+        std::hint::black_box(sum);
+    });
+    engine.run().expect("no deadlock");
+}
+
 /// One thread spawns `n` children that exit at once.
 fn spawn_many(n: u64) {
     let engine = Engine::new();
@@ -109,6 +127,9 @@ fn engine(c: &mut Criterion) {
     group.bench_function("one_runner_31_parked", |b| {
         b.iter(|| one_runner(31, 20_000))
     });
+
+    group.throughput(Throughput::Elements(5_000));
+    group.bench_function("clock_reads", |b| b.iter(|| clock_reads(5_000)));
 
     group.finish();
 }

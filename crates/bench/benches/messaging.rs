@@ -1,8 +1,8 @@
 //! Criterion bench: host-side throughput of the simulated fabric.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dex_net::{Fabric, NetConfig, NodeId, WireMessage};
-use dex_sim::Engine;
+use dex_net::{Fabric, NetConfig, NodeId, TimedPool, WireMessage};
+use dex_sim::{Engine, SimDuration};
 
 struct Ping(#[allow(dead_code)] u64);
 
@@ -58,6 +58,25 @@ fn messaging(c: &mut Criterion) {
             engine.spawn("rx", move |ctx| {
                 for _ in 0..500 {
                     rx.recv(ctx).expect("open");
+                }
+            });
+            engine.run().expect("no deadlock")
+        })
+    });
+
+    // What one link's send pool does per message, at the default size: the
+    // earliest-free of 256 chunks, held for a wire time, with a compose
+    // copy in between so that chunks come free in a rolling window.
+    c.bench_function("send_pool_acquire_hold_2000", |b| {
+        let chunks = NetConfig::default().send_pool_chunks;
+        b.iter(|| {
+            let engine = Engine::new();
+            let pool = TimedPool::new(chunks);
+            engine.spawn("sender", move |ctx| {
+                for _ in 0..2000 {
+                    let grant = pool.acquire(ctx);
+                    ctx.advance(SimDuration::from_nanos(100));
+                    pool.hold(ctx, grant, ctx.now() + SimDuration::from_micros(2));
                 }
             });
             engine.run().expect("no deadlock")

@@ -33,6 +33,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -147,8 +148,8 @@ struct Link {
     /// Latest delivery time handed out on this link; RC ordering is
     /// enforced by clamping each new delivery time to be no earlier.
     last_deliver: Mutex<SimTime>,
-    bytes: std::sync::atomic::AtomicU64,
-    messages: std::sync::atomic::AtomicU64,
+    bytes: AtomicU64,
+    messages: AtomicU64,
 }
 
 impl Link {
@@ -159,8 +160,8 @@ impl Link {
             recv_pool: CreditPool::new(config.recv_pool_chunks),
             sink: CreditPool::new(config.rdma_sink_chunks),
             last_deliver: Mutex::new(SimTime::ZERO),
-            bytes: std::sync::atomic::AtomicU64::new(0),
-            messages: std::sync::atomic::AtomicU64::new(0),
+            bytes: AtomicU64::new(0),
+            messages: AtomicU64::new(0),
         }
     }
 }
@@ -224,18 +225,18 @@ impl<M> Inbox<M> {
     }
 
     fn push(&self, ctx: &SimCtx, env: Envelope<M>) {
-        let woken: Vec<ThreadId> = {
-            let mut inner = self.inner.lock();
-            let seq = inner.next_seq;
-            inner.next_seq += 1;
-            inner.heap.push(Reverse(QueuedEnvelope {
-                deliver_at: env.deliver_at,
-                seq,
-                env,
-            }));
-            std::mem::take(&mut inner.waiters)
-        };
-        for tid in woken {
+        let mut inner = self.inner.lock();
+        let seq = inner.next_seq;
+        inner.next_seq += 1;
+        inner.heap.push(Reverse(QueuedEnvelope {
+            deliver_at: env.deliver_at,
+            seq,
+            env,
+        }));
+        // `unpark` only queues an event: nothing runs, and so nothing can
+        // want this lock, before it is released. Draining in place keeps
+        // the buffer for the receivers' next wait.
+        for tid in inner.waiters.drain(..) {
             ctx.unpark(tid);
         }
     }
@@ -286,6 +287,13 @@ pub struct Fabric<M> {
     /// entirely so clean runs stay bit-identical to plan-free runs.
     faults_enabled: bool,
     counters: Counters,
+    /// What every message counts, not yet added to `counters`:
+    /// [`Fabric::counters`] moves it there, so the per-message path pays an
+    /// atomic add and not a map lookup under a lock.
+    msgs_sent: AtomicU64,
+    bytes_sent: AtomicU64,
+    pages_sent: AtomicU64,
+    msgs_received: AtomicU64,
     /// Optional per-node/per-link metrics. `None` (the default) keeps
     /// the hot path at a single test per instrumentation point.
     metrics: Option<Arc<MetricsRegistry>>,
@@ -359,6 +367,10 @@ impl<M: WireMessage> Fabric<M> {
             plan,
             faults_enabled,
             counters,
+            msgs_sent: AtomicU64::new(0),
+            bytes_sent: AtomicU64::new(0),
+            pages_sent: AtomicU64::new(0),
+            msgs_received: AtomicU64::new(0),
             metrics,
         })
     }
@@ -405,11 +417,6 @@ impl<M: WireMessage> Fabric<M> {
         &self.config
     }
 
-    /// Traffic counters (`msgs.sent`, `bytes.sent`, `pages.sent`, ...).
-    pub fn counters(&self) -> &Counters {
-        &self.counters
-    }
-
     /// The endpoint of `node`.
     ///
     /// # Panics
@@ -440,8 +447,8 @@ impl<M: WireMessage> Fabric<M> {
         match &self.links[src.0 as usize * self.nodes + dst.0 as usize] {
             None => (0, 0),
             Some(link) => (
-                link.messages.load(std::sync::atomic::Ordering::Relaxed),
-                link.bytes.load(std::sync::atomic::Ordering::Relaxed),
+                link.messages.load(Ordering::Relaxed),
+                link.bytes.load(Ordering::Relaxed),
             ),
         }
     }
@@ -459,11 +466,31 @@ impl<M: WireMessage> Fabric<M> {
     }
 }
 
+impl<M> Fabric<M> {
+    /// Traffic counters (`msgs.sent`, `bytes.sent`, `pages.sent`, ...), up
+    /// to date as of this call.
+    pub fn counters(&self) -> &Counters {
+        for (name, pending) in [
+            ("msgs.sent", &self.msgs_sent),
+            ("bytes.sent", &self.bytes_sent),
+            ("pages.sent", &self.pages_sent),
+            ("msgs.received", &self.msgs_received),
+        ] {
+            // A counter never bumped stays absent from the snapshot.
+            match pending.swap(0, Ordering::Relaxed) {
+                0 => {}
+                n => self.counters.add(name, n),
+            }
+        }
+        &self.counters
+    }
+}
+
 impl<M> std::fmt::Debug for Fabric<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Fabric")
             .field("nodes", &self.nodes)
-            .field("counters", &self.counters)
+            .field("counters", self.counters())
             .finish()
     }
 }
@@ -535,14 +562,13 @@ impl<M: WireMessage> Endpoint<M> {
         let control = HEADER_BYTES + msg.control_bytes();
         let page = msg.page_bytes();
 
-        fabric.counters.incr("msgs.sent");
-        fabric.counters.add("bytes.sent", (control + page) as u64);
-        link.messages
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        link.bytes.fetch_add(
-            (control + page) as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
+        fabric.msgs_sent.fetch_add(1, Ordering::Relaxed);
+        fabric
+            .bytes_sent
+            .fetch_add((control + page) as u64, Ordering::Relaxed);
+        link.messages.fetch_add(1, Ordering::Relaxed);
+        link.bytes
+            .fetch_add((control + page) as u64, Ordering::Relaxed);
         if let Some(m) = metrics {
             m.node(self.node).incr("msgs.sent");
             m.node(self.node).add("bytes.sent", (control + page) as u64);
@@ -560,7 +586,7 @@ impl<M: WireMessage> Endpoint<M> {
             // VERB control path: compose into a pre-mapped pool chunk.
             (control, cfg.verb_latency, 0, None)
         } else {
-            fabric.counters.incr("pages.sent");
+            fabric.pages_sent.fetch_add(1, Ordering::Relaxed);
             match cfg.rdma_strategy {
                 RdmaStrategy::SinkCopy => {
                     // Wait for a sink chunk at the receiver, then RDMA-write
@@ -604,7 +630,7 @@ impl<M: WireMessage> Endpoint<M> {
         }
         ctx.advance(cfg.memcpy_time(control));
         let finish = link.wire.reserve_bytes(ctx.now(), wire_bytes as u64);
-        link.send_pool.hold(grant, finish);
+        link.send_pool.hold(ctx, grant, finish);
         let mut deliver_at = finish + extra_latency;
         if fabric.faults_enabled {
             deliver_at += fabric.plan.extra_delay(self.node.0, dst.0, sent_at);
@@ -739,7 +765,7 @@ impl<M: WireMessage> Endpoint<M> {
         }
         // Repost the receive work request.
         env.recv_credit.release(ctx);
-        self.fabric.counters.incr("msgs.received");
+        self.fabric.msgs_received.fetch_add(1, Ordering::Relaxed);
         if let Some(m) = &self.fabric.metrics {
             m.node(self.node).incr("msgs.received");
         }
@@ -904,6 +930,35 @@ mod tests {
     }
 
     #[test]
+    fn senders_sharing_one_send_chunk_take_turns() {
+        // Regression: the second sender found the only chunk granted and
+        // not yet held, and slept until `SimTime::MAX` for it.
+        let engine = Engine::new();
+        let cfg = NetConfig {
+            send_pool_chunks: 1,
+            ..NetConfig::default()
+        };
+        let fabric = Fabric::<TestMsg>::new(cfg, 2);
+        for tag in 0..2 {
+            let tx = fabric.endpoint(NodeId(0));
+            engine.spawn(format!("tx{tag}"), move |ctx| {
+                tx.send(ctx, NodeId(1), TestMsg { tag, page: 0 });
+            });
+        }
+        let rx = fabric.endpoint(NodeId(1));
+        let got = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&got);
+        engine.spawn("rx", move |ctx| {
+            for _ in 0..2 {
+                seen.lock().push(rx.recv(ctx).unwrap().msg.tag);
+            }
+        });
+        let end = engine.run().unwrap();
+        assert_eq!(*got.lock(), vec![0, 1]);
+        assert!(end < SimTime::from_nanos(10_000), "ended at {end}");
+    }
+
+    #[test]
     fn counters_track_traffic() {
         let engine = Engine::new();
         let fabric = fabric_with(RdmaStrategy::SinkCopy, 3);
@@ -921,6 +976,18 @@ mod tests {
         assert_eq!(fabric.counters().get("msgs.received"), 2);
         assert_eq!(fabric.counters().get("pages.sent"), 1);
         assert!(fabric.counters().get("bytes.sent") > 4096);
+        // Only what was counted has a name: a fabric that carried nothing
+        // reports its setup work and no traffic counter.
+        let names = |f: &Fabric<TestMsg>| -> Vec<String> {
+            f.counters().snapshot().into_iter().map(|c| c.0).collect()
+        };
+        let idle = fabric_with(RdmaStrategy::SinkCopy, 3);
+        assert_eq!(
+            names(&idle),
+            ["setup.dma_mappings", "setup.mr_registrations"]
+        );
+        let sent = ["bytes.sent", "msgs.received", "msgs.sent", "pages.sent"];
+        assert_eq!(names(&fabric)[..4], sent);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   receive work request / drains the sink), which is not known in
 //!   advance.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -41,8 +42,15 @@ use dex_sim::{SimCtx, SimTime, ThreadId};
 /// ```
 #[derive(Clone)]
 pub struct TimedPool {
-    chunks: Arc<Mutex<Vec<SimTime>>>,
+    idle: Arc<Mutex<IdleChunks>>,
+    /// One credit per idle chunk: where acquirers wait, in arrival order,
+    /// while every chunk is out on a grant.
+    ungranted: CreditPool,
 }
+
+/// Every chunk not out on a grant, as `(free at, index)`: the earliest free
+/// on top, the lowest index first among equals.
+type IdleChunks = BinaryHeap<Reverse<(SimTime, usize)>>;
 
 /// A chunk handed out by [`TimedPool::acquire`], pending its release time.
 #[derive(Debug)]
@@ -59,8 +67,10 @@ impl TimedPool {
     /// Panics if `chunks` is zero.
     pub fn new(chunks: usize) -> Self {
         assert!(chunks > 0, "buffer pool must have at least one chunk");
+        let idle = (0..chunks).map(|i| Reverse((SimTime::ZERO, i))).collect();
         TimedPool {
-            chunks: Arc::new(Mutex::new(vec![SimTime::ZERO; chunks])),
+            idle: Arc::new(Mutex::new(idle)),
+            ungranted: CreditPool::new(chunks),
         }
     }
 
@@ -68,43 +78,41 @@ impl TimedPool {
     /// one frees; the chunk then stays busy until `busy_until`.
     pub fn acquire_until(&self, ctx: &SimCtx, busy_until: SimTime) {
         let grant = self.acquire(ctx);
-        self.hold(grant, busy_until);
+        self.hold(ctx, grant, busy_until);
     }
 
     /// Allocates the earliest-free chunk (blocking in virtual time) and
     /// returns a grant; the chunk is busy until [`TimedPool::hold`] sets
-    /// its release time.
+    /// its release time. While every chunk is out on a grant, acquirers
+    /// park and are served by the next `hold`s in arrival order.
     pub fn acquire(&self, ctx: &SimCtx) -> ChunkGrant {
-        let (index, wait_until) = {
-            let mut chunks = self.chunks.lock();
-            let (index, slot) = chunks
-                .iter_mut()
-                .enumerate()
-                .min_by_key(|(_, t)| **t)
-                .expect("pool is non-empty");
-            let grant = (*slot).max(ctx.now());
-            *slot = SimTime::MAX; // in use until hold() is called
-            (index, grant)
-        };
-        ctx.sleep_until(wait_until);
+        self.ungranted.acquire(ctx);
+        let chunk = self.idle.lock().pop().expect("a credit per idle chunk");
+        let Reverse((free_at, index)) = chunk;
+        // An engine event even when the chunk is free already: dropping it
+        // would reorder same-instant ties (ROADMAP item 1 (c)).
+        ctx.sleep_until(free_at);
         ChunkGrant { index }
     }
 
-    /// Marks the granted chunk free again at `busy_until`.
-    pub fn hold(&self, grant: ChunkGrant, busy_until: SimTime) {
-        self.chunks.lock()[grant.index] = busy_until;
+    /// Marks the granted chunk free again at `busy_until`, and hands it to
+    /// the longest-waiting acquirer, if any.
+    pub fn hold(&self, ctx: &SimCtx, grant: ChunkGrant, busy_until: SimTime) {
+        self.idle.lock().push(Reverse((busy_until, grant.index)));
+        self.ungranted.release(ctx);
     }
 
     /// Number of chunks free at `now`.
     pub fn free_at(&self, now: SimTime) -> usize {
-        self.chunks.lock().iter().filter(|t| **t <= now).count()
+        let idle = self.idle.lock();
+        idle.iter().filter(|Reverse((at, _))| *at <= now).count()
     }
 }
 
 impl std::fmt::Debug for TimedPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TimedPool")
-            .field("chunks", &self.chunks.lock().len())
+            .field("idle", &self.idle.lock().len())
             .finish()
     }
 }
@@ -292,6 +300,100 @@ mod tests {
             assert_eq!(pool.free_at(SimTime::from_nanos(101)), 3);
         });
         engine.run().unwrap();
+    }
+
+    #[test]
+    fn timed_pool_acquirers_wait_for_a_hold_in_arrival_order() {
+        // Regression: with every chunk granted and none held yet, `acquire`
+        // used to pick a granted chunk and sleep until `SimTime::MAX`.
+        let engine = Engine::new();
+        let pool = TimedPool::new(1);
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let user = |name: &'static str, arrive_after: [u64; 2]| {
+            let (pool, order) = (pool.clone(), Arc::clone(&order));
+            engine.spawn(name, move |ctx| {
+                for gap in arrive_after {
+                    ctx.advance(SimDuration::from_nanos(gap));
+                }
+                let grant = pool.acquire(ctx);
+                order.lock().push((name, ctx.now().as_nanos()));
+                ctx.advance(SimDuration::from_nanos(10));
+                pool.hold(ctx, grant, ctx.now() + SimDuration::from_nanos(5));
+            });
+        };
+        user("a", [0, 0]);
+        user("b", [0, 0]);
+        user("c", [0, 0]);
+        // Queued at 5 ns, so it runs at 10 ns after `a`'s `hold` and before
+        // the `b` that `hold` woke: the chunk lying there is `b`'s.
+        user("barger", [5, 5]);
+        assert_eq!(engine.run(), Ok(SimTime::from_nanos(55)));
+        let expected = vec![("a", 0), ("b", 15), ("c", 30), ("barger", 45)];
+        assert_eq!(*order.lock(), expected);
+    }
+
+    /// The first-minimum scan `TimedPool` used to be, kept as the oracle.
+    struct ScanPool(Vec<SimTime>);
+
+    impl ScanPool {
+        /// The chunk granted at `now` and the instant it is granted.
+        fn acquire(&mut self, now: SimTime) -> (usize, SimTime) {
+            let (index, slot) = self
+                .0
+                .iter_mut()
+                .enumerate()
+                .min_by_key(|(_, t)| **t)
+                .expect("pool is non-empty");
+            let grant = (*slot).max(now);
+            *slot = SimTime::MAX; // in use until hold() is called
+            (index, grant)
+        }
+
+        fn free_at(&self, now: SimTime) -> usize {
+            self.0.iter().filter(|t| **t <= now).count()
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// One thread drives the heap pool and the scan with the same
+        /// acquires, holds and advances: same chunk, same grant instant and
+        /// same free count at every step. It never acquires with every
+        /// chunk granted, where the scan has the bug fixed above.
+        #[test]
+        fn timed_pool_grants_what_the_first_minimum_scan_granted(
+            chunks in 1usize..6,
+            ops in proptest::collection::vec((0u8..3, 0u64..400), 0..80),
+        ) {
+            let engine = Engine::new();
+            engine.spawn("driver", move |ctx| {
+                let pool = TimedPool::new(chunks);
+                let mut scan = ScanPool(vec![SimTime::ZERO; chunks]);
+                let mut granted = Vec::new();
+                for (kind, arg) in ops {
+                    match kind {
+                        0 if granted.len() < chunks => {
+                            let expected = scan.acquire(ctx.now());
+                            let grant = pool.acquire(ctx);
+                            assert_eq!((grant.index, ctx.now()), expected);
+                            granted.push(grant);
+                        }
+                        1 if !granted.is_empty() => {
+                            let grant = granted.swap_remove(arg as usize % granted.len());
+                            let busy_until = ctx.now() + SimDuration::from_nanos(arg);
+                            scan.0[grant.index] = busy_until;
+                            pool.hold(ctx, grant, busy_until);
+                        }
+                        _ => ctx.advance(SimDuration::from_nanos(arg)),
+                    }
+                    for at in [ctx.now(), ctx.now() + SimDuration::from_nanos(arg)] {
+                        assert_eq!(pool.free_at(at), scan.free_at(at), "free at {at}");
+                    }
+                }
+            });
+            engine.run().expect("the driver finishes");
+        }
     }
 
     #[test]

@@ -37,6 +37,28 @@
 //! held *across* `advance` or `park` blocks every other simulated thread
 //! that wants the lock forever, as it always has.)
 //!
+//! # Locking
+//!
+//! The scheduling state sits behind one `Mutex` that is never contended, so
+//! what it costs is acquisitions, and a turn makes one: `advance`, `park`,
+//! `park_until` and thread exit lock it for their own bookkeeping and hand
+//! the guard *by value* to `pass_baton` and `step()`, which picks, accepts
+//! and marks the next thread running under it and returns owned values
+//! only. No guard can therefore be alive at a switch — `std`'s mutex is not
+//! re-entrant, and behind a guard left on a suspended stack the next
+//! context's first `lock()` would wait on its own OS thread forever.
+//! `step()` lets go early only around sampler callbacks that are due.
+//!
+//! Three values are read without the lock, each one atomic with one
+//! writer: the clock (`accept`), whether a policy is installed
+//! (`set_schedule_policy`) and whether shutdown has begun (`shutdown_all`).
+//! Inside `run()` writer and readers are the same OS thread. Before it an
+//! `Engine` may be shared or moved between OS threads, but then the clock
+//! is zero whoever reads it, and only contexts read the other two: inside
+//! `run(self)` or `drop(&mut self)`, which whatever handed over the whole
+//! engine orders after every earlier call. `Release` stores and `Acquire`
+//! loads say so and are plain moves on x86_64.
+//!
 //! Callbacks — the sampler, [`SchedulePolicy::choose_event`] — run inside
 //! `step()`, so always on the `run()` caller's OS thread, but after the
 //! first event on a simulated thread's 512 KiB stack: no deep recursion
@@ -62,6 +84,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard};
@@ -270,7 +293,6 @@ impl PartialOrd for EventKey {
 }
 
 struct State {
-    clock: SimTime,
     next_seq: u64,
     queue: BinaryHeap<Reverse<(EventKey, ThreadId, u64)>>,
     /// Indexed by `ThreadId`, which is handed out sequentially.
@@ -290,6 +312,10 @@ struct State {
     /// When present, same-instant event ties and `SimCtx::choose` calls
     /// are routed through this policy instead of the fixed heap order.
     policy: Option<SchedulePolicyHandle>,
+    /// Taken out by `step()` while its callback runs, so that the callback
+    /// runs with this state unlocked and may read shared simulation data
+    /// (metric registries, span buffers) that simulated threads lock.
+    sampler: Option<Sampler>,
 }
 
 impl State {
@@ -321,7 +347,6 @@ impl State {
     /// touching the clock or the event counter.
     fn schedule_timer(&mut self, at: SimTime, tid: ThreadId, epoch: u64) {
         debug_assert_ne!(epoch, NORMAL_EVENT);
-        let at = at.max(self.clock);
         let key = EventKey {
             time: at,
             seq: self.next_seq,
@@ -340,9 +365,9 @@ impl State {
     /// Accepts an event: advances the clock, counts it, and records it to
     /// the schedule log if recording is on. The single point every
     /// scheduling decision — default or policy-picked — flows through.
-    fn accept(&mut self, time: SimTime, tid: ThreadId) {
+    fn accept(&mut self, clock: &AtomicU64, time: SimTime, tid: ThreadId) {
         self.events_processed += 1;
-        self.clock = time;
+        clock.store(time.as_nanos(), Ordering::Release);
         if self.schedule.is_some() {
             let label = format!(
                 "t={} {}",
@@ -361,7 +386,11 @@ impl State {
 /// policy which candidate runs, re-queues the rest with their original
 /// keys (they are re-validated when the next frontier is built), and
 /// accepts the chosen event exactly as the default path would.
-fn pick_with_policy(st: &mut State, policy: &SchedulePolicyHandle) -> Option<(SimTime, ThreadId)> {
+fn pick_with_policy(
+    st: &mut State,
+    clock: &AtomicU64,
+    policy: &SchedulePolicyHandle,
+) -> Option<(SimTime, ThreadId)> {
     // Find the first live event; its time defines the frontier.
     let mut frontier: Vec<(EventKey, ThreadId, u64)> = Vec::new();
     let time = loop {
@@ -414,13 +443,13 @@ fn pick_with_policy(st: &mut State, policy: &SchedulePolicyHandle) -> Option<(Si
             slot.timed_out = true;
         }
     }
-    st.accept(time, tid);
+    st.accept(clock, time, tid);
     Some((time, tid))
 }
 
 /// The default scheduling path: pops the earliest live event in
 /// `(time, seq)` order and accepts it.
-fn pick_default(st: &mut State) -> Option<(SimTime, ThreadId)> {
+fn pick_default(st: &mut State, clock: &AtomicU64) -> Option<(SimTime, ThreadId)> {
     loop {
         let Reverse((key, tid, epoch)) = st.queue.pop()?;
         if epoch != NORMAL_EVENT {
@@ -435,7 +464,7 @@ fn pick_default(st: &mut State) -> Option<(SimTime, ThreadId)> {
                 slot.timed_out = true;
             }
         }
-        st.accept(key.time, tid);
+        st.accept(clock, key.time, tid);
         return Some((key.time, tid));
     }
 }
@@ -457,11 +486,27 @@ struct Sampler {
 
 struct Shared {
     state: Mutex<State>,
-    /// Separate lock from `state`: the callback runs with the state lock
-    /// released, so it may freely read shared simulation data (metric
-    /// registries, span buffers) without deadlocking against the engine.
-    sampler: Mutex<Option<Sampler>>,
+    /// The virtual clock in nanoseconds. This and the two flags below are
+    /// read without the state lock; see "Locking" in the module docs.
+    clock: AtomicU64,
+    /// Whether `State::policy` is set.
+    has_policy: AtomicBool,
+    /// Set by `shutdown_all`: a context resumed from now on may have been
+    /// resumed to unwind, and looks at its slot to find out.
+    shutdown: AtomicBool,
     event_budget: u64,
+}
+
+impl Shared {
+    fn now(&self) -> SimTime {
+        SimTime::from_nanos(self.clock.load(Ordering::Acquire))
+    }
+
+    /// Whether `tid` was resumed to unwind, not to carry on.
+    fn shut_down(&self, tid: ThreadId) -> bool {
+        let exited = |st: &State| st.slot(tid).expect("own slot missing").exited;
+        self.shutdown.load(Ordering::Acquire) && exited(&self.state.lock())
+    }
 }
 
 /// The discrete-event simulation engine. See the crate-level docs for
@@ -510,7 +555,6 @@ impl Engine {
         Engine {
             shared: Arc::new(Shared {
                 state: Mutex::new(State {
-                    clock: SimTime::ZERO,
                     next_seq: 0,
                     queue: BinaryHeap::new(),
                     threads: Vec::new(),
@@ -519,8 +563,11 @@ impl Engine {
                     events_processed: 0,
                     schedule: None,
                     policy: None,
+                    sampler: None,
                 }),
-                sampler: Mutex::new(None),
+                clock: AtomicU64::new(0),
+                has_policy: AtomicBool::new(false),
+                shutdown: AtomicBool::new(false),
                 event_budget: budget,
             }),
         }
@@ -548,7 +595,9 @@ impl Engine {
     /// with [`DefaultSchedulePolicy`] — the engine produces byte-identical
     /// schedules to builds that predate the hook.
     pub fn set_schedule_policy(&self, policy: SchedulePolicyHandle) {
-        self.shared.state.lock().policy = Some(policy);
+        let mut st = self.shared.state.lock();
+        st.policy = Some(policy);
+        self.shared.has_policy.store(true, Ordering::Release);
     }
 
     /// Installs a recurring virtual-time sampler: `callback` is invoked
@@ -582,7 +631,7 @@ impl Engine {
         F: FnMut(SimTime) + Send + 'static,
     {
         assert!(!period.is_zero(), "sampler period must be positive");
-        *self.shared.sampler.lock() = Some(Sampler {
+        self.shared.state.lock().sampler = Some(Sampler {
             period,
             next_boundary: SimTime::ZERO + period,
             callback: Box::new(callback),
@@ -626,12 +675,13 @@ impl Engine {
     pub fn run(self) -> Result<SimTime, SimError> {
         let shared = &*self.shared;
         let driver = Context::current();
-        shared.state.lock().driver = Some(Arc::clone(&driver));
+        let mut st = shared.state.lock();
+        st.driver = Some(Arc::clone(&driver));
         // Pick the first event and switch to its thread; the baton travels
         // between the simulated threads until one finds the end and
         // switches back. With nothing to run, or a callback that panics at
         // once, the driver has found the end itself and stays where it is.
-        let first = pass_baton(shared, None).expect("the driver has no event of its own");
+        let first = pass_baton(shared, st, None).expect("the driver has no event of its own");
         if !Arc::ptr_eq(&first, &driver) {
             context::switch_to(first);
         }
@@ -651,7 +701,7 @@ impl Engine {
                 deadlocked.sort();
                 Err(SimError::Deadlock { parked: deadlocked })
             }
-            (End::Drained, _) => Ok(shared.state.lock().clock),
+            (End::Drained, _) => Ok(shared.now()),
         }
     }
 }
@@ -669,47 +719,54 @@ impl Drop for Engine {
 /// installed policy's choice among same-instant ties), accepts it, fires
 /// the sampler, and marks the chosen thread running. Everything the engine
 /// decides between one thread's turn and the next is in here, and whoever
-/// holds the baton calls it. `Err` says why there is no next thread.
-fn step(shared: &Shared) -> Result<(ThreadId, Arc<Context>), End> {
+/// holds the baton calls it, handing over the lock it holds: the guard ends
+/// in here, so that none is alive when the caller switches. `Ok` is the
+/// context to switch to, `None` when the next event is `me`'s own; `Err`
+/// says why there is no next thread.
+fn step<'a>(
+    shared: &'a Shared,
+    mut st: MutexGuard<'a, State>,
+    me: Option<ThreadId>,
+) -> Result<Option<Arc<Context>>, End> {
     loop {
-        let (time, tid) = {
-            let mut st = shared.state.lock();
-            // The budget only fires when a live event is waiting: a run
-            // that finishes on its last budgeted event has drained.
-            while let Some(&Reverse((_, tid, epoch))) = st.queue.peek() {
-                if epoch == NORMAL_EVENT || st.timer_valid(tid, epoch) {
-                    break;
-                }
-                st.queue.pop();
+        // The budget only fires when a live event is waiting: a run that
+        // finishes on its last budgeted event has drained.
+        while let Some(&Reverse((_, tid, epoch))) = st.queue.peek() {
+            if epoch == NORMAL_EVENT || st.timer_valid(tid, epoch) {
+                break;
             }
-            if st.queue.is_empty() {
-                return Err(End::Drained);
-            }
-            if st.events_processed >= shared.event_budget {
-                return Err(End::BudgetHit);
-            }
-            match st.policy.clone() {
-                Some(policy) => pick_with_policy(&mut st, &policy),
-                None => pick_default(&mut st),
-            }
-            .expect("a live event is queued")
-        };
+            st.queue.pop();
+        }
+        if st.queue.is_empty() {
+            return Err(End::Drained);
+        }
+        if st.events_processed >= shared.event_budget {
+            return Err(End::BudgetHit);
+        }
+        let (time, tid) = match st.policy.clone() {
+            Some(policy) => pick_with_policy(&mut st, &shared.clock, &policy),
+            None => pick_default(&mut st, &shared.clock),
+        }
+        .expect("a live event is queued");
 
         // Fire the sampler for every window boundary the clock just
         // crossed, *before* the chosen thread runs: the event at `time`
         // belongs to the window starting at the boundary, so a callback at
         // boundary `b` sees exactly the state produced by events strictly
-        // before `b`. The state lock is released here — the callback may
-        // read shared simulation data freely.
-        if let Some(s) = shared.sampler.lock().as_mut() {
+        // before `b`. The state lock is released around the callbacks — they
+        // may read shared simulation data freely.
+        if st.sampler.as_ref().is_some_and(|s| s.next_boundary <= time) {
+            let mut s = st.sampler.take().expect("just seen");
+            drop(st);
             while s.next_boundary <= time {
                 let boundary = s.next_boundary;
                 s.next_boundary = boundary + s.period;
                 (s.callback)(boundary);
             }
+            st = shared.state.lock();
+            st.sampler = Some(s);
         }
 
-        let mut st = shared.state.lock();
         let slot = st.slot_mut(tid).expect("event for unknown thread");
         if slot.exited {
             continue;
@@ -719,19 +776,22 @@ fn step(shared: &Shared) -> Result<(ThreadId, Arc<Context>), End> {
         if matches!(slot.park, ParkState::Parked | ParkState::ParkedScheduled) {
             slot.park = ParkState::Running;
         }
-        return Ok((tid, Arc::clone(&slot.context)));
+        return Ok((Some(tid) != me).then(|| Arc::clone(&slot.context)));
     }
 }
 
-/// Holding the baton: runs one `step()` and returns the context to switch
-/// to — the next thread's, or the driver's with the reason the run ended
-/// left for it. `None` when the next event is `me`'s own. A panic in a
-/// callback ends the run under its own message, whichever context it
-/// happened on.
-fn pass_baton(shared: &Shared, me: Option<ThreadId>) -> Option<Arc<Context>> {
-    let end = match panic::catch_unwind(AssertUnwindSafe(|| step(shared))) {
-        Ok(Ok((tid, _))) if Some(tid) == me => return None,
-        Ok(Ok((_, context))) => return Some(context),
+/// Holding the baton: runs one `step()` under the caller's lock and returns
+/// the context to switch to — the next thread's, or the driver's with the
+/// reason the run ended left for it. `None` when the next event is `me`'s
+/// own. A panic in a callback ends the run under its own message, whichever
+/// context it happened on; the guard it unwound through is gone by then.
+fn pass_baton<'a>(
+    shared: &'a Shared,
+    st: MutexGuard<'a, State>,
+    me: Option<ThreadId>,
+) -> Option<Arc<Context>> {
+    let end = match panic::catch_unwind(AssertUnwindSafe(|| step(shared, st, me))) {
+        Ok(Ok(next)) => return next,
         Ok(Err(end)) => end,
         Err(payload) => End::Panicked(panic_message(&*payload)),
     };
@@ -765,6 +825,7 @@ fn shutdown_all(shared: &Shared) -> (Vec<String>, Option<String>) {
     // The caller is the driver: `run`, which has said so already, or the
     // `Drop` of an engine never run.
     shared.state.lock().driver = Some(Context::current());
+    shared.shutdown.store(true, Ordering::Release);
     for i in 0.. {
         let context = {
             let mut st = shared.state.lock();
@@ -803,13 +864,11 @@ where
     // dropped `ctx` and everything else it owns: the switch away from a
     // finished context never returns.
     let context = Context::new(Box::new(move || {
-        let st = ctx.shared.state.lock();
-        if st.slot(tid).expect("own slot missing").exited {
+        if ctx.shared.shut_down(tid) {
             // Shut down before it ever ran: `f` is dropped unrun and there
             // is nothing to report.
-            return st.driver();
+            return ctx.shared.state.lock().driver();
         }
-        drop(st);
         let panicked = match panic::catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
             Err(payload) if !payload.is::<ShutdownToken>() => Some(panic_message(&*payload)),
             _ => None,
@@ -826,8 +885,7 @@ where
         if shut_down {
             return st.driver();
         }
-        drop(st);
-        pass_baton(&ctx.shared, None).expect("an exited thread has no event of its own")
+        pass_baton(&ctx.shared, st, None).expect("an exited thread has no event of its own")
     }));
     st.threads.push(ThreadSlot {
         name,
@@ -839,8 +897,7 @@ where
         timed_out: false,
     });
     // First run at the current virtual instant.
-    let now = st.clock;
-    st.schedule(now, tid);
+    st.schedule(shared.now(), tid);
     tid
 }
 
@@ -862,7 +919,7 @@ impl SimCtx {
 
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
-        self.shared.state.lock().clock
+        self.shared.now()
     }
 
     /// Number of events the engine has processed so far (a monotone,
@@ -878,7 +935,7 @@ impl SimCtx {
     /// schedule log or the event queue, so calling it is pure observation
     /// under the default policy.
     pub fn choose(&self, tag: &str, n: usize) -> usize {
-        if n <= 1 {
+        if n <= 1 || !self.has_schedule_policy() {
             return 0;
         }
         let policy = self.shared.state.lock().policy.clone();
@@ -892,7 +949,7 @@ impl SimCtx {
     /// Lets hot paths skip building candidate sets for [`SimCtx::choose`]
     /// when nobody is listening.
     pub fn has_schedule_policy(&self) -> bool {
-        self.shared.state.lock().policy.is_some()
+        self.shared.has_policy.load(Ordering::Acquire)
     }
 
     /// Advances this thread's virtual time by `d`, letting other threads run
@@ -900,8 +957,7 @@ impl SimCtx {
     /// moving the clock.
     pub fn advance(&self, d: SimDuration) {
         let mut st = self.shared.state.lock();
-        let at = st.clock + d;
-        st.schedule(at, self.tid);
+        st.schedule(self.now() + d, self.tid);
         self.yield_and_wait(st);
     }
 
@@ -962,7 +1018,7 @@ impl SimCtx {
             }
         }
         let epoch = slot.park_epoch;
-        st.schedule_timer(deadline, self.tid, epoch);
+        st.schedule_timer(deadline.max(self.now()), self.tid, epoch);
         self.yield_and_wait(st);
         let mut st = self.shared.state.lock();
         let slot = st.slot_mut(self.tid).expect("own slot missing");
@@ -973,7 +1029,6 @@ impl SimCtx {
     /// virtual time; otherwise its next `park()` returns immediately.
     pub fn unpark(&self, target: ThreadId) {
         let mut st = self.shared.state.lock();
-        let now = st.clock;
         let Some(slot) = st.slot_mut(target) else {
             return;
         };
@@ -985,7 +1040,7 @@ impl SimCtx {
             ParkState::Notified | ParkState::ParkedScheduled => {}
             ParkState::Parked => {
                 slot.park = ParkState::ParkedScheduled;
-                st.schedule(now, target);
+                st.schedule(self.now(), target);
             }
         }
     }
@@ -1007,17 +1062,14 @@ impl SimCtx {
         spawn_thread(&self.shared, name.into(), true, f)
     }
 
-    /// The end of this thread's turn: releases the lock the caller took for
-    /// its own bookkeeping, passes the baton, and — unless its own event
-    /// was next — is suspended until this thread is resumed or shut down.
+    /// The end of this thread's turn: passes the baton under the lock the
+    /// caller took for its own bookkeeping, and — unless its own event was
+    /// next — is suspended until this thread is resumed or shut down.
     fn yield_and_wait(&self, st: MutexGuard<'_, State>) {
-        drop(st);
-        if let Some(next) = pass_baton(&self.shared, Some(self.tid)) {
+        if let Some(next) = pass_baton(&self.shared, st, Some(self.tid)) {
             context::switch_to(next);
             // Resumed: to carry on, or — slot marked `exited` — to unwind.
-            let st = self.shared.state.lock();
-            if st.slot(self.tid).expect("own slot missing").exited {
-                drop(st);
+            if self.shared.shut_down(self.tid) {
                 panic::resume_unwind(Box::new(ShutdownToken));
             }
         }
@@ -1460,6 +1512,209 @@ mod tests {
             "an installed sampler must not perturb the schedule"
         );
         assert!(!plain_text.is_empty());
+    }
+
+    /// `advance`, `park`/`unpark`, a `park_until` that times out and one
+    /// that does not, and a thread that exits mid-run. Every thread notes
+    /// `now()` in `seen` each time it starts or is resumed.
+    fn every_way_to_yield(engine: &Engine, seen: &StdArc<Mutex<Vec<u64>>>) {
+        let note = |seen: &Mutex<Vec<u64>>, ctx: &SimCtx| seen.lock().push(ctx.now().as_nanos());
+        let log = StdArc::clone(seen);
+        let waiter = engine.spawn("waiter", move |ctx| {
+            note(&log, ctx);
+            ctx.park();
+            note(&log, ctx);
+            assert!(ctx.park_until(ctx.now() + SimDuration::from_nanos(700)));
+            note(&log, ctx);
+            assert!(!ctx.park_until(ctx.now() + SimDuration::from_micros(10)));
+            note(&log, ctx);
+            ctx.advance(SimDuration::from_nanos(3));
+            note(&log, ctx);
+        });
+        let log = StdArc::clone(seen);
+        engine.spawn("waker", move |ctx| {
+            note(&log, ctx);
+            for gap in [1_000, 2_000] {
+                ctx.advance(SimDuration::from_nanos(gap));
+                note(&log, ctx);
+                ctx.unpark(waiter);
+            }
+        });
+        let log = StdArc::clone(seen);
+        engine.spawn("short-lived", move |ctx| {
+            note(&log, ctx);
+            ctx.advance(SimDuration::from_nanos(500));
+            note(&log, ctx);
+        });
+        let log = StdArc::clone(seen);
+        engine.spawn("ticker", move |ctx| {
+            note(&log, ctx);
+            for _ in 0..8 {
+                ctx.advance(SimDuration::from_nanos(450));
+                note(&log, ctx);
+            }
+        });
+    }
+
+    #[test]
+    fn now_is_the_accepted_time_with_or_without_sampler_and_policy() {
+        const PERIOD_NS: u64 = 400;
+        /// The schedule log, what the threads saw, what the sampler saw.
+        type Run = (String, Vec<u64>, Vec<(u64, u64)>);
+        fn run_once(sample: bool, policy: bool) -> Run {
+            let engine = Engine::new();
+            let log = engine.record_schedule("every-way-to-yield");
+            let seen = StdArc::new(Mutex::new(Vec::new()));
+            let samples = StdArc::new(Mutex::new(Vec::new()));
+            if sample {
+                let (seen, samples) = (StdArc::clone(&seen), StdArc::clone(&samples));
+                let shared = StdArc::downgrade(&engine.shared);
+                engine.set_sampler(SimDuration::from_nanos(PERIOD_NS), move |boundary| {
+                    let shared = shared.upgrade().expect("the engine is running");
+                    // The scheduling state is unlocked, and so is whatever
+                    // the simulated threads lock: nobody is mid-turn.
+                    assert!(shared.state.try_lock().is_some(), "state locked");
+                    assert!(!seen.lock().is_empty(), "thread 0 started at t=0");
+                    let now = shared.now().as_nanos();
+                    samples.lock().push((boundary.as_nanos(), now));
+                });
+            }
+            if policy {
+                engine.set_schedule_policy(SchedulePolicyHandle::new(DefaultSchedulePolicy));
+            }
+            every_way_to_yield(&engine, &seen);
+            assert_eq!(engine.run(), Ok(SimTime::from_nanos(3_600)));
+            let text = log.lock().to_text();
+            let (seen, samples) = (seen.lock().clone(), samples.lock().clone());
+            (text, seen, samples)
+        }
+        let bare = run_once(false, false);
+        let sampled = run_once(true, false);
+        for (sample, policy) in [(false, true), (true, true)] {
+            let (text, seen, samples) = run_once(sample, policy);
+            assert_eq!(text, bare.0, "sampler {sample}, policy {policy}");
+            assert_eq!(seen, bare.1, "sampler {sample}, policy {policy}");
+            assert_eq!(samples, if sample { sampled.2.clone() } else { vec![] });
+        }
+        assert_eq!((&sampled.0, &sampled.1), (&bare.0, &bare.1));
+
+        // Every accepted event starts or resumes one thread, which notes
+        // `now()` at once: the notes are the accepted times, in order.
+        let accepted: Vec<u64> = ScheduleLog::parse(&bare.0)
+            .expect("own output")
+            .steps()
+            .iter()
+            .map(|step| {
+                let time = step
+                    .label
+                    .strip_prefix("t=")
+                    .and_then(|l| l.split(' ').next());
+                time.expect("t=<ns> <name>").parse().expect("nanoseconds")
+            })
+            .collect();
+        assert_eq!(bare.1, accepted);
+        assert!(accepted.len() == 19 && accepted.windows(2).all(|w| w[0] <= w[1]));
+        // A boundary's callback runs when the first event at or past it has
+        // been accepted, and the clock already says so.
+        let expected: Vec<(u64, u64)> = (1..=3_600 / PERIOD_NS)
+            .map(|k| k * PERIOD_NS)
+            .map(|b| {
+                (
+                    b,
+                    *accepted.iter().find(|t| **t >= b).expect("a later event"),
+                )
+            })
+            .collect();
+        assert_eq!(sampled.2, expected);
+    }
+
+    /// How a run ends while other threads are suspended mid-call.
+    #[derive(Clone, Copy, Debug)]
+    enum Ending {
+        Drain,
+        Budget,
+        Panic,
+    }
+
+    #[test]
+    fn threads_suspended_in_any_call_unwind_however_the_run_ends() {
+        for ending in [Ending::Drain, Ending::Budget, Ending::Panic] {
+            let engine = Engine::with_event_budget(40);
+            let token = StdArc::new(());
+            let far = SimDuration::from_secs(1);
+            let held = StdArc::clone(&token);
+            engine.spawn_daemon("in-park", move |ctx| {
+                let _held = held;
+                ctx.park();
+            });
+            // A queued resume or timer is a live event: these two cannot be
+            // suspended when a run drains.
+            if !matches!(ending, Ending::Drain) {
+                let held = StdArc::clone(&token);
+                engine.spawn_daemon("in-advance", move |ctx| {
+                    let _held = held;
+                    ctx.advance(far);
+                });
+                let held = StdArc::clone(&token);
+                engine.spawn_daemon("in-park-until", move |ctx| {
+                    let _held = held;
+                    ctx.park_until(ctx.now() + far);
+                });
+            }
+            let held = StdArc::clone(&token);
+            engine.spawn("main", move |ctx| {
+                let _held = held;
+                ctx.advance(SimDuration::from_nanos(10));
+                match ending {
+                    Ending::Drain => {}
+                    Ending::Budget => loop {
+                        ctx.advance(SimDuration::from_nanos(10));
+                    },
+                    Ending::Panic => panic!("boom"),
+                }
+            });
+            let result = panic::catch_unwind(AssertUnwindSafe(|| engine.run()));
+            match ending {
+                Ending::Drain => assert_eq!(result.ok(), Some(Ok(SimTime::from_nanos(10)))),
+                Ending::Budget => {
+                    let spent = SimError::EventBudgetExhausted { budget: 40 };
+                    assert_eq!(result.ok(), Some(Err(spent)));
+                }
+                Ending::Panic => {
+                    let payload = result.expect_err("run() re-raises");
+                    let expected = "simulated thread 'main#3' panicked: boom";
+                    assert_eq!(panic_message(&*payload), expected);
+                }
+            }
+            // Every `_held` was dropped by its thread unwinding.
+            assert_eq!(StdArc::strong_count(&token), 1, "{ending:?}");
+        }
+    }
+
+    #[test]
+    fn a_policy_panic_takes_the_guard_with_it_and_leaves_the_state_lockable() {
+        // `choose_event` runs under the state lock, inside the
+        // `catch_unwind` whose closure owns the guard. Its third call is
+        // made from a simulated thread's `advance`.
+        struct ThirdCallBomb(u32);
+        impl SchedulePolicy for ThirdCallBomb {
+            fn choose_event(&mut self, _now: SimTime, _c: &[ScheduleChoice]) -> usize {
+                self.0 += 1;
+                assert!(self.0 < 3, "policy boom");
+                0
+            }
+        }
+        let engine = Engine::new();
+        let token = populate(&engine);
+        engine.spawn("clock", |ctx| ctx.advance(SimDuration::from_nanos(1)));
+        engine.set_schedule_policy(SchedulePolicyHandle::new(ThirdCallBomb(0)));
+        let shared = StdArc::clone(&engine.shared);
+        assert_eq!(run_panics(engine), "policy boom");
+        // `end_run`, `shutdown_all` and the engine's `Drop` all locked the
+        // state after the panic, and the last of them let go.
+        assert_eq!(StdArc::strong_count(&token), 1);
+        let st = shared.state.try_lock().expect("no guard was left behind");
+        assert!(st.ended.is_none() && st.threads.iter().all(|slot| slot.exited));
     }
 
     #[test]
