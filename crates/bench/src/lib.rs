@@ -20,7 +20,7 @@
 //! `BENCH_<name>.json` result in one stable schema ([`BenchResult`]),
 //! written to `DEX_BENCH_OUT` (default: the current directory). The
 //! `dex-check perf` subcommand diffs those files against the committed
-//! baselines with tolerance bands. `--smoke` (or `DEX_BENCH_SMOKE=1`)
+//! baselines exactly. `--smoke` (or `DEX_BENCH_SMOKE=1`)
 //! selects the reduced configuration the CI gate runs.
 //!
 //! Setting `DEX_BENCH_SPANS=<dir>` additionally records causal spans

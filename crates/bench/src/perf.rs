@@ -3,7 +3,7 @@
 //! Every bench binary distills its run into one [`BenchResult`] and
 //! writes it as `BENCH_<name>.json` (see [`BenchResult::write`]), all in
 //! one stable schema so `dex-check perf` can diff any run against the
-//! committed baselines with tolerance bands:
+//! committed baselines:
 //!
 //! ```json
 //! {
@@ -21,9 +21,10 @@
 //! }
 //! ```
 //!
-//! The simulator is deterministic, so the numbers are exact per commit;
-//! the tolerance band in `dex-check perf` absorbs intentional evolution
-//! of the cost model and protocol, not run-to-run noise. The JSON is
+//! The simulator is deterministic, so the numbers are exact per commit
+//! and `dex-check perf` requires every field to match its baseline; an
+//! intentional change to the cost model or protocol is re-baselined with
+//! `dex-check perf --update`. The JSON is
 //! hand-rolled (no serde in the offline build): all values are `u64`
 //! except `schema`/`name`, and `extra` is a flat string→u64 object.
 

@@ -13,7 +13,8 @@
 //!   synchronization object — in the remainder of the execution.
 //!   Independent steps commute: swapping them provably yields the same
 //!   partial order, so the subtree is redundant. Footprints come from
-//!   the happens-before event stream the race detector already records;
+//!   the event stream the race detector already records, through
+//!   [`crate::hb`]'s granule walk and event → sync-object mapping;
 //!   steps that cannot be attributed to a recorded thread (dispatcher
 //!   daemons, protocol timers) conservatively conflict with everything.
 //! * **Sleep-set analogue** ([`rf_signature`]): executions are hashed by
@@ -32,8 +33,7 @@ use std::hash::{Hash, Hasher};
 use dex_core::{RaceEvent, RaceEventKind, Tid};
 use dex_sim::SimTime;
 
-/// Conflict-tracking granule (matches the race detector).
-const GRANULE: u64 = 8;
+use crate::hb::{granules, sync_object};
 
 /// What one thread touched during (a suffix of) an execution.
 #[derive(Clone, Debug, Default)]
@@ -80,27 +80,14 @@ pub fn footprints_after(events: &[RaceEvent], cutoff: SimTime) -> HashMap<Tid, F
                 is_write,
                 ..
             } => {
-                let start = addr.as_u64() / GRANULE;
-                let end = (addr.as_u64() + len.max(1) as u64 - 1) / GRANULE;
-                for g in start..=end {
-                    if is_write {
-                        fp.writes.insert(g);
-                    } else {
-                        fp.reads.insert(g);
-                    }
-                }
+                let touched = if is_write {
+                    &mut fp.writes
+                } else {
+                    &mut fp.reads
+                };
+                touched.extend(granules(addr, len));
             }
-            RaceEventKind::LockAcquire { lock } | RaceEventKind::LockRelease { lock } => {
-                fp.syncs.insert(lock.as_u64());
-            }
-            RaceEventKind::FutexWake { addr } | RaceEventKind::FutexWaitReturn { addr } => {
-                fp.syncs.insert(addr.as_u64());
-            }
-            RaceEventKind::BarrierEnter { barrier, .. }
-            | RaceEventKind::BarrierLeave { barrier, .. } => {
-                fp.syncs.insert(barrier.as_u64());
-            }
-            RaceEventKind::Spawn { .. } => {}
+            _ => fp.syncs.extend(sync_object(event).map(|a| a.as_u64())),
         }
     }
     out
@@ -147,62 +134,11 @@ pub fn worth_exploring(
 /// values reads observed (the reads-from function). Equal signatures ⇒
 /// equivalent executions ⇒ expanding both is redundant.
 pub fn rf_signature(events: &[RaceEvent]) -> u64 {
-    let mut per_thread: HashMap<Tid, Vec<u64>> = HashMap::new();
+    let mut per_thread: HashMap<Tid, Vec<RaceEventKind>> = HashMap::new();
     for event in events {
-        let seq = per_thread.entry(event.task).or_default();
-        match event.kind {
-            RaceEventKind::Access {
-                addr,
-                len,
-                is_write,
-                atomic,
-                value,
-            } => {
-                seq.push(1);
-                seq.push(addr.as_u64());
-                seq.push(len as u64);
-                seq.push(is_write as u64 | (atomic as u64) << 1);
-                seq.push(value);
-            }
-            RaceEventKind::LockAcquire { lock } => {
-                seq.push(2);
-                seq.push(lock.as_u64());
-            }
-            RaceEventKind::LockRelease { lock } => {
-                seq.push(3);
-                seq.push(lock.as_u64());
-            }
-            RaceEventKind::FutexWake { addr } => {
-                seq.push(4);
-                seq.push(addr.as_u64());
-            }
-            RaceEventKind::FutexWaitReturn { addr } => {
-                seq.push(5);
-                seq.push(addr.as_u64());
-            }
-            RaceEventKind::BarrierEnter {
-                barrier,
-                generation,
-            } => {
-                seq.push(6);
-                seq.push(barrier.as_u64());
-                seq.push(generation as u64);
-            }
-            RaceEventKind::BarrierLeave {
-                barrier,
-                generation,
-            } => {
-                seq.push(7);
-                seq.push(barrier.as_u64());
-                seq.push(generation as u64);
-            }
-            RaceEventKind::Spawn { child } => {
-                seq.push(8);
-                seq.push(child.0);
-            }
-        }
+        per_thread.entry(event.task).or_default().push(event.kind);
     }
-    let mut threads: Vec<(Tid, Vec<u64>)> = per_thread.into_iter().collect();
+    let mut threads: Vec<(Tid, Vec<RaceEventKind>)> = per_thread.into_iter().collect();
     threads.sort_by_key(|(tid, _)| tid.0);
     let mut hasher = DefaultHasher::new();
     threads.hash(&mut hasher);

@@ -12,10 +12,11 @@
 //!   writes it in the [`dex_sim::ScheduleLog`] replay format.
 //! * [`races`] — offline dynamic race and deadlock detection over the
 //!   synchronization/access event stream a run records under
-//!   [`dex_core::ClusterConfig::with_race_detection`]: vector-clock
-//!   happens-before (lock release → acquire, futex wake → wait-return,
-//!   barrier rounds, spawn), conflicting unordered accesses, and
-//!   lock-order-graph cycles.
+//!   [`dex_core::ClusterConfig::with_race_detection`]: conflicting
+//!   unordered accesses and lock-order-graph cycles. Happens-before comes
+//!   from the crate-private `hb.rs`, one pass shared with the SC oracle
+//!   and DPOR (lock release → acquire, the waker's latest futex wake →
+//!   the wait-return it caused, barrier rounds, spawn).
 //! * [`lint`] — source-level invariant lints (raw `NodeSet`
 //!   construction, PTE mutation outside the protocol allowlist,
 //!   non-exhaustive `DirAction` consumers, `unwrap()` on fabric paths).
@@ -36,8 +37,8 @@
 //!   exports the Chrome trace-event JSON and the critical-path report,
 //!   and verifies cross-node span stitching.
 //! * [`perf`] — the perf-regression gate: diffs fresh `BENCH_*.json`
-//!   results from the bench binaries against committed baselines with
-//!   tolerance bands, and self-tests that a seeded regression is
+//!   results from the bench binaries against committed baselines
+//!   exactly, and self-tests that a one-unit change in any field is
 //!   caught.
 //! * [`whatif`] — the causal what-if profiler: per-component virtual
 //!   speedups (exact under deterministic rerun) swept over named
@@ -62,6 +63,7 @@
 pub mod dpor;
 pub mod explore;
 pub mod faults;
+mod hb;
 pub mod lint;
 pub mod model_check;
 pub mod observe;
@@ -86,9 +88,7 @@ pub use model_check::{
     CheckOptions, CheckOutcome, Counterexample, PassReport, ReplayOutcome, SweepRow,
 };
 pub use observe::{run_observed_workload, ObserveOutcome};
-pub use perf::{
-    compare_dirs, compare_results, load_results, self_test, PerfTolerance, PerfViolation,
-};
+pub use perf::{compare_dirs, compare_results, load_results, self_test, PerfViolation};
 pub use races::{analyze_races, render_race_report, Conflict, LockCycle, RaceReport};
 pub use sc::{check_sequential_consistency, render_sc_report, ScReport, ScViolation};
 pub use scenarios::{run_scenario, scenario_names, Scenario, SCENARIOS};

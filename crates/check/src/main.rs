@@ -11,8 +11,7 @@
 //! dex-check lint   [--root DIR]
 //! dex-check timeline [--out FILE] [--spans-out FILE]
 //! dex-check metrics
-//! dex-check perf [--results DIR] [--baselines DIR] [--tolerance PCT]
-//!                [--update] [--self-test]
+//! dex-check perf [--results DIR] [--baselines DIR] [--update] [--self-test]
 //! dex-check whatif [--workload NAME] [--factor F] [--component NAME]...
 //!                  [--out FILE] [--smoke] [--self-test]
 //! dex-check all
@@ -59,8 +58,7 @@ USAGE:
   dex-check lint   [--root DIR]
   dex-check timeline [--out FILE] [--spans-out FILE]
   dex-check metrics
-  dex-check perf [--results DIR] [--baselines DIR] [--tolerance PCT]
-                 [--update] [--self-test]
+  dex-check perf [--results DIR] [--baselines DIR] [--update] [--self-test]
   dex-check whatif [--workload NAME] [--factor F] [--component NAME]...
                    [--out FILE] [--smoke] [--self-test]
   dex-check all
@@ -96,10 +94,11 @@ SUBCOMMANDS:
            print the per-node / per-link counter and histogram snapshot
   perf     diff fresh BENCH_*.json results (written by the crates/bench
            binaries, see DEX_BENCH_OUT) against the committed baselines
-           in baselines/perf with a tolerance band; --update rewrites
-           the baselines from the results dir; --self-test perturbs
-           each committed baseline past the band and verifies the
-           comparison fails (proves the gate has teeth)
+           in baselines/perf: the simulator is deterministic, so every
+           field must match exactly; --update rewrites the baselines
+           from the results dir; --self-test changes each field of each
+           committed baseline by one unit and verifies the comparison
+           fails (proves the gate has teeth)
   whatif   causal what-if profiler: sweep virtual speedups/slowdowns
            over the named CostModel/NetConfig components for a chosen
            workload — the deterministic simulator makes each virtual
@@ -142,10 +141,9 @@ PERF OPTIONS:
   --results DIR      directory with fresh BENCH_*.json files (default
                      $DEX_BENCH_OUT, then the current directory)
   --baselines DIR    committed baselines (default <workspace>/baselines/perf)
-  --tolerance PCT    relative band in percent, 1..=400 (default 25)
   --update           rewrite the baselines from the results directory
-  --self-test        skip the comparison; verify seeded regressions in
-                     each committed baseline are caught by the band
+  --self-test        skip the comparison; verify a one-unit change in any
+                     field of each committed baseline is caught
 
 WHATIF OPTIONS:
   --workload NAME    workload to sweep: pingpong (retry-bound), migrate
@@ -489,21 +487,21 @@ fn cmd_replay(args: &[String]) -> Result<bool, String> {
     Ok(true)
 }
 
-fn cmd_races(args: &[String]) -> Result<bool, String> {
-    let mut scenario_filter: Option<String> = None;
+/// Parses the one flag `races` and `faults` take: `--scenario NAME`.
+fn parse_scenario_flag(cmd: &str, args: &[String]) -> Result<Option<String>, String> {
+    let mut scenario = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--scenario" => {
-                scenario_filter = Some(
-                    it.next()
-                        .ok_or_else(|| "--scenario needs a value".to_string())?
-                        .clone(),
-                )
-            }
-            other => return Err(format!("unknown flag `{other}` for `races`\n\n{USAGE}")),
+            "--scenario" => scenario = Some(it.next().ok_or("--scenario needs a value")?.clone()),
+            other => return Err(format!("unknown flag `{other}` for `{cmd}`\n\n{USAGE}")),
         }
     }
+    Ok(scenario)
+}
+
+fn cmd_races(args: &[String]) -> Result<bool, String> {
+    let scenario_filter = parse_scenario_flag("races", args)?;
 
     let names: Vec<&str> = match &scenario_filter {
         Some(name) if name != "all" => vec![name.as_str()],
@@ -543,20 +541,7 @@ fn cmd_races(args: &[String]) -> Result<bool, String> {
 }
 
 fn cmd_faults(args: &[String]) -> Result<bool, String> {
-    let mut scenario_filter: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--scenario" => {
-                scenario_filter = Some(
-                    it.next()
-                        .ok_or_else(|| "--scenario needs a value".to_string())?
-                        .clone(),
-                )
-            }
-            other => return Err(format!("unknown flag `{other}` for `faults`\n\n{USAGE}")),
-        }
-    }
+    let scenario_filter = parse_scenario_flag("faults", args)?;
 
     let names: Vec<&str> = match &scenario_filter {
         Some(name) if name != "all" => vec![name.as_str()],
@@ -676,7 +661,6 @@ fn cmd_metrics(args: &[String]) -> Result<bool, String> {
 fn cmd_perf(args: &[String]) -> Result<bool, String> {
     let mut results: Option<PathBuf> = None;
     let mut baselines: Option<PathBuf> = None;
-    let mut tolerance = dex_check::PerfTolerance::default();
     let mut update = false;
     let mut self_test = false;
     let mut it = args.iter();
@@ -687,9 +671,6 @@ fn cmd_perf(args: &[String]) -> Result<bool, String> {
         match flag.as_str() {
             "--results" => results = Some(PathBuf::from(value("--results")?)),
             "--baselines" => baselines = Some(PathBuf::from(value("--baselines")?)),
-            "--tolerance" => {
-                tolerance.relative = parse_num(value("--tolerance")?, 1, 400)? as f64 / 100.0
-            }
             "--update" => update = true,
             "--self-test" => self_test = true,
             other => return Err(format!("unknown flag `{other}` for `perf`\n\n{USAGE}")),
@@ -702,11 +683,10 @@ fn cmd_perf(args: &[String]) -> Result<bool, String> {
 
     if self_test {
         println!(
-            "perf self-test: seeding regressions past the ±{:.0}% band in {}",
-            tolerance.relative * 100.0,
+            "perf self-test: seeding a ±1 change in each field of each baseline in {}",
             baseline_dir.display()
         );
-        let lines = dex_check::self_test(&baseline_dir, &tolerance)?;
+        let lines = dex_check::self_test(&baseline_dir)?;
         for line in &lines {
             println!("  {line}");
         }
@@ -742,13 +722,11 @@ fn cmd_perf(args: &[String]) -> Result<bool, String> {
     }
 
     println!(
-        "perf gate: {} vs baselines in {} (±{:.0}% band, absolute floor {})",
+        "perf gate: {} vs baselines in {} (exact)",
         results_dir.display(),
         baseline_dir.display(),
-        tolerance.relative * 100.0,
-        tolerance.absolute
     );
-    let (lines, violations) = dex_check::compare_dirs(&baseline_dir, &results_dir, &tolerance)?;
+    let (lines, violations) = dex_check::compare_dirs(&baseline_dir, &results_dir)?;
     for line in &lines {
         println!("  {line}");
     }

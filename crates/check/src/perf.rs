@@ -2,49 +2,22 @@
 //!
 //! Every bench binary writes a `BENCH_<name>.json` result in the
 //! [`BenchResult`] schema; this module diffs a directory of fresh
-//! results against the committed baselines with a tolerance band. The
-//! simulator is deterministic, so the band absorbs *intentional*
-//! evolution of the cost model and protocol — anything outside it is a
-//! perf regression (or an improvement worth re-baselining with
-//! `dex-check perf --update`).
+//! results against the committed baselines. The simulator is
+//! deterministic, so every numeric field must match its baseline
+//! exactly: any drift is a perf regression (or an improvement worth
+//! re-baselining with `dex-check perf --update`).
 //!
 //! The gate must be falsifiable: [`self_test`] takes each baseline,
-//! perturbs one field just past the band, and verifies the comparison
-//! fails — run as part of `dex-check all` so CI proves the gate has
-//! teeth on every commit.
+//! changes each field by one unit in each direction, and verifies the
+//! comparison fails — run as part of `dex-check all` so CI proves the
+//! gate has teeth on every commit.
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
 use dex_bench::BenchResult;
 
-/// How far a fresh result may drift from its baseline.
-#[derive(Clone, Copy, Debug)]
-pub struct PerfTolerance {
-    /// Relative band, e.g. `0.25` allows ±25 % around the baseline.
-    pub relative: f64,
-    /// Absolute floor in field units, so tiny baselines (a handful of
-    /// faults, sub-microsecond latencies) don't fail on ±1 jitter.
-    pub absolute: u64,
-}
-
-impl Default for PerfTolerance {
-    fn default() -> Self {
-        PerfTolerance {
-            relative: 0.25,
-            absolute: 16,
-        }
-    }
-}
-
-impl PerfTolerance {
-    /// The maximum allowed absolute difference for a baseline value.
-    pub fn allowed_diff(&self, baseline: u64) -> u64 {
-        ((baseline as f64 * self.relative).ceil() as u64).max(self.absolute)
-    }
-}
-
-/// One field-level tolerance violation.
+/// One field that differs from its baseline.
 #[derive(Clone, Debug)]
 pub struct PerfViolation {
     /// The bench the field belongs to.
@@ -68,7 +41,7 @@ impl std::fmt::Display for PerfViolation {
                 };
                 write!(
                     f,
-                    "{}: {} drifted out of band: baseline {b}, got {c}{pct}",
+                    "{}: {} drifted: baseline {b}, got {c}{pct}",
                     self.bench, self.field
                 )
             }
@@ -87,47 +60,37 @@ impl std::fmt::Display for PerfViolation {
     }
 }
 
-/// Compares one fresh result against its baseline. Returns every
-/// field-level violation (empty = within tolerance).
-pub fn compare_results(
-    baseline: &BenchResult,
-    current: &BenchResult,
-    tol: &PerfTolerance,
-) -> Vec<PerfViolation> {
-    let mut violations = Vec::new();
-    let base: BTreeMap<String, u64> = baseline.numeric_fields().into_iter().collect();
-    let cur: BTreeMap<String, u64> = current.numeric_fields().into_iter().collect();
-    for (field, b) in &base {
-        match cur.get(field) {
-            None => violations.push(PerfViolation {
-                bench: baseline.name.clone(),
-                field: field.clone(),
-                baseline: Some(*b),
-                current: None,
-            }),
-            Some(c) => {
-                if c.abs_diff(*b) > tol.allowed_diff(*b) {
-                    violations.push(PerfViolation {
-                        bench: baseline.name.clone(),
-                        field: field.clone(),
-                        baseline: Some(*b),
-                        current: Some(*c),
-                    });
-                }
-            }
-        }
-    }
-    for (field, c) in &cur {
-        if !base.contains_key(field) {
-            violations.push(PerfViolation {
-                bench: baseline.name.clone(),
-                field: field.clone(),
-                baseline: None,
-                current: Some(*c),
-            });
-        }
-    }
+type Fields = BTreeMap<String, u64>;
+
+fn fields(result: &BenchResult) -> Fields {
+    result.numeric_fields().into_iter().collect()
+}
+
+/// Every field of `cur` that differs from, or is missing in, `base`.
+fn diff_fields(bench: &str, base: &Fields, cur: &Fields) -> Vec<PerfViolation> {
+    let violation = |field: &String, baseline: Option<u64>, current: Option<u64>| PerfViolation {
+        bench: bench.to_string(),
+        field: field.clone(),
+        baseline,
+        current,
+    };
+    let mut violations: Vec<PerfViolation> = base
+        .iter()
+        .filter(|&(field, b)| cur.get(field) != Some(b))
+        .map(|(field, b)| violation(field, Some(*b), cur.get(field).copied()))
+        .collect();
+    violations.extend(
+        cur.iter()
+            .filter(|&(field, _)| !base.contains_key(field))
+            .map(|(field, c)| violation(field, None, Some(*c))),
+    );
     violations
+}
+
+/// Compares one fresh result against its baseline. Returns every field
+/// that is not exactly equal (empty = identical).
+pub fn compare_results(baseline: &BenchResult, current: &BenchResult) -> Vec<PerfViolation> {
+    diff_fields(&baseline.name, &fields(baseline), &fields(current))
 }
 
 /// Loads every `BENCH_*.json` in `dir`, keyed by bench name.
@@ -157,15 +120,8 @@ pub fn load_results(dir: &Path) -> Result<BTreeMap<String, BenchResult>, String>
 pub fn compare_dirs(
     baseline_dir: &Path,
     results_dir: &Path,
-    tol: &PerfTolerance,
 ) -> Result<(Vec<String>, Vec<PerfViolation>), String> {
-    let baselines = load_results(baseline_dir)?;
-    if baselines.is_empty() {
-        return Err(format!(
-            "no BENCH_*.json baselines in {}",
-            baseline_dir.display()
-        ));
-    }
+    let baselines = load_baselines(baseline_dir)?;
     let results = load_results(results_dir)?;
     let mut lines = Vec::new();
     let mut violations = Vec::new();
@@ -181,9 +137,9 @@ pub fn compare_dirs(
                 lines.push(format!("{name}: MISSING (no fresh BENCH_{name}.json)"));
             }
             Some(current) => {
-                let v = compare_results(baseline, current, tol);
+                let v = compare_results(baseline, current);
                 lines.push(format!(
-                    "{name}: {} ({} fields checked, {} out of band)",
+                    "{name}: {} ({} fields checked, {} drifted)",
                     if v.is_empty() { "ok" } else { "FAIL" },
                     baseline.numeric_fields().len(),
                     v.len()
@@ -208,46 +164,44 @@ pub fn compare_dirs(
     Ok((lines, violations))
 }
 
-/// Proves the gate has teeth: for every committed baseline, (a) the
-/// baseline compared to itself passes, and (b) a copy with
-/// `virtual_time_ns` (or, for run-less benches, the first extra)
-/// perturbed just past the band fails. Returns the per-bench status
-/// lines; errors if any seeded regression slips through.
-pub fn self_test(baseline_dir: &Path, tol: &PerfTolerance) -> Result<Vec<String>, String> {
-    let baselines = load_results(baseline_dir)?;
+/// Loads the committed baselines; an empty directory is an error.
+fn load_baselines(dir: &Path) -> Result<BTreeMap<String, BenchResult>, String> {
+    let baselines = load_results(dir)?;
     if baselines.is_empty() {
-        return Err(format!(
-            "no BENCH_*.json baselines in {}",
-            baseline_dir.display()
-        ));
+        return Err(format!("no BENCH_*.json baselines in {}", dir.display()));
     }
+    Ok(baselines)
+}
+
+/// Proves the gate has teeth: for every committed baseline, (a) the
+/// baseline compared to itself passes, and (b) a change of one unit up
+/// (and, above zero, down) in any single field fails. Returns the
+/// per-bench status lines; errors if any seeded change slips through.
+pub fn self_test(baseline_dir: &Path) -> Result<Vec<String>, String> {
     let mut lines = Vec::new();
-    for (name, baseline) in &baselines {
-        if !compare_results(baseline, baseline, tol).is_empty() {
+    for (name, baseline) in &load_baselines(baseline_dir)? {
+        if !compare_results(baseline, baseline).is_empty() {
             return Err(format!("{name}: baseline does not match itself"));
         }
-        let mut seeded = baseline.clone();
-        let field = if seeded.virtual_time_ns > 0 {
-            seeded.virtual_time_ns += tol.allowed_diff(seeded.virtual_time_ns) + 1;
-            "virtual_time_ns".to_string()
-        } else {
-            let (key, value) = seeded
-                .extra
-                .iter()
-                .next()
-                .map(|(k, v)| (k.clone(), *v))
-                .ok_or_else(|| format!("{name}: baseline has no perturbable field"))?;
-            seeded
-                .extra
-                .insert(key.clone(), value + tol.allowed_diff(value) + 1);
-            format!("extra.{key}")
-        };
-        if compare_results(baseline, &seeded, tol).is_empty() {
-            return Err(format!(
-                "{name}: seeded regression in {field} passed the gate — the band is toothless"
-            ));
+        let base = fields(baseline);
+        for (field, &value) in &base {
+            for seeded in [value.checked_add(1), value.checked_sub(1)]
+                .into_iter()
+                .flatten()
+            {
+                let mut cur = base.clone();
+                cur.insert(field.clone(), seeded);
+                if diff_fields(name, &base, &cur).is_empty() {
+                    return Err(format!(
+                        "{name}: {field} {value} -> {seeded} passed the gate — it is toothless"
+                    ));
+                }
+            }
         }
-        lines.push(format!("{name}: seeded regression in {field} caught"));
+        lines.push(format!(
+            "{name}: a ±1 change in any of {} fields caught",
+            base.len()
+        ));
     }
     Ok(lines)
 }
@@ -274,36 +228,32 @@ mod tests {
     #[test]
     fn identical_results_pass() {
         let r = sample("x");
-        assert!(compare_results(&r, &r, &PerfTolerance::default()).is_empty());
+        assert!(compare_results(&r, &r).is_empty());
     }
 
     #[test]
-    fn drift_inside_the_band_passes_outside_fails() {
+    fn any_drift_fails_and_reports_its_percentage() {
         let base = sample("x");
-        let tol = PerfTolerance::default();
         let mut near = base.clone();
-        near.virtual_time_ns = 1_200_000; // +20% < 25%
-        assert!(compare_results(&base, &near, &tol).is_empty());
+        near.virtual_time_ns += 1;
+        assert_eq!(compare_results(&base, &near).len(), 1);
         let mut far = base.clone();
-        far.virtual_time_ns = 1_300_000; // +30% > 25%
-        let v = compare_results(&base, &far, &tol);
+        far.virtual_time_ns = 1_300_000;
+        let v = compare_results(&base, &far);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].field, "virtual_time_ns");
         assert!(v[0].to_string().contains("+30.0%"), "{}", v[0]);
     }
 
     #[test]
-    fn small_values_get_the_absolute_floor() {
+    fn a_one_unit_drift_in_a_small_field_fails() {
         let mut base = sample("x");
         base.retried_faults = 2;
-        let mut cur = base.clone();
-        cur.retried_faults = 10; // |diff| = 8 <= absolute floor 16
-        assert!(compare_results(&base, &cur, &PerfTolerance::default()).is_empty());
-        cur.retried_faults = 30; // 28 > 16
-        assert_eq!(
-            compare_results(&base, &cur, &PerfTolerance::default()).len(),
-            1
-        );
+        for retried in [1, 3] {
+            let mut cur = base.clone();
+            cur.retried_faults = retried;
+            assert_eq!(compare_results(&base, &cur).len(), 1);
+        }
     }
 
     #[test]
@@ -312,7 +262,7 @@ mod tests {
         let mut cur = base.clone();
         cur.extra.remove("rounds");
         cur.extra.insert("new_thing".into(), 1);
-        let v = compare_results(&base, &cur, &PerfTolerance::default());
+        let v = compare_results(&base, &cur);
         assert_eq!(v.len(), 2);
         assert!(v
             .iter()
@@ -333,22 +283,21 @@ mod tests {
         std::fs::write(base_dir.join(r.file_name()), r.to_json()).unwrap();
         std::fs::write(res_dir.join(r.file_name()), r.to_json()).unwrap();
 
-        let tol = PerfTolerance::default();
-        let (lines, violations) = compare_dirs(&base_dir, &res_dir, &tol).unwrap();
+        let (lines, violations) = compare_dirs(&base_dir, &res_dir).unwrap();
         assert!(violations.is_empty(), "{violations:?}");
         assert_eq!(lines.len(), 1);
 
         // The self-test proves a seeded regression is caught.
-        let lines = self_test(&base_dir, &tol).unwrap();
+        let lines = self_test(&base_dir).unwrap();
         assert_eq!(lines.len(), 1);
-        assert!(lines[0].contains("caught"));
+        assert!(lines[0].contains("9 fields caught"), "{lines:?}");
 
         // A missing fresh result fails the gate.
         std::fs::remove_file(res_dir.join(r.file_name())).unwrap();
-        let (_, violations) = compare_dirs(&base_dir, &res_dir, &tol).unwrap();
+        let (_, violations) = compare_dirs(&base_dir, &res_dir).unwrap();
         assert_eq!(violations.len(), 1);
 
-        // A run-less baseline (virtual_time_ns = 0) perturbs an extra.
+        // A run-less baseline (zero fields only move up) is covered too.
         let static_bench = BenchResult {
             name: "table9".into(),
             ..Default::default()
@@ -359,8 +308,8 @@ mod tests {
             static_bench.to_json(),
         )
         .unwrap();
-        let lines = self_test(&base_dir, &tol).unwrap();
-        assert!(lines[0].contains("extra.loc"), "{lines:?}");
+        let lines = self_test(&base_dir).unwrap();
+        assert!(lines[0].contains("9 fields caught"), "{lines:?}");
 
         std::fs::remove_dir_all(&tmp).unwrap();
     }

@@ -1,19 +1,11 @@
 //! Trace-based dynamic race and deadlock detection.
 //!
 //! Consumes the synchronization/access event stream a cluster records
-//! under [`dex_core::ClusterConfig::with_race_detection`] and rebuilds
-//! the happens-before relation with vector clocks:
-//!
-//! * **program order** — events of one thread are ordered as recorded
-//!   (the deterministic simulator appends in execution order);
-//! * **lock order** — a `LockRelease` happens-before every later
-//!   `LockAcquire` of the same lock word;
-//! * **futex order** — a `FutexWake` happens-before every later
-//!   `FutexWaitReturn` on the same word (wait returns are only recorded
-//!   for *actual* wakeups, not `EAGAIN`);
-//! * **barrier order** — every `BarrierEnter` of round *g* happens-before
-//!   every `BarrierLeave` of round *g*;
-//! * **spawn order** — a `Spawn` happens-before every event of the child.
+//! under [`dex_core::ClusterConfig::with_race_detection`] and asks
+//! [`crate::hb`] — the one happens-before pass, whose module docs give
+//! the exact edges (program, lock, futex, barrier and spawn order; a
+//! wait-return is ordered only after its waker's latest wake on the
+//! word) — whether two accesses are ordered.
 //!
 //! Two accesses to overlapping bytes *conflict* when at least one is a
 //! write, they are unordered by happens-before, and they are not both
@@ -31,8 +23,7 @@ use dex_core::{NodeId, RaceEvent, RaceEventKind, Tid};
 use dex_os::VirtAddr;
 use dex_sim::SimTime;
 
-/// Bytes per conflict-tracking granule.
-const GRANULE: u64 = 8;
+use crate::hb::{granules, Hb, GRANULE};
 
 /// A reference to one recorded access, with attribution.
 #[derive(Clone, Copy, Debug)]
@@ -107,10 +98,6 @@ impl RaceReport {
 /// One prior access remembered per granule.
 #[derive(Clone, Debug)]
 struct AccessRecord {
-    /// Dense thread index.
-    t: usize,
-    /// The thread's clock component at the access.
-    epoch: u64,
     atomic: bool,
     evref: EventRef,
 }
@@ -123,56 +110,19 @@ struct GranuleState {
     reads: Vec<AccessRecord>,
 }
 
-fn join(dst: &mut Vec<u64>, src: &[u64]) {
-    if dst.len() < src.len() {
-        dst.resize(src.len(), 0);
-    }
-    for (d, s) in dst.iter_mut().zip(src) {
-        *d = (*d).max(*s);
-    }
-}
-
-/// Rebuilds happens-before and reports conflicting unordered accesses
-/// plus lock-order cycles.
+/// Reports conflicting unordered accesses plus lock-order cycles.
 pub fn analyze_races(events: &[RaceEvent]) -> RaceReport {
-    let mut tindex: HashMap<Tid, usize> = HashMap::new();
-    let mut clocks: Vec<Vec<u64>> = Vec::new();
-    // Clock snapshot to seed a spawned child with.
-    let mut spawn_seed: HashMap<Tid, Vec<u64>> = HashMap::new();
-    // Release/wake/barrier clocks.
-    let mut lock_release: HashMap<VirtAddr, Vec<u64>> = HashMap::new();
-    let mut futex_wake: HashMap<VirtAddr, Vec<u64>> = HashMap::new();
-    let mut barrier: HashMap<(VirtAddr, u32), Vec<u64>> = HashMap::new();
+    let hb = Hb::new(events);
     // Per-granule access history.
     let mut mem: HashMap<u64, GranuleState> = HashMap::new();
     // Lock-order graph: held -> acquired, with one sample edge each.
     let mut lock_graph: HashMap<VirtAddr, HashMap<VirtAddr, CycleEdge>> = HashMap::new();
-    let mut held: HashMap<usize, Vec<VirtAddr>> = HashMap::new();
+    let mut held: HashMap<Tid, Vec<VirtAddr>> = HashMap::new();
 
     let mut conflicts: Vec<Conflict> = Vec::new();
     let mut seen_pairs: HashSet<(&'static str, &'static str, bool, bool)> = HashSet::new();
 
     for (index, event) in events.iter().enumerate() {
-        let t = match tindex.get(&event.task) {
-            Some(&t) => t,
-            None => {
-                let t = clocks.len();
-                tindex.insert(event.task, t);
-                let mut vc = spawn_seed.remove(&event.task).unwrap_or_default();
-                if vc.len() <= t {
-                    vc.resize(t + 1, 0);
-                }
-                clocks.push(vc);
-                t
-            }
-        };
-        // Program order: one tick per event.
-        if clocks[t].len() <= t {
-            clocks[t].resize(t + 1, 0);
-        }
-        clocks[t][t] += 1;
-        let epoch = clocks[t][t];
-
         match event.kind {
             RaceEventKind::Access {
                 addr,
@@ -189,26 +139,17 @@ pub fn analyze_races(events: &[RaceEvent]) -> RaceReport {
                     time: event.time,
                     is_write,
                 };
-                let start = addr.as_u64() / GRANULE;
-                let end = (addr.as_u64() + len.max(1) as u64 - 1) / GRANULE;
-                for g in start..=end {
+                let races = |prev: &&AccessRecord| {
+                    prev.evref.task != event.task
+                        && !(prev.atomic && atomic)
+                        && !hb.ordered(prev.evref.index, index)
+                };
+                for g in granules(addr, len) {
                     let state = mem.entry(g).or_default();
-                    let record = AccessRecord {
-                        t,
-                        epoch,
-                        atomic,
-                        evref,
-                    };
-                    let hb = |prev: &AccessRecord, clocks: &[Vec<u64>]| -> bool {
-                        clocks[t].get(prev.t).copied().unwrap_or(0) >= prev.epoch
-                    };
-                    let mut report = |prev: &AccessRecord, conflicts: &mut Vec<Conflict>| {
-                        let key = (
-                            prev.evref.site,
-                            evref.site,
-                            prev.evref.is_write,
-                            evref.is_write,
-                        );
+                    // A write conflicts with the reads since the last write too.
+                    let reads = if is_write { &state.reads[..] } else { &[] };
+                    for prev in state.last_write.iter().chain(reads).filter(races) {
+                        let key = (prev.evref.site, evref.site, prev.evref.is_write, is_write);
                         if seen_pairs.insert(key) {
                             conflicts.push(Conflict {
                                 addr: VirtAddr::new(g * GRANULE),
@@ -216,37 +157,19 @@ pub fn analyze_races(events: &[RaceEvent]) -> RaceReport {
                                 second: evref,
                             });
                         }
-                    };
+                    }
+                    let record = AccessRecord { atomic, evref };
                     if is_write {
-                        if let Some(w) = &state.last_write {
-                            if w.t != t && !(w.atomic && atomic) && !hb(w, &clocks) {
-                                report(w, &mut conflicts);
-                            }
-                        }
-                        for r in &state.reads {
-                            if r.t != t && !(r.atomic && atomic) && !hb(r, &clocks) {
-                                report(r, &mut conflicts);
-                            }
-                        }
                         state.last_write = Some(record);
                         state.reads.clear();
                     } else {
-                        if let Some(w) = &state.last_write {
-                            if w.t != t && !(w.atomic && atomic) && !hb(w, &clocks) {
-                                report(w, &mut conflicts);
-                            }
-                        }
-                        state.reads.retain(|r| r.t != t);
+                        state.reads.retain(|r| r.evref.task != event.task);
                         state.reads.push(record);
                     }
                 }
             }
             RaceEventKind::LockAcquire { lock } => {
-                if let Some(vc) = lock_release.get(&lock) {
-                    let vc = vc.clone();
-                    join(&mut clocks[t], &vc);
-                }
-                let stack = held.entry(t).or_default();
+                let stack = held.entry(event.task).or_default();
                 for &h in stack.iter() {
                     if h != lock {
                         lock_graph
@@ -265,51 +188,20 @@ pub fn analyze_races(events: &[RaceEvent]) -> RaceReport {
                 stack.push(lock);
             }
             RaceEventKind::LockRelease { lock } => {
-                let snapshot = clocks[t].clone();
-                join(lock_release.entry(lock).or_default(), &snapshot);
-                if let Some(stack) = held.get_mut(&t) {
+                if let Some(stack) = held.get_mut(&event.task) {
                     if let Some(pos) = stack.iter().rposition(|&l| l == lock) {
                         stack.remove(pos);
                     }
                 }
             }
-            RaceEventKind::FutexWake { addr } => {
-                let snapshot = clocks[t].clone();
-                join(futex_wake.entry(addr).or_default(), &snapshot);
-            }
-            RaceEventKind::FutexWaitReturn { addr } => {
-                if let Some(vc) = futex_wake.get(&addr) {
-                    let vc = vc.clone();
-                    join(&mut clocks[t], &vc);
-                }
-            }
-            RaceEventKind::BarrierEnter {
-                barrier: b,
-                generation,
-            } => {
-                let snapshot = clocks[t].clone();
-                join(barrier.entry((b, generation)).or_default(), &snapshot);
-            }
-            RaceEventKind::BarrierLeave {
-                barrier: b,
-                generation,
-            } => {
-                if let Some(vc) = barrier.get(&(b, generation)) {
-                    let vc = vc.clone();
-                    join(&mut clocks[t], &vc);
-                }
-            }
-            RaceEventKind::Spawn { child } => {
-                let snapshot = clocks[t].clone();
-                join(spawn_seed.entry(child).or_default(), &snapshot);
-            }
+            _ => {}
         }
     }
 
     let cycles = find_cycles(&lock_graph);
     RaceReport {
         events: events.len(),
-        threads: clocks.len(),
+        threads: hb.threads(),
         conflicts,
         cycles,
     }
@@ -525,7 +417,13 @@ mod tests {
         let events = vec![
             access(1, 0x500, true),
             ev(1, RaceEventKind::FutexWake { addr: w }),
-            ev(2, RaceEventKind::FutexWaitReturn { addr: w }),
+            ev(
+                2,
+                RaceEventKind::FutexWaitReturn {
+                    addr: w,
+                    waker: Tid(1),
+                },
+            ),
             access(2, 0x500, false),
         ];
         assert!(analyze_races(&events).is_clean());

@@ -10,9 +10,10 @@
 //! The check is deliberately conservative (no false positives on real
 //! SC executions):
 //!
-//! 1. Rebuild happens-before with the same vector-clock pass as
-//!    `dex-check races` (program order, lock release → acquire, futex
-//!    wake → wait-return, barrier rounds, spawn).
+//! 1. Take happens-before from [`crate::hb`], the pass `dex-check races`
+//!    reads too (program order, lock release → acquire, the waker's
+//!    latest futex wake → the wait-return it caused, barrier rounds,
+//!    spawn).
 //! 2. For every read *r* of value *v* at a location, collect the
 //!    **reads-from candidates**: writes to the same location that
 //!    deposited *v* and are not ordered *after* the read. The implicit
@@ -36,29 +37,7 @@ use dex_core::{NodeId, RaceEvent, RaceEventKind, Tid};
 use dex_os::VirtAddr;
 use dex_sim::SimTime;
 
-/// One access with its happens-before clock snapshot.
-#[derive(Clone, Debug)]
-struct AccessInfo {
-    /// Dense thread index.
-    t: usize,
-    /// The thread's own clock component at the access.
-    epoch: u64,
-    /// Full vector-clock snapshot taken at the access.
-    clock: Vec<u64>,
-    value: u64,
-    index: usize,
-    task: Tid,
-    node: NodeId,
-    site: &'static str,
-    time: SimTime,
-}
-
-impl AccessInfo {
-    /// `self` happens-before `other`.
-    fn hb_before(&self, other: &AccessInfo) -> bool {
-        other.clock.get(self.t).copied().unwrap_or(0) >= self.epoch
-    }
-}
+use crate::hb::Hb;
 
 /// A read that no sequentially consistent total order can explain.
 #[derive(Clone, Debug)]
@@ -103,185 +82,84 @@ impl ScReport {
     }
 }
 
+/// `(event index, value)` of every read (`[0]`) and write (`[1]`) of one
+/// location, keyed by exact (addr, len): values are only comparable
+/// between same-shaped accesses. Partially overlapping accesses are the
+/// race detector's problem, not the oracle's.
+type Accesses = [Vec<(usize, u64)>; 2];
+
 /// Checks that observed read values admit a sequentially consistent
 /// total order (see the module docs for the exact rule).
 pub fn check_sequential_consistency(events: &[RaceEvent]) -> ScReport {
-    // --- Pass 1: vector clocks, identical edges to `analyze_races`. ---
-    let mut tindex: HashMap<Tid, usize> = HashMap::new();
-    let mut clocks: Vec<Vec<u64>> = Vec::new();
-    let mut spawn_seed: HashMap<Tid, Vec<u64>> = HashMap::new();
-    let mut lock_release: HashMap<VirtAddr, Vec<u64>> = HashMap::new();
-    let mut futex_wake: HashMap<VirtAddr, Vec<u64>> = HashMap::new();
-    let mut barrier: HashMap<(VirtAddr, u32), Vec<u64>> = HashMap::new();
-
-    fn join(dst: &mut Vec<u64>, src: &[u64]) {
-        if dst.len() < src.len() {
-            dst.resize(src.len(), 0);
-        }
-        for (d, s) in dst.iter_mut().zip(src) {
-            *d = (*d).max(*s);
-        }
-    }
-
-    // Per-location access history, keyed by exact (addr, len): values are
-    // only comparable between same-shaped accesses. Partially overlapping
-    // accesses are the race detector's problem, not the oracle's.
-    let mut reads_by_loc: HashMap<(u64, u32), Vec<AccessInfo>> = HashMap::new();
-    let mut writes_by_loc: HashMap<(u64, u32), Vec<AccessInfo>> = HashMap::new();
-    let mut nreads = 0usize;
-    let mut nwrites = 0usize;
-
+    let hb = Hb::new(events);
+    let mut by_loc: HashMap<(u64, u32), Accesses> = HashMap::new();
     for (index, event) in events.iter().enumerate() {
-        let t = match tindex.get(&event.task) {
-            Some(&t) => t,
-            None => {
-                let t = clocks.len();
-                tindex.insert(event.task, t);
-                let mut vc = spawn_seed.remove(&event.task).unwrap_or_default();
-                if vc.len() <= t {
-                    vc.resize(t + 1, 0);
-                }
-                clocks.push(vc);
-                t
-            }
-        };
-        if clocks[t].len() <= t {
-            clocks[t].resize(t + 1, 0);
-        }
-        clocks[t][t] += 1;
-        let epoch = clocks[t][t];
-
-        match event.kind {
-            RaceEventKind::Access {
-                addr,
-                len,
-                is_write,
-                value,
-                ..
-            } => {
-                let info = AccessInfo {
-                    t,
-                    epoch,
-                    clock: clocks[t].clone(),
-                    value,
-                    index,
-                    task: event.task,
-                    node: event.node,
-                    site: event.site,
-                    time: event.time,
-                };
-                let key = (addr.as_u64(), len);
-                if is_write {
-                    nwrites += 1;
-                    writes_by_loc.entry(key).or_default().push(info);
-                } else {
-                    nreads += 1;
-                    reads_by_loc.entry(key).or_default().push(info);
-                }
-            }
-            RaceEventKind::LockAcquire { lock } => {
-                if let Some(vc) = lock_release.get(&lock) {
-                    let vc = vc.clone();
-                    join(&mut clocks[t], &vc);
-                }
-            }
-            RaceEventKind::LockRelease { lock } => {
-                let snapshot = clocks[t].clone();
-                join(lock_release.entry(lock).or_default(), &snapshot);
-            }
-            RaceEventKind::FutexWake { addr } => {
-                let snapshot = clocks[t].clone();
-                join(futex_wake.entry(addr).or_default(), &snapshot);
-            }
-            RaceEventKind::FutexWaitReturn { addr } => {
-                if let Some(vc) = futex_wake.get(&addr) {
-                    let vc = vc.clone();
-                    join(&mut clocks[t], &vc);
-                }
-            }
-            RaceEventKind::BarrierEnter {
-                barrier: b,
-                generation,
-            } => {
-                let snapshot = clocks[t].clone();
-                join(barrier.entry((b, generation)).or_default(), &snapshot);
-            }
-            RaceEventKind::BarrierLeave {
-                barrier: b,
-                generation,
-            } => {
-                if let Some(vc) = barrier.get(&(b, generation)) {
-                    let vc = vc.clone();
-                    join(&mut clocks[t], &vc);
-                }
-            }
-            RaceEventKind::Spawn { child } => {
-                let snapshot = clocks[t].clone();
-                join(spawn_seed.entry(child).or_default(), &snapshot);
-            }
+        if let RaceEventKind::Access {
+            addr,
+            len,
+            is_write,
+            value,
+            ..
+        } = event.kind
+        {
+            let accesses = by_loc.entry((addr.as_u64(), len)).or_default();
+            accesses[is_write as usize].push((index, value));
         }
     }
 
-    // --- Pass 2: reads-from justification per read. ---
+    // Reads-from justification per read.
     let mut violations = Vec::new();
-    let empty: Vec<AccessInfo> = Vec::new();
-    for (&(addr, len), reads) in &reads_by_loc {
-        let writes = writes_by_loc.get(&(addr, len)).unwrap_or(&empty);
-        for r in reads {
-            // `w` happened after the read — impossible source.
-            let not_after_read = |w: &&AccessInfo| !r.hb_before(w);
+    for (&(addr, len), [reads, writes]) in &by_loc {
+        for &(r, value) in reads {
             // `w` provably overwritten before the read was issued.
-            let stale = |w: &AccessInfo| {
+            let stale = |w: usize| {
                 writes
                     .iter()
-                    .any(|w2| w2.index != w.index && w.hb_before(w2) && w2.hb_before(r))
+                    .any(|&(w2, _)| w2 != w && hb.ordered(w, w2) && hb.ordered(w2, r))
             };
-            let candidates: Vec<&AccessInfo> = writes
+            // Writes of the value not ordered after the read.
+            let candidates: Vec<usize> = writes
                 .iter()
-                .filter(|w| w.value == r.value)
-                .filter(not_after_read)
+                .filter(|&&(w, v)| v == value && !hb.ordered(r, w))
+                .map(|&(w, _)| w)
                 .collect();
             // The implicit initial zero write happens-before everything;
             // it is stale once any write is ordered before the read.
-            let init_candidate = r.value == 0;
-            let init_stale = writes.iter().any(|w2| w2.hb_before(r));
+            let init_candidate = value == 0;
+            let init_stale = writes.iter().any(|&(w2, _)| hb.ordered(w2, r));
 
-            let justified = candidates.iter().any(|w| !stale(w)) || (init_candidate && !init_stale);
+            let justified =
+                candidates.iter().any(|&w| !stale(w)) || (init_candidate && !init_stale);
             if justified {
                 continue;
             }
-            let reason = if candidates.is_empty() && !init_candidate {
-                format!(
-                    "read of {addr:#x} observed value {} that was never written \
-                     to the location (lost update / corrupted grant)",
-                    r.value
-                )
+            let why = if candidates.is_empty() && !init_candidate {
+                "that was never written to the location (lost update / corrupted grant)"
             } else {
-                format!(
-                    "read of {addr:#x} observed value {} but every write of that \
-                     value is provably overwritten before the read (stale replica)",
-                    r.value
-                )
+                "but every write of that value is provably overwritten before the read \
+                 (stale replica)"
             };
+            let read = &events[r];
             violations.push(ScViolation {
                 addr: VirtAddr::new(addr),
                 len,
-                read_index: r.index,
-                task: r.task,
-                node: r.node,
-                site: r.site,
-                time: r.time,
-                value: r.value,
-                reason,
+                read_index: r,
+                task: read.task,
+                node: read.node,
+                site: read.site,
+                time: read.time,
+                value,
+                reason: format!("read of {addr:#x} observed value {value} {why}"),
             });
         }
     }
     violations.sort_by_key(|v| v.read_index);
 
+    let count = |kind: usize| by_loc.values().map(|a| a[kind].len()).sum();
     ScReport {
         events: events.len(),
-        reads: nreads,
-        writes: nwrites,
+        reads: count(0),
+        writes: count(1),
         violations,
     }
 }

@@ -5,12 +5,14 @@
 //! with the expected verdict. The clean scenarios (`kmeans`, `sort`,
 //! `kmn-app`) follow the paper's synchronization discipline — partition
 //! privately, merge under a mutex, phase with barriers — and must report
-//! zero violations. The dirty fixtures (`racy`, `lock-order`) seed a
-//! data race and a lock-order inversion respectively, validating that
+//! zero violations. The dirty fixtures (`racy`, `lock-order`,
+//! `notify-nobody`) seed a data race, a lock-order inversion, and a data
+//! race that a notify which woke nobody must not hide, validating that
 //! the detector has teeth.
 
 use dex_apps::{run_app, AppParams, Variant};
 use dex_core::{Cluster, ClusterConfig, RaceEvent};
+use dex_sim::SimDuration;
 
 /// Description of one built-in scenario.
 #[derive(Clone, Copy, Debug)]
@@ -24,7 +26,7 @@ pub struct Scenario {
 }
 
 /// All built-in scenarios.
-pub const SCENARIOS: [Scenario; 5] = [
+pub const SCENARIOS: [Scenario; 6] = [
     Scenario {
         name: "kmeans",
         description: "reduced k-means: private staging, mutex merge, barrier phases (clean)",
@@ -50,6 +52,11 @@ pub const SCENARIOS: [Scenario; 5] = [
         description: "two mutexes acquired in opposite nest orders (deadlock potential)",
         expect_clean: false,
     },
+    Scenario {
+        name: "notify-nobody",
+        description: "a write, then a notify that wakes nobody; another thread's notify wakes the reader (1 data race)",
+        expect_clean: false,
+    },
 ];
 
 /// The CLI names of every built-in scenario.
@@ -67,6 +74,7 @@ pub fn run_scenario(name: &str) -> Option<(Scenario, Vec<RaceEvent>)> {
         "kmn-app" => kmn_app_events(),
         "racy" => racy_events(),
         "lock-order" => lock_order_events(),
+        "notify-nobody" => notify_nobody_events(),
         _ => unreachable!("scenario table covers all names"),
     };
     Some((scenario, events))
@@ -256,6 +264,38 @@ fn lock_order_events() -> Vec<RaceEvent> {
     report.race_events
 }
 
+/// The futex-edge fixture on one node: tid-0 writes `x` with no lock and
+/// notifies a condvar nobody waits on yet; tid-1 then waits and is woken
+/// by tid-2's notify, and reads `x`. Only the wake that woke tid-1 orders
+/// it, so tid-0's write and tid-1's read race.
+fn notify_nobody_events() -> Vec<RaceEvent> {
+    let cluster = Cluster::new(ClusterConfig::new(1).with_race_detection());
+    let report = cluster.run(|p| {
+        let x = p.alloc_cell_tagged::<u64>(0, "notify.x");
+        let m = p.new_mutex("notify.m");
+        let cv = p.new_condvar("notify.cv");
+        p.spawn(move |ctx| {
+            ctx.set_site("notify.writer");
+            x.set(ctx, 1);
+            cv.notify_one(ctx);
+        });
+        p.spawn(move |ctx| {
+            ctx.compute(SimDuration::from_micros(100));
+            ctx.set_site("notify.reader");
+            m.lock(ctx);
+            cv.wait(ctx, &m);
+            m.unlock(ctx);
+            let _ = x.get(ctx);
+        });
+        p.spawn(move |ctx| {
+            ctx.compute(SimDuration::from_millis(1));
+            ctx.set_site("notify.waker");
+            cv.notify_one(ctx);
+        });
+    });
+    report.race_events
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,5 +346,15 @@ mod tests {
             "KMN must be clean:\n{}",
             crate::races::render_race_report(&report)
         );
+    }
+
+    #[test]
+    fn a_notify_that_woke_nobody_orders_nothing() {
+        let (_, events) = run_scenario("notify-nobody").unwrap();
+        let report = analyze_races(&events);
+        assert_eq!(report.conflicts.len(), 1, "{report:?}");
+        let c = &report.conflicts[0];
+        assert_eq!((c.first.task.0, c.first.is_write), (0, true));
+        assert_eq!((c.second.task.0, c.second.is_write), (1, false));
     }
 }

@@ -180,6 +180,9 @@ pub struct ProcessShared {
     pub futex: Mutex<FutexTable>,
     /// Node each futex waiter's reply must be sent to.
     pub futex_nodes: Mutex<HashMap<u64, NodeId>>,
+    /// The thread whose wake woke each futex waiter, until the waiter
+    /// returns (kept only under race detection).
+    pub(crate) futex_wakers: Mutex<HashMap<u64, Tid>>,
     /// Per-node pending-request tables.
     pub(crate) pending: Vec<Mutex<PendingTable>>,
     /// Delegation channels to each migrated thread's original thread.
@@ -286,6 +289,7 @@ impl ProcessShared {
             proto: (0..nodes).map(|_| Mutex::default()).collect(),
             futex: Mutex::new(FutexTable::new()),
             futex_nodes: Mutex::new(HashMap::new()),
+            futex_wakers: Mutex::new(HashMap::new()),
             pending: (0..nodes)
                 .map(|_| Mutex::new(PendingTable::default()))
                 .collect(),
@@ -331,6 +335,16 @@ impl ProcessShared {
     /// Allocates a cluster-unique request id.
     pub(crate) fn new_req_id(&self) -> u64 {
         self.next_req_id.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// Takes the thread whose `FUTEX_WAKE` woke waiter `req_id`; `Tid(0)`
+    /// when race detection is off (nothing records a waker then).
+    pub(crate) fn take_waker(&self, req_id: u64) -> Tid {
+        if !self.race.is_enabled() {
+            return Tid(0);
+        }
+        let waker = self.futex_wakers.lock().remove(&req_id);
+        waker.expect("a woken waiter has a recorded waker")
     }
 
     /// Allocates the next thread id.

@@ -4,11 +4,11 @@
 //! (`crate::ClusterConfig::with_race_detection`), every application-level
 //! memory access and every synchronization operation appends one
 //! [`RaceEvent`] to a shared [`RaceTrace`]. The `dex-check races` pass
-//! consumes the recorded stream offline: it rebuilds the happens-before
-//! relation with vector clocks (lock release → acquire, futex wake →
-//! wait-return, barrier rounds, thread spawn) and flags conflicting
-//! unordered accesses, plus lock-order-graph cycles for deadlock
-//! potential.
+//! consumes the recorded stream offline: `dex-check`'s `hb.rs` rebuilds
+//! the happens-before relation in one pass (lock release → acquire, the
+//! waker's latest futex wake → the wait-return it caused, barrier rounds,
+//! thread spawn) and the race detector flags conflicting unordered
+//! accesses, plus lock-order-graph cycles for deadlock potential.
 //!
 //! Recording discipline:
 //!
@@ -19,8 +19,10 @@
 //!   mistaken for an application race;
 //! * application atomics (`rmw_bytes`, `cas_u32`, …) record
 //!   `atomic: true`; two atomic accesses never conflict;
+//! * a wake is recorded *before* it is performed, so it precedes the
+//!   `FutexWaitReturn` naming its thread as `waker`;
 //! * the deterministic simulator appends events in execution order, so
-//!   the vector-clock pass can process the vector front to back.
+//!   the happens-before pass can process the vector front to back.
 
 use std::sync::Arc;
 
@@ -31,7 +33,7 @@ use dex_os::{Tid, VirtAddr};
 use dex_sim::SimTime;
 
 /// What a [`RaceEvent`] records.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum RaceEventKind {
     /// An application memory access.
     Access {
@@ -67,6 +69,8 @@ pub enum RaceEventKind {
     FutexWaitReturn {
         /// The futex word.
         addr: VirtAddr,
+        /// The thread whose `FUTEX_WAKE` woke this waiter.
+        waker: Tid,
     },
     /// A thread arrived at a barrier round.
     BarrierEnter {

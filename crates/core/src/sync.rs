@@ -188,9 +188,12 @@ impl DexCondvar {
     pub fn wait(&self, ctx: &ThreadCtx<'_>, mutex: &DexMutex) {
         let seq = ctx.sync_scope(|| ctx.read_u32(self.seq));
         mutex.unlock(ctx);
-        let woken = ctx.sync_scope(|| ctx.futex_wait(self.seq, seq));
-        if woken == 0 {
-            ctx.record_sync_event(RaceEventKind::FutexWaitReturn { addr: self.seq });
+        let woken = ctx.sync_scope(|| ctx.futex_wait_woken(self.seq, seq));
+        if let Ok(waker) = woken {
+            ctx.record_sync_event(RaceEventKind::FutexWaitReturn {
+                addr: self.seq,
+                waker,
+            });
         }
         mutex.lock(ctx);
     }

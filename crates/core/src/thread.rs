@@ -749,15 +749,19 @@ impl<'a> ThreadCtx<'a> {
     /// changed. Remote threads delegate this to their original thread at
     /// the origin (§III-A).
     pub fn futex_wait(&self, addr: VirtAddr, expected: u32) -> i64 {
-        let result = self.futex_wait_inner(addr, expected);
-        if result == 0 {
-            // An actual wakeup orders this thread after the waker.
-            self.record_race_event(RaceEventKind::FutexWaitReturn { addr });
+        match self.futex_wait_woken(addr, expected) {
+            Ok(waker) => {
+                // An actual wakeup orders this thread after the waker.
+                self.record_race_event(RaceEventKind::FutexWaitReturn { addr, waker });
+                0
+            }
+            Err(result) => result,
         }
-        result
     }
 
-    fn futex_wait_inner(&self, addr: VirtAddr, expected: u32) -> i64 {
+    /// [`Self::futex_wait`] reporting the thread whose wake ended the wait
+    /// (see [`ProcessShared::take_waker`]); `Err` carries any other result.
+    pub(crate) fn futex_wait_woken(&self, addr: VirtAddr, expected: u32) -> Result<Tid, i64> {
         let shared = &self.shared;
         let t0 = self.sim.now();
         let span = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
@@ -771,7 +775,7 @@ impl<'a> ThreadCtx<'a> {
                 task: self.tid,
                 start: t0,
                 end: self.sim.now(),
-                label: if result == 0 {
+                label: if result.is_ok() {
                     "futex_woken"
                 } else {
                     "futex_eagain"
@@ -782,16 +786,21 @@ impl<'a> ThreadCtx<'a> {
         result
     }
 
-    fn futex_wait_dispatch(&self, addr: VirtAddr, expected: u32, span: SpanContext) -> i64 {
+    fn futex_wait_dispatch(
+        &self,
+        addr: VirtAddr,
+        expected: u32,
+        span: SpanContext,
+    ) -> Result<Tid, i64> {
         let shared = &self.shared;
         shared.stats.counters.incr("futex.waits");
         let node = self.node.get();
         if node == shared.origin {
             let req_id = shared.new_req_id();
             match futex_wait_at_origin(self, addr, expected, node, req_id) {
-                FutexWaitOutcome::ValueMismatch => FUTEX_EAGAIN,
+                FutexWaitOutcome::ValueMismatch => Err(FUTEX_EAGAIN),
                 FutexWaitOutcome::Enqueued(slot) => match shared.wait_reply(self.sim, &slot) {
-                    Reply::FutexWoken => 0,
+                    Reply::FutexWoken => Ok(shared.take_waker(req_id)),
                     other => unreachable!("futex wait answered with {other:?}"),
                 },
             }
@@ -813,8 +822,8 @@ impl<'a> ThreadCtx<'a> {
             // Unbounded: a futex wait legitimately blocks for as long as
             // the application keeps the waiter asleep.
             match shared.wait_reply_watching(self.sim, &slot, node, req_id, None, true) {
-                Ok(Reply::Delegate(result)) => result,
-                Ok(Reply::FutexWoken) => 0,
+                Ok(Reply::Delegate(result)) => Err(result),
+                Ok(Reply::FutexWoken) => Ok(shared.take_waker(req_id)),
                 Ok(other) => unreachable!("futex wait answered with {other:?}"),
                 Err(WaitError::OwnNodeCrashed) => {
                     // Remove the (possibly) queued waiter so a later wake
@@ -824,6 +833,7 @@ impl<'a> ThreadCtx<'a> {
                     // the word value before sleeping.
                     shared.futex.lock().cancel(addr, ThreadId(req_id));
                     shared.futex_nodes.lock().remove(&req_id);
+                    shared.futex_wakers.lock().remove(&req_id);
                     self.rehome_after_crash();
                     self.futex_wait_dispatch(addr, expected, span)
                 }
@@ -842,7 +852,7 @@ impl<'a> ThreadCtx<'a> {
         let span = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
         let node = self.node.get();
         let result = if node == shared.origin {
-            futex_wake_at_origin(self.sim, shared, addr, count)
+            futex_wake_at_origin(self.sim, shared, addr, count, self.tid)
         } else {
             shared.stats.counters.incr("delegations");
             let req_id = shared.new_req_id();
@@ -866,7 +876,7 @@ impl<'a> ThreadCtx<'a> {
                     // waiters; re-issuing the wake at home is safe because
                     // FUTEX_WAKE is idempotent for already-empty queues.
                     self.rehome_after_crash();
-                    futex_wake_at_origin(self.sim, shared, addr, count)
+                    futex_wake_at_origin(self.sim, shared, addr, count, self.tid)
                 }
                 Err(WaitError::PeerCrashed(p)) => unreachable!("unwatched peer {p}"),
             }
@@ -1519,12 +1529,14 @@ pub(crate) fn futex_wait_at_origin(
     FutexWaitOutcome::Enqueued(slot)
 }
 
-/// The origin-side half of `FUTEX_WAKE`. Returns the number woken.
+/// The origin-side half of `FUTEX_WAKE` on behalf of thread `waker`.
+/// Returns the number woken.
 pub(crate) fn futex_wake_at_origin(
     ctx: &SimCtx,
     shared: &Arc<ProcessShared>,
     addr: VirtAddr,
     count: u32,
+    waker: Tid,
 ) -> i64 {
     let woken: Vec<u64> = shared
         .futex
@@ -1540,6 +1552,10 @@ pub(crate) fn futex_wake_at_origin(
             let node = nodes.remove(req).expect("waiter node recorded");
             remote.push((node, *req));
         }
+    }
+    if shared.race.is_enabled() {
+        let mut wakers = shared.futex_wakers.lock();
+        wakers.extend(woken.iter().map(|&req| (req, waker)));
     }
     let n = woken.len() as i64;
     let endpoint = shared.fabric.endpoint(shared.origin);
@@ -1660,7 +1676,7 @@ fn pair_thread_loop(
                 }
             }
             DelegatedOp::FutexWake { addr, count } => {
-                Some(futex_wake_at_origin(ctx, &shared, addr, count))
+                Some(futex_wake_at_origin(ctx, &shared, addr, count, tid))
             }
             DelegatedOp::Mmap { len, prot } => {
                 let addr =

@@ -1,7 +1,8 @@
 //! Recording discipline of the race-detection instrumentation
 //! (`ClusterConfig::with_race_detection`).
 
-use dex_core::{Cluster, ClusterConfig, RaceEventKind};
+use dex_core::{Cluster, ClusterConfig, RaceEventKind, Tid};
+use dex_sim::SimDuration;
 
 #[test]
 fn disabled_by_default_records_nothing() {
@@ -124,4 +125,42 @@ fn atomic_rmw_accesses_are_flagged_atomic() {
             ..
         }
     )));
+}
+
+#[test]
+fn a_wait_return_names_the_thread_whose_wake_woke_it() {
+    let cluster = Cluster::new(ClusterConfig::new(2).with_race_detection());
+    let report = cluster.run(|p| {
+        let m = p.new_mutex("m");
+        let (cv, cv2) = (p.new_condvar("cv"), p.new_condvar("cv2"));
+        // tid-0 waits at the origin and tid-1 wakes it from node 1 (the
+        // wake is delegated to tid-1's original thread); tid-2 waits on
+        // node 1 and tid-3 wakes it from the origin.
+        let wait = move |ctx: &dex_core::ThreadCtx<'_>, cv: dex_core::DexCondvar, node| {
+            ctx.migrate(node).unwrap();
+            m.lock(ctx);
+            cv.wait(ctx, &m);
+            m.unlock(ctx);
+        };
+        let wake = move |ctx: &dex_core::ThreadCtx<'_>, cv: dex_core::DexCondvar, node| {
+            ctx.migrate(node).unwrap();
+            // Long enough for the waiter to be asleep (no predicate here).
+            ctx.compute(SimDuration::from_millis(10));
+            cv.notify_one(ctx);
+        };
+        p.spawn(move |ctx| wait(ctx, cv, 0));
+        p.spawn(move |ctx| wake(ctx, cv, 1));
+        p.spawn(move |ctx| wait(ctx, cv2, 1));
+        p.spawn(move |ctx| wake(ctx, cv2, 0));
+    });
+    let mut returns: Vec<(Tid, Tid)> = report
+        .race_events
+        .iter()
+        .filter_map(|e| match e.kind {
+            RaceEventKind::FutexWaitReturn { waker, .. } => Some((e.task, waker)),
+            _ => None,
+        })
+        .collect();
+    returns.sort_by_key(|(t, _)| t.0);
+    assert_eq!(returns, [(Tid(0), Tid(1)), (Tid(2), Tid(3))]);
 }
