@@ -24,14 +24,18 @@
 //! The simulator is deterministic, so the numbers are exact per commit
 //! and `dex-check perf` requires every field to match its baseline; an
 //! intentional change to the cost model or protocol is re-baselined with
-//! `dex-check perf --update`. The JSON is
-//! hand-rolled (no serde in the offline build): all values are `u64`
-//! except `schema`/`name`, and `extra` is a flat string→u64 object.
+//! `dex-check perf --update`. The JSON is written and read by the one
+//! strict reader in [`dex_sim::codec`] (no serde in the offline build): all
+//! values are `u64` except `schema`/`name`, and `extra` is a flat
+//! string→u64 object. A missing comma, a duplicate key or bytes after the
+//! closing brace are errors, so a hand-merged baseline cannot pass the gate
+//! on whichever value came last.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use dex_core::RunReport;
+use dex_sim::codec::{escape_json, parse_json, Json};
 
 /// Schema identifier carried by every result file.
 pub const BENCH_SCHEMA: &str = "dex-bench v1";
@@ -85,32 +89,9 @@ impl BenchResult {
         self
     }
 
-    /// All numeric fields as `(label, value)` pairs — the comparison
-    /// surface of `dex-check perf`. Extras are prefixed `extra.`.
-    pub fn numeric_fields(&self) -> Vec<(String, u64)> {
-        let mut fields = vec![
-            ("virtual_time_ns".to_string(), self.virtual_time_ns),
-            ("read_faults".to_string(), self.read_faults),
-            ("write_faults".to_string(), self.write_faults),
-            ("retried_faults".to_string(), self.retried_faults),
-            ("msgs_sent".to_string(), self.msgs_sent),
-            ("bytes_sent".to_string(), self.bytes_sent),
-            ("fault_p50_ns".to_string(), self.fault_p50_ns),
-            ("fault_p99_ns".to_string(), self.fault_p99_ns),
-        ];
-        for (k, v) in &self.extra {
-            fields.push((format!("extra.{k}"), *v));
-        }
-        fields
-    }
-
-    /// Serializes into the stable JSON schema (keys in fixed order).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema\": \"{BENCH_SCHEMA}\",");
-        let _ = writeln!(out, "  \"name\": \"{}\",", json_escape(&self.name));
-        for (key, value) in [
+    /// The fixed counters in schema order.
+    fn counts(&self) -> [(&'static str, u64); 8] {
+        [
             ("virtual_time_ns", self.virtual_time_ns),
             ("read_faults", self.read_faults),
             ("write_faults", self.write_faults),
@@ -119,15 +100,46 @@ impl BenchResult {
             ("bytes_sent", self.bytes_sent),
             ("fault_p50_ns", self.fault_p50_ns),
             ("fault_p99_ns", self.fault_p99_ns),
-        ] {
+        ]
+    }
+
+    /// The fixed counter named `key`, for parsing.
+    fn count_mut(&mut self, key: &str) -> Option<&mut u64> {
+        Some(match key {
+            "virtual_time_ns" => &mut self.virtual_time_ns,
+            "read_faults" => &mut self.read_faults,
+            "write_faults" => &mut self.write_faults,
+            "retried_faults" => &mut self.retried_faults,
+            "msgs_sent" => &mut self.msgs_sent,
+            "bytes_sent" => &mut self.bytes_sent,
+            "fault_p50_ns" => &mut self.fault_p50_ns,
+            "fault_p99_ns" => &mut self.fault_p99_ns,
+            _ => return None,
+        })
+    }
+
+    /// All numeric fields as `(label, value)` pairs — the comparison
+    /// surface of `dex-check perf`. Extras are prefixed `extra.`.
+    pub fn numeric_fields(&self) -> Vec<(String, u64)> {
+        let counts = self.counts().map(|(k, v)| (k.to_string(), v));
+        let extras = self.extra.iter().map(|(k, v)| (format!("extra.{k}"), *v));
+        counts.into_iter().chain(extras).collect()
+    }
+
+    /// Serializes into the stable JSON schema (keys in fixed order).
+    pub fn to_json(&self) -> String {
+        let mut out = String::with_capacity(256);
+        let _ = write!(out, "{{\n  \"schema\": \"{BENCH_SCHEMA}\",\n  \"name\": ");
+        escape_json(&mut out, &self.name);
+        out.push_str(",\n");
+        for (key, value) in self.counts() {
             let _ = writeln!(out, "  \"{key}\": {value},");
         }
         out.push_str("  \"extra\": {");
         for (i, (k, v)) in self.extra.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    \"{}\": {v}", json_escape(k));
+            out.push_str(if i > 0 { ",\n    " } else { "\n    " });
+            escape_json(&mut out, k);
+            let _ = write!(out, ": {v}");
         }
         if !self.extra.is_empty() {
             out.push_str("\n  ");
@@ -137,62 +149,25 @@ impl BenchResult {
     }
 
     /// Parses the JSON written by [`BenchResult::to_json`]. Rejects
-    /// files with a missing or different `schema`.
+    /// files with a missing or different `schema`, unknown or mistyped
+    /// fields, and anything the strict reader rejects.
     pub fn parse_json(text: &str) -> Result<Self, String> {
-        let mut p = Parser {
-            src: text,
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
         let mut result = BenchResult::default();
         let mut saw_schema = false;
-        p.expect(b'{')?;
-        loop {
-            if p.peek()? == b'}' {
-                p.expect(b'}')?;
-                break;
-            }
-            let key = p.string()?;
-            p.expect(b':')?;
-            match key.as_str() {
-                "schema" => {
-                    let v = p.string()?;
-                    if v != BENCH_SCHEMA {
-                        return Err(format!(
-                            "unrecognized schema {v:?} (expected {BENCH_SCHEMA:?})"
-                        ));
-                    }
-                    saw_schema = true;
+        for (key, value) in parse_json(text)? {
+            match (key.as_str(), value) {
+                ("schema", Json::Str(v)) if v == BENCH_SCHEMA => saw_schema = true,
+                ("schema", v) => {
+                    return Err(format!(
+                        "unrecognized schema {v:?} (expected {BENCH_SCHEMA:?})"
+                    ))
                 }
-                "name" => result.name = p.string()?,
-                "virtual_time_ns" => result.virtual_time_ns = p.number()?,
-                "read_faults" => result.read_faults = p.number()?,
-                "write_faults" => result.write_faults = p.number()?,
-                "retried_faults" => result.retried_faults = p.number()?,
-                "msgs_sent" => result.msgs_sent = p.number()?,
-                "bytes_sent" => result.bytes_sent = p.number()?,
-                "fault_p50_ns" => result.fault_p50_ns = p.number()?,
-                "fault_p99_ns" => result.fault_p99_ns = p.number()?,
-                "extra" => {
-                    p.expect(b'{')?;
-                    loop {
-                        if p.peek()? == b'}' {
-                            p.pos += 1;
-                            break;
-                        }
-                        let k = p.string()?;
-                        p.expect(b':')?;
-                        let v = p.number()?;
-                        result.extra.insert(k, v);
-                        if p.peek()? == b',' {
-                            p.pos += 1;
-                        }
-                    }
-                }
-                other => return Err(format!("unknown field {other:?}")),
-            }
-            if p.peek()? == b',' {
-                p.pos += 1;
+                ("name", Json::Str(v)) => result.name = v,
+                ("extra", Json::Object(fields)) => result.extra = fields.into_iter().collect(),
+                (key, value) => match (result.count_mut(key), value) {
+                    (Some(slot), Json::U64(v)) => *slot = v,
+                    _ => return Err(format!("unknown or mistyped field {key:?}")),
+                },
             }
         }
         if !saw_schema {
@@ -226,127 +201,6 @@ impl BenchResult {
 /// `--smoke` on the command line or `DEX_BENCH_SMOKE` set (non-`0`).
 pub fn smoke() -> bool {
     crate::arg_flag("--smoke") || std::env::var("DEX_BENCH_SMOKE").is_ok_and(|v| v != "0")
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Minimal scanner for the subset of JSON the schema uses: one object
-/// of string keys mapping to strings, unsigned integers, or one nested
-/// flat object.
-struct Parser<'a> {
-    src: &'a str,
-    /// `src.as_bytes()`.
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        let got = self.peek()?;
-        if got != b {
-            return Err(format!(
-                "expected `{}` at byte {}, found `{}`",
-                b as char, self.pos, got as char
-            ));
-        }
-        self.pos += 1;
-        Ok(())
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| format!("bad \\u escape: {e}"))?;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("unknown string escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar. `pos` only ever moves past
-                    // whole scalars; off a boundary this slice would panic.
-                    let c = self.src[self.pos..].chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(format!("expected a number at byte {start}"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .unwrap()
-            .parse()
-            .map_err(|e| format!("bad number: {e}"))
-    }
 }
 
 #[cfg(test)]
@@ -400,11 +254,32 @@ mod tests {
     }
 
     #[test]
-    fn hostile_names_survive() {
-        let mut r = sample();
-        r.name = "we\"ird\\name\n".into();
-        r.extra.insert("k\ty".into(), 7);
-        let parsed = BenchResult::parse_json(&r.to_json()).unwrap();
-        assert_eq!(parsed, r);
+    fn a_missing_comma_is_rejected() {
+        let text = sample().to_json().replacen("0,\n", "0\n", 1);
+        let err = BenchResult::parse_json(&text).unwrap_err();
+        assert!(err.contains("expected `,`"), "{err}");
+    }
+
+    #[test]
+    fn bytes_after_the_closing_brace_are_rejected() {
+        let one = sample().to_json();
+        let err = BenchResult::parse_json(&format!("{one}{one}")).unwrap_err();
+        assert!(err.contains("after the closing"), "{err}");
+        assert!(BenchResult::parse_json(&format!("{one}x")).is_err());
+    }
+
+    #[test]
+    fn a_duplicate_key_is_rejected() {
+        let text = sample().to_json().replace(
+            "\"read_faults\": 3",
+            "\"read_faults\": 3,\n  \"read_faults\": 4",
+        );
+        let err = BenchResult::parse_json(&text).unwrap_err();
+        assert!(err.contains("duplicate key \"read_faults\""), "{err}");
+        let extra = sample().to_json().replace(
+            "\"forward_migrations\": 10",
+            "\"forward_migrations\": 10, \"forward_migrations\": 11",
+        );
+        assert!(BenchResult::parse_json(&extra).is_err());
     }
 }

@@ -45,6 +45,10 @@
 //!   runs on. One file is what a reader can audit; a second site would have
 //!   to argue its own soundness with nobody looking. (`benchmark/` is a
 //!   separate, frozen package and out of scope.)
+//! * **codec-confined** — every text artifact escapes, splits and reads
+//!   through `dex_sim::codec`. Outside `sim/src/codec.rs`, a function
+//!   whose name contains `escape` (test code included) and a `split` on
+//!   `'\t'` in non-test code are a second codec starting to drift.
 
 use std::path::{Path, PathBuf};
 
@@ -103,6 +107,21 @@ const PARK_ALLOWLIST: [&str; 3] = [
 
 /// The one file allowed to contain the `unsafe` keyword.
 const UNSAFE_ALLOWLIST: [&str; 1] = ["crates/sim/src/context.rs"];
+
+/// The one file allowed to define escapers and split rows on tabs.
+const CODEC_ALLOWLIST: [&str; 1] = ["crates/sim/src/codec.rs"];
+
+/// Whether `line` declares a function whose name contains `part`
+/// (outside string literals, as in [`has_keyword`]).
+fn declares_fn_named(line: &str, part: &str) -> bool {
+    line.split('"').step_by(2).any(|code| {
+        let mut words = code
+            .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+            .filter(|w| !w.is_empty());
+        let mut prev = "";
+        words.any(|w| std::mem::replace(&mut prev, w) == "fn" && w.contains(part))
+    })
+}
 
 /// Strips `//` comments (keeps string contents intact well enough for
 /// these lints — the sources do not hide the flagged tokens in strings).
@@ -185,6 +204,13 @@ pub fn lint_source(rel: &str, content: &str) -> Vec<LintHit> {
 
         if !UNSAFE_ALLOWLIST.contains(&rel) && !in_tests && has_keyword(line, "unsafe") {
             push("unsafe-confined");
+        }
+
+        if !CODEC_ALLOWLIST.contains(&rel)
+            && (declares_fn_named(line, "escape")
+                || (!in_tests && line.contains("split") && line.contains("'\\t')")))
+        {
+            push("codec-confined");
         }
 
         let park_scope = rel.starts_with("crates/core/src/") || rel.starts_with("crates/apps/src/");
@@ -601,6 +627,30 @@ fn f() {
         assert!(lint_source("crates/core/src/thread.rs", ok).is_empty());
         let test_code = format!("#[cfg(test)]\nmod tests {{\n {block}}}\n");
         assert!(lint_source("crates/sim/src/engine.rs", &test_code).is_empty());
+    }
+
+    #[test]
+    fn codec_copies_are_flagged_outside_the_codec() {
+        let escaper = "fn json_escape(s: &str) -> String {\n";
+        let split = "fn f(l: &str) { let v: Vec<&str> = l.split('\\t').collect(); }\n";
+        for bad in [escaper, split] {
+            let hits = lint_source("crates/prof/src/timeline.rs", bad);
+            assert_eq!(hits.len(), 1, "{bad}: {hits:?}");
+            assert_eq!(hits[0].rule, "codec-confined");
+        }
+        assert!(lint_source("crates/sim/src/codec.rs", escaper).is_empty());
+        assert!(lint_source("crates/sim/src/codec.rs", split).is_empty());
+        // Callers and test-only splits do not count; a test-only escaper
+        // does.
+        let ok = "fn f(o: &mut String, s: &str) { escape_field(o, s); }\n";
+        assert!(lint_source("crates/prof/src/timeline.rs", ok).is_empty());
+        let test_split = format!("#[cfg(test)]\nmod tests {{\n {split}}}\n");
+        assert!(lint_source("crates/prof/src/diff.rs", &test_split).is_empty());
+        let test_escaper = format!("#[cfg(test)]\nmod tests {{\n {escaper}}}\n");
+        assert_eq!(
+            lint_source("crates/prof/src/diff.rs", &test_escaper).len(),
+            1
+        );
     }
 
     #[test]

@@ -15,6 +15,7 @@ use std::fmt::Write as _;
 
 use dex_core::{Span, SpanKind};
 use dex_net::TimeSeries;
+use dex_sim::codec::{parse_json, Json};
 
 use crate::series_codec::{decode_series, SERIES_HEADER};
 use crate::span_codec::{decode_spans, SPANS_HEADER};
@@ -199,52 +200,19 @@ pub fn diff_bench(base: &[(String, u64)], cand: &[(String, u64)]) -> Vec<DiffRow
     rows_from(map, |k| k.clone())
 }
 
-/// The flat numeric fields of a `dex-bench v1` JSON file, in document
-/// order. A deliberately small parser: the writer (`dex_bench::perf`)
-/// emits one flat object of string and integer fields, and only the
-/// integers matter to a diff.
+/// The numeric fields of a `dex-bench v1` JSON file, in document order,
+/// read by the one strict JSON reader ([`dex_sim::codec::parse_json`]).
+/// A nested object's fields are named `<object>.<key>` (`extra.<key>`),
+/// the names `dex-check perf` reports.
 pub fn bench_numeric_fields(text: &str) -> Result<Vec<(String, u64)>, String> {
     let mut fields = Vec::new();
-    let mut chars = text.char_indices().peekable();
-    let mut key: Option<String> = None;
-    while let Some((i, c)) = chars.next() {
-        match c {
-            '"' => {
-                let mut s = String::new();
-                loop {
-                    match chars.next() {
-                        Some((_, '"')) => break,
-                        Some((_, '\\')) => match chars.next() {
-                            Some((_, e)) => s.push(e),
-                            None => return Err("unterminated escape".into()),
-                        },
-                        Some((_, c)) => s.push(c),
-                        None => return Err(format!("unterminated string at byte {i}")),
-                    }
-                }
-                if key.is_none() {
-                    key = Some(s);
-                }
+    for (key, value) in parse_json(text)? {
+        match value {
+            Json::U64(v) => fields.push((key, v)),
+            Json::Object(inner) => {
+                fields.extend(inner.into_iter().map(|(k, v)| (format!("{key}.{k}"), v)));
             }
-            ':' => {}
-            c if c.is_ascii_digit() => {
-                let mut n = String::from(c);
-                while let Some(&(_, d)) = chars.peek() {
-                    if d.is_ascii_digit() {
-                        n.push(d);
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                let name = key
-                    .take()
-                    .ok_or(format!("number without a key at byte {i}"))?;
-                let value = n.parse().map_err(|e| format!("field {name}: {e}"))?;
-                fields.push((name, value));
-            }
-            ',' | '}' => key = None,
-            _ => {}
+            Json::Str(_) => {}
         }
     }
     if fields.is_empty() {
@@ -473,6 +441,44 @@ mod tests {
         let rows = diff_bench(&b, &bench_numeric_fields(cand).unwrap());
         assert_eq!(rows[0].key, "virtual_time_ns");
         assert_eq!(rows[0].ratio(), Some(2.2));
+    }
+
+    #[test]
+    fn bench_extras_are_named_as_the_perf_gate_names_them() {
+        let bench = |fwd: u64| {
+            format!(
+                "{{\n  \"schema\": \"dex-bench v1\",\n  \"name\": \"table2\",\n  \
+                 \"virtual_time_ns\": 100,\n  \"extra\": {{\n    \
+                 \"backward_migrations\": 10,\n    \"forward_migrations\": {fwd}\n  }}\n}}\n"
+            )
+        };
+        let (base, cand) = (bench(10), bench(12));
+        let rows = render_diff(
+            &sniff_and_decode(&base).unwrap(),
+            &sniff_and_decode(&cand).unwrap(),
+            10,
+        )
+        .unwrap();
+        assert!(rows.contains("extra.backward_migrations"), "{rows}");
+        let fields = bench_numeric_fields(&cand).unwrap();
+        let names: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "virtual_time_ns",
+                "extra.backward_migrations",
+                "extra.forward_migrations"
+            ]
+        );
+        let rows = diff_bench(&bench_numeric_fields(&base).unwrap(), &fields);
+        assert_eq!(rows[0].key, "extra.forward_migrations");
+        assert_eq!(rows[0].delta_ns(), 2);
+        // An escaped `\n` in a name decodes to a newline, not the letter.
+        let escaped = bench_numeric_fields("{\"a\\nb\": 1, \"extra\": {\"c\\nd\": 2}}").unwrap();
+        assert_eq!(
+            escaped,
+            vec![("a\nb".to_string(), 1), ("extra.c\nd".to_string(), 2)]
+        );
     }
 
     #[test]

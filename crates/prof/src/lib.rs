@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 
 mod analyze;
-pub mod codec;
 mod critical_path;
 pub mod diff;
 mod report;
@@ -52,7 +51,6 @@ mod top;
 pub mod whatif;
 
 pub use analyze::{FalseSharingSuspect, NodeTraffic, PageStat, Profile, SiteStat};
-pub use codec::{decode_trace, decode_trace_with_dropped, encode_trace, encode_trace_with_dropped};
 pub use critical_path::{
     migration_phases, protocol_path_breakdown, render_critical_path, PhaseStat,
 };
@@ -62,9 +60,7 @@ pub use diff::{
 };
 pub use report::{render_report, ReportOptions};
 pub use series_codec::{decode_series, encode_series};
-pub use span_codec::{
-    decode_spans, decode_spans_with_dropped, encode_spans, encode_spans_with_dropped,
-};
+pub use span_codec::{decode_spans, encode_spans};
 pub use timeline::{export_chrome_trace, export_chrome_trace_with_series};
 pub use top::render_top;
 pub use whatif::{decode_whatif, encode_whatif, render_whatif, WhatIfEntry, WhatIfReport};

@@ -1,10 +1,9 @@
 //! Text serialization of windowed telemetry time-series.
 //!
-//! Companion to the trace and span codecs: line-oriented, tab-separated,
-//! versioned by a header line, free-form fields escaped reversibly with
-//! the same scheme ([`escape_field`](crate::codec::escape_field)). The
-//! series preamble is carried in `#`-prefixed metadata lines so the body
-//! stays uniform:
+//! Line-oriented, tab-separated, versioned by a header line; the header
+//! check, the line rules and the free-form field escaping are
+//! [`dex_sim::codec`]'s. The series preamble is carried in `#` meta lines
+//! so the body stays uniform:
 //!
 //! ```text
 //! # dex-series v1
@@ -19,17 +18,14 @@
 //! [`SeriesScope`] display form). Counter and histogram rows may
 //! interleave; decoding preserves their original order within each kind.
 
-use dex_net::{CounterPoint, HistPoint, SeriesScope, TimeSeries};
-use dex_sim::{SimDuration, SimTime};
+use std::fmt::Write as _;
 
-use crate::codec::{escape_field, unescape_field};
+use dex_net::{CounterPoint, HistPoint, SeriesScope, TimeSeries};
+use dex_sim::codec::{escape_field, Line, Reader};
+use dex_sim::{SimDuration, SimTime};
 
 /// Magic header identifying the series format.
 pub const SERIES_HEADER: &str = "# dex-series v1";
-
-fn encode_scope(scope: SeriesScope) -> String {
-    scope.to_string()
-}
 
 fn decode_scope(s: &str) -> Option<SeriesScope> {
     if let Some(n) = s.strip_prefix("node") {
@@ -45,115 +41,79 @@ pub fn encode_series(series: &TimeSeries) -> String {
     let mut out = String::with_capacity(
         (series.counters.len() + series.hists.len()) * 48 + SERIES_HEADER.len() + 64,
     );
-    out.push_str(SERIES_HEADER);
-    out.push('\n');
-    out.push_str(&format!("# window {}\n", series.window.as_nanos()));
-    out.push_str(&format!("# windows {}\n", series.windows));
-    out.push_str(&format!("# end {}\n", series.end.as_nanos()));
+    let _ = writeln!(
+        out,
+        "{SERIES_HEADER}\n# window {}\n# windows {}\n# end {}",
+        series.window.as_nanos(),
+        series.windows,
+        series.end.as_nanos()
+    );
     for p in &series.counters {
-        out.push_str(&format!(
-            "c\t{}\t{}\t{}\t{}\n",
-            p.window,
-            encode_scope(p.scope),
-            escape_field(&p.name),
-            p.delta
-        ));
+        let _ = write!(out, "c\t{}\t{}\t", p.window, p.scope);
+        escape_field(&mut out, &p.name);
+        let _ = writeln!(out, "\t{}", p.delta);
     }
     for p in &series.hists {
-        out.push_str(&format!(
-            "h\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
-            p.window,
-            p.node,
-            escape_field(&p.name),
+        let _ = write!(out, "h\t{}\t{}\t", p.window, p.node);
+        escape_field(&mut out, &p.name);
+        let _ = writeln!(
+            out,
+            "\t{}\t{}\t{}\t{}",
             p.count,
             p.p50.as_nanos(),
             p.p95.as_nanos(),
             p.p99.as_nanos()
-        ));
+        );
     }
     out
 }
 
 /// Parses the text format produced by [`encode_series`].
 pub fn decode_series(text: &str) -> Result<TimeSeries, String> {
-    let mut lines = text.lines().enumerate();
-    match lines.next() {
-        Some((_, header)) if header.trim() == SERIES_HEADER => {}
-        Some((_, header)) => {
-            return Err(format!(
-                "unrecognized series header {header:?} (expected {SERIES_HEADER:?})"
-            ))
-        }
-        None => return Err("empty series file".to_string()),
-    }
+    let mut lines = Reader::tabs(text).header(SERIES_HEADER, "series")?;
     let mut series = TimeSeries::default();
-    for (lineno, line) in lines {
-        let line = line.trim_end_matches('\r');
-        if line.is_empty() || line.starts_with('#') {
-            let meta = |prefix: &str| line.strip_prefix(prefix).map(str::trim);
-            let parse_meta = |v: &str, what: &str| -> Result<u64, String> {
-                v.parse()
-                    .map_err(|e| format!("line {}: bad {what}: {e}", lineno + 1))
-            };
-            if let Some(v) = meta("# window ") {
-                series.window = SimDuration::from_nanos(parse_meta(v, "window width")?);
-            } else if let Some(v) = meta("# windows ") {
-                series.windows = parse_meta(v, "window count")?;
-            } else if let Some(v) = meta("# end ") {
-                series.end = SimTime::from_nanos(parse_meta(v, "end time")?);
-            }
-            continue;
-        }
-        let fields: Vec<&str> = line.split('\t').collect();
-        let parse_u64 = |s: &str, what: &str| -> Result<u64, String> {
-            s.parse()
-                .map_err(|e| format!("line {}: bad {what}: {e}", lineno + 1))
-        };
-        match fields[0] {
-            "c" => {
-                if fields.len() != 5 {
-                    return Err(format!(
-                        "line {}: expected 5 fields for a counter point, got {}",
-                        lineno + 1,
-                        fields.len()
-                    ));
+    while let Some(line) = lines.next_line() {
+        let row = match line {
+            Line::Meta(meta) => {
+                if let Some(v) = meta.value("window") {
+                    series.window = SimDuration::from_nanos(v.parse("window width")?);
+                } else if let Some(v) = meta.value("windows") {
+                    series.windows = v.parse("window count")?;
+                } else if let Some(v) = meta.value("end") {
+                    series.end = SimTime::from_nanos(v.parse("end time")?);
                 }
-                let scope = decode_scope(fields[2])
-                    .ok_or_else(|| format!("line {}: bad scope {:?}", lineno + 1, fields[2]))?;
+                continue;
+            }
+            Line::Row(row) => row,
+        };
+        match row.get(0).raw {
+            "c" => {
+                row.expect(5)?;
+                let scope = decode_scope(row.get(2).raw)
+                    .ok_or_else(|| row.err(format_args!("bad scope {:?}", row.get(2).raw)))?;
                 series.counters.push(CounterPoint {
-                    window: parse_u64(fields[1], "window")?,
+                    window: row.get(1).parse("window")?,
                     scope,
-                    name: unescape_field(fields[3])
-                        .map_err(|e| format!("line {}: name: {e}", lineno + 1))?,
-                    delta: parse_u64(fields[4], "delta")?,
+                    name: row.get(3).text("name")?.into_owned(),
+                    delta: row.get(4).parse("delta")?,
                 });
             }
             "h" => {
-                if fields.len() != 8 {
-                    return Err(format!(
-                        "line {}: expected 8 fields for a histogram point, got {}",
-                        lineno + 1,
-                        fields.len()
-                    ));
-                }
+                row.expect(8)?;
                 series.hists.push(HistPoint {
-                    window: parse_u64(fields[1], "window")?,
-                    node: fields[2]
-                        .parse()
-                        .map_err(|e| format!("line {}: bad node: {e}", lineno + 1))?,
-                    name: unescape_field(fields[3])
-                        .map_err(|e| format!("line {}: name: {e}", lineno + 1))?,
-                    count: parse_u64(fields[4], "count")?,
-                    p50: SimDuration::from_nanos(parse_u64(fields[5], "p50")?),
-                    p95: SimDuration::from_nanos(parse_u64(fields[6], "p95")?),
-                    p99: SimDuration::from_nanos(parse_u64(fields[7], "p99")?),
+                    window: row.get(1).parse("window")?,
+                    node: row.get(2).parse("node")?,
+                    name: row.get(3).text("name")?.into_owned(),
+                    count: row.get(4).parse("count")?,
+                    p50: SimDuration::from_nanos(row.get(5).parse("p50")?),
+                    p95: SimDuration::from_nanos(row.get(6).parse("p95")?),
+                    p99: SimDuration::from_nanos(row.get(7).parse("p99")?),
                 });
             }
             other => {
-                return Err(format!(
-                    "line {}: unknown row kind {other:?} (expected `c` or `h`)",
-                    lineno + 1
-                ))
+                return Err(row.err(format_args!(
+                    "unknown row kind {other:?} (expected `c` or `h`)"
+                )))
             }
         }
     }
@@ -224,17 +184,5 @@ mod tests {
         let decoded = decode_series(&encode_series(&TimeSeries::default())).unwrap();
         assert_eq!(decoded.windows, 0);
         assert!(decoded.counters.is_empty() && decoded.hists.is_empty());
-    }
-
-    #[test]
-    fn hostile_names_round_trip() {
-        for s in ["tab\there", "-", "", "new\nline", "back\\slash"] {
-            let mut series = sample();
-            series.counters[0].name = s.to_string();
-            series.hists[0].name = s.to_string();
-            let decoded = decode_series(&encode_series(&series)).unwrap();
-            assert_eq!(decoded.counters[0].name, s);
-            assert_eq!(decoded.hists[0].name, s);
-        }
     }
 }

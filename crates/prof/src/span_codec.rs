@@ -1,8 +1,8 @@
 //! Text serialization of causal span forests.
 //!
-//! Companion to the fault-trace codec: line-oriented, tab-separated,
-//! versioned by a header line, free-form fields escaped reversibly with
-//! the same scheme ([`escape_field`](crate::codec::escape_field)).
+//! Line-oriented, tab-separated, versioned by a header line. The header
+//! check, the line rules and the free-form field escaping are
+//! [`dex_sim::codec`]'s; this module only maps a [`Span`] onto a row:
 //!
 //! ```text
 //! # dex-spans v1
@@ -10,37 +10,29 @@
 //! ```
 //!
 //! Spans are written in completion order, so children may precede their
-//! parents; consumers must index by id before walking the forest.
+//! parents; consumers must index by id before walking the forest. Other
+//! `#` lines (older files carry a `# dropped N` line) are ignored.
+
+use std::fmt::Write as _;
 
 use dex_core::{Span, SpanId, SpanKind};
 use dex_net::NodeId;
 use dex_os::Tid;
+use dex_sim::codec::{escape_field, intern, Line, Reader};
 use dex_sim::SimTime;
-
-use crate::codec::{escape_field, intern_site, unescape_field};
 
 /// Magic header identifying the span format.
 pub const SPANS_HEADER: &str = "# dex-spans v1";
 
 /// Serializes `spans` into the versioned text format.
 pub fn encode_spans(spans: &[Span]) -> String {
-    encode_spans_with_dropped(spans, 0)
-}
-
-/// Like [`encode_spans`], additionally recording how many spans a bounded
-/// capture buffer evicted (see
-/// [`SpanBuffer::dropped`](dex_core::SpanBuffer::dropped)) as a
-/// `# dropped N` line.
-pub fn encode_spans_with_dropped(spans: &[Span], dropped: u64) -> String {
     let mut out = String::with_capacity(spans.len() * 64 + SPANS_HEADER.len() + 1);
     out.push_str(SPANS_HEADER);
     out.push('\n');
-    if dropped > 0 {
-        out.push_str(&format!("# dropped {dropped}\n"));
-    }
     for s in spans {
-        out.push_str(&format!(
-            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
+        let _ = write!(
+            out,
+            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t",
             s.id.0,
             s.parent.0,
             s.kind,
@@ -48,88 +40,45 @@ pub fn encode_spans_with_dropped(spans: &[Span], dropped: u64) -> String {
             s.task.0,
             s.start.as_nanos(),
             s.end.as_nanos(),
-            escape_field(s.label),
-            match &s.tag {
-                Some(tag) => escape_field(tag),
-                None => "-".to_string(),
-            }
-        ));
+        );
+        escape_field(&mut out, s.label);
+        out.push('\t');
+        match &s.tag {
+            Some(tag) => escape_field(&mut out, tag),
+            None => out.push('-'),
+        }
+        out.push('\n');
     }
     out
 }
 
 /// Parses the text format produced by [`encode_spans`].
 pub fn decode_spans(text: &str) -> Result<Vec<Span>, String> {
-    decode_spans_with_dropped(text).map(|(spans, _)| spans)
-}
-
-/// Like [`decode_spans`], also returning the capture-time eviction count
-/// recorded by [`encode_spans_with_dropped`] (0 when absent).
-pub fn decode_spans_with_dropped(text: &str) -> Result<(Vec<Span>, u64), String> {
-    let mut lines = text.lines().enumerate();
-    match lines.next() {
-        Some((_, header)) if header.trim() == SPANS_HEADER => {}
-        Some((_, header)) => {
-            return Err(format!(
-                "unrecognized span header {header:?} (expected {SPANS_HEADER:?})"
-            ))
-        }
-        None => return Err("empty span file".to_string()),
-    }
+    let mut lines = Reader::tabs(text).header(SPANS_HEADER, "span")?;
     let mut spans = Vec::new();
-    let mut dropped: u64 = 0;
-    for (lineno, line) in lines {
-        // Strip only the CR of CRLF endings: trailing spaces are field
-        // content (the escaping keeps structural characters out).
-        let line = line.trim_end_matches('\r');
-        if line.is_empty() || line.starts_with('#') {
-            if let Some(n) = line.strip_prefix("# dropped ") {
-                dropped += n
-                    .trim()
-                    .parse::<u64>()
-                    .map_err(|e| format!("line {}: bad dropped count: {e}", lineno + 1))?;
-            }
-            continue;
-        }
-        let fields: Vec<&str> = line.split('\t').collect();
-        if fields.len() != 9 {
-            return Err(format!(
-                "line {}: expected 9 tab-separated fields, got {}",
-                lineno + 1,
-                fields.len()
-            ));
-        }
-        let parse_u64 = |s: &str, what: &str| -> Result<u64, String> {
-            s.parse()
-                .map_err(|e| format!("line {}: bad {what}: {e}", lineno + 1))
-        };
-        let kind = SpanKind::parse(fields[2])
-            .ok_or_else(|| format!("line {}: unknown span kind {:?}", lineno + 1, fields[2]))?;
-        let node = NodeId(
-            fields[3]
-                .parse()
-                .map_err(|e| format!("line {}: bad node: {e}", lineno + 1))?,
-        );
-        let label = intern_site(
-            &unescape_field(fields[7]).map_err(|e| format!("line {}: label: {e}", lineno + 1))?,
-        );
-        let tag = match fields[8] {
+    while let Some(line) = lines.next_line() {
+        let Line::Row(row) = line else { continue };
+        row.expect(9)?;
+        let kind = row.get(2).raw;
+        let kind = SpanKind::parse(kind)
+            .ok_or_else(|| row.err(format_args!("unknown span kind {kind:?}")))?;
+        let tag = match row.get(8).raw {
             "-" => None,
-            tag => Some(unescape_field(tag).map_err(|e| format!("line {}: tag: {e}", lineno + 1))?),
+            _ => Some(row.get(8).text("tag")?.into_owned()),
         };
         spans.push(Span {
-            id: SpanId(parse_u64(fields[0], "id")?),
-            parent: SpanId(parse_u64(fields[1], "parent")?),
+            id: SpanId(row.get(0).parse("id")?),
+            parent: SpanId(row.get(1).parse("parent")?),
             kind,
-            node,
-            task: Tid(parse_u64(fields[4], "task")?),
-            start: SimTime::from_nanos(parse_u64(fields[5], "start")?),
-            end: SimTime::from_nanos(parse_u64(fields[6], "end")?),
-            label,
+            node: NodeId(row.get(3).parse("node")?),
+            task: Tid(row.get(4).parse("task")?),
+            start: SimTime::from_nanos(row.get(5).parse("start")?),
+            end: SimTime::from_nanos(row.get(6).parse("end")?),
+            label: intern(&row.get(7).text("label")?),
             tag,
         });
     }
-    Ok((spans, dropped))
+    Ok(spans)
 }
 
 #[cfg(test)]
@@ -191,26 +140,13 @@ mod tests {
         assert!(decode_spans(&bad_kind).is_err());
     }
 
+    /// The empty forest round-trips, and the `# dropped N` count an older
+    /// file may carry decodes as an ignored meta line.
     #[test]
     fn empty_forest_and_dropped_count_round_trip() {
-        let (spans, dropped) = decode_spans_with_dropped(&encode_spans(&[])).unwrap();
-        assert!(spans.is_empty());
-        assert_eq!(dropped, 0);
-        let text = encode_spans_with_dropped(&sample(), 7);
-        let (spans, dropped) = decode_spans_with_dropped(&text).unwrap();
-        assert_eq!(spans.len(), 2);
-        assert_eq!(dropped, 7);
-    }
-
-    #[test]
-    fn hostile_labels_and_tags_round_trip() {
-        for s in ["tab\there", "-", "", "new\nline", "back\\slash"] {
-            let mut spans = sample();
-            spans[0].label = intern_site(s);
-            spans[0].tag = Some(s.to_string());
-            let decoded = decode_spans(&encode_spans(&spans)).unwrap();
-            assert_eq!(decoded[0].label, s);
-            assert_eq!(decoded[0].tag.as_deref(), Some(s));
-        }
+        assert!(decode_spans(&encode_spans(&[])).unwrap().is_empty());
+        let text = encode_spans(&sample()).replacen('\n', "\n# dropped 7\n", 1);
+        let decoded = decode_spans(&text).unwrap();
+        assert_eq!(encode_spans(&decoded), encode_spans(&sample()));
     }
 }

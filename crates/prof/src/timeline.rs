@@ -14,10 +14,9 @@
 //! counter tracks (`ph:"C"`): per-node counter deltas and per-window
 //! latency quantiles draw as stepped graphs above each node's slices.
 
-use std::fmt::Write as _;
-
 use dex_core::Span;
 use dex_net::{SeriesScope, TimeSeries};
+use dex_sim::codec::escape_json;
 
 /// The display thread id used for protocol-handler spans
 /// (`Tid(u64::MAX)` on the wire; JSON tids must stay small integers).
@@ -29,25 +28,6 @@ fn display_tid(task: dex_os::Tid) -> u64 {
     } else {
         task.0
     }
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn micros(ns: u64) -> f64 {
@@ -138,14 +118,16 @@ pub fn export_chrome_trace_with_series(spans: &[Span], series: Option<&TimeSerie
     for s in spans {
         let pid = u64::from(s.node.0);
         let tid = display_tid(s.task);
-        let name = json_escape(&format!("{}:{}", s.kind, s.label));
-        let tag = match &s.tag {
-            Some(t) => format!(",\"tag\":\"{}\"", json_escape(t)),
-            None => String::new(),
-        };
+        let mut name = String::new();
+        escape_json(&mut name, &format!("{}:{}", s.kind, s.label));
+        let mut tag = String::new();
+        if let Some(t) = &s.tag {
+            tag.push_str(",\"tag\":");
+            escape_json(&mut tag, t);
+        }
         push(
             format!(
-                "{{\"name\":\"{name}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\
+                "{{\"name\":{name},\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{:.3},\
                  \"dur\":{:.3},\"pid\":{pid},\"tid\":{tid},\
                  \"args\":{{\"span\":{},\"parent\":{}{tag}}}}}",
                 s.kind,
@@ -215,12 +197,13 @@ pub fn export_chrome_trace_with_series(spans: &[Span], series: Option<&TimeSerie
             }
         }
         for ((pid, name), values) in &tracks {
-            let name = json_escape(name);
+            let mut quoted = String::new();
+            escape_json(&mut quoted, name);
             for window in 0..series.windows {
                 let value = values.get(&window).copied().unwrap_or(0);
                 push(
                     format!(
-                        "{{\"name\":\"{name}\",\"cat\":\"telemetry\",\"ph\":\"C\",\
+                        "{{\"name\":{quoted},\"cat\":\"telemetry\",\"ph\":\"C\",\
                          \"ts\":{:.3},\"pid\":{pid},\"args\":{{\"value\":{value}}}}}",
                         window as f64 * width_us,
                     ),

@@ -1,45 +1,33 @@
-//! Property tests for the trace and span text codecs: any event/span
-//! forest — including hostile site/tag/label strings full of tabs,
-//! newlines, backslashes, and sentinel lookalikes — must survive an
-//! encode/decode round trip unchanged.
+//! Per-format round-trip properties for the `dex-prof` text codecs: any
+//! span forest, telemetry series or what-if report — arbitrary ids, kinds,
+//! scopes, counts, extreme integers and exact factor bits — survives an
+//! encode/decode round trip unchanged, no input text panics a decoder, and
+//! a wrong header is rejected. Hostile free-form strings go through the one
+//! shared escaper and are covered for every format at once by `dex-check`'s
+//! `hostile_strings` suite.
 
-use dex_core::{FaultEvent, FaultKind, Span, SpanId, SpanKind};
+use dex_core::{Span, SpanId, SpanKind};
 use dex_net::{CounterPoint, HistPoint, NodeId, SeriesScope, TimeSeries};
-use dex_os::{Tid, VirtAddr};
-use dex_prof::codec::intern_site;
+use dex_os::Tid;
 use dex_prof::{
-    decode_series, decode_spans, decode_spans_with_dropped, decode_trace,
-    decode_trace_with_dropped, decode_whatif, encode_series, encode_spans,
-    encode_spans_with_dropped, encode_trace, encode_trace_with_dropped, encode_whatif, WhatIfEntry,
-    WhatIfReport,
+    decode_series, decode_spans, decode_whatif, encode_series, encode_spans, encode_whatif,
+    WhatIfEntry, WhatIfReport,
 };
-use dex_sim::{SimDuration, SimTime};
+use dex_sim::codec::intern;
+use dex_sim::{FaultPlan, ReplayCursor, ScheduleLog, SimDuration, SimTime};
 use proptest::prelude::*;
 
-/// Characters that stress the escaping: structural bytes, the `-`
-/// sentinel, the escape letters themselves, spaces (incl. trailing),
-/// and multi-byte unicode.
-const HOSTILE: &[char] = &[
-    'a', 'z', '0', '\t', '\n', '\r', '\\', ' ', '-', 't', 'n', 'e', '日', '"',
-];
+const NAME: &[char] = &['a', 'k', 'z', '_', '.', '0'];
 
-/// A string of up to 12 hostile characters.
-fn hostile_string() -> impl Strategy<Value = String> {
-    proptest::collection::vec(0usize..HOSTILE.len(), 0..13)
-        .prop_map(|ix| ix.into_iter().map(|i| HOSTILE[i]).collect())
+/// A plain identifier-like name of one to eight characters.
+fn name() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0usize..NAME.len(), 1..9)
+        .prop_map(|ix| ix.into_iter().map(|i| NAME[i]).collect())
 }
 
-/// `None` one time in four, else a hostile string.
+/// `None` one time in four, else a name.
 fn maybe_tag() -> impl Strategy<Value = Option<String>> {
-    (0u8..4, hostile_string()).prop_map(|(n, s)| (n > 0).then_some(s))
-}
-
-fn fault_kind() -> impl Strategy<Value = FaultKind> {
-    prop_oneof![
-        Just(FaultKind::Read),
-        Just(FaultKind::Write),
-        Just(FaultKind::Invalidate),
-    ]
+    (0u8..4, name()).prop_map(|(n, s)| (n > 0).then_some(s))
 }
 
 fn span_kind() -> impl Strategy<Value = SpanKind> {
@@ -63,26 +51,16 @@ fn span_kind() -> impl Strategy<Value = SpanKind> {
     ]
 }
 
-fn arb_event() -> impl Strategy<Value = FaultEvent> {
-    (
-        (any::<u64>(), 0u16..8, any::<u64>()),
-        (fault_kind(), hostile_string(), any::<u64>(), maybe_tag()),
-    )
-        .prop_map(|((time, node, task), (kind, site, addr, tag))| FaultEvent {
-            time: SimTime::from_nanos(time),
-            node: NodeId(node),
-            task: Tid(task),
-            kind,
-            site: intern_site(&site),
-            addr: VirtAddr::new(addr),
-            tag,
-        })
-}
-
 fn arb_span() -> impl Strategy<Value = Span> {
     (
-        (1u64..1_000, 0u64..1_000, span_kind(), 0u16..8, any::<u64>()),
-        (any::<u64>(), any::<u64>(), hostile_string(), maybe_tag()),
+        (
+            any::<u64>(),
+            any::<u64>(),
+            span_kind(),
+            any::<u16>(),
+            any::<u64>(),
+        ),
+        (any::<u64>(), any::<u64>(), name(), maybe_tag()),
     )
         .prop_map(
             |((id, parent, kind, node, task), (start, end, label, tag))| Span {
@@ -93,7 +71,7 @@ fn arb_span() -> impl Strategy<Value = Span> {
                 task: Tid(task),
                 start: SimTime::from_nanos(start),
                 end: SimTime::from_nanos(end),
-                label: intern_site(&label),
+                label: intern(&label),
                 tag,
             },
         )
@@ -101,25 +79,25 @@ fn arb_span() -> impl Strategy<Value = Span> {
 
 fn arb_scope() -> impl Strategy<Value = SeriesScope> {
     prop_oneof![
-        (0u16..8).prop_map(SeriesScope::Node),
-        (0u16..8, 0u16..8).prop_map(|(s, d)| SeriesScope::Link(s, d)),
+        any::<u16>().prop_map(SeriesScope::Node),
+        (any::<u16>(), any::<u16>()).prop_map(|(s, d)| SeriesScope::Link(s, d)),
     ]
 }
 
 fn arb_counter_point() -> impl Strategy<Value = CounterPoint> {
-    (any::<u64>(), arb_scope(), hostile_string(), any::<u64>()).prop_map(
-        |(window, scope, name, delta)| CounterPoint {
+    (any::<u64>(), arb_scope(), name(), any::<u64>()).prop_map(|(window, scope, name, delta)| {
+        CounterPoint {
             window,
             scope,
             name,
             delta,
-        },
-    )
+        }
+    })
 }
 
 fn arb_hist_point() -> impl Strategy<Value = HistPoint> {
     (
-        (any::<u64>(), 0u16..8, hostile_string(), 1u64..1_000_000),
+        (any::<u64>(), any::<u16>(), name(), any::<u64>()),
         (any::<u64>(), any::<u64>(), any::<u64>()),
     )
         .prop_map(|((window, node, name, count), (p50, p95, p99))| HistPoint {
@@ -135,7 +113,7 @@ fn arb_hist_point() -> impl Strategy<Value = HistPoint> {
 
 fn arb_series() -> impl Strategy<Value = TimeSeries> {
     (
-        (1u64..u64::MAX, 0u64..1_000, any::<u64>()),
+        (any::<u64>(), any::<u64>(), any::<u64>()),
         proptest::collection::vec(arb_counter_point(), 0..20),
         proptest::collection::vec(arb_hist_point(), 0..20),
     )
@@ -148,12 +126,6 @@ fn arb_series() -> impl Strategy<Value = TimeSeries> {
         })
 }
 
-/// A hostile string that may additionally lead with `#` — the comment
-/// marker the what-if codec must not confuse with a data row.
-fn hostile_component() -> impl Strategy<Value = String> {
-    (any::<bool>(), hostile_string()).prop_map(|(hash, s)| if hash { format!("#{s}") } else { s })
-}
-
 /// A finite positive factor; `f64::Display` is shortest-round-trip, so
 /// any such value must decode back to the identical bits.
 fn arb_factor() -> impl Strategy<Value = f64> {
@@ -162,16 +134,16 @@ fn arb_factor() -> impl Strategy<Value = f64> {
 
 fn arb_whatif() -> impl Strategy<Value = WhatIfReport> {
     (
-        hostile_component(),
+        name(),
         any::<u64>(),
         proptest::collection::vec(
-            (hostile_component(), arb_factor(), any::<u64>()).prop_map(
-                |(component, factor, perturbed_ns)| WhatIfEntry {
+            (name(), arb_factor(), any::<u64>()).prop_map(|(component, factor, perturbed_ns)| {
+                WhatIfEntry {
                     component,
                     factor,
                     perturbed_ns,
-                },
-            ),
+                }
+            }),
             0..20,
         ),
     )
@@ -190,44 +162,11 @@ fn arb_text() -> impl Strategy<Value = String> {
 
 proptest! {
     #[test]
-    fn trace_round_trips(events in proptest::collection::vec(arb_event(), 0..20),
-                         dropped in 0u64..1_000_000) {
-        let decoded = decode_trace(&encode_trace(&events)).unwrap();
-        prop_assert_eq!(decoded.len(), events.len());
-        for (a, b) in events.iter().zip(&decoded) {
-            prop_assert_eq!(a.time, b.time);
-            prop_assert_eq!(a.node, b.node);
-            prop_assert_eq!(a.task, b.task);
-            prop_assert_eq!(a.kind, b.kind);
-            prop_assert_eq!(a.site, b.site);
-            prop_assert_eq!(a.addr, b.addr);
-            prop_assert_eq!(&a.tag, &b.tag);
-        }
-        let (redecoded, got_dropped) =
-            decode_trace_with_dropped(&encode_trace_with_dropped(&events, dropped)).unwrap();
-        prop_assert_eq!(redecoded.len(), events.len());
-        prop_assert_eq!(got_dropped, dropped);
-    }
-
-    #[test]
-    fn spans_round_trip(spans in proptest::collection::vec(arb_span(), 0..20),
-                        dropped in 0u64..1_000_000) {
-        let decoded = decode_spans(&encode_spans(&spans)).unwrap();
-        prop_assert_eq!(decoded.len(), spans.len());
-        for (a, b) in spans.iter().zip(&decoded) {
-            prop_assert_eq!(a.id, b.id);
-            prop_assert_eq!(a.parent, b.parent);
-            prop_assert_eq!(a.kind, b.kind);
-            prop_assert_eq!(a.node, b.node);
-            prop_assert_eq!(a.task, b.task);
-            prop_assert_eq!(a.start, b.start);
-            prop_assert_eq!(a.end, b.end);
-            prop_assert_eq!(a.label, b.label);
-            prop_assert_eq!(&a.tag, &b.tag);
-        }
-        let (_, got_dropped) =
-            decode_spans_with_dropped(&encode_spans_with_dropped(&spans, dropped)).unwrap();
-        prop_assert_eq!(got_dropped, dropped);
+    fn spans_round_trip(spans in proptest::collection::vec(arb_span(), 0..20)) {
+        let text = encode_spans(&spans);
+        let decoded = decode_spans(&text).unwrap();
+        prop_assert_eq!(format!("{decoded:?}"), format!("{spans:?}"));
+        prop_assert_eq!(encode_spans(&decoded), text);
     }
 
     #[test]
@@ -255,32 +194,40 @@ proptest! {
 
     #[test]
     fn arbitrary_text_never_panics_the_decoders(text in arb_text()) {
-        let _ = decode_trace(&text);
         let _ = decode_spans(&text);
         let _ = decode_series(&text);
         let _ = decode_whatif(&text);
+        let _ = ScheduleLog::parse(&text);
+        let _ = FaultPlan::parse(&text);
+        let _ = dex_sim::codec::parse_json(&text);
     }
 
     #[test]
-    fn version_headers_are_enforced(body in hostile_string()) {
+    fn version_headers_are_enforced(body in name()) {
         // A file with the wrong (or no) header is rejected, not misparsed.
         let wrong = format!("# dex-spans v2\n{body}");
         prop_assert!(decode_spans(&wrong).is_err());
         let swapped = format!("# dex-trace v1\n{body}");
         prop_assert!(decode_spans(&swapped).is_err());
-        let wrong_trace = format!("# dex-trace v0\n{body}");
-        prop_assert!(decode_trace(&wrong_trace).is_err());
         let wrong_series = format!("# dex-series v2\n{body}");
         prop_assert!(decode_series(&wrong_series).is_err());
         let swapped_series = format!("# dex-spans v1\n{body}");
         prop_assert!(decode_series(&swapped_series).is_err());
         let wrong_whatif = format!("# dex-whatif v2\n{body}");
         prop_assert!(decode_whatif(&wrong_whatif).is_err());
+        let headerless = format!("{body}\n");
+        prop_assert!(decode_spans(&headerless).is_err());
+        let plan = format!("crash 1 {}\n", body.len());
+        prop_assert!(FaultPlan::parse(&plan).is_err());
     }
 }
 
+/// The empty recorded schedule (the trace a replay follows) and the empty
+/// span forest both survive a round trip.
 #[test]
 fn empty_trace_and_empty_forest_round_trip() {
-    assert!(decode_trace(&encode_trace(&[])).unwrap().is_empty());
+    let log = ScheduleLog::parse(&ScheduleLog::new("seed=0").to_text()).unwrap();
+    assert!(log.is_empty());
+    assert_eq!(ReplayCursor::new(log).header(), "seed=0");
     assert!(decode_spans(&encode_spans(&[])).unwrap().is_empty());
 }

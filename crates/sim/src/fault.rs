@@ -20,8 +20,13 @@
 //! ```
 //!
 //! Node indices are raw `u16`s here; the network layer maps them onto its
-//! own node-id type.
+//! own node-id type. The format is hand-edited, so fields are separated by
+//! any whitespace; the lines go through the one [`codec`](crate::codec)
+//! reader, which also rejects a node id that does not fit a `u16`.
 
+use std::fmt::Write as _;
+
+use crate::codec::{self, Line, Reader};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
@@ -225,30 +230,20 @@ impl FaultPlan {
         let mut out = String::from("# faultplan");
         if !self.header.is_empty() {
             out.push(' ');
-            out.push_str(&self.header.replace('\n', " "));
+            out.push_str(&codec::meta_text(&self.header));
         }
         out.push('\n');
         for f in &self.link_faults {
-            match f.kind {
-                LinkFaultKind::Delay(extra) => out.push_str(&format!(
-                    "delay {} {} {} {} {}\n",
-                    f.src,
-                    f.dst,
-                    f.from.as_nanos(),
-                    f.until.as_nanos(),
-                    extra.as_nanos()
-                )),
-                LinkFaultKind::Stall => out.push_str(&format!(
-                    "stall {} {} {} {}\n",
-                    f.src,
-                    f.dst,
-                    f.from.as_nanos(),
-                    f.until.as_nanos()
-                )),
-            }
+            let (src, dst, from, until) = (f.src, f.dst, f.from.as_nanos(), f.until.as_nanos());
+            let _ = match f.kind {
+                LinkFaultKind::Delay(extra) => {
+                    writeln!(out, "delay {src} {dst} {from} {until} {}", extra.as_nanos())
+                }
+                LinkFaultKind::Stall => writeln!(out, "stall {src} {dst} {from} {until}"),
+            };
         }
         for c in &self.crashes {
-            out.push_str(&format!("crash {} {}\n", c.node, c.at.as_nanos()));
+            let _ = writeln!(out, "crash {} {}", c.node, c.at.as_nanos());
         }
         out
     }
@@ -259,74 +254,40 @@ impl FaultPlan {
         text.trim_start().starts_with("# faultplan")
     }
 
-    /// Parses the text format produced by [`FaultPlan::to_text`].
+    /// Parses the text format produced by [`FaultPlan::to_text`]. Node ids
+    /// must fit a `u16`.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut plan = FaultPlan::new();
         let mut saw_magic = false;
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix('#') {
-                let rest = rest.trim();
-                if let Some(hdr) = rest.strip_prefix("faultplan") {
-                    saw_magic = true;
-                    let hdr = hdr.trim();
-                    if !hdr.is_empty() {
-                        if !plan.header.is_empty() {
-                            plan.header.push(' ');
-                        }
-                        plan.header.push_str(hdr);
+        let mut lines = Reader::words(text);
+        while let Some(line) = lines.next_line() {
+            let row = match line {
+                Line::Meta(meta) => {
+                    if let Some(hdr) = meta.text[1..].trim().strip_prefix("faultplan") {
+                        saw_magic = true;
+                        plan.header = format!("{} {hdr}", plan.header).trim().to_string();
                     }
+                    continue;
                 }
-                continue;
-            }
-            let fields: Vec<&str> = line.split_whitespace().collect();
-            let want = |n: usize| -> Result<(), String> {
-                if fields.len() != n {
-                    Err(format!(
-                        "line {}: expected {} fields, got {}",
-                        lineno + 1,
-                        n,
-                        fields.len()
-                    ))
-                } else {
-                    Ok(())
-                }
+                Line::Row(row) => row,
             };
-            let num = |idx: usize| -> Result<u64, String> {
-                fields[idx]
-                    .parse()
-                    .map_err(|e| format!("line {}: bad number {:?}: {e}", lineno + 1, fields[idx]))
-            };
-            match fields[0] {
+            let node = |i| row.get(i).parse::<u16>("node");
+            let time = |i| row.get(i).parse("time").map(SimTime::from_nanos);
+            match row.get(0).raw {
                 "delay" => {
-                    want(6)?;
-                    plan.delay(
-                        num(1)? as u16,
-                        num(2)? as u16,
-                        SimTime::from_nanos(num(3)?),
-                        SimTime::from_nanos(num(4)?),
-                        SimDuration::from_nanos(num(5)?),
-                    );
+                    row.expect(6)?;
+                    let extra = SimDuration::from_nanos(row.get(5).parse("delay")?);
+                    plan.delay(node(1)?, node(2)?, time(3)?, time(4)?, extra);
                 }
                 "stall" => {
-                    want(5)?;
-                    plan.stall(
-                        num(1)? as u16,
-                        num(2)? as u16,
-                        SimTime::from_nanos(num(3)?),
-                        SimTime::from_nanos(num(4)?),
-                    );
+                    row.expect(5)?;
+                    plan.stall(node(1)?, node(2)?, time(3)?, time(4)?);
                 }
                 "crash" => {
-                    want(3)?;
-                    plan.crash(num(1)? as u16, SimTime::from_nanos(num(2)?));
+                    row.expect(3)?;
+                    plan.crash(node(1)?, time(2)?);
                 }
-                other => {
-                    return Err(format!("line {}: unknown directive {other:?}", lineno + 1));
-                }
+                other => return Err(row.err(format_args!("unknown directive {other:?}"))),
             }
         }
         if !saw_magic {
@@ -445,6 +406,21 @@ mod tests {
         assert!(FaultPlan::parse("# faultplan\nwarp 0 1\n").is_err());
         assert!(FaultPlan::parse("# faultplan\ndelay 0 1 2\n").is_err());
         assert!(FaultPlan::parse("# faultplan\ncrash x 5\n").is_err());
+    }
+
+    #[test]
+    fn out_of_range_node_ids_are_rejected_not_truncated() {
+        for text in [
+            "# faultplan\ncrash 65537 400000\n",
+            "# faultplan\ncrash 65536 400000\n",
+            "# faultplan\ndelay 0 65537 10 20 5\n",
+            "# faultplan\nstall 65536 1 10 20\n",
+        ] {
+            let err = FaultPlan::parse(text).unwrap_err();
+            assert!(err.starts_with("line 2: bad node"), "{text:?}: {err}");
+        }
+        let max = FaultPlan::parse("# faultplan\ncrash 65535 1\n").unwrap();
+        assert_eq!(max.crashes()[0].node, u16::MAX);
     }
 
     #[test]

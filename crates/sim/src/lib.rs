@@ -21,6 +21,8 @@
 //!   ties and value choices, the hook systematic concurrency testing
 //!   (`dex-check explore`) drives alternative interleavings through.
 //! * [`Histogram`] / [`Counters`] — measurement collection.
+//! * [`codec`] — the one escaper, line reader and JSON reader every
+//!   recorded text artifact goes through.
 //!
 //! # Examples
 //!
@@ -50,6 +52,7 @@
 #![warn(missing_docs)]
 
 mod channel;
+pub mod codec;
 mod context;
 mod engine;
 mod fault;

