@@ -12,7 +12,9 @@
 //!   returns are only recorded for actual wakeups, not `EAGAIN`);
 //! * **barrier order** — every `BarrierEnter` of round *g* happens-before
 //!   every `BarrierLeave` of round *g*;
-//! * **spawn order** — a `Spawn` happens-before every event of the child.
+//! * **spawn order** — a `Spawn` happens-before every event of the child;
+//! * **join order** — a thread's `ThreadExit` happens-before every later
+//!   `Join` naming it.
 //!
 //! Each event gets a stamp `(thread, epoch, segment)`: its thread's own
 //! clock component at the event, and the vector-clock snapshot the
@@ -47,6 +49,8 @@ enum Channel {
     Futex(VirtAddr, Tid),
     Barrier(VirtAddr, u32),
     Spawn(Tid),
+    /// A thread's exit, for the joins of it.
+    Join(Tid),
 }
 
 /// The channel an event releases into and the one it acquires from.
@@ -65,6 +69,8 @@ fn channels(event: &RaceEvent) -> (Option<Channel>, Option<Channel>) {
             generation,
         } => (None, Some(Channel::Barrier(barrier, generation))),
         RaceEventKind::Spawn { child } => (Some(Channel::Spawn(child)), None),
+        RaceEventKind::ThreadExit => (Some(Channel::Join(event.task)), None),
+        RaceEventKind::Join { child } => (None, Some(Channel::Join(child))),
         RaceEventKind::Access { .. } => (None, None),
     }
 }
@@ -74,7 +80,7 @@ pub(crate) fn sync_object(event: &RaceEvent) -> Option<VirtAddr> {
     let (release, acquire) = channels(event);
     match release.or(acquire)? {
         Channel::Lock(addr) | Channel::Futex(addr, _) | Channel::Barrier(addr, _) => Some(addr),
-        Channel::Spawn(_) => None,
+        Channel::Spawn(_) | Channel::Join(_) => None,
     }
 }
 
@@ -236,8 +242,8 @@ mod tests {
 
     /// Builds a well-formed stream from generated `(op, thread, arg)`
     /// triples: accesses, lock acquire/release pairs, futex wakes and
-    /// returns naming a waker, barrier rounds, and spawns of threads that
-    /// have not run yet.
+    /// returns naming a waker, barrier rounds, spawns of threads that
+    /// have not run yet, thread exits and joins.
     fn stream(ops: &[(u8, u64, u64)]) -> Vec<RaceEvent> {
         let mut events = Vec::new();
         let mut holder: HashMap<u64, u64> = HashMap::new();
@@ -287,6 +293,8 @@ mod tests {
                     }
                     generation += 1;
                 }
+                6 => events.push(ev(t, RaceEventKind::ThreadExit)),
+                7 => events.push(ev(t, RaceEventKind::Join { child: Tid(other) })),
                 _ => {
                     if other != t && !spawned[other as usize] && !started(&events, other) {
                         spawned[other as usize] = true;
@@ -336,6 +344,7 @@ mod tests {
                         },
                     ) => (a, g) == (b, h),
                     (RaceEventKind::Spawn { child }, _) => child == e.task,
+                    (RaceEventKind::ThreadExit, RaceEventKind::Join { child }) => child == p.task,
                     _ => false,
                 };
                 if edge {
@@ -363,7 +372,7 @@ mod tests {
 
         #[test]
         fn ordered_matches_the_explicit_edge_graph(
-            ops in proptest::collection::vec((0u8..6, 0u64..5, 0u64..5), 1..40)
+            ops in proptest::collection::vec((0u8..8, 0u64..5, 0u64..5), 1..40)
         ) {
             let events = stream(&ops);
             let hb = Hb::new(&events);

@@ -49,7 +49,15 @@
 //!   through `dex_sim::codec`. Outside `sim/src/codec.rs`, a function
 //!   whose name contains `escape` (test code included) and a `split` on
 //!   `'\t'` in non-test code are a second codec starting to drift.
+//! * **delegation-confined** — delegated work runs in one executor
+//!   (`run_at_origin` in `core/src/thread.rs`) and travels in one remote
+//!   round (`ThreadCtx::at_origin`). Across the non-test code under
+//!   `crates/`, each `DelegatedOp::<Variant>` pattern followed by `=>`
+//!   may occur once per variant, and `DexMsg::Delegate` may be built
+//!   once; a second arm or a second send is a second copy of the
+//!   mechanism, free to drift from the first.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// One lint finding.
@@ -250,25 +258,9 @@ pub fn lint_source(rel: &str, content: &str) -> Vec<LintHit> {
 /// top-level `_ =>` wildcards inside.
 fn lint_diraction_matches(rel: &str, content: &str) -> Vec<LintHit> {
     let mut hits = Vec::new();
-    // Join with comment stripping while remembering line starts. Stop at
-    // the `#[cfg(test)]` marker — the exhaustiveness rule targets
-    // production consumers; test helpers may pattern-pick one variant.
-    let mut text = String::with_capacity(content.len());
-    let mut line_starts = vec![0usize];
-    for line in content.lines() {
-        if line.contains("#[cfg(test)]") {
-            break;
-        }
-        text.push_str(strip_line_comment(line));
-        text.push('\n');
-        line_starts.push(text.len());
-    }
-    let line_of = |pos: usize| -> usize {
-        match line_starts.binary_search(&pos) {
-            Ok(i) => i + 1,
-            Err(i) => i,
-        }
-    };
+    // The exhaustiveness rule targets production consumers; test helpers
+    // may pattern-pick one variant.
+    let (text, line_of) = production_text(content);
 
     let bytes = text.as_bytes();
     let mut search = 0usize;
@@ -375,6 +367,106 @@ fn lint_diraction_matches(rel: &str, content: &str) -> Vec<LintHit> {
     hits
 }
 
+/// The production part of `content` — the lines above the
+/// `#[cfg(test)]` marker, `//` comments stripped, joined — and a map from
+/// a byte offset in it to a 1-based line number.
+fn production_text(content: &str) -> (String, impl Fn(usize) -> usize) {
+    let mut text = String::with_capacity(content.len());
+    let mut line_starts = vec![0usize];
+    for line in content.lines() {
+        if line.contains("#[cfg(test)]") {
+            break;
+        }
+        text.push_str(strip_line_comment(line));
+        text.push('\n');
+        line_starts.push(text.len());
+    }
+    let line_of = move |pos: usize| match line_starts.binary_search(&pos) {
+        Ok(i) => i + 1,
+        Err(i) => i,
+    };
+    (text, line_of)
+}
+
+/// `s` past its leading balanced `{…}` or `(…)` group, if it has one.
+fn skip_group(s: &str) -> &str {
+    if !s.starts_with(['{', '(']) {
+        return s;
+    }
+    let mut depth = 0;
+    for (i, c) in s.char_indices() {
+        match c {
+            '{' | '(' | '[' => depth += 1,
+            '}' | ')' | ']' => {
+                depth -= 1;
+                if depth == 0 {
+                    return &s[i + 1..];
+                }
+            }
+            _ => {}
+        }
+    }
+    ""
+}
+
+/// Whether the text after a pattern's path makes the pattern an arm:
+/// optional fields, then `=>`, possibly after `|`-joined alternatives.
+fn ends_in_arrow(mut rest: &str) -> bool {
+    loop {
+        rest = skip_group(rest.trim_start()).trim_start();
+        match rest.strip_prefix('|') {
+            Some(alt) if !alt.starts_with('|') => {
+                rest = alt
+                    .trim_start()
+                    .trim_start_matches(|c: char| c.is_alphanumeric() || c == '_' || c == ':');
+            }
+            _ => return rest.starts_with("=>"),
+        }
+    }
+}
+
+/// Flags, in the production code of `files` (`(path, content)` pairs;
+/// integration tests under `/tests/` are test code and skipped), every
+/// arm of a `DelegatedOp` variant that has more than one arm, and every
+/// construction of `DexMsg::Delegate` when there is more than one.
+fn lint_delegation_confined(files: &[(&str, &str)]) -> Vec<LintHit> {
+    let ident_len = |s: &str| {
+        s.find(|c: char| !(c.is_alphanumeric() || c == '_'))
+            .unwrap_or(s.len())
+    };
+    let mut sites: BTreeMap<String, Vec<(&str, usize)>> = BTreeMap::new();
+    for &(rel, content) in files.iter().filter(|(rel, _)| !rel.contains("/tests/")) {
+        let (text, line_of) = production_text(content);
+        for (pos, path) in text.match_indices("DelegatedOp::") {
+            let rest = &text[pos + path.len()..];
+            let variant = &rest[..ident_len(rest)];
+            if ends_in_arrow(&rest[variant.len()..]) {
+                let what = format!("an arm for {path}{variant}");
+                sites.entry(what).or_default().push((rel, line_of(pos)));
+            }
+        }
+        for (pos, path) in text.match_indices("DexMsg::Delegate") {
+            let rest = &text[pos + path.len()..];
+            if ident_len(rest) == 0 && !ends_in_arrow(rest) {
+                let what = format!("a construction of {path}");
+                sites.entry(what).or_default().push((rel, line_of(pos)));
+            }
+        }
+    }
+    let mut hits = Vec::new();
+    for (what, at) in sites.into_iter().filter(|(_, at)| at.len() > 1) {
+        for &(rel, line) in &at {
+            hits.push(LintHit {
+                rule: "delegation-confined",
+                file: rel.to_string(),
+                line,
+                text: format!("{} sites of {what}; delegation has one", at.len()),
+            });
+        }
+    }
+    hits
+}
+
 /// Recursively collects the workspace `.rs` sources under `root/crates`
 /// (skipping `target/` and `vendor/`).
 fn collect_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
@@ -405,16 +497,21 @@ fn collect_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
 ///
 /// Propagates I/O errors reading the tree.
 pub fn run_lint(root: &Path) -> std::io::Result<Vec<LintHit>> {
-    let mut hits = Vec::new();
+    let mut files = Vec::new();
     for path in collect_sources(root)? {
         let rel = path
             .strip_prefix(root)
             .unwrap_or(&path)
             .to_string_lossy()
             .replace('\\', "/");
-        let content = std::fs::read_to_string(&path)?;
-        hits.extend(lint_source(&rel, &content));
+        files.push((rel, std::fs::read_to_string(&path)?));
     }
+    let files: Vec<(&str, &str)> = files
+        .iter()
+        .map(|(r, c)| (r.as_str(), c.as_str()))
+        .collect();
+    let mut hits: Vec<LintHit> = files.iter().flat_map(|&(r, c)| lint_source(r, c)).collect();
+    hits.extend(lint_delegation_confined(&files));
     Ok(hits)
 }
 
@@ -651,6 +748,77 @@ fn f() {
             lint_source("crates/prof/src/diff.rs", &test_escaper).len(),
             1
         );
+    }
+
+    #[test]
+    fn delegation_arms_are_confined_to_one_executor() {
+        // Two executors, one arm per op in each: a crash fallback and a
+        // service loop.
+        let fallback = "fn run_delegated_locally(&self, op: &DelegatedOp) -> i64 {
+    match op {
+        DelegatedOp::Mmap { len, prot } => mmap(*len, *prot),
+        DelegatedOp::Syscall { busy } => {
+            advance(*busy);
+            0
+        }
+        DelegatedOp::FutexWait { .. } | DelegatedOp::FutexWake { .. } => {
+            unreachable!(\"futex ops have dedicated origin paths\")
+        }
+    }
+}
+";
+        let pair_loop = "fn pair_thread_loop(job: DelegationJob) {
+    let reply = match job.op {
+        DelegatedOp::FutexWait { addr, expected } => wait(addr, expected),
+        DelegatedOp::FutexWake { addr, count } => Some(wake(addr, count)),
+        // DelegatedOp::Syscall { busy } => in a comment does not count
+        DelegatedOp::Mmap { len, prot } => Some(mmap(len, prot)),
+        DelegatedOp::Syscall { busy } => Some(advance(busy)),
+    };
+}
+";
+        let parent = [
+            ("crates/core/src/thread.rs", fallback),
+            ("crates/core/src/thread.rs", pair_loop),
+        ];
+        let hits = lint_delegation_confined(&parent);
+        assert_eq!(hits.len(), 8, "{hits:?}");
+        assert!(hits.iter().all(|h| h.rule == "delegation-confined"));
+        let lines: Vec<usize> = hits.iter().map(|h| h.line).collect();
+        // FutexWait, FutexWake, Mmap, Syscall: fallback then pair loop.
+        assert_eq!(lines, [8, 3, 8, 4, 3, 6, 4, 7]);
+
+        // One executor alone passes, and so do a construction, a
+        // `matches!`, an `if let`, integration tests and test modules.
+        assert!(lint_delegation_confined(&parent[1..]).is_empty());
+        let uses = "fn f(op: DelegatedOp) {
+    g(DelegatedOp::Mmap { len, prot });
+    let wait = matches!(op, DelegatedOp::FutexWait { .. });
+    if let DelegatedOp::FutexWait { addr, .. } = op {}
+}
+#[cfg(test)]
+mod tests {
+    fn t(op: DelegatedOp) { match op { DelegatedOp::Mmap { .. } => {} _ => {} } }
+}
+";
+        let with_uses = [parent[1], ("crates/core/src/thread.rs", uses)];
+        assert!(lint_delegation_confined(&with_uses).is_empty());
+
+        // The request itself is built once; matching on it is free.
+        let send = "fn f() { send(DexMsg::Delegate { pid, tid, op, req_id }, span); }\n";
+        let recv = "fn g(m: DexMsg) { match m { DexMsg::Delegate { op, .. } => run(op), DexMsg::DelegateReply { .. } => {} } }\n";
+        let one = [
+            ("crates/core/src/thread.rs", send),
+            ("crates/core/src/dispatch.rs", recv),
+        ];
+        assert!(lint_delegation_confined(&one).is_empty());
+        let two = [
+            ("crates/core/src/thread.rs", send),
+            ("crates/core/src/thread.rs", send),
+        ];
+        assert_eq!(lint_delegation_confined(&two).len(), 2);
+        let in_tests = [parent[1], ("crates/core/tests/faults.rs", fallback)];
+        assert!(lint_delegation_confined(&in_tests).is_empty());
     }
 
     #[test]

@@ -65,11 +65,11 @@ fn every_mutation_is_caught_where_it_was() {
 #[test]
 fn race_counts_are_pinned() {
     let expected = [
-        ("kmeans", 856, 0, 0),
-        ("sort", 657, 0, 0),
-        ("kmn-app", 1050, 0, 0),
-        ("racy", 16, 2, 0),
-        ("lock-order", 9, 0, 1),
+        ("kmeans", 860, 0, 0),
+        ("sort", 661, 0, 0),
+        ("kmn-app", 1058, 0, 0),
+        ("racy", 18, 2, 0),
+        ("lock-order", 12, 0, 1),
     ];
     for (name, events, conflicts, cycles) in expected {
         let (_, stream) = run_scenario(name).expect("built-in scenario");

@@ -493,14 +493,14 @@ impl DexProcess<'_> {
     {
         let shared = Arc::clone(&self.shared);
         let tid = shared.new_tid();
-        let handle = DexThread::new();
+        let handle = DexThread::new(tid);
         let handle2 = handle.clone();
         self.engine.spawn(format!("app-{tid}"), move |ctx| {
             shared.adjust_load(shared.origin, 1);
             let tctx = ThreadCtx::new(ctx, shared, tid);
             f(&tctx);
             tctx.process().adjust_load(tctx.node(), -1);
-            handle2.mark_done(ctx);
+            handle2.mark_done(&tctx);
         });
         handle
     }

@@ -7,8 +7,9 @@
 //! consumes the recorded stream offline: `dex-check`'s `hb.rs` rebuilds
 //! the happens-before relation in one pass (lock release → acquire, the
 //! waker's latest futex wake → the wait-return it caused, barrier rounds,
-//! thread spawn) and the race detector flags conflicting unordered
-//! accesses, plus lock-order-graph cycles for deadlock potential.
+//! thread spawn, thread exit → join) and the race detector flags
+//! conflicting unordered accesses, plus lock-order-graph cycles for
+//! deadlock potential.
 //!
 //! Recording discipline:
 //!
@@ -89,6 +90,13 @@ pub enum RaceEventKind {
     /// The recording thread spawned a sibling thread.
     Spawn {
         /// The new thread's id.
+        child: Tid,
+    },
+    /// The recording thread's closure returned (its last event).
+    ThreadExit,
+    /// The recording thread's `join` of `child` returned.
+    Join {
+        /// The joined thread's id.
         child: Tid,
     },
 }

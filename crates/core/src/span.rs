@@ -221,36 +221,21 @@ pub struct SpanBuffer {
 
 #[derive(Default)]
 struct SpanInner {
-    spans: std::collections::VecDeque<Span>,
-    /// `None` means unbounded.
-    capacity: Option<usize>,
-    /// Spans evicted because the buffer was at capacity.
-    dropped: u64,
+    spans: Vec<Span>,
     /// Next id to hand out (ids start at 1; 0 is "no span").
     next_id: u64,
 }
 
 impl SpanBuffer {
-    fn with_capacity(capacity: Option<usize>) -> Self {
+    /// A buffer that records spans without bound.
+    pub fn enabled() -> Self {
         SpanBuffer {
             enabled: true,
             inner: Arc::new(Mutex::new(SpanInner {
-                capacity,
+                spans: Vec::new(),
                 next_id: 1,
-                ..SpanInner::default()
             })),
         }
-    }
-
-    /// A buffer that records spans without bound.
-    pub fn enabled() -> Self {
-        Self::with_capacity(None)
-    }
-
-    /// A buffer retaining at most `capacity` spans, evicting the oldest
-    /// on overflow; evictions are counted by [`SpanBuffer::dropped`].
-    pub fn bounded(capacity: usize) -> Self {
-        Self::with_capacity(Some(capacity))
     }
 
     /// A buffer that records nothing (production mode).
@@ -280,31 +265,18 @@ impl SpanBuffer {
     /// Appends a completed span (no-op when disabled).
     pub fn record(&self, span: Span) {
         if self.enabled {
-            let mut inner = self.inner.lock();
-            if let Some(cap) = inner.capacity {
-                if cap == 0 {
-                    inner.dropped += 1;
-                    return;
-                }
-                while inner.spans.len() >= cap {
-                    inner.spans.pop_front();
-                    inner.dropped += 1;
-                }
-            }
-            inner.spans.push_back(span);
+            self.inner.lock().spans.push(span);
         }
     }
 
     /// A copy of all recorded spans in completion order.
     pub fn snapshot(&self) -> Vec<Span> {
-        self.inner.lock().spans.iter().cloned().collect()
+        self.inner.lock().spans.clone()
     }
 
-    /// Copies the spans recorded at position `from` or later, where
-    /// positions count every span ever recorded (evicted ones included —
-    /// an evicted span in the range is simply absent from the result).
-    /// Returns the spans and the next cursor value, letting a consumer
-    /// stream the buffer incrementally:
+    /// Copies the spans recorded at index `from` or later. Returns the
+    /// spans and the next cursor value, letting a consumer stream the
+    /// buffer incrementally:
     ///
     /// ```
     /// # use dex_core::SpanBuffer;
@@ -314,19 +286,9 @@ impl SpanBuffer {
     /// let (_, again) = spans.snapshot_since(cursor);
     /// assert_eq!(cursor, again);
     /// ```
-    pub fn snapshot_since(&self, from: u64) -> (Vec<Span>, u64) {
-        let inner = self.inner.lock();
-        let total = inner.dropped + inner.spans.len() as u64;
-        let skip = from
-            .saturating_sub(inner.dropped)
-            .min(inner.spans.len() as u64);
-        let spans = inner.spans.iter().skip(skip as usize).cloned().collect();
-        (spans, total)
-    }
-
-    /// Spans evicted by the capacity bound (0 for unbounded buffers).
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().dropped
+    pub fn snapshot_since(&self, from: usize) -> (Vec<Span>, usize) {
+        let spans = &self.inner.lock().spans;
+        (spans[from.min(spans.len())..].to_vec(), spans.len())
     }
 
     /// Number of recorded spans.
@@ -385,17 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_buffer_evicts_oldest_and_counts() {
-        let b = SpanBuffer::bounded(2);
-        for i in 1..=3 {
-            b.record(span(i, SpanKind::Fault));
-        }
-        assert_eq!(b.len(), 2);
-        assert_eq!(b.dropped(), 1);
-        assert_eq!(b.snapshot()[0].id, SpanId(2));
-    }
-
-    #[test]
     fn snapshot_since_streams_incrementally() {
         let b = SpanBuffer::enabled();
         b.record(span(1, SpanKind::Fault));
@@ -409,17 +360,6 @@ mod tests {
         assert_eq!(batch[0].id, SpanId(3));
         assert_eq!(cursor, 3);
         assert!(b.snapshot_since(cursor).0.is_empty());
-
-        // Eviction shifts nothing: positions count evicted spans too.
-        let b = SpanBuffer::bounded(2);
-        b.record(span(1, SpanKind::Fault));
-        let (_, cursor) = b.snapshot_since(0);
-        for i in 2..=4 {
-            b.record(span(i, SpanKind::Fault));
-        }
-        let (batch, _) = b.snapshot_since(cursor);
-        // Span 2 was evicted before this drain; 3 and 4 remain.
-        assert_eq!(batch.iter().map(|s| s.id.0).collect::<Vec<_>>(), vec![3, 4]);
     }
 
     #[test]

@@ -193,7 +193,7 @@ struct HealthMonitors {
     /// since the previous boundary belong to the window being closed —
     /// spans are recorded at completion, and the sampler fires before
     /// the boundary event runs).
-    spans: Vec<(SpanBuffer, u64)>,
+    spans: Vec<(SpanBuffer, usize)>,
     events: Vec<HealthEvent>,
 }
 

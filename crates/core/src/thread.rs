@@ -84,6 +84,7 @@ impl std::error::Error for MigrateError {}
 /// Handle to a spawned application thread; lets the parent join it.
 #[derive(Clone)]
 pub struct DexThread {
+    tid: Tid,
     state: Arc<Mutex<JoinState>>,
 }
 
@@ -94,20 +95,23 @@ struct JoinState {
 }
 
 impl DexThread {
-    pub(crate) fn new() -> Self {
+    pub(crate) fn new(tid: Tid) -> Self {
         DexThread {
+            tid,
             state: Arc::new(Mutex::new(JoinState::default())),
         }
     }
 
-    pub(crate) fn mark_done(&self, ctx: &SimCtx) {
+    /// Called by the thread itself once its closure has returned.
+    pub(crate) fn mark_done(&self, tctx: &ThreadCtx<'_>) {
+        tctx.record_race_event(RaceEventKind::ThreadExit);
         let waiters = {
             let mut st = self.state.lock();
             st.done = true;
             std::mem::take(&mut st.waiters)
         };
         for w in waiters {
-            ctx.unpark(w);
+            tctx.sim.unpark(w);
         }
     }
 
@@ -117,6 +121,7 @@ impl DexThread {
             {
                 let mut st = self.state.lock();
                 if st.done {
+                    ctx.record_race_event(RaceEventKind::Join { child: self.tid });
                     return;
                 }
                 st.waiters.push(ctx.sim.id());
@@ -765,7 +770,8 @@ impl<'a> ThreadCtx<'a> {
         let shared = &self.shared;
         let t0 = self.sim.now();
         let span = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
-        let result = self.futex_wait_dispatch(addr, expected, span_ctx(span));
+        shared.stats.counters.incr("futex.waits");
+        let result = self.at_origin(DelegatedOp::FutexWait { addr, expected }, span_ctx(span));
         if let Some(id) = span {
             shared.spans.record(Span {
                 id,
@@ -786,62 +792,6 @@ impl<'a> ThreadCtx<'a> {
         result
     }
 
-    fn futex_wait_dispatch(
-        &self,
-        addr: VirtAddr,
-        expected: u32,
-        span: SpanContext,
-    ) -> Result<Tid, i64> {
-        let shared = &self.shared;
-        shared.stats.counters.incr("futex.waits");
-        let node = self.node.get();
-        if node == shared.origin {
-            let req_id = shared.new_req_id();
-            match futex_wait_at_origin(self, addr, expected, node, req_id) {
-                FutexWaitOutcome::ValueMismatch => Err(FUTEX_EAGAIN),
-                FutexWaitOutcome::Enqueued(slot) => match shared.wait_reply(self.sim, &slot) {
-                    Reply::FutexWoken => Ok(shared.take_waker(req_id)),
-                    other => unreachable!("futex wait answered with {other:?}"),
-                },
-            }
-        } else {
-            shared.stats.counters.incr("delegations");
-            let req_id = shared.new_req_id();
-            let slot = shared.register_pending(self.sim, node, req_id);
-            self.endpoint(node).send_traced(
-                self.sim,
-                shared.origin,
-                DexMsg::Delegate {
-                    pid: shared.pid,
-                    tid: self.tid,
-                    op: DelegatedOp::FutexWait { addr, expected },
-                    req_id,
-                },
-                span,
-            );
-            // Unbounded: a futex wait legitimately blocks for as long as
-            // the application keeps the waiter asleep.
-            match shared.wait_reply_watching(self.sim, &slot, node, req_id, None, true) {
-                Ok(Reply::Delegate(result)) => Err(result),
-                Ok(Reply::FutexWoken) => Ok(shared.take_waker(req_id)),
-                Ok(other) => unreachable!("futex wait answered with {other:?}"),
-                Err(WaitError::OwnNodeCrashed) => {
-                    // Remove the (possibly) queued waiter so a later wake
-                    // does not target the dead node, then retry at the
-                    // origin. A wake lost in the crash window is recovered
-                    // by the standard futex pattern: the retry re-checks
-                    // the word value before sleeping.
-                    shared.futex.lock().cancel(addr, ThreadId(req_id));
-                    shared.futex_nodes.lock().remove(&req_id);
-                    shared.futex_wakers.lock().remove(&req_id);
-                    self.rehome_after_crash();
-                    self.futex_wait_dispatch(addr, expected, span)
-                }
-                Err(WaitError::PeerCrashed(p)) => unreachable!("unwatched peer {p}"),
-            }
-        }
-    }
-
     /// `FUTEX_WAKE`: wakes up to `count` waiters of the word at `addr`.
     /// Returns the number woken.
     pub fn futex_wake(&self, addr: VirtAddr, count: u32) -> i64 {
@@ -851,36 +801,9 @@ impl<'a> ThreadCtx<'a> {
         let t0 = self.sim.now();
         let span = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
         let node = self.node.get();
-        let result = if node == shared.origin {
-            futex_wake_at_origin(self.sim, shared, addr, count, self.tid)
-        } else {
-            shared.stats.counters.incr("delegations");
-            let req_id = shared.new_req_id();
-            let slot = shared.register_pending(self.sim, node, req_id);
-            self.endpoint(node).send_traced(
-                self.sim,
-                shared.origin,
-                DexMsg::Delegate {
-                    pid: shared.pid,
-                    tid: self.tid,
-                    op: DelegatedOp::FutexWake { addr, count },
-                    req_id,
-                },
-                span_ctx(span),
-            );
-            match shared.wait_reply_watching(self.sim, &slot, node, req_id, None, false) {
-                Ok(Reply::Delegate(result)) => result,
-                Ok(other) => unreachable!("futex wake answered with {other:?}"),
-                Err(WaitError::OwnNodeCrashed) => {
-                    // At-least-once: the origin may have already woken the
-                    // waiters; re-issuing the wake at home is safe because
-                    // FUTEX_WAKE is idempotent for already-empty queues.
-                    self.rehome_after_crash();
-                    futex_wake_at_origin(self.sim, shared, addr, count, self.tid)
-                }
-                Err(WaitError::PeerCrashed(p)) => unreachable!("unwatched peer {p}"),
-            }
-        };
+        let result = self
+            .at_origin(DelegatedOp::FutexWake { addr, count }, span_ctx(span))
+            .expect_err("only FUTEX_WAIT is woken");
         if let Some(id) = span {
             shared.spans.record(Span {
                 id,
@@ -942,17 +865,8 @@ impl<'a> ThreadCtx<'a> {
     /// reads the directory; remote threads delegate the query to their
     /// original thread, like any stateful kernel feature.
     pub fn data_home(&self, addr: VirtAddr) -> NodeId {
-        let shared = &self.shared;
-        if self.node.get() == shared.origin {
-            shared
-                .directory_for(addr.vpn())
-                .lock()
-                .current_writer(addr.vpn())
-                .unwrap_or(shared.origin)
-        } else {
-            let node = self.delegate(DelegatedOp::QueryOwner { addr });
-            NodeId(u16::try_from(node).expect("node id fits"))
-        }
+        let node = self.delegate(DelegatedOp::QueryOwner { addr });
+        NodeId(u16::try_from(node).expect("node id fits"))
     }
 
     /// Relocates this thread to the node that owns the data at `addr` —
@@ -1275,59 +1189,44 @@ impl<'a> ThreadCtx<'a> {
     /// delegation when the thread is remote; permissive, so not eagerly
     /// broadcast).
     pub fn mmap(&self, len: u64, prot: Prot) -> VirtAddr {
-        let shared = &self.shared;
-        if self.node.get() == shared.origin {
-            shared
-                .space(shared.origin)
-                .lock()
-                .vmas
-                .mmap(len, prot, VmaKind::Anon, None)
-        } else {
-            let result = self.delegate(DelegatedOp::Mmap { len, prot });
-            assert!(result >= 0, "delegated mmap failed: {result}");
-            VirtAddr::new(result as u64)
-        }
+        let result = self.delegate(DelegatedOp::Mmap { len, prot });
+        assert!(result >= 0, "delegated mmap failed: {result}");
+        VirtAddr::new(result as u64)
     }
 
     /// `munmap`: removes mappings. Shrinking operations are broadcast
     /// eagerly to every node (§III-D).
     pub fn munmap(&self, addr: VirtAddr, len: u64) {
-        let shared = &self.shared;
-        if self.node.get() == shared.origin {
-            munmap_at_origin(self.sim, shared, addr, len);
-        } else {
-            let result = self.delegate(DelegatedOp::Munmap { addr, len });
-            assert!(result >= 0, "delegated munmap failed: {result}");
-        }
+        let result = self.delegate(DelegatedOp::Munmap { addr, len });
+        assert!(result >= 0, "delegated munmap failed: {result}");
     }
 
     /// `mprotect`: changes protection; downgrades are broadcast eagerly.
     pub fn mprotect(&self, addr: VirtAddr, len: u64, prot: Prot) {
-        let shared = &self.shared;
-        if self.node.get() == shared.origin {
-            mprotect_at_origin(self.sim, shared, addr, len, prot);
-        } else {
-            let result = self.delegate(DelegatedOp::Mprotect { addr, len, prot });
-            assert!(result >= 0, "delegated mprotect failed: {result}");
-        }
+        let result = self.delegate(DelegatedOp::Mprotect { addr, len, prot });
+        assert!(result >= 0, "delegated mprotect failed: {result}");
     }
 
     /// Performs a stateful system call at the origin (file I/O stand-in),
     /// keeping the original thread busy for `busy`.
     pub fn syscall(&self, busy: SimDuration) {
-        if self.node.get() == self.shared.origin {
-            self.sim.advance(busy);
-        } else {
-            let result = self.delegate(DelegatedOp::Syscall { busy });
-            assert_eq!(result, 0);
-        }
+        let result = self.delegate(DelegatedOp::Syscall { busy });
+        assert_eq!(result, 0);
     }
 
+    /// Runs `op` (anything but `FUTEX_WAIT`) through [`Self::at_origin`];
+    /// a remote caller's round is recorded as a `Delegation` span.
     fn delegate(&self, op: DelegatedOp) -> i64 {
         let shared = &self.shared;
+        let span = if self.node.get() == shared.origin {
+            None
+        } else {
+            shared.spans.is_enabled().then(|| shared.spans.alloc_id())
+        };
         let t0 = self.sim.now();
-        let span = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
-        let result = self.delegate_inner(&op, span_ctx(span));
+        let result = self
+            .at_origin(op, span_ctx(span))
+            .expect_err("only FUTEX_WAIT is woken");
         if let Some(id) = span {
             shared.spans.record(Span {
                 id,
@@ -1344,15 +1243,28 @@ impl<'a> ThreadCtx<'a> {
         result
     }
 
-    fn delegate_inner(&self, op: &DelegatedOp, span: SpanContext) -> i64 {
+    /// The one delegation round (§III-A): runs `op` in the origin's
+    /// context and returns `Ok(waker)` when a `FUTEX_WAIT` was woken,
+    /// `Err(result)` for every other result. At the origin the executor
+    /// runs in place; elsewhere the op travels to the thread's original
+    /// thread, and `span` rides the request. If this thread's node
+    /// crashes first, the thread re-homes and the op runs again at the
+    /// origin (at-least-once; DESIGN.md lists what a re-run does per op).
+    fn at_origin(&self, op: DelegatedOp, span: SpanContext) -> Result<Tid, i64> {
         let shared = &self.shared;
+        let wait = matches!(op, DelegatedOp::FutexWait { .. });
         loop {
             let node = self.node.get();
             if node == shared.origin {
-                // Reached after a crash re-homed the thread mid-delegation:
-                // run the operation directly, like any origin-resident
-                // thread would.
-                return self.run_delegated_locally(op);
+                // Only a FUTEX_WAIT takes an id here: it keys the queued waiter.
+                let req_id = if wait { shared.new_req_id() } else { 0 };
+                return match run_at_origin(self, &op, node, req_id) {
+                    AtOrigin::Done(result) => Err(result),
+                    AtOrigin::Queued(slot) => match shared.wait_reply(self.sim, &slot) {
+                        Reply::FutexWoken => Ok(shared.take_waker(req_id)),
+                        other => unreachable!("futex wait answered with {other:?}"),
+                    },
+                };
             }
             shared.stats.counters.incr("delegations");
             let req_id = shared.new_req_id();
@@ -1368,55 +1280,25 @@ impl<'a> ThreadCtx<'a> {
                 },
                 span,
             );
-            match shared.wait_reply_watching(self.sim, &slot, node, req_id, None, false) {
-                Ok(Reply::Delegate(result)) => return result,
+            // Unbounded for a futex wait only: it legitimately blocks for
+            // as long as the application keeps the waiter asleep.
+            match shared.wait_reply_watching(self.sim, &slot, node, req_id, None, wait) {
+                Ok(Reply::Delegate(result)) => return Err(result),
+                Ok(Reply::FutexWoken) => return Ok(shared.take_waker(req_id)),
                 Ok(other) => unreachable!("delegation answered with {other:?}"),
                 Err(WaitError::OwnNodeCrashed) => {
-                    // At-least-once semantics: the origin may have executed
-                    // the operation before the crash ate the reply, and the
-                    // re-homed retry runs it again. The shipped fault
-                    // scenarios only delegate idempotent operations; see
-                    // DESIGN.md for the discussion.
+                    if let DelegatedOp::FutexWait { addr, .. } = op {
+                        // Remove the (possibly) queued waiter so a later
+                        // wake does not target the dead node. A wake lost
+                        // in the crash window is recovered by the standard
+                        // futex pattern: the re-run re-checks the word.
+                        shared.futex.lock().cancel(addr, ThreadId(req_id));
+                        shared.futex_nodes.lock().remove(&req_id);
+                        shared.futex_wakers.lock().remove(&req_id);
+                    }
                     self.rehome_after_crash();
                 }
                 Err(WaitError::PeerCrashed(p)) => unreachable!("unwatched peer {p}"),
-            }
-        }
-    }
-
-    /// Runs a delegated operation in place at the origin — the fallback a
-    /// re-homed thread uses when its node crashed mid-delegation.
-    fn run_delegated_locally(&self, op: &DelegatedOp) -> i64 {
-        let shared = &self.shared;
-        match op {
-            DelegatedOp::Mmap { len, prot } => shared
-                .space(shared.origin)
-                .lock()
-                .vmas
-                .mmap(*len, *prot, VmaKind::Anon, None)
-                .as_u64() as i64,
-            DelegatedOp::Munmap { addr, len } => {
-                munmap_at_origin(self.sim, shared, *addr, *len);
-                0
-            }
-            DelegatedOp::Mprotect { addr, len, prot } => {
-                mprotect_at_origin(self.sim, shared, *addr, *len, *prot);
-                0
-            }
-            DelegatedOp::QueryOwner { addr } => {
-                shared
-                    .directory_for(addr.vpn())
-                    .lock()
-                    .current_writer(addr.vpn())
-                    .unwrap_or(shared.origin)
-                    .0 as i64
-            }
-            DelegatedOp::Syscall { busy } => {
-                self.sim.advance(*busy);
-                0
-            }
-            DelegatedOp::FutexWait { .. } | DelegatedOp::FutexWake { .. } => {
-                unreachable!("futex ops have dedicated origin paths")
             }
         }
     }
@@ -1453,16 +1335,16 @@ impl<'a> ThreadCtx<'a> {
         F: FnOnce(&ThreadCtx<'_>) + Send + 'static,
     {
         let shared = Arc::clone(&self.shared);
-        let handle = DexThread::new();
-        let handle2 = handle.clone();
         let tid = shared.new_tid();
+        let handle = DexThread::new(tid);
+        let handle2 = handle.clone();
         self.record_race_event(RaceEventKind::Spawn { child: tid });
         self.sim.spawn(name, move |ctx| {
             shared.adjust_load(shared.origin, 1);
             let tctx = ThreadCtx::new(ctx, shared, tid);
             f(&tctx);
             tctx.process().adjust_load(tctx.node(), -1);
-            handle2.mark_done(ctx);
+            handle2.mark_done(&tctx);
         });
         handle
     }
@@ -1481,12 +1363,54 @@ impl std::fmt::Debug for ThreadCtx<'_> {
     }
 }
 
-/// Outcome of the atomic check-and-enqueue half of `FUTEX_WAIT`.
-pub(crate) enum FutexWaitOutcome {
-    /// The word no longer matched; the caller returns `EAGAIN`.
-    ValueMismatch,
-    /// The waiter is queued; the slot resolves on `FUTEX_WAKE`.
-    Enqueued(Arc<Mutex<Option<Reply>>>),
+/// What [`run_at_origin`] did with a delegated operation.
+enum AtOrigin {
+    /// The operation finished with this result.
+    Done(i64),
+    /// A `FUTEX_WAIT` waiter is queued; the slot resolves on `FUTEX_WAKE`.
+    Queued(Arc<Mutex<Option<Reply>>>),
+}
+
+/// The one executor of delegated work (§III-A): runs `op` in the origin's
+/// context on behalf of thread `tctx`, whether `tctx` is an
+/// origin-resident thread, a thread re-homed by a crash, or a migrated
+/// thread's original thread servicing a request from `waiter_node`.
+/// `req_id` keys a queued `FUTEX_WAIT` waiter; other ops ignore it.
+fn run_at_origin(
+    tctx: &ThreadCtx<'_>,
+    op: &DelegatedOp,
+    waiter_node: NodeId,
+    req_id: u64,
+) -> AtOrigin {
+    let (ctx, shared) = (tctx.sim, &tctx.shared);
+    AtOrigin::Done(match *op {
+        DelegatedOp::FutexWait { addr, expected } => {
+            return futex_wait_at_origin(tctx, addr, expected, waiter_node, req_id)
+        }
+        DelegatedOp::FutexWake { addr, count } => {
+            futex_wake_at_origin(ctx, shared, addr, count, tctx.tid)
+        }
+        DelegatedOp::Mmap { len, prot } => {
+            let mut space = shared.space(shared.origin).lock();
+            space.vmas.mmap(len, prot, VmaKind::Anon, None).as_u64() as i64
+        }
+        DelegatedOp::Munmap { addr, len } => {
+            munmap_at_origin(ctx, shared, addr, len);
+            0
+        }
+        DelegatedOp::Mprotect { addr, len, prot } => {
+            mprotect_at_origin(ctx, shared, addr, len, prot);
+            0
+        }
+        DelegatedOp::QueryOwner { addr } => {
+            let dir = shared.directory_for(addr.vpn()).lock();
+            dir.current_writer(addr.vpn()).unwrap_or(shared.origin).0 as i64
+        }
+        DelegatedOp::Syscall { busy } => {
+            ctx.advance(busy);
+            0
+        }
+    })
 }
 
 /// The origin-side half of `FUTEX_WAIT`: runs in the context of a thread
@@ -1496,13 +1420,13 @@ pub(crate) enum FutexWaitOutcome {
 /// `waiter_node`/`waiter_req` identify where the eventual wake must be
 /// delivered. Reading the futex word may itself fault through the DSM —
 /// exactly what happens on Linux when the futex syscall touches the word.
-pub(crate) fn futex_wait_at_origin(
+fn futex_wait_at_origin(
     tctx: &ThreadCtx<'_>,
     addr: VirtAddr,
     expected: u32,
     waiter_node: NodeId,
     waiter_req: u64,
-) -> FutexWaitOutcome {
+) -> AtOrigin {
     let shared = &tctx.shared;
     tctx.ensure(addr, Access::Read);
     // Value check and enqueue must be atomic: no yields below.
@@ -1511,7 +1435,7 @@ pub(crate) fn futex_wait_at_origin(
     space.read(addr, &mut buf);
     let value = u32::from_le_bytes(buf);
     if value != expected {
-        return FutexWaitOutcome::ValueMismatch;
+        return AtOrigin::Done(FUTEX_EAGAIN);
     }
     let mut futex = shared.futex.lock();
     futex.enqueue(addr, ThreadId(waiter_req));
@@ -1526,12 +1450,12 @@ pub(crate) fn futex_wait_at_origin(
     } else {
         Arc::new(Mutex::new(None))
     };
-    FutexWaitOutcome::Enqueued(slot)
+    AtOrigin::Queued(slot)
 }
 
 /// The origin-side half of `FUTEX_WAKE` on behalf of thread `waker`.
 /// Returns the number woken.
-pub(crate) fn futex_wake_at_origin(
+fn futex_wake_at_origin(
     ctx: &SimCtx,
     shared: &Arc<ProcessShared>,
     addr: VirtAddr,
@@ -1578,12 +1502,7 @@ pub(crate) fn futex_wake_at_origin(
 
 /// `munmap` executed at the origin: updates the authoritative VMAs, drops
 /// directory state, and eagerly broadcasts the shrink to every node.
-pub(crate) fn munmap_at_origin(
-    ctx: &SimCtx,
-    shared: &Arc<ProcessShared>,
-    addr: VirtAddr,
-    len: u64,
-) {
+fn munmap_at_origin(ctx: &SimCtx, shared: &Arc<ProcessShared>, addr: VirtAddr, len: u64) {
     let pages = {
         let mut space = shared.space(shared.origin).lock();
         let pages = space.vmas.munmap(addr, len).expect("munmap with bad range");
@@ -1601,7 +1520,7 @@ pub(crate) fn munmap_at_origin(
 
 /// `mprotect` executed at the origin; downgrades broadcast eagerly,
 /// permissive changes propagate lazily through on-demand synchronization.
-pub(crate) fn mprotect_at_origin(
+fn mprotect_at_origin(
     ctx: &SimCtx,
     shared: &Arc<ProcessShared>,
     addr: VirtAddr,
@@ -1667,47 +1586,7 @@ fn pair_thread_loop(
     while let Some(job) = chan.recv(ctx) {
         let t0 = ctx.now();
         let service = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
-        let reply = match job.op {
-            DelegatedOp::FutexWait { addr, expected } => {
-                match futex_wait_at_origin(&tctx, addr, expected, job.from, job.req_id) {
-                    FutexWaitOutcome::ValueMismatch => Some(FUTEX_EAGAIN),
-                    // The waiter stays parked until FUTEX_WAKE reaches it.
-                    FutexWaitOutcome::Enqueued(_slot) => None,
-                }
-            }
-            DelegatedOp::FutexWake { addr, count } => {
-                Some(futex_wake_at_origin(ctx, &shared, addr, count, tid))
-            }
-            DelegatedOp::Mmap { len, prot } => {
-                let addr =
-                    shared
-                        .space(shared.origin)
-                        .lock()
-                        .vmas
-                        .mmap(len, prot, VmaKind::Anon, None);
-                Some(addr.as_u64() as i64)
-            }
-            DelegatedOp::Munmap { addr, len } => {
-                munmap_at_origin(ctx, &shared, addr, len);
-                Some(0)
-            }
-            DelegatedOp::Mprotect { addr, len, prot } => {
-                mprotect_at_origin(ctx, &shared, addr, len, prot);
-                Some(0)
-            }
-            DelegatedOp::QueryOwner { addr } => {
-                let node = shared
-                    .directory_for(addr.vpn())
-                    .lock()
-                    .current_writer(addr.vpn())
-                    .unwrap_or(shared.origin);
-                Some(node.0 as i64)
-            }
-            DelegatedOp::Syscall { busy } => {
-                ctx.advance(busy);
-                Some(0)
-            }
-        };
+        let outcome = run_at_origin(&tctx, &job.op, job.from, job.req_id);
         if let Some(id) = service {
             shared.spans.record(Span {
                 id,
@@ -1721,7 +1600,8 @@ fn pair_thread_loop(
                 tag: None,
             });
         }
-        if let Some(result) = reply {
+        // A queued waiter is answered by the FUTEX_WAKE that dequeues it.
+        if let AtOrigin::Done(result) = outcome {
             endpoint.send_traced(
                 ctx,
                 job.from,

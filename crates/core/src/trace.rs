@@ -87,16 +87,7 @@ pub struct FaultEvent {
 #[derive(Clone)]
 pub struct TraceBuffer {
     enabled: bool,
-    inner: Arc<Mutex<TraceInner>>,
-}
-
-#[derive(Default)]
-struct TraceInner {
-    events: std::collections::VecDeque<FaultEvent>,
-    /// `None` means unbounded.
-    capacity: Option<usize>,
-    /// Events evicted because the buffer was at capacity.
-    dropped: u64,
+    events: Arc<Mutex<Vec<FaultEvent>>>,
 }
 
 impl TraceBuffer {
@@ -104,20 +95,7 @@ impl TraceBuffer {
     pub fn enabled() -> Self {
         TraceBuffer {
             enabled: true,
-            inner: Arc::new(Mutex::new(TraceInner::default())),
-        }
-    }
-
-    /// A buffer that records at most `capacity` events, evicting the
-    /// oldest record on overflow (drop-oldest ring semantics). The number
-    /// of evicted events is reported by [`TraceBuffer::dropped`].
-    pub fn bounded(capacity: usize) -> Self {
-        TraceBuffer {
-            enabled: true,
-            inner: Arc::new(Mutex::new(TraceInner {
-                capacity: Some(capacity),
-                ..TraceInner::default()
-            })),
+            events: Arc::default(),
         }
     }
 
@@ -125,7 +103,7 @@ impl TraceBuffer {
     pub fn disabled() -> Self {
         TraceBuffer {
             enabled: false,
-            inner: Arc::new(Mutex::new(TraceInner::default())),
+            events: Arc::default(),
         }
     }
 
@@ -134,58 +112,26 @@ impl TraceBuffer {
         self.enabled
     }
 
-    /// Appends an event (no-op when disabled). When the buffer is at its
-    /// capacity bound, the oldest event is evicted first.
+    /// Appends an event (no-op when disabled).
     pub fn record(&self, event: FaultEvent) {
         if self.enabled {
-            let mut inner = self.inner.lock();
-            if let Some(cap) = inner.capacity {
-                if cap == 0 {
-                    inner.dropped += 1;
-                    return;
-                }
-                while inner.events.len() >= cap {
-                    inner.events.pop_front();
-                    inner.dropped += 1;
-                }
-            }
-            inner.events.push_back(event);
+            self.events.lock().push(event);
         }
     }
 
     /// A copy of all recorded events in record order.
     pub fn snapshot(&self) -> Vec<FaultEvent> {
-        self.inner.lock().events.iter().cloned().collect()
-    }
-
-    /// Discards all recorded events (recording stays enabled). Also
-    /// resets the dropped-events counter, so phase-scoped collection can
-    /// `clear()` between phases and account each phase independently.
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        inner.events.clear();
-        inner.dropped = 0;
-    }
-
-    /// Number of events evicted by the capacity bound since the last
-    /// [`TraceBuffer::clear`] (always 0 for unbounded buffers).
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().dropped
-    }
-
-    /// The capacity bound, or `None` when unbounded.
-    pub fn capacity(&self) -> Option<usize> {
-        self.inner.lock().capacity
+        self.events.lock().clone()
     }
 
     /// Number of recorded events.
     pub fn len(&self) -> usize {
-        self.inner.lock().events.len()
+        self.events.lock().len()
     }
 
     /// Returns `true` if nothing was recorded.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().events.is_empty()
+        self.events.lock().is_empty()
     }
 }
 
@@ -239,49 +185,5 @@ mod tests {
         let t2 = t.clone();
         t2.record(event(FaultKind::Invalidate));
         assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn clear_discards_events_but_keeps_recording() {
-        let t = TraceBuffer::enabled();
-        t.record(event(FaultKind::Read));
-        t.record(event(FaultKind::Write));
-        assert_eq!(t.len(), 2);
-        t.clear();
-        assert!(t.is_empty());
-        assert!(t.is_enabled());
-        t.record(event(FaultKind::Invalidate));
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.snapshot()[0].kind, FaultKind::Invalidate);
-    }
-
-    #[test]
-    fn bounded_buffer_drops_oldest_and_counts() {
-        let t = TraceBuffer::bounded(2);
-        assert_eq!(t.capacity(), Some(2));
-        t.record(event(FaultKind::Read));
-        t.record(event(FaultKind::Write));
-        assert_eq!(t.dropped(), 0);
-        t.record(event(FaultKind::Invalidate));
-        assert_eq!(t.len(), 2, "capacity bound holds");
-        assert_eq!(t.dropped(), 1, "oldest event was evicted");
-        let snap = t.snapshot();
-        assert_eq!(
-            snap[0].kind,
-            FaultKind::Write,
-            "Read was the eviction victim"
-        );
-        assert_eq!(snap[1].kind, FaultKind::Invalidate);
-        t.clear();
-        assert_eq!(t.dropped(), 0, "clear resets the dropped counter");
-        assert_eq!(t.capacity(), Some(2), "clear keeps the bound");
-    }
-
-    #[test]
-    fn zero_capacity_buffer_counts_everything_as_dropped() {
-        let t = TraceBuffer::bounded(0);
-        t.record(event(FaultKind::Read));
-        assert!(t.is_empty());
-        assert_eq!(t.dropped(), 1);
     }
 }

@@ -2,7 +2,9 @@
 //! seeded plans replay deterministically, and node crashes degrade
 //! gracefully (threads re-home, the directory reclaims ownership).
 
-use dex_core::{Cluster, ClusterConfig, MigrateError, NodeId, RunReport};
+use dex_core::{
+    Cluster, ClusterConfig, MigrateError, NodeId, Prot, RunReport, ThreadCtx, VirtAddr, PAGE_SIZE,
+};
 use dex_sim::{FaultPlan, SimDuration, SimTime};
 
 /// A workload that exercises migration, remote faults, and futex-based
@@ -375,4 +377,159 @@ fn contended_prefetch_denials_fall_back_to_faulting() {
             .check_invariants()
             .expect("directory consistent after contention");
     }
+}
+
+/// A thread waits on a futex from node 2, node 2 crashes under the wait,
+/// and the thread re-homes and waits again at the origin until an origin
+/// thread wakes it. The re-run is the same wait, so it counts once.
+#[test]
+fn a_futex_wait_cut_short_by_a_crash_counts_once() {
+    let mut plan = FaultPlan::default();
+    plan.crash(2, SimTime::ZERO + SimDuration::from_millis(3));
+    let cluster = Cluster::new(ClusterConfig::new(3).with_fault_plan(plan));
+    let report = cluster.run(|p| {
+        let word = p.alloc_cell_tagged::<u32>(0, "futex.word");
+        p.spawn(move |ctx| {
+            ctx.migrate(2).unwrap();
+            assert_eq!(ctx.futex_wait(word.addr(), 0), 0, "woken, not EAGAIN");
+            assert_eq!(ctx.node(), NodeId(0), "crashed off node 2, now home");
+        });
+        p.spawn(move |ctx| {
+            ctx.compute_ops(16_000_000); // ~8 ms, spans the crash
+            word.set(ctx, 1);
+            while ctx.futex_wake(word.addr(), 1) == 0 {
+                ctx.compute(SimDuration::from_micros(100));
+            }
+        });
+    });
+    assert_eq!(report.stats.futex_waits, 1);
+    assert_eq!(report.stats.futex_wakes, 1);
+    let counters = &report.process().stats.counters;
+    assert_eq!(counters.get("migrations.crash_rehomed"), 1);
+}
+
+/// Runs `setup` on a two-node cluster whose node 1 dies mid-delegation:
+/// every origin→node-1 message sent from 1 ms on is held until 10 ms, and
+/// node 1 crashes at 3 ms. A delegation issued from node 1 inside the
+/// stall (see [`into_the_stall`]) runs at the origin, but its reply never
+/// arrives: the thread re-homes and runs the op again at the origin.
+fn crash_mid_delegation(setup: impl FnOnce(&dex_core::DexProcess<'_>)) -> RunReport {
+    let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
+    let mut plan = FaultPlan::default();
+    plan.stall(0, 1, ms(1), ms(10));
+    plan.crash(1, ms(3));
+    let report = Cluster::new(ClusterConfig::new(2).with_fault_plan(plan)).run(setup);
+    let counters = &report.process().stats.counters;
+    assert_eq!(counters.get("delegations"), 1, "one remote attempt");
+    assert_eq!(counters.get("migrations.crash_rehomed"), 1);
+    report
+}
+
+/// Waits on node 1 until 1.5 ms: inside the stall, before the crash.
+fn into_the_stall(ctx: &ThreadCtx<'_>) {
+    assert_eq!(ctx.node(), NodeId(1));
+    let at = SimTime::ZERO + SimDuration::from_micros(1_500);
+    ctx.compute(at - ctx.sim().now());
+}
+
+/// Maps two read-write pages at the origin and reads them from node 1.
+fn mapped_then_migrated(ctx: &ThreadCtx<'_>) -> VirtAddr {
+    let addr = ctx.mmap(2 * PAGE_SIZE as u64, Prot::RW);
+    ctx.write_u32(addr, 5);
+    ctx.migrate(1).unwrap();
+    assert_eq!(ctx.read_u32(addr), 5);
+    addr
+}
+
+#[test]
+fn a_crash_mid_mmap_still_returns_a_usable_mapping() {
+    crash_mid_delegation(|p| {
+        p.spawn(|ctx| {
+            ctx.migrate(1).unwrap();
+            into_the_stall(ctx);
+            let addr = ctx.mmap(PAGE_SIZE as u64, Prot::RW);
+            assert_eq!(ctx.node(), NodeId(0), "crashed off node 1, now home");
+            ctx.write_u32(addr, 7);
+            assert_eq!(ctx.read_u32(addr), 7);
+        });
+    });
+}
+
+#[test]
+fn a_crash_mid_munmap_still_unmaps_at_the_origin() {
+    crash_mid_delegation(|p| {
+        p.spawn(|ctx| {
+            let addr = mapped_then_migrated(ctx);
+            into_the_stall(ctx);
+            ctx.munmap(addr, 2 * PAGE_SIZE as u64);
+            assert_eq!(ctx.node(), NodeId(0), "crashed off node 1, now home");
+            let space = ctx.process().space(ctx.origin()).lock();
+            assert!(space.vmas.find(addr).is_none(), "the origin VMA is gone");
+        });
+    });
+}
+
+#[test]
+fn a_crash_mid_mprotect_still_downgrades_at_the_origin() {
+    crash_mid_delegation(|p| {
+        p.spawn(|ctx| {
+            let addr = mapped_then_migrated(ctx);
+            into_the_stall(ctx);
+            ctx.mprotect(addr, 2 * PAGE_SIZE as u64, Prot::RO);
+            assert_eq!(ctx.node(), NodeId(0), "crashed off node 1, now home");
+            let space = ctx.process().space(ctx.origin()).lock();
+            let vma = space.vmas.find(addr).expect("still mapped");
+            assert_eq!(vma.prot, Prot::RO, "the origin VMA is downgraded");
+        });
+    });
+}
+
+#[test]
+fn a_crash_mid_owner_query_answers_like_the_origin() {
+    crash_mid_delegation(|p| {
+        let data = p.alloc_vec_aligned::<u64>(512, "owned");
+        p.spawn(move |ctx| {
+            ctx.migrate(1).unwrap();
+            data.set(ctx, 0, 1); // node 1 owns the page exclusively
+            into_the_stall(ctx);
+            let home = ctx.data_home(data.addr());
+            assert_eq!(ctx.node(), NodeId(0), "crashed off node 1, now home");
+            assert_eq!(home, ctx.data_home(data.addr()), "an origin-resident query");
+            assert_eq!(home, NodeId(0), "the dead node's page was reclaimed");
+        });
+    });
+}
+
+#[test]
+fn a_crash_mid_syscall_still_returns() {
+    crash_mid_delegation(|p| {
+        p.spawn(|ctx| {
+            ctx.migrate(1).unwrap();
+            into_the_stall(ctx);
+            let t0 = ctx.sim().now();
+            let busy = SimDuration::from_micros(500);
+            ctx.syscall(busy);
+            assert_eq!(ctx.node(), NodeId(0), "crashed off node 1, now home");
+            assert!(ctx.sim().now() - t0 >= busy);
+        });
+    });
+}
+
+#[test]
+fn a_crash_mid_futex_wake_reissues_the_wake_at_the_origin() {
+    let report = crash_mid_delegation(|p| {
+        let word = p.alloc_cell_tagged::<u32>(0, "futex.word");
+        p.spawn(move |ctx| {
+            assert_eq!(ctx.futex_wait(word.addr(), 0), 0, "woken, not EAGAIN");
+        });
+        p.spawn(move |ctx| {
+            ctx.migrate(1).unwrap();
+            into_the_stall(ctx);
+            let woken = ctx.futex_wake(word.addr(), 1);
+            assert_eq!(ctx.node(), NodeId(0), "crashed off node 1, now home");
+            // The lost first run woke the waiter; the re-run finds none.
+            assert_eq!(woken, 0);
+        });
+    });
+    assert_eq!(report.stats.futex_waits, 1);
 }

@@ -44,8 +44,7 @@ pub struct MetricsRegistry {
     /// Maximum number of distinct `(name, node)` histogram keys. A buggy
     /// caller interpolating identifiers into histogram names cannot grow
     /// the registry without bound: past the cap, `observe` counts the
-    /// sample into [`HistTable::dropped`] and discards it (mirroring
-    /// `SpanBuffer::dropped` in `dex-core`).
+    /// sample into [`HistTable::dropped`] and discards it.
     hist_cap: usize,
 }
 
