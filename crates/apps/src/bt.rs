@@ -263,18 +263,20 @@ mod tests {
 
     #[test]
     fn optimized_cuts_param_page_refaults() {
-        // Count faults attributed to the loop-parameter object via the
-        // trace: the initial port re-pulls the page every region because
+        // Count the fault-record events (protocol faults and the
+        // revocations they cause) attributed to the loop-parameter
+        // object: the initial port re-pulls the page every region because
         // the progress counter dirties it; the optimized port replicates
         // it once per node.
         fn param_faults(variant: Variant) -> usize {
-            let mut p = AppParams::new(2, variant).with_trace();
+            let mut p = AppParams::new(2, variant);
             p.threads_per_node = 4;
-            let r = run(&p);
+            let r = crate::run_app_with_config("BT", &p, p.cluster_config().with_spans());
             r.report
-                .trace
+                .spans
                 .iter()
-                .filter(|e| e.tag.as_deref() == Some("loop_params"))
+                .filter(|s| s.addr.is_some() && s.label != "minor_fault")
+                .filter(|s| s.tag.as_deref() == Some("loop_params"))
                 .count()
         }
         let initial = param_faults(Variant::Initial);

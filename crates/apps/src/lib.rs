@@ -92,8 +92,6 @@ pub struct AppParams {
     pub scale: Scale,
     /// Workload seed.
     pub seed: u64,
-    /// Collect a page-fault trace.
-    pub trace: bool,
     /// Record synchronization/access events for `dex-check races`.
     pub race: bool,
 }
@@ -108,7 +106,6 @@ impl AppParams {
             variant,
             scale: Scale::Evaluation,
             seed: 42,
-            trace: false,
             race: false,
         }
     }
@@ -121,15 +118,8 @@ impl AppParams {
             variant,
             scale: Scale::Test,
             seed: 42,
-            trace: false,
             race: false,
         }
-    }
-
-    /// Enables page-fault tracing.
-    pub fn with_trace(mut self) -> Self {
-        self.trace = true;
-        self
     }
 
     /// Enables synchronization/access event recording (race detection).
@@ -162,9 +152,6 @@ impl AppParams {
             _ => self.nodes,
         };
         let mut config = ClusterConfig::new(nodes);
-        if self.trace {
-            config = config.with_trace();
-        }
         if self.race {
             config = config.with_race_detection();
         }

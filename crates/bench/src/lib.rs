@@ -24,7 +24,7 @@
 //! selects the reduced configuration the CI gate runs.
 //!
 //! Setting `DEX_BENCH_SPANS=<dir>` additionally records causal spans
-//! during the representative runs and dumps each as a `# dex-spans v1`
+//! during the representative runs and dumps each as a `# dex-spans v2`
 //! trace (`SPANS_<name>.txt`) into that directory — the raw material for
 //! `dex-prof diff` when the perf gate trips. Span recording is pure
 //! bookkeeping on the simulator side, so the `BENCH_*.json` numbers are
@@ -111,7 +111,7 @@ pub fn with_spans_if_requested(config: ClusterConfig) -> ClusterConfig {
 }
 
 /// Writes `report`'s span trace as `SPANS_<name>.txt` (the
-/// `# dex-spans v1` codec) into the `DEX_BENCH_SPANS` directory and
+/// `# dex-spans v2` codec) into the `DEX_BENCH_SPANS` directory and
 /// returns the path; `Ok(None)` when no dump was requested.
 pub fn write_spans(name: &str, report: &RunReport) -> std::io::Result<Option<PathBuf>> {
     let Some(dir) = spans_dir() else {

@@ -37,9 +37,11 @@
 //! * **span-unguarded** — span instrumentation on the protocol hot path
 //!   (`crates/core/src`) must follow the canonical zero-cost pattern:
 //!   `alloc_id()` only behind `is_enabled()` on the same line, and
-//!   `spans.record(...)` only inside an `if let Some(...)` guard (within
-//!   a few lines above). An unguarded site would make tracing perturb
-//!   the schedule, breaking the bit-identity guarantee.
+//!   `spans.record(...)` and `tag_for(...)` (the object-table scan that
+//!   attributes a fault span) only inside an `if let Some(...)` guard
+//!   (within a few lines above). An unguarded site would make tracing
+//!   perturb the schedule, breaking the bit-identity guarantee, or cost
+//!   the untraced run a locked scan.
 //! * **unsafe-confined** — the keyword `unsafe` may appear under `crates/`
 //!   only in `sim/src/context.rs`, the stack switch every simulated thread
 //!   runs on. One file is what a reader can audit; a second site would have
@@ -236,10 +238,12 @@ pub fn lint_source(rel: &str, content: &str) -> Vec<LintHit> {
             if line.contains(".alloc_id()") && !line.contains("is_enabled()") {
                 push("span-unguarded");
             }
-            // `spans.record(...)` must sit inside an `if let Some(...)`
-            // guard; accept the guard up to 8 lines above (multi-line
-            // `Span { ... }` literals put distance between them).
-            if line.contains("spans.record(") {
+            // `spans.record(...)` and a `tag_for(...)` call must sit
+            // inside an `if let Some(...)` guard; accept the guard up to
+            // 8 lines above (multi-line `Span { ... }` literals put
+            // distance between them).
+            let tag_call = line.contains("tag_for(") && !declares_fn_named(line, "tag_for");
+            if line.contains("spans.record(") || tag_call {
                 let guarded =
                     (idx.saturating_sub(8)..=idx).any(|i| stripped[i].contains("if let Some("));
                 if !guarded {
@@ -640,6 +644,22 @@ fn f(a: DirAction) {
         let hits = lint_source("crates/core/src/dispatch.rs", bad_record);
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].rule, "span-unguarded");
+    }
+
+    #[test]
+    fn unguarded_tag_lookup_is_flagged_on_the_hot_path() {
+        let bad = "fn f() { let tag = shared.tag_for(node, addr); }\n";
+        let hits = lint_source("crates/core/src/thread.rs", bad);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!(hits[0].rule, "span-unguarded");
+
+        let guarded = "fn f() {\n    if let Some(id) = span {\n        let tag = shared.tag_for(node, addr);\n    }\n}\n";
+        assert!(lint_source("crates/core/src/dispatch.rs", guarded).is_empty());
+        // The lookup's own definition and test calls are not call sites.
+        let decl = "pub fn tag_for(&self, node: NodeId, addr: VirtAddr) -> Option<String> {\n";
+        assert!(lint_source("crates/core/src/process.rs", decl).is_empty());
+        let test_code = "#[cfg(test)]\nmod tests {\n fn t() { p.tag_for(n, a); }\n}\n";
+        assert!(lint_source("crates/core/src/process.rs", test_code).is_empty());
     }
 
     #[test]

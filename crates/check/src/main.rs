@@ -88,7 +88,7 @@ SUBCOMMANDS:
   timeline run the sample traced workload, print its critical-path
            report, and (with --out) write the Chrome trace-event JSON
            for Perfetto / chrome://tracing; --spans-out writes the
-           `# dex-spans v1` text form. Fails unless at least one fault
+           `# dex-spans v2` text form. Fails unless at least one fault
            stitches requester -> origin -> requester across nodes.
   metrics  run the sample workload with a MetricsRegistry attached and
            print the per-node / per-link counter and histogram snapshot
@@ -634,7 +634,7 @@ fn cmd_timeline(args: &[String]) -> Result<bool, String> {
     if let Some(path) = &spans_out {
         std::fs::write(path, &outcome.spans_text)
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
-        println!("span text (# dex-spans v1) written to {}", path.display());
+        println!("span text (# dex-spans v2) written to {}", path.display());
     }
     println!(
         "timeline {}",

@@ -15,7 +15,7 @@ use dex_prof::{encode_spans, export_chrome_trace, render_critical_path};
 pub struct ObserveOutcome {
     /// Chrome trace-event JSON (Perfetto / `chrome://tracing`).
     pub chrome_json: String,
-    /// The `# dex-spans v1` text encoding of the same forest.
+    /// The `# dex-spans v2` text encoding of the same forest.
     pub spans_text: String,
     /// The critical-path report (fault decomposition + Table II shape).
     pub critical_path: String,
@@ -103,7 +103,7 @@ mod tests {
             "a remote fault must stitch requester -> origin -> requester"
         );
         assert!(out.chrome_json.contains("\"traceEvents\""));
-        assert!(out.spans_text.starts_with("# dex-spans v1"));
+        assert!(out.spans_text.starts_with("# dex-spans v2"));
         assert!(out.critical_path.contains("migration phases"));
         assert!(out.metrics_text.contains("dsm.faults_write"));
         // The JSON survives its own span codec sibling: decode the text

@@ -1,5 +1,5 @@
-//! Golden v1 texts, one per artifact format, written exactly as the v1
-//! encoders write them. Each must decode to the expected value and
+//! Golden texts, one per artifact format, written exactly as the current
+//! encoders write them (v2 for spans, v1 for the rest). Each must decode to the expected value and
 //! re-encode byte for byte, so a codec change cannot silently alter what
 //! is on disk. Variants that older or hand-edited files carry (CRLF line
 //! endings, a `# dropped N` line, an empty schedule label written as an
@@ -15,21 +15,29 @@ fn crlf(text: &str) -> String {
     text.replace('\n', "\r\n")
 }
 
-const SPANS: &str = "# dex-spans v1\n\
+const SPANS: &str = "# dex-spans v2\n\
+    2\t1\tdirectory_handling\t0\t18446744073709551615\t1000\t3000\tpage_request_write\t-\t\\e\t-\n\
+    3\t1\towner_forward\t2\t18446744073709551615\t5000\t7500\t\\e\t\\-\t\\e\t-\n\
+    1\t0\tfault\t1\t3\t0\t158800\twrite\\tfault\tcentroids\\\\x\tkmeans\\tupdate\t268435520\n";
+
+/// The same rows in v1, before spans carried the fault record's site and
+/// address columns.
+const SPANS_V1: &str = "# dex-spans v1\n\
     2\t1\tdirectory_handling\t0\t18446744073709551615\t1000\t3000\tpage_request_write\t-\n\
     3\t1\towner_forward\t2\t18446744073709551615\t5000\t7500\t\\e\t\\-\n\
     1\t0\tfault\t1\t3\t0\t158800\twrite\\tfault\tcentroids\\\\x\n";
 
 #[test]
-fn spans_v1() {
+fn spans_v2() {
     let spans = decode_spans(SPANS).unwrap();
     let got: Vec<_> = spans
         .iter()
         .map(|s| {
             let (start, end) = (s.start.as_nanos(), s.end.as_nanos());
             let (kind, label, tag) = (s.kind.as_str(), s.label, s.tag.as_deref());
+            let addr = s.addr.map(|a| a.as_u64());
             (
-                s.id.0, s.parent.0, kind, s.node.0, s.task.0, start, end, label, tag,
+                s.id.0, s.parent.0, kind, s.node.0, s.task.0, start, end, label, tag, s.site, addr,
             )
         })
         .collect();
@@ -45,6 +53,8 @@ fn spans_v1() {
                 1000,
                 3000,
                 "page_request_write",
+                None,
+                "",
                 None
             ),
             (
@@ -56,7 +66,9 @@ fn spans_v1() {
                 5000,
                 7500,
                 "",
-                Some("-")
+                Some("-"),
+                "",
+                None
             ),
             (
                 1,
@@ -67,7 +79,9 @@ fn spans_v1() {
                 0,
                 158800,
                 "write\tfault",
-                Some("centroids\\x")
+                Some("centroids\\x"),
+                "kmeans\tupdate",
+                Some(0x1000_0040)
             ),
         ]
     );
@@ -76,6 +90,14 @@ fn spans_v1() {
     for variant in [crlf(SPANS), dropped.clone(), crlf(&dropped)] {
         assert_eq!(encode_spans(&decode_spans(&variant).unwrap()), SPANS);
     }
+    // A v1 file is refused by its header, not misread as v2 rows.
+    let err = decode_spans(SPANS_V1).unwrap_err();
+    assert!(err.contains("dex-spans v2"), "{err}");
+    let relabelled = SPANS_V1.replacen("v1", "v2", 1);
+    assert!(
+        decode_spans(&relabelled).is_err(),
+        "v1 rows lack two columns"
+    );
 }
 
 const SERIES: &str = "# dex-series v1\n\

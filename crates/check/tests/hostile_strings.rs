@@ -1,6 +1,6 @@
 //! The one hostile-string suite. Every text artifact escapes its free-form
 //! strings through `dex_sim::codec`, so one alphabet of hostile characters
-//! is run through every format here: span labels and tags, series names,
+//! is run through every format here: span labels, tags and sites, series names,
 //! what-if workloads and components, `ScheduleLog` labels and headers,
 //! `FaultPlan` headers and `BENCH_*.json` strings. The alphabet holds the
 //! structural bytes, the `-` sentinel, the escape letters, `#`, a quote,
@@ -9,7 +9,7 @@
 use dex_bench::BenchResult;
 use dex_core::{Span, SpanId, SpanKind};
 use dex_net::{CounterPoint, HistPoint, NodeId, SeriesScope, TimeSeries};
-use dex_os::Tid;
+use dex_os::{Tid, VirtAddr};
 use dex_prof::{
     bench_numeric_fields, decode_series, decode_spans, decode_whatif, encode_series, encode_spans,
     encode_whatif, WhatIfEntry, WhatIfReport,
@@ -61,12 +61,37 @@ proptest! {
             end: SimTime::from_nanos(19_300),
             label: intern(&label),
             tag: tag.clone(),
+            site: "",
+            addr: None,
         }];
         let text = encode_spans(&spans);
         let decoded = decode_spans(&text).unwrap();
         prop_assert_eq!(decoded.len(), 1);
         prop_assert_eq!(decoded[0].label, label.as_str());
         prop_assert_eq!(&decoded[0].tag, &tag);
+        prop_assert_eq!(encode_spans(&decoded), text);
+    }
+
+    #[test]
+    fn span_sites_round_trip(site in hostile(), addr in any::<u64>()) {
+        let spans = vec![Span {
+            id: SpanId(1),
+            parent: SpanId::NONE,
+            kind: SpanKind::Fault,
+            node: NodeId(1),
+            task: Tid(3),
+            start: SimTime::ZERO,
+            end: SimTime::from_nanos(19_300),
+            label: "write_fault",
+            tag: None,
+            site: intern(&site),
+            addr: Some(VirtAddr::new(addr)),
+        }];
+        let text = encode_spans(&spans);
+        let decoded = decode_spans(&text).unwrap();
+        prop_assert_eq!(decoded.len(), 1);
+        prop_assert_eq!(decoded[0].site, site.as_str());
+        prop_assert_eq!(decoded[0].addr, Some(VirtAddr::new(addr)));
         prop_assert_eq!(encode_spans(&decoded), text);
     }
 

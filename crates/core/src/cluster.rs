@@ -5,7 +5,7 @@
 //! closure a [`DexProcess`] to allocate distributed memory and spawn
 //! threads, then drives the simulation to completion and returns a
 //! [`RunReport`] with timing, protocol statistics, migration samples, and
-//! (optionally) the page-fault trace.
+//! (optionally) the causal spans that carry the page-fault record.
 
 use std::sync::Arc;
 
@@ -25,7 +25,6 @@ use crate::sync::{
 };
 use crate::telemetry::{HealthEvent, Telemetry, TelemetryConfig};
 use crate::thread::{DexThread, ThreadCtx};
-use crate::trace::{FaultEvent, TraceBuffer};
 
 /// Configuration of a simulated DEX cluster.
 ///
@@ -34,7 +33,7 @@ use crate::trace::{FaultEvent, TraceBuffer};
 /// ```
 /// use dex_core::{Cluster, ClusterConfig};
 ///
-/// let config = ClusterConfig::new(8).with_trace();
+/// let config = ClusterConfig::new(8).with_spans();
 /// assert_eq!(config.nodes, 8);
 /// let cluster = Cluster::new(config);
 /// let report = cluster.run(|proc_| {
@@ -50,8 +49,6 @@ pub struct ClusterConfig {
     pub net: NetConfig,
     /// Kernel-path cost model.
     pub cost: CostModel,
-    /// Collect the page-fault trace (profiling mode).
-    pub trace: bool,
     /// Record causal spans (fault/migration/delegation timelines).
     pub spans: bool,
     /// Attach a per-node/per-link [`MetricsRegistry`] to the run.
@@ -103,7 +100,6 @@ impl ClusterConfig {
             nodes,
             net: NetConfig::default(),
             cost: CostModel::default(),
-            trace: false,
             spans: false,
             metrics: false,
             telemetry: None,
@@ -116,12 +112,6 @@ impl ClusterConfig {
             schedule_policy: None,
             dir_shards: 1,
         }
-    }
-
-    /// Enables page-fault tracing.
-    pub fn with_trace(mut self) -> Self {
-        self.trace = true;
-        self
     }
 
     /// Enables causal span tracing: fault, migration, delegation, and
@@ -364,7 +354,6 @@ impl Cluster {
                 let stats = DexStats::collect(&shared);
                 let fault_hist = shared.stats.fault_hist.clone();
                 let migrations = shared.stats.migrations.lock().clone();
-                let trace = shared.trace.snapshot();
                 let spans = shared.spans.snapshot();
                 let metrics = shared.metrics.as_ref().map(|m| m.snapshot());
                 let race_events = shared.race.snapshot();
@@ -373,7 +362,6 @@ impl Cluster {
                     stats,
                     fault_hist,
                     migrations,
-                    trace,
                     spans,
                     metrics,
                     series: series.clone(),
@@ -409,11 +397,6 @@ impl<'e> ClusterHandle<'e> {
             "origin {origin} outside the {}-node cluster",
             self.config.nodes
         );
-        let trace = if self.config.trace {
-            TraceBuffer::enabled()
-        } else {
-            TraceBuffer::disabled()
-        };
         let race = if self.config.race {
             RaceTrace::enabled()
         } else {
@@ -431,7 +414,6 @@ impl<'e> ClusterHandle<'e> {
             self.config.nodes,
             self.config.cost.clone(),
             Arc::clone(&self.fabric),
-            trace,
             spans,
             self.metrics.clone(),
             race,
@@ -692,8 +674,6 @@ pub struct RunReport {
     pub fault_hist: Histogram,
     /// Per-migration timing samples (Table II / Figure 3 inputs).
     pub migrations: Vec<MigrationSample>,
-    /// The page-fault trace (empty unless tracing was enabled).
-    pub trace: Vec<FaultEvent>,
     /// Synchronization/access events (empty unless race detection was
     /// enabled via [`ClusterConfig::with_race_detection`]).
     pub race_events: Vec<RaceEvent>,
@@ -735,7 +715,7 @@ impl std::fmt::Debug for RunReport {
             .field("virtual_time", &self.virtual_time)
             .field("stats", &self.stats)
             .field("migrations", &self.migrations.len())
-            .field("trace_events", &self.trace.len())
+            .field("spans", &self.spans.len())
             .finish()
     }
 }

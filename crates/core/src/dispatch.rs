@@ -16,7 +16,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use dex_net::{NodeId, SpanContext};
-use dex_os::{Access, PageFrame, Pid, Tid, Vpn, PAGE_SIZE};
+use dex_os::{Access, PageFrame, Pid, Tid, PAGE_SIZE};
 use dex_sim::{SimChannel, SimCtx, SimDuration};
 
 use crate::msg::{DexMsg, MigrationPhases, VmaOp};
@@ -26,7 +26,6 @@ use crate::protocol::{
     RequesterIn, Role,
 };
 use crate::span::{Span, SpanId, SpanKind};
-use crate::trace::{FaultEvent, FaultKind};
 
 /// The task id span records use for protocol handlers (no app thread).
 const PROTOCOL_TASK: Tid = Tid(u64::MAX);
@@ -163,6 +162,8 @@ pub(crate) fn dispatcher_loop(
                         end: ctx.now(),
                         label: "backward_update",
                         tag: None,
+                        site: "",
+                        addr: None,
                     });
                 }
                 endpoint.send_traced(
@@ -263,6 +264,8 @@ fn handle_home_msg(
                 "page_request_read"
             },
             tag: None,
+            site: "",
+            addr: None,
         });
     }
 }
@@ -346,6 +349,8 @@ fn handle_grant(
             end: ctx.now(),
             label,
             tag: None,
+            site: "",
+            addr: None,
         });
     }
     perform_outputs(ctx, shared, endpoint, node, outs, SpanContext::NONE);
@@ -368,52 +373,30 @@ fn run_deferred(
     // arrived in; only its (partial) ack is outstanding.
     let acks = shared.with_node(node, |n| holder_step(n, work.from, work.msg, work.tag));
     for ack in &acks {
-        count_invalidations(ctx, shared, node, ack, None);
+        count_invalidations(shared, node, ack);
     }
     perform_outputs(ctx, shared, endpoint, node, acks, span);
 }
 
-/// Accounts the invalidations an ack reports as applied at `node`:
-/// counters, and (with a `site`) one trace event each. Returns whether
-/// any of them ships page contents back.
-fn count_invalidations(
-    ctx: &SimCtx,
-    shared: &ProcessShared,
-    node: NodeId,
-    ack: &Output<PageFrame>,
-    site: Option<&'static str>,
-) -> bool {
-    let note = |vpn: Vpn| {
-        shared.stats.counters.incr("protocol.invalidations");
-        if let Some(m) = &shared.metrics {
-            m.node(node).incr("dsm.invalidations");
-        }
-        if let Some(site) = site.filter(|_| shared.trace.is_enabled()) {
-            shared.trace.record(FaultEvent {
-                time: ctx.now(),
-                node,
-                task: PROTOCOL_TASK,
-                kind: FaultKind::Invalidate,
-                site,
-                addr: vpn.base(),
-                tag: shared.tag_for(shared.origin, vpn.base()),
-            });
-        }
-    };
+/// Counts the invalidations an ack reports as applied at `node`. Returns
+/// whether any of them ships page contents back.
+fn count_invalidations(shared: &ProcessShared, node: NodeId, ack: &Output<PageFrame>) -> bool {
     let Output::Send { msg, .. } = ack else {
         return false;
     };
-    match msg {
-        PageMsg::InvalidateAck { vpn, data } => {
-            note(*vpn);
-            data.is_some()
-        }
-        PageMsg::InvalidateBatchAck { entries } => {
-            entries.iter().for_each(|(vpn, _)| note(*vpn));
-            entries.iter().any(|(_, data)| data.is_some())
-        }
-        _ => false,
+    let (applied, carried) = match msg {
+        PageMsg::InvalidateAck { data, .. } => (1, data.is_some()),
+        PageMsg::InvalidateBatchAck { entries } => (
+            entries.len() as u64,
+            entries.iter().any(|(_, data)| data.is_some()),
+        ),
+        _ => return false,
+    };
+    shared.stats.counters.add("protocol.invalidations", applied);
+    if let Some(m) = &shared.metrics {
+        m.node(node).add("dsm.invalidations", applied);
     }
+    carried
 }
 
 /// Holder-side handling of an admitted revocation, flush or forward:
@@ -423,8 +406,10 @@ fn count_invalidations(
 /// * `Invalidate` / `InvalidateBatch` — the ack echoes the *incoming*
 ///   (directory) span, not the local invalidation span, so the home's
 ///   deferred grant stays parented to the directory transaction that
-///   caused the fan-out. A batch is one message, one aggregated ack and
-///   one span however many replicas it revokes.
+///   caused the fan-out. The span carries the revoked page, the handler
+///   as its site and the page's object tag: with the fault spans it is
+///   the §IV-A fault record. A batch revokes one page (the directory
+///   sends one entry per destination and transaction).
 /// * `OwnerForward` (sharded) — the grant goes straight to the requester
 ///   (the two-hop critical path) and the ownership change is acknowledged
 ///   to the home asynchronously, both under the forward's own span.
@@ -448,12 +433,15 @@ fn serve_holder_msg(
             },
             "protocol.invalidate",
         ),
-        PageMsg::InvalidateBatch { .. } => (
-            Some(SpanKind::InvalidateBatch),
-            shared.cost.protocol_handling,
-            "invalidate_batch_drop",
-            "protocol.invalidate_batch",
-        ),
+        PageMsg::InvalidateBatch { entries } => {
+            debug_assert_eq!(entries.len(), 1, "a batch revokes one page");
+            (
+                Some(SpanKind::InvalidateBatch),
+                shared.cost.protocol_handling,
+                "invalidate_batch_drop",
+                "protocol.invalidate_batch",
+            )
+        }
         PageMsg::Flush { .. } => (None, shared.cost.protocol_handling, "", ""),
         PageMsg::OwnerForward { access, .. } => (
             Some(SpanKind::OwnerForward),
@@ -470,10 +458,11 @@ fn serve_holder_msg(
     let (spanned, forward) = (kind.is_some(), kind == Some(SpanKind::OwnerForward));
     let t0 = ctx.now();
     let handling = (spanned && shared.spans.is_enabled()).then(|| shared.spans.alloc_id());
+    let revoked = (handling.is_some() && !forward).then(|| msg.page().base());
     ctx.advance(cost);
     let sends = shared.with_node(node, |n| holder_step(n, from, msg, span.0));
     for ack in &sends {
-        let carried = count_invalidations(ctx, shared, node, ack, Some(site));
+        let carried = count_invalidations(shared, node, ack);
         if carried && kind == Some(SpanKind::InvalidateBatch) {
             label = "invalidate_batch_flush";
         }
@@ -489,7 +478,7 @@ fn serve_holder_msg(
             m.node(node).incr(name);
         }
     }
-    let handled = |id| Span {
+    let handled = |id, tag| Span {
         id,
         parent: SpanId(span.0),
         kind: kind.expect("spanned kinds only"),
@@ -498,19 +487,22 @@ fn serve_holder_msg(
         start: t0,
         end: ctx.now(),
         label,
-        tag: None,
+        tag,
+        site,
+        addr: revoked,
     };
     // A revocation's span closes before its ack leaves; a forward's
     // covers its sends, which ride the forward's own span.
     if let Some(id) = handling.filter(|_| !forward) {
-        shared.spans.record(handled(id));
+        let tag = revoked.and_then(|page| shared.tag_for(shared.origin, page));
+        shared.spans.record(handled(id, tag));
     }
     let out = handling
         .filter(|_| forward)
         .map_or(span, |id| SpanContext(id.0));
     perform_outputs(ctx, shared, endpoint, node, sends, out);
     if let Some(id) = handling.filter(|_| forward) {
-        shared.spans.record(handled(id));
+        shared.spans.record(handled(id, None));
     }
 }
 
@@ -544,6 +536,8 @@ fn handle_migrate_request(
                 end,
                 label,
                 tag: None,
+                site: "",
+                addr: None,
             });
         }
     };

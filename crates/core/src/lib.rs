@@ -67,7 +67,6 @@ mod span;
 mod sync;
 mod telemetry;
 mod thread;
-mod trace;
 
 pub use cluster::{Cluster, ClusterConfig, ClusterHandle, DexProcess, DexStats, RunReport};
 pub use cost::{CostModel, COST_COMPONENTS};
@@ -82,7 +81,6 @@ pub use span::{Span, SpanBuffer, SpanId, SpanKind};
 pub use sync::{DexBarrier, DexCondvar, DexMutex, DexRwLock};
 pub use telemetry::{HealthEvent, HealthEventKind, MonitorConfig, TelemetryConfig};
 pub use thread::{DexThread, MigrateError, ThreadCtx, FUTEX_EAGAIN};
-pub use trace::{FaultEvent, FaultKind, TraceBuffer};
 
 // Re-export the identifiers applications touch constantly.
 pub use dex_net::NodeId;

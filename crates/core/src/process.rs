@@ -27,7 +27,6 @@ use crate::directory::Directory;
 use crate::msg::{DelegatedOp, DexMsg, MigrationPhases};
 use crate::protocol::{self, HomeIn, Node, NodeState, Output};
 use crate::span::SpanBuffer;
-use crate::trace::TraceBuffer;
 
 /// Re-exported alias so `process` stays readable.
 pub(crate) type Endpoint = dex_net::Endpoint<DexMsg>;
@@ -195,8 +194,6 @@ pub struct ProcessShared {
     pub cores: Vec<MultiResource>,
     /// Statistics sinks.
     pub stats: Arc<RunStats>,
-    /// Page-fault trace sink.
-    pub trace: TraceBuffer,
     /// Causal span sink (disabled unless `ClusterConfig::with_spans`).
     pub spans: SpanBuffer,
     /// Per-node/per-link metrics (shared with the fabric; `None` unless
@@ -234,7 +231,6 @@ impl ProcessShared {
         nodes: usize,
         cost: CostModel,
         fabric: Arc<Fabric>,
-        trace: TraceBuffer,
         spans: SpanBuffer,
         metrics: Option<Arc<MetricsRegistry>>,
         race: crate::race::RaceTrace,
@@ -304,7 +300,6 @@ impl ProcessShared {
                 fault_hist: Histogram::new(),
                 migrations: Mutex::new(Vec::new()),
             }),
-            trace,
             spans,
             metrics,
             race,
@@ -812,7 +807,6 @@ mod tests {
             nodes,
             CostModel::default(),
             fabric,
-            TraceBuffer::disabled(),
             SpanBuffer::disabled(),
             None,
             crate::race::RaceTrace::disabled(),

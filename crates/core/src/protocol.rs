@@ -502,7 +502,8 @@ pub fn home_step<F: Frames>(
 /// The single interpreter of [`DirAction`]s: local PTE/frame changes and
 /// the sends/completions they imply. `staged` is the page contents this
 /// transaction received (a data-carrying ack, or the home's own dropped
-/// copy).
+/// copy). A dropped home copy whose grant waits on batch acks outlives
+/// the step in `node.state.staged`, where the last ack's step finds it.
 fn apply_actions<F: Frames>(
     home: NodeId,
     node: &mut Node<'_, F>,
@@ -512,6 +513,7 @@ fn apply_actions<F: Frames>(
     mut staged: Option<F::Page>,
     out: &mut Vec<Output<F::Page>>,
 ) {
+    let mut home_copy = false;
     for action in actions {
         match action {
             DirAction::Grant {
@@ -624,10 +626,14 @@ fn apply_actions<F: Frames>(
                     // The home's copy is the elected data source: stage
                     // it for the grant before dropping it.
                     staged = Some(node.frames.get(vpn).unwrap_or_else(F::zeroed));
+                    home_copy = true;
                 }
                 unmap(node.page_table, node.frames, vpn);
             }
         }
+    }
+    if let Some(page) = staged.filter(|_| home_copy) {
+        node.state.staged.insert(vpn, page);
     }
 }
 

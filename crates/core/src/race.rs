@@ -117,7 +117,7 @@ pub struct RaceEvent {
 }
 
 /// A shared, append-only buffer of [`RaceEvent`]s (cloning shares the
-/// buffer, mirroring [`TraceBuffer`](crate::TraceBuffer)).
+/// buffer, mirroring [`SpanBuffer`](crate::SpanBuffer)).
 #[derive(Clone)]
 pub struct RaceTrace {
     enabled: bool,

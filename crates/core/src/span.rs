@@ -18,8 +18,8 @@
 //! let span = spans.is_enabled().then(|| spans.alloc_id());
 //! /* ... the operation; `span` may ride outgoing messages ... */
 //! if let Some(id) = span {
-//!     spans.record(Span { id, parent, kind, node, task,
-//!                         start: t0, end: ctx.now(), label, tag: None });
+//!     spans.record(Span { id, parent, kind, node, task, start: t0,
+//!                         end: ctx.now(), label, tag: None, site: "", addr: None });
 //! }
 //! ```
 //!
@@ -34,7 +34,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use dex_net::NodeId;
-use dex_os::Tid;
+use dex_os::{Tid, VirtAddr};
 use dex_sim::SimTime;
 
 /// Identifies a span within one run. Ids are allocated sequentially
@@ -100,7 +100,7 @@ pub enum SpanKind {
 }
 
 impl SpanKind {
-    /// Stable lowercase name used by the `# dex-spans v1` codec.
+    /// Stable lowercase name used by the `# dex-spans v2` codec.
     pub fn as_str(self) -> &'static str {
         match self {
             SpanKind::Fault => "fault",
@@ -175,6 +175,16 @@ pub struct Span {
     pub label: &'static str,
     /// Optional free-form attribution (e.g. the faulted object's tag).
     pub tag: Option<String>,
+    /// The code site a fault span was raised at (the simulation analogue
+    /// of the faulting instruction, set via
+    /// [`ThreadCtx::set_site`](crate::ThreadCtx::set_site)), or the
+    /// handler name of an invalidation span; empty elsewhere.
+    pub site: &'static str,
+    /// The faulting address of a fault span, or the revoked page of an
+    /// invalidation span; `None` elsewhere. With `node`, `task`, `start`,
+    /// `site` and `tag` it makes these spans the paper's six-tuple fault
+    /// record (§IV-A).
+    pub addr: Option<VirtAddr>,
 }
 
 impl Span {
@@ -186,9 +196,8 @@ impl Span {
 
 /// A shared, append-only buffer of completed spans with an id allocator.
 ///
-/// Mirrors [`TraceBuffer`](crate::TraceBuffer): cloning shares the
-/// buffer; the `enabled` flag is checked before any work so a disabled
-/// buffer costs one branch.
+/// Cloning shares the buffer; the `enabled` flag is checked before any
+/// work so a disabled buffer costs one branch.
 ///
 /// # Examples
 ///
@@ -210,6 +219,8 @@ impl Span {
 ///     end: SimTime::from_nanos(158_800),
 ///     label: "page_fault",
 ///     tag: None,
+///     site: "",
+///     addr: None,
 /// });
 /// assert_eq!(spans.snapshot().len(), 1);
 /// ```
@@ -326,6 +337,8 @@ mod tests {
             end: SimTime::from_nanos(10),
             label: "test",
             tag: None,
+            site: "",
+            addr: None,
         }
     }
 

@@ -332,6 +332,8 @@ mod tests {
             end: SimTime::ZERO + SimDuration::from_micros(dur_us),
             label: "test",
             tag: tag.map(str::to_string),
+            site: "",
+            addr: None,
         }
     }
 

@@ -25,7 +25,6 @@ use crate::process::{DelegationJob, MigrationSample, ProcessShared, Reply, WaitE
 use crate::protocol::{self, requester_step, HomeIn, Output, PageMsg, RequesterIn};
 use crate::race::{RaceEvent, RaceEventKind};
 use crate::span::{Span, SpanId, SpanKind};
-use crate::trace::{FaultEvent, FaultKind};
 
 /// The wire form of an optional span id (0 encodes "no span").
 fn span_ctx(span: Option<SpanId>) -> SpanContext {
@@ -489,6 +488,8 @@ impl<'a> ThreadCtx<'a> {
                 end: self.sim.now(),
                 label: "vma_pull",
                 tag: None,
+                site: "",
+                addr: None,
             });
         }
     }
@@ -546,6 +547,8 @@ impl<'a> ThreadCtx<'a> {
                     end: ctx.now(),
                     label: "follower_wait",
                     tag: None,
+                    site: "",
+                    addr: None,
                 });
             }
             return; // the outer ensure() loop re-checks the updated PTE
@@ -593,6 +596,8 @@ impl<'a> ThreadCtx<'a> {
                     end: ctx.now(),
                     label: "retry_backoff",
                     tag: None,
+                    site: "",
+                    addr: None,
                 });
             }
         }
@@ -618,23 +623,9 @@ impl<'a> ThreadCtx<'a> {
                     "dsm.faults_read"
                 });
             }
-            if shared.trace.is_enabled() {
-                shared.trace.record(FaultEvent {
-                    time: t0,
-                    node,
-                    task: self.tid,
-                    kind: if is_write {
-                        FaultKind::Write
-                    } else {
-                        FaultKind::Read
-                    },
-                    site: self.site.get(),
-                    addr,
-                    tag: shared.tag_for(node, addr),
-                });
-            }
         }
         if let Some(id) = fault_span {
+            let tag = shared.tag_for(node, addr);
             shared.spans.record(Span {
                 id,
                 parent: SpanId::NONE,
@@ -648,7 +639,9 @@ impl<'a> ThreadCtx<'a> {
                     (false, true) => "write_fault",
                     (false, false) => "read_fault",
                 },
-                tag: shared.tag_for(node, addr),
+                tag,
+                site: self.site.get(),
+                addr: Some(addr),
             });
         }
 
@@ -787,6 +780,8 @@ impl<'a> ThreadCtx<'a> {
                     "futex_eagain"
                 },
                 tag: None,
+                site: "",
+                addr: None,
             });
         }
         result
@@ -815,6 +810,8 @@ impl<'a> ThreadCtx<'a> {
                 end: self.sim.now(),
                 label: "futex_wake",
                 tag: None,
+                site: "",
+                addr: None,
             });
         }
         result
@@ -1087,6 +1084,8 @@ impl<'a> ThreadCtx<'a> {
                     "worker_reused"
                 },
                 tag: None,
+                site: "",
+                addr: None,
             });
         }
         Ok(())
@@ -1153,6 +1152,8 @@ impl<'a> ThreadCtx<'a> {
                 end: ctx.now(),
                 label: "migrate_back",
                 tag: None,
+                site: "",
+                addr: None,
             });
         }
     }
@@ -1238,6 +1239,8 @@ impl<'a> ThreadCtx<'a> {
                 end: self.sim.now(),
                 label: "delegate",
                 tag: None,
+                site: "",
+                addr: None,
             });
         }
         result
@@ -1598,6 +1601,8 @@ fn pair_thread_loop(
                 end: ctx.now(),
                 label: "delegation_service",
                 tag: None,
+                site: "",
+                addr: None,
             });
         }
         // A queued waiter is answered by the FUTEX_WAKE that dequeues it.

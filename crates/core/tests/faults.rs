@@ -37,21 +37,21 @@ fn mixed_workload(config: ClusterConfig) -> RunReport {
 }
 
 /// A fingerprint of everything observable about a run: virtual time, the
-/// full counter set, and the fault trace.
+/// full counter set, and the spans (which carry the fault record).
 fn fingerprint(report: &RunReport) -> (u64, Vec<(String, u64)>, String) {
     (
         report.virtual_time.as_nanos(),
         report.process().stats.counters.snapshot(),
-        format!("{:?}", report.trace),
+        format!("{:?}", report.spans),
     )
 }
 
 #[test]
 fn empty_fault_plan_is_bit_identical_to_no_plan() {
-    let plain = mixed_workload(ClusterConfig::new(3).with_trace());
+    let plain = mixed_workload(ClusterConfig::new(3).with_spans());
     let with_empty = mixed_workload(
         ClusterConfig::new(3)
-            .with_trace()
+            .with_spans()
             .with_fault_plan(FaultPlan::default()),
     );
     assert_eq!(fingerprint(&plain), fingerprint(&with_empty));

@@ -1,7 +1,7 @@
 //! End-to-end protocol tests: correctness of the consistency protocol,
 //! migration timing, delegation, and synchronization across nodes.
 
-use dex_core::{Cluster, ClusterConfig, DexStats, FaultKind, NodeId};
+use dex_core::{Cluster, ClusterConfig, DexStats, NodeId, SpanKind};
 use dex_sim::SimDuration;
 
 fn two_nodes() -> Cluster {
@@ -317,22 +317,29 @@ fn migrate_to_unknown_node_errors() {
 
 #[test]
 fn trace_records_six_tuples_when_enabled() {
-    let cluster = Cluster::new(ClusterConfig::new(2).with_trace());
+    // The fault span is the §IV-A record: time, node, task, kind, code
+    // site, address, plus the object tag.
+    let cluster = Cluster::new(ClusterConfig::new(2).with_spans());
+    let mut cell = None;
     let report = cluster.run(|p| {
         let c = p.alloc_cell_tagged::<u64>(0, "hot_counter");
+        cell = Some(c);
         p.spawn(move |ctx| {
             ctx.set_site("test.write_loop");
             ctx.migrate(1).unwrap();
             c.set(ctx, 1);
         });
     });
+    let addr = cell.expect("allocated").addr();
     let writes: Vec<_> = report
-        .trace
+        .spans
         .iter()
-        .filter(|e| e.kind == FaultKind::Write && e.site == "test.write_loop")
+        .filter(|s| s.kind == SpanKind::Fault && s.label == "write_fault")
+        .filter(|s| s.site == "test.write_loop")
         .collect();
-    assert!(!writes.is_empty(), "trace: {:?}", report.trace);
+    assert!(!writes.is_empty(), "spans: {:?}", report.spans);
     assert_eq!(writes[0].node, NodeId(1));
+    assert_eq!(writes[0].addr, Some(addr));
     assert_eq!(writes[0].tag.as_deref(), Some("hot_counter"));
 }
 

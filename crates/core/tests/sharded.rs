@@ -6,12 +6,12 @@
 use dex_core::{Cluster, ClusterConfig, RunReport};
 
 /// The fault-suite fingerprint: virtual time, the full counter set, and
-/// the fault trace.
+/// the spans (which carry the fault record).
 fn fingerprint(report: &RunReport) -> (u64, Vec<(String, u64)>, String) {
     (
         report.virtual_time.as_nanos(),
         report.process().stats.counters.snapshot(),
-        format!("{:?}", report.trace),
+        format!("{:?}", report.spans),
     )
 }
 
@@ -52,9 +52,9 @@ fn pingpong_workload(config: ClusterConfig) -> (RunReport, dex_core::DsmVec<u64>
 
 #[test]
 fn one_shard_is_bit_identical_to_the_classic_directory() {
-    let (classic, _) = pingpong_workload(ClusterConfig::new(3).with_trace());
+    let (classic, _) = pingpong_workload(ClusterConfig::new(3).with_spans());
     let (one_shard, _) =
-        pingpong_workload(ClusterConfig::new(3).with_trace().with_directory_shards(1));
+        pingpong_workload(ClusterConfig::new(3).with_spans().with_directory_shards(1));
     assert_eq!(fingerprint(&classic), fingerprint(&one_shard));
     assert_eq!(classic.stats, one_shard.stats);
 }
@@ -126,6 +126,49 @@ fn sharded_prefetch_grants_across_homes() {
         counters.get("prefetch.pages") >= 1,
         "remote-homed pages must be granted by the hint"
     );
+    for dir in &report.process().directories {
+        dir.lock().check_invariants().expect("shards consistent");
+    }
+}
+
+#[test]
+fn batched_write_grant_ships_the_homes_staged_copy() {
+    // Node 1 writes each page, the origin reads it back: the page is
+    // shared by node 1 and the origin. Node 2's write then revokes both.
+    // Where the home holds a replica, the directory elects the home's copy
+    // as the data source, drops it, and grants only after the other
+    // owner's batch ack. The grant must carry the copy it staged, not the
+    // zero page the unmapped frame leaves behind.
+    let cluster = Cluster::new(ClusterConfig::new(3).with_directory_shards(3));
+    let mut handle = None;
+    let report = cluster.run(|p| {
+        let v = p.alloc_vec_aligned::<u64>(8 * 512, "pages");
+        handle = Some(v);
+        p.spawn(move |ctx| {
+            ctx.migrate(1).unwrap();
+            for page in 0..8 {
+                v.set(ctx, page * 512 + 1, page as u64 + 100);
+            }
+            ctx.migrate_back().unwrap();
+            for page in 0..8 {
+                let _ = v.get(ctx, page * 512);
+            }
+            ctx.migrate(2).unwrap();
+            for page in 0..8 {
+                v.set(ctx, page * 512, 7);
+            }
+            ctx.migrate_back().unwrap();
+        });
+    });
+    let data = handle.expect("allocated").snapshot(&report);
+    for page in 0..8 {
+        assert_eq!(data[page * 512], 7, "page {page} word 0");
+        assert_eq!(
+            data[page * 512 + 1],
+            page as u64 + 100,
+            "page {page} word 1"
+        );
+    }
     for dir in &report.process().directories {
         dir.lock().check_invariants().expect("shards consistent");
     }

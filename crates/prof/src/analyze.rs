@@ -1,7 +1,7 @@
-//! Post-processing of page-fault traces.
+//! Post-processing of the page-fault record.
 //!
 //! The paper's workflow (§IV-A): run the application under tracing, then
-//! analyze the six-tuple trace offline to find the program objects and
+//! analyze the six-tuple fault record offline to find the program objects and
 //! code locations that cause cross-node traffic — hot pages, hot sites,
 //! per-thread access patterns, fault rates over time, and above all
 //! *false-sharing suspects*: pages carrying more than one object with
@@ -9,9 +9,9 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use dex_core::{FaultEvent, FaultKind};
+use dex_core::{Span, SpanKind};
 use dex_net::NodeId;
-use dex_os::{Tid, Vpn};
+use dex_os::{Tid, VirtAddr, Vpn};
 use dex_sim::SimDuration;
 
 /// Per-page aggregate statistics.
@@ -72,7 +72,8 @@ pub struct FalseSharingSuspect {
     pub writes: u64,
 }
 
-/// The result of analyzing a fault trace.
+/// The result of analyzing the fault record of a run: its fault and
+/// invalidation spans.
 ///
 /// # Examples
 ///
@@ -80,7 +81,7 @@ pub struct FalseSharingSuspect {
 /// use dex_core::{Cluster, ClusterConfig};
 /// use dex_prof::Profile;
 ///
-/// let cluster = Cluster::new(ClusterConfig::new(2).with_trace());
+/// let cluster = Cluster::new(ClusterConfig::new(2).with_spans());
 /// let report = cluster.run(|p| {
 ///     let a = p.alloc_cell_tagged::<u64>(0, "obj_a"); // packed together:
 ///     let b = p.alloc_cell_tagged::<u64>(0, "obj_b"); // same page
@@ -101,7 +102,7 @@ pub struct FalseSharingSuspect {
 ///         }
 ///     });
 /// });
-/// let profile = Profile::from_trace(&report.trace);
+/// let profile = Profile::from_spans(&report.spans);
 /// let suspects = profile.false_sharing_suspects();
 /// assert!(!suspects.is_empty(), "obj_a and obj_b share a page");
 /// assert!(suspects[0].tags.len() >= 2);
@@ -112,8 +113,33 @@ pub struct Profile {
     sites: BTreeMap<&'static str, SiteStat>,
     tasks: BTreeMap<Tid, u64>,
     times: Vec<u64>,
-    per_node_events: Vec<(NodeId, FaultKind)>,
+    nodes: BTreeMap<NodeId, NodeTraffic>,
     events: usize,
+}
+
+/// One entry of the §IV-A fault record.
+#[derive(Clone, Copy, PartialEq)]
+enum Event {
+    Read,
+    Write,
+    Invalidate,
+}
+
+impl Event {
+    /// Reads the fault record off a span: a protocol fault is a `Fault`
+    /// span that is not a minor fault, an invalidation is a revocation
+    /// span carrying the page it revoked. Other spans record no fault.
+    fn of(span: &Span) -> Option<(Event, VirtAddr)> {
+        let addr = span.addr?;
+        let event = match (span.kind, span.label) {
+            (SpanKind::Fault, "minor_fault") => return None,
+            (SpanKind::Fault, "write_fault") => Event::Write,
+            (SpanKind::Fault, _) => Event::Read,
+            (SpanKind::Invalidation | SpanKind::InvalidateBatch, _) => Event::Invalidate,
+            _ => return None,
+        };
+        Some((event, addr))
+    }
 }
 
 /// Protocol traffic one node generated (a row of
@@ -129,41 +155,48 @@ pub struct NodeTraffic {
 }
 
 impl Profile {
-    /// Builds a profile from a fault trace.
-    pub fn from_trace(trace: &[FaultEvent]) -> Self {
+    /// Builds a profile from the spans of a run (recorded with
+    /// [`ClusterConfig::with_spans`](dex_core::ClusterConfig::with_spans)
+    /// or decoded from a `# dex-spans v2` file). Each event is dated at
+    /// its span's start.
+    pub fn from_spans(spans: &[Span]) -> Self {
         let mut profile = Profile::default();
-        for event in trace {
+        for span in spans {
+            let Some((event, addr)) = Event::of(span) else {
+                continue;
+            };
+            let vpn = addr.vpn().index();
             profile.events += 1;
-            profile.times.push(event.time.as_nanos());
-            profile.per_node_events.push((event.node, event.kind));
+            profile.times.push(span.start.as_nanos());
 
-            let page = profile.pages.entry(event.addr.vpn().index()).or_default();
-            match event.kind {
-                FaultKind::Read => page.reads += 1,
-                FaultKind::Write => page.writes += 1,
-                FaultKind::Invalidate => page.invalidations += 1,
-            }
-            page.nodes.insert(event.node);
-            if let Some(tag) = &event.tag {
-                page.tags.insert(tag.clone());
-            }
-            page.sites.insert(event.site);
+            let page = profile.pages.entry(vpn).or_default();
+            let node = profile.nodes.entry(span.node).or_default();
+            let (on_page, on_node) = match event {
+                Event::Read => (&mut page.reads, &mut node.reads),
+                Event::Write => (&mut page.writes, &mut node.writes),
+                Event::Invalidate => (&mut page.invalidations, &mut node.invalidations),
+            };
+            *on_page += 1;
+            *on_node += 1;
+            page.nodes.insert(span.node);
+            page.tags.extend(span.tag.clone());
+            page.sites.insert(span.site);
 
-            if event.kind != FaultKind::Invalidate {
-                let site = profile.sites.entry(event.site).or_default();
-                match event.kind {
-                    FaultKind::Read => site.reads += 1,
-                    FaultKind::Write => site.writes += 1,
-                    FaultKind::Invalidate => unreachable!("filtered above"),
+            if event != Event::Invalidate {
+                let site = profile.sites.entry(span.site).or_default();
+                if event == Event::Write {
+                    site.writes += 1;
+                } else {
+                    site.reads += 1;
                 }
-                site.pages.insert(event.addr.vpn().index());
-                *profile.tasks.entry(event.task).or_default() += 1;
+                site.pages.insert(vpn);
+                *profile.tasks.entry(span.task).or_default() += 1;
             }
         }
         profile
     }
 
-    /// Number of trace events analyzed.
+    /// Number of fault-record events analyzed.
     pub fn events(&self) -> usize {
         self.events
     }
@@ -239,16 +272,7 @@ impl Profile {
     /// node-level view of "which components caused the most cross-node
     /// traffic" (§IV-A).
     pub fn node_matrix(&self) -> Vec<(NodeId, NodeTraffic)> {
-        let mut map: BTreeMap<NodeId, NodeTraffic> = BTreeMap::new();
-        for event in &self.per_node_events {
-            let entry = map.entry(event.0).or_default();
-            match event.1 {
-                FaultKind::Read => entry.reads += 1,
-                FaultKind::Write => entry.writes += 1,
-                FaultKind::Invalidate => entry.invalidations += 1,
-            }
-        }
-        map.into_iter().collect()
+        self.nodes.iter().map(|(node, t)| (*node, *t)).collect()
     }
 
     /// Exports the per-page statistics as CSV
@@ -290,33 +314,43 @@ impl Profile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dex_core::FaultEvent;
-    use dex_os::VirtAddr;
+    use dex_core::SpanId;
     use dex_sim::SimTime;
+
+    /// The (kind, label) of a read fault, a write fault and an
+    /// invalidation span.
+    type Kind = (SpanKind, &'static str);
+    const READ: Kind = (SpanKind::Fault, "read_fault");
+    const WRITE: Kind = (SpanKind::Fault, "write_fault");
+    const INVALIDATE: Kind = (SpanKind::InvalidateBatch, "invalidate_batch_drop");
 
     fn event(
         t: u64,
         node: u16,
         task: u64,
-        kind: FaultKind,
+        (kind, label): Kind,
         site: &'static str,
         addr: u64,
         tag: &str,
-    ) -> FaultEvent {
-        FaultEvent {
-            time: SimTime::from_nanos(t),
+    ) -> Span {
+        Span {
+            id: SpanId(t + 1),
+            parent: SpanId::NONE,
+            kind,
             node: NodeId(node),
             task: Tid(task),
-            kind,
-            site,
-            addr: VirtAddr::new(addr),
+            start: SimTime::from_nanos(t),
+            end: SimTime::from_nanos(t + 1),
+            label,
             tag: Some(tag.to_string()),
+            site,
+            addr: Some(VirtAddr::new(addr)),
         }
     }
 
     #[test]
     fn empty_trace_profiles_cleanly() {
-        let p = Profile::from_trace(&[]);
+        let p = Profile::from_spans(&[]);
         assert_eq!(p.events(), 0);
         assert!(p.hot_pages().is_empty());
         assert!(p.hot_sites().is_empty());
@@ -327,12 +361,12 @@ mod tests {
     #[test]
     fn hot_pages_rank_by_total_events() {
         let trace = vec![
-            event(0, 1, 0, FaultKind::Write, "s", 0x1000, "a"),
-            event(1, 1, 0, FaultKind::Write, "s", 0x2000, "b"),
-            event(2, 1, 0, FaultKind::Read, "s", 0x2000, "b"),
-            event(3, 2, 1, FaultKind::Invalidate, "s", 0x2000, "b"),
+            event(0, 1, 0, WRITE, "s", 0x1000, "a"),
+            event(1, 1, 0, WRITE, "s", 0x2000, "b"),
+            event(2, 1, 0, READ, "s", 0x2000, "b"),
+            event(3, 2, 1, INVALIDATE, "s", 0x2000, "b"),
         ];
-        let p = Profile::from_trace(&trace);
+        let p = Profile::from_spans(&trace);
         let pages = p.hot_pages();
         assert_eq!(pages[0].0, Vpn::new(2));
         assert_eq!(pages[0].1.total(), 3);
@@ -343,38 +377,38 @@ mod tests {
     fn false_sharing_requires_two_tags_two_nodes_and_writes() {
         // Single tag: true sharing, not false sharing.
         let single = vec![
-            event(0, 1, 0, FaultKind::Write, "s", 0x1000, "only"),
-            event(1, 2, 1, FaultKind::Write, "s", 0x1008, "only"),
+            event(0, 1, 0, WRITE, "s", 0x1000, "only"),
+            event(1, 2, 1, WRITE, "s", 0x1008, "only"),
         ];
-        let p = Profile::from_trace(&single);
+        let p = Profile::from_spans(&single);
         assert!(p.false_sharing_suspects().is_empty());
         assert_eq!(p.contended_objects().len(), 1);
 
         // Two tags, two nodes, writes: the signature.
         let double = vec![
-            event(0, 1, 0, FaultKind::Write, "s", 0x1000, "a"),
-            event(1, 2, 1, FaultKind::Write, "s", 0x1008, "b"),
+            event(0, 1, 0, WRITE, "s", 0x1000, "a"),
+            event(1, 2, 1, WRITE, "s", 0x1008, "b"),
         ];
-        let p = Profile::from_trace(&double);
+        let p = Profile::from_spans(&double);
         let suspects = p.false_sharing_suspects();
         assert_eq!(suspects.len(), 1);
         assert_eq!(suspects[0].tags, vec!["a".to_string(), "b".to_string()]);
 
         // Two tags but one node: local sharing is harmless.
         let one_node = vec![
-            event(0, 1, 0, FaultKind::Write, "s", 0x1000, "a"),
-            event(1, 1, 1, FaultKind::Write, "s", 0x1008, "b"),
+            event(0, 1, 0, WRITE, "s", 0x1000, "a"),
+            event(1, 1, 1, WRITE, "s", 0x1008, "b"),
         ];
-        assert!(Profile::from_trace(&one_node)
+        assert!(Profile::from_spans(&one_node)
             .false_sharing_suspects()
             .is_empty());
 
         // Two tags, two nodes, reads only: replication handles it.
         let read_only = vec![
-            event(0, 1, 0, FaultKind::Read, "s", 0x1000, "a"),
-            event(1, 2, 1, FaultKind::Read, "s", 0x1008, "b"),
+            event(0, 1, 0, READ, "s", 0x1000, "a"),
+            event(1, 2, 1, READ, "s", 0x1008, "b"),
         ];
-        assert!(Profile::from_trace(&read_only)
+        assert!(Profile::from_spans(&read_only)
             .false_sharing_suspects()
             .is_empty());
     }
@@ -382,11 +416,11 @@ mod tests {
     #[test]
     fn sites_aggregate_reads_and_writes() {
         let trace = vec![
-            event(0, 1, 0, FaultKind::Write, "kernel.update", 0x1000, "a"),
-            event(1, 1, 0, FaultKind::Write, "kernel.update", 0x2000, "a"),
-            event(2, 1, 0, FaultKind::Read, "kernel.scan", 0x3000, "b"),
+            event(0, 1, 0, WRITE, "kernel.update", 0x1000, "a"),
+            event(1, 1, 0, WRITE, "kernel.update", 0x2000, "a"),
+            event(2, 1, 0, READ, "kernel.scan", 0x3000, "b"),
         ];
-        let p = Profile::from_trace(&trace);
+        let p = Profile::from_spans(&trace);
         let sites = p.hot_sites();
         assert_eq!(sites[0].0, "kernel.update");
         assert_eq!(sites[0].1.writes, 2);
@@ -398,11 +432,11 @@ mod tests {
     #[test]
     fn timeline_buckets_events() {
         let trace = vec![
-            event(100, 1, 0, FaultKind::Write, "s", 0x1000, "a"),
-            event(900, 1, 0, FaultKind::Write, "s", 0x1000, "a"),
-            event(2_500, 1, 0, FaultKind::Write, "s", 0x1000, "a"),
+            event(100, 1, 0, WRITE, "s", 0x1000, "a"),
+            event(900, 1, 0, WRITE, "s", 0x1000, "a"),
+            event(2_500, 1, 0, WRITE, "s", 0x1000, "a"),
         ];
-        let p = Profile::from_trace(&trace);
+        let p = Profile::from_spans(&trace);
         let tl = p.timeline(SimDuration::from_nanos(1_000));
         assert_eq!(
             tl,
@@ -417,12 +451,12 @@ mod tests {
     #[test]
     fn node_matrix_sums_per_node_traffic() {
         let trace = vec![
-            event(0, 1, 0, FaultKind::Write, "s", 0x1000, "a"),
-            event(1, 1, 0, FaultKind::Read, "s", 0x2000, "a"),
-            event(2, 2, 1, FaultKind::Write, "s", 0x1000, "a"),
-            event(3, 1, u64::MAX, FaultKind::Invalidate, "s", 0x1000, "a"),
+            event(0, 1, 0, WRITE, "s", 0x1000, "a"),
+            event(1, 1, 0, READ, "s", 0x2000, "a"),
+            event(2, 2, 1, WRITE, "s", 0x1000, "a"),
+            event(3, 1, u64::MAX, INVALIDATE, "s", 0x1000, "a"),
         ];
-        let p = Profile::from_trace(&trace);
+        let p = Profile::from_spans(&trace);
         let matrix = p.node_matrix();
         assert_eq!(
             matrix,
@@ -450,10 +484,10 @@ mod tests {
     #[test]
     fn csv_export_has_one_row_per_page() {
         let trace = vec![
-            event(0, 1, 0, FaultKind::Write, "s", 0x1000, "a"),
-            event(1, 2, 1, FaultKind::Read, "s", 0x2000, "b"),
+            event(0, 1, 0, WRITE, "s", 0x1000, "a"),
+            event(1, 2, 1, READ, "s", 0x2000, "b"),
         ];
-        let csv = Profile::from_trace(&trace).to_csv();
+        let csv = Profile::from_spans(&trace).to_csv();
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 3, "header + 2 pages: {csv}");
         assert_eq!(lines[0], "vpn,reads,writes,invalidations,nodes,tags");
@@ -464,13 +498,44 @@ mod tests {
     #[test]
     fn per_task_counts_faulting_threads() {
         let trace = vec![
-            event(0, 1, 7, FaultKind::Write, "s", 0x1000, "a"),
-            event(1, 1, 7, FaultKind::Read, "s", 0x2000, "a"),
-            event(2, 2, 9, FaultKind::Write, "s", 0x1000, "a"),
+            event(0, 1, 7, WRITE, "s", 0x1000, "a"),
+            event(1, 1, 7, READ, "s", 0x2000, "a"),
+            event(2, 2, 9, WRITE, "s", 0x1000, "a"),
             // Invalidations are protocol activity, not thread activity.
-            event(3, 2, u64::MAX, FaultKind::Invalidate, "s", 0x1000, "a"),
+            event(3, 2, u64::MAX, INVALIDATE, "s", 0x1000, "a"),
         ];
-        let p = Profile::from_trace(&trace);
+        let p = Profile::from_spans(&trace);
         assert_eq!(p.per_task(), vec![(Tid(7), 2), (Tid(9), 1)]);
+    }
+
+    #[test]
+    fn only_protocol_faults_and_revocations_are_fault_records() {
+        let mut minor = event(0, 0, 1, (SpanKind::Fault, "minor_fault"), "s", 0x1000, "a");
+        let mut forward = event(
+            1,
+            1,
+            2,
+            (SpanKind::OwnerForward, "owner_forward_write"),
+            "",
+            0,
+            "a",
+        );
+        forward.addr = None;
+        let p = Profile::from_spans(&[minor.clone(), forward]);
+        assert_eq!(p.events(), 0, "minor faults and forwards are not faults");
+        minor.label = "read_fault";
+        let revoked = event(
+            2,
+            1,
+            u64::MAX,
+            (SpanKind::Invalidation, "invalidate_drop"),
+            "s",
+            0x1000,
+            "a",
+        );
+        let p = Profile::from_spans(&[minor, revoked]);
+        assert_eq!(p.events(), 2);
+        assert_eq!(p.hot_pages()[0].1.reads, 1);
+        assert_eq!(p.hot_pages()[0].1.invalidations, 1);
     }
 }

@@ -84,14 +84,16 @@ pub fn protocol_path_breakdown(spans: &[Span]) -> Vec<(SpanKind, PhaseStat)> {
     by_key.into_values().collect()
 }
 
-/// One node of a rendered fault tree.
-struct TreeNode<'a> {
-    span: &'a Span,
-    children: Vec<usize>,
+/// One node of the span forest.
+pub(crate) struct TreeNode<'a> {
+    pub(crate) span: &'a Span,
+    /// Indices of the children, in start-time order.
+    pub(crate) children: Vec<usize>,
 }
 
-/// Builds parent→children indices over a span slice.
-fn index_forest(spans: &[Span]) -> (Vec<TreeNode<'_>>, BTreeMap<u64, usize>) {
+/// Builds parent→children indices over a span slice: the one index of the
+/// forest every consumer walks.
+pub(crate) fn index_forest(spans: &[Span]) -> Vec<TreeNode<'_>> {
     let mut nodes: Vec<TreeNode<'_>> = spans
         .iter()
         .map(|span| TreeNode {
@@ -115,7 +117,7 @@ fn index_forest(spans: &[Span]) -> (Vec<TreeNode<'_>>, BTreeMap<u64, usize>) {
     for node in &mut nodes {
         node.children.sort_by_key(|&c| starts[c]);
     }
-    (nodes, by_id)
+    nodes
 }
 
 fn us(ns: u64) -> f64 {
@@ -171,7 +173,7 @@ fn attributed_ns(nodes: &[TreeNode<'_>], i: usize) -> u64 {
 ///
 /// `top` bounds how many fault trees are rendered.
 pub fn render_critical_path(spans: &[Span], top: usize) -> String {
-    let (nodes, _) = index_forest(spans);
+    let nodes = index_forest(spans);
     let mut out = String::new();
     let _ = writeln!(out, "=== DEX critical-path report ===");
     let _ = writeln!(out, "{} spans analyzed", spans.len());
@@ -281,6 +283,8 @@ mod tests {
             end: SimTime::from_nanos(end),
             label,
             tag: None,
+            site: "",
+            addr: None,
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! When the perf gate flags a drifted `BENCH_*.json`, this module turns
 //! "the number moved" into "where the virtual time went": it aligns two
-//! runs' artifacts — span traces (`# dex-spans v1`), telemetry series
+//! runs' artifacts — span traces (`# dex-spans v2`), telemetry series
 //! (`# dex-series v1`), or bench results (`dex-bench v1` JSON) — and
 //! reports the movement per span kind, per node, per link, and along the
 //! slowest fault's critical path. Spans are matched by (kind, node,
@@ -17,6 +17,7 @@ use dex_core::{Span, SpanKind};
 use dex_net::TimeSeries;
 use dex_sim::codec::{parse_json, Json};
 
+use crate::critical_path::index_forest;
 use crate::series_codec::{decode_series, SERIES_HEADER};
 use crate::span_codec::{decode_spans, SPANS_HEADER};
 
@@ -105,32 +106,30 @@ fn rows_from<K: Ord>(
     rows
 }
 
-/// The span ids in the causal subtree of the slowest `Fault` span
+/// The spans in the causal subtree of the slowest `Fault` span
 /// (children recorded on any node — causality crosses machine
-/// boundaries), or an empty set when the run recorded no faults.
-fn slowest_fault_subtree(spans: &[Span]) -> std::collections::BTreeSet<u64> {
-    let root = spans
-        .iter()
-        .filter(|s| s.kind == SpanKind::Fault)
-        .max_by_key(|s| (s.duration().as_nanos(), std::cmp::Reverse(s.id.0)));
-    let mut members = std::collections::BTreeSet::new();
-    let Some(root) = root else {
-        return members;
-    };
-    members.insert(root.id.0);
-    // Spans are a forest with arbitrary record order: iterate to a fixed
-    // point instead of assuming parents precede children.
-    loop {
-        let before = members.len();
-        for s in spans {
-            if members.contains(&s.parent.0) {
-                members.insert(s.id.0);
-            }
-        }
-        if members.len() == before {
-            return members;
+/// boundaries), or none when the run recorded no faults.
+fn slowest_fault_subtree(spans: &[Span]) -> Vec<&Span> {
+    let forest = index_forest(spans);
+    let root = (0..spans.len())
+        .filter(|&i| spans[i].kind == SpanKind::Fault)
+        .max_by_key(|&i| {
+            (
+                spans[i].duration().as_nanos(),
+                std::cmp::Reverse(spans[i].id.0),
+            )
+        });
+    // The seen marks stop a walk of a (hostile, decoded) parent cycle.
+    let mut seen = vec![false; spans.len()];
+    let mut stack: Vec<usize> = root.into_iter().collect();
+    let mut members = Vec::new();
+    while let Some(i) = stack.pop() {
+        if !std::mem::replace(&mut seen[i], true) {
+            members.push(&spans[i]);
+            stack.extend(&forest[i].children);
         }
     }
+    members
 }
 
 /// Aligns two span forests and aggregates where the virtual time moved.
@@ -153,8 +152,7 @@ pub fn diff_spans(base: &[Span], cand: &[Span]) -> SpanDiff {
 
     let mut critical: BTreeMap<String, (u64, u64, u64, u64)> = BTreeMap::new();
     for (spans, candidate) in [(base, false), (cand, true)] {
-        let subtree = slowest_fault_subtree(spans);
-        for s in spans.iter().filter(|s| subtree.contains(&s.id.0)) {
+        for s in slowest_fault_subtree(spans) {
             let key = if s.kind == SpanKind::Fault {
                 "fault (total)".to_string()
             } else {
@@ -223,7 +221,7 @@ pub fn bench_numeric_fields(text: &str) -> Result<Vec<(String, u64)>, String> {
 
 /// One decoded diffable artifact, sniffed by its header.
 pub enum DiffInput {
-    /// A `# dex-spans v1` span trace.
+    /// A `# dex-spans v2` span trace.
     Spans(Vec<Span>),
     /// A `# dex-series v1` telemetry series.
     Series(Box<TimeSeries>),
@@ -356,6 +354,8 @@ mod tests {
             end: SimTime::from_nanos(end),
             label: "t",
             tag: None,
+            site: "",
+            addr: None,
         }
     }
 
@@ -484,7 +484,7 @@ mod tests {
     #[test]
     fn sniffing_dispatches_on_header() {
         assert!(matches!(
-            sniff_and_decode("# dex-spans v1\n"),
+            sniff_and_decode("# dex-spans v2\n"),
             Ok(DiffInput::Spans(_))
         ));
         assert!(matches!(
@@ -497,7 +497,7 @@ mod tests {
         ));
         assert!(sniff_and_decode("hello").is_err());
         let err = render_diff(
-            &sniff_and_decode("# dex-spans v1\n").unwrap(),
+            &sniff_and_decode("# dex-spans v2\n").unwrap(),
             &sniff_and_decode("# dex-series v1\n").unwrap(),
             10,
         )

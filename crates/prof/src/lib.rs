@@ -6,8 +6,9 @@
 //! truly-shared objects locally. This crate is the offline half of that
 //! toolchain:
 //!
-//! * [`Profile`] — aggregates a six-tuple fault trace into hot pages, hot
-//!   code sites, per-thread patterns, and a fault timeline.
+//! * [`Profile`] — aggregates the six-tuple fault record (the fault and
+//!   invalidation spans of a run) into hot pages, hot code sites,
+//!   per-thread patterns, and a fault timeline.
 //! * [`Profile::false_sharing_suspects`] — pages carrying multiple objects
 //!   with conflicting cross-node access (fix: pad / page-align).
 //! * [`Profile::contended_objects`] — single objects under true sharing
@@ -22,7 +23,7 @@
 //! use dex_core::{Cluster, ClusterConfig};
 //! use dex_prof::{render_report, Profile, ReportOptions};
 //!
-//! let cluster = Cluster::new(ClusterConfig::new(2).with_trace());
+//! let cluster = Cluster::new(ClusterConfig::new(2).with_spans());
 //! let report = cluster.run(|p| {
 //!     let hot = p.alloc_cell_tagged::<u64>(0, "hot_flag");
 //!     p.spawn(move |ctx| {
@@ -33,7 +34,7 @@
 //!         }
 //!     });
 //! });
-//! let profile = Profile::from_trace(&report.trace);
+//! let profile = Profile::from_spans(&report.spans);
 //! let text = render_report(&profile, &ReportOptions::default());
 //! assert!(text.contains("hot_flag"));
 //! ```

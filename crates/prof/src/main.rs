@@ -38,7 +38,7 @@ SUBCOMMANDS:
            quantiles). FILE is a series text file; without it, the
            built-in sharing demo runs live with telemetry and the final
            window is rendered together with its health alarms.
-  diff     align two artifacts of the same kind — `# dex-spans v1` span
+  diff     align two artifacts of the same kind — `# dex-spans v2` span
            traces, `# dex-series v1` series, or `dex-bench v1` JSON
            results (format sniffed from the first line) — and report
            where virtual time moved, top movers first.

@@ -39,7 +39,7 @@ impl Default for ReportOptions {
 /// ```
 /// use dex_prof::{render_report, Profile, ReportOptions};
 ///
-/// let profile = Profile::from_trace(&[]);
+/// let profile = Profile::from_spans(&[]);
 /// let report = render_report(&profile, &ReportOptions::default());
 /// assert!(report.contains("0 protocol events"));
 /// ```

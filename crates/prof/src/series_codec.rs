@@ -169,7 +169,7 @@ mod tests {
     #[test]
     fn rejects_bad_header_and_malformed_lines() {
         assert!(decode_series("").is_err());
-        assert!(decode_series("# dex-spans v1\n").is_err());
+        assert!(decode_series("# dex-spans v2\n").is_err());
         assert!(decode_series("# dex-series v2\n").is_err());
         let bad_kind = format!("{SERIES_HEADER}\nz\t0\tnode0\tx\t1\n");
         assert!(decode_series(&bad_kind).is_err());

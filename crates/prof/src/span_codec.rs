@@ -5,9 +5,12 @@
 //! [`dex_sim::codec`]'s; this module only maps a [`Span`] onto a row:
 //!
 //! ```text
-//! # dex-spans v1
-//! <id>\t<parent>\t<kind>\t<node>\t<task>\t<start_ns>\t<end_ns>\t<label>\t<tag-or-->
+//! # dex-spans v2
+//! <id>\t<parent>\t<kind>\t<node>\t<task>\t<start_ns>\t<end_ns>\t<label>\t<tag-or-->\t<site>\t<addr-or-->
 //! ```
+//!
+//! `site` and `addr` carry the fault record (§IV-A) of fault and
+//! invalidation spans; a v1 file, which lacks them, is rejected.
 //!
 //! Spans are written in completion order, so children may precede their
 //! parents; consumers must index by id before walking the forest. Other
@@ -17,12 +20,12 @@ use std::fmt::Write as _;
 
 use dex_core::{Span, SpanId, SpanKind};
 use dex_net::NodeId;
-use dex_os::Tid;
+use dex_os::{Tid, VirtAddr};
 use dex_sim::codec::{escape_field, intern, Line, Reader};
 use dex_sim::SimTime;
 
 /// Magic header identifying the span format.
-pub const SPANS_HEADER: &str = "# dex-spans v1";
+pub const SPANS_HEADER: &str = "# dex-spans v2";
 
 /// Serializes `spans` into the versioned text format.
 pub fn encode_spans(spans: &[Span]) -> String {
@@ -47,7 +50,14 @@ pub fn encode_spans(spans: &[Span]) -> String {
             Some(tag) => escape_field(&mut out, tag),
             None => out.push('-'),
         }
-        out.push('\n');
+        out.push('\t');
+        escape_field(&mut out, s.site);
+        match s.addr {
+            Some(addr) => {
+                let _ = writeln!(out, "\t{}", addr.as_u64());
+            }
+            None => out.push_str("\t-\n"),
+        }
     }
     out
 }
@@ -58,13 +68,17 @@ pub fn decode_spans(text: &str) -> Result<Vec<Span>, String> {
     let mut spans = Vec::new();
     while let Some(line) = lines.next_line() {
         let Line::Row(row) = line else { continue };
-        row.expect(9)?;
+        row.expect(11)?;
         let kind = row.get(2).raw;
         let kind = SpanKind::parse(kind)
             .ok_or_else(|| row.err(format_args!("unknown span kind {kind:?}")))?;
         let tag = match row.get(8).raw {
             "-" => None,
             _ => Some(row.get(8).text("tag")?.into_owned()),
+        };
+        let addr = match row.get(10).raw {
+            "-" => None,
+            _ => Some(VirtAddr::new(row.get(10).parse("addr")?)),
         };
         spans.push(Span {
             id: SpanId(row.get(0).parse("id")?),
@@ -76,6 +90,8 @@ pub fn decode_spans(text: &str) -> Result<Vec<Span>, String> {
             end: SimTime::from_nanos(row.get(6).parse("end")?),
             label: intern(&row.get(7).text("label")?),
             tag,
+            site: intern(&row.get(9).text("site")?),
+            addr,
         });
     }
     Ok(spans)
@@ -97,6 +113,8 @@ mod tests {
                 end: SimTime::from_nanos(3_000),
                 label: "page_request_write",
                 tag: None,
+                site: "",
+                addr: None,
             },
             Span {
                 id: SpanId(1),
@@ -108,6 +126,8 @@ mod tests {
                 end: SimTime::from_nanos(158_800),
                 label: "write_fault",
                 tag: Some("centroids".into()),
+                site: "kmeans.update",
+                addr: Some(VirtAddr::new(0x1000_0040)),
             },
         ]
     }
@@ -127,6 +147,8 @@ mod tests {
             assert_eq!(a.end, b.end);
             assert_eq!(a.label, b.label);
             assert_eq!(a.tag, b.tag);
+            assert_eq!(a.site, b.site);
+            assert_eq!(a.addr, b.addr);
         }
     }
 
@@ -136,8 +158,13 @@ mod tests {
         assert!(decode_spans("# dex-trace v1\n").is_err());
         let short = format!("{SPANS_HEADER}\n1\t0\tfault\n");
         assert!(decode_spans(&short).is_err());
-        let bad_kind = format!("{SPANS_HEADER}\n1\t0\tzap\t0\t0\t0\t1\tx\t-\n");
+        let bad_kind = format!("{SPANS_HEADER}\n1\t0\tzap\t0\t0\t0\t1\tx\t-\t\\e\t-\n");
         assert!(decode_spans(&bad_kind).is_err());
+        let bad_addr = format!("{SPANS_HEADER}\n1\t0\tfault\t0\t0\t0\t1\tx\t-\ts\t0x10\n");
+        assert!(decode_spans(&bad_addr).is_err());
+        // A v1 file lacks the fault-record columns: refused by its header.
+        let v1 = "# dex-spans v1\n1\t0\tfault\t0\t0\t0\t1\tx\t-\n";
+        assert!(decode_spans(v1).is_err());
     }
 
     /// The empty forest round-trips, and the `# dropped N` count an older

@@ -237,6 +237,8 @@ mod tests {
             end: SimTime::from_nanos(2_500),
             label: "write_fault",
             tag: Some("data\"quote".into()),
+            site: "",
+            addr: None,
         }
     }
 

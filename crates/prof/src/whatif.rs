@@ -240,7 +240,7 @@ mod tests {
     #[test]
     fn rejects_bad_header_and_malformed_lines() {
         assert!(decode_whatif("").is_err());
-        assert!(decode_whatif("# dex-spans v1\n").is_err());
+        assert!(decode_whatif("# dex-spans v2\n").is_err());
         let short = format!("{WHATIF_HEADER}\nretry_backoff\t0.5\n");
         assert!(decode_whatif(&short).is_err());
         let bad_factor = format!("{WHATIF_HEADER}\nretry_backoff\tzap\t10\n");

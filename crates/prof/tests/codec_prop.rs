@@ -8,7 +8,7 @@
 
 use dex_core::{Span, SpanId, SpanKind};
 use dex_net::{CounterPoint, HistPoint, NodeId, SeriesScope, TimeSeries};
-use dex_os::Tid;
+use dex_os::{Tid, VirtAddr};
 use dex_prof::{
     decode_series, decode_spans, decode_whatif, encode_series, encode_spans, encode_whatif,
     WhatIfEntry, WhatIfReport,
@@ -28,6 +28,18 @@ fn name() -> impl Strategy<Value = String> {
 /// `None` one time in four, else a name.
 fn maybe_tag() -> impl Strategy<Value = Option<String>> {
     (0u8..4, name()).prop_map(|(n, s)| (n > 0).then_some(s))
+}
+
+/// A fault record's site and address: empty and `None` one time in two
+/// (the spans that record no fault), else a name and any address.
+fn fault_record() -> impl Strategy<Value = (&'static str, Option<VirtAddr>)> {
+    (any::<bool>(), name(), any::<u64>()).prop_map(|(faulted, site, addr)| {
+        if faulted {
+            (intern(&site), Some(VirtAddr::new(addr)))
+        } else {
+            ("", None)
+        }
+    })
 }
 
 fn span_kind() -> impl Strategy<Value = SpanKind> {
@@ -60,10 +72,16 @@ fn arb_span() -> impl Strategy<Value = Span> {
             any::<u16>(),
             any::<u64>(),
         ),
-        (any::<u64>(), any::<u64>(), name(), maybe_tag()),
+        (
+            any::<u64>(),
+            any::<u64>(),
+            name(),
+            maybe_tag(),
+            fault_record(),
+        ),
     )
         .prop_map(
-            |((id, parent, kind, node, task), (start, end, label, tag))| Span {
+            |((id, parent, kind, node, task), (start, end, label, tag, (site, addr)))| Span {
                 id: SpanId(id),
                 parent: SpanId(parent),
                 kind,
@@ -73,6 +91,8 @@ fn arb_span() -> impl Strategy<Value = Span> {
                 end: SimTime::from_nanos(end),
                 label: intern(&label),
                 tag,
+                site,
+                addr,
             },
         )
 }
@@ -205,13 +225,13 @@ proptest! {
     #[test]
     fn version_headers_are_enforced(body in name()) {
         // A file with the wrong (or no) header is rejected, not misparsed.
-        let wrong = format!("# dex-spans v2\n{body}");
+        let wrong = format!("# dex-spans v3\n{body}");
         prop_assert!(decode_spans(&wrong).is_err());
-        let swapped = format!("# dex-trace v1\n{body}");
-        prop_assert!(decode_spans(&swapped).is_err());
+        let old = format!("# dex-spans v1\n{body}");
+        prop_assert!(decode_spans(&old).is_err());
         let wrong_series = format!("# dex-series v2\n{body}");
         prop_assert!(decode_series(&wrong_series).is_err());
-        let swapped_series = format!("# dex-spans v1\n{body}");
+        let swapped_series = format!("# dex-spans v2\n{body}");
         prop_assert!(decode_series(&swapped_series).is_err());
         let wrong_whatif = format!("# dex-whatif v2\n{body}");
         prop_assert!(decode_whatif(&wrong_whatif).is_err());

@@ -57,8 +57,12 @@ pub fn escape_field(out: &mut String, s: &str) {
 
 /// Reverses [`escape_field`]. Errors on truncated or unknown escapes.
 pub fn unescape_field(s: &str) -> Result<Cow<'_, str>, String> {
-    if !s.contains('\\') {
-        return Ok(Cow::Borrowed(s));
+    match s {
+        // The two whole-field sentinels, without an allocation.
+        "\\e" => return Ok(Cow::Borrowed("")),
+        "\\-" => return Ok(Cow::Borrowed("-")),
+        _ if !s.contains('\\') => return Ok(Cow::Borrowed(s)),
+        _ => {}
     }
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
@@ -97,6 +101,9 @@ pub fn meta_text(s: &str) -> Cow<'_, str> {
 /// Distinct labels are bounded by the number of annotated code sites, so
 /// the leak is bounded and shared process-wide.
 pub fn intern(label: &str) -> &'static str {
+    if label.is_empty() {
+        return "";
+    }
     static INTERNED: Mutex<Option<HashMap<String, &'static str>>> = Mutex::new(None);
     let mut guard = INTERNED.lock().unwrap_or_else(|e| e.into_inner());
     let map = guard.get_or_insert_with(HashMap::new);

@@ -11,7 +11,7 @@
 //! cargo run --release --example kmeans_cluster
 //! ```
 
-use dex::apps::{kmn, reference_checksum, AppParams, Variant};
+use dex::apps::{kmn, reference_checksum, run_app_with_config, AppParams, Variant};
 use dex::prof::{render_report, Profile, ReportOptions};
 use dex_sim::SimDuration;
 
@@ -19,8 +19,9 @@ fn main() {
     let nodes = 4;
 
     // Step 1: run the blind conversion under tracing.
-    let initial_params = AppParams::new(nodes, Variant::Initial).with_trace();
-    let initial = kmn::run(&initial_params);
+    let initial_params = AppParams::new(nodes, Variant::Initial);
+    let traced = initial_params.cluster_config().with_spans();
+    let initial = run_app_with_config("KMN", &initial_params, traced);
     assert_eq!(
         initial.checksum,
         reference_checksum("KMN", &initial_params),
@@ -35,7 +36,7 @@ fn main() {
     );
 
     // Step 2: profile — what is causing the cross-node traffic?
-    let profile = Profile::from_trace(&initial.report.trace);
+    let profile = Profile::from_spans(&initial.report.spans);
     let options = ReportOptions {
         top_pages: 5,
         top_sites: 5,

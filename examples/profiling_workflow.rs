@@ -6,9 +6,9 @@
 //! and suggests the fix; applying it (page-aligned allocation) removes the
 //! interference. This is §IV-B in miniature.
 //!
-//! The run also collects the observability layer introduced alongside
-//! the fault trace: causal *spans* (where each fault's latency went,
-//! stitched across nodes), cluster *metrics* (per-node and per-link
+//! The profile reads the fault record off the run's causal *spans*,
+//! which also show where each fault's latency went, stitched across
+//! nodes. The run collects cluster *metrics* as well (per-node and per-link
 //! counters), and *continuous telemetry* — a virtual-time series
 //! sampled every millisecond plus online health monitors, whose
 //! fabric-queue alarm fires on the packed run (the bouncing page
@@ -32,7 +32,6 @@ use dex_sim::SimDuration;
 fn run_workload(aligned: bool) -> RunReport {
     let cluster = Cluster::new(
         ClusterConfig::new(2)
-            .with_trace()
             .with_spans()
             .with_metrics()
             .with_telemetry(SimDuration::from_millis(1)),
@@ -74,8 +73,8 @@ fn run_workload(aligned: bool) -> RunReport {
 fn main() {
     println!("step 1: run with the default (packed) allocation under tracing\n");
     let packed = run_workload(false);
-    let (packed_time, trace) = (packed.virtual_time, &packed.trace);
-    let profile = Profile::from_trace(trace);
+    let packed_time = packed.virtual_time;
+    let profile = Profile::from_spans(&packed.spans);
 
     let suspects = profile.false_sharing_suspects();
     println!(
@@ -156,8 +155,8 @@ fn main() {
 
     println!("step 5: apply the fix (posix_memalign-style page alignment)\n");
     let aligned = run_workload(true);
-    let (aligned_time, aligned_trace) = (aligned.virtual_time, &aligned.trace);
-    let aligned_profile = Profile::from_trace(aligned_trace);
+    let aligned_time = aligned.virtual_time;
+    let aligned_profile = Profile::from_spans(&aligned.spans);
     // The counters must be off the suspect list. (The barrier's own two
     // words still share a page — synchronization objects are *true*
     // sharing and padding them apart would not help.)

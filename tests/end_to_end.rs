@@ -1,7 +1,7 @@
 //! Cross-crate integration tests through the `dex` facade: simulator +
 //! fabric + OS substrate + protocol + profiler + applications together.
 
-use dex::apps::{reference_checksum, run_app, AppParams, Variant, ALL_APPS};
+use dex::apps::{reference_checksum, run_app, run_app_with_config, AppParams, Variant, ALL_APPS};
 use dex::core::{Cluster, ClusterConfig, NodeId};
 use dex::prof::Profile;
 use dex::sim::SimDuration;
@@ -25,6 +25,55 @@ fn every_application_is_correct_on_three_nodes() {
 }
 
 #[test]
+fn every_application_is_correct_with_sharded_directories() {
+    // One directory shard per node: every page is homed off the origin
+    // somewhere, so write grants from a home's own replica and batched
+    // revocations are on every application's path.
+    for app in ALL_APPS {
+        for variant in [Variant::Initial, Variant::Optimized] {
+            let params = AppParams::test(4, variant);
+            let config = params.cluster_config().with_directory_shards(4);
+            let result = run_app_with_config(app, &params, config);
+            assert_eq!(
+                result.checksum,
+                reference_checksum(app, &params),
+                "{app} {variant} with 4 shards diverged from the sequential reference"
+            );
+        }
+    }
+}
+
+#[test]
+fn the_span_profile_counts_every_fault_and_invalidation() {
+    // The fault record lives in the spans: the profile built from them
+    // must see exactly the faults and invalidations the protocol counted,
+    // including revocations parked behind an in-flight grant.
+    for app in ALL_APPS {
+        for variant in [Variant::Initial, Variant::Optimized] {
+            for shards in [1, 2] {
+                let params = AppParams::test(2, variant);
+                let config = params
+                    .cluster_config()
+                    .with_spans()
+                    .with_directory_shards(shards);
+                let result = run_app_with_config(app, &params, config);
+                let (mut reads, mut writes, mut invalidations) = (0, 0, 0);
+                for (_, t) in Profile::from_spans(&result.report.spans).node_matrix() {
+                    reads += t.reads;
+                    writes += t.writes;
+                    invalidations += t.invalidations;
+                }
+                let stats = &result.stats;
+                let cell = format!("{app} {variant} with {shards} shard(s)");
+                assert_eq!(reads, stats.read_faults, "{cell}: read faults");
+                assert_eq!(writes, stats.write_faults, "{cell}: write faults");
+                assert_eq!(invalidations, stats.invalidations, "{cell}: invalidations");
+            }
+        }
+    }
+}
+
+#[test]
 fn applications_are_deterministic_across_runs() {
     for app in ["GRP", "BP"] {
         let params = AppParams::test(2, Variant::Optimized);
@@ -38,9 +87,9 @@ fn applications_are_deterministic_across_runs() {
 
 #[test]
 fn profiler_attributes_app_traffic_to_objects() {
-    let params = AppParams::test(2, Variant::Initial).with_trace();
-    let result = run_app("KMN", &params);
-    let profile = Profile::from_trace(&result.report.trace);
+    let params = AppParams::test(2, Variant::Initial);
+    let result = run_app_with_config("KMN", &params, params.cluster_config().with_spans());
+    let profile = Profile::from_spans(&result.report.spans);
     assert!(profile.events() > 0, "KMN initial must fault");
     // The shared accumulators must surface in the hot pages.
     let hot_tags: Vec<String> = profile
