@@ -19,8 +19,8 @@ use dex_net::{NodeId, SpanContext};
 use dex_os::{Access, PageFrame, Pid, Tid, PAGE_SIZE};
 use dex_sim::{SimChannel, SimCtx, SimDuration};
 
-use crate::msg::{DexMsg, MigrationPhases, VmaOp};
-use crate::process::{DelegationJob, ProcessShared, Reply};
+use crate::msg::{DexMsg, MigrationPhases, Reply, VmaOp};
+use crate::process::{DelegationJob, ProcessShared};
 use crate::protocol::{
     self, holder_admit, holder_step, requester_step, Deferred, HomeIn, Output, PageMsg,
     RequesterIn, Role,
@@ -87,11 +87,8 @@ pub(crate) fn dispatcher_loop(
                 let shared = registry.get(pid);
                 ctx.advance(shared.cost.protocol_handling);
                 let vma = shared.space(shared.origin).lock().vmas.find(addr).cloned();
-                endpoint.send(ctx, from, DexMsg::VmaReply { pid, vma, req_id });
-            }
-            DexMsg::VmaReply { pid, vma, req_id } => {
-                let shared = registry.get(pid);
-                shared.complete_pending(ctx, node, req_id, Reply::Vma(vma));
+                let reply = Reply::Vma(vma);
+                endpoint.send(ctx, from, DexMsg::Reply { pid, req_id, reply });
             }
             DexMsg::VmaUpdate { pid, op, req_id } => {
                 let shared = registry.get(pid);
@@ -106,23 +103,16 @@ pub(crate) fn dispatcher_loop(
                     Some(chan) => {
                         // Queue the op for the remote worker; it applies the
                         // change in its own context and acks the origin
-                        // itself, so the dispatcher never blocks. Ack
-                        // routing is stashed before the op is queued.
-                        shared.remote_nodes[node.0 as usize]
-                            .lock()
-                            .pending_acks
-                            .push((req_id, from));
-                        chan.send(ctx, op).expect("remote worker channel open");
+                        // itself, so the dispatcher never blocks.
+                        chan.send(ctx, (op, req_id, from))
+                            .expect("remote worker channel open");
                     }
                     None => {
                         apply_vma_op(&shared, node, &op);
-                        endpoint.send(ctx, from, DexMsg::VmaUpdateAck { pid, req_id });
+                        let reply = Reply::BroadcastDone;
+                        endpoint.send(ctx, from, DexMsg::Reply { pid, req_id, reply });
                     }
                 }
-            }
-            DexMsg::VmaUpdateAck { pid, req_id } => {
-                let shared = registry.get(pid);
-                shared.complete_broadcast_ack(ctx, node, req_id, from);
             }
             DexMsg::MigrateRequest {
                 pid,
@@ -134,15 +124,6 @@ pub(crate) fn dispatcher_loop(
                 handle_migrate_request(
                     ctx, &shared, &endpoint, node, from, tid, context, req_id, span,
                 );
-            }
-            DexMsg::MigrateAck {
-                pid,
-                phases,
-                req_id,
-                ..
-            } => {
-                let shared = registry.get(pid);
-                shared.complete_pending(ctx, node, req_id, Reply::MigrateAck(phases));
             }
             DexMsg::MigrateBack { pid, req_id, .. } => {
                 let shared = registry.get(pid);
@@ -166,20 +147,8 @@ pub(crate) fn dispatcher_loop(
                         addr: None,
                     });
                 }
-                endpoint.send_traced(
-                    ctx,
-                    from,
-                    DexMsg::MigrateBackAck {
-                        pid,
-                        tid: Tid(0),
-                        req_id,
-                    },
-                    span,
-                );
-            }
-            DexMsg::MigrateBackAck { pid, req_id, .. } => {
-                let shared = registry.get(pid);
-                shared.complete_pending(ctx, node, req_id, Reply::MigrateBackAck);
+                let reply = Reply::MigrateBackAck;
+                endpoint.send_traced(ctx, from, DexMsg::Reply { pid, req_id, reply }, span);
             }
             DexMsg::Delegate {
                 pid,
@@ -202,17 +171,8 @@ pub(crate) fn dispatcher_loop(
                 )
                 .expect("pair channel open");
             }
-            DexMsg::DelegateReply {
-                pid,
-                result,
-                req_id,
-            } => {
-                let shared = registry.get(pid);
-                shared.complete_pending(ctx, node, req_id, Reply::Delegate(result));
-            }
-            DexMsg::FutexWoken { pid, req_id } => {
-                let shared = registry.get(pid);
-                shared.complete_pending(ctx, node, req_id, Reply::FutexWoken);
+            DexMsg::Reply { pid, req_id, reply } => {
+                registry.get(pid).complete(ctx, node, req_id, from, reply);
             }
         }
     }
@@ -298,7 +258,7 @@ pub(crate) fn perform_outputs(
                 endpoint.send_traced(ctx, to, DexMsg::Page { pid, msg }, span);
             }
             Output::Wake { req_id, retry } => {
-                shared.complete_pending(ctx, node, req_id, Reply::PageGrant { retry });
+                shared.complete(ctx, node, req_id, node, Reply::PageGrant { retry });
             }
             // Sharded mode: the grant the parked work was waiting for has
             // landed (or been turned into a retry) — it runs before the
@@ -553,7 +513,7 @@ fn handle_migrate_request(
             false
         } else {
             state.worker_started = true;
-            let chan: SimChannel<VmaOp> = SimChannel::unbounded();
+            let chan = SimChannel::unbounded();
             state.worker_chan = Some(chan.clone());
             let shared2 = Arc::clone(shared);
             let endpoint2 = endpoint.clone();
@@ -584,43 +544,24 @@ fn handle_migrate_request(
     phases.push(("context_install", shared.cost.context_install));
     record_phase("context_install", t2, ctx.now());
 
-    endpoint.send_traced(
-        ctx,
-        from,
-        DexMsg::MigrateAck {
-            pid: shared.pid,
-            tid,
-            phases,
-            req_id,
-        },
-        span,
-    );
+    let (pid, reply) = (shared.pid, Reply::MigrateAck(phases));
+    endpoint.send_traced(ctx, from, DexMsg::Reply { pid, req_id, reply }, span);
 }
 
 /// The remote worker: applies node-wide operations in its own context and
-/// acknowledges them to the origin.
+/// acknowledges each to the node that sent it.
 fn remote_worker_loop(
     ctx: &SimCtx,
     shared: Arc<ProcessShared>,
     endpoint: crate::process::Endpoint,
     node: NodeId,
-    chan: SimChannel<VmaOp>,
+    chan: SimChannel<(VmaOp, u64, NodeId)>,
 ) {
-    while let Some(op) = chan.recv(ctx) {
+    while let Some((op, req_id, to)) = chan.recv(ctx) {
         ctx.advance(SimDuration::from_micros(2)); // apply cost
         apply_vma_op(&shared, node, &op);
-        let (req_id, to) = shared.remote_nodes[node.0 as usize]
-            .lock()
-            .pending_acks
-            .remove(0);
-        endpoint.send(
-            ctx,
-            to,
-            DexMsg::VmaUpdateAck {
-                pid: shared.pid,
-                req_id,
-            },
-        );
+        let (pid, reply) = (shared.pid, Reply::BroadcastDone);
+        endpoint.send(ctx, to, DexMsg::Reply { pid, req_id, reply });
     }
 }
 

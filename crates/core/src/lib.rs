@@ -73,7 +73,7 @@ pub use cost::{CostModel, COST_COMPONENTS};
 pub use directory::model;
 pub use directory::{DirAction, DirStats, Directory, NodeSet, Requester};
 pub use handle::{DsmCell, DsmMatrix, DsmScalar, DsmVec, ProcessRef};
-pub use msg::{DelegatedOp, DexMsg, MigrationPhases, VmaOp};
+pub use msg::{DelegatedOp, DexMsg, MigrationPhases, Reply, VmaOp};
 pub use mutation::{ProtocolMutation, ALL_MUTATIONS};
 pub use process::{MigrationSample, ObjectSpan, ProcessShared, RunStats};
 pub use race::{RaceEvent, RaceEventKind, RaceTrace};

@@ -2,7 +2,9 @@
 //!
 //! Everything DEX sends between nodes is a [`DexMsg`]: consistency-protocol
 //! traffic (page requests/grants, invalidations, flushes), on-demand VMA
-//! synchronization, thread migration, and work delegation. Control
+//! synchronization, thread migration, and work delegation. Every answer
+//! to a VMA, migration or delegation request is one [`DexMsg::Reply`]
+//! carrying the [`Reply`] its waiting thread receives. Control
 //! variants are small (tens of bytes, the paper's "bimodal" small mode);
 //! variants carrying page data report 4 KiB of page payload and take the
 //! RDMA path in the messaging layer.
@@ -97,6 +99,35 @@ pub enum VmaOp {
 /// the acknowledgment (drives Figure 3).
 pub type MigrationPhases = Vec<(&'static str, SimDuration)>;
 
+/// The answer a thread waiting on a request receives: sent as
+/// [`DexMsg::Reply`], or filled in place when the answer is local.
+#[derive(Debug)]
+pub enum Reply {
+    /// A page grant arrived (PTE/frame already applied by the dispatcher);
+    /// `retry` means the request conflicted and must be resent after a
+    /// back-off. Always local: a grant travels as a page message.
+    PageGrant {
+        /// Conflict: back off and retry.
+        retry: bool,
+    },
+    /// On-demand VMA lookup result: the covering VMA, or `None` if the
+    /// access is illegal (the remote thread takes a segmentation fault).
+    Vma(Option<Vma>),
+    /// Result of a delegated operation (syscall-style: ≥ 0 success,
+    /// < 0 errno).
+    Delegate(i64),
+    /// A futex waiter parked by an earlier `FutexWait` was woken.
+    FutexWoken,
+    /// The remote node started the migrated thread; remote-side
+    /// per-phase latency breakdown (Figure 3).
+    MigrateAck(MigrationPhases),
+    /// The origin resumed the original thread.
+    MigrateBackAck,
+    /// Every peer applied a [`DexMsg::VmaUpdate`]; on the wire, one
+    /// peer's acknowledgment.
+    BroadcastDone,
+}
+
 /// A DEX inter-node message.
 #[derive(Debug)]
 pub enum DexMsg {
@@ -120,16 +151,6 @@ pub enum DexMsg {
         /// Correlates with the reply.
         req_id: u64,
     },
-    /// The origin's authoritative answer.
-    VmaReply {
-        /// Owning process.
-        pid: Pid,
-        /// The covering VMA, or `None` if the access is illegal (the
-        /// remote thread takes a segmentation fault).
-        vma: Option<Vma>,
-        /// Correlates with the request.
-        req_id: u64,
-    },
     /// Eager broadcast of a shrinking/downgrading VMA operation.
     VmaUpdate {
         /// Owning process.
@@ -137,13 +158,6 @@ pub enum DexMsg {
         /// The operation to apply.
         op: VmaOp,
         /// Correlates with the ack.
-        req_id: u64,
-    },
-    /// A remote worker applied a [`DexMsg::VmaUpdate`].
-    VmaUpdateAck {
-        /// Owning process.
-        pid: Pid,
-        /// Correlates with the update.
         req_id: u64,
     },
 
@@ -159,17 +173,6 @@ pub enum DexMsg {
         /// Correlates with the ack.
         req_id: u64,
     },
-    /// The remote node started the thread.
-    MigrateAck {
-        /// Owning process.
-        pid: Pid,
-        /// Migrated thread.
-        tid: Tid,
-        /// Remote-side per-phase latency breakdown (Figure 3).
-        phases: MigrationPhases,
-        /// Correlates with the request.
-        req_id: u64,
-    },
     /// Backward migration: the remote thread's final context returns home.
     MigrateBack {
         /// Owning process.
@@ -179,15 +182,6 @@ pub enum DexMsg {
         /// Up-to-date architectural state.
         context: ExecutionContext,
         /// Correlates with the ack.
-        req_id: u64,
-    },
-    /// The origin resumed the original thread.
-    MigrateBackAck {
-        /// Owning process.
-        pid: Pid,
-        /// Thread that returned.
-        tid: Tid,
-        /// Correlates with the request.
         req_id: u64,
     },
 
@@ -203,21 +197,18 @@ pub enum DexMsg {
         /// Correlates with the reply.
         req_id: u64,
     },
-    /// Result of a delegated operation.
-    DelegateReply {
+
+    // ---- every answer ----
+    /// The answer to a request: migration and delegation acks, VMA pull
+    /// replies and broadcast acks alike. The dispatcher hands `reply` to
+    /// the thread waiting on `req_id` unchanged.
+    Reply {
         /// Owning process.
         pid: Pid,
-        /// Result value (syscall-style: ≥ 0 success, < 0 errno).
-        result: i64,
         /// Correlates with the request.
         req_id: u64,
-    },
-    /// A futex waiter parked by an earlier `FutexWait` has been woken.
-    FutexWoken {
-        /// Owning process.
-        pid: Pid,
-        /// Correlates with the original wait request.
-        req_id: u64,
+        /// What the waiting thread receives.
+        reply: Reply,
     },
 }
 
@@ -238,16 +229,19 @@ impl WireMessage for DexMsg {
                 PageMsg::InvalidateBatchAck { entries } => 16 + entries.len() * 9,
             },
             DexMsg::VmaRequest { .. } => 24,
-            DexMsg::VmaReply { .. } => 64,
             DexMsg::VmaUpdate { .. } => 40,
-            DexMsg::VmaUpdateAck { .. } => 16,
             DexMsg::MigrateRequest { .. } => CONTEXT_BYTES + 16,
-            DexMsg::MigrateAck { phases, .. } => 16 + phases.len() * 12,
             DexMsg::MigrateBack { .. } => CONTEXT_BYTES + 16,
-            DexMsg::MigrateBackAck { .. } => 16,
             DexMsg::Delegate { .. } => 48,
-            DexMsg::DelegateReply { .. } => 24,
-            DexMsg::FutexWoken { .. } => 16,
+            DexMsg::Reply { reply, .. } => match reply {
+                Reply::Vma(_) => 64,
+                Reply::MigrateAck(phases) => 16 + phases.len() * 12,
+                Reply::Delegate(_) => 24,
+                Reply::PageGrant { .. }
+                | Reply::FutexWoken
+                | Reply::MigrateBackAck
+                | Reply::BroadcastDone => 16,
+            },
         }
     }
 
@@ -305,6 +299,29 @@ mod tests {
         let without = grant(Access::Write, None, 2);
         assert_eq!(with.page_bytes(), PAGE_SIZE);
         assert_eq!(without.page_bytes(), 0);
+    }
+
+    #[test]
+    fn replies_keep_their_wire_sizes() {
+        let size = |reply| {
+            DexMsg::Reply {
+                pid: Pid(1),
+                req_id: 2,
+                reply,
+            }
+            .control_bytes()
+        };
+        let phases: MigrationPhases = vec![
+            ("thread_fork", SimDuration::from_micros(1)),
+            ("context_install", SimDuration::from_micros(2)),
+        ];
+        assert_eq!(size(Reply::Vma(None)), 64);
+        assert_eq!(size(Reply::BroadcastDone), 16);
+        assert_eq!(size(Reply::MigrateAck(Vec::new())), 16);
+        assert_eq!(size(Reply::MigrateAck(phases)), 16 + 12 * 2);
+        assert_eq!(size(Reply::MigrateBackAck), 16);
+        assert_eq!(size(Reply::Delegate(-11)), 24);
+        assert_eq!(size(Reply::FutexWoken), 16);
     }
 
     #[test]

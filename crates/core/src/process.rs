@@ -8,6 +8,7 @@
 //! fault path, the node dispatchers, the remote workers) operate on this
 //! structure.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -15,16 +16,14 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use dex_net::{MetricsRegistry, NodeId, SpanContext};
-use dex_os::{
-    AddressSpace, FutexTable, PageFrame, Pid, RadixTree, Tid, VirtAddr, Vma, Vpn, PAGE_SIZE,
-};
+use dex_os::{AddressSpace, FutexTable, PageFrame, Pid, RadixTree, Tid, VirtAddr, Vpn, PAGE_SIZE};
 use dex_sim::{
     Counters, Histogram, MultiResource, Resource, SimChannel, SimCtx, SimDuration, ThreadId,
 };
 
 use crate::cost::CostModel;
 use crate::directory::Directory;
-use crate::msg::{DelegatedOp, DexMsg, MigrationPhases};
+use crate::msg::{DelegatedOp, DexMsg, MigrationPhases, Reply, VmaOp};
 use crate::protocol::{self, HomeIn, Node, NodeState, Output};
 use crate::span::SpanBuffer;
 
@@ -32,40 +31,31 @@ use crate::span::SpanBuffer;
 pub(crate) type Endpoint = dex_net::Endpoint<DexMsg>;
 pub(crate) type Fabric = dex_net::Fabric<DexMsg>;
 
-/// A reply delivered to a thread parked on a pending request.
-#[derive(Debug)]
-pub(crate) enum Reply {
-    /// A page grant arrived (PTE/frame already applied by the dispatcher);
-    /// `retry` means the request conflicted and must be resent after a
-    /// back-off.
-    PageGrant {
-        /// Conflict: back off and retry.
-        retry: bool,
-    },
-    /// On-demand VMA lookup result.
-    Vma(Option<Vma>),
-    /// Result of a delegated operation.
-    Delegate(i64),
-    /// A futex waiter was woken.
-    FutexWoken,
-    /// Forward migration acknowledged; remote-side phase breakdown.
-    MigrateAck(MigrationPhases),
-    /// Backward migration acknowledged.
-    MigrateBackAck,
-    /// All acknowledgments of a broadcast arrived.
-    BroadcastDone,
-}
-
-/// Why a watched wait gave up instead of returning a reply.
+/// Why a watched wait gave up instead of returning a reply. `P` is the
+/// type of the watched peer: [`Unwatched`] when the wait watches only its
+/// own node, which rules `PeerCrashed` out.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum WaitError {
+pub(crate) enum WaitError<P = NodeId> {
     /// The node this thread executes on fail-stopped: the request (or its
     /// reply) was lost and the thread must re-home to the origin.
     OwnNodeCrashed,
     /// The peer the reply must come from fail-stopped and no recovery
     /// path will produce the reply.
-    PeerCrashed(NodeId),
+    PeerCrashed(P),
 }
+
+/// The peer of a wait that watches none: it has no values.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Unwatched {}
+
+impl From<Unwatched> for NodeId {
+    fn from(never: Unwatched) -> NodeId {
+        match never {}
+    }
+}
+
+/// The `peer` argument of a wait that watches only its own node.
+pub(crate) const UNWATCHED: Option<Unwatched> = None;
 
 /// Crash-detection timeouts before a bounded watched wait declares the
 /// run stuck (diagnosable failure instead of a silent hang).
@@ -74,10 +64,9 @@ const MAX_WATCH_ROUNDS: u32 = 4096;
 struct Pending {
     thread: ThreadId,
     slot: Arc<Mutex<Option<Reply>>>,
-    /// For broadcasts: acknowledgments still outstanding.
-    remaining: u32,
-    /// For broadcasts: the peers those acknowledgments must come from
-    /// (crash recovery completes entries whose peer died).
+    /// For broadcasts: the peers whose acknowledgments are outstanding
+    /// (crash recovery completes entries whose peer died). Empty for a
+    /// request answered by one reply.
     awaiting: Vec<NodeId>,
 }
 
@@ -101,11 +90,9 @@ pub(crate) struct DelegationJob {
 pub(crate) struct RemoteNodeState {
     /// The remote worker for this process exists on this node.
     pub worker_started: bool,
-    /// Channel to the remote worker (node-wide operations).
-    pub worker_chan: Option<SimChannel<crate::msg::VmaOp>>,
-    /// Ack routing for queued node-wide operations: `(req_id, reply_to)`
-    /// in the same order ops were queued to the worker.
-    pub pending_acks: Vec<(u64, NodeId)>,
+    /// Channel to the remote worker: node-wide operations, each with the
+    /// request id and node its acknowledgment answers.
+    pub worker_chan: Option<SimChannel<(VmaOp, u64, NodeId)>>,
 }
 
 /// An object span registered by a tagged allocation; the profiler
@@ -513,23 +500,16 @@ impl ProcessShared {
 
     // ---- pending request plumbing ----
 
-    /// Registers a pending request at `node` for the calling thread.
-    pub(crate) fn register_pending(
+    /// Registers request `req_id` at `node` for the calling thread. It is
+    /// answered by one reply when `awaiting` is empty, else by one
+    /// acknowledgment from each of `awaiting` — crash recovery completes
+    /// the share of a peer that fail-stops before acking.
+    pub(crate) fn register(
         &self,
         ctx: &SimCtx,
         node: NodeId,
         req_id: u64,
-    ) -> Arc<Mutex<Option<Reply>>> {
-        self.register_pending_counted(ctx, node, req_id, 1)
-    }
-
-    /// Registers a pending broadcast expecting `count` acknowledgments.
-    pub(crate) fn register_pending_counted(
-        &self,
-        ctx: &SimCtx,
-        node: NodeId,
-        req_id: u64,
-        count: u32,
+        awaiting: &[NodeId],
     ) -> Arc<Mutex<Option<Reply>>> {
         let slot = Arc::new(Mutex::new(None));
         self.pending[node.0 as usize].lock().map.insert(
@@ -537,30 +517,9 @@ impl ProcessShared {
             Pending {
                 thread: ctx.id(),
                 slot: Arc::clone(&slot),
-                remaining: count,
-                awaiting: Vec::new(),
+                awaiting: awaiting.to_vec(),
             },
         );
-        slot
-    }
-
-    /// Registers a pending broadcast whose acknowledgments must come from
-    /// `peers` — crash recovery completes the entry on behalf of peers
-    /// that fail-stop before acking.
-    pub(crate) fn register_pending_broadcast(
-        &self,
-        ctx: &SimCtx,
-        node: NodeId,
-        req_id: u64,
-        peers: &[NodeId],
-    ) -> Arc<Mutex<Option<Reply>>> {
-        let slot = self.register_pending_counted(ctx, node, req_id, peers.len() as u32);
-        self.pending[node.0 as usize]
-            .lock()
-            .map
-            .get_mut(&req_id)
-            .expect("just inserted")
-            .awaiting = peers.to_vec();
         slot
     }
 
@@ -583,23 +542,23 @@ impl ProcessShared {
     /// Like [`ProcessShared::wait_reply`], but survives faults: instead of
     /// parking forever the thread wakes on a back-off schedule, processes
     /// any node crash it is the first to notice, and gives up when its own
-    /// node (or `peer`, when given) is the casualty.
+    /// node (or `peer`, when given) is the casualty. Pass [`UNWATCHED`]
+    /// to watch only the own node.
     ///
     /// With no fault plan active this *is* `wait_reply` — no timers are
     /// scheduled, so fault-free schedules stay bit-identical.
     ///
     /// `unbounded` suppresses the stuck-run panic for waits with no
     /// deadline of their own (futex waits).
-    #[allow(clippy::too_many_arguments)] // the request's full identity
-    pub(crate) fn wait_reply_watching(
+    pub(crate) fn wait_reply_watching<P: Copy + Into<NodeId>>(
         self: &Arc<Self>,
         ctx: &SimCtx,
         slot: &Arc<Mutex<Option<Reply>>>,
         local: NodeId,
         req_id: u64,
-        peer: Option<NodeId>,
+        peer: Option<P>,
         unbounded: bool,
-    ) -> Result<Reply, WaitError> {
+    ) -> Result<Reply, WaitError<P>> {
         if !self.fabric.faults_enabled() {
             return Ok(self.wait_reply(ctx, slot));
         }
@@ -618,7 +577,7 @@ impl ProcessShared {
                     return Err(WaitError::OwnNodeCrashed);
                 }
                 if let Some(p) = peer {
-                    if self.fabric.node_crashed(p, now) {
+                    if self.fabric.node_crashed(p.into(), now) {
                         self.abandon_pending(local, req_id);
                         return Err(WaitError::PeerCrashed(p));
                     }
@@ -697,90 +656,61 @@ impl ProcessShared {
     /// Completes (on behalf of `dead`) every origin-side broadcast entry
     /// still awaiting its acknowledgment.
     fn complete_broadcasts_for_dead(&self, ctx: &SimCtx, dead: NodeId) {
-        let woken = {
-            let mut table = self.pending[self.origin.0 as usize].lock();
-            // Deterministic order: HashMap iteration order must not leak
-            // into the unpark sequence.
-            let mut ids: Vec<u64> = table.map.keys().copied().collect();
-            ids.sort_unstable();
-            let mut woken = Vec::new();
-            for id in ids {
-                let entry = table.map.get_mut(&id).expect("present");
-                let Some(pos) = entry.awaiting.iter().position(|n| *n == dead) else {
-                    continue;
-                };
-                entry.awaiting.swap_remove(pos);
-                entry.remaining = entry.remaining.saturating_sub(1);
-                if entry.remaining == 0 {
-                    let entry = table.map.remove(&id).expect("present");
-                    *entry.slot.lock() = Some(Reply::BroadcastDone);
-                    woken.push(entry.thread);
-                }
-            }
-            woken
-        };
-        for thread in woken {
-            ctx.unpark(thread);
+        let origin = self.origin;
+        let mut ids: Vec<u64> = self.pending[origin.0 as usize]
+            .lock()
+            .map
+            .iter()
+            .filter(|(_, entry)| entry.awaiting.contains(&dead))
+            .map(|(id, _)| *id)
+            .collect();
+        // Deterministic order: HashMap iteration order must not leak into
+        // the unpark sequence.
+        ids.sort_unstable();
+        for id in ids {
+            self.complete(ctx, origin, id, dead, Reply::BroadcastDone);
         }
     }
 
-    /// Completes the pending request `req_id` at `node` with `reply`,
-    /// waking the registered thread.
-    pub(crate) fn complete_pending(&self, ctx: &SimCtx, node: NodeId, req_id: u64, reply: Reply) {
-        let woken = {
-            let mut table = self.pending[node.0 as usize].lock();
-            let Some(pending) = table.map.get_mut(&req_id) else {
-                if self.fabric.faults_enabled() {
-                    // A reply for a request its waiter abandoned (crash
-                    // recovery already resolved it another way).
-                    self.stats.counters.incr("faults.stale_replies");
-                    return;
-                }
-                panic!("completion for unknown request {req_id} at {node}");
-            };
-            pending.remaining = pending.remaining.saturating_sub(1);
-            if pending.remaining > 0 {
-                None
-            } else {
-                let pending = table.map.remove(&req_id).expect("present");
-                *pending.slot.lock() = Some(reply);
-                Some(pending.thread)
-            }
-        };
-        if let Some(thread) = woken {
-            ctx.unpark(thread);
-        }
-    }
-
-    /// Completes one acknowledgment of the broadcast `req_id` at `node`,
-    /// attributed to `from`. Ignores acks already accounted for by crash
-    /// recovery (a peer's ack raced its own crash).
-    pub(crate) fn complete_broadcast_ack(
+    /// Completes request `req_id` at `node` with `reply` from `from`,
+    /// waking the registered thread once nothing else is outstanding.
+    /// `from` matters only for an entry awaiting peers. With faults on, an
+    /// answer nobody waits for — its waiter abandoned the request, or
+    /// crash recovery already completed that peer's share — is a stale
+    /// reply.
+    pub(crate) fn complete(
         &self,
         ctx: &SimCtx,
         node: NodeId,
         req_id: u64,
         from: NodeId,
+        reply: Reply,
     ) {
-        {
+        let thread = {
             let mut table = self.pending[node.0 as usize].lock();
-            let Some(pending) = table.map.get_mut(&req_id) else {
-                if self.fabric.faults_enabled() {
-                    self.stats.counters.incr("faults.stale_replies");
-                    return;
+            let Entry::Occupied(mut entry) = table.map.entry(req_id) else {
+                if !self.fabric.faults_enabled() {
+                    panic!("reply for unknown request {req_id} at {node}");
                 }
-                panic!("broadcast ack for unknown request {req_id} at {node}");
+                self.stats.counters.incr("faults.stale_replies");
+                return;
             };
-            if !pending.awaiting.is_empty() {
-                let Some(pos) = pending.awaiting.iter().position(|n| *n == from) else {
-                    // Crash recovery already completed this peer's share.
+            let awaiting = &mut entry.get_mut().awaiting;
+            if !awaiting.is_empty() {
+                let Some(pos) = awaiting.iter().position(|n| *n == from) else {
                     self.stats.counters.incr("faults.stale_replies");
                     return;
                 };
-                pending.awaiting.swap_remove(pos);
+                awaiting.swap_remove(pos);
+                if !awaiting.is_empty() {
+                    return;
+                }
             }
-        }
-        self.complete_pending(ctx, node, req_id, Reply::BroadcastDone);
+            let pending = entry.remove();
+            *pending.slot.lock() = Some(reply);
+            pending.thread
+        };
+        ctx.unpark(thread);
     }
 }
 

@@ -20,8 +20,8 @@ use dex_os::{Access, ExecutionContext, MemFault, Prot, Tid, VirtAddr, VmaKind, V
 use dex_sim::{SimChannel, SimCtx, SimDuration, ThreadId};
 
 use crate::dispatch::perform_outputs;
-use crate::msg::{DelegatedOp, DexMsg, VmaOp};
-use crate::process::{DelegationJob, MigrationSample, ProcessShared, Reply, WaitError};
+use crate::msg::{DelegatedOp, DexMsg, Reply, VmaOp};
+use crate::process::{DelegationJob, MigrationSample, ProcessShared, WaitError, UNWATCHED};
 use crate::protocol::{self, requester_step, HomeIn, Output, PageMsg, RequesterIn};
 use crate::race::{RaceEvent, RaceEventKind};
 use crate::span::{Span, SpanId, SpanKind};
@@ -435,25 +435,21 @@ impl<'a> ThreadCtx<'a> {
         shared.stats.counters.incr("vma.syncs");
         let t0 = self.sim.now();
         let span = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
-        let req_id = shared.new_req_id();
-        let slot = shared.register_pending(self.sim, node, req_id);
-        self.endpoint(node).send_traced(
-            self.sim,
-            shared.origin,
-            DexMsg::VmaRequest {
+        let reply = self.round(UNWATCHED, false, |req_id| {
+            let pull = DexMsg::VmaRequest {
                 pid: shared.pid,
                 addr,
                 req_id,
-            },
-            span_ctx(span),
-        );
-        match shared.wait_reply_watching(self.sim, &slot, node, req_id, None, false) {
+            };
+            self.endpoint(node)
+                .send_traced(self.sim, shared.origin, pull, span_ctx(span));
+        });
+        match reply {
             Err(WaitError::OwnNodeCrashed) => {
                 // The node fail-stopped; re-home and let ensure() re-check
                 // at the origin, where the VMAs are authoritative.
                 self.rehome_after_crash();
             }
-            Err(WaitError::PeerCrashed(p)) => unreachable!("unwatched peer {p}"),
             Ok(Reply::Vma(Some(vma))) => {
                 // Check the authoritative protection before installing:
                 // a permission mismatch is a real fault, not staleness.
@@ -680,9 +676,9 @@ impl<'a> ThreadCtx<'a> {
             !outs.is_empty(),
             "request must grant, retry, or open a transaction"
         );
-        let slot = shared.register_pending(ctx, node, req_id);
+        let slot = shared.register(ctx, node, req_id, &[]);
         perform_outputs(ctx, shared, &self.endpoint(node), node, outs, span);
-        match shared.wait_reply_watching(ctx, &slot, node, req_id, None, false) {
+        match shared.wait_reply_watching(ctx, &slot, node, req_id, UNWATCHED, false) {
             Ok(Reply::PageGrant { retry }) => (!retry, false),
             Ok(other) => unreachable!("page fault answered with {other:?}"),
             Err(WaitError::OwnNodeCrashed) => {
@@ -692,7 +688,6 @@ impl<'a> ThreadCtx<'a> {
                 self.rehome_after_crash();
                 (false, false)
             }
-            Err(WaitError::PeerCrashed(p)) => unreachable!("unwatched peer {p}"),
         }
     }
 
@@ -716,14 +711,11 @@ impl<'a> ThreadCtx<'a> {
     /// this fault.
     fn remote_fault_round(&self, vpn: Vpn, access: Access, span: SpanContext) -> bool {
         let shared = &self.shared;
-        let ctx = self.sim;
-        let node = self.node.get();
-        let home = shared.home_of(vpn);
-        let req_id = shared.new_req_id();
-        let slot = shared.register_pending(ctx, node, req_id);
-        self.issue_request(vpn, access, req_id, span);
-        let peer = shared.is_sharded().then_some(home);
-        match shared.wait_reply_watching(ctx, &slot, node, req_id, peer, false) {
+        let peer = shared.is_sharded().then(|| shared.home_of(vpn));
+        let reply = self.round(peer, false, |req_id| {
+            self.issue_request(vpn, access, req_id, span);
+        });
+        match reply {
             Ok(Reply::PageGrant { retry }) => !retry,
             Ok(other) => unreachable!("page fault answered with {other:?}"),
             Err(WaitError::OwnNodeCrashed) => {
@@ -942,7 +934,7 @@ impl<'a> ThreadCtx<'a> {
         let mut slots = Vec::with_capacity(missing.len());
         for vpn in &missing {
             let req_id = shared.new_req_id();
-            let slot = shared.register_pending(self.sim, node, req_id);
+            let slot = shared.register(self.sim, node, req_id, &[]);
             self.issue_request(*vpn, access, req_id, SpanContext::NONE);
             slots.push((*vpn, req_id, slot));
         }
@@ -1014,7 +1006,6 @@ impl<'a> ThreadCtx<'a> {
         let ctx = self.sim;
         let t0 = ctx.now();
         let span = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
-        shared.stats.counters.incr("migrations.forward");
 
         // Origin side: capture the execution context; the first migration
         // of a thread also builds its per-thread migration structures.
@@ -1025,22 +1016,18 @@ impl<'a> ThreadCtx<'a> {
         };
         ctx.advance(origin_cost);
 
-        let context = self.synthesize_context();
-        let req_id = shared.new_req_id();
         let node = self.node.get();
-        let slot = shared.register_pending(ctx, node, req_id);
-        self.endpoint(node).send_traced(
-            ctx,
-            dst,
-            DexMsg::MigrateRequest {
+        let reply = self.round(Some(dst), false, |req_id| {
+            let request = DexMsg::MigrateRequest {
                 pid: shared.pid,
                 tid: self.tid,
-                context,
+                context: self.synthesize_context(),
                 req_id,
-            },
-            span_ctx(span),
-        );
-        let phases = match shared.wait_reply_watching(ctx, &slot, node, req_id, Some(dst), false) {
+            };
+            self.endpoint(node)
+                .send_traced(ctx, dst, request, span_ctx(span));
+        });
+        let phases = match reply {
             Ok(Reply::MigrateAck(phases)) => phases,
             Ok(other) => unreachable!("migration answered with {other:?}"),
             Err(WaitError::PeerCrashed(node)) => {
@@ -1061,6 +1048,7 @@ impl<'a> ThreadCtx<'a> {
 
         let remote_side: SimDuration = phases.iter().map(|(_, d)| *d).sum();
         let first_on_node = phases.iter().any(|(name, _)| *name == "remote_worker");
+        shared.stats.counters.incr("migrations.forward");
         shared.stats.migrations.lock().push(MigrationSample {
             forward: true,
             first_on_node,
@@ -1103,23 +1091,19 @@ impl<'a> ThreadCtx<'a> {
         }
         let t0 = ctx.now();
         let span = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
-        shared.stats.counters.incr("migrations.backward");
         ctx.advance(shared.cost.backward_capture);
 
-        let req_id = shared.new_req_id();
-        let slot = shared.register_pending(ctx, node, req_id);
-        self.endpoint(node).send_traced(
-            ctx,
-            shared.origin,
-            DexMsg::MigrateBack {
+        let reply = self.round(UNWATCHED, false, |req_id| {
+            let request = DexMsg::MigrateBack {
                 pid: shared.pid,
                 tid: self.tid,
                 context: self.synthesize_context(),
                 req_id,
-            },
-            span_ctx(span),
-        );
-        match shared.wait_reply_watching(ctx, &slot, node, req_id, None, false) {
+            };
+            self.endpoint(node)
+                .send_traced(ctx, shared.origin, request, span_ctx(span));
+        });
+        match reply {
             Ok(Reply::MigrateBackAck) => {}
             Ok(other) => unreachable!("backward migration answered with {other:?}"),
             Err(WaitError::OwnNodeCrashed) => {
@@ -1128,11 +1112,11 @@ impl<'a> ThreadCtx<'a> {
                 self.rehome_after_crash();
                 return;
             }
-            Err(WaitError::PeerCrashed(p)) => unreachable!("unwatched peer {p}"),
         }
         shared.adjust_load(self.node.get(), -1);
         shared.adjust_load(shared.origin, 1);
         self.node.set(shared.origin);
+        shared.stats.counters.incr("migrations.backward");
         shared.stats.migrations.lock().push(MigrationSample {
             forward: false,
             first_on_node: false,
@@ -1270,22 +1254,23 @@ impl<'a> ThreadCtx<'a> {
                 };
             }
             shared.stats.counters.incr("delegations");
-            let req_id = shared.new_req_id();
-            let slot = shared.register_pending(self.sim, node, req_id);
-            self.endpoint(node).send_traced(
-                self.sim,
-                shared.origin,
-                DexMsg::Delegate {
+            // The id keys a queued FUTEX_WAIT waiter: its wake and the
+            // crash clean-up below both need it.
+            let mut req_id = 0;
+            // Unbounded for a futex wait only: it legitimately blocks for
+            // as long as the application keeps the waiter asleep.
+            let reply = self.round(UNWATCHED, wait, |id| {
+                req_id = id;
+                let request = DexMsg::Delegate {
                     pid: shared.pid,
                     tid: self.tid,
                     op: op.clone(),
                     req_id,
-                },
-                span,
-            );
-            // Unbounded for a futex wait only: it legitimately blocks for
-            // as long as the application keeps the waiter asleep.
-            match shared.wait_reply_watching(self.sim, &slot, node, req_id, None, wait) {
+                };
+                self.endpoint(node)
+                    .send_traced(self.sim, shared.origin, request, span);
+            });
+            match reply {
                 Ok(Reply::Delegate(result)) => return Err(result),
                 Ok(Reply::FutexWoken) => return Ok(shared.take_waker(req_id)),
                 Ok(other) => unreachable!("delegation answered with {other:?}"),
@@ -1301,7 +1286,6 @@ impl<'a> ThreadCtx<'a> {
                     }
                     self.rehome_after_crash();
                 }
-                Err(WaitError::PeerCrashed(p)) => unreachable!("unwatched peer {p}"),
             }
         }
     }
@@ -1354,6 +1338,25 @@ impl<'a> ThreadCtx<'a> {
 
     fn endpoint(&self, node: NodeId) -> crate::process::Endpoint {
         self.shared.fabric.endpoint(node)
+    }
+
+    /// One request/reply round from this thread's node: allocates the
+    /// request id, registers the wait *before* `send(req_id)` puts the
+    /// request on the wire, then waits for the reply watching this node
+    /// and `peer` for a crash ([`UNWATCHED`]: this node only, and
+    /// `PeerCrashed` cannot occur). `unbounded` exempts a wait with no
+    /// deadline of its own (a futex wait) from the stuck-run check.
+    fn round<P: Copy + Into<NodeId>>(
+        &self,
+        peer: Option<P>,
+        unbounded: bool,
+        send: impl FnOnce(u64),
+    ) -> Result<Reply, WaitError<P>> {
+        let (shared, node) = (&self.shared, self.node.get());
+        let req_id = shared.new_req_id();
+        let slot = shared.register(self.sim, node, req_id, &[]);
+        send(req_id);
+        shared.wait_reply_watching(self.sim, &slot, node, req_id, peer, unbounded)
     }
 }
 
@@ -1449,7 +1452,7 @@ fn futex_wait_at_origin(
     // before parking; for a remote waiter the pending entry lives at the
     // remote node and resolves via FutexWoken.
     let slot = if waiter_node == shared.origin {
-        shared.register_pending(tctx.sim, shared.origin, waiter_req)
+        shared.register(tctx.sim, shared.origin, waiter_req, &[])
     } else {
         Arc::new(Mutex::new(None))
     };
@@ -1486,18 +1489,12 @@ fn futex_wake_at_origin(
     }
     let n = woken.len() as i64;
     let endpoint = shared.fabric.endpoint(shared.origin);
-    for (node, req) in remote {
+    for (node, req_id) in remote {
         if node == shared.origin {
-            shared.complete_pending(ctx, node, req, Reply::FutexWoken);
+            shared.complete(ctx, node, req_id, node, Reply::FutexWoken);
         } else {
-            endpoint.send(
-                ctx,
-                node,
-                DexMsg::FutexWoken {
-                    pid: shared.pid,
-                    req_id: req,
-                },
-            );
+            let (pid, reply) = (shared.pid, Reply::FutexWoken);
+            endpoint.send(ctx, node, DexMsg::Reply { pid, req_id, reply });
         }
     }
     n
@@ -1552,7 +1549,7 @@ fn broadcast_vma_op(ctx: &SimCtx, shared: &Arc<ProcessShared>, op: VmaOp) {
     }
     shared.stats.counters.incr("vma.broadcasts");
     let req_id = shared.new_req_id();
-    let slot = shared.register_pending_broadcast(ctx, shared.origin, req_id, &peers);
+    let slot = shared.register(ctx, shared.origin, req_id, &peers);
     let endpoint = shared.fabric.endpoint(shared.origin);
     for peer in &peers {
         endpoint.send(
@@ -1568,11 +1565,10 @@ fn broadcast_vma_op(ctx: &SimCtx, shared: &Arc<ProcessShared>, op: VmaOp) {
     // A peer that crashes after the filter above is handled by crash
     // recovery (`complete_broadcasts_for_dead`), which the watching wait
     // triggers on timeout.
-    match shared.wait_reply_watching(ctx, &slot, shared.origin, req_id, None, false) {
-        Ok(Reply::BroadcastDone) => {}
-        Ok(other) => unreachable!("vma broadcast answered with {other:?}"),
-        Err(e) => unreachable!("origin wait failed with {e:?}: the origin cannot crash"),
-    }
+    let done = shared.wait_reply_watching(ctx, &slot, shared.origin, req_id, UNWATCHED, false);
+    let Ok(Reply::BroadcastDone) = done else {
+        unreachable!("vma broadcast at the origin, which cannot crash, ended with {done:?}")
+    };
 }
 
 /// Service loop of a migrated thread's original thread at the origin: it
@@ -1607,16 +1603,9 @@ fn pair_thread_loop(
         }
         // A queued waiter is answered by the FUTEX_WAKE that dequeues it.
         if let AtOrigin::Done(result) = outcome {
-            endpoint.send_traced(
-                ctx,
-                job.from,
-                DexMsg::DelegateReply {
-                    pid: shared.pid,
-                    result,
-                    req_id: job.req_id,
-                },
-                job.span,
-            );
+            let (pid, req_id, reply) = (shared.pid, job.req_id, Reply::Delegate(result));
+            let answer = DexMsg::Reply { pid, req_id, reply };
+            endpoint.send_traced(ctx, job.from, answer, job.span);
         }
     }
 }

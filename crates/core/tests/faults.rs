@@ -163,6 +163,12 @@ fn node_crash_rehomes_threads_and_reclaims_pages() {
     );
     assert_eq!(counters.get("faults.crashes_handled"), 1);
     assert!(counters.get("migrations.dest_crashed") >= 1);
+    // A migration counts once acknowledged: the attempt on the dead node
+    // is neither a sample nor a migration.
+    let forward = report.migrations.iter().filter(|m| m.forward).count() as u64;
+    let backward = report.migrations.len() as u64 - forward;
+    assert_eq!(report.stats.forward_migrations, forward);
+    assert_eq!(report.stats.backward_migrations, backward);
     assert!(
         counters.get("faults.pages_reclaimed") >= 1,
         "node 2 owned pages when it died"
