@@ -55,7 +55,7 @@ fn main() {
     dex_bench::write_spans("shard", &sharded).expect("write span dump");
 
     let row = |name: &str, r: &RunReport| {
-        let c = &r.process().stats.counters;
+        let c = r.process().counters();
         vec![
             name.to_string(),
             format!("{:.2}", r.virtual_time.as_micros_f64() / 1_000.0),
@@ -87,14 +87,14 @@ fn main() {
 
     // Shape checks: the forwarded path must actually run, and it must
     // shorten the remote-fault critical path end to end.
-    let counters = &sharded.process().stats.counters;
+    let counters = sharded.process().counters();
     assert!(counters.get("protocol.forwards") >= 1, "grants forwarded");
     assert!(
         counters.get("protocol.invalidate_batches") >= 1,
         "replica revocation batched"
     );
     assert_eq!(
-        classic.process().stats.counters.get("protocol.forwards"),
+        classic.process().counters().get("protocol.forwards"),
         0,
         "classic directory never forwards"
     );

@@ -54,10 +54,10 @@ pub fn fault_scenario_names() -> Vec<&'static str> {
 }
 
 /// Everything observable about a run, for determinism comparisons.
-fn fingerprint(report: &RunReport) -> (u64, Vec<(String, u64)>) {
+fn fingerprint(report: &RunReport) -> (u64, Vec<(&'static str, u64)>) {
     (
         report.virtual_time.as_nanos(),
-        report.process().stats.counters.snapshot(),
+        report.process().counters().totals(),
     )
 }
 
@@ -126,7 +126,7 @@ fn empty_plan() -> FaultOutcome {
         detail: vec![if identical {
             format!(
                 "fingerprints identical ({} counters, {} ns)",
-                plain.process().stats.counters.snapshot().len(),
+                plain.process().counters().totals().len(),
                 plain.virtual_time.as_nanos()
             )
         } else {
@@ -203,7 +203,7 @@ fn crash_mid_run() -> FaultOutcome {
         detail.push("** crash recovery diverged between replays **".to_string());
     }
     let shared = first.process();
-    let counters = &shared.stats.counters;
+    let counters = shared.counters();
     let rehomed = counters.get("migrations.crash_rehomed");
     let handled = counters.get("faults.crashes_handled");
     let reclaimed = counters.get("faults.pages_reclaimed");
@@ -260,7 +260,7 @@ pub fn replay_plan(plan: &FaultPlan) -> FaultOutcome {
             "** DIVERGED **"
         }
     )];
-    let counters = &first.process().stats.counters;
+    let counters = first.process().counters();
     let handled = counters.get("faults.crashes_handled");
     if handled > 0 {
         detail.push(format!(

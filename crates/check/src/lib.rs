@@ -87,7 +87,7 @@ pub use model_check::{
     check_model, counterexample_to_log, mutation_sweep, render_counterexample, replay_log,
     CheckOptions, CheckOutcome, Counterexample, PassReport, ReplayOutcome, SweepRow,
 };
-pub use observe::{run_observed_workload, ObserveOutcome};
+pub use observe::{metric_sum_violations, run_observed_workload, ObserveOutcome};
 pub use perf::{compare_dirs, compare_results, load_results, self_test, PerfViolation};
 pub use races::{analyze_races, render_race_report, Conflict, LockCycle, RaceReport};
 pub use sc::{check_sequential_consistency, render_sc_report, ScReport, ScViolation};

@@ -58,6 +58,11 @@
 //!   may occur once per variant, and `DexMsg::Delegate` may be built
 //!   once; a second arm or a second send is a second copy of the
 //!   mechanism, free to drift from the first.
+//! * **counter-confined** — a protocol counter is named once, in
+//!   `core/src/counters.rs`. Elsewhere in the non-test code of
+//!   `crates/core/src`, a string literal passed as the first argument of
+//!   `.incr(` or `.add(` is a second spelling of a name, or a second
+//!   recorder beside the one counter store.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -99,10 +104,10 @@ const DIRACTION_ALLOWLIST: [&str; 2] = [
     "crates/core/src/protocol.rs",
 ];
 
-/// Files allowed to use `Ordering::Relaxed` on shared atomics: traffic
-/// counters (fabric) and monotonic ID allocators (process) whose values
-/// never order protocol state.
-const RELAXED_ALLOWLIST: [&str; 2] = ["crates/net/src/fabric.rs", "crates/core/src/process.rs"];
+/// Files allowed to use `Ordering::Relaxed` on shared atomics: the
+/// counter store (metrics) and monotonic ID allocators (process) whose
+/// values never order protocol state.
+const RELAXED_ALLOWLIST: [&str; 2] = ["crates/net/src/metrics.rs", "crates/core/src/process.rs"];
 
 /// Files allowed to call `ctx.park()` / `ctx.unpark(..)` directly — the
 /// blocking primitives themselves. Everything else in the protocol and
@@ -120,6 +125,9 @@ const UNSAFE_ALLOWLIST: [&str; 1] = ["crates/sim/src/context.rs"];
 
 /// The one file allowed to define escapers and split rows on tabs.
 const CODEC_ALLOWLIST: [&str; 1] = ["crates/sim/src/codec.rs"];
+
+/// The one `dex-core` file that spells counter names.
+const COUNTER_NAMES: &str = "crates/core/src/counters.rs";
 
 /// Whether `line` declares a function whose name contains `part`
 /// (outside string literals, as in [`has_keyword`]).
@@ -210,6 +218,23 @@ pub fn lint_source(rel: &str, content: &str) -> Vec<LintHit> {
 
         if !RELAXED_ALLOWLIST.contains(&rel) && !in_tests && line.contains("Ordering::Relaxed") {
             push("relaxed-ordering");
+        }
+
+        if rel.starts_with("crates/core/src/") && rel != COUNTER_NAMES && !in_tests {
+            // A name literal as the first argument, on this line or the next.
+            let names_literal = [".incr(", ".add("].iter().any(|call| {
+                line.match_indices(call).any(|(pos, _)| {
+                    let arg = line[pos + call.len()..].trim_start();
+                    let arg = match (arg, stripped.get(idx + 1)) {
+                        ("", Some(next)) => next.trim_start(),
+                        _ => arg,
+                    };
+                    arg.starts_with('"')
+                })
+            });
+            if names_literal {
+                push("counter-confined");
+            }
         }
 
         if !UNSAFE_ALLOWLIST.contains(&rel) && !in_tests && has_keyword(line, "unsafe") {
@@ -690,14 +715,34 @@ fn f() {
         let hits = lint_source("crates/core/src/dispatch.rs", bad);
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].rule, "relaxed-ordering");
-        // Counters and ID allocators are allowlisted.
-        assert!(lint_source("crates/net/src/fabric.rs", bad).is_empty());
+        // The counter store and ID allocators are allowlisted.
+        assert!(lint_source("crates/net/src/metrics.rs", bad).is_empty());
         assert!(lint_source("crates/core/src/process.rs", bad).is_empty());
         // Doc comments and test code do not count.
         let doc = "/// assert_eq!(hits.load(Ordering::Relaxed), 4);\nfn f() {}\n";
         assert!(lint_source("crates/sim/src/engine.rs", doc).is_empty());
         let test_code = "#[cfg(test)]\nmod tests {\n fn t() { c.load(Ordering::Relaxed); }\n}\n";
         assert!(lint_source("crates/core/src/dispatch.rs", test_code).is_empty());
+    }
+
+    #[test]
+    fn counter_names_are_confined_to_the_naming_module() {
+        let incr = "fn f(s: &S) { s.stats.counters.incr(\"faults.read\"); }\n";
+        let hits = lint_source("crates/core/src/thread.rs", incr);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!(hits[0].rule, "counter-confined");
+        let split = "fn f(m: &M) {\n    m.node(n).add(\n        \"protocol.invalidations\",\n        k,\n    );\n}\n";
+        assert_eq!(lint_source("crates/core/src/dispatch.rs", split).len(), 1);
+        // Typed counters, non-literal names, the naming module, test code
+        // and other crates pass.
+        let typed = "fn f(s: &S) { s.count(node, Counter::FaultsRead, 1); x.add(1); }\n";
+        assert!(lint_source("crates/core/src/thread.rs", typed).is_empty());
+        assert!(lint_source("crates/core/src/counters.rs", incr).is_empty());
+        let test_code = format!("#[cfg(test)]\nmod tests {{\n{incr}}}\n");
+        assert!(lint_source("crates/core/src/thread.rs", &test_code).is_empty());
+        assert!(lint_source("crates/net/src/series.rs", incr).is_empty());
+        let comment = "// was: counters.incr(\"faults.read\")\nfn f() {}\n";
+        assert!(lint_source("crates/core/src/thread.rs", comment).is_empty());
     }
 
     #[test]

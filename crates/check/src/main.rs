@@ -90,8 +90,10 @@ SUBCOMMANDS:
            for Perfetto / chrome://tracing; --spans-out writes the
            `# dex-spans v2` text form. Fails unless at least one fault
            stitches requester -> origin -> requester across nodes.
-  metrics  run the sample workload with a MetricsRegistry attached and
-           print the per-node / per-link counter and histogram snapshot
+  metrics  run the sample workload with metrics on, print the per-node /
+           per-link counter and histogram snapshot; fails unless every
+           DexStats field is the sum of its per-node counter and the
+           per-link msgs/bytes sum to msgs.sent/bytes.sent
   perf     diff fresh BENCH_*.json results (written by the crates/bench
            binaries, see DEX_BENCH_OUT) against the committed baselines
            in baselines/perf: the simulator is deterministic, so every
@@ -653,8 +655,14 @@ fn cmd_metrics(args: &[String]) -> Result<bool, String> {
     }
     let outcome = run_observed_workload();
     print!("{}", outcome.metrics_text);
-    let ok = outcome.metrics_text.contains("dsm.faults_write");
-    println!("metrics {}", if ok { "PASS" } else { "FAIL" });
+    for violation in &outcome.metrics_violations {
+        println!("violation: {violation}");
+    }
+    let ok = outcome.metrics_violations.is_empty();
+    println!(
+        "metrics {}: every total is the sum of its per-node counters",
+        if ok { "PASS" } else { "FAIL" }
+    );
     Ok(ok)
 }
 

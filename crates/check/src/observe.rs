@@ -8,7 +8,7 @@
 //! get a real Chrome trace-event JSON out of the reproduction, and CI
 //! uses it to prove the export pipeline stays valid end to end.
 
-use dex_core::{Cluster, ClusterConfig, SpanKind};
+use dex_core::{Cluster, ClusterConfig, RunReport, SpanKind};
 use dex_prof::{encode_spans, export_chrome_trace, render_critical_path};
 
 /// Everything the observed sample run produces.
@@ -21,6 +21,9 @@ pub struct ObserveOutcome {
     pub critical_path: String,
     /// Rendered metrics snapshot.
     pub metrics_text: String,
+    /// Where the per-node and per-link counters disagree with the run's
+    /// totals (see [`metric_sum_violations`]); empty when they agree.
+    pub metrics_violations: Vec<String>,
     /// Number of spans recorded.
     pub spans: usize,
     /// Whether at least one fault stitched requester → origin →
@@ -85,9 +88,43 @@ pub fn run_observed_workload() -> ObserveOutcome {
             .as_ref()
             .map(|m| m.render())
             .unwrap_or_default(),
+        metrics_violations: metric_sum_violations(&report),
         spans: spans.len(),
         stitched_cross_node,
     }
+}
+
+/// Checks that the run's counters are recorded once, per node: every
+/// `DexStats` field must equal the sum of its per-node counter, and the
+/// per-link `msgs`/`bytes` must sum to `msgs.sent`/`bytes.sent`. A run
+/// that counted no write fault fails too, so the check cannot pass on an
+/// empty store. Returns one line per violation.
+pub fn metric_sum_violations(report: &RunReport) -> Vec<String> {
+    let Some(snap) = &report.metrics else {
+        return vec!["the run has no metrics snapshot".to_string()];
+    };
+    let sum = |cells: &mut dyn Iterator<Item = &(String, u64)>, name: &str| -> u64 {
+        cells.filter(|(n, _)| n == name).map(|(_, v)| *v).sum()
+    };
+    let node_sum = |name: &str| sum(&mut snap.per_node.iter().flatten(), name);
+    let link_sum = |name: &str| sum(&mut snap.per_link.iter().flat_map(|l| &l.counters), name);
+    let mut violations = Vec::new();
+    for (name, total) in report.stats.by_counter() {
+        let cells = node_sum(name);
+        if cells != total {
+            violations.push(format!("{name}: per-node sum {cells} != DexStats {total}"));
+        }
+    }
+    for (link, node) in [("msgs", "msgs.sent"), ("bytes", "bytes.sent")] {
+        let (links, nodes) = (link_sum(link), node_sum(node));
+        if links != nodes {
+            violations.push(format!("per-link {link} sum {links} != {node} {nodes}"));
+        }
+    }
+    if report.stats.write_faults == 0 {
+        violations.push("no write fault was counted".to_string());
+    }
+    violations
 }
 
 #[cfg(test)]
@@ -105,7 +142,8 @@ mod tests {
         assert!(out.chrome_json.contains("\"traceEvents\""));
         assert!(out.spans_text.starts_with("# dex-spans v2"));
         assert!(out.critical_path.contains("migration phases"));
-        assert!(out.metrics_text.contains("dsm.faults_write"));
+        assert!(out.metrics_text.contains("faults.write"));
+        assert_eq!(out.metrics_violations, Vec::<String>::new());
         // The JSON survives its own span codec sibling: decode the text
         // form and re-export, sizes must agree.
         let decoded = dex_prof::decode_spans(&out.spans_text).unwrap();

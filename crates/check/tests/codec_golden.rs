@@ -104,7 +104,7 @@ const SERIES: &str = "# dex-series v1\n\
     # window 50000\n\
     # windows 3\n\
     # end 123456\n\
-    c\t0\tnode1\tdsm.faults_write\t4\n\
+    c\t0\tnode1\tfaults.write\t4\n\
     c\t2\tlink0>1\t\\e\t8192\n\
     h\t1\t0\tnet.send_pool_wait\t12\t900\t2400\t2500\n";
 
@@ -127,7 +127,7 @@ fn series_v1() {
     assert_eq!(
         counters,
         [
-            (0, "node1".to_string(), "dsm.faults_write", 4),
+            (0, "node1".to_string(), "faults.write", 4),
             (2, "link0>1".to_string(), "", 8192),
         ]
     );

@@ -9,11 +9,12 @@
 
 use std::sync::Arc;
 
-use dex_net::{MetricsRegistry, MetricsSnapshot, NetConfig, NodeId, TimeSeries};
+use dex_net::{MetricsRegistry, MetricsSnapshot, NetConfig, NodeCounter, NodeId, TimeSeries};
 use dex_os::{Pid, VirtAddr, PAGE_SIZE};
 use dex_sim::{Engine, Histogram, SchedulePolicyHandle, SimDuration, SimTime};
 
 use crate::cost::CostModel;
+use crate::counters::Counter;
 use crate::dispatch::{dispatcher_loop, ProcessRegistry};
 use crate::handle::{DsmCell, DsmMatrix, DsmScalar, DsmVec, ProcessRef};
 use crate::mutation::ProtocolMutation;
@@ -51,7 +52,8 @@ pub struct ClusterConfig {
     pub cost: CostModel,
     /// Record causal spans (fault/migration/delegation timelines).
     pub spans: bool,
-    /// Attach a per-node/per-link [`MetricsRegistry`] to the run.
+    /// Keep latency histograms and put the [`MetricsSnapshot`] of the
+    /// run's counters in the report.
     pub metrics: bool,
     /// Continuous telemetry: windowed time-series and online health
     /// monitors driven by the engine's virtual-time sampler. `None` —
@@ -122,8 +124,8 @@ impl ClusterConfig {
         self
     }
 
-    /// Attaches a [`MetricsRegistry`]: per-node and per-link counters and
-    /// wait-time histograms, snapshotted into the report.
+    /// Keeps wait-time histograms beside the per-node and per-link
+    /// counters every run records, and snapshots both into the report.
     pub fn with_metrics(mut self) -> Self {
         self.metrics = true;
         self
@@ -277,16 +279,20 @@ impl Cluster {
         let schedule = cfg
             .record_schedule
             .then(|| engine.record_schedule(format!("dex run, {} nodes", cfg.nodes)));
-        let metrics = (cfg.metrics || cfg.telemetry.is_some()).then(|| {
-            // Telemetry needs the registry even if the caller set the
-            // `telemetry` field directly without `with_metrics`.
-            MetricsRegistry::new(cfg.nodes)
-        });
+        // Telemetry needs the histograms even if the caller set the
+        // `telemetry` field directly without `with_metrics`.
+        let observed = cfg.metrics || cfg.telemetry.is_some();
+        let cap = if observed {
+            dex_net::DEFAULT_HIST_CAP
+        } else {
+            0
+        };
+        let metrics = MetricsRegistry::with_histogram_cap(cfg.nodes, cap);
         let fabric = crate::process::Fabric::with_instrumentation(
             cfg.net.clone(),
             cfg.nodes,
             cfg.fault_plan.clone().unwrap_or_default(),
-            metrics.clone(),
+            Arc::clone(&metrics),
         );
         let registry = ProcessRegistry::new();
 
@@ -305,7 +311,6 @@ impl Cluster {
             fabric,
             registry,
             config: cfg,
-            metrics: metrics.clone(),
             created: std::cell::RefCell::new(Vec::new()),
         };
         setup(&handle);
@@ -320,10 +325,11 @@ impl Cluster {
         // is pure observation (it snapshots counters and drains the span
         // cursor between events) — installing it adds no events.
         let telemetry = cfg.telemetry.as_ref().map(|tcfg| {
-            let registry = metrics.clone().expect("telemetry implies metrics");
             let buffers = created.iter().map(|s| s.spans.clone()).collect();
             let state = Arc::new(parking_lot::Mutex::new(Some(Telemetry::new(
-                registry, tcfg, buffers,
+                Arc::clone(&metrics),
+                tcfg,
+                buffers,
             ))));
             let sampler_state = Arc::clone(&state);
             engine.set_sampler(tcfg.window, move |boundary| {
@@ -352,10 +358,10 @@ impl Cluster {
             .into_iter()
             .map(|shared| {
                 let stats = DexStats::collect(&shared);
-                let fault_hist = shared.stats.fault_hist.clone();
-                let migrations = shared.stats.migrations.lock().clone();
+                let fault_hist = shared.fault_hist.clone();
+                let migrations = shared.migrations.lock().clone();
                 let spans = shared.spans.snapshot();
-                let metrics = shared.metrics.as_ref().map(|m| m.snapshot());
+                let metrics = observed.then(|| metrics.snapshot());
                 let race_events = shared.race.snapshot();
                 RunReport {
                     virtual_time: end.saturating_since(SimTime::ZERO),
@@ -381,7 +387,6 @@ pub struct ClusterHandle<'e> {
     fabric: Arc<crate::process::Fabric>,
     registry: Arc<ProcessRegistry>,
     config: &'e ClusterConfig,
-    metrics: Option<Arc<MetricsRegistry>>,
     created: std::cell::RefCell<Vec<Arc<ProcessShared>>>,
 }
 
@@ -415,7 +420,6 @@ impl<'e> ClusterHandle<'e> {
             self.config.cost.clone(),
             Arc::clone(&self.fabric),
             spans,
-            self.metrics.clone(),
             race,
             self.config.heap_pages,
             self.config.mutation,
@@ -636,26 +640,41 @@ pub struct DexStats {
 }
 
 impl DexStats {
+    /// Every field with the name of the per-node counter it sums.
+    fn fields(&mut self) -> [(&'static str, &mut u64); 15] {
+        use {Counter as C, NodeCounter as N};
+        [
+            (C::MigrationsForward.name(), &mut self.forward_migrations),
+            (C::MigrationsBackward.name(), &mut self.backward_migrations),
+            (C::FaultsRead.name(), &mut self.read_faults),
+            (C::FaultsWrite.name(), &mut self.write_faults),
+            (C::FaultsCoalesced.name(), &mut self.coalesced_faults),
+            (C::FaultsRetried.name(), &mut self.retried_faults),
+            (C::Invalidations.name(), &mut self.invalidations),
+            (C::VmaSyncs.name(), &mut self.vma_syncs),
+            (C::VmaBroadcasts.name(), &mut self.vma_broadcasts),
+            (C::Delegations.name(), &mut self.delegations),
+            (C::FutexWaits.name(), &mut self.futex_waits),
+            (C::FutexWakes.name(), &mut self.futex_wakes),
+            (N::MsgsSent.name(), &mut self.msgs_sent),
+            (N::PagesSent.name(), &mut self.pages_sent),
+            (N::BytesSent.name(), &mut self.bytes_sent),
+        ]
+    }
+
+    /// Sums the process's and the fabric's per-node counters.
     fn collect(shared: &ProcessShared) -> Self {
-        let c = &shared.stats.counters;
-        let n = shared.fabric.counters();
-        DexStats {
-            forward_migrations: c.get("migrations.forward"),
-            backward_migrations: c.get("migrations.backward"),
-            read_faults: c.get("faults.read"),
-            write_faults: c.get("faults.write"),
-            coalesced_faults: c.get("faults.coalesced"),
-            retried_faults: c.get("faults.retried"),
-            invalidations: c.get("protocol.invalidations"),
-            vma_syncs: c.get("vma.syncs"),
-            vma_broadcasts: c.get("vma.broadcasts"),
-            delegations: c.get("delegations"),
-            futex_waits: c.get("futex.waits"),
-            futex_wakes: c.get("futex.wakes"),
-            msgs_sent: n.get("msgs.sent"),
-            pages_sent: n.get("pages.sent"),
-            bytes_sent: n.get("bytes.sent"),
+        let (process, fabric) = (shared.counters(), shared.fabric.counters());
+        let mut stats = DexStats::default();
+        for (name, field) in stats.fields() {
+            *field = process.get(name) + fabric.get(name);
         }
+        stats
+    }
+
+    /// Every field with the name of the per-node counter it sums.
+    pub fn by_counter(mut self) -> [(&'static str, u64); 15] {
+        self.fields().map(|(name, field)| (name, *field))
     }
 
     /// Total faults that entered the protocol (reads + writes).
@@ -679,8 +698,8 @@ pub struct RunReport {
     pub race_events: Vec<RaceEvent>,
     /// Causal spans (empty unless [`ClusterConfig::with_spans`] was set).
     pub spans: Vec<Span>,
-    /// Cluster-wide counters/histograms (present only when
-    /// [`ClusterConfig::with_metrics`] was set).
+    /// Per-node and per-link counters and histograms, cluster-wide
+    /// (present only when [`ClusterConfig::with_metrics`] was set).
     pub metrics: Option<MetricsSnapshot>,
     /// Windowed time-series (present only when
     /// [`ClusterConfig::with_telemetry`] was set). Cluster-wide: every

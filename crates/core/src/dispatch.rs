@@ -19,6 +19,7 @@ use dex_net::{NodeId, SpanContext};
 use dex_os::{Access, PageFrame, Pid, Tid, PAGE_SIZE};
 use dex_sim::{SimChannel, SimCtx, SimDuration};
 
+use crate::counters::Counter;
 use crate::msg::{DexMsg, MigrationPhases, Reply, VmaOp};
 use crate::process::{DelegationJob, ProcessShared};
 use crate::protocol::{
@@ -250,10 +251,7 @@ pub(crate) fn perform_outputs(
         match out {
             Output::Send { to, msg } => {
                 if matches!(msg, PageMsg::OwnerForward { .. }) {
-                    shared.stats.counters.incr("protocol.forwards");
-                    if let Some(m) = &shared.metrics {
-                        m.node(node).incr("protocol.forwards");
-                    }
+                    shared.count(node, Counter::Forwards, 1);
                 }
                 endpoint.send_traced(ctx, to, DexMsg::Page { pid, msg }, span);
             }
@@ -265,7 +263,7 @@ pub(crate) fn perform_outputs(
             // requester's `Wake`, so the node's state is
             // protocol-consistent when the thread resumes.
             Output::Released(work) => run_deferred(ctx, shared, endpoint, node, work),
-            Output::ZeroPageGrant => shared.stats.counters.incr("protocol.zero_page_grants"),
+            Output::ZeroPageGrant => shared.count(node, Counter::ZeroPageGrants, 1),
             Output::WakeFollower(_) | Output::Lead | Output::Follow { .. } => {
                 unreachable!("{out:?} is the faulting thread's to perform")
             }
@@ -288,11 +286,7 @@ fn handle_grant(
     let label = match &msg {
         PageMsg::Grant { retry: true, .. } => "grant_retry",
         PageMsg::Grant { data: Some(_), .. } => {
-            let bytes = PAGE_SIZE as u64;
-            shared
-                .stats
-                .counters
-                .add("protocol.page_bytes_received", bytes);
+            shared.count(node, Counter::PageBytesReceived, PAGE_SIZE as u64);
             "grant_with_data"
         }
         _ => "grant_no_transfer",
@@ -324,7 +318,7 @@ fn run_deferred(
     node: NodeId,
     work: Deferred<PageFrame>,
 ) {
-    shared.stats.counters.incr("protocol.deferred_work");
+    shared.count(node, Counter::DeferredWork, 1);
     let span = SpanContext(work.tag);
     if matches!(work.msg, PageMsg::OwnerForward { .. }) {
         return serve_holder_msg(ctx, shared, endpoint, node, work.from, work.msg, span);
@@ -352,10 +346,7 @@ fn count_invalidations(shared: &ProcessShared, node: NodeId, ack: &Output<PageFr
         ),
         _ => return false,
     };
-    shared.stats.counters.add("protocol.invalidations", applied);
-    if let Some(m) = &shared.metrics {
-        m.node(node).add("dsm.invalidations", applied);
-    }
+    shared.count(node, Counter::Invalidations, applied);
     carried
 }
 
@@ -428,15 +419,12 @@ fn serve_holder_msg(
         }
     }
     let counter = match kind {
-        Some(SpanKind::InvalidateBatch) => Some("protocol.invalidate_batches"),
-        Some(SpanKind::OwnerForward) => Some("protocol.forwards_serviced"),
+        Some(SpanKind::InvalidateBatch) => Some(Counter::InvalidateBatches),
+        Some(SpanKind::OwnerForward) => Some(Counter::ForwardsServiced),
         _ => None,
     };
-    if let Some(name) = counter {
-        shared.stats.counters.incr(name);
-        if let Some(m) = &shared.metrics {
-            m.node(node).incr(name);
-        }
+    if let Some(counter) = counter {
+        shared.count(node, counter, 1);
     }
     let handled = |id, tag| Span {
         id,

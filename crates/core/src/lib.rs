@@ -55,6 +55,7 @@
 
 mod cluster;
 mod cost;
+mod counters;
 mod directory;
 mod dispatch;
 mod handle;
@@ -70,12 +71,13 @@ mod thread;
 
 pub use cluster::{Cluster, ClusterConfig, ClusterHandle, DexProcess, DexStats, RunReport};
 pub use cost::{CostModel, COST_COMPONENTS};
+pub use counters::Counter;
 pub use directory::model;
 pub use directory::{DirAction, DirStats, Directory, NodeSet, Requester};
 pub use handle::{DsmCell, DsmMatrix, DsmScalar, DsmVec, ProcessRef};
 pub use msg::{DelegatedOp, DexMsg, MigrationPhases, Reply, VmaOp};
 pub use mutation::{ProtocolMutation, ALL_MUTATIONS};
-pub use process::{MigrationSample, ObjectSpan, ProcessShared, RunStats};
+pub use process::{MigrationSample, ObjectSpan, ProcessShared};
 pub use race::{RaceEvent, RaceEventKind, RaceTrace};
 pub use span::{Span, SpanBuffer, SpanId, SpanKind};
 pub use sync::{DexBarrier, DexCondvar, DexMutex, DexRwLock};
@@ -83,5 +85,5 @@ pub use telemetry::{HealthEvent, HealthEventKind, MonitorConfig, TelemetryConfig
 pub use thread::{DexThread, MigrateError, ThreadCtx, FUTEX_EAGAIN};
 
 // Re-export the identifiers applications touch constantly.
-pub use dex_net::NodeId;
+pub use dex_net::{CounterTable, NodeId};
 pub use dex_os::{Access, Pid, Prot, Tid, VirtAddr, Vpn, PAGE_SIZE};

@@ -15,13 +15,12 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use dex_net::{MetricsRegistry, NodeId, SpanContext};
+use dex_net::{CounterTable, NodeId, SpanContext};
 use dex_os::{AddressSpace, FutexTable, PageFrame, Pid, RadixTree, Tid, VirtAddr, Vpn, PAGE_SIZE};
-use dex_sim::{
-    Counters, Histogram, MultiResource, Resource, SimChannel, SimCtx, SimDuration, ThreadId,
-};
+use dex_sim::{Histogram, MultiResource, Resource, SimChannel, SimCtx, SimDuration, ThreadId};
 
 use crate::cost::CostModel;
+use crate::counters::Counter;
 use crate::directory::Directory;
 use crate::msg::{DelegatedOp, DexMsg, MigrationPhases, Reply, VmaOp};
 use crate::protocol::{self, HomeIn, Node, NodeState, Output};
@@ -108,16 +107,6 @@ pub struct ObjectSpan {
     pub tag: String,
 }
 
-/// Aggregate statistics of one run.
-pub struct RunStats {
-    /// Named protocol counters.
-    pub counters: Counters,
-    /// Distribution of protocol-fault handling times (per leader fault).
-    pub fault_hist: Histogram,
-    /// Per-migration timing samples.
-    pub migrations: Mutex<Vec<MigrationSample>>,
-}
-
 /// Timing of one migration (drives Table II and Figure 3).
 #[derive(Clone, Debug)]
 pub struct MigrationSample {
@@ -179,13 +168,15 @@ pub struct ProcessShared {
     pub mem_bw: Vec<Resource>,
     /// Per-node core pools.
     pub cores: Vec<MultiResource>,
-    /// Statistics sinks.
-    pub stats: Arc<RunStats>,
+    /// Distribution of protocol-fault handling times (per leader fault).
+    pub fault_hist: Histogram,
+    /// Per-migration timing samples.
+    pub migrations: Mutex<Vec<MigrationSample>>,
+    /// This process's protocol counters, one row per node: its table in
+    /// the fabric's metrics registry.
+    counters: Arc<CounterTable>,
     /// Causal span sink (disabled unless `ClusterConfig::with_spans`).
     pub spans: SpanBuffer,
-    /// Per-node/per-link metrics (shared with the fabric; `None` unless
-    /// `ClusterConfig::with_metrics`).
-    pub metrics: Option<Arc<MetricsRegistry>>,
     /// Synchronization/access event sink for dynamic race detection.
     pub race: crate::race::RaceTrace,
     /// Seeded protocol bug, consulted by the coherence fault path
@@ -219,7 +210,6 @@ impl ProcessShared {
         cost: CostModel,
         fabric: Arc<Fabric>,
         spans: SpanBuffer,
-        metrics: Option<Arc<MetricsRegistry>>,
         race: crate::race::RaceTrace,
         heap_pages: u64,
         mutation: crate::ProtocolMutation,
@@ -260,6 +250,7 @@ impl ProcessShared {
         } else {
             vec![Mutex::new(Directory::new(origin))]
         };
+        let counters = fabric.metrics().add_node_table(Counter::NAMES);
         Arc::new(ProcessShared {
             pid,
             origin,
@@ -282,13 +273,10 @@ impl ProcessShared {
                 .collect(),
             mem_bw,
             cores,
-            stats: Arc::new(RunStats {
-                counters: Counters::new(),
-                fault_hist: Histogram::new(),
-                migrations: Mutex::new(Vec::new()),
-            }),
+            fault_hist: Histogram::new(),
+            migrations: Mutex::new(Vec::new()),
+            counters,
             spans,
-            metrics,
             race,
             mutation,
             objects: Mutex::new(Vec::new()),
@@ -312,6 +300,16 @@ impl ProcessShared {
     /// Application threads currently executing on each node.
     pub fn thread_counts(&self) -> Vec<i64> {
         self.node_threads.lock().clone()
+    }
+
+    /// Counts `n` occurrences of `counter` at `node`.
+    pub(crate) fn count(&self, node: NodeId, counter: Counter, n: u64) {
+        self.counters.add(node.0 as usize, counter as usize, n);
+    }
+
+    /// This process's protocol counters, one row per node.
+    pub fn counters(&self) -> &CounterTable {
+        &self.counters
     }
 
     /// Allocates a cluster-unique request id.
@@ -630,7 +628,7 @@ impl ProcessShared {
             dead, self.origin,
             "origin node crashed: unsupported (process death)"
         );
-        self.stats.counters.incr("faults.crashes_handled");
+        self.count(self.origin, Counter::FaultsCrashesHandled, 1);
         for dir in &self.directories {
             let (home, reclaimed) = {
                 let mut dir = dir.lock();
@@ -644,7 +642,7 @@ impl ProcessShared {
             };
             let endpoint = self.fabric.endpoint(home);
             for (vpn, actions) in reclaimed {
-                self.stats.counters.incr("faults.pages_reclaimed");
+                self.count(home, Counter::FaultsPagesReclaimed, 1);
                 let outs = self.home_step(home, vpn, HomeIn::Reclaim { vpn, actions });
                 let span = SpanContext::NONE;
                 crate::dispatch::perform_outputs(ctx, self, &endpoint, home, outs, span);
@@ -692,13 +690,13 @@ impl ProcessShared {
                 if !self.fabric.faults_enabled() {
                     panic!("reply for unknown request {req_id} at {node}");
                 }
-                self.stats.counters.incr("faults.stale_replies");
+                self.count(node, Counter::FaultsStaleReplies, 1);
                 return;
             };
             let awaiting = &mut entry.get_mut().awaiting;
             if !awaiting.is_empty() {
                 let Some(pos) = awaiting.iter().position(|n| *n == from) else {
-                    self.stats.counters.incr("faults.stale_replies");
+                    self.count(node, Counter::FaultsStaleReplies, 1);
                     return;
                 };
                 awaiting.swap_remove(pos);
@@ -738,7 +736,6 @@ mod tests {
             CostModel::default(),
             fabric,
             SpanBuffer::disabled(),
-            None,
             crate::race::RaceTrace::disabled(),
             1024,
             crate::ProtocolMutation::None,

@@ -317,7 +317,7 @@ impl HealthMonitors {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dex_net::MetricsRegistry;
+    use dex_net::{LinkCounter, MetricsRegistry};
     use dex_os::Tid;
     use std::sync::Arc;
 
@@ -419,12 +419,12 @@ mod tests {
             },
             vec![spans.clone()],
         );
-        registry.link(NodeId(0), NodeId(1)).add("msgs", 6);
+        registry.count_link(NodeId(0), NodeId(1), LinkCounter::Msgs, 6);
         spans.record(span(1, SpanKind::DirectoryHandling, 0, 3, None));
         spans.record(span(2, SpanKind::Fault, 0, 9, None)); // longest on node 0
         t.on_boundary(SimTime::from_nanos(10_000));
         // Below threshold in the next window: no second alarm.
-        registry.link(NodeId(0), NodeId(1)).add("msgs", 2);
+        registry.count_link(NodeId(0), NodeId(1), LinkCounter::Msgs, 2);
         t.on_boundary(SimTime::from_nanos(20_000));
         let (series, events) = t.finish(SimTime::from_nanos(20_000));
         assert_eq!(events.len(), 1, "{events:?}");

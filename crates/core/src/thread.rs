@@ -19,6 +19,7 @@ use dex_net::{NodeId, SpanContext};
 use dex_os::{Access, ExecutionContext, MemFault, Prot, Tid, VirtAddr, VmaKind, Vpn, PAGE_SIZE};
 use dex_sim::{SimChannel, SimCtx, SimDuration, ThreadId};
 
+use crate::counters::Counter;
 use crate::dispatch::perform_outputs;
 use crate::msg::{DelegatedOp, DexMsg, Reply, VmaOp};
 use crate::process::{DelegationJob, MigrationSample, ProcessShared, WaitError, UNWATCHED};
@@ -432,7 +433,7 @@ impl<'a> ThreadCtx<'a> {
                 self.site.get()
             );
         }
-        shared.stats.counters.incr("vma.syncs");
+        shared.count(self.node.get(), Counter::VmaSyncs, 1);
         let t0 = self.sim.now();
         let span = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
         let reply = self.round(UNWATCHED, false, |req_id| {
@@ -521,10 +522,7 @@ impl<'a> ThreadCtx<'a> {
             leader_tag, bypass, ..
         }) = role
         {
-            shared.stats.counters.incr("faults.coalesced");
-            if let Some(m) = &shared.metrics {
-                m.node(node).incr("dsm.faults_coalesced");
-            }
+            shared.count(node, Counter::FaultsCoalesced, 1);
             if bypass && node != shared.home_of(vpn) {
                 // Seeded bug: race a request nobody waits for.
                 self.issue_request(vpn, access, shared.new_req_id(), SpanContext::NONE);
@@ -570,10 +568,7 @@ impl<'a> ThreadCtx<'a> {
             if granted {
                 break;
             }
-            shared.stats.counters.incr("faults.retried");
-            if let Some(m) = &shared.metrics {
-                m.node(node).incr("dsm.faults_retried");
-            }
+            shared.count(node, Counter::FaultsRetried, 1);
             // Deterministic per-thread jitter keeps retrying threads from
             // re-colliding in lockstep (the kernel's backoff has natural
             // jitter from scheduling).
@@ -604,21 +599,15 @@ impl<'a> ThreadCtx<'a> {
         // not a consistency-protocol fault, and is reported separately.
         let minor = origin_inline && rounds == 1;
         if minor {
-            shared.stats.counters.incr("faults.minor");
+            shared.count(node, Counter::FaultsMinor, 1);
         } else {
-            shared.stats.counters.incr(if is_write {
-                "faults.write"
+            let kind = if is_write {
+                Counter::FaultsWrite
             } else {
-                "faults.read"
-            });
-            shared.stats.fault_hist.record(ctx.now() - t0);
-            if let Some(m) = &shared.metrics {
-                m.node(node).incr(if is_write {
-                    "dsm.faults_write"
-                } else {
-                    "dsm.faults_read"
-                });
-            }
+                Counter::FaultsRead
+            };
+            shared.count(node, kind, 1);
+            shared.fault_hist.record(ctx.now() - t0);
         }
         if let Some(id) = fault_span {
             let tag = shared.tag_for(node, addr);
@@ -755,7 +744,7 @@ impl<'a> ThreadCtx<'a> {
         let shared = &self.shared;
         let t0 = self.sim.now();
         let span = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
-        shared.stats.counters.incr("futex.waits");
+        shared.count(self.node.get(), Counter::FutexWaits, 1);
         let result = self.at_origin(DelegatedOp::FutexWait { addr, expected }, span_ctx(span));
         if let Some(id) = span {
             shared.spans.record(Span {
@@ -784,7 +773,7 @@ impl<'a> ThreadCtx<'a> {
     pub fn futex_wake(&self, addr: VirtAddr, count: u32) -> i64 {
         self.record_race_event(RaceEventKind::FutexWake { addr });
         let shared = &self.shared;
-        shared.stats.counters.incr("futex.wakes");
+        shared.count(self.node.get(), Counter::FutexWakes, 1);
         let t0 = self.sim.now();
         let span = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
         let node = self.node.get();
@@ -977,12 +966,8 @@ impl<'a> ThreadCtx<'a> {
                 }
             }
         }
-        shared.stats.counters.add("prefetch.pages", granted);
-        shared.stats.counters.add("prefetch.denied", denied);
-        if let Some(m) = &shared.metrics {
-            m.node(node).add("prefetch.pages", granted);
-            m.node(node).add("prefetch.denied", denied);
-        }
+        shared.count(node, Counter::PrefetchPages, granted);
+        shared.count(node, Counter::PrefetchDenied, denied);
     }
 
     /// Picks the thread up off its fail-stopped node and re-homes it to
@@ -993,9 +978,9 @@ impl<'a> ThreadCtx<'a> {
     /// run on behalf of another thread.
     fn rehome_after_crash(&self) {
         let shared = &self.shared;
-        shared.stats.counters.incr("migrations.crash_rehomed");
-        shared.maybe_handle_crashes(self.sim);
         let old = self.node.get();
+        shared.count(old, Counter::MigrationsCrashRehomed, 1);
+        shared.maybe_handle_crashes(self.sim);
         shared.adjust_load(old, -1);
         shared.adjust_load(shared.origin, 1);
         self.node.set(shared.origin);
@@ -1033,7 +1018,7 @@ impl<'a> ThreadCtx<'a> {
             Err(WaitError::PeerCrashed(node)) => {
                 // The destination died before acking: the thread never
                 // left the origin, so it simply stays put.
-                shared.stats.counters.incr("migrations.dest_crashed");
+                shared.count(shared.origin, Counter::MigrationsDestCrashed, 1);
                 return Err(MigrateError::NodeCrashed { node });
             }
             Err(WaitError::OwnNodeCrashed) => {
@@ -1048,8 +1033,8 @@ impl<'a> ThreadCtx<'a> {
 
         let remote_side: SimDuration = phases.iter().map(|(_, d)| *d).sum();
         let first_on_node = phases.iter().any(|(name, _)| *name == "remote_worker");
-        shared.stats.counters.incr("migrations.forward");
-        shared.stats.migrations.lock().push(MigrationSample {
+        shared.count(shared.origin, Counter::MigrationsForward, 1);
+        shared.migrations.lock().push(MigrationSample {
             forward: true,
             first_on_node,
             origin_side: origin_cost,
@@ -1116,8 +1101,8 @@ impl<'a> ThreadCtx<'a> {
         shared.adjust_load(self.node.get(), -1);
         shared.adjust_load(shared.origin, 1);
         self.node.set(shared.origin);
-        shared.stats.counters.incr("migrations.backward");
-        shared.stats.migrations.lock().push(MigrationSample {
+        shared.count(node, Counter::MigrationsBackward, 1);
+        shared.migrations.lock().push(MigrationSample {
             forward: false,
             first_on_node: false,
             origin_side: shared.cost.backward_update,
@@ -1253,7 +1238,7 @@ impl<'a> ThreadCtx<'a> {
                     },
                 };
             }
-            shared.stats.counters.incr("delegations");
+            shared.count(node, Counter::Delegations, 1);
             // The id keys a queued FUTEX_WAIT waiter: its wake and the
             // crash clean-up below both need it.
             let mut req_id = 0;
@@ -1547,7 +1532,7 @@ fn broadcast_vma_op(ctx: &SimCtx, shared: &Arc<ProcessShared>, op: VmaOp) {
     if peers.is_empty() {
         return;
     }
-    shared.stats.counters.incr("vma.broadcasts");
+    shared.count(shared.origin, Counter::VmaBroadcasts, 1);
     let req_id = shared.new_req_id();
     let slot = shared.register(ctx, shared.origin, req_id, &peers);
     let endpoint = shared.fabric.endpoint(shared.origin);

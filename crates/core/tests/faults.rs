@@ -38,10 +38,10 @@ fn mixed_workload(config: ClusterConfig) -> RunReport {
 
 /// A fingerprint of everything observable about a run: virtual time, the
 /// full counter set, and the spans (which carry the fault record).
-fn fingerprint(report: &RunReport) -> (u64, Vec<(String, u64)>, String) {
+fn fingerprint(report: &RunReport) -> (u64, Vec<(&'static str, u64)>, String) {
     (
         report.virtual_time.as_nanos(),
-        report.process().stats.counters.snapshot(),
+        report.process().counters().totals(),
         format!("{:?}", report.spans),
     )
 }
@@ -156,7 +156,7 @@ fn crash_workload() -> (RunReport, dex_core::DsmVec<u64>) {
 fn node_crash_rehomes_threads_and_reclaims_pages() {
     let (report, late) = crash_workload();
     let shared = report.process();
-    let counters = &shared.stats.counters;
+    let counters = shared.counters();
     assert!(
         counters.get("migrations.crash_rehomed") >= 1,
         "the node-2 thread must have re-homed"
@@ -231,7 +231,7 @@ fn prefetch_waits_out_stalled_replies() {
     let first = stalled_prefetch_workload();
     let second = stalled_prefetch_workload();
     assert_eq!(fingerprint(&first), fingerprint(&second));
-    let counters = &first.process().stats.counters;
+    let counters = first.process().counters();
     // The VMA sync demand-faults the first page, so 15 pages are hinted.
     assert_eq!(
         counters.get("prefetch.pages") + counters.get("prefetch.denied"),
@@ -291,7 +291,7 @@ fn prefetch_survives_own_node_crash_and_rehomes() {
     let second = crashed_prefetch_workload();
     assert_eq!(fingerprint(&first), fingerprint(&second));
     let shared = first.process();
-    let counters = &shared.stats.counters;
+    let counters = shared.counters();
     assert!(
         counters.get("migrations.crash_rehomed") >= 1,
         "the prefetching thread must have re-homed"
@@ -366,7 +366,7 @@ fn contended_prefetch_denials_fall_back_to_faulting() {
     let first = contended_prefetch_workload();
     let second = contended_prefetch_workload();
     assert_eq!(fingerprint(&first), fingerprint(&second));
-    let counters = &first.process().stats.counters;
+    let counters = first.process().counters();
     // Each of the three threads demand-faults page 0 up front and hints
     // the remaining 7 pages.
     assert_eq!(
@@ -410,7 +410,7 @@ fn a_futex_wait_cut_short_by_a_crash_counts_once() {
     });
     assert_eq!(report.stats.futex_waits, 1);
     assert_eq!(report.stats.futex_wakes, 1);
-    let counters = &report.process().stats.counters;
+    let counters = report.process().counters();
     assert_eq!(counters.get("migrations.crash_rehomed"), 1);
 }
 
@@ -425,7 +425,7 @@ fn crash_mid_delegation(setup: impl FnOnce(&dex_core::DexProcess<'_>)) -> RunRep
     plan.stall(0, 1, ms(1), ms(10));
     plan.crash(1, ms(3));
     let report = Cluster::new(ClusterConfig::new(2).with_fault_plan(plan)).run(setup);
-    let counters = &report.process().stats.counters;
+    let counters = report.process().counters();
     assert_eq!(counters.get("delegations"), 1, "one remote attempt");
     assert_eq!(counters.get("migrations.crash_rehomed"), 1);
     report

@@ -3,8 +3,9 @@
 //! that enabling spans/metrics changes *nothing* about execution (the
 //! recorded schedule stays byte-identical).
 
-use dex_core::{Cluster, ClusterConfig, RunReport, SpanId, SpanKind};
+use dex_core::{Access, Cluster, ClusterConfig, Counter, RunReport, SpanId, SpanKind};
 use dex_net::NodeId;
+use dex_sim::{FaultPlan, SimDuration, SimTime};
 
 /// A deterministic workload exercising every instrumented path: forward
 /// migration, remote write faults, invalidation fan-out, futex
@@ -134,7 +135,7 @@ fn metrics_capture_faults_and_link_traffic() {
         .map(|(k, v)| (k.as_str(), *v))
         .collect();
     assert!(
-        node1.get("dsm.faults_write").copied().unwrap_or(0) > 0,
+        node1.get("faults.write").copied().unwrap_or(0) > 0,
         "remote write faults counted on node 1: {node1:?}"
     );
     assert!(
@@ -144,8 +145,152 @@ fn metrics_capture_faults_and_link_traffic() {
         "traffic on the 0<->1 links"
     );
     let rendered = snap.render();
-    assert!(rendered.contains("dsm.faults_write"));
+    assert!(rendered.contains("faults.write"));
 
     // Metrics off: the report carries none.
     assert!(run_workload(ClusterConfig::new(2)).metrics.is_none());
+}
+
+/// Asserts that each counter is recorded once, per node: every protocol
+/// and fabric total, and every `DexStats` field, is the sum of its
+/// per-node cells in the metrics snapshot, and per-link traffic sums to
+/// what the senders counted.
+fn assert_totals_are_per_node_sums(report: &RunReport) {
+    let snap = report.metrics.as_ref().expect("metrics on");
+    let node_sum = |name: &str| -> u64 {
+        let cells = snap.per_node.iter().flatten();
+        cells.filter(|(n, _)| n == name).map(|(_, v)| *v).sum()
+    };
+    let link_sum = |name: &str| -> u64 {
+        let cells = snap.per_link.iter().flat_map(|l| &l.counters);
+        cells.filter(|(n, _)| n == name).map(|(_, v)| *v).sum()
+    };
+    let shared = report.process();
+    let (process, fabric) = (shared.counters(), shared.fabric.counters());
+    for (name, total) in process.totals().into_iter().chain(fabric.totals()) {
+        assert_eq!(node_sum(name), total, "{name}: per-node cells vs total");
+    }
+    for (node, row) in snap.per_node.iter().enumerate() {
+        for (name, v) in row {
+            assert!(*v > 0, "{name}@node{node}: a zero row");
+            let total = process.get(name) + fabric.get(name);
+            assert!(
+                total >= *v,
+                "{name}@node{node} = {v} but the total is {total}"
+            );
+        }
+    }
+    for &counter in Counter::ALL {
+        let name = counter.name();
+        assert_eq!(node_sum(name), process.get(name), "{counter:?}");
+    }
+    for (name, field) in report.stats.by_counter() {
+        assert_eq!(node_sum(name), field, "DexStats field of {name}");
+    }
+    assert_eq!(link_sum("msgs"), report.stats.msgs_sent);
+    assert_eq!(link_sum("bytes"), report.stats.bytes_sent);
+    assert_eq!(
+        link_sum("verb.sends") + link_sum("rdma.pages"),
+        report.stats.msgs_sent
+    );
+    assert_eq!(link_sum("rdma.pages"), report.stats.pages_sent);
+    assert!(report.stats.write_faults > 0, "the run faulted");
+}
+
+/// Every non-origin node's thread migrates out, writes its slice of a
+/// shared vector, reads its neighbour's, takes a lock and comes home.
+fn spread_workload(cfg: ClusterConfig) -> RunReport {
+    let nodes = cfg.nodes;
+    Cluster::new(cfg).run(|p| {
+        let data = p.alloc_vec::<u64>(nodes * 512, "data");
+        let lock = p.new_mutex("lock");
+        for node in 1..nodes {
+            p.spawn(move |ctx| {
+                ctx.migrate(node as u16).expect("node exists");
+                for i in node * 512..(node + 1) * 512 {
+                    data.set(ctx, i, i as u64);
+                }
+                let _ = data.get(ctx, ((node + 1) % nodes) * 512);
+                lock.lock(ctx);
+                data.set(ctx, 0, data.get(ctx, 0) + 1);
+                lock.unlock(ctx);
+                ctx.migrate_back().expect("return home");
+            });
+        }
+    })
+}
+
+#[test]
+fn per_node_counts_sum_to_cluster_totals() {
+    let classic = spread_workload(ClusterConfig::new(3).with_metrics());
+    assert_totals_are_per_node_sums(&classic);
+    assert_eq!(classic.stats.forward_migrations, 2);
+    assert!(classic.stats.invalidations > 0);
+
+    let sharded = spread_workload(
+        ClusterConfig::new(4)
+            .with_directory_shards(4)
+            .with_metrics(),
+    );
+    assert_totals_are_per_node_sums(&sharded);
+    assert_eq!(sharded.stats.forward_migrations, 3);
+
+    // Node 2 dies at 3 ms while a thread works there; it re-homes.
+    let mut plan = FaultPlan::default();
+    plan.crash(2, SimTime::ZERO + SimDuration::from_millis(3));
+    let crashed =
+        Cluster::new(ClusterConfig::new(3).with_fault_plan(plan).with_metrics()).run(|p| {
+            let data = p.alloc_vec_aligned::<u64>(4 * 512, "data");
+            p.spawn(move |ctx| {
+                ctx.migrate(2).expect("node 2 is up");
+                for i in 0..512 {
+                    data.set(ctx, i, 7);
+                }
+                ctx.compute_ops(16_000_000); // ~8 ms, spans the crash
+                for i in 0..data.len() {
+                    data.set(ctx, i, i as u64);
+                }
+                assert_eq!(ctx.node(), NodeId(0), "crashed off node 2, now home");
+            });
+        });
+    assert_totals_are_per_node_sums(&crashed);
+    let counters = crashed.process().counters();
+    assert_eq!(counters.get("faults.crashes_handled"), 1);
+    assert_eq!(counters.get("migrations.crash_rehomed"), 1);
+    assert!(
+        crashed
+            .process()
+            .fabric
+            .counters()
+            .get("faults.msgs_dropped")
+            > 0
+    );
+}
+
+#[test]
+fn a_counter_that_never_moved_has_no_row() {
+    let report = spread_workload(ClusterConfig::new(3).with_metrics());
+    let snap = report.metrics.as_ref().expect("metrics on");
+    let names = || snap.per_node.iter().flatten().map(|(n, _)| n.as_str());
+    assert!(
+        names().all(|n| !n.starts_with("prefetch.")),
+        "no prefetch ran: {:?}",
+        names().collect::<Vec<_>>()
+    );
+    assert_eq!(report.process().counters().get("prefetch.pages"), 0);
+
+    // A prefetch whose every page is granted denies nothing: no row.
+    let report = Cluster::new(ClusterConfig::new(2).with_metrics()).run(|p| {
+        let data = p.alloc_vec_aligned::<u64>(8 * 512, "data");
+        p.spawn(move |ctx| {
+            ctx.migrate(1).expect("node 1 exists");
+            ctx.prefetch(data.addr(), (data.len() * 8) as u64, Access::Read);
+        });
+    });
+    let counters = report.process().counters().totals();
+    assert!(counters.iter().any(|(n, _)| *n == "prefetch.pages"));
+    assert!(
+        counters.iter().all(|(n, _)| *n != "prefetch.denied"),
+        "{counters:?}"
+    );
 }

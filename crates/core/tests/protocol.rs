@@ -421,9 +421,9 @@ fn migrate_to_data_follows_the_writer() {
             assert_eq!(dest, NodeId(2));
             assert_eq!(ctx.node(), NodeId(2));
             // The read is now node-local: no new protocol fault.
-            let before = ctx.process().stats.counters.get("faults.read");
+            let before = ctx.process().counters().get("faults.read");
             assert_eq!(cell.get(ctx), 41);
-            let after = ctx.process().stats.counters.get("faults.read");
+            let after = ctx.process().counters().get("faults.read");
             assert_eq!(before, after, "access after relocation must be local");
             ready.wait(ctx);
         });

@@ -7,10 +7,10 @@ use dex_core::{Cluster, ClusterConfig, RunReport};
 
 /// The fault-suite fingerprint: virtual time, the full counter set, and
 /// the spans (which carry the fault record).
-fn fingerprint(report: &RunReport) -> (u64, Vec<(String, u64)>, String) {
+fn fingerprint(report: &RunReport) -> (u64, Vec<(&'static str, u64)>, String) {
     (
         report.virtual_time.as_nanos(),
-        report.process().stats.counters.snapshot(),
+        report.process().counters().totals(),
         format!("{:?}", report.spans),
     )
 }
@@ -80,7 +80,7 @@ fn sharded_pingpong_is_deterministic_and_correct() {
 #[test]
 fn sharded_pingpong_takes_the_two_hop_path() {
     let (report, _) = pingpong_workload(ClusterConfig::new(3).with_directory_shards(3));
-    let counters = &report.process().stats.counters;
+    let counters = report.process().counters();
     assert!(
         counters.get("protocol.forwards") >= 1,
         "pages homed off-owner must be granted via owner forwarding"
@@ -96,7 +96,7 @@ fn sharded_pingpong_takes_the_two_hop_path() {
     );
     // The classic run never touches any of the forwarded machinery.
     let (classic, _) = pingpong_workload(ClusterConfig::new(3));
-    let classic_counters = &classic.process().stats.counters;
+    let classic_counters = classic.process().counters();
     assert_eq!(classic_counters.get("protocol.forwards"), 0);
     assert_eq!(classic_counters.get("protocol.invalidate_batches"), 0);
 }
@@ -119,7 +119,7 @@ fn sharded_prefetch_grants_across_homes() {
             }
         });
     });
-    let counters = &report.process().stats.counters;
+    let counters = report.process().counters();
     // Pages homed on node 1 are excluded from the hint (the local fault
     // path serves them); the rest resolve exactly once.
     assert!(

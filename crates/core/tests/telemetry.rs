@@ -164,7 +164,7 @@ fn pingpong_workload_raises_a_page_pingpong_alarm() {
     assert!(series
         .counters
         .iter()
-        .any(|p| p.name == "dsm.faults_write" && p.delta > 0));
+        .any(|p| p.name == "faults.write" && p.delta > 0));
 }
 
 #[test]

@@ -24,7 +24,7 @@
 //!
 //! # Fault injection
 //!
-//! A fabric built with [`Fabric::with_faults`] consults a
+//! A fabric built with [`Fabric::with_instrumentation`] consults a
 //! [`dex_sim::FaultPlan`] on every send and receive: link faults add
 //! delivery delay, and from a node's crash instant onward the fabric drops
 //! every message it sends (at the source, before any buffer accounting)
@@ -33,15 +33,14 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use dex_sim::{Counters, FaultPlan, Resource, SimCtx, SimTime, ThreadId};
+use dex_sim::{FaultPlan, Resource, SimCtx, SimTime, ThreadId};
 
 use crate::config::{NetConfig, RdmaStrategy};
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{CounterTable, LinkCounter, MetricsRegistry, NodeCounter};
 use crate::pool::{CreditPool, TimedPool};
 
 /// Identifies a node in the cluster.
@@ -148,8 +147,6 @@ struct Link {
     /// Latest delivery time handed out on this link; RC ordering is
     /// enforced by clamping each new delivery time to be no earlier.
     last_deliver: Mutex<SimTime>,
-    bytes: AtomicU64,
-    messages: AtomicU64,
 }
 
 impl Link {
@@ -160,8 +157,6 @@ impl Link {
             recv_pool: CreditPool::new(config.recv_pool_chunks),
             sink: CreditPool::new(config.rdma_sink_chunks),
             last_deliver: Mutex::new(SimTime::ZERO),
-            bytes: AtomicU64::new(0),
-            messages: AtomicU64::new(0),
         }
     }
 }
@@ -286,78 +281,59 @@ pub struct Fabric<M> {
     /// Cached `!plan.is_empty()`: an empty plan disables fault handling
     /// entirely so clean runs stay bit-identical to plan-free runs.
     faults_enabled: bool,
-    counters: Counters,
-    /// What every message counts, not yet added to `counters`:
-    /// [`Fabric::counters`] moves it there, so the per-message path pays an
-    /// atomic add and not a map lookup under a lock.
-    msgs_sent: AtomicU64,
-    bytes_sent: AtomicU64,
-    pages_sent: AtomicU64,
-    msgs_received: AtomicU64,
-    /// Optional per-node/per-link metrics. `None` (the default) keeps
-    /// the hot path at a single test per instrumentation point.
-    metrics: Option<Arc<MetricsRegistry>>,
+    /// Where the fabric counts its traffic, per node and per link.
+    metrics: Arc<MetricsRegistry>,
 }
 
 impl<M: WireMessage> Fabric<M> {
     /// Builds the fabric for `nodes` nodes: one RC connection per ordered
-    /// pair, with pools sized from `config`.
+    /// pair, with pools sized from `config`, no faults and no histograms.
     ///
     /// # Panics
     ///
-    /// Panics if `nodes` is zero.
+    /// As [`Fabric::with_instrumentation`].
     pub fn new(config: NetConfig, nodes: usize) -> Arc<Self> {
-        Self::with_faults(config, nodes, FaultPlan::new())
+        let counters_only = MetricsRegistry::with_histogram_cap(nodes, 0);
+        Self::with_instrumentation(config, nodes, FaultPlan::new(), counters_only)
     }
 
-    /// Builds the fabric with a fault-injection plan (see the module docs).
-    /// An empty plan behaves exactly like [`Fabric::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is zero.
-    pub fn with_faults(config: NetConfig, nodes: usize, plan: FaultPlan) -> Arc<Self> {
-        Self::with_instrumentation(config, nodes, plan, None)
-    }
-
-    /// Builds the fabric with a fault plan and an optional
-    /// [`MetricsRegistry`] receiving per-node/per-link traffic counters
-    /// and pool/credit wait histograms. Metrics recording is pure
+    /// Builds the fabric with a fault-injection plan (see the module docs;
+    /// an empty plan disables the layer), counting into `metrics`: its
+    /// per-node and per-link traffic counters, and its pool/credit wait
+    /// histograms if it keeps them. Metrics recording is pure
     /// bookkeeping: the instrumented schedule is identical to the bare
     /// one.
     ///
     /// # Panics
     ///
-    /// Panics if `nodes` is zero, or if a registry is supplied whose
-    /// node count differs from `nodes`.
+    /// Panics if `nodes` is zero, if the registry's node count differs
+    /// from `nodes`, or if a bandwidth or a pool size in `config` is zero.
     pub fn with_instrumentation(
         config: NetConfig,
         nodes: usize,
         plan: FaultPlan,
-        metrics: Option<Arc<MetricsRegistry>>,
+        metrics: Arc<MetricsRegistry>,
     ) -> Arc<Self> {
         assert!(nodes > 0, "fabric needs at least one node");
-        if let Some(m) = &metrics {
-            assert_eq!(m.nodes(), nodes, "metrics registry sized for the fabric");
-        }
+        assert_eq!(metrics.nodes(), nodes, "registry sized for the fabric");
+        // A zero rate would charge every copy `u64::MAX` ns.
+        assert!(config.memcpy_bytes_per_sec > 0, "memcpy bandwidth is zero");
         let mut links = Vec::with_capacity(nodes * nodes);
         for src in 0..nodes {
             for dst in 0..nodes {
                 links.push((src != dst).then(|| Link::new(&config)));
             }
         }
-        let counters = Counters::new();
         // Account one-time setup work: every chunk of every pool is
         // DMA-mapped at boot; every sink chunk is registered as an RDMA MR.
-        let pairs = (nodes * nodes.saturating_sub(1)) as u64;
-        counters.add(
-            "setup.dma_mappings",
-            pairs * (config.send_pool_chunks + config.recv_pool_chunks) as u64,
-        );
-        counters.add(
-            "setup.mr_registrations",
-            pairs * config.rdma_sink_chunks as u64,
-        );
+        let peers = nodes as u64 - 1;
+        for n in 0..nodes {
+            let node = NodeId::from(n);
+            let pools = (config.send_pool_chunks + config.recv_pool_chunks) as u64;
+            metrics.count(node, NodeCounter::SetupDmaMappings, peers * pools);
+            let sinks = config.rdma_sink_chunks as u64;
+            metrics.count(node, NodeCounter::SetupMrRegistrations, peers * sinks);
+        }
         let faults_enabled = !plan.is_empty();
         Arc::new(Fabric {
             config,
@@ -366,11 +342,6 @@ impl<M: WireMessage> Fabric<M> {
             inboxes: (0..nodes).map(|_| Inbox::new()).collect(),
             plan,
             faults_enabled,
-            counters,
-            msgs_sent: AtomicU64::new(0),
-            bytes_sent: AtomicU64::new(0),
-            pages_sent: AtomicU64::new(0),
-            msgs_received: AtomicU64::new(0),
             metrics,
         })
     }
@@ -380,9 +351,9 @@ impl<M: WireMessage> Fabric<M> {
         &self.plan
     }
 
-    /// The attached metrics registry, if any.
-    pub fn metrics(&self) -> Option<&Arc<MetricsRegistry>> {
-        self.metrics.as_ref()
+    /// The registry the fabric counts into.
+    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
+        &self.metrics
     }
 
     /// Whether a non-empty fault plan is active.
@@ -394,17 +365,6 @@ impl<M: WireMessage> Fabric<M> {
     /// Always `false` without a plan.
     pub fn node_crashed(&self, node: NodeId, at: SimTime) -> bool {
         self.faults_enabled && self.plan.crashed(node.0, at)
-    }
-
-    /// Pool chunks actually allocated at boot, as
-    /// `(dma_mapped_chunks, mr_registered_chunks)` — what the
-    /// `setup.dma_mappings` / `setup.mr_registrations` counters claim.
-    pub fn allocated_setup_chunks(&self) -> (u64, u64) {
-        let real_links = self.links.iter().flatten().count() as u64;
-        (
-            real_links * (self.config.send_pool_chunks + self.config.recv_pool_chunks) as u64,
-            real_links * self.config.rdma_sink_chunks as u64,
-        )
     }
 
     /// Number of nodes in the fabric.
@@ -439,50 +399,13 @@ impl<M: WireMessage> Fabric<M> {
             .as_ref()
             .expect("self-links have no RC connection")
     }
-
-    /// Per-directed-link traffic so far: `(messages, bytes)` sent from
-    /// `src` to `dst` — the node-to-node traffic matrix analysts plot.
-    /// Self-links carry no traffic by construction.
-    pub fn link_traffic(&self, src: NodeId, dst: NodeId) -> (u64, u64) {
-        match &self.links[src.0 as usize * self.nodes + dst.0 as usize] {
-            None => (0, 0),
-            Some(link) => (
-                link.messages.load(Ordering::Relaxed),
-                link.bytes.load(Ordering::Relaxed),
-            ),
-        }
-    }
-
-    /// The full traffic matrix, indexed `[src][dst]`, as `(messages,
-    /// bytes)` tuples.
-    pub fn traffic_matrix(&self) -> Vec<Vec<(u64, u64)>> {
-        (0..self.nodes as u16)
-            .map(|s| {
-                (0..self.nodes as u16)
-                    .map(|d| self.link_traffic(NodeId(s), NodeId(d)))
-                    .collect()
-            })
-            .collect()
-    }
 }
 
 impl<M> Fabric<M> {
-    /// Traffic counters (`msgs.sent`, `bytes.sent`, `pages.sent`, ...), up
-    /// to date as of this call.
-    pub fn counters(&self) -> &Counters {
-        for (name, pending) in [
-            ("msgs.sent", &self.msgs_sent),
-            ("bytes.sent", &self.bytes_sent),
-            ("pages.sent", &self.pages_sent),
-            ("msgs.received", &self.msgs_received),
-        ] {
-            // A counter never bumped stays absent from the snapshot.
-            match pending.swap(0, Ordering::Relaxed) {
-                0 => {}
-                n => self.counters.add(name, n),
-            }
-        }
-        &self.counters
+    /// The fabric's per-node counters (`msgs.sent`, `bytes.sent`,
+    /// `pages.sent`, ...); `get` and `totals` sum them over nodes.
+    pub fn counters(&self) -> &CounterTable {
+        &self.metrics.node
     }
 }
 
@@ -490,7 +413,7 @@ impl<M> std::fmt::Debug for Fabric<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Fabric")
             .field("nodes", &self.nodes)
-            .field("counters", self.counters())
+            .field("counters", &self.counters().totals())
             .finish()
     }
 }
@@ -548,54 +471,38 @@ impl<M: WireMessage> Endpoint<M> {
         assert_ne!(self.node, dst, "loopback send on the fabric");
         let fabric = &self.fabric;
         let cfg = &fabric.config;
-        let metrics = fabric.metrics.as_deref();
+        let metrics = &*fabric.metrics;
         let sent_at = ctx.now();
         // A crashed endpoint neither sends nor receives: drop before any
         // counter or buffer accounting so dead links stay quiet.
         if fabric.faults_enabled
             && (fabric.plan.crashed(self.node.0, sent_at) || fabric.plan.crashed(dst.0, sent_at))
         {
-            fabric.counters.incr("faults.msgs_dropped");
+            metrics.count(self.node, NodeCounter::MsgsDropped, 1);
             return;
         }
         let link = fabric.link(self.node, dst);
         let control = HEADER_BYTES + msg.control_bytes();
         let page = msg.page_bytes();
 
-        fabric.msgs_sent.fetch_add(1, Ordering::Relaxed);
-        fabric
-            .bytes_sent
-            .fetch_add((control + page) as u64, Ordering::Relaxed);
-        link.messages.fetch_add(1, Ordering::Relaxed);
-        link.bytes
-            .fetch_add((control + page) as u64, Ordering::Relaxed);
-        if let Some(m) = metrics {
-            m.node(self.node).incr("msgs.sent");
-            m.node(self.node).add("bytes.sent", (control + page) as u64);
-            let l = m.link(self.node, dst);
-            l.incr("msgs");
-            l.add("bytes", (control + page) as u64);
-            if page == 0 {
-                l.incr("verb.sends");
-            } else {
-                l.incr("rdma.pages");
-            }
-        }
+        let bytes = (control + page) as u64;
+        metrics.count(self.node, NodeCounter::MsgsSent, 1);
+        metrics.count(self.node, NodeCounter::BytesSent, bytes);
+        metrics.count_link(self.node, dst, LinkCounter::Msgs, 1);
+        metrics.count_link(self.node, dst, LinkCounter::Bytes, bytes);
 
         let (wire_bytes, extra_latency, recv_copy_bytes, sink_credit) = if page == 0 {
             // VERB control path: compose into a pre-mapped pool chunk.
+            metrics.count_link(self.node, dst, LinkCounter::VerbSends, 1);
             (control, cfg.verb_latency, 0, None)
         } else {
-            fabric.pages_sent.fetch_add(1, Ordering::Relaxed);
+            metrics.count(self.node, NodeCounter::PagesSent, 1);
+            metrics.count_link(self.node, dst, LinkCounter::RdmaPages, 1);
             match cfg.rdma_strategy {
                 RdmaStrategy::SinkCopy => {
                     // Wait for a sink chunk at the receiver, then RDMA-write
                     // into it; the receiver drains it with one memcpy.
-                    let t0 = metrics.map(|_| ctx.now());
-                    link.sink.acquire(ctx);
-                    if let (Some(m), Some(t0)) = (metrics, t0) {
-                        m.observe("net.sink_credit_wait", self.node, ctx.now() - t0);
-                    }
+                    self.timed(ctx, "net.sink_credit_wait", || link.sink.acquire(ctx));
                     (
                         control + page,
                         cfg.verb_latency + cfg.rdma_extra_latency,
@@ -605,7 +512,7 @@ impl<M: WireMessage> Endpoint<M> {
                 }
                 RdmaStrategy::PerPageRegistration => {
                     // Register the final destination as an MR every time.
-                    fabric.counters.incr("mr.registrations");
+                    metrics.count(self.node, NodeCounter::MrRegistrations, 1);
                     ctx.advance(cfg.mr_register_cost);
                     (
                         control + page,
@@ -623,11 +530,7 @@ impl<M: WireMessage> Endpoint<M> {
             }
         };
 
-        let t0 = metrics.map(|_| ctx.now());
-        let grant = link.send_pool.acquire(ctx);
-        if let (Some(m), Some(t0)) = (metrics, t0) {
-            m.observe("net.send_pool_wait", self.node, ctx.now() - t0);
-        }
+        let grant = self.timed(ctx, "net.send_pool_wait", || link.send_pool.acquire(ctx));
         ctx.advance(cfg.memcpy_time(control));
         let finish = link.wire.reserve_bytes(ctx.now(), wire_bytes as u64);
         link.send_pool.hold(ctx, grant, finish);
@@ -643,11 +546,7 @@ impl<M: WireMessage> Endpoint<M> {
             deliver_at = deliver_at.max(*last);
             *last = deliver_at;
         }
-        let t0 = metrics.map(|_| ctx.now());
-        link.recv_pool.acquire(ctx);
-        if let (Some(m), Some(t0)) = (metrics, t0) {
-            m.observe("net.recv_credit_wait", self.node, ctx.now() - t0);
-        }
+        self.timed(ctx, "net.recv_credit_wait", || link.recv_pool.acquire(ctx));
         fabric.inboxes[dst.0 as usize].push(
             ctx,
             Envelope {
@@ -660,6 +559,18 @@ impl<M: WireMessage> Endpoint<M> {
                 sink_credit,
             },
         );
+    }
+
+    /// Runs `wait`, recording how long it took into the histogram `name`
+    /// if the registry keeps histograms (a sample costs two clock reads).
+    fn timed<T>(&self, ctx: &SimCtx, name: &str, wait: impl FnOnce() -> T) -> T {
+        let metrics = &self.fabric.metrics;
+        let t0 = metrics.records_histograms().then(|| ctx.now());
+        let out = wait();
+        if let Some(t0) = t0 {
+            metrics.observe(name, self.node, ctx.now() - t0);
+        }
+        out
     }
 
     /// Receives the next message addressed to this node — the one with the
@@ -765,10 +676,9 @@ impl<M: WireMessage> Endpoint<M> {
         }
         // Repost the receive work request.
         env.recv_credit.release(ctx);
-        self.fabric.msgs_received.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &self.fabric.metrics {
-            m.node(self.node).incr("msgs.received");
-        }
+        self.fabric
+            .metrics
+            .count(self.node, NodeCounter::MsgsReceived, 1);
         Delivery {
             src: env.src,
             msg: env.msg,
@@ -788,6 +698,7 @@ impl<M> std::fmt::Debug for Endpoint<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SeriesScope;
     use dex_sim::{Engine, SimDuration};
     use parking_lot::Mutex;
 
@@ -803,6 +714,11 @@ mod tests {
         fn page_bytes(&self) -> usize {
             self.page
         }
+    }
+
+    fn with_plan(nodes: usize, plan: FaultPlan) -> Arc<Fabric<TestMsg>> {
+        let counters_only = MetricsRegistry::with_histogram_cap(nodes, 0);
+        Fabric::with_instrumentation(NetConfig::default(), nodes, plan, counters_only)
     }
 
     fn fabric_with(strategy: RdmaStrategy, nodes: usize) -> Arc<Fabric<TestMsg>> {
@@ -978,8 +894,8 @@ mod tests {
         assert!(fabric.counters().get("bytes.sent") > 4096);
         // Only what was counted has a name: a fabric that carried nothing
         // reports its setup work and no traffic counter.
-        let names = |f: &Fabric<TestMsg>| -> Vec<String> {
-            f.counters().snapshot().into_iter().map(|c| c.0).collect()
+        let names = |f: &Fabric<TestMsg>| -> Vec<&str> {
+            f.counters().totals().into_iter().map(|c| c.0).collect()
         };
         let idle = fabric_with(RdmaStrategy::SinkCopy, 3);
         assert_eq!(
@@ -1005,15 +921,23 @@ mod tests {
         engine.spawn_daemon("b", move |ctx| while b.recv(ctx).is_some() {});
         engine.spawn_daemon("c", move |ctx| while c.recv(ctx).is_some() {});
         engine.run().unwrap();
-        let (m01, b01) = fabric.link_traffic(NodeId(0), NodeId(1));
-        let (m02, _) = fabric.link_traffic(NodeId(0), NodeId(2));
-        let (m10, _) = fabric.link_traffic(NodeId(1), NodeId(0));
-        assert_eq!(m01, 2);
-        assert!(b01 > 4096, "page payload counted: {b01}");
-        assert_eq!(m02, 1);
-        assert_eq!(m10, 0, "links are directed");
-        let matrix = fabric.traffic_matrix();
-        assert_eq!(matrix[0][1].0, 2);
+        let link = |s: u16, d: u16, name: &str| {
+            let counts = fabric.metrics().counts(SeriesScope::Link(s, d));
+            counts.into_iter().find(|c| c.0 == name).map_or(0, |c| c.1)
+        };
+        assert_eq!(link(0, 1, "msgs"), 2);
+        assert!(link(0, 1, "bytes") > 4096, "page payload counted");
+        assert_eq!((link(0, 1, "verb.sends"), link(0, 1, "rdma.pages")), (1, 1));
+        assert_eq!(link(0, 2, "msgs"), 1);
+        let reverse = fabric.metrics().counts(SeriesScope::Link(1, 0));
+        assert!(reverse.is_empty(), "links are directed");
+        // Per-link traffic sums to the per-node totals.
+        let c = fabric.counters();
+        assert_eq!(link(0, 1, "msgs") + link(0, 2, "msgs"), c.get("msgs.sent"));
+        assert_eq!(
+            link(0, 1, "bytes") + link(0, 2, "bytes"),
+            c.get("bytes.sent")
+        );
     }
 
     #[test]
@@ -1086,7 +1010,11 @@ mod tests {
         // nodes×(nodes−1) ordered pairs.
         for nodes in [1usize, 2, 3, 5] {
             let fabric = fabric_with(RdmaStrategy::SinkCopy, nodes);
-            let (dma, mr) = fabric.allocated_setup_chunks();
+            // What was allocated: the pools of every real link.
+            let links = fabric.links.iter().flatten().count() as u64;
+            let cfg = &fabric.config;
+            let dma = links * (cfg.send_pool_chunks + cfg.recv_pool_chunks) as u64;
+            let mr = links * cfg.rdma_sink_chunks as u64;
             assert_eq!(
                 fabric.counters().get("setup.dma_mappings"),
                 dma,
@@ -1111,7 +1039,7 @@ mod tests {
             SimTime::from_nanos(1_000),
             SimDuration::from_micros(100),
         );
-        let fabric = Fabric::<TestMsg>::with_faults(NetConfig::default(), 2, plan);
+        let fabric = with_plan(2, plan);
         let tx = fabric.endpoint(NodeId(0));
         let rx = fabric.endpoint(NodeId(1));
         engine.spawn("tx", move |ctx| {
@@ -1133,7 +1061,7 @@ mod tests {
         let engine = Engine::new();
         let mut plan = FaultPlan::new();
         plan.crash(1, SimTime::from_nanos(5_000));
-        let fabric = Fabric::<TestMsg>::with_faults(NetConfig::default(), 3, plan);
+        let fabric = with_plan(3, plan);
         let a = fabric.endpoint(NodeId(0));
         let dead = fabric.endpoint(NodeId(1));
         let dead_rx = fabric.endpoint(NodeId(1));
@@ -1181,7 +1109,7 @@ mod tests {
     fn metrics_registry_observes_per_node_and_per_link_traffic() {
         use crate::metrics::MetricsRegistry;
 
-        fn run(metrics: Option<Arc<MetricsRegistry>>) -> u64 {
+        fn run(metrics: Arc<MetricsRegistry>) -> u64 {
             let engine = Engine::new();
             let fabric = Fabric::<TestMsg>::with_instrumentation(
                 NetConfig::default(),
@@ -1202,8 +1130,8 @@ mod tests {
         }
 
         let registry = MetricsRegistry::new(3);
-        let instrumented = run(Some(Arc::clone(&registry)));
-        let bare = run(None);
+        let instrumented = run(Arc::clone(&registry));
+        let bare = run(MetricsRegistry::with_histogram_cap(3, 0));
         assert_eq!(instrumented, bare, "metrics must not perturb the schedule");
 
         let snap = registry.snapshot();
@@ -1219,6 +1147,18 @@ mod tests {
             .histograms
             .iter()
             .any(|h| h.name == "net.send_pool_wait" && h.node == 0 && h.count == 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "memcpy bandwidth is zero")]
+    fn zero_memcpy_bandwidth_is_rejected() {
+        // A zero rate used to charge every send `u64::MAX` ns and end the
+        // run at the end of time without an error.
+        let config = NetConfig {
+            memcpy_bytes_per_sec: 0,
+            ..NetConfig::default()
+        };
+        let _ = Fabric::<TestMsg>::new(config, 2);
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! * [`NetConfig`] / [`RdmaStrategy`] — the calibrated cost model, plus
 //!   the alternative page-transfer strategies (per-page registration,
 //!   VERB-only) used by the ablation benchmarks.
+//! * [`MetricsRegistry`] — the run's one counter store (per node, per
+//!   link) and its latency histograms.
 //!
 //! # Examples
 //!
@@ -49,8 +51,8 @@ mod series;
 pub use config::{NetConfig, RdmaStrategy, NET_COMPONENTS};
 pub use fabric::{Delivery, Endpoint, Fabric, NodeId, SpanContext, WireMessage, HEADER_BYTES};
 pub use metrics::{
-    HistogramStats, HistogramSummary, LinkMetrics, MetricsRegistry, MetricsSnapshot,
-    DEFAULT_HIST_CAP,
+    CounterTable, HistogramStats, HistogramSummary, LinkCounter, LinkMetrics, MetricsRegistry,
+    MetricsSnapshot, NodeCounter, DEFAULT_HIST_CAP,
 };
 pub use pool::{ChunkGrant, CreditPool, TimedPool};
 pub use series::{CounterPoint, HistPoint, SeriesBuilder, SeriesScope, TimeSeries, WindowPoints};

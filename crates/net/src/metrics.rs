@@ -1,50 +1,161 @@
-//! Per-cluster metrics: node- and link-dimensioned counters plus named
-//! latency histograms.
+//! The run's one counter store, plus named latency histograms.
 //!
-//! The fabric's built-in [`Counters`](dex_sim::Counters) aggregate over
-//! the whole cluster; the paper's profiling workflow (§IV) needs the
-//! *distribution* — which node retries, which link stalls on credits,
-//! where page traffic concentrates. A [`MetricsRegistry`] is attached to
-//! a run explicitly (`ClusterConfig::with_metrics` in `dex-core`) and is
-//! pure bookkeeping: recording into it never advances virtual time,
-//! parks, or sends, so an instrumented run takes exactly the same
+//! Every count is recorded once, at a node (or on a directed link), under
+//! one name spelled in a [`counter_set!`] enum; a cluster total is the sum
+//! of its per-node cells. Cells are fixed lock-free atomics, so a count
+//! is one relaxed add and no name lookup. Every run has a registry; the
+//! histograms are kept only on request (`ClusterConfig::with_metrics` in
+//! `dex-core`). Recording is pure bookkeeping: it never advances virtual
+//! time, parks, or sends, so an instrumented run takes exactly the same
 //! schedule as a bare one.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use dex_sim::{Counters, Histogram, SimDuration};
+use dex_sim::{Histogram, SimDuration};
 
 use crate::fabric::NodeId;
+use crate::series::SeriesScope;
 
-/// Node- and link-dimensioned counters and histograms for one cluster.
+/// Declares a set of counters: an enum whose variants index the cells of
+/// a [`CounterTable`], each with its name (also its first doc line), as
+/// `Variant = "name",`.
+#[macro_export]
+macro_rules! counter_set {
+    ($(#[$meta:meta])* $vis:vis enum $set:ident {
+        $($(#[$vmeta:meta])* $variant:ident = $name:literal,)*
+    }) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        $vis enum $set {
+            $(#[doc = concat!("`", $name, "`")] $(#[$vmeta])* $variant,)*
+        }
+
+        impl $set {
+            /// Every counter, in declaration order.
+            pub const ALL: &'static [Self] = &[$($set::$variant),*];
+            /// Their names, in the same order: a table's column names.
+            pub const NAMES: &'static [&'static str] = &[$($name),*];
+            /// The counter's name in snapshots, series and totals.
+            pub fn name(self) -> &'static str {
+                Self::NAMES[self as usize]
+            }
+        }
+    };
+}
+
+counter_set! {
+    /// What the fabric counts per node: the sender's, for a send.
+    pub enum NodeCounter {
+        MsgsSent = "msgs.sent",
+        /// Header and page payload included.
+        BytesSent = "bytes.sent",
+        PagesSent = "pages.sent",
+        MsgsReceived = "msgs.received",
+        /// Dropped because an endpoint had crashed.
+        MsgsDropped = "faults.msgs_dropped",
+        MrRegistrations = "mr.registrations",
+        /// Pool chunks DMA-mapped at boot for the node's outgoing links.
+        SetupDmaMappings = "setup.dma_mappings",
+        SetupMrRegistrations = "setup.mr_registrations",
+    }
+}
+
+counter_set! {
+    /// What the fabric counts per directed link.
+    pub enum LinkCounter {
+        Msgs = "msgs",
+        Bytes = "bytes",
+        VerbSends = "verb.sends",
+        RdmaPages = "rdma.pages",
+    }
+}
+
+/// One lock-free cell per counter of a [`counter_set!`] and row (a node,
+/// or a directed link). A counter that never moved is in no view.
+pub struct CounterTable {
+    names: &'static [&'static str],
+    /// Row-major `row * names.len() + counter`.
+    cells: Box<[AtomicU64]>,
+}
+
+impl CounterTable {
+    /// `rows` rows of the counters `names` (a set's `NAMES`), all zero.
+    pub fn new(names: &'static [&'static str], rows: usize) -> Self {
+        let cells = (0..rows * names.len()).map(|_| AtomicU64::new(0)).collect();
+        CounterTable { names, cells }
+    }
+
+    /// Adds `n` to counter number `counter` (`Variant as usize`) in `row`.
+    pub fn add(&self, row: usize, counter: usize, n: u64) {
+        let cell = &self.cells[row * self.names.len() + counter];
+        cell.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// The counters of `row` that moved, as `(name, value)`.
+    pub fn row(&self, row: usize) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        let width = self.names.len();
+        let cells = self.cells[row * width..(row + 1) * width].iter();
+        let named = self.names.iter().copied().zip(cells);
+        named
+            .map(|(n, c)| (n, c.load(Ordering::Relaxed)))
+            .filter(|c| c.1 > 0)
+    }
+
+    /// The counter `name` summed over the rows (zero if it never moved).
+    pub fn get(&self, name: &str) -> u64 {
+        let rows = self.totals().into_iter();
+        rows.filter(|(n, _)| *n == name).map(|(_, v)| v).sum()
+    }
+
+    /// Every counter that moved, summed over the rows, sorted by name.
+    pub fn totals(&self) -> Vec<(&'static str, u64)> {
+        let rows = self.cells.len() / self.names.len();
+        sum_by_name((0..rows).flat_map(|r| self.row(r)))
+    }
+}
+
+/// Sums `(name, value)` pairs by name, sorted by name.
+fn sum_by_name(pairs: impl Iterator<Item = (&'static str, u64)>) -> Vec<(&'static str, u64)> {
+    let mut by_name = BTreeMap::new();
+    for (name, v) in pairs {
+        *by_name.entry(name).or_default() += v;
+    }
+    by_name.into_iter().collect()
+}
+
+/// The run's counters and histograms, dimensioned by node and link.
 ///
 /// # Examples
 ///
 /// ```
-/// use dex_net::{MetricsRegistry, NodeId};
+/// use dex_net::{LinkCounter, MetricsRegistry, NodeCounter, NodeId};
 /// use dex_sim::SimDuration;
 ///
 /// let m = MetricsRegistry::new(2);
-/// m.node(NodeId(1)).incr("faults");
-/// m.link(NodeId(0), NodeId(1)).add("bytes", 4096);
+/// m.count(NodeId(1), NodeCounter::MsgsSent, 1);
+/// m.count_link(NodeId(0), NodeId(1), LinkCounter::Bytes, 4096);
 /// m.observe("net.send_pool_wait", NodeId(0), SimDuration::from_micros(3));
 /// let snap = m.snapshot();
-/// assert_eq!(snap.per_node[1], vec![("faults".to_string(), 1)]);
+/// assert_eq!(snap.per_node[1], vec![("msgs.sent".to_string(), 1)]);
 /// ```
 pub struct MetricsRegistry {
     nodes: usize,
-    per_node: Vec<Counters>,
-    /// Row-major `src * nodes + dst`; the diagonal exists but stays
-    /// empty (loopback never touches the fabric).
-    per_link: Vec<Counters>,
+    /// The fabric's per-node counters.
+    pub(crate) node: CounterTable,
+    /// The fabric's per-link counters, row-major `src * nodes + dst`.
+    link: CounterTable,
+    /// Each process's per-node table, merged into the per-node views.
+    tables: Mutex<Vec<Arc<CounterTable>>>,
     hists: Mutex<HistTable>,
-    /// Maximum number of distinct `(name, node)` histogram keys. A buggy
-    /// caller interpolating identifiers into histogram names cannot grow
-    /// the registry without bound: past the cap, `observe` counts the
-    /// sample into [`HistTable::dropped`] and discards it.
+    /// Maximum number of distinct `(name, node)` histogram keys; zero
+    /// keeps no histograms. A buggy caller interpolating identifiers into
+    /// histogram names cannot grow the registry without bound: past the
+    /// cap, `observe` counts the sample into [`HistTable::dropped`] and
+    /// discards it.
     hist_cap: usize,
 }
 
@@ -63,8 +174,8 @@ struct HistTable {
 }
 
 impl MetricsRegistry {
-    /// Creates a registry for a cluster of `nodes` nodes, with the
-    /// default histogram-cardinality cap ([`DEFAULT_HIST_CAP`]).
+    /// A registry for `nodes` nodes keeping histograms under the default
+    /// cardinality cap ([`DEFAULT_HIST_CAP`]).
     ///
     /// # Panics
     ///
@@ -73,8 +184,8 @@ impl MetricsRegistry {
         Self::with_histogram_cap(nodes, DEFAULT_HIST_CAP)
     }
 
-    /// Creates a registry whose histogram table holds at most `cap`
-    /// distinct `(name, node)` keys.
+    /// A registry whose histogram table holds at most `cap` distinct
+    /// `(name, node)` keys; a zero cap keeps no histograms.
     ///
     /// # Panics
     ///
@@ -83,8 +194,9 @@ impl MetricsRegistry {
         assert!(nodes > 0, "metrics registry needs at least one node");
         Arc::new(MetricsRegistry {
             nodes,
-            per_node: (0..nodes).map(|_| Counters::new()).collect(),
-            per_link: (0..nodes * nodes).map(|_| Counters::new()).collect(),
+            node: CounterTable::new(NodeCounter::NAMES, nodes),
+            link: CounterTable::new(LinkCounter::NAMES, nodes * nodes),
+            tables: Mutex::new(Vec::new()),
             hists: Mutex::new(HistTable {
                 map: BTreeMap::new(),
                 dropped: 0,
@@ -99,30 +211,59 @@ impl MetricsRegistry {
         self.nodes
     }
 
-    /// The counter set of one node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is outside the cluster.
-    pub fn node(&self, node: NodeId) -> &Counters {
-        &self.per_node[node.0 as usize]
+    /// Whether [`MetricsRegistry::observe`] keeps samples.
+    pub fn records_histograms(&self) -> bool {
+        self.hist_cap > 0
     }
 
-    /// The counter set of the directed link `src → dst`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either endpoint is outside the cluster.
-    pub fn link(&self, src: NodeId, dst: NodeId) -> &Counters {
-        &self.per_link[src.0 as usize * self.nodes + dst.0 as usize]
+    /// Adds `n` to the fabric's `counter` at `node`.
+    pub fn count(&self, node: NodeId, counter: NodeCounter, n: u64) {
+        self.node.add(node.0 as usize, counter as usize, n);
+    }
+
+    /// Adds `n` to the fabric's `counter` on the link `src → dst`.
+    pub fn count_link(&self, src: NodeId, dst: NodeId, counter: LinkCounter, n: u64) {
+        self.link.add(self.link_row(src, dst), counter as usize, n);
+    }
+
+    fn link_row(&self, src: NodeId, dst: NodeId) -> usize {
+        assert!((dst.0 as usize) < self.nodes, "link outside the cluster");
+        src.0 as usize * self.nodes + dst.0 as usize
+    }
+
+    /// Adds a per-node table of the counters `names` (one process's)
+    /// whose rows join the per-node views.
+    pub fn add_node_table(&self, names: &'static [&'static str]) -> Arc<CounterTable> {
+        let table = Arc::new(CounterTable::new(names, self.nodes));
+        self.tables.lock().push(Arc::clone(&table));
+        table
+    }
+
+    /// Every counter of `scope` that moved; a node's are the fabric's and
+    /// every added table's, same names summed.
+    pub fn counts(&self, scope: SeriesScope) -> Vec<(&'static str, u64)> {
+        match scope {
+            SeriesScope::Node(n) => {
+                let tables = self.tables.lock();
+                let added = tables.iter().flat_map(|t| t.row(n as usize));
+                sum_by_name(self.node.row(n as usize).chain(added))
+            }
+            SeriesScope::Link(s, d) => {
+                sum_by_name(self.link.row(self.link_row(NodeId(s), NodeId(d))))
+            }
+        }
     }
 
     /// Records one duration sample into the histogram `name` at `node`
     /// (created on first use, subject to the cardinality cap: once the
     /// table holds `hist_cap` distinct keys, samples for *new* keys are
-    /// counted into [`MetricsRegistry::histograms_dropped`] and
-    /// discarded; existing keys keep recording).
+    /// counted into [`MetricsSnapshot::histograms_dropped`] and
+    /// discarded; existing keys keep recording). Without histograms the
+    /// sample is discarded uncounted.
     pub fn observe(&self, name: &str, node: NodeId, d: SimDuration) {
+        if !self.records_histograms() {
+            return;
+        }
         let hist = {
             let mut t = self.hists.lock();
             let key = (name.to_string(), node.0);
@@ -144,21 +285,12 @@ impl MetricsRegistry {
         hist.record(d);
     }
 
-    /// Samples discarded by [`MetricsRegistry::observe`] because their
-    /// `(name, node)` key would have exceeded the cardinality cap.
-    pub fn histograms_dropped(&self) -> u64 {
-        self.hists.lock().dropped
-    }
-
     /// Attaches the window tap: from now on every `observe`d sample is
     /// additionally buffered for [`MetricsRegistry::drain_window_samples`].
     /// Used by the continuous-telemetry sampler; pure bookkeeping, like
     /// the rest of the registry.
     pub fn enable_window_tap(&self) {
-        let mut t = self.hists.lock();
-        if t.tap.is_none() {
-            t.tap = Some(BTreeMap::new());
-        }
+        self.hists.lock().tap.get_or_insert_with(BTreeMap::new);
     }
 
     /// Takes every sample buffered since the last drain (or since
@@ -167,10 +299,7 @@ impl MetricsRegistry {
     /// the tap was never enabled.
     pub fn drain_window_samples(&self) -> BTreeMap<(String, u16), Vec<u64>> {
         let mut t = self.hists.lock();
-        match t.tap.as_mut() {
-            Some(tap) => std::mem::take(tap),
-            None => BTreeMap::new(),
-        }
+        t.tap.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// A point-in-time copy of every counter and histogram summary.
@@ -188,22 +317,30 @@ impl MetricsRegistry {
                 p99: h.percentile(99.0),
             }),
         };
+        let owned = |counts: Vec<(&str, u64)>| -> Vec<(String, u64)> {
+            counts
+                .into_iter()
+                .map(|(n, v)| (n.to_string(), v))
+                .collect()
+        };
         let t = self.hists.lock();
+        let histograms = t
+            .map
+            .iter()
+            .map(|((name, node), h)| summarize(name, *node, h));
         MetricsSnapshot {
             nodes: self.nodes,
-            per_node: self.per_node.iter().map(Counters::snapshot).collect(),
+            per_node: (0..self.nodes as u16)
+                .map(|n| owned(self.counts(SeriesScope::Node(n))))
+                .collect(),
             per_link: (0..self.nodes as u16)
                 .flat_map(|src| (0..self.nodes as u16).map(move |dst| (src, dst)))
                 .filter_map(|(src, dst)| {
-                    let counters = self.link(NodeId(src), NodeId(dst)).snapshot();
+                    let counters = owned(self.counts(SeriesScope::Link(src, dst)));
                     (!counters.is_empty()).then_some(LinkMetrics { src, dst, counters })
                 })
                 .collect(),
-            histograms: t
-                .map
-                .iter()
-                .map(|((name, node), h)| summarize(name, *node, h))
-                .collect(),
+            histograms: histograms.collect(),
             histograms_dropped: t.dropped,
         }
     }
@@ -284,18 +421,13 @@ impl MetricsSnapshot {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("metrics: {} nodes\n", self.nodes));
-        for (node, counters) in self.per_node.iter().enumerate() {
-            if counters.is_empty() {
-                continue;
-            }
-            out.push_str(&format!("  node {node}\n"));
+        let nodes = self.per_node.iter().enumerate();
+        let nodes = nodes.map(|(node, counters)| (format!("node {node}"), counters));
+        let links = self.per_link.iter();
+        let links = links.map(|l| (format!("link {} -> {}", l.src, l.dst), &l.counters));
+        for (scope, counters) in nodes.chain(links).filter(|(_, c)| !c.is_empty()) {
+            out.push_str(&format!("  {scope}\n"));
             for (name, v) in counters {
-                out.push_str(&format!("    {name:<28} {v}\n"));
-            }
-        }
-        for link in &self.per_link {
-            out.push_str(&format!("  link {} -> {}\n", link.src, link.dst));
-            for (name, v) in &link.counters {
                 out.push_str(&format!("    {name:<28} {v}\n"));
             }
         }
@@ -325,18 +457,51 @@ mod tests {
     #[test]
     fn counters_are_dimensioned_by_node_and_link() {
         let m = MetricsRegistry::new(3);
-        m.node(NodeId(0)).incr("faults");
-        m.node(NodeId(2)).add("faults", 2);
-        m.link(NodeId(0), NodeId(2)).add("bytes", 100);
-        m.link(NodeId(2), NodeId(0)).add("bytes", 7);
+        m.count(NodeId(0), NodeCounter::MsgsSent, 1);
+        m.count(NodeId(2), NodeCounter::MsgsSent, 2);
+        m.count_link(NodeId(0), NodeId(2), LinkCounter::Bytes, 100);
+        m.count_link(NodeId(2), NodeId(0), LinkCounter::Bytes, 7);
         let snap = m.snapshot();
-        assert_eq!(snap.per_node[0], vec![("faults".to_string(), 1)]);
+        assert_eq!(snap.per_node[0], vec![("msgs.sent".to_string(), 1)]);
         assert!(snap.per_node[1].is_empty());
-        assert_eq!(snap.per_node[2], vec![("faults".to_string(), 2)]);
+        assert_eq!(snap.per_node[2], vec![("msgs.sent".to_string(), 2)]);
         assert_eq!(snap.per_link.len(), 2, "only links with traffic");
         assert_eq!(snap.per_link[0].src, 0);
         assert_eq!(snap.per_link[0].dst, 2);
         assert_eq!(snap.per_link[1].counters, vec![("bytes".to_string(), 7)]);
+        assert_eq!(m.node.get("msgs.sent"), 3, "totals are sums");
+    }
+
+    #[test]
+    fn counters_accumulate_independently() {
+        let t = CounterTable::new(LinkCounter::NAMES, 1);
+        t.add(0, LinkCounter::Msgs as usize, 1);
+        t.add(0, LinkCounter::Msgs as usize, 2);
+        t.add(0, LinkCounter::Bytes as usize, 1);
+        t.add(0, LinkCounter::RdmaPages as usize, 0);
+        assert_eq!(
+            t.totals(),
+            [("bytes", 1), ("msgs", 3)],
+            "adding zero: no row"
+        );
+        assert_eq!((t.get("msgs"), t.get("rdma.pages")), (3, 0));
+    }
+
+    #[test]
+    fn added_tables_join_the_per_node_view() {
+        let m = MetricsRegistry::with_histogram_cap(2, 0);
+        let a = m.add_node_table(NodeCounter::NAMES);
+        let b = m.add_node_table(NodeCounter::NAMES);
+        a.add(1, NodeCounter::PagesSent as usize, 2);
+        b.add(1, NodeCounter::PagesSent as usize, 3);
+        m.count(NodeId(1), NodeCounter::MsgsSent, 1);
+        let node1 = m.counts(SeriesScope::Node(1));
+        assert_eq!(node1, [("msgs.sent", 1), ("pages.sent", 5)], "names sum");
+        assert!(m.counts(SeriesScope::Node(0)).is_empty());
+        assert_eq!(m.node.get("pages.sent"), 0, "the fabric's own table");
+        m.observe("wait", NodeId(0), SimDuration::from_micros(1));
+        assert!(!m.records_histograms());
+        assert!(m.snapshot().histograms.is_empty(), "counters-only registry");
     }
 
     #[test]
@@ -396,7 +561,6 @@ mod tests {
         m.observe("c", NodeId(0), SimDuration::from_micros(4));
         // Existing keys keep recording past the cap.
         m.observe("a", NodeId(0), SimDuration::from_micros(5));
-        assert_eq!(m.histograms_dropped(), 2);
         let snap = m.snapshot();
         assert_eq!(snap.histograms.len(), 2);
         assert_eq!(snap.histograms[0].count, 2, "key `a` kept recording");

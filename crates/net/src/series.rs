@@ -19,7 +19,6 @@ use std::sync::Arc;
 use dex_sim::{SimDuration, SimTime};
 
 use crate::metrics::MetricsRegistry;
-use crate::NodeId;
 
 /// What a [`CounterPoint`] is dimensioned by: one node, or one directed
 /// link.
@@ -48,7 +47,7 @@ pub struct CounterPoint {
     pub window: u64,
     /// The node or link the counter belongs to.
     pub scope: SeriesScope,
-    /// Counter name (e.g. `dsm.faults_write`, `bytes`).
+    /// Counter name (e.g. `faults.write`, `bytes`).
     pub name: String,
     /// Increment over this window.
     pub delta: u64,
@@ -128,8 +127,8 @@ pub struct SeriesBuilder {
     registry: Arc<MetricsRegistry>,
     window: SimDuration,
     next_window: u64,
-    prev_node: BTreeMap<(u16, String), u64>,
-    prev_link: BTreeMap<(u16, u16, String), u64>,
+    /// Each counter's value at the last boundary.
+    prev: BTreeMap<(SeriesScope, &'static str), u64>,
     counters: Vec<CounterPoint>,
     hists: Vec<HistPoint>,
 }
@@ -148,8 +147,7 @@ impl SeriesBuilder {
             registry,
             window,
             next_window: 0,
-            prev_node: BTreeMap::new(),
-            prev_link: BTreeMap::new(),
+            prev: BTreeMap::new(),
             counters: Vec::new(),
             hists: Vec::new(),
         }
@@ -169,37 +167,17 @@ impl SeriesBuilder {
         };
 
         let nodes = self.registry.nodes() as u16;
-        for node in 0..nodes {
-            for (name, value) in self.registry.node(NodeId(node)).snapshot() {
-                let prev = self
-                    .prev_node
-                    .insert((node, name.clone()), value)
-                    .unwrap_or(0);
+        let links = (0..nodes).flat_map(|s| (0..nodes).map(move |d| SeriesScope::Link(s, d)));
+        for scope in (0..nodes).map(SeriesScope::Node).chain(links) {
+            for (name, value) in self.registry.counts(scope) {
+                let prev = self.prev.insert((scope, name), value).unwrap_or(0);
                 if value > prev {
                     points.counters.push(CounterPoint {
                         window,
-                        scope: SeriesScope::Node(node),
-                        name,
+                        scope,
+                        name: name.to_string(),
                         delta: value - prev,
                     });
-                }
-            }
-        }
-        for src in 0..nodes {
-            for dst in 0..nodes {
-                for (name, value) in self.registry.link(NodeId(src), NodeId(dst)).snapshot() {
-                    let prev = self
-                        .prev_link
-                        .insert((src, dst, name.clone()), value)
-                        .unwrap_or(0);
-                    if value > prev {
-                        points.counters.push(CounterPoint {
-                            window,
-                            scope: SeriesScope::Link(src, dst),
-                            name,
-                            delta: value - prev,
-                        });
-                    }
                 }
             }
         }
@@ -264,21 +242,22 @@ impl std::fmt::Debug for SeriesBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{LinkCounter, NodeCounter, NodeId};
 
     #[test]
     fn counter_deltas_are_per_window() {
         let m = MetricsRegistry::new(2);
         let mut b = SeriesBuilder::new(Arc::clone(&m), SimDuration::from_micros(10));
-        m.node(NodeId(0)).add("faults", 3);
+        m.count(NodeId(0), NodeCounter::MsgsSent, 3);
         let w0 = b.sample();
-        m.node(NodeId(0)).add("faults", 2);
-        m.link(NodeId(0), NodeId(1)).add("bytes", 100);
+        m.count(NodeId(0), NodeCounter::MsgsSent, 2);
+        m.count_link(NodeId(0), NodeId(1), LinkCounter::Bytes, 100);
         let w1 = b.sample();
         assert_eq!(w0.counters.len(), 1);
         assert_eq!(w0.counters[0].delta, 3);
         assert_eq!(w1.counters.len(), 2);
-        let faults = w1.counters.iter().find(|p| p.name == "faults").unwrap();
-        assert_eq!(faults.delta, 2, "window 1 sees only the increment");
+        let sent = w1.counters.iter().find(|p| p.name == "msgs.sent").unwrap();
+        assert_eq!(sent.delta, 2, "window 1 sees only the increment");
         let bytes = w1.counters.iter().find(|p| p.name == "bytes").unwrap();
         assert_eq!(bytes.scope, SeriesScope::Link(0, 1));
         assert_eq!(bytes.delta, 100);
@@ -288,7 +267,7 @@ mod tests {
     fn idle_windows_produce_no_points() {
         let m = MetricsRegistry::new(1);
         let mut b = SeriesBuilder::new(Arc::clone(&m), SimDuration::from_micros(10));
-        m.node(NodeId(0)).incr("x");
+        m.count(NodeId(0), NodeCounter::MsgsSent, 1);
         b.sample();
         let idle = b.sample();
         assert!(idle.counters.is_empty() && idle.hists.is_empty());
@@ -316,9 +295,9 @@ mod tests {
     fn finish_closes_a_partial_tail_window() {
         let m = MetricsRegistry::new(1);
         let mut b = SeriesBuilder::new(Arc::clone(&m), SimDuration::from_micros(10));
-        m.node(NodeId(0)).incr("x");
+        m.count(NodeId(0), NodeCounter::MsgsSent, 1);
         b.sample();
-        m.node(NodeId(0)).incr("x");
+        m.count(NodeId(0), NodeCounter::MsgsSent, 1);
         let end = SimTime::from_nanos(15_000);
         let (series, tail) = b.finish(end);
         assert_eq!(series.windows, 2, "full window 0 plus partial window 1");
@@ -330,7 +309,7 @@ mod tests {
         // An empty tail is not counted as a window.
         let m = MetricsRegistry::new(1);
         let mut b = SeriesBuilder::new(Arc::clone(&m), SimDuration::from_micros(10));
-        m.node(NodeId(0)).incr("x");
+        m.count(NodeId(0), NodeCounter::MsgsSent, 1);
         b.sample();
         let (series, tail) = b.finish(SimTime::from_nanos(10_000));
         assert_eq!(series.windows, 1);

@@ -133,7 +133,7 @@ mod tests {
                 CounterPoint {
                     window: 0,
                     scope: SeriesScope::Node(1),
-                    name: "dsm.faults_write".into(),
+                    name: "faults.write".into(),
                     delta: 4,
                 },
                 CounterPoint {

@@ -284,7 +284,7 @@ mod tests {
                 CounterPoint {
                     window: 1,
                     scope: SeriesScope::Node(0),
-                    name: "dsm.faults_write".into(),
+                    name: "faults.write".into(),
                     delta: 4,
                 },
                 CounterPoint {
@@ -306,7 +306,7 @@ mod tests {
         };
         let json = export_chrome_trace_with_series(&[span(1, 0, 0, 3)], Some(&series));
         assert!(json.contains("\"ph\":\"C\""));
-        assert!(json.contains("\"name\":\"dsm.faults_write\""));
+        assert!(json.contains("\"name\":\"faults.write\""));
         assert!(json.contains("\"name\":\"link0>1 bytes\""));
         assert!(json.contains("\"name\":\"net.send_pool_wait p99 (ns)\""));
         // Window 0 of the node counter is an explicit zero; window 1 at

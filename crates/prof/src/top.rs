@@ -178,7 +178,7 @@ mod tests {
                 CounterPoint {
                     window: 1,
                     scope: SeriesScope::Node(0),
-                    name: "dsm.faults_write".into(),
+                    name: "faults.write".into(),
                     delta: 4,
                 },
                 CounterPoint {
@@ -210,7 +210,7 @@ mod tests {
     fn renders_counters_links_latency_and_health() {
         let text = render_top(&sample(), &[], None);
         assert!(text.contains("window 1/1"), "{text}");
-        assert!(text.contains("dsm.faults_write"));
+        assert!(text.contains("faults.write"));
         assert!(text.contains("msgs.sent"));
         assert!(text.contains("0>1"));
         assert!(text.contains("net.send_pool_wait"));

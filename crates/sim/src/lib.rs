@@ -20,7 +20,7 @@
 //! * [`SchedulePolicy`] — pluggable resolution of same-instant scheduling
 //!   ties and value choices, the hook systematic concurrency testing
 //!   (`dex-check explore`) drives alternative interleavings through.
-//! * [`Histogram`] / [`Counters`] — measurement collection.
+//! * [`Histogram`] — measurement collection.
 //! * [`codec`] — the one escaper, line reader and JSON reader every
 //!   recorded text artifact goes through.
 //!
@@ -71,5 +71,5 @@ pub use fault::{FaultPlan, LinkFault, LinkFaultKind, NodeCrash};
 pub use replay::{ReplayCursor, ScheduleLog, ScheduleStep};
 pub use resource::{MultiResource, Resource};
 pub use rng::SimRng;
-pub use stats::{Counters, Histogram};
+pub use stats::Histogram;
 pub use time::{SimDuration, SimTime};

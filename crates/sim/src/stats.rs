@@ -1,7 +1,5 @@
-//! Measurement utilities: sample histograms and named counters collected
-//! under virtual time.
+//! Measurement utilities: sample histograms collected under virtual time.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -200,66 +198,6 @@ impl std::fmt::Debug for Histogram {
     }
 }
 
-/// A set of named monotone counters.
-///
-/// # Examples
-///
-/// ```
-/// use dex_sim::Counters;
-///
-/// let c = Counters::new();
-/// c.add("page_faults", 3);
-/// c.incr("page_faults");
-/// assert_eq!(c.get("page_faults"), 4);
-/// assert_eq!(c.get("unknown"), 0);
-/// ```
-#[derive(Clone, Default)]
-pub struct Counters {
-    inner: Arc<Mutex<BTreeMap<String, u64>>>,
-}
-
-impl Counters {
-    /// Creates an empty counter set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `n` to the counter `name`, creating it at zero if absent.
-    pub fn add(&self, name: &str, n: u64) {
-        let mut inner = self.inner.lock();
-        if let Some(v) = inner.get_mut(name) {
-            *v += n;
-        } else {
-            inner.insert(name.to_string(), n);
-        }
-    }
-
-    /// Increments the counter `name` by one.
-    pub fn incr(&self, name: &str) {
-        self.add(name, 1);
-    }
-
-    /// Current value of `name` (zero if never touched).
-    pub fn get(&self, name: &str) -> u64 {
-        self.inner.lock().get(name).copied().unwrap_or(0)
-    }
-
-    /// Snapshot of every counter, sorted by name.
-    pub fn snapshot(&self) -> Vec<(String, u64)> {
-        self.inner
-            .lock()
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect()
-    }
-}
-
-impl std::fmt::Debug for Counters {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_map().entries(self.snapshot()).finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,19 +281,5 @@ mod tests {
         // An in-order append keeps the cache valid; still correct.
         h.record(us(40));
         assert_eq!(h.percentile(100.0), us(40));
-    }
-
-    #[test]
-    fn counters_accumulate_independently() {
-        let c = Counters::new();
-        c.incr("a");
-        c.add("a", 2);
-        c.incr("b");
-        assert_eq!(c.get("a"), 3);
-        assert_eq!(c.get("b"), 1);
-        assert_eq!(
-            c.snapshot(),
-            vec![("a".to_string(), 3), ("b".to_string(), 1)]
-        );
     }
 }

@@ -106,7 +106,7 @@ fn main() {
         println!("{line}");
     }
     // Spans and the sampled counter tracks export as ONE Perfetto
-    // trace: the ping-pong shows up as a sawtooth in dsm.faults_write
+    // trace: the ping-pong shows up as a sawtooth in faults.write
     // right under the span timeline.
     let chrome = export_chrome_trace_with_series(&packed.spans, packed.series.as_ref());
     let trace_path = std::env::temp_dir().join("dex-profiling-workflow.json");
@@ -117,10 +117,11 @@ fn main() {
         );
     }
 
-    // And the metrics registry counted the cluster-wide traffic.
+    // And the counter store saw every count once, per node and per
+    // link: the traffic and the protocol's faults and invalidations.
     if let Some(metrics) = &packed.metrics {
         println!("step 3: cluster metrics of the packed run\n");
-        for line in metrics.render().lines().take(14) {
+        for line in metrics.render().lines().take(32) {
             println!("{line}");
         }
         println!();
