@@ -660,7 +660,7 @@ fn cmd_metrics(args: &[String]) -> Result<bool, String> {
     }
     let ok = outcome.metrics_violations.is_empty();
     println!(
-        "metrics {}: every total is the sum of its per-node counters",
+        "metrics {}: every total is the sum of its per-node counters, and per-node fault counts match the fault spans",
         if ok { "PASS" } else { "FAIL" }
     );
     Ok(ok)

@@ -9,7 +9,7 @@
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use dex_os::VirtAddr;
+use dex_os::{VirtAddr, PAGE_SIZE};
 
 use crate::process::ProcessShared;
 use crate::thread::ThreadCtx;
@@ -213,21 +213,38 @@ impl<T: DsmScalar> DsmVec<T> {
         if values.is_empty() {
             return;
         }
-        let mut buf = vec![0u8; values.len() * T::BYTES];
-        for (i, v) in values.iter().enumerate() {
-            v.store(&mut buf[i * T::BYTES..(i + 1) * T::BYTES]);
+        // One page's worth of elements at a time: the input is never
+        // staged whole beside the frames it lands in.
+        let shared = proc_.shared_ref();
+        let per_chunk = Self::elems_per_page();
+        let mut buf = vec![0u8; per_chunk.min(values.len()) * T::BYTES];
+        for (c, chunk) in values.chunks(per_chunk).enumerate() {
+            for (i, v) in chunk.iter().enumerate() {
+                v.store(&mut buf[i * T::BYTES..(i + 1) * T::BYTES]);
+            }
+            shared.write_init(self.addr_of(c * per_chunk), &buf[..chunk.len() * T::BYTES]);
         }
-        proc_.shared_ref().write_init(self.base, &buf);
     }
 
     /// Reads the final, cluster-coherent contents (each page sourced from
     /// its current owner) — for result verification after a run.
     pub fn snapshot(&self, proc_: &impl ProcessRef) -> Vec<T> {
-        let mut buf = vec![0u8; self.len * T::BYTES];
-        proc_.shared_ref().read_coherent(self.base, &mut buf);
-        (0..self.len)
-            .map(|i| T::load(&buf[i * T::BYTES..(i + 1) * T::BYTES]))
-            .collect()
+        let shared = proc_.shared_ref();
+        let per_chunk = Self::elems_per_page();
+        let mut out = Vec::with_capacity(self.len);
+        let mut buf = vec![0u8; per_chunk.min(self.len) * T::BYTES];
+        for start in (0..self.len).step_by(per_chunk) {
+            let n = per_chunk.min(self.len - start);
+            shared.read_coherent(self.addr_of(start), &mut buf[..n * T::BYTES]);
+            out.extend((0..n).map(|i| T::load(&buf[i * T::BYTES..(i + 1) * T::BYTES])));
+        }
+        out
+    }
+
+    /// Elements per page-sized chunk (at least one) for `init` and
+    /// `snapshot`.
+    fn elems_per_page() -> usize {
+        (PAGE_SIZE / T::BYTES.max(1)).max(1)
     }
 }
 

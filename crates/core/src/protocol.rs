@@ -186,7 +186,8 @@ pub trait Frames {
     type Page: Clone + std::fmt::Debug;
     /// The all-zero page (what a never-written anonymous page holds).
     fn zeroed() -> Self::Page;
-    /// A copy of the resident contents of `vpn`, if any.
+    /// A handle to the resident contents of `vpn`, if any; writes copy on
+    /// demand.
     fn get(&self, vpn: Vpn) -> Option<Self::Page>;
     /// Installs `page` as the contents of `vpn`.
     fn put(&mut self, vpn: Vpn, page: Self::Page);

@@ -6,6 +6,7 @@
 //! the distributed-memory protocol can be checked against ground truth.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Size of a simulated page in bytes (4 KiB, matching the paper's x86-64
 /// testbed).
@@ -136,9 +137,16 @@ pub fn pages_covering(start: VirtAddr, len: u64) -> impl Iterator<Item = Vpn> {
 }
 
 /// A 4 KiB physical page frame holding real bytes.
+///
+/// Frames are copy-on-write: a clone shares its source's bytes (a
+/// refcount bump), and the first write through either handle copies the
+/// page once if its bytes are still shared. Read replicas therefore share
+/// their home's storage until someone writes, and a writer that holds the
+/// only handle — the usual case once the protocol's invalidations are
+/// acknowledged — writes in place.
 #[derive(Clone, PartialEq, Eq)]
 pub struct PageFrame {
-    data: Box<[u8]>,
+    data: Arc<[u8; PAGE_SIZE]>,
 }
 
 impl Default for PageFrame {
@@ -151,39 +159,29 @@ impl PageFrame {
     /// A zero-filled frame (anonymous pages are zero-fill-on-demand).
     pub fn zeroed() -> Self {
         PageFrame {
-            data: vec![0u8; PAGE_SIZE].into_boxed_slice(),
-        }
-    }
-
-    /// A frame initialized from `bytes`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is not exactly [`PAGE_SIZE`] long.
-    pub fn from_bytes(bytes: &[u8]) -> Self {
-        assert_eq!(bytes.len(), PAGE_SIZE, "page frames are {PAGE_SIZE} bytes");
-        PageFrame {
-            data: bytes.to_vec().into_boxed_slice(),
+            data: Arc::new([0u8; PAGE_SIZE]),
         }
     }
 
     /// Read-only view of the frame contents.
     pub fn bytes(&self) -> &[u8] {
-        &self.data
+        &self.data[..]
     }
 
-    /// Mutable view of the frame contents.
+    /// Mutable view of the frame contents; copies the page first if
+    /// another handle shares it.
     pub fn bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.data
+        &mut Arc::make_mut(&mut self.data)[..]
     }
 
-    /// Copies `src` into the frame at `offset`.
+    /// Copies `src` into the frame at `offset` (copying the page first if
+    /// another handle shares it).
     ///
     /// # Panics
     ///
     /// Panics if the copy would run past the end of the frame.
     pub fn write(&mut self, offset: usize, src: &[u8]) {
-        self.data[offset..offset + src.len()].copy_from_slice(src);
+        self.bytes_mut()[offset..offset + src.len()].copy_from_slice(src);
     }
 
     /// Copies frame bytes at `offset` into `dst`.
@@ -259,8 +257,40 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "4096")]
-    fn from_bytes_wrong_size_panics() {
-        let _ = PageFrame::from_bytes(&[0u8; 100]);
+    fn a_written_clone_leaves_the_other_unchanged() {
+        let mut a = PageFrame::zeroed();
+        a.write(0, &[7]);
+        let mut b = a.clone();
+        assert_eq!(a.bytes().as_ptr(), b.bytes().as_ptr(), "a clone shares");
+        b.write(0, &[8]);
+        assert_eq!((a.bytes()[0], b.bytes()[0]), (7, 8));
+        a.bytes_mut()[1] = 9;
+        assert_eq!((a.bytes()[1], b.bytes()[1]), (9, 0));
+    }
+
+    #[test]
+    fn a_sole_owner_writes_in_place() {
+        let mut f = PageFrame::zeroed();
+        let before = f.bytes().as_ptr();
+        f.write(10, &[1, 2, 3]);
+        f.bytes_mut()[20] = 4;
+        assert_eq!(f.bytes().as_ptr(), before);
+        // Once the other handle is gone, the survivor is sole owner again.
+        let shared = f.clone();
+        drop(shared);
+        f.write(30, &[5]);
+        assert_eq!(f.bytes().as_ptr(), before);
+    }
+
+    #[test]
+    fn equality_compares_contents() {
+        let mut a = PageFrame::zeroed();
+        let mut b = PageFrame::zeroed();
+        assert_ne!(a.bytes().as_ptr(), b.bytes().as_ptr());
+        assert_eq!(a, b);
+        a.write(5, &[1]);
+        assert_ne!(a, b);
+        b.write(5, &[1]);
+        assert_eq!(a, b);
     }
 }
