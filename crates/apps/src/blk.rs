@@ -134,7 +134,7 @@ pub fn run(params: &AppParams) -> AppResult {
 pub fn reference_checksum(params: &AppParams) -> u64 {
     let options = option_batch(params.seed, batch_size(params.scale));
     let mut sum = 0u64;
-    for o in &options {
+    for o in options.iter() {
         sum = sum.wrapping_add(quantize(black_scholes(o)));
     }
     mix(0xcbf29ce484222325, sum)

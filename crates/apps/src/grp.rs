@@ -11,7 +11,7 @@
 //! counts thread-locally and merges once per thread at the end, with the
 //! merge targets page-aligned (§V-C).
 
-use crate::workloads::{count_keys, text_corpus, TextCorpus};
+use crate::workloads::{count_keys, text_corpus};
 use crate::{migrate_home, migrate_worker, mix, run_cluster, AppParams, AppResult, Scale, Variant};
 
 const CHUNK: usize = 4096;
@@ -168,8 +168,8 @@ pub fn run(params: &AppParams) -> AppResult {
 
 /// Sequential reference checksum.
 pub fn reference_checksum(params: &AppParams) -> u64 {
-    let TextCorpus { bytes, keys } = text_corpus(params.seed, text_len(params.scale));
-    let counts = count_keys(&bytes, &keys);
+    let corpus = text_corpus(params.seed, text_len(params.scale));
+    let counts = count_keys(&corpus.bytes, &corpus.keys);
     let mut checksum = 0xcbf29ce484222325;
     for c in &counts {
         checksum = mix(checksum, *c);

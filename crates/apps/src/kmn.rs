@@ -288,7 +288,7 @@ pub fn reference_checksum(params: &AppParams) -> u64 {
     for _ in 0..d.iters {
         let mut sums = vec![[0i64; 3]; d.k];
         let mut counts = vec![0i64; d.k];
-        for p in &points {
+        for p in points.iter() {
             let c = nearest(p, &centroids);
             for dim in 0..3 {
                 sums[c][dim] += (p[dim] * FIXED).round() as i64;

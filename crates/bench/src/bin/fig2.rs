@@ -52,9 +52,12 @@ fn main() {
     let last_n = *node_counts.last().expect("node counts nonempty");
     for app in &apps {
         let baseline = run_app(app, &AppParams::new(1, Variant::Baseline));
+        // The reference depends on the seed and scale alone, which every
+        // cell of the sweep shares.
+        let reference = reference_checksum(app, &baseline.params);
+        let input_of = |p: &AppParams| (p.seed, p.scale);
         assert_eq!(
-            baseline.checksum,
-            reference_checksum(app, &baseline.params),
+            baseline.checksum, reference,
             "{app} baseline checksum mismatch"
         );
         let base = baseline.elapsed.as_secs_f64();
@@ -62,9 +65,9 @@ fn main() {
             let mut row = vec![app.to_string(), variant.to_string()];
             for &n in &node_counts {
                 let result = run_app(app, &AppParams::new(n, variant));
+                assert_eq!(input_of(&result.params), input_of(&baseline.params));
                 assert_eq!(
-                    result.checksum,
-                    reference_checksum(app, &result.params),
+                    result.checksum, reference,
                     "{app} {variant} @ {n} nodes checksum mismatch"
                 );
                 row.push(format!("{:.2}", base / result.elapsed.as_secs_f64()));

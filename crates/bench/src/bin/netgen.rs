@@ -11,7 +11,7 @@
 //! cargo run -p dex-bench --release --bin netgen
 //! ```
 
-use dex_apps::{reference_checksum, run_app, AppParams, Variant};
+use dex_apps::{reference_checksum, run_app, run_app_with_config, AppParams, Variant};
 use dex_bench::render_table;
 use dex_net::NetConfig;
 
@@ -45,11 +45,21 @@ fn main() {
             .elapsed
             .as_secs_f64();
         let mut row = vec![app.to_string()];
+        // One reference per app: every fabric runs the same seed and scale.
+        let params = AppParams::new(nodes, Variant::Optimized);
+        let reference = reference_checksum(app, &params);
         for (_, net) in &fabrics {
-            let params = AppParams::new(nodes, Variant::Optimized);
             let config = params.cluster_config().with_net(net.clone());
             // Run through the cluster built with the custom fabric.
-            let result = run_with_net(app, &params, config);
+            let result = run_app_with_config(app, &params, config);
+            assert_eq!(
+                (result.params.seed, result.params.scale),
+                (params.seed, params.scale)
+            );
+            assert_eq!(
+                result.checksum, reference,
+                "{app} must stay correct on every fabric"
+            );
             row.push(format!("{:.2}", base / result.elapsed.as_secs_f64()));
             // Regression-track the first app on the paper's testbed fabric.
             if app == &apps[0] && std::ptr::eq(net, &fabrics[2].1) {
@@ -74,19 +84,4 @@ fn main() {
         .with_extra("nodes", nodes as u64)
         .write()
         .expect("write bench result");
-}
-
-/// Runs `app` at `params` with a custom fabric, verifying correctness.
-fn run_with_net(
-    app: &str,
-    params: &AppParams,
-    config: dex_core::ClusterConfig,
-) -> dex_apps::AppResult {
-    let result = dex_apps::run_app_with_config(app, params, config);
-    assert_eq!(
-        result.checksum,
-        reference_checksum(app, params),
-        "{app} must stay correct on every fabric"
-    );
-    result
 }

@@ -270,7 +270,7 @@ impl VmaSet {
     /// Installs a VMA verbatim, replacing any overlap — used when a remote
     /// replica adopts authoritative VMA info from the origin.
     pub fn install(&mut self, vma: Vma) {
-        let _ = self.unmap_range(vma.start.as_u64(), vma.end.as_u64());
+        self.carve(vma.start.as_u64(), vma.end.as_u64());
         self.map.insert(vma.start.as_u64(), vma);
         self.generation += 1;
     }
@@ -289,9 +289,9 @@ impl VmaSet {
         {
             return Err(VmaError::BadRange);
         }
-        let removed = self.unmap_range(addr.as_u64(), addr.as_u64() + len);
+        let removed = self.carve(addr.as_u64(), addr.as_u64() + len);
         self.generation += 1;
-        Ok(removed)
+        Ok(removed.iter().flat_map(Vma::pages).collect())
     }
 
     /// Changes protection on `[addr, addr + len)`, splitting as needed.
@@ -323,28 +323,8 @@ impl VmaSet {
             }
         }
         let mut downgraded = false;
-        let affected: Vec<Vma> = self.overlapping(start, end).cloned().collect();
-        for vma in affected {
-            if !prot.allows(vma.prot) {
-                downgraded = true;
-            }
-            // Carve the protected slice out and reinsert pieces.
-            self.map.remove(&vma.start.as_u64());
-            let cut_lo = vma.start.as_u64().max(start);
-            let cut_hi = vma.end.as_u64().min(end);
-            if vma.start.as_u64() < cut_lo {
-                let mut left = vma.clone();
-                left.end = VirtAddr::new(cut_lo);
-                self.map.insert(left.start.as_u64(), left);
-            }
-            if cut_hi < vma.end.as_u64() {
-                let mut right = vma.clone();
-                right.start = VirtAddr::new(cut_hi);
-                self.map.insert(right.start.as_u64(), right);
-            }
-            let mut mid = vma.clone();
-            mid.start = VirtAddr::new(cut_lo);
-            mid.end = VirtAddr::new(cut_hi);
+        for mut mid in self.carve(start, end) {
+            downgraded |= !prot.allows(mid.prot);
             mid.prot = prot;
             self.map.insert(mid.start.as_u64(), mid);
         }
@@ -371,9 +351,12 @@ impl VmaSet {
             .filter(move |v| v.start.as_u64() < end && v.end.as_u64() > start)
     }
 
-    fn unmap_range(&mut self, start: u64, end: u64) -> Vec<Vpn> {
+    /// Removes `[start, end)` from the map, splitting partially covered
+    /// VMAs, and returns the removed pieces: one per affected VMA, each
+    /// clipped to the range.
+    fn carve(&mut self, start: u64, end: u64) -> Vec<Vma> {
         let affected: Vec<Vma> = self.overlapping(start, end).cloned().collect();
-        let mut removed_pages = Vec::new();
+        let mut removed = Vec::with_capacity(affected.len());
         for vma in affected {
             self.map.remove(&vma.start.as_u64());
             let cut_lo = vma.start.as_u64().max(start);
@@ -388,13 +371,12 @@ impl VmaSet {
                 right.start = VirtAddr::new(cut_hi);
                 self.map.insert(right.start.as_u64(), right);
             }
-            let mut p = cut_lo;
-            while p < cut_hi {
-                removed_pages.push(VirtAddr::new(p).vpn());
-                p += PAGE_SIZE as u64;
-            }
+            let mut mid = vma;
+            mid.start = VirtAddr::new(cut_lo);
+            mid.end = VirtAddr::new(cut_hi);
+            removed.push(mid);
         }
-        removed_pages
+        removed
     }
 }
 
@@ -592,6 +574,65 @@ mod tests {
         });
         assert_eq!(s.find(VirtAddr::new(0x10000)).unwrap().prot, Prot::RO);
         assert_eq!(s.find(VirtAddr::new(0x11000)).unwrap().prot, Prot::RW);
+    }
+
+    #[test]
+    fn install_over_itself_and_a_partial_overlap_splits_as_munmap_does() {
+        let vma = |start: u64, end: u64, prot, kind, tag: &str| Vma {
+            start: VirtAddr::new(start),
+            end: VirtAddr::new(end),
+            prot,
+            kind,
+            tag: Some(tag.into()),
+        };
+        let heap = vma(0x10000, 0x14000, Prot::RW, VmaKind::Heap, "heap");
+        let data = vma(0x14000, 0x16000, Prot::RO, VmaKind::GlobalData, "data");
+        let mut s = VmaSet::new();
+        s.install(heap.clone());
+        s.install(data.clone());
+        let map = |s: &VmaSet| s.iter().cloned().collect::<Vec<_>>();
+
+        let g = s.generation();
+        s.install(heap.clone());
+        assert_eq!(map(&s), vec![heap.clone(), data.clone()]);
+        assert!(s.generation() > g);
+
+        // A piece of the heap over itself: the heap splits around it.
+        let g = s.generation();
+        s.install(vma(0x11000, 0x13000, Prot::RW, VmaKind::Heap, "heap"));
+        assert_eq!(
+            map(&s),
+            vec![
+                vma(0x10000, 0x11000, Prot::RW, VmaKind::Heap, "heap"),
+                vma(0x11000, 0x13000, Prot::RW, VmaKind::Heap, "heap"),
+                vma(0x13000, 0x14000, Prot::RW, VmaKind::Heap, "heap"),
+                data.clone(),
+            ]
+        );
+        assert!(s.generation() > g);
+
+        // Straddling two VMAs: each is clipped, the rest replaced.
+        let g = s.generation();
+        let grown = vma(0x12000, 0x15000, Prot::RW, VmaKind::Anon, "grown");
+        s.install(grown.clone());
+        assert_eq!(
+            map(&s),
+            vec![
+                vma(0x10000, 0x11000, Prot::RW, VmaKind::Heap, "heap"),
+                vma(0x11000, 0x12000, Prot::RW, VmaKind::Heap, "heap"),
+                grown,
+                vma(0x15000, 0x16000, Prot::RO, VmaKind::GlobalData, "data"),
+            ]
+        );
+        assert!(s.generation() > g);
+
+        // munmap across three VMAs returns exactly the pages it removed.
+        let removed = s.munmap(VirtAddr::new(0x11000), 5 * P).unwrap();
+        assert_eq!(removed, (0x11..0x16).map(Vpn::new).collect::<Vec<_>>());
+        assert_eq!(
+            map(&s),
+            vec![vma(0x10000, 0x11000, Prot::RW, VmaKind::Heap, "heap")]
+        );
     }
 
     #[test]
