@@ -14,8 +14,14 @@ use dex_os::{VirtAddr, PAGE_SIZE};
 use crate::process::ProcessShared;
 use crate::thread::ThreadCtx;
 
+/// The largest encoded element a handle holds: an element split by a
+/// page boundary is stitched through a stack buffer of this size (one
+/// cache line). A larger element type fails to compile as a handle's `T`.
+pub const MAX_SCALAR_BYTES: usize = 64;
+
 /// A value that can live in distributed memory: fixed-size, plain-old-data
-/// with an explicit little-endian layout.
+/// with an explicit little-endian layout, at most [`MAX_SCALAR_BYTES`]
+/// long.
 pub trait DsmScalar: Copy + Send + 'static {
     /// Encoded size in bytes.
     const BYTES: usize;
@@ -23,6 +29,31 @@ pub trait DsmScalar: Copy + Send + 'static {
     fn store(&self, dst: &mut [u8]);
     /// Decodes from `src` (exactly [`Self::BYTES`] long).
     fn load(src: &[u8]) -> Self;
+
+    /// Decodes `out.len()` consecutive elements from `src` (exactly
+    /// `out.len() * BYTES` long).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the lengths disagree.
+    fn load_slice(src: &[u8], out: &mut [Self]) {
+        assert_eq!(src.len(), out.len() * Self::BYTES, "load_slice length");
+        for (v, bytes) in out.iter_mut().zip(src.chunks_exact(Self::BYTES)) {
+            *v = Self::load(bytes);
+        }
+    }
+
+    /// Encodes `values` into `dst` (exactly `values.len() * BYTES` long).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the lengths disagree.
+    fn store_slice(values: &[Self], dst: &mut [u8]) {
+        assert_eq!(dst.len(), values.len() * Self::BYTES, "store_slice length");
+        for (v, bytes) in values.iter().zip(dst.chunks_exact_mut(Self::BYTES)) {
+            v.store(bytes);
+        }
+    }
 }
 
 macro_rules! impl_scalar {
@@ -35,6 +66,20 @@ macro_rules! impl_scalar {
             fn load(src: &[u8]) -> Self {
                 <$t>::from_le_bytes(src.try_into().expect("scalar size"))
             }
+            fn load_slice(src: &[u8], out: &mut [Self]) {
+                assert_eq!(src.len(), out.len() * Self::BYTES, "load_slice length");
+                let (chunks, _) = src.as_chunks();
+                for (v, bytes) in out.iter_mut().zip(chunks) {
+                    *v = <$t>::from_le_bytes(*bytes);
+                }
+            }
+            fn store_slice(values: &[Self], dst: &mut [u8]) {
+                assert_eq!(dst.len(), values.len() * Self::BYTES, "store_slice length");
+                let (chunks, _) = dst.as_chunks_mut();
+                for (v, bytes) in values.iter().zip(chunks) {
+                    *bytes = v.to_le_bytes();
+                }
+            }
         }
     )*};
 }
@@ -44,13 +89,101 @@ impl_scalar!(u8, u16, u32, u64, i8, i16, i32, i64, f32, f64);
 impl<T: DsmScalar, const N: usize> DsmScalar for [T; N] {
     const BYTES: usize = T::BYTES * N;
     fn store(&self, dst: &mut [u8]) {
-        for (i, v) in self.iter().enumerate() {
-            v.store(&mut dst[i * T::BYTES..(i + 1) * T::BYTES]);
-        }
+        T::store_slice(self, dst);
     }
     fn load(src: &[u8]) -> Self {
         std::array::from_fn(|i| T::load(&src[i * T::BYTES..(i + 1) * T::BYTES]))
     }
+    fn load_slice(src: &[u8], out: &mut [Self]) {
+        T::load_slice(src, out.as_flattened_mut());
+    }
+    fn store_slice(values: &[Self], dst: &mut [u8]) {
+        T::store_slice(values.as_flattened(), dst);
+    }
+}
+
+/// A stack buffer for one element: what `get`/`set` stage through, and
+/// the carry that stitches an element split by a page boundary.
+type Carry = [u8; MAX_SCALAR_BYTES];
+
+/// Fails the build when `T` does not fit a [`Carry`]; every handle
+/// constructor calls it.
+const fn assert_fits<T: DsmScalar>() {
+    const {
+        assert!(
+            T::BYTES <= MAX_SCALAR_BYTES,
+            "DsmScalar element larger than MAX_SCALAR_BYTES"
+        )
+    }
+}
+
+/// Reads one element at `addr`, staged on the stack.
+fn get_one<T: DsmScalar>(ctx: &ThreadCtx<'_>, addr: VirtAddr) -> T {
+    let mut buf: Carry = [0; MAX_SCALAR_BYTES];
+    ctx.read_bytes(addr, &mut buf[..T::BYTES]);
+    T::load(&buf[..T::BYTES])
+}
+
+/// Writes one element at `addr`, staged on the stack.
+fn set_one<T: DsmScalar>(ctx: &ThreadCtx<'_>, addr: VirtAddr, value: T) {
+    let mut buf: Carry = [0; MAX_SCALAR_BYTES];
+    value.store(&mut buf[..T::BYTES]);
+    ctx.write_bytes(addr, &buf[..T::BYTES]);
+}
+
+/// Decodes `out.len()` elements at `addr` straight from the resident
+/// frames, a page-bounded piece at a time.
+fn read_elems<T: DsmScalar>(ctx: &ThreadCtx<'_>, addr: VirtAddr, out: &mut [T]) {
+    let b = T::BYTES;
+    let mut carry: Carry = [0; MAX_SCALAR_BYTES];
+    let mut carried = 0; // bytes of a split element already in `carry`
+    let mut next = 0; // the next element of `out` to decode
+    ctx.read_with(addr, out.len() * b, |mut piece| {
+        if carried > 0 {
+            let (tail, rest) = piece.split_at(b - carried);
+            carry[carried..b].copy_from_slice(tail);
+            out[next] = T::load(&carry[..b]);
+            next += 1;
+            piece = rest;
+        }
+        let whole = piece.len() / b;
+        let (body, split) = piece.split_at(whole * b);
+        T::load_slice(body, &mut out[next..next + whole]);
+        next += whole;
+        carry[..split.len()].copy_from_slice(split);
+        carried = split.len();
+    });
+}
+
+/// Encodes `values` at `addr` straight into the frames, a page-bounded
+/// piece at a time.
+fn write_elems<T: DsmScalar>(ctx: &ThreadCtx<'_>, addr: VirtAddr, values: &[T]) {
+    let b = T::BYTES;
+    // The race event carries the first 8 bytes of the write: encode the
+    // elements that cover them.
+    let lead = values.len().min(8usize.div_ceil(b.max(1)));
+    let mut prefix: Carry = [0; MAX_SCALAR_BYTES];
+    T::store_slice(&values[..lead], &mut prefix[..lead * b]);
+    let mut carry: Carry = [0; MAX_SCALAR_BYTES];
+    let mut carried = 0; // bytes of `carry`'s split element already written
+    let mut next = 0; // the next element of `values` to encode
+    ctx.write_with(addr, values.len() * b, &prefix[..lead * b], |mut piece| {
+        if carried > 0 {
+            let (tail, rest) = std::mem::take(&mut piece).split_at_mut(b - carried);
+            tail.copy_from_slice(&carry[carried..b]);
+            piece = rest;
+        }
+        let whole = piece.len() / b;
+        let (body, split) = piece.split_at_mut(whole * b);
+        T::store_slice(&values[next..next + whole], body);
+        next += whole;
+        carried = split.len();
+        if carried > 0 {
+            values[next].store(&mut carry[..b]);
+            split.copy_from_slice(&carry[..carried]);
+            next += 1;
+        }
+    });
 }
 
 /// Anything that can hand out the shared process state — lets handle
@@ -119,6 +252,7 @@ impl<T> Copy for DsmVec<T> {}
 
 impl<T: DsmScalar> DsmVec<T> {
     pub(crate) fn from_raw(base: VirtAddr, len: usize) -> Self {
+        assert_fits::<T>();
         DsmVec {
             base,
             len,
@@ -153,16 +287,12 @@ impl<T: DsmScalar> DsmVec<T> {
 
     /// Reads element `i` through the consistency protocol.
     pub fn get(&self, ctx: &ThreadCtx<'_>, i: usize) -> T {
-        let mut buf = vec![0u8; T::BYTES];
-        ctx.read_bytes(self.addr_of(i), &mut buf);
-        T::load(&buf)
+        get_one(ctx, self.addr_of(i))
     }
 
     /// Writes element `i` through the consistency protocol.
     pub fn set(&self, ctx: &ThreadCtx<'_>, i: usize, value: T) {
-        let mut buf = vec![0u8; T::BYTES];
-        value.store(&mut buf);
-        ctx.write_bytes(self.addr_of(i), &buf);
+        set_one(ctx, self.addr_of(i), value);
     }
 
     /// Bulk-reads `out.len()` elements starting at `start`. One access
@@ -177,11 +307,7 @@ impl<T: DsmScalar> DsmVec<T> {
             return;
         }
         assert!(start + out.len() <= self.len, "slice out of bounds");
-        let mut buf = vec![0u8; out.len() * T::BYTES];
-        ctx.read_bytes(self.addr_of(start), &mut buf);
-        for (i, v) in out.iter_mut().enumerate() {
-            *v = T::load(&buf[i * T::BYTES..(i + 1) * T::BYTES]);
-        }
+        read_elems(ctx, self.addr_of(start), out);
     }
 
     /// Bulk-writes `values` starting at `start`.
@@ -194,11 +320,7 @@ impl<T: DsmScalar> DsmVec<T> {
             return;
         }
         assert!(start + values.len() <= self.len, "slice out of bounds");
-        let mut buf = vec![0u8; values.len() * T::BYTES];
-        for (i, v) in values.iter().enumerate() {
-            v.store(&mut buf[i * T::BYTES..(i + 1) * T::BYTES]);
-        }
-        ctx.write_bytes(self.addr_of(start), &buf);
+        write_elems(ctx, self.addr_of(start), values);
     }
 
     /// Initializes contents before the run (writes directly into the
@@ -219,10 +341,9 @@ impl<T: DsmScalar> DsmVec<T> {
         let per_chunk = Self::elems_per_page();
         let mut buf = vec![0u8; per_chunk.min(values.len()) * T::BYTES];
         for (c, chunk) in values.chunks(per_chunk).enumerate() {
-            for (i, v) in chunk.iter().enumerate() {
-                v.store(&mut buf[i * T::BYTES..(i + 1) * T::BYTES]);
-            }
-            shared.write_init(self.addr_of(c * per_chunk), &buf[..chunk.len() * T::BYTES]);
+            let bytes = &mut buf[..chunk.len() * T::BYTES];
+            T::store_slice(chunk, bytes);
+            shared.write_init(self.addr_of(c * per_chunk), bytes);
         }
     }
 
@@ -235,8 +356,9 @@ impl<T: DsmScalar> DsmVec<T> {
         let mut buf = vec![0u8; per_chunk.min(self.len) * T::BYTES];
         for start in (0..self.len).step_by(per_chunk) {
             let n = per_chunk.min(self.len - start);
-            shared.read_coherent(self.addr_of(start), &mut buf[..n * T::BYTES]);
-            out.extend((0..n).map(|i| T::load(&buf[i * T::BYTES..(i + 1) * T::BYTES])));
+            let bytes = &mut buf[..n * T::BYTES];
+            shared.read_coherent(self.addr_of(start), bytes);
+            out.extend((0..n).map(|i| T::load(&bytes[i * T::BYTES..(i + 1) * T::BYTES])));
         }
         out
     }
@@ -282,6 +404,7 @@ impl<T> Copy for DsmMatrix<T> {}
 
 impl<T: DsmScalar> DsmMatrix<T> {
     pub(crate) fn from_raw(base: VirtAddr, rows: usize, cols: usize, row_stride: usize) -> Self {
+        assert_fits::<T>();
         assert!(row_stride >= cols, "row stride must cover the row");
         DsmMatrix {
             base,
@@ -317,16 +440,12 @@ impl<T: DsmScalar> DsmMatrix<T> {
 
     /// Reads element `(r, c)`.
     pub fn get(&self, ctx: &ThreadCtx<'_>, r: usize, c: usize) -> T {
-        let mut buf = vec![0u8; T::BYTES];
-        ctx.read_bytes(self.addr_of(r, c), &mut buf);
-        T::load(&buf)
+        get_one(ctx, self.addr_of(r, c))
     }
 
     /// Writes element `(r, c)`.
     pub fn set(&self, ctx: &ThreadCtx<'_>, r: usize, c: usize, value: T) {
-        let mut buf = vec![0u8; T::BYTES];
-        value.store(&mut buf);
-        ctx.write_bytes(self.addr_of(r, c), &buf);
+        set_one(ctx, self.addr_of(r, c), value);
     }
 
     /// Bulk-reads row `r` into `out` (must be `cols` long).
@@ -336,11 +455,7 @@ impl<T: DsmScalar> DsmMatrix<T> {
     /// Panics when `out.len() != cols` or `r` is out of bounds.
     pub fn read_row(&self, ctx: &ThreadCtx<'_>, r: usize, out: &mut [T]) {
         assert_eq!(out.len(), self.cols, "row buffer must be cols long");
-        let mut buf = vec![0u8; self.cols * T::BYTES];
-        ctx.read_bytes(self.addr_of(r, 0), &mut buf);
-        for (i, v) in out.iter_mut().enumerate() {
-            *v = T::load(&buf[i * T::BYTES..(i + 1) * T::BYTES]);
-        }
+        read_elems(ctx, self.addr_of(r, 0), out);
     }
 
     /// Bulk-writes row `r` from `values` (must be `cols` long).
@@ -350,11 +465,7 @@ impl<T: DsmScalar> DsmMatrix<T> {
     /// Panics when `values.len() != cols` or `r` is out of bounds.
     pub fn write_row(&self, ctx: &ThreadCtx<'_>, r: usize, values: &[T]) {
         assert_eq!(values.len(), self.cols, "row buffer must be cols long");
-        let mut buf = vec![0u8; self.cols * T::BYTES];
-        for (i, v) in values.iter().enumerate() {
-            v.store(&mut buf[i * T::BYTES..(i + 1) * T::BYTES]);
-        }
-        ctx.write_bytes(self.addr_of(r, 0), &buf);
+        write_elems(ctx, self.addr_of(r, 0), values);
     }
 
     /// Initializes the matrix from a row-major slice before the run.
@@ -366,13 +477,8 @@ impl<T: DsmScalar> DsmMatrix<T> {
         assert_eq!(values.len(), self.rows * self.cols, "init size mismatch");
         let shared = proc_.shared_ref();
         let mut buf = vec![0u8; self.cols * T::BYTES];
-        for r in 0..self.rows {
-            for (i, v) in values[r * self.cols..(r + 1) * self.cols]
-                .iter()
-                .enumerate()
-            {
-                v.store(&mut buf[i * T::BYTES..(i + 1) * T::BYTES]);
-            }
+        for (r, row) in values.chunks(self.cols.max(1)).enumerate() {
+            T::store_slice(row, &mut buf);
             shared.write_init(self.addr_of_unchecked(r), &buf);
         }
     }
@@ -384,9 +490,7 @@ impl<T: DsmScalar> DsmMatrix<T> {
         let mut buf = vec![0u8; self.cols * T::BYTES];
         for r in 0..self.rows {
             shared.read_coherent(self.addr_of_unchecked(r), &mut buf);
-            for i in 0..self.cols {
-                out.push(T::load(&buf[i * T::BYTES..(i + 1) * T::BYTES]));
-            }
+            out.extend((0..self.cols).map(|i| T::load(&buf[i * T::BYTES..(i + 1) * T::BYTES])));
         }
         out
     }
@@ -423,6 +527,7 @@ impl<T> Copy for DsmCell<T> {}
 
 impl<T: DsmScalar> DsmCell<T> {
     pub(crate) fn from_raw(addr: VirtAddr) -> Self {
+        assert_fits::<T>();
         DsmCell {
             addr,
             _marker: PhantomData,
@@ -436,16 +541,12 @@ impl<T: DsmScalar> DsmCell<T> {
 
     /// Reads the value through the consistency protocol.
     pub fn get(&self, ctx: &ThreadCtx<'_>) -> T {
-        let mut buf = vec![0u8; T::BYTES];
-        ctx.read_bytes(self.addr, &mut buf);
-        T::load(&buf)
+        get_one(ctx, self.addr)
     }
 
     /// Writes the value through the consistency protocol.
     pub fn set(&self, ctx: &ThreadCtx<'_>, value: T) {
-        let mut buf = vec![0u8; T::BYTES];
-        value.store(&mut buf);
-        ctx.write_bytes(self.addr, &buf);
+        set_one(ctx, self.addr, value);
     }
 
     /// Atomically read-modify-writes the value (cluster-wide, by virtue of
@@ -462,16 +563,18 @@ impl<T: DsmScalar> DsmCell<T> {
 
     /// Initializes the value before the run.
     pub fn init(&self, proc_: &impl ProcessRef, value: T) {
-        let mut buf = vec![0u8; T::BYTES];
-        value.store(&mut buf);
-        proc_.shared_ref().write_init(self.addr, &buf);
+        let mut buf: Carry = [0; MAX_SCALAR_BYTES];
+        value.store(&mut buf[..T::BYTES]);
+        proc_.shared_ref().write_init(self.addr, &buf[..T::BYTES]);
     }
 
     /// Reads the final cluster-coherent value after a run.
     pub fn snapshot(&self, proc_: &impl ProcessRef) -> T {
-        let mut buf = vec![0u8; T::BYTES];
-        proc_.shared_ref().read_coherent(self.addr, &mut buf);
-        T::load(&buf)
+        let mut buf: Carry = [0; MAX_SCALAR_BYTES];
+        proc_
+            .shared_ref()
+            .read_coherent(self.addr, &mut buf[..T::BYTES]);
+        T::load(&buf[..T::BYTES])
     }
 }
 
@@ -497,6 +600,50 @@ mod tests {
         roundtrip(u64::MAX);
         roundtrip(3.25f64);
         roundtrip([1.5f64, -2.0, 99.0]);
+    }
+
+    /// `load_slice`/`store_slice` must agree with element-wise
+    /// `load`/`store`, whichever of them a type overrides.
+    fn bulk_matches_elementwise<T: DsmScalar + PartialEq + std::fmt::Debug>(values: &[T]) {
+        let b = T::BYTES;
+        let mut one_by_one = vec![0u8; values.len() * b];
+        for (v, bytes) in values.iter().zip(one_by_one.chunks_exact_mut(b)) {
+            v.store(bytes);
+        }
+        let mut bulk = vec![0xAAu8; values.len() * b];
+        T::store_slice(values, &mut bulk);
+        assert_eq!(bulk, one_by_one, "store_slice");
+        let mut decoded = values.to_vec();
+        decoded.reverse();
+        T::load_slice(&one_by_one, &mut decoded);
+        assert_eq!(decoded, values, "load_slice");
+        let elementwise: Vec<T> = one_by_one.chunks_exact(b).map(T::load).collect();
+        assert_eq!(elementwise, values, "load");
+    }
+
+    #[test]
+    fn bulk_codec_matches_elementwise_for_every_scalar() {
+        bulk_matches_elementwise(&[0u8, 1, 0x7F, 0xFF]);
+        bulk_matches_elementwise(&[0u16, 1, 0xBEEF, u16::MAX]);
+        bulk_matches_elementwise(&[0u32, 7, 0xDEAD_BEEF, u32::MAX]);
+        bulk_matches_elementwise(&[0u64, 9, 0x0123_4567_89AB_CDEF, u64::MAX]);
+        bulk_matches_elementwise(&[0i8, -1, i8::MIN, i8::MAX]);
+        bulk_matches_elementwise(&[0i16, -2, i16::MIN, i16::MAX]);
+        bulk_matches_elementwise(&[0i32, -3, i32::MIN, i32::MAX]);
+        bulk_matches_elementwise(&[0i64, -4, i64::MIN, i64::MAX]);
+        bulk_matches_elementwise(&[0.0f32, -1.5, f32::MAX, f32::MIN_POSITIVE]);
+        bulk_matches_elementwise(&[0.0f64, -2.25, f64::MAX, f64::EPSILON]);
+        bulk_matches_elementwise(&[[1.5f64, -2.0, 99.0], [0.0, f64::MIN, 3.0e-300]]);
+        bulk_matches_elementwise(&[[1u32, 2, 3, 4], [u32::MAX, 0, 7, 0xABCD]]);
+        bulk_matches_elementwise(&[[[1u8, 2], [3, 4], [5, 6]], [[7, 8], [9, 10], [11, 12]]]);
+        bulk_matches_elementwise::<u64>(&[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "load_slice length")]
+    fn bulk_decode_rejects_a_short_source() {
+        let mut out = [0u32; 2];
+        u32::load_slice(&[0u8; 7], &mut out);
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub use cost::{CostModel, COST_COMPONENTS};
 pub use counters::Counter;
 pub use directory::model;
 pub use directory::{DirAction, DirStats, Directory, NodeSet, Requester};
-pub use handle::{DsmCell, DsmMatrix, DsmScalar, DsmVec, ProcessRef};
+pub use handle::{DsmCell, DsmMatrix, DsmScalar, DsmVec, ProcessRef, MAX_SCALAR_BYTES};
 pub use msg::{DelegatedOp, DexMsg, MigrationPhases, Reply, VmaOp};
 pub use mutation::{ProtocolMutation, ALL_MUTATIONS};
 pub use process::{MigrationSample, ObjectSpan, ProcessShared};

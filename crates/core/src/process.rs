@@ -464,8 +464,9 @@ impl ProcessShared {
     }
 
     /// Reads bytes from the cluster-wide *up-to-date* view of memory:
-    /// each page is sourced from its current exclusive writer, or the
-    /// origin replica otherwise. Used to collect results after a run.
+    /// each page is sourced from its current exclusive writer, else from a
+    /// node holding a read replica, else from the origin replica. Used to
+    /// collect results after a run.
     pub fn read_coherent(&self, addr: VirtAddr, dst: &mut [u8]) {
         let mut cursor = addr;
         let mut filled = 0usize;
@@ -481,19 +482,21 @@ impl ProcessShared {
         }
     }
 
-    fn up_to_date_node(&self, _vpn: Vpn) -> NodeId {
+    fn up_to_date_node(&self, vpn: Vpn) -> NodeId {
         // The directory does not expose writer lookup publicly; consult
-        // per-node PTEs instead: a node with a writable mapping holds the
-        // authoritative copy.
-        for n in 0..self.nodes {
-            let node = NodeId(n as u16);
-            let space = self.space(node).lock();
-            let pte = space.page_table.entry(_vpn);
-            if pte.present && pte.writable {
-                return node;
-            }
-        }
-        self.origin
+        // per-node PTEs instead. Once the run is quiescent a writable
+        // mapping is the authoritative copy; failing that, every read
+        // replica is current, while the origin's frame may be stale: a
+        // sharded home other than the origin grants without staging there.
+        let pte = |node: NodeId| self.space(node).lock().page_table.entry(vpn);
+        let nodes = || (0..self.nodes).map(|n| NodeId(n as u16));
+        nodes()
+            .find(|&node| {
+                let pte = pte(node);
+                pte.present && pte.writable
+            })
+            .or_else(|| nodes().find(|&node| pte(node).present))
+            .unwrap_or(self.origin)
     }
 
     // ---- pending request plumbing ----

@@ -16,7 +16,9 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use dex_net::{NodeId, SpanContext};
-use dex_os::{Access, ExecutionContext, MemFault, Prot, Tid, VirtAddr, VmaKind, Vpn, PAGE_SIZE};
+use dex_os::{
+    Access, AddressSpace, ExecutionContext, MemFault, Prot, Tid, VirtAddr, VmaKind, Vpn, PAGE_SIZE,
+};
 use dex_sim::{SimChannel, SimCtx, SimDuration, ThreadId};
 
 use crate::counters::Counter;
@@ -36,13 +38,31 @@ fn span_ctx(span: Option<SpanId>) -> SpanContext {
 pub const FUTEX_EAGAIN: i64 = -11;
 
 /// The value an access event records: the first `min(len, 8)` bytes of
-/// the transferred data, little-endian. Enough for the SC oracle to
-/// distinguish the word-sized writes application workloads use.
-fn access_value(bytes: &[u8]) -> u64 {
-    let mut buf = [0u8; 8];
-    let n = bytes.len().min(8);
-    buf[..n].copy_from_slice(&bytes[..n]);
-    u64::from_le_bytes(buf)
+/// the transferred data, little-endian, gathered from the access's page
+/// pieces as they pass. Enough for the SC oracle to distinguish the
+/// word-sized writes application workloads use.
+#[derive(Default)]
+struct Head {
+    bytes: [u8; 8],
+    len: usize,
+}
+
+impl Head {
+    fn of(bytes: &[u8]) -> u64 {
+        let mut head = Head::default();
+        head.take(bytes);
+        head.value()
+    }
+
+    fn take(&mut self, piece: &[u8]) {
+        let n = piece.len().min(8 - self.len);
+        self.bytes[self.len..self.len + n].copy_from_slice(&piece[..n]);
+        self.len += n;
+    }
+
+    fn value(&self) -> u64 {
+        u64::from_le_bytes(self.bytes)
+    }
 }
 
 /// Error from [`ThreadCtx::migrate`].
@@ -278,51 +298,101 @@ impl<'a> ThreadCtx<'a> {
 
     /// Reads `dst.len()` bytes at `addr` through the consistency protocol.
     pub fn read_bytes(&self, addr: VirtAddr, dst: &mut [u8]) {
-        let mut cursor = addr;
-        let mut filled = 0usize;
-        while filled < dst.len() {
-            let offset = cursor.page_offset();
-            let chunk = (PAGE_SIZE - offset).min(dst.len() - filled);
-            self.ensure(cursor, Access::Read);
-            self.shared
-                .space(self.node.get())
-                .lock()
-                .read(cursor, &mut dst[filled..filled + chunk]);
-            filled += chunk;
-            cursor = cursor.add(chunk as u64);
-        }
-        // Recorded after the copy so the event carries the value the
-        // application actually observed (reads-from for the SC oracle).
-        self.record_race_event(RaceEventKind::Access {
-            addr,
-            len: dst.len() as u32,
-            is_write: false,
-            atomic: false,
-            value: access_value(dst),
+        let mut filled = 0;
+        self.read_with(addr, dst.len(), |piece| {
+            dst[filled..filled + piece.len()].copy_from_slice(piece);
+            filled += piece.len();
         });
     }
 
     /// Writes `src` at `addr` through the consistency protocol.
     pub fn write_bytes(&self, addr: VirtAddr, src: &[u8]) {
+        let mut written = 0;
+        self.write_with(addr, src.len(), src, |piece| {
+            piece.copy_from_slice(&src[written..written + piece.len()]);
+            written += piece.len();
+        });
+    }
+
+    /// Reads `len` bytes at `addr` through the consistency protocol,
+    /// handing `visit` each page-bounded piece in address order, straight
+    /// from the resident frame and under the address-space lock.
+    pub(crate) fn read_with(&self, addr: VirtAddr, len: usize, mut visit: impl FnMut(&[u8])) {
+        let mut head = Head::default();
+        self.walk(addr, len, Access::Read, |space, at, n| {
+            let offset = at.page_offset();
+            let piece = &space.page_bytes(at.vpn())[offset..offset + n];
+            head.take(piece);
+            visit(piece);
+        });
+        // Recorded after the copy so the event carries the value the
+        // application actually observed (reads-from for the SC oracle).
         self.record_race_event(RaceEventKind::Access {
             addr,
-            len: src.len() as u32,
+            len: len as u32,
+            is_write: false,
+            atomic: false,
+            value: head.value(),
+        });
+    }
+
+    /// Writes `len` bytes at `addr` through the consistency protocol:
+    /// `fill` must overwrite each page-bounded piece of the frame it is
+    /// handed, in address order. `prefix` is the start of the bytes about
+    /// to be written (at least `min(len, 8)` of them), which the race
+    /// event carries.
+    pub(crate) fn write_with(
+        &self,
+        addr: VirtAddr,
+        len: usize,
+        prefix: &[u8],
+        mut fill: impl FnMut(&mut [u8]),
+    ) {
+        self.record_race_event(RaceEventKind::Access {
+            addr,
+            len: len as u32,
             is_write: true,
             atomic: false,
-            value: access_value(src),
+            value: Head::of(prefix),
         });
+        self.walk(addr, len, Access::Write, |space, at, n| {
+            let offset = at.page_offset();
+            fill(&mut space.frame_mut(at.vpn()).bytes_mut()[offset..offset + n]);
+        });
+    }
+
+    /// The one access path. Walks `[addr, addr + len)` a page at a time:
+    /// takes the node's address-space lock once per page, runs the PTE
+    /// check, and on a hit hands `visit` the page-bounded piece under that
+    /// lock. A miss drops the lock, runs the fault path, and retries the
+    /// page — the same events, in the same order, as a check followed by
+    /// a copy.
+    fn walk(
+        &self,
+        addr: VirtAddr,
+        len: usize,
+        access: Access,
+        mut visit: impl FnMut(&mut AddressSpace, VirtAddr, usize),
+    ) {
         let mut cursor = addr;
-        let mut written = 0usize;
-        while written < src.len() {
-            let offset = cursor.page_offset();
-            let chunk = (PAGE_SIZE - offset).min(src.len() - written);
-            self.ensure(cursor, Access::Write);
-            self.shared
-                .space(self.node.get())
-                .lock()
-                .write(cursor, &src[written..written + chunk]);
-            written += chunk;
-            cursor = cursor.add(chunk as u64);
+        let mut done = 0usize;
+        while done < len {
+            let n = (PAGE_SIZE - cursor.page_offset()).min(len - done);
+            let check = {
+                let mut space = self.shared.space(self.node.get()).lock();
+                let check = space.check(cursor, access);
+                if check.is_ok() {
+                    visit(&mut space, cursor, n);
+                }
+                check
+            };
+            match check {
+                Ok(()) => {
+                    done += n;
+                    cursor = cursor.add(n as u64);
+                }
+                Err(fault) => self.fault(fault, cursor, access),
+            }
         }
     }
 
@@ -353,15 +423,17 @@ impl<'a> ThreadCtx<'a> {
             addr.page_offset() + len <= PAGE_SIZE,
             "atomic access must not straddle a page boundary"
         );
-        self.ensure(addr, Access::Write);
-        let buf = {
-            let mut space = self.shared.space(self.node.get()).lock();
-            let mut buf = vec![0u8; len];
-            space.read(addr, &mut buf);
-            f(&mut buf);
-            space.write(addr, &buf);
-            buf
-        };
+        let mut f = Some(f);
+        let mut head = Head::default();
+        self.walk(addr, len, Access::Write, |space, at, n| {
+            let offset = at.page_offset();
+            let bytes = &mut space.frame_mut(at.vpn()).bytes_mut()[offset..offset + n];
+            (f.take().expect("an atomic covers one page"))(bytes);
+            head.take(bytes);
+        });
+        if let Some(f) = f {
+            f(&mut []); // a zero-length atomic touches no page
+        }
         // Recorded after the update so the event carries the value the
         // atomic deposited (reads-from for the SC oracle).
         self.record_race_event(RaceEventKind::Access {
@@ -369,7 +441,7 @@ impl<'a> ThreadCtx<'a> {
             len: len as u32,
             is_write: true,
             atomic: true,
-            value: access_value(&buf),
+            value: head.value(),
         });
     }
 
@@ -411,13 +483,25 @@ impl<'a> ThreadCtx<'a> {
     /// running VMA synchronization and the consistency protocol as needed.
     pub(crate) fn ensure(&self, addr: VirtAddr, access: Access) {
         loop {
-            let node = self.node.get();
-            let check = self.shared.space(node).lock().check(addr, access);
+            // Bound first: the guard must be gone before the fault path
+            // can switch contexts.
+            let check = self
+                .shared
+                .space(self.node.get())
+                .lock()
+                .check(addr, access);
             match check {
                 Ok(()) => return,
-                Err(MemFault::VmaMiss { .. }) => self.vma_fault(addr, access),
-                Err(MemFault::Protocol { vpn, .. }) => self.page_fault(vpn, access, addr),
+                Err(fault) => self.fault(fault, addr, access),
             }
+        }
+    }
+
+    /// Runs the fault path for one failed check; the caller re-checks.
+    fn fault(&self, fault: MemFault, addr: VirtAddr, access: Access) {
+        match fault {
+            MemFault::VmaMiss { .. } => self.vma_fault(addr, access),
+            MemFault::Protocol { vpn, .. } => self.page_fault(vpn, access, addr),
         }
     }
 

@@ -164,3 +164,52 @@ fn a_wait_return_names_the_thread_whose_wake_woke_it() {
     returns.sort_by_key(|(t, _)| t.0);
     assert_eq!(returns, [(Tid(0), Tid(1)), (Tid(2), Tid(3))]);
 }
+
+#[test]
+fn multi_page_slices_record_their_first_eight_bytes() {
+    // A `u32` slice starting one element before a page boundary: its first
+    // eight bytes come from two pages, and from a remote node the second
+    // one faults between them. A `[f64; 3]` slice whose first element
+    // straddles the boundary records that element's first eight bytes.
+    let cluster = Cluster::new(ClusterConfig::new(2).with_race_detection());
+    let report = cluster.run(|p| {
+        let words = p.alloc_vec_aligned::<u32>(2048, "words");
+        let points = p.alloc_vec_aligned::<[f64; 3]>(512, "points");
+        p.spawn(move |ctx| {
+            ctx.migrate(1).unwrap();
+            ctx.set_site("words");
+            let fresh = [0x1111_1111, 0x2222_2222, 0x3333_3333];
+            words.write_slice(ctx, 1023, &fresh);
+            let mut back = [0u32; 3];
+            words.read_slice(ctx, 1023, &mut back);
+            assert_eq!(back, fresh);
+            ctx.set_site("points");
+            points.write_slice(ctx, 170, &[[1.5, 2.5, 3.5], [4.5, 5.5, 6.5]]);
+            let mut out = [[0.0; 3]; 2];
+            points.read_slice(ctx, 170, &mut out);
+            assert_eq!(out[1], [4.5, 5.5, 6.5]);
+        });
+    });
+    let accesses: Vec<(&str, bool, u32, u64)> = report
+        .race_events
+        .iter()
+        .filter_map(|e| match e.kind {
+            RaceEventKind::Access {
+                len,
+                is_write,
+                value,
+                ..
+            } => Some((e.site, is_write, len, value)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        accesses,
+        vec![
+            ("words", true, 12, 0x2222_2222_1111_1111),
+            ("words", false, 12, 0x2222_2222_1111_1111),
+            ("points", true, 48, 1.5f64.to_bits()),
+            ("points", false, 48, 1.5f64.to_bits()),
+        ]
+    );
+}

@@ -3,6 +3,8 @@
 //! (owner-forwarded) protocol with batched invalidation fan-out, and
 //! both replay deterministically with consistent directories.
 
+use std::sync::{Arc, Mutex};
+
 use dex_core::{Cluster, ClusterConfig, RunReport};
 
 /// The fault-suite fingerprint: virtual time, the full counter set, and
@@ -172,4 +174,48 @@ fn batched_write_grant_ships_the_homes_staged_copy() {
     for dir in &report.process().directories {
         dir.lock().check_invariants().expect("shards consistent");
     }
+}
+
+/// Node 2 writes eight pages, node 3 reads them after a barrier; the
+/// snapshot must return what the reader saw. Afterwards both nodes hold
+/// read replicas and nobody a writable mapping, so the snapshot has to
+/// source each page from a replica: under sharding the origin's frame is
+/// stale (a home other than the origin granted without staging there).
+fn snapshot_after_read_sharing(config: ClusterConfig) {
+    let cluster = Cluster::new(config);
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let mut handle = None;
+    let report = cluster.run(|p| {
+        let v = p.alloc_vec_aligned::<u64>(8 * 512, "shared");
+        handle = Some(v);
+        let barrier = p.new_barrier(2, "written");
+        p.spawn(move |ctx| {
+            ctx.migrate(2).unwrap();
+            for i in 0..v.len() {
+                v.set(ctx, i, 8000 + i as u64);
+            }
+            barrier.wait(ctx);
+        });
+        let seen = Arc::clone(&seen);
+        p.spawn(move |ctx| {
+            ctx.migrate(3).unwrap();
+            barrier.wait(ctx);
+            let mut out = vec![0; v.len()];
+            v.read_slice(ctx, 0, &mut out);
+            *seen.lock().unwrap() = out;
+        });
+    });
+    let seen = seen.lock().unwrap().clone();
+    assert_eq!(seen[28], 8028, "the reader saw the writer's data");
+    assert_eq!(handle.expect("allocated").snapshot(&report), seen);
+}
+
+#[test]
+fn snapshot_reads_a_replica_when_nobody_writes_classic() {
+    snapshot_after_read_sharing(ClusterConfig::new(4));
+}
+
+#[test]
+fn snapshot_reads_a_replica_when_nobody_writes_sharded() {
+    snapshot_after_read_sharing(ClusterConfig::new(4).with_directory_shards(4));
 }

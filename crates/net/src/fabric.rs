@@ -563,7 +563,7 @@ impl<M: WireMessage> Endpoint<M> {
 
     /// Runs `wait`, recording how long it took into the histogram `name`
     /// if the registry keeps histograms (a sample costs two clock reads).
-    fn timed<T>(&self, ctx: &SimCtx, name: &str, wait: impl FnOnce() -> T) -> T {
+    fn timed<T>(&self, ctx: &SimCtx, name: &'static str, wait: impl FnOnce() -> T) -> T {
         let metrics = &self.fabric.metrics;
         let t0 = metrics.records_histograms().then(|| ctx.now());
         let out = wait();

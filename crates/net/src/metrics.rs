@@ -164,13 +164,13 @@ pub struct MetricsRegistry {
 pub const DEFAULT_HIST_CAP: usize = 1024;
 
 struct HistTable {
-    map: BTreeMap<(String, u16), Histogram>,
+    map: BTreeMap<(&'static str, u16), Histogram>,
     /// Samples discarded because creating their key would exceed the cap.
     dropped: u64,
     /// When attached (continuous telemetry), every observed sample is
     /// also appended here, keyed like `map`; the sampler drains it at
     /// each window boundary to compute per-window quantiles.
-    tap: Option<BTreeMap<(String, u16), Vec<u64>>>,
+    tap: Option<BTreeMap<(&'static str, u16), Vec<u64>>>,
 }
 
 impl MetricsRegistry {
@@ -260,13 +260,13 @@ impl MetricsRegistry {
     /// counted into [`MetricsSnapshot::histograms_dropped`] and
     /// discarded; existing keys keep recording). Without histograms the
     /// sample is discarded uncounted.
-    pub fn observe(&self, name: &str, node: NodeId, d: SimDuration) {
+    pub fn observe(&self, name: &'static str, node: NodeId, d: SimDuration) {
         if !self.records_histograms() {
             return;
         }
         let hist = {
             let mut t = self.hists.lock();
-            let key = (name.to_string(), node.0);
+            let key = (name, node.0);
             let hist = match t.map.get(&key) {
                 Some(h) => h.clone(),
                 None => {
@@ -274,7 +274,7 @@ impl MetricsRegistry {
                         t.dropped += 1;
                         return;
                     }
-                    t.map.entry(key.clone()).or_default().clone()
+                    t.map.entry(key).or_default().clone()
                 }
             };
             if let Some(tap) = t.tap.as_mut() {
@@ -299,7 +299,11 @@ impl MetricsRegistry {
     /// the tap was never enabled.
     pub fn drain_window_samples(&self) -> BTreeMap<(String, u16), Vec<u64>> {
         let mut t = self.hists.lock();
-        t.tap.as_mut().map(std::mem::take).unwrap_or_default()
+        let samples = t.tap.as_mut().map(std::mem::take).unwrap_or_default();
+        samples
+            .into_iter()
+            .map(|((name, node), v)| ((name.to_string(), node), v))
+            .collect()
     }
 
     /// A point-in-time copy of every counter and histogram summary.

@@ -91,6 +91,13 @@ impl AddressSpace {
         self.frames.get(vpn.index())
     }
 
+    /// The bytes of `vpn`'s frame, or the zero page when none is resident
+    /// (what a mapped but untouched anonymous page reads as).
+    pub fn page_bytes(&self, vpn: Vpn) -> &[u8] {
+        static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+        self.frame(vpn).map_or(&ZERO_PAGE, PageFrame::bytes)
+    }
+
     /// Mutable frame for `vpn`, allocating a zero frame on first touch
     /// (anonymous pages are zero-fill-on-demand).
     pub fn frame_mut(&mut self, vpn: Vpn) -> &mut PageFrame {
@@ -131,10 +138,8 @@ impl AddressSpace {
         while filled < dst.len() {
             let offset = cursor.page_offset();
             let chunk = (PAGE_SIZE - offset).min(dst.len() - filled);
-            match self.frames.get(cursor.vpn().index()) {
-                Some(frame) => frame.read(offset, &mut dst[filled..filled + chunk]),
-                None => dst[filled..filled + chunk].fill(0), // zero page
-            }
+            dst[filled..filled + chunk]
+                .copy_from_slice(&self.page_bytes(cursor.vpn())[offset..offset + chunk]);
             filled += chunk;
             cursor = cursor.add(chunk as u64);
         }

@@ -183,15 +183,6 @@ impl PageFrame {
     pub fn write(&mut self, offset: usize, src: &[u8]) {
         self.bytes_mut()[offset..offset + src.len()].copy_from_slice(src);
     }
-
-    /// Copies frame bytes at `offset` into `dst`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the read would run past the end of the frame.
-    pub fn read(&self, offset: usize, dst: &mut [u8]) {
-        dst.copy_from_slice(&self.data[offset..offset + dst.len()]);
-    }
 }
 
 impl fmt::Debug for PageFrame {
@@ -242,9 +233,7 @@ mod tests {
     fn frame_roundtrip() {
         let mut f = PageFrame::zeroed();
         f.write(100, &[1, 2, 3, 4]);
-        let mut buf = [0u8; 4];
-        f.read(100, &mut buf);
-        assert_eq!(buf, [1, 2, 3, 4]);
+        assert_eq!(f.bytes()[100..104], [1, 2, 3, 4]);
         assert_eq!(f.bytes()[99], 0);
         assert_eq!(f.bytes()[104], 0);
     }
