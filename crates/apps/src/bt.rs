@@ -276,7 +276,7 @@ mod tests {
                 .spans
                 .iter()
                 .filter(|s| s.addr.is_some() && s.label != "minor_fault")
-                .filter(|s| s.tag.as_deref() == Some("loop_params"))
+                .filter(|s| s.tag == Some("loop_params"))
                 .count()
         }
         let initial = param_faults(Variant::Initial);

@@ -34,7 +34,7 @@ fn spans_v2() {
         .iter()
         .map(|s| {
             let (start, end) = (s.start.as_nanos(), s.end.as_nanos());
-            let (kind, label, tag) = (s.kind.as_str(), s.label, s.tag.as_deref());
+            let (kind, label, tag) = (s.kind.as_str(), s.label, s.tag);
             let addr = s.addr.map(|a| a.as_u64());
             (
                 s.id.0, s.parent.0, kind, s.node.0, s.task.0, start, end, label, tag, s.site, addr,

@@ -60,7 +60,7 @@ proptest! {
             start: SimTime::ZERO,
             end: SimTime::from_nanos(19_300),
             label: intern(&label),
-            tag: tag.clone(),
+            tag: tag.as_deref().map(intern),
             site: "",
             addr: None,
         }];
@@ -68,7 +68,7 @@ proptest! {
         let decoded = decode_spans(&text).unwrap();
         prop_assert_eq!(decoded.len(), 1);
         prop_assert_eq!(decoded[0].label, label.as_str());
-        prop_assert_eq!(&decoded[0].tag, &tag);
+        prop_assert_eq!(decoded[0].tag, tag.as_deref());
         prop_assert_eq!(encode_spans(&decoded), text);
     }
 

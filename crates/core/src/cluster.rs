@@ -9,7 +9,9 @@
 
 use std::sync::Arc;
 
-use dex_net::{MetricsRegistry, MetricsSnapshot, NetConfig, NodeCounter, NodeId, TimeSeries};
+use dex_net::{
+    MetricsRegistry, MetricsSnapshot, NetConfig, NodeCounter, NodeId, SeriesBuilder, TimeSeries,
+};
 use dex_os::{Pid, VirtAddr, PAGE_SIZE};
 use dex_sim::{Engine, Histogram, SchedulePolicyHandle, SimDuration, SimTime};
 
@@ -24,7 +26,6 @@ use crate::span::{Span, SpanBuffer};
 use crate::sync::{
     new_barrier, new_condvar, new_mutex, new_rwlock, DexBarrier, DexCondvar, DexMutex, DexRwLock,
 };
-use crate::telemetry::{HealthEvent, Telemetry, TelemetryConfig};
 use crate::thread::{DexThread, ThreadCtx};
 
 /// Configuration of a simulated DEX cluster.
@@ -55,11 +56,10 @@ pub struct ClusterConfig {
     /// Keep latency histograms and put the [`MetricsSnapshot`] of the
     /// run's counters in the report.
     pub metrics: bool,
-    /// Continuous telemetry: windowed time-series and online health
-    /// monitors driven by the engine's virtual-time sampler. `None` —
-    /// the default — installs no sampler; the run is byte-identical to
-    /// builds without the telemetry subsystem.
-    pub telemetry: Option<TelemetryConfig>,
+    /// Continuous telemetry: the window of the time-series the engine's
+    /// virtual-time sampler builds. `None` — the default — installs no
+    /// sampler; the run is byte-identical to builds without telemetry.
+    pub telemetry: Option<SimDuration>,
     /// Record the deterministic schedule (driver accept order) for
     /// bit-identity comparisons.
     pub record_schedule: bool,
@@ -131,25 +131,13 @@ impl ClusterConfig {
         self
     }
 
-    /// Enables continuous telemetry with the given virtual-time window
-    /// and default monitor thresholds: the engine samples the metrics
-    /// registry at every window boundary into a [`TimeSeries`], and the
-    /// online health monitors watch each window for page ping-pong,
-    /// retry storms, stalled requests, and fabric queue buildup.
-    /// Implies [`ClusterConfig::with_spans`] and
+    /// Enables continuous telemetry with the given virtual-time window:
+    /// the engine samples the metrics registry at every window boundary
+    /// into a [`TimeSeries`]. `dex_prof::health` judges the series and
+    /// the spans after the run. Implies [`ClusterConfig::with_spans`] and
     /// [`ClusterConfig::with_metrics`].
-    pub fn with_telemetry(self, window: SimDuration) -> Self {
-        self.with_telemetry_config(TelemetryConfig {
-            window,
-            monitors: crate::telemetry::MonitorConfig::default(),
-        })
-    }
-
-    /// Enables continuous telemetry with explicit monitor thresholds.
-    /// Implies [`ClusterConfig::with_spans`] and
-    /// [`ClusterConfig::with_metrics`].
-    pub fn with_telemetry_config(mut self, telemetry: TelemetryConfig) -> Self {
-        self.telemetry = Some(telemetry);
+    pub fn with_telemetry(mut self, window: SimDuration) -> Self {
+        self.telemetry = Some(window);
         self.spans = true;
         self.metrics = true;
         self
@@ -279,7 +267,7 @@ impl Cluster {
         let schedule = cfg
             .record_schedule
             .then(|| engine.record_schedule(format!("dex run, {} nodes", cfg.nodes)));
-        // Telemetry needs the histograms even if the caller set the
+        // The series needs the histograms even if the caller set the
         // `telemetry` field directly without `with_metrics`.
         let observed = cfg.metrics || cfg.telemetry.is_some();
         let cap = if observed {
@@ -320,24 +308,19 @@ impl Cluster {
             "setup must create at least one process"
         );
 
-        // Telemetry: install the virtual-time sampler after setup so the
-        // monitors see every created process's span buffer. The sampler
-        // is pure observation (it snapshots counters and drains the span
-        // cursor between events) — installing it adds no events.
-        let telemetry = cfg.telemetry.as_ref().map(|tcfg| {
-            let buffers = created.iter().map(|s| s.spans.clone()).collect();
-            let state = Arc::new(parking_lot::Mutex::new(Some(Telemetry::new(
-                Arc::clone(&metrics),
-                tcfg,
-                buffers,
-            ))));
-            let sampler_state = Arc::clone(&state);
-            engine.set_sampler(tcfg.window, move |boundary| {
-                if let Some(t) = sampler_state.lock().as_mut() {
-                    t.on_boundary(boundary);
-                }
+        // With a telemetry window, the sampler closes one window of the
+        // series at each boundary. It is pure observation (it reads
+        // counters and closes the histogram window between events) —
+        // installing it adds no events.
+        let builder = cfg.telemetry.map(|window| {
+            let builder = SeriesBuilder::new(Arc::clone(&metrics), window);
+            let builder = Arc::new(parking_lot::Mutex::new(Some(builder)));
+            let sampler = Arc::clone(&builder);
+            engine.set_sampler(window, move |_| {
+                let mut builder = sampler.lock();
+                builder.as_mut().expect("sampled during the run").sample();
             });
-            state
+            builder
         });
 
         let end: SimTime = match engine.run() {
@@ -345,14 +328,7 @@ impl Cluster {
             Err(e) => panic!("dex simulation failed: {e}"),
         };
 
-        let (series, health) = match telemetry {
-            Some(state) => {
-                let t = state.lock().take().expect("telemetry finishes once");
-                let (series, health) = t.finish(end);
-                (Some(series), health)
-            }
-            None => (None, Vec::new()),
-        };
+        let series = builder.map(|b| b.lock().take().expect("finished once").finish(end));
         let schedule_text = schedule.map(|log| log.lock().to_text());
         created
             .into_iter()
@@ -371,7 +347,6 @@ impl Cluster {
                     spans,
                     metrics,
                     series: series.clone(),
-                    health: health.clone(),
                     schedule: schedule_text.clone(),
                     race_events,
                     shared,
@@ -703,11 +678,9 @@ pub struct RunReport {
     pub metrics: Option<MetricsSnapshot>,
     /// Windowed time-series (present only when
     /// [`ClusterConfig::with_telemetry`] was set). Cluster-wide: every
-    /// process of a multi-process run reports the same series.
+    /// process of a multi-process run reports the same series. With the
+    /// spans it is what `dex_prof::health` judges.
     pub series: Option<TimeSeries>,
-    /// Health events from the online monitors (empty unless
-    /// [`ClusterConfig::with_telemetry`] was set). Cluster-wide.
-    pub health: Vec<HealthEvent>,
     /// Text rendering of the deterministic schedule (present only when
     /// [`ClusterConfig::with_schedule_recording`] was set).
     pub schedule: Option<String>,

@@ -224,16 +224,6 @@ pub struct DirStats {
     pub transactions: u64,
     /// Requests refused with a retry.
     pub retries: u64,
-    /// Invalidation messages requested.
-    pub invalidations: u64,
-    /// Flush messages requested.
-    pub flushes: u64,
-    /// Grants that skipped the data transfer.
-    pub data_skips: u64,
-    /// (Sharded mode) Requests forwarded to the current owner.
-    pub forwards: u64,
-    /// (Sharded mode) Batched invalidation messages requested.
-    pub invalidate_batches: u64,
 }
 
 /// The per-process ownership directory living at the origin.
@@ -423,7 +413,6 @@ impl Directory {
                             requester_had_copy: false,
                         });
                         self.stats.transactions += 1;
-                        self.stats.flushes += 1;
                         actions.push(DirAction::SendFlush { to: w });
                     }
                     None => {
@@ -451,7 +440,6 @@ impl Directory {
                 }
                 let had_copy = info.owners.contains(node);
                 let mut pending = NodeSet::EMPTY;
-                let mut invalidations_sent = 0u64;
                 for owner in info.owners.iter() {
                     if owner == node {
                         continue;
@@ -467,11 +455,9 @@ impl Directory {
                             needs_data,
                         });
                         pending.insert(owner);
-                        invalidations_sent += 1;
                     }
                 }
-                let inline = pending.is_empty();
-                if inline {
+                if pending.is_empty() {
                     info.owners = NodeSet::single(node);
                     info.writer = Some(node);
                     let with_data = !had_copy && !matches!(requester, Requester::Local { .. });
@@ -480,6 +466,7 @@ impl Directory {
                         access,
                         with_data,
                     });
+                    self.stats.inline_grants += 1;
                 } else {
                     info.txn = Some(Txn {
                         access,
@@ -487,14 +474,6 @@ impl Directory {
                         pending,
                         requester_had_copy: had_copy,
                     });
-                }
-                self.stats.invalidations += invalidations_sent;
-                if inline {
-                    self.stats.inline_grants += 1;
-                    if had_copy {
-                        self.stats.data_skips += 1;
-                    }
-                } else {
                     self.stats.transactions += 1;
                 }
             }
@@ -563,7 +542,6 @@ impl Directory {
                         requester_had_copy: false,
                     });
                     self.stats.transactions += 1;
-                    self.stats.forwards += 1;
                     actions.push(DirAction::Forward {
                         to: w,
                         requester,
@@ -608,7 +586,6 @@ impl Directory {
                             requester_had_copy: false,
                         });
                         self.stats.transactions += 1;
-                        self.stats.forwards += 1;
                         actions.push(DirAction::Forward {
                             to: target,
                             requester,
@@ -650,7 +627,6 @@ impl Directory {
                             requester_had_copy: false,
                         });
                         self.stats.transactions += 1;
-                        self.stats.forwards += 1;
                         actions.push(DirAction::Forward {
                             to: w,
                             requester,
@@ -673,7 +649,6 @@ impl Directory {
                         info.owners.iter().find(|o| *o != node)
                     };
                     let mut pending = NodeSet::EMPTY;
-                    let mut batches_sent = 0u64;
                     for owner in info.owners.iter() {
                         if owner == node {
                             continue;
@@ -689,11 +664,9 @@ impl Directory {
                                 entries: vec![(vpn, need_from == Some(owner))],
                             });
                             pending.insert(owner);
-                            batches_sent += 1;
                         }
                     }
-                    let inline = pending.is_empty();
-                    if inline {
+                    if pending.is_empty() {
                         info.owners = NodeSet::single(node);
                         info.writer = Some(node);
                         actions.push(DirAction::Grant {
@@ -701,6 +674,7 @@ impl Directory {
                             access,
                             with_data: !had_copy && !local,
                         });
+                        self.stats.inline_grants += 1;
                     } else {
                         info.txn = Some(Txn {
                             access,
@@ -708,15 +682,6 @@ impl Directory {
                             pending,
                             requester_had_copy: had_copy,
                         });
-                    }
-                    self.stats.invalidations += batches_sent;
-                    self.stats.invalidate_batches += batches_sent;
-                    if inline {
-                        self.stats.inline_grants += 1;
-                        if had_copy {
-                            self.stats.data_skips += 1;
-                        }
-                    } else {
                         self.stats.transactions += 1;
                     }
                 }
@@ -871,9 +836,6 @@ impl Directory {
         info.writer = Some(node);
         let with_data =
             !txn.requester_had_copy && !matches!(txn.requester, Requester::Local { .. });
-        if txn.requester_had_copy {
-            self.stats.data_skips += 1;
-        }
         actions.push(DirAction::Grant {
             to: txn.requester,
             access: Access::Write,
@@ -964,9 +926,6 @@ impl Directory {
                                     info.writer = Some(rnode);
                                     let with_data = !txn.requester_had_copy
                                         && !matches!(txn.requester, Requester::Local { .. });
-                                    if txn.requester_had_copy {
-                                        self.stats.data_skips += 1;
-                                    }
                                     actions.push(DirAction::Grant {
                                         to: txn.requester,
                                         access: Access::Write,
@@ -1184,7 +1143,16 @@ mod tests {
         let done = dir.invalidate_ack(Vpn::new(1), NodeId(2), false);
         // Node 1 already had the up-to-date copy: no data transfer.
         assert_eq!(grant_of(&done), Some((remote(1, 3), Access::Write, false)));
-        assert_eq!(dir.stats().data_skips, 1);
+        let skips = done.iter().filter(|a| {
+            matches!(
+                a,
+                DirAction::Grant {
+                    with_data: false,
+                    ..
+                }
+            )
+        });
+        assert_eq!(skips.count(), 1);
         dir.check_invariants().unwrap();
     }
 
@@ -1453,7 +1421,7 @@ mod tests {
     #[test]
     fn forwarded_write_hands_exclusivity_owner_to_owner() {
         let mut dir = Directory::forwarded(HOME, O);
-        dir.request(Vpn::new(1), Access::Write, remote(2, 1));
+        let first = dir.request(Vpn::new(1), Access::Write, remote(2, 1));
         dir.owner_ack(Vpn::new(1), O);
         assert_eq!(dir.current_writer(Vpn::new(1)), Some(NodeId(2)));
         // The next writer is serviced by node 2 directly; the origin
@@ -1470,7 +1438,9 @@ mod tests {
         dir.owner_ack(Vpn::new(1), NodeId(2));
         assert_eq!(dir.owners(Vpn::new(1)), NodeSet::single(NodeId(3)));
         assert_eq!(dir.current_writer(Vpn::new(1)), Some(NodeId(3)));
-        assert_eq!(dir.stats().forwards, 2);
+        let forwards = first.iter().chain(&actions);
+        let forwards = forwards.filter(|a| matches!(a, DirAction::Forward { .. }));
+        assert_eq!(forwards.count(), 2);
         dir.check_invariants().unwrap();
     }
 
@@ -1496,6 +1466,9 @@ mod tests {
             entries: vec![(Vpn::new(1), false)],
         }));
         assert!(grant_of(&actions).is_none(), "grant waits for the acks");
+        let batches = actions.iter();
+        let batches = batches.filter(|a| matches!(a, DirAction::SendInvalidateBatch { .. }));
+        assert_eq!(batches.count(), 2);
         assert_eq!(dir.invalidate_ack(Vpn::new(1), O, false), vec![]);
         let done = dir.invalidate_ack(Vpn::new(1), NodeId(3), false);
         // Requester had a copy: the write grant skips the transfer, and
@@ -1508,7 +1481,6 @@ mod tests {
                 with_data: false,
             }]
         );
-        assert_eq!(dir.stats().invalidate_batches, 2);
         dir.check_invariants().unwrap();
     }
 

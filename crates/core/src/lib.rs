@@ -66,7 +66,6 @@ pub mod protocol;
 mod race;
 mod span;
 mod sync;
-mod telemetry;
 mod thread;
 
 pub use cluster::{Cluster, ClusterConfig, ClusterHandle, DexProcess, DexStats, RunReport};
@@ -81,7 +80,6 @@ pub use process::{MigrationSample, ObjectSpan, ProcessShared};
 pub use race::{RaceEvent, RaceEventKind, RaceTrace};
 pub use span::{Span, SpanBuffer, SpanId, SpanKind};
 pub use sync::{DexBarrier, DexCondvar, DexMutex, DexRwLock};
-pub use telemetry::{HealthEvent, HealthEventKind, MonitorConfig, TelemetryConfig};
 pub use thread::{DexThread, MigrateError, ThreadCtx, FUTEX_EAGAIN};
 
 // Re-export the identifiers applications touch constantly.

@@ -103,8 +103,8 @@ pub struct ObjectSpan {
     pub start: VirtAddr,
     /// One past the last byte.
     pub end: VirtAddr,
-    /// The user-visible tag.
-    pub tag: String,
+    /// The user-visible tag, interned once at allocation.
+    pub tag: &'static str,
 }
 
 /// Timing of one migration (drives Table II and Figure 3).
@@ -226,7 +226,7 @@ impl ProcessShared {
                 heap_pages * PAGE_SIZE as u64,
                 dex_os::Prot::RW,
                 dex_os::VmaKind::Heap,
-                Some("heap".to_string()),
+                Some("heap"),
             )
         };
         let mem_bw = (0..nodes)
@@ -421,7 +421,7 @@ impl ProcessShared {
             self.objects.lock().push(ObjectSpan {
                 start: VirtAddr::new(start),
                 end: VirtAddr::new(end),
-                tag: tag.to_string(),
+                tag: dex_sim::codec::intern(tag),
             });
         }
         VirtAddr::new(start)
@@ -429,7 +429,7 @@ impl ProcessShared {
 
     /// Resolves the attribution tag for `addr`: the innermost registered
     /// object span, falling back to the covering VMA's tag.
-    pub fn tag_for(&self, node: NodeId, addr: VirtAddr) -> Option<String> {
+    pub fn tag_for(&self, node: NodeId, addr: VirtAddr) -> Option<&'static str> {
         let objects = self.objects.lock();
         let mut best: Option<&ObjectSpan> = None;
         for span in objects.iter() {
@@ -447,13 +447,13 @@ impl ProcessShared {
             }
         }
         if let Some(span) = best {
-            return Some(span.tag.clone());
+            return Some(span.tag);
         }
         self.space(node)
             .lock()
             .vmas
             .find(addr)
-            .and_then(|vma| vma.tag.clone())
+            .and_then(|vma| vma.tag)
     }
 
     /// Writes `bytes` directly into the origin replica (pre-run
@@ -773,10 +773,10 @@ mod tests {
         p.objects.lock().push(ObjectSpan {
             start: big,
             end: big.add(64),
-            tag: "counter".to_string(),
+            tag: "counter",
         });
-        assert_eq!(p.tag_for(NodeId(0), big.add(10)), Some("counter".into()));
-        assert_eq!(p.tag_for(NodeId(0), big.add(100)), Some("arena".into()));
+        assert_eq!(p.tag_for(NodeId(0), big.add(10)), Some("counter"));
+        assert_eq!(p.tag_for(NodeId(0), big.add(100)), Some("arena"));
     }
 
     #[test]
@@ -784,7 +784,7 @@ mod tests {
         let p = shared(1);
         let untagged = p.alloc_raw(64, 8, None);
         // The heap VMA itself is tagged "heap".
-        assert_eq!(p.tag_for(NodeId(0), untagged), Some("heap".into()));
+        assert_eq!(p.tag_for(NodeId(0), untagged), Some("heap"));
     }
 
     #[test]

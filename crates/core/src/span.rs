@@ -173,8 +173,9 @@ pub struct Span {
     pub end: SimTime,
     /// Fine-grained label (e.g. the migration phase name).
     pub label: &'static str,
-    /// Optional free-form attribution (e.g. the faulted object's tag).
-    pub tag: Option<String>,
+    /// Optional free-form attribution (e.g. the faulted object's tag),
+    /// interned like `label` and `site`.
+    pub tag: Option<&'static str>,
     /// The code site a fault span was raised at (the simulation analogue
     /// of the faulting instruction, set via
     /// [`ThreadCtx::set_site`](crate::ThreadCtx::set_site)), or the
@@ -285,23 +286,6 @@ impl SpanBuffer {
         self.inner.lock().spans.clone()
     }
 
-    /// Copies the spans recorded at index `from` or later. Returns the
-    /// spans and the next cursor value, letting a consumer stream the
-    /// buffer incrementally:
-    ///
-    /// ```
-    /// # use dex_core::SpanBuffer;
-    /// let spans = SpanBuffer::enabled();
-    /// let (batch, cursor) = spans.snapshot_since(0);
-    /// assert!(batch.is_empty());
-    /// let (_, again) = spans.snapshot_since(cursor);
-    /// assert_eq!(cursor, again);
-    /// ```
-    pub fn snapshot_since(&self, from: usize) -> (Vec<Span>, usize) {
-        let spans = &self.inner.lock().spans;
-        (spans[from.min(spans.len())..].to_vec(), spans.len())
-    }
-
     /// Number of recorded spans.
     pub fn len(&self) -> usize {
         self.inner.lock().spans.len()
@@ -357,22 +341,6 @@ mod tests {
         assert!(!b.is_enabled());
         b.record(span(1, SpanKind::Fault));
         assert!(b.is_empty());
-    }
-
-    #[test]
-    fn snapshot_since_streams_incrementally() {
-        let b = SpanBuffer::enabled();
-        b.record(span(1, SpanKind::Fault));
-        b.record(span(2, SpanKind::Fault));
-        let (batch, cursor) = b.snapshot_since(0);
-        assert_eq!(batch.len(), 2);
-        assert_eq!(cursor, 2);
-        b.record(span(3, SpanKind::FaultRetry));
-        let (batch, cursor) = b.snapshot_since(cursor);
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].id, SpanId(3));
-        assert_eq!(cursor, 3);
-        assert!(b.snapshot_since(cursor).0.is_empty());
     }
 
     #[test]

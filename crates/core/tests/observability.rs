@@ -70,7 +70,7 @@ fn remote_fault_spans_stitch_across_nodes() {
         .expect("a remote write fault span");
     assert_eq!(fault.parent, SpanId::NONE, "faults are roots");
     assert_eq!(
-        fault.tag.as_deref(),
+        fault.tag,
         Some("data"),
         "fault spans carry the faulted object's tag"
     );

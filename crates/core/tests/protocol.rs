@@ -340,7 +340,7 @@ fn trace_records_six_tuples_when_enabled() {
     assert!(!writes.is_empty(), "spans: {:?}", report.spans);
     assert_eq!(writes[0].node, NodeId(1));
     assert_eq!(writes[0].addr, Some(addr));
-    assert_eq!(writes[0].tag.as_deref(), Some("hot_counter"));
+    assert_eq!(writes[0].tag, Some("hot_counter"));
 }
 
 #[test]

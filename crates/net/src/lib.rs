@@ -55,4 +55,4 @@ pub use metrics::{
     MetricsSnapshot, NodeCounter, DEFAULT_HIST_CAP,
 };
 pub use pool::{ChunkGrant, CreditPool, TimedPool};
-pub use series::{CounterPoint, HistPoint, SeriesBuilder, SeriesScope, TimeSeries, WindowPoints};
+pub use series::{CounterPoint, HistPoint, SeriesBuilder, SeriesScope, TimeSeries};

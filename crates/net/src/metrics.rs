@@ -167,10 +167,10 @@ struct HistTable {
     map: BTreeMap<(&'static str, u16), Histogram>,
     /// Samples discarded because creating their key would exceed the cap.
     dropped: u64,
-    /// When attached (continuous telemetry), every observed sample is
-    /// also appended here, keyed like `map`; the sampler drains it at
-    /// each window boundary to compute per-window quantiles.
-    tap: Option<BTreeMap<(&'static str, u16), Vec<u64>>>,
+    /// Once windows are open (continuous telemetry): each key's samples
+    /// of the open window, in nanoseconds, not yet in its histogram in
+    /// `map`. Closing the window moves them there.
+    window: Option<BTreeMap<(&'static str, u16), Vec<u64>>>,
 }
 
 impl MetricsRegistry {
@@ -200,7 +200,7 @@ impl MetricsRegistry {
             hists: Mutex::new(HistTable {
                 map: BTreeMap::new(),
                 dropped: 0,
-                tap: None,
+                window: None,
             }),
             hist_cap: cap,
         })
@@ -259,51 +259,49 @@ impl MetricsRegistry {
     /// table holds `hist_cap` distinct keys, samples for *new* keys are
     /// counted into [`MetricsSnapshot::histograms_dropped`] and
     /// discarded; existing keys keep recording). Without histograms the
-    /// sample is discarded uncounted.
+    /// sample is discarded uncounted. While a window is open the sample
+    /// waits in it until [`MetricsRegistry::close_window`].
     pub fn observe(&self, name: &'static str, node: NodeId, d: SimDuration) {
         if !self.records_histograms() {
             return;
         }
-        let hist = {
-            let mut t = self.hists.lock();
-            let key = (name, node.0);
-            let hist = match t.map.get(&key) {
-                Some(h) => h.clone(),
-                None => {
-                    if t.map.len() >= self.hist_cap {
-                        t.dropped += 1;
-                        return;
-                    }
-                    t.map.entry(key).or_default().clone()
-                }
-            };
-            if let Some(tap) = t.tap.as_mut() {
-                tap.entry(key).or_default().push(d.as_nanos());
+        let mut guard = self.hists.lock();
+        let t = &mut *guard;
+        let key = (name, node.0);
+        if !t.map.contains_key(&key) && t.map.len() >= self.hist_cap {
+            t.dropped += 1;
+            return;
+        }
+        let hist = t.map.entry(key).or_default();
+        match t.window.as_mut() {
+            Some(window) => window.entry(key).or_default().push(d.as_nanos()),
+            None => hist.record(d),
+        }
+    }
+
+    /// Opens histogram windows: from now on each sample waits in the open
+    /// window until [`MetricsRegistry::close_window`] moves it into its
+    /// histogram, so a snapshot taken while a window is open lacks that
+    /// window's samples. Used by the continuous-telemetry sampler; pure
+    /// bookkeeping, like the rest of the registry.
+    pub fn open_windows(&self) {
+        self.hists.lock().window.get_or_insert_with(BTreeMap::new);
+    }
+
+    /// Closes the open window and opens the next: moves every sample of
+    /// the window into its histogram and returns them, keyed and ordered
+    /// by `(name, node)`, in nanoseconds in recording order. Empty if no
+    /// window was opened.
+    pub fn close_window(&self) -> BTreeMap<(&'static str, u16), Vec<u64>> {
+        let mut guard = self.hists.lock();
+        let t = &mut *guard;
+        let samples = t.window.as_mut().map(std::mem::take).unwrap_or_default();
+        for (key, values) in &samples {
+            for &n in values {
+                t.map[key].record(SimDuration::from_nanos(n));
             }
-            hist
-        };
-        hist.record(d);
-    }
-
-    /// Attaches the window tap: from now on every `observe`d sample is
-    /// additionally buffered for [`MetricsRegistry::drain_window_samples`].
-    /// Used by the continuous-telemetry sampler; pure bookkeeping, like
-    /// the rest of the registry.
-    pub fn enable_window_tap(&self) {
-        self.hists.lock().tap.get_or_insert_with(BTreeMap::new);
-    }
-
-    /// Takes every sample buffered since the last drain (or since
-    /// [`MetricsRegistry::enable_window_tap`]), keyed by `(name, node)`,
-    /// values in nanoseconds in recording order. Returns an empty map if
-    /// the tap was never enabled.
-    pub fn drain_window_samples(&self) -> BTreeMap<(String, u16), Vec<u64>> {
-        let mut t = self.hists.lock();
-        let samples = t.tap.as_mut().map(std::mem::take).unwrap_or_default();
+        }
         samples
-            .into_iter()
-            .map(|((name, node), v)| ((name.to_string(), node), v))
-            .collect()
     }
 
     /// A point-in-time copy of every counter and histogram summary.
@@ -577,20 +575,22 @@ mod tests {
     }
 
     #[test]
-    fn window_tap_buffers_and_drains() {
+    fn window_samples_move_into_the_histogram_at_close() {
         let m = MetricsRegistry::new(2);
         m.observe("wait", NodeId(0), SimDuration::from_micros(1));
-        m.enable_window_tap();
+        m.open_windows();
         m.observe("wait", NodeId(0), SimDuration::from_micros(2));
         m.observe("wait", NodeId(1), SimDuration::from_micros(3));
-        let win = m.drain_window_samples();
-        assert_eq!(win.len(), 2, "pre-tap sample not included");
-        assert_eq!(win[&("wait".to_string(), 0)], vec![2_000]);
-        assert_eq!(win[&("wait".to_string(), 1)], vec![3_000]);
-        assert!(m.drain_window_samples().is_empty(), "drain empties the tap");
+        assert_eq!(m.snapshot().histograms[0].count, 1, "window still open");
+        let win = m.close_window();
+        assert_eq!(win.len(), 2, "the sample before the window is not in it");
+        assert_eq!(win[&("wait", 0)], vec![2_000]);
+        assert_eq!(win[&("wait", 1)], vec![3_000]);
+        assert!(m.close_window().is_empty(), "closing empties the window");
         m.observe("wait", NodeId(0), SimDuration::from_micros(4));
-        assert_eq!(m.drain_window_samples().len(), 1, "tap stays attached");
-        // The cumulative histogram saw everything regardless of the tap.
-        assert_eq!(m.snapshot().histograms[0].count, 3);
+        assert_eq!(m.close_window().len(), 1, "the next window is open");
+        // The histogram holds every sample once.
+        let snap = m.snapshot();
+        assert_eq!((snap.histograms[0].count, snap.histograms[1].count), (3, 1));
     }
 }

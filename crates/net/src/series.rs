@@ -3,8 +3,9 @@
 //!
 //! The registry's counters are cumulative; a [`SeriesBuilder`] turns them
 //! into per-window *deltas* by diffing successive snapshots at each
-//! window boundary, and turns the registry's window tap (raw samples
-//! since the last boundary) into per-window latency quantiles. Windows
+//! window boundary, and turns each histogram's samples of the window
+//! (see [`MetricsRegistry::close_window`]) into per-window latency
+//! quantiles. Windows
 //! are half-open `[k*w, (k+1)*w)` in virtual time; window `k` covers
 //! exactly the events with `k*w <= t < (k+1)*w`.
 //!
@@ -103,26 +104,13 @@ impl TimeSeries {
     }
 }
 
-/// The points one sampler invocation appended — handed to health
-/// monitors so they can judge the freshest window without re-scanning
-/// the whole series.
-#[derive(Clone, Debug, Default)]
-pub struct WindowPoints {
-    /// The window these points cover.
-    pub window: u64,
-    /// Counter deltas of this window.
-    pub counters: Vec<CounterPoint>,
-    /// Histogram quantiles of this window.
-    pub hists: Vec<HistPoint>,
-}
-
 /// Accumulates a [`TimeSeries`] by sampling a registry at successive
 /// window boundaries.
 ///
-/// Constructing the builder attaches the registry's window tap; each
+/// Constructing the builder opens the registry's histogram windows; each
 /// [`SeriesBuilder::sample`] call closes one window (diffing counters,
-/// draining the tap); [`SeriesBuilder::finish`] closes a trailing
-/// partial window if the run ended mid-window.
+/// closing the histogram window); [`SeriesBuilder::finish`] closes a
+/// trailing partial window if the run ended mid-window.
 pub struct SeriesBuilder {
     registry: Arc<MetricsRegistry>,
     window: SimDuration,
@@ -135,14 +123,14 @@ pub struct SeriesBuilder {
 
 impl SeriesBuilder {
     /// Creates a builder over `registry` with the given window width and
-    /// attaches the registry's window tap.
+    /// opens the registry's histogram windows.
     ///
     /// # Panics
     ///
     /// Panics if `window` is zero.
     pub fn new(registry: Arc<MetricsRegistry>, window: SimDuration) -> Self {
         assert!(!window.is_zero(), "series window must be positive");
-        registry.enable_window_tap();
+        registry.open_windows();
         SeriesBuilder {
             registry,
             window,
@@ -154,17 +142,11 @@ impl SeriesBuilder {
     }
 
     /// Closes the current window: every counter that moved since the
-    /// last boundary becomes a [`CounterPoint`], every histogram with
-    /// tapped samples becomes a [`HistPoint`]. Returns the new points
-    /// (also retained internally for the final series).
-    pub fn sample(&mut self) -> WindowPoints {
+    /// last boundary becomes a [`CounterPoint`], every histogram that
+    /// recorded samples in the window a [`HistPoint`].
+    pub fn sample(&mut self) {
         let window = self.next_window;
         self.next_window += 1;
-        let mut points = WindowPoints {
-            window,
-            counters: Vec::new(),
-            hists: Vec::new(),
-        };
 
         let nodes = self.registry.nodes() as u16;
         let links = (0..nodes).flat_map(|s| (0..nodes).map(move |d| SeriesScope::Link(s, d)));
@@ -172,7 +154,7 @@ impl SeriesBuilder {
             for (name, value) in self.registry.counts(scope) {
                 let prev = self.prev.insert((scope, name), value).unwrap_or(0);
                 if value > prev {
-                    points.counters.push(CounterPoint {
+                    self.counters.push(CounterPoint {
                         window,
                         scope,
                         name: name.to_string(),
@@ -182,51 +164,38 @@ impl SeriesBuilder {
             }
         }
 
-        for ((name, node), mut samples) in self.registry.drain_window_samples() {
-            if samples.is_empty() {
-                continue;
-            }
+        for ((name, node), mut samples) in self.registry.close_window() {
             samples.sort_unstable();
             let q = |p: f64| {
                 let rank = ((p / 100.0) * (samples.len() - 1) as f64).round() as usize;
                 SimDuration::from_nanos(samples[rank.min(samples.len() - 1)])
             };
-            points.hists.push(HistPoint {
+            self.hists.push(HistPoint {
                 window,
                 node,
-                name,
+                name: name.to_string(),
                 count: samples.len() as u64,
                 p50: q(50.0),
                 p95: q(95.0),
                 p99: q(99.0),
             });
         }
-
-        self.counters.extend(points.counters.iter().cloned());
-        self.hists.extend(points.hists.iter().cloned());
-        points
     }
 
-    /// Closes a trailing partial window if anything moved since the last
-    /// boundary, and returns the finished series ending at `end` (the
-    /// final simulation clock). The partial window's points, if any, are
-    /// also returned so monitors can judge it.
-    pub fn finish(mut self, end: SimTime) -> (TimeSeries, Option<WindowPoints>) {
-        let tail = self.sample();
-        let tail_nonempty = !tail.counters.is_empty() || !tail.hists.is_empty();
-        let windows = if tail_nonempty {
-            self.next_window
-        } else {
-            self.next_window - 1
-        };
-        let series = TimeSeries {
+    /// Closes a trailing partial window, counted only if anything moved
+    /// since the last boundary, and returns the finished series ending at
+    /// `end` (the final simulation clock).
+    pub fn finish(mut self, end: SimTime) -> TimeSeries {
+        let before = (self.counters.len(), self.hists.len());
+        self.sample();
+        let tail_moved = (self.counters.len(), self.hists.len()) != before;
+        TimeSeries {
             window: self.window,
-            windows,
+            windows: self.next_window - u64::from(!tail_moved),
             end,
             counters: self.counters,
             hists: self.hists,
-        };
-        (series, tail_nonempty.then_some(tail))
+        }
     }
 }
 
@@ -244,21 +213,28 @@ mod tests {
     use super::*;
     use crate::{LinkCounter, NodeCounter, NodeId};
 
+    fn builder(m: &Arc<MetricsRegistry>) -> SeriesBuilder {
+        SeriesBuilder::new(Arc::clone(m), SimDuration::from_micros(10))
+    }
+
     #[test]
     fn counter_deltas_are_per_window() {
         let m = MetricsRegistry::new(2);
-        let mut b = SeriesBuilder::new(Arc::clone(&m), SimDuration::from_micros(10));
+        let mut b = builder(&m);
         m.count(NodeId(0), NodeCounter::MsgsSent, 3);
-        let w0 = b.sample();
+        b.sample();
         m.count(NodeId(0), NodeCounter::MsgsSent, 2);
         m.count_link(NodeId(0), NodeId(1), LinkCounter::Bytes, 100);
-        let w1 = b.sample();
-        assert_eq!(w0.counters.len(), 1);
-        assert_eq!(w0.counters[0].delta, 3);
-        assert_eq!(w1.counters.len(), 2);
-        let sent = w1.counters.iter().find(|p| p.name == "msgs.sent").unwrap();
+        b.sample();
+        let series = b.finish(SimTime::from_nanos(20_000));
+        let w0: Vec<_> = series.counters_in(0).collect();
+        let w1: Vec<_> = series.counters_in(1).collect();
+        assert_eq!(w0.len(), 1);
+        assert_eq!(w0[0].delta, 3);
+        assert_eq!(w1.len(), 2);
+        let sent = w1.iter().find(|p| p.name == "msgs.sent").unwrap();
         assert_eq!(sent.delta, 2, "window 1 sees only the increment");
-        let bytes = w1.counters.iter().find(|p| p.name == "bytes").unwrap();
+        let bytes = w1.iter().find(|p| p.name == "bytes").unwrap();
         assert_eq!(bytes.scope, SeriesScope::Link(0, 1));
         assert_eq!(bytes.delta, 100);
     }
@@ -266,53 +242,62 @@ mod tests {
     #[test]
     fn idle_windows_produce_no_points() {
         let m = MetricsRegistry::new(1);
-        let mut b = SeriesBuilder::new(Arc::clone(&m), SimDuration::from_micros(10));
+        let mut b = builder(&m);
         m.count(NodeId(0), NodeCounter::MsgsSent, 1);
         b.sample();
-        let idle = b.sample();
-        assert!(idle.counters.is_empty() && idle.hists.is_empty());
+        b.sample();
+        let series = b.finish(SimTime::from_nanos(20_000));
+        assert_eq!(series.windows, 2);
+        assert_eq!(
+            series.counters_in(1).count() + series.hists_in(1).count(),
+            0
+        );
     }
 
     #[test]
     fn hist_points_cover_only_the_window() {
         let m = MetricsRegistry::new(1);
-        let mut b = SeriesBuilder::new(Arc::clone(&m), SimDuration::from_micros(10));
+        let mut b = builder(&m);
         m.observe("wait", NodeId(0), SimDuration::from_micros(100));
         b.sample();
         for us in [1u64, 2, 3] {
             m.observe("wait", NodeId(0), SimDuration::from_micros(us));
         }
-        let w1 = b.sample();
-        assert_eq!(w1.hists.len(), 1);
-        let h = &w1.hists[0];
+        b.sample();
+        let series = b.finish(SimTime::from_nanos(20_000));
+        let w1: Vec<_> = series.hists_in(1).collect();
+        assert_eq!(w1.len(), 1);
+        let h = w1[0];
         assert_eq!(h.count, 3);
         // The 100µs sample of window 0 must not leak into window 1.
         assert_eq!(h.p50, SimDuration::from_micros(2));
         assert_eq!(h.p99, SimDuration::from_micros(3));
+        // Every sample reached the run-wide histogram, once.
+        let snap = m.snapshot();
+        assert_eq!(snap.histograms[0].count, 4);
+        let stats = snap.histograms[0].stats.expect("four samples");
+        assert_eq!(stats.max, SimDuration::from_micros(100));
     }
 
     #[test]
     fn finish_closes_a_partial_tail_window() {
         let m = MetricsRegistry::new(1);
-        let mut b = SeriesBuilder::new(Arc::clone(&m), SimDuration::from_micros(10));
+        let mut b = builder(&m);
         m.count(NodeId(0), NodeCounter::MsgsSent, 1);
         b.sample();
         m.count(NodeId(0), NodeCounter::MsgsSent, 1);
         let end = SimTime::from_nanos(15_000);
-        let (series, tail) = b.finish(end);
+        let series = b.finish(end);
         assert_eq!(series.windows, 2, "full window 0 plus partial window 1");
         assert_eq!(series.end, end);
-        let tail = tail.expect("the tail window saw an increment");
-        assert_eq!(tail.window, 1);
         assert_eq!(series.counters_in(1).count(), 1);
 
         // An empty tail is not counted as a window.
         let m = MetricsRegistry::new(1);
-        let mut b = SeriesBuilder::new(Arc::clone(&m), SimDuration::from_micros(10));
+        let mut b = builder(&m);
         m.count(NodeId(0), NodeCounter::MsgsSent, 1);
         b.sample();
-        let (series, tail) = b.finish(SimTime::from_nanos(10_000));
+        let series = b.finish(SimTime::from_nanos(10_000));
         assert_eq!(series.windows, 1);
-        assert!(tail.is_none());
     }
 }

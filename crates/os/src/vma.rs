@@ -75,7 +75,7 @@ pub struct Vma {
     /// Usage classification.
     pub kind: VmaKind,
     /// Optional user label (surfaces in page-fault profiles).
-    pub tag: Option<String>,
+    pub tag: Option<&'static str>,
 }
 
 impl Vma {
@@ -210,7 +210,13 @@ impl VmaSet {
 
     /// Maps `len` bytes (rounded up to pages) at a placement-chosen
     /// address.
-    pub fn mmap(&mut self, len: u64, prot: Prot, kind: VmaKind, tag: Option<String>) -> VirtAddr {
+    pub fn mmap(
+        &mut self,
+        len: u64,
+        prot: Prot,
+        kind: VmaKind,
+        tag: Option<&'static str>,
+    ) -> VirtAddr {
         let len = round_up(len.max(1));
         let mut candidate = self.mmap_hint;
         loop {
@@ -240,7 +246,7 @@ impl VmaSet {
         len: u64,
         prot: Prot,
         kind: VmaKind,
-        tag: Option<String>,
+        tag: Option<&'static str>,
     ) -> Result<(), VmaError> {
         if len == 0
             || !addr.as_u64().is_multiple_of(PAGE_SIZE as u64)
@@ -570,7 +576,7 @@ mod tests {
             end: VirtAddr::new(0x11000),
             prot: Prot::RO,
             kind: VmaKind::GlobalData,
-            tag: Some("params".into()),
+            tag: Some("params"),
         });
         assert_eq!(s.find(VirtAddr::new(0x10000)).unwrap().prot, Prot::RO);
         assert_eq!(s.find(VirtAddr::new(0x11000)).unwrap().prot, Prot::RW);
@@ -578,12 +584,12 @@ mod tests {
 
     #[test]
     fn install_over_itself_and_a_partial_overlap_splits_as_munmap_does() {
-        let vma = |start: u64, end: u64, prot, kind, tag: &str| Vma {
+        let vma = |start: u64, end: u64, prot, kind, tag: &'static str| Vma {
             start: VirtAddr::new(start),
             end: VirtAddr::new(end),
             prot,
             kind,
-            tag: Some(tag.into()),
+            tag: Some(tag),
         };
         let heap = vma(0x10000, 0x14000, Prot::RW, VmaKind::Heap, "heap");
         let data = vma(0x14000, 0x16000, Prot::RO, VmaKind::GlobalData, "data");

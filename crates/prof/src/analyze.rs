@@ -179,7 +179,7 @@ impl Profile {
             *on_page += 1;
             *on_node += 1;
             page.nodes.insert(span.node);
-            page.tags.extend(span.tag.clone());
+            page.tags.extend(span.tag.map(String::from));
             page.sites.insert(span.site);
 
             if event != Event::Invalidate {
@@ -331,7 +331,7 @@ mod tests {
         (kind, label): Kind,
         site: &'static str,
         addr: u64,
-        tag: &str,
+        tag: &'static str,
     ) -> Span {
         Span {
             id: SpanId(t + 1),
@@ -342,7 +342,7 @@ mod tests {
             start: SimTime::from_nanos(t),
             end: SimTime::from_nanos(t + 1),
             label,
-            tag: Some(tag.to_string()),
+            tag: Some(tag),
             site,
             addr: Some(VirtAddr::new(addr)),
         }

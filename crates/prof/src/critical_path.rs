@@ -127,11 +127,7 @@ fn us(ns: u64) -> f64 {
 fn render_tree(nodes: &[TreeNode<'_>], i: usize, depth: usize, out: &mut String) {
     let s = nodes[i].span;
     let indent = "  ".repeat(depth);
-    let tag = s
-        .tag
-        .as_deref()
-        .map(|t| format!(" [{t}]"))
-        .unwrap_or_default();
+    let tag = s.tag.map(|t| format!(" [{t}]")).unwrap_or_default();
     let _ = writeln!(
         out,
         "{indent}{} {} @ node {} task {}: {:.1} us{tag}",

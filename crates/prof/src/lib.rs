@@ -14,6 +14,8 @@
 //! * [`Profile::contended_objects`] — single objects under true sharing
 //!   (fix: stage updates locally, merge per iteration).
 //! * [`render_report`] — the human-readable report.
+//! * [`health`] — the health alarms of a telemetry run, judged from its
+//!   series and spans after the run.
 //!
 //! # Examples
 //!
@@ -44,6 +46,7 @@
 mod analyze;
 mod critical_path;
 pub mod diff;
+mod health;
 mod report;
 pub mod series_codec;
 pub mod span_codec;
@@ -59,6 +62,7 @@ pub use diff::{
     bench_numeric_fields, diff_bench, diff_series, diff_spans, render_diff, sniff_and_decode,
     DiffInput, DiffRow, SpanDiff,
 };
+pub use health::{health, HealthEvent, HealthEventKind, MonitorConfig};
 pub use report::{render_report, ReportOptions};
 pub use series_codec::{decode_series, encode_series};
 pub use span_codec::{decode_spans, encode_spans};

@@ -7,9 +7,10 @@
 //!
 //! `top` renders one window of a `# dex-series v1` telemetry time-series
 //! as a per-node dashboard: counter deltas by node, link traffic,
-//! per-window latency quantiles. Without FILE it runs the built-in
-//! sharing demo workload with telemetry enabled and renders its final
-//! window, health alarms included.
+//! per-window latency quantiles. A series file carries no spans, so its
+//! health is not judged. Without FILE it runs the built-in sharing demo
+//! workload with telemetry enabled and renders its final window, with
+//! the health alarms judged from the run's series and spans.
 //!
 //! `diff` aligns two runs' artifacts — span traces, series, or
 //! `BENCH_*.json` results, sniffed by header — and reports where the
@@ -22,7 +23,7 @@
 use std::process::ExitCode;
 
 use dex_core::{Cluster, ClusterConfig, DsmCell};
-use dex_prof::{decode_series, render_diff, render_top, sniff_and_decode};
+use dex_prof::{decode_series, health, render_diff, render_top, sniff_and_decode, MonitorConfig};
 use dex_sim::SimDuration;
 
 const USAGE: &str = "\
@@ -35,9 +36,10 @@ USAGE:
 SUBCOMMANDS:
   top      render one window of a `# dex-series v1` time-series as a
            per-node dashboard (counters, link traffic, latency
-           quantiles). FILE is a series text file; without it, the
-           built-in sharing demo runs live with telemetry and the final
-           window is rendered together with its health alarms.
+           quantiles). FILE is a series text file (health not judged:
+           the file has no spans); without it, the built-in sharing
+           demo runs live with telemetry and the final window is
+           rendered together with its health alarms.
   diff     align two artifacts of the same kind — `# dex-spans v2` span
            traces, `# dex-series v1` series, or `dex-bench v1` JSON
            results (format sniffed from the first line) — and report
@@ -98,14 +100,15 @@ fn cmd_top(args: &[String]) -> Result<bool, String> {
         Some(path) => {
             let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
             let series = decode_series(&text).map_err(|e| format!("{path}: {e}"))?;
-            print!("{}", render_top(&series, &[], window));
+            print!("{}", render_top(&series, None, window));
             Ok(true)
         }
         None => {
             let report = run_demo();
             let series = report.series.expect("telemetry was enabled");
-            print!("{}", render_top(&series, &report.health, window));
-            Ok(report.health.is_empty())
+            let alarms = health(&series, &report.spans, &MonitorConfig::default());
+            print!("{}", render_top(&series, Some(&alarms), window));
+            Ok(alarms.is_empty())
         }
     }
 }

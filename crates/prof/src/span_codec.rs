@@ -46,7 +46,7 @@ pub fn encode_spans(spans: &[Span]) -> String {
         );
         escape_field(&mut out, s.label);
         out.push('\t');
-        match &s.tag {
+        match s.tag {
             Some(tag) => escape_field(&mut out, tag),
             None => out.push('-'),
         }
@@ -74,7 +74,7 @@ pub fn decode_spans(text: &str) -> Result<Vec<Span>, String> {
             .ok_or_else(|| row.err(format_args!("unknown span kind {kind:?}")))?;
         let tag = match row.get(8).raw {
             "-" => None,
-            _ => Some(row.get(8).text("tag")?.into_owned()),
+            _ => Some(intern(&row.get(8).text("tag")?)),
         };
         let addr = match row.get(10).raw {
             "-" => None,
@@ -125,7 +125,7 @@ mod tests {
                 start: SimTime::ZERO,
                 end: SimTime::from_nanos(158_800),
                 label: "write_fault",
-                tag: Some("centroids".into()),
+                tag: Some("centroids"),
                 site: "kmeans.update",
                 addr: Some(VirtAddr::new(0x1000_0040)),
             },

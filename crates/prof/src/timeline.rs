@@ -236,7 +236,7 @@ mod tests {
             start: SimTime::from_nanos(1_000),
             end: SimTime::from_nanos(2_500),
             label: "write_fault",
-            tag: Some("data\"quote".into()),
+            tag: Some("data\"quote"),
             site: "",
             addr: None,
         }

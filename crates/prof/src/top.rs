@@ -6,8 +6,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
-use dex_core::HealthEvent;
 use dex_net::{SeriesScope, TimeSeries};
+
+use crate::health::HealthEvent;
 
 fn pad(s: &str, width: usize) -> String {
     format!("{s:>width$}")
@@ -35,13 +36,16 @@ fn render_grid(out: &mut String, header: Vec<String>, rows: Vec<Vec<String>>) {
 }
 
 /// Renders one window of `series` as the `top` dashboard. `window`
-/// defaults to the last recorded window; `health` is filtered down to
-/// the alarms of the rendered window.
+/// defaults to the last recorded window. `health` is the run's alarms
+/// (see [`health`](crate::health)), filtered down to the rendered window,
+/// or `None` when they were not judged: the dashboard then says so
+/// instead of calling the window healthy.
 ///
 /// # Examples
 ///
 /// ```
 /// use dex_core::{Cluster, ClusterConfig};
+/// use dex_prof::{health, render_top, MonitorConfig};
 /// use dex_sim::SimDuration;
 ///
 /// let config = ClusterConfig::new(2).with_telemetry(SimDuration::from_micros(50));
@@ -52,10 +56,15 @@ fn render_grid(out: &mut String, header: Vec<String>, rows: Vec<Vec<String>>) {
 ///     });
 /// });
 /// let series = report.series.expect("telemetry on");
-/// let text = dex_prof::render_top(&series, &report.health, None);
+/// let alarms = health(&series, &report.spans, &MonitorConfig::default());
+/// let text = render_top(&series, Some(&alarms), None);
 /// assert!(text.contains("node"));
 /// ```
-pub fn render_top(series: &TimeSeries, health: &[HealthEvent], window: Option<u64>) -> String {
+pub fn render_top(
+    series: &TimeSeries,
+    health: Option<&[HealthEvent]>,
+    window: Option<u64>,
+) -> String {
     let mut out = String::new();
     if series.windows == 0 {
         return "dex-prof top: the series has no windows (nothing moved)\n".to_string();
@@ -151,6 +160,10 @@ pub fn render_top(series: &TimeSeries, health: &[HealthEvent], window: Option<u6
         out.push('\n');
     }
 
+    let Some(health) = health else {
+        out.push_str("health: not judged\n");
+        return out;
+    };
     let alarms: Vec<&HealthEvent> = health.iter().filter(|e| e.window == w).collect();
     if alarms.is_empty() {
         out.push_str("health: ok\n");
@@ -208,7 +221,7 @@ mod tests {
 
     #[test]
     fn renders_counters_links_latency_and_health() {
-        let text = render_top(&sample(), &[], None);
+        let text = render_top(&sample(), Some(&[]), None);
         assert!(text.contains("window 1/1"), "{text}");
         assert!(text.contains("faults.write"));
         assert!(text.contains("msgs.sent"));
@@ -225,15 +238,16 @@ mod tests {
 
     #[test]
     fn idle_window_and_empty_series_render_gracefully() {
-        let empty = render_top(&TimeSeries::default(), &[], None);
+        let empty = render_top(&TimeSeries::default(), Some(&[]), None);
         assert!(empty.contains("no windows"));
-        let idle = render_top(&sample(), &[], Some(0));
+        let idle = render_top(&sample(), Some(&[]), Some(0));
         assert!(idle.contains("idle window"), "{idle}");
     }
 
     #[test]
     fn health_alarms_of_the_window_are_listed() {
-        use dex_core::{HealthEventKind, SpanId};
+        use crate::health::HealthEventKind;
+        use dex_core::SpanId;
         let health = vec![HealthEvent {
             window: 1,
             at: SimTime::from_nanos(100_000),
@@ -242,11 +256,18 @@ mod tests {
             span: SpanId(9),
             detail: "tag 'bouncer' faulted 8x from 2 nodes".into(),
         }];
-        let text = render_top(&sample(), &health, Some(1));
+        let text = render_top(&sample(), Some(&health), Some(1));
         assert!(text.contains("1 alarm(s)"));
         assert!(text.contains("page_ping_pong"));
         // A different window filters it out.
-        let other = render_top(&sample(), &health, Some(0));
+        let other = render_top(&sample(), Some(&health), Some(0));
         assert!(other.contains("health: ok"));
+    }
+
+    #[test]
+    fn unjudged_health_is_not_reported_ok() {
+        let text = render_top(&sample(), None, None);
+        assert!(text.contains("health: not judged"), "{text}");
+        assert!(!text.contains("health: ok"), "{text}");
     }
 }

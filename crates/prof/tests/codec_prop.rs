@@ -26,8 +26,8 @@ fn name() -> impl Strategy<Value = String> {
 }
 
 /// `None` one time in four, else a name.
-fn maybe_tag() -> impl Strategy<Value = Option<String>> {
-    (0u8..4, name()).prop_map(|(n, s)| (n > 0).then_some(s))
+fn maybe_tag() -> impl Strategy<Value = Option<&'static str>> {
+    (0u8..4, name()).prop_map(|(n, s)| (n > 0).then(|| intern(&s)))
 }
 
 /// A fault record's site and address: empty and `None` one time in two

@@ -27,7 +27,7 @@ fn sharded_protocol_counters_render_in_node_panes() {
         ],
         ..TimeSeries::default()
     };
-    let text = render_top(&series, &[], None);
+    let text = render_top(&series, None, None);
     for name in [
         "protocol.forwards",
         "protocol.forwards_serviced",
@@ -77,7 +77,7 @@ fn live_sharded_run_feeds_forward_counters_into_top() {
     }
     // ...and render in whichever window they moved.
     let rendered: String = (0..series.windows)
-        .map(|w| render_top(&series, &[], Some(w)))
+        .map(|w| render_top(&series, None, Some(w)))
         .collect();
     assert!(rendered.contains("protocol.forwards"), "{rendered}");
 }

@@ -10,10 +10,10 @@
 //! which also show where each fault's latency went, stitched across
 //! nodes. The run collects cluster *metrics* as well (per-node and per-link
 //! counters), and *continuous telemetry* — a virtual-time series
-//! sampled every millisecond plus online health monitors, whose
-//! fabric-queue alarm fires on the packed run (the bouncing page
-//! saturates the links) and goes quiet once the counters are pulled
-//! apart. The spans and the counter tracks export together as one
+//! sampled every millisecond. Judged with the spans after the run, the
+//! series raises a fabric-queue alarm on the packed run (the bouncing
+//! page saturates the links) that goes quiet once the counters are
+//! pulled apart. The spans and the counter tracks export together as one
 //! Chrome trace-event JSON for Perfetto.
 //!
 //! Run with:
@@ -22,10 +22,10 @@
 //! cargo run --release --example profiling_workflow
 //! ```
 
-use dex::core::{Cluster, ClusterConfig, DsmCell, HealthEventKind, RunReport};
+use dex::core::{Cluster, ClusterConfig, DsmCell, RunReport};
 use dex::prof::{
-    export_chrome_trace_with_series, render_critical_path, render_report, render_top, Profile,
-    ReportOptions,
+    export_chrome_trace_with_series, health, render_critical_path, render_report, render_top,
+    HealthEvent, HealthEventKind, MonitorConfig, Profile, ReportOptions,
 };
 use dex_sim::SimDuration;
 
@@ -68,6 +68,12 @@ fn run_workload(aligned: bool) -> RunReport {
             }
         });
     })
+}
+
+/// The health alarms of a telemetry run, at the default thresholds.
+fn health_of(report: &RunReport) -> Vec<HealthEvent> {
+    let series = report.series.as_ref().expect("telemetry was on");
+    health(series, &report.spans, &MonitorConfig::default())
 }
 
 fn main() {
@@ -127,29 +133,29 @@ fn main() {
         println!();
     }
 
-    println!("step 4: the live telemetry already raised the alarm\n");
-    // The 1 ms sampler fed the online health monitors while the run
-    // was still going. False sharing bounces the page on every other
-    // access, so the links carry an invalidation+transfer storm: the
-    // fabric-queue monitor fires window after window, and each alarm
-    // carries the causal span id of an exemplar operation — the entry
-    // point into the timeline exported above. (The page-ping-pong
-    // detector is tag-based and names *truly* shared objects; here the
-    // two counters are distinct tags, which is exactly why it takes
-    // the offline profiler to name the packed page.)
-    for event in &packed.health {
+    println!("step 4: the telemetry series raises the alarm\n");
+    // The 1 ms sampler cut the run into windows; judged with the spans,
+    // they show what false sharing does to the fabric. The page bounces
+    // on every other access, so the links carry an invalidation+transfer
+    // storm: the fabric-queue rule fires window after window, and each
+    // alarm carries the causal span id of an exemplar operation — the
+    // entry point into the timeline exported above. (The page-ping-pong
+    // rule is tag-based and names *truly* shared objects; here the two
+    // counters are distinct tags, which is exactly why it takes the
+    // offline profiler to name the packed page.)
+    let alarms = health_of(&packed);
+    for event in &alarms {
         println!("  {event}");
     }
     assert!(
-        packed
-            .health
+        alarms
             .iter()
             .any(|e| e.kind == HealthEventKind::FabricQueueBuildup),
-        "the packed run must trip the fabric-queue monitor"
+        "the packed run must trip the fabric-queue rule"
     );
     let series = packed.series.as_ref().expect("telemetry was on");
     println!("\n…and the dashboard view of the hottest window:\n");
-    for line in render_top(series, &packed.health, None).lines().take(20) {
+    for line in render_top(series, Some(&alarms), None).lines().take(20) {
         println!("{line}");
     }
     println!();
@@ -168,11 +174,11 @@ fn main() {
             .all(|s| !s.tags.iter().any(|t| t.contains("counter"))),
         "aligned counters must not be flagged"
     );
-    // The fix also silences the live monitors: no page bounces, no alarm.
+    // The fix also silences the alarms: no page bounces, no alarm.
+    let quiet = health_of(&aligned);
     assert!(
-        aligned.health.is_empty(),
-        "the aligned run must raise no health alarms: {:?}",
-        aligned.health
+        quiet.is_empty(),
+        "the aligned run must raise no health alarms: {quiet:?}"
     );
 
     println!("packed  : {packed_time}");
