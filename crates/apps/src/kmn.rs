@@ -13,7 +13,8 @@
 
 use crate::workloads::gaussian_points;
 use crate::{
-    migrate_home, migrate_worker, mix, quantize, run_cluster, AppParams, AppResult, Scale, Variant,
+    migrate_home, migrate_worker, mix, quantize, round_i64, run_cluster, AppParams, AppResult,
+    Scale, Variant,
 };
 
 const FIXED: f64 = 1e6;
@@ -164,8 +165,7 @@ pub fn run(params: &AppParams) -> AppResult {
                                 abuf[j] = c;
                             }
                             for dim in 0..3 {
-                                local_sums[c as usize][dim] +=
-                                    (pbuf[j][dim] * FIXED).round() as i64;
+                                local_sums[c as usize][dim] += round_i64(pbuf[j][dim] * FIXED);
                             }
                             local_counts[c as usize] += 1;
                         }
@@ -291,7 +291,7 @@ pub fn reference_checksum(params: &AppParams) -> u64 {
         for p in points.iter() {
             let c = nearest(p, &centroids);
             for dim in 0..3 {
-                sums[c][dim] += (p[dim] * FIXED).round() as i64;
+                sums[c][dim] += round_i64(p[dim] * FIXED);
             }
             counts[c] += 1;
         }

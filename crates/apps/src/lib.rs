@@ -226,7 +226,21 @@ pub fn mix(hash: u64, value: u64) -> u64 {
 /// Quantizes an `f64` for checksumming (stable across evaluation orders
 /// that stay deterministic, tolerant of representation noise).
 pub fn quantize(value: f64) -> u64 {
-    (value * 1e6).round() as i64 as u64
+    round_i64(value * 1e6) as u64
+}
+
+/// `x.round() as i64` — half away from zero, saturating, NaN to 0 —
+/// without `f64::round`, which the x86-64 baseline target (no SSE4.1
+/// `roundsd`) turns into a call to a software routine. The truncating
+/// cast is one instruction, and `x - trunc(x)` is exact (Sterbenz for
+/// |x| ≥ 1, `trunc(x) = 0` below, no fraction at all from 2⁵² up), so
+/// comparing it with ±0.5 decides the rounding exactly.
+pub fn round_i64(x: f64) -> i64 {
+    let whole = x as i64;
+    let frac = x - whole as f64;
+    // Branch-free: which way a fraction rounds is a coin toss on real
+    // data, so a branch would mispredict about half the time.
+    whole.saturating_add(i64::from(frac >= 0.5) - i64::from(frac <= -0.5))
 }
 
 std::thread_local! {
@@ -300,6 +314,38 @@ mod tests {
         let a = mix(mix(0xcbf29ce484222325, 1), 2);
         let b = mix(mix(0xcbf29ce484222325, 2), 1);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn round_i64_matches_f64_round() {
+        let ulp = |x: f64, up: bool| {
+            let step = if (x > 0.0) == up { 1 } else { -1i64 };
+            f64::from_bits((x.to_bits() as i64 + step) as u64)
+        };
+        let mut inputs = vec![0.0, -0.0, 0.49999999999999994, -0.49999999999999994];
+        for k in 0..2000 {
+            for half in [k as f64 + 0.5, -(k as f64 + 0.5)] {
+                inputs.extend([half, ulp(half, true), ulp(half, false)]);
+            }
+            inputs.extend([k as f64 * 0.37, k as f64 * -1.13e6]);
+        }
+        let two52 = 4_503_599_627_370_496.0;
+        for big in [
+            two52 - 0.5,
+            two52,
+            two52 + 1.0,
+            9.007e15,
+            1e18,
+            9.2e18,
+            2f64.powi(63),
+        ] {
+            inputs.extend([big, -big, ulp(big, true), ulp(big, false)]);
+        }
+        inputs.extend([1e300, -1e300, f64::MAX, f64::MIN, f64::MIN_POSITIVE]);
+        inputs.extend([f64::INFINITY, f64::NEG_INFINITY, f64::NAN]);
+        for x in inputs {
+            assert_eq!(round_i64(x), x.round() as i64, "round_i64({x:e})");
+        }
     }
 
     #[test]

@@ -35,13 +35,15 @@
 //!   choice point and the race recorder's wakeup edge, so `dex-check
 //!   explore` could neither reorder nor order-justify them.
 //! * **span-unguarded** — span instrumentation on the protocol hot path
-//!   (`crates/core/src`) must follow the canonical zero-cost pattern:
-//!   `alloc_id()` only behind `is_enabled()` on the same line, and
-//!   `spans.record(...)` and `tag_for(...)` (the object-table scan that
-//!   attributes a fault span) only inside an `if let Some(...)` guard
-//!   (within a few lines above). An unguarded site would make tracing
-//!   perturb the schedule, breaking the bit-identity guarantee, or cost
-//!   the untraced run a locked scan.
+//!   (`crates/core/src`) goes through the typed timer
+//!   (`SpanBuffer::start`/`finish`): span ids are allocated and spans
+//!   recorded only inside `span.rs`, where the type system keeps them.
+//!   What the types cannot see is *when* a span's attribution is
+//!   computed, so a `tag_for(...)` call (the locked object-table scan
+//!   that attributes a fault span) must sit inside a closure (a `|| {`
+//!   opening within a few lines above): the closure handed to `finish`,
+//!   which runs only while recording is on. An eager call would cost the
+//!   untraced run a locked scan.
 //! * **unsafe-confined** — the keyword `unsafe` may appear under `crates/`
 //!   only in `sim/src/context.rs`, the stack switch every simulated thread
 //!   runs on. One file is what a reader can audit; a second site would have
@@ -52,7 +54,7 @@
 //!   whose name contains `escape` (test code included) and a `split` on
 //!   `'\t'` in non-test code are a second codec starting to drift.
 //! * **delegation-confined** — delegated work runs in one executor
-//!   (`run_at_origin` in `core/src/thread.rs`) and travels in one remote
+//!   (`run_at_origin` in `core/src/delegation.rs`) and travels in one remote
 //!   round (`ThreadCtx::at_origin`). Across the non-test code under
 //!   `crates/`, each `DelegatedOp::<Variant>` pattern followed by `=>`
 //!   may occur once per variant, and `DexMsg::Delegate` may be built
@@ -168,7 +170,7 @@ pub fn lint_source(rel: &str, content: &str) -> Vec<LintHit> {
     let in_os_crate = rel.starts_with("crates/os/");
     let in_net_crate = rel.starts_with("crates/net/src/");
     // The span hot path: everything in dex-core's sources except the
-    // buffer's own definition.
+    // timer's own definition.
     let span_hot_path = rel.starts_with("crates/core/src/") && rel != "crates/core/src/span.rs";
     let stripped: Vec<&str> = content.lines().map(strip_line_comment).collect();
     let mut in_tests = false;
@@ -258,20 +260,12 @@ pub fn lint_source(rel: &str, content: &str) -> Vec<LintHit> {
         }
 
         if span_hot_path && !in_tests {
-            // `alloc_id()` must be conditioned on `is_enabled()` in the
-            // same expression (the canonical one-liner).
-            if line.contains(".alloc_id()") && !line.contains("is_enabled()") {
-                push("span-unguarded");
-            }
-            // `spans.record(...)` and a `tag_for(...)` call must sit
-            // inside an `if let Some(...)` guard; accept the guard up to
-            // 8 lines above (multi-line `Span { ... }` literals put
-            // distance between them).
-            let tag_call = line.contains("tag_for(") && !declares_fn_named(line, "tag_for");
-            if line.contains("spans.record(") || tag_call {
-                let guarded =
-                    (idx.saturating_sub(8)..=idx).any(|i| stripped[i].contains("if let Some("));
-                if !guarded {
+            // A `tag_for(...)` call must sit inside a closure: accept the
+            // `|| {` opening up to 8 lines above (a span's attribution
+            // is built a few lines into the closure handed to `finish`).
+            if line.contains("tag_for(") && !declares_fn_named(line, "tag_for") {
+                let lazy = (idx.saturating_sub(8)..=idx).any(|i| stripped[i].contains("|| {"));
+                if !lazy {
                     push("span-unguarded");
                 }
             }
@@ -660,13 +654,20 @@ fn f(a: DirAction) {
 
     #[test]
     fn unguarded_span_recording_is_flagged_on_the_hot_path() {
-        let bad_alloc = "fn f() { let id = shared.spans.alloc_id(); }\n";
-        let hits = lint_source("crates/core/src/thread.rs", bad_alloc);
+        // An attribution computed before `finish`, eagerly, in the
+        // untraced run too.
+        let eager = r#"
+fn f() {
+    let tag = shared.tag_for(node, addr);
+    shared.spans.finish(span, ctx, || SpanKind::Fault.on(node, tid, "fault").at(tag, "", addr));
+}
+"#;
+        let hits = lint_source("crates/core/src/thread.rs", eager);
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].rule, "span-unguarded");
 
-        let bad_record = "fn f() { shared.spans.record(make_span()); }\n";
-        let hits = lint_source("crates/core/src/dispatch.rs", bad_record);
+        let inline = "fn f() { let meta = kind.on(n, t, l).at(shared.tag_for(o, p), s, p); }\n";
+        let hits = lint_source("crates/core/src/dispatch.rs", inline);
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].rule, "span-unguarded");
     }
@@ -678,8 +679,11 @@ fn f(a: DirAction) {
         assert_eq!(hits.len(), 1, "{hits:?}");
         assert_eq!(hits[0].rule, "span-unguarded");
 
-        let guarded = "fn f() {\n    if let Some(id) = span {\n        let tag = shared.tag_for(node, addr);\n    }\n}\n";
-        assert!(lint_source("crates/core/src/dispatch.rs", guarded).is_empty());
+        let lazy = "fn f() {\n    spans.finish(span, ctx, || {\n        let tag = shared.tag_for(node, addr);\n    });\n}\n";
+        assert!(lint_source("crates/core/src/dispatch.rs", lazy).is_empty());
+        // A branch that reads like a guard is not one: it runs untraced.
+        let branch = "fn f() {\n    if let Some(id) = span {\n        let tag = shared.tag_for(node, addr);\n    }\n}\n";
+        assert_eq!(lint_source("crates/core/src/dispatch.rs", branch).len(), 1);
         // The lookup's own definition and test calls are not call sites.
         let decl = "pub fn tag_for(&self, node: NodeId, addr: VirtAddr) -> Option<String> {\n";
         assert!(lint_source("crates/core/src/process.rs", decl).is_empty());
@@ -691,21 +695,23 @@ fn f(a: DirAction) {
     fn canonically_guarded_span_sites_pass() {
         let ok = r#"
 fn f() {
-    let span = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
-    if let Some(id) = span {
-        shared.spans.record(Span {
-            id,
-            parent: SpanId::NONE,
-        });
-    }
+    let span = shared.spans.start(ctx.now());
+    send(span.wire());
+    shared.spans.finish(span, ctx, || {
+        let tag = shared.tag_for(node, addr);
+        SpanKind::Fault
+            .on(node, self.tid, label)
+            .at(tag, self.site.get(), addr)
+    });
 }
 "#;
         assert!(lint_source("crates/core/src/thread.rs", ok).is_empty());
-        // Outside the hot path (offline tooling, tests) the rule is off.
-        let unguarded = "fn f() { spans.record(s); spans.alloc_id(); }\n";
-        assert!(lint_source("crates/prof/src/span_codec.rs", unguarded).is_empty());
-        assert!(lint_source("crates/core/src/span.rs", unguarded).is_empty());
-        let test_code = "#[cfg(test)]\nmod tests {\n fn t() { spans.record(s); }\n}\n";
+        // Outside the hot path (offline tooling, the timer itself, tests)
+        // the rule is off.
+        let eager = "fn f() { let tag = shared.tag_for(node, addr); }\n";
+        assert!(lint_source("crates/prof/src/span_codec.rs", eager).is_empty());
+        assert!(lint_source("crates/core/src/span.rs", eager).is_empty());
+        let test_code = "#[cfg(test)]\nmod tests {\n fn t() { shared.tag_for(n, a); }\n}\n";
         assert!(lint_source("crates/core/src/thread.rs", test_code).is_empty());
     }
 

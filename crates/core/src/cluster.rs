@@ -333,6 +333,7 @@ impl Cluster {
         created
             .into_iter()
             .map(|shared| {
+                shared.end_run(end);
                 let stats = DexStats::collect(&shared);
                 let fault_hist = shared.fault_hist.clone();
                 let migrations = shared.migrations.lock().clone();
@@ -452,17 +453,8 @@ impl DexProcess<'_> {
     where
         F: FnOnce(&ThreadCtx<'_>) + Send + 'static,
     {
-        let shared = Arc::clone(&self.shared);
-        let tid = shared.new_tid();
-        let handle = DexThread::new(tid);
-        let handle2 = handle.clone();
-        self.engine.spawn(format!("app-{tid}"), move |ctx| {
-            shared.adjust_load(shared.origin, 1);
-            let tctx = ThreadCtx::new(ctx, shared, tid);
-            f(&tctx);
-            tctx.process().adjust_load(tctx.node(), -1);
-            handle2.mark_done(&tctx);
-        });
+        let (handle, body) = DexThread::start(&self.shared, f);
+        self.engine.spawn(format!("app-{}", handle.tid()), body);
         handle
     }
 

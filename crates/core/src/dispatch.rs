@@ -1,35 +1,35 @@
-//! Per-node message dispatchers and remote workers.
+//! Per-node message dispatchers and the page protocol's message handlers.
 //!
 //! Each node runs one dispatcher daemon that drains the node's fabric
-//! inbox and handles DEX protocol messages: it is the simulated analogue
-//! of the kernel message-handler context. The dispatcher never blocks on
-//! another node — requests that need remote acknowledgments are turned
-//! into directory transactions that later acks complete — so the protocol
-//! cannot deadlock across dispatchers.
-//!
-//! The first migration of a process onto a node also creates the
-//! *remote worker* (§III-A): a per-process daemon that applies node-wide
-//! operations (eager VMA updates) in its own context.
+//! inbox and routes each DEX message: it is the simulated analogue of the
+//! kernel message-handler context. Page-protocol messages are handled
+//! here (home, holder and requester roles, each one step of
+//! `protocol.rs` plus its outputs); migration, delegation and VMA
+//! messages go to the far end of their mechanism in `migration.rs`,
+//! `delegation.rs` and `vma_sync.rs`; every reply completes its waiter.
+//! The dispatcher never blocks on another node — requests that need
+//! remote acknowledgments are turned into directory transactions that
+//! later acks complete — so the protocol cannot deadlock across
+//! dispatchers.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use dex_net::{NodeId, SpanContext};
-use dex_os::{Access, PageFrame, Pid, Tid, PAGE_SIZE};
-use dex_sim::{SimChannel, SimCtx, SimDuration};
+use dex_os::{Access, PageFrame, Pid, PAGE_SIZE};
+use dex_sim::SimCtx;
 
 use crate::counters::Counter;
-use crate::msg::{DexMsg, MigrationPhases, Reply, VmaOp};
-use crate::process::{DelegationJob, ProcessShared};
+use crate::delegation::route_to_pair;
+use crate::migration::{handle_migrate_request, serve_migrate_back};
+use crate::msg::{DexMsg, Reply};
+use crate::process::{Endpoint, ProcessShared};
 use crate::protocol::{
-    self, holder_admit, holder_step, requester_step, Deferred, HomeIn, Output, PageMsg,
-    RequesterIn, Role,
+    holder_admit, holder_step, requester_step, Deferred, HomeIn, Output, PageMsg, RequesterIn, Role,
 };
-use crate::span::{Span, SpanId, SpanKind};
-
-/// The task id span records use for protocol handlers (no app thread).
-const PROTOCOL_TASK: Tid = Tid(u64::MAX);
+use crate::span::{SpanKind, SpanTimer, PROTOCOL_TASK};
+use crate::vma_sync::{serve_vma_pull, serve_vma_update};
 
 /// The cluster-level registry the dispatchers consult to find process
 /// state by pid.
@@ -63,7 +63,7 @@ pub(crate) fn dispatcher_loop(
     ctx: &SimCtx,
     node: NodeId,
     registry: Arc<ProcessRegistry>,
-    endpoint: crate::process::Endpoint,
+    endpoint: Endpoint,
 ) {
     while let Some(delivery) = endpoint.recv(ctx) {
         let from = delivery.src;
@@ -85,35 +85,10 @@ pub(crate) fn dispatcher_loop(
                 }
             }
             DexMsg::VmaRequest { pid, addr, req_id } => {
-                let shared = registry.get(pid);
-                ctx.advance(shared.cost.protocol_handling);
-                let vma = shared.space(shared.origin).lock().vmas.find(addr).cloned();
-                let reply = Reply::Vma(vma);
-                endpoint.send(ctx, from, DexMsg::Reply { pid, req_id, reply });
+                serve_vma_pull(ctx, &registry.get(pid), &endpoint, from, addr, req_id);
             }
             DexMsg::VmaUpdate { pid, op, req_id } => {
-                let shared = registry.get(pid);
-                // Node-wide operations are handed to the remote worker when
-                // one exists; otherwise (no thread ever migrated here) the
-                // dispatcher applies them directly.
-                let chan = shared.remote_nodes[node.0 as usize]
-                    .lock()
-                    .worker_chan
-                    .clone();
-                match chan {
-                    Some(chan) => {
-                        // Queue the op for the remote worker; it applies the
-                        // change in its own context and acks the origin
-                        // itself, so the dispatcher never blocks.
-                        chan.send(ctx, (op, req_id, from))
-                            .expect("remote worker channel open");
-                    }
-                    None => {
-                        apply_vma_op(&shared, node, &op);
-                        let reply = Reply::BroadcastDone;
-                        endpoint.send(ctx, from, DexMsg::Reply { pid, req_id, reply });
-                    }
-                }
+                serve_vma_update(ctx, &registry.get(pid), &endpoint, node, from, op, req_id);
             }
             DexMsg::MigrateRequest {
                 pid,
@@ -127,51 +102,14 @@ pub(crate) fn dispatcher_loop(
                 );
             }
             DexMsg::MigrateBack { pid, req_id, .. } => {
-                let shared = registry.get(pid);
-                // Backward migration only updates the original thread's
-                // state — two orders of magnitude cheaper than forward.
-                let t0 = ctx.now();
-                let update = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
-                ctx.advance(shared.cost.backward_update);
-                if let Some(id) = update {
-                    shared.spans.record(Span {
-                        id,
-                        parent: SpanId(span.0),
-                        kind: SpanKind::MigrationPhase,
-                        node,
-                        task: PROTOCOL_TASK,
-                        start: t0,
-                        end: ctx.now(),
-                        label: "backward_update",
-                        tag: None,
-                        site: "",
-                        addr: None,
-                    });
-                }
-                let reply = Reply::MigrateBackAck;
-                endpoint.send_traced(ctx, from, DexMsg::Reply { pid, req_id, reply }, span);
+                serve_migrate_back(ctx, &registry.get(pid), &endpoint, node, from, req_id, span);
             }
             DexMsg::Delegate {
                 pid,
                 tid,
                 op,
                 req_id,
-            } => {
-                let shared = registry.get(pid);
-                let chan = shared.delegation.lock().get(&tid).cloned();
-                let chan =
-                    chan.unwrap_or_else(|| panic!("delegation for {tid} with no original thread"));
-                chan.send(
-                    ctx,
-                    DelegationJob {
-                        op,
-                        from,
-                        req_id,
-                        span,
-                    },
-                )
-                .expect("pair channel open");
-            }
+            } => route_to_pair(ctx, &registry.get(pid), from, tid, op, req_id, span),
             DexMsg::Reply { pid, req_id, reply } => {
                 registry.get(pid).complete(ctx, node, req_id, from, reply);
             }
@@ -187,13 +125,12 @@ pub(crate) fn dispatcher_loop(
 fn handle_home_msg(
     ctx: &SimCtx,
     shared: &Arc<ProcessShared>,
-    endpoint: &crate::process::Endpoint,
+    endpoint: &Endpoint,
     node: NodeId,
     from: NodeId,
     msg: PageMsg<PageFrame>,
     span: SpanContext,
 ) {
-    let t0 = ctx.now();
     // A request opens a directory-handling span; acknowledgments continue
     // under the span of the transaction they complete (echoed back by the
     // sharer), so the deferred grant stays stitched to it.
@@ -201,34 +138,26 @@ fn handle_home_msg(
         PageMsg::Request { access, .. } => Some(*access),
         _ => None,
     };
-    let spanned = request.is_some();
-    let handling = (spanned && shared.spans.is_enabled()).then(|| shared.spans.alloc_id());
+    let handling = match request {
+        Some(_) => shared.spans.start(ctx.now()),
+        None => SpanTimer::OFF,
+    };
     ctx.advance(shared.cost.protocol_handling);
     let outs = shared.home_step(node, msg.page(), HomeIn::Msg { from, msg });
     // Grants and invalidations stitch to the *handling* span so the
     // requester-side fixup becomes its child; with spans off the incoming
     // context (necessarily NONE then) is forwarded unchanged.
-    let out = handling.map_or(span, |id| SpanContext(id.0));
-    perform_outputs(ctx, shared, endpoint, node, outs, out);
-    if let Some(id) = handling {
-        shared.spans.record(Span {
-            id,
-            parent: SpanId(span.0),
-            kind: SpanKind::DirectoryHandling,
-            node,
-            task: PROTOCOL_TASK,
-            start: t0,
-            end: ctx.now(),
-            label: if request.is_some_and(Access::is_write) {
-                "page_request_write"
-            } else {
-                "page_request_read"
-            },
-            tag: None,
-            site: "",
-            addr: None,
-        });
-    }
+    perform_outputs(ctx, shared, endpoint, node, outs, handling.wire_or(span));
+    shared.spans.finish(handling, ctx, || {
+        let label = if request.is_some_and(Access::is_write) {
+            "page_request_write"
+        } else {
+            "page_request_read"
+        };
+        SpanKind::DirectoryHandling
+            .on(node, PROTOCOL_TASK, label)
+            .under(span)
+    });
 }
 
 /// Performs a role step's outputs at `node`, in order: the one place the
@@ -241,7 +170,7 @@ fn handle_home_msg(
 pub(crate) fn perform_outputs(
     ctx: &SimCtx,
     shared: &Arc<ProcessShared>,
-    endpoint: &crate::process::Endpoint,
+    endpoint: &Endpoint,
     node: NodeId,
     outs: Vec<Output<PageFrame>>,
     span: SpanContext,
@@ -276,13 +205,12 @@ pub(crate) fn perform_outputs(
 fn handle_grant(
     ctx: &SimCtx,
     shared: &Arc<ProcessShared>,
-    endpoint: &crate::process::Endpoint,
+    endpoint: &Endpoint,
     node: NodeId,
     msg: PageMsg<PageFrame>,
     span: SpanContext,
 ) {
-    let t0 = ctx.now();
-    let fixup = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
+    let fixup = shared.spans.start(ctx.now());
     let label = match &msg {
         PageMsg::Grant { retry: true, .. } => "grant_retry",
         PageMsg::Grant { data: Some(_), .. } => {
@@ -292,21 +220,11 @@ fn handle_grant(
         _ => "grant_no_transfer",
     };
     let outs = shared.with_node(node, |n| requester_step(n, RequesterIn::Msg(msg)));
-    if let Some(id) = fixup {
-        shared.spans.record(Span {
-            id,
-            parent: SpanId(span.0),
-            kind: SpanKind::PageFixup,
-            node,
-            task: PROTOCOL_TASK,
-            start: t0,
-            end: ctx.now(),
-            label,
-            tag: None,
-            site: "",
-            addr: None,
-        });
-    }
+    shared.spans.finish(fixup, ctx, || {
+        SpanKind::PageFixup
+            .on(node, PROTOCOL_TASK, label)
+            .under(span)
+    });
     perform_outputs(ctx, shared, endpoint, node, outs, SpanContext::NONE);
 }
 
@@ -314,7 +232,7 @@ fn handle_grant(
 fn run_deferred(
     ctx: &SimCtx,
     shared: &Arc<ProcessShared>,
-    endpoint: &crate::process::Endpoint,
+    endpoint: &Endpoint,
     node: NodeId,
     work: Deferred<PageFrame>,
 ) {
@@ -367,7 +285,7 @@ fn count_invalidations(shared: &ProcessShared, node: NodeId, ack: &Output<PageFr
 fn serve_holder_msg(
     ctx: &SimCtx,
     shared: &Arc<ProcessShared>,
-    endpoint: &crate::process::Endpoint,
+    endpoint: &Endpoint,
     node: NodeId,
     from: NodeId,
     msg: PageMsg<PageFrame>,
@@ -406,10 +324,12 @@ fn serve_holder_msg(
         ),
         other => unreachable!("{other:?} is not addressed to a holder"),
     };
-    let (spanned, forward) = (kind.is_some(), kind == Some(SpanKind::OwnerForward));
-    let t0 = ctx.now();
-    let handling = (spanned && shared.spans.is_enabled()).then(|| shared.spans.alloc_id());
-    let revoked = (handling.is_some() && !forward).then(|| msg.page().base());
+    let forward = kind == Some(SpanKind::OwnerForward);
+    let handling = match kind {
+        Some(_) => shared.spans.start(ctx.now()),
+        None => SpanTimer::OFF,
+    };
+    let page = msg.page().base();
     ctx.advance(cost);
     let sends = shared.with_node(node, |n| holder_step(n, from, msg, span.0));
     for ack in &sends {
@@ -418,160 +338,29 @@ fn serve_holder_msg(
             label = "invalidate_batch_flush";
         }
     }
-    let counter = match kind {
-        Some(SpanKind::InvalidateBatch) => Some(Counter::InvalidateBatches),
-        Some(SpanKind::OwnerForward) => Some(Counter::ForwardsServiced),
-        _ => None,
-    };
-    if let Some(counter) = counter {
-        shared.count(node, counter, 1);
+    match kind {
+        Some(SpanKind::InvalidateBatch) => shared.count(node, Counter::InvalidateBatches, 1),
+        Some(SpanKind::OwnerForward) => shared.count(node, Counter::ForwardsServiced, 1),
+        _ => {}
     }
-    let handled = |id, tag| Span {
-        id,
-        parent: SpanId(span.0),
-        kind: kind.expect("spanned kinds only"),
-        node,
-        task: PROTOCOL_TASK,
-        start: t0,
-        end: ctx.now(),
-        label,
-        tag,
-        site,
-        addr: revoked,
+    let handled = || {
+        let meta = kind
+            .expect("spanned kinds only")
+            .on(node, PROTOCOL_TASK, label)
+            .under(span);
+        if forward {
+            meta
+        } else {
+            meta.at(shared.tag_for(shared.origin, page), site, page)
+        }
     };
     // A revocation's span closes before its ack leaves; a forward's
     // covers its sends, which ride the forward's own span.
-    if let Some(id) = handling.filter(|_| !forward) {
-        let tag = revoked.and_then(|page| shared.tag_for(shared.origin, page));
-        shared.spans.record(handled(id, tag));
-    }
-    let out = handling
-        .filter(|_| forward)
-        .map_or(span, |id| SpanContext(id.0));
-    perform_outputs(ctx, shared, endpoint, node, sends, out);
-    if let Some(id) = handling.filter(|_| forward) {
-        shared.spans.record(handled(id, None));
-    }
-}
-
-/// Remote-node handling of a forward migration: create the per-process
-/// remote worker on first contact, fork a remote thread, install the
-/// context, and ack with the phase breakdown (Figure 3).
-#[allow(clippy::too_many_arguments)]
-fn handle_migrate_request(
-    ctx: &SimCtx,
-    shared: &Arc<ProcessShared>,
-    endpoint: &crate::process::Endpoint,
-    node: NodeId,
-    from: NodeId,
-    tid: Tid,
-    context: dex_os::ExecutionContext,
-    req_id: u64,
-    span: SpanContext,
-) {
-    // Times one remote-side phase and records it as a child of the
-    // origin's migration span when spans are on.
-    let record_phase = |label: &'static str, start, end| {
-        let phase = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
-        if let Some(id) = phase {
-            shared.spans.record(Span {
-                id,
-                parent: SpanId(span.0),
-                kind: SpanKind::MigrationPhase,
-                node,
-                task: tid,
-                start,
-                end,
-                label,
-                tag: None,
-                site: "",
-                addr: None,
-            });
-        }
-    };
-    // Verify the context transferred intact (serialization round-trip).
-    let roundtrip =
-        dex_os::ExecutionContext::from_bytes(&context.to_bytes()).expect("context deserializes");
-    assert_eq!(roundtrip, context, "execution context corrupted in transit");
-
-    let mut phases: MigrationPhases = Vec::new();
-    let first = {
-        let mut state = shared.remote_nodes[node.0 as usize].lock();
-        if state.worker_started {
-            false
-        } else {
-            state.worker_started = true;
-            let chan = SimChannel::unbounded();
-            state.worker_chan = Some(chan.clone());
-            let shared2 = Arc::clone(shared);
-            let endpoint2 = endpoint.clone();
-            ctx.spawn_daemon(format!("remote-worker-{}-{node}", shared.pid), move |ctx| {
-                remote_worker_loop(ctx, shared2, endpoint2, node, chan);
-            });
-            true
-        }
-    };
-    let t0 = ctx.now();
-    if first {
-        // Per-process setup: remote worker creation dominates the first
-        // migration (620 µs of the 800 µs remote side, Figure 3).
-        ctx.advance(shared.cost.remote_worker_setup);
-        phases.push(("remote_worker", shared.cost.remote_worker_setup));
-        record_phase("remote_worker", t0, ctx.now());
+    if forward {
+        perform_outputs(ctx, shared, endpoint, node, sends, handling.wire_or(span));
+        shared.spans.finish(handling, ctx, handled);
     } else {
-        ctx.advance(shared.cost.worker_reuse);
-        phases.push(("worker_reuse", shared.cost.worker_reuse));
-        record_phase("worker_reuse", t0, ctx.now());
-    }
-    let t1 = ctx.now();
-    ctx.advance(shared.cost.thread_fork);
-    phases.push(("thread_fork", shared.cost.thread_fork));
-    record_phase("thread_fork", t1, ctx.now());
-    let t2 = ctx.now();
-    ctx.advance(shared.cost.context_install);
-    phases.push(("context_install", shared.cost.context_install));
-    record_phase("context_install", t2, ctx.now());
-
-    let (pid, reply) = (shared.pid, Reply::MigrateAck(phases));
-    endpoint.send_traced(ctx, from, DexMsg::Reply { pid, req_id, reply }, span);
-}
-
-/// The remote worker: applies node-wide operations in its own context and
-/// acknowledges each to the node that sent it.
-fn remote_worker_loop(
-    ctx: &SimCtx,
-    shared: Arc<ProcessShared>,
-    endpoint: crate::process::Endpoint,
-    node: NodeId,
-    chan: SimChannel<(VmaOp, u64, NodeId)>,
-) {
-    while let Some((op, req_id, to)) = chan.recv(ctx) {
-        ctx.advance(SimDuration::from_micros(2)); // apply cost
-        apply_vma_op(&shared, node, &op);
-        let (pid, reply) = (shared.pid, Reply::BroadcastDone);
-        endpoint.send(ctx, to, DexMsg::Reply { pid, req_id, reply });
-    }
-}
-
-/// Applies a broadcast VMA operation to a node's replica: shrink/downgrade
-/// the VMAs and drop any local page state in the range.
-fn apply_vma_op(shared: &Arc<ProcessShared>, node: NodeId, op: &VmaOp) {
-    let mut space = shared.space(node).lock();
-    match op {
-        VmaOp::Unmap { addr, len } => {
-            let pages = space.vmas.munmap(*addr, *len).unwrap_or_default();
-            let (page_table, frames) = space.page_table_and_frames();
-            for vpn in pages {
-                protocol::unmap(page_table, frames, vpn);
-            }
-        }
-        VmaOp::Protect { addr, len, prot } => {
-            // Replicas may not have pulled the VMA yet; only apply where
-            // known. Clear PTEs so the next touch revalidates.
-            let _ = space.vmas.mprotect(*addr, *len, *prot);
-            for vpn in dex_os::pages_covering(*addr, *len) {
-                protocol::unmap_keep_frame(&mut space.page_table, vpn);
-            }
-        }
+        shared.spans.finish(handling, ctx, handled);
+        perform_outputs(ctx, shared, endpoint, node, sends, span);
     }
 }

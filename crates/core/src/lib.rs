@@ -56,9 +56,11 @@
 mod cluster;
 mod cost;
 mod counters;
+mod delegation;
 mod directory;
 mod dispatch;
 mod handle;
+mod migration;
 mod msg;
 mod mutation;
 mod process;
@@ -67,20 +69,23 @@ mod race;
 mod span;
 mod sync;
 mod thread;
+mod vma_sync;
 
 pub use cluster::{Cluster, ClusterConfig, ClusterHandle, DexProcess, DexStats, RunReport};
 pub use cost::{CostModel, COST_COMPONENTS};
 pub use counters::Counter;
+pub use delegation::FUTEX_EAGAIN;
 pub use directory::model;
 pub use directory::{DirAction, DirStats, Directory, NodeSet, Requester};
 pub use handle::{DsmCell, DsmMatrix, DsmScalar, DsmVec, ProcessRef, MAX_SCALAR_BYTES};
+pub use migration::MigrateError;
 pub use msg::{DelegatedOp, DexMsg, MigrationPhases, Reply, VmaOp};
 pub use mutation::{ProtocolMutation, ALL_MUTATIONS};
 pub use process::{MigrationSample, ObjectSpan, ProcessShared};
 pub use race::{RaceEvent, RaceEventKind, RaceTrace};
 pub use span::{Span, SpanBuffer, SpanId, SpanKind};
 pub use sync::{DexBarrier, DexCondvar, DexMutex, DexRwLock};
-pub use thread::{DexThread, MigrateError, ThreadCtx, FUTEX_EAGAIN};
+pub use thread::{DexThread, ThreadCtx};
 
 // Re-export the identifiers applications touch constantly.
 pub use dex_net::{CounterTable, NodeId};

@@ -17,7 +17,9 @@ use parking_lot::Mutex;
 
 use dex_net::{CounterTable, NodeId, SpanContext};
 use dex_os::{AddressSpace, FutexTable, PageFrame, Pid, RadixTree, Tid, VirtAddr, Vpn, PAGE_SIZE};
-use dex_sim::{Histogram, MultiResource, Resource, SimChannel, SimCtx, SimDuration, ThreadId};
+use dex_sim::{
+    Histogram, MultiResource, Resource, SimChannel, SimCtx, SimDuration, SimTime, ThreadId,
+};
 
 use crate::cost::CostModel;
 use crate::counters::Counter;
@@ -75,24 +77,14 @@ pub(crate) struct PendingTable {
     map: HashMap<u64, Pending>,
 }
 
-/// A job routed to a thread's original (pair) thread at the origin.
-pub(crate) struct DelegationJob {
-    pub op: DelegatedOp,
-    pub from: NodeId,
-    pub req_id: u64,
-    /// The delegating thread's span, so the service span stitches to it.
-    pub span: SpanContext,
-}
+/// A delegated op routed to a thread's original (pair) thread at the
+/// origin: the op, the node and request id its reply answers, and the
+/// delegating thread's span, so the service span stitches to it.
+pub(crate) type DelegationJob = (DelegatedOp, NodeId, u64, SpanContext);
 
-/// Per-(process, node) migration bookkeeping.
-#[derive(Default)]
-pub(crate) struct RemoteNodeState {
-    /// The remote worker for this process exists on this node.
-    pub worker_started: bool,
-    /// Channel to the remote worker: node-wide operations, each with the
-    /// request id and node its acknowledgment answers.
-    pub worker_chan: Option<SimChannel<(VmaOp, u64, NodeId)>>,
-}
+/// A node-wide operation for a remote worker, with the request id and
+/// node its acknowledgment answers.
+pub(crate) type VmaJob = (VmaOp, u64, NodeId);
 
 /// An object span registered by a tagged allocation; the profiler
 /// attributes faults to the innermost covering span (the offline
@@ -162,8 +154,9 @@ pub struct ProcessShared {
     pub(crate) pending: Vec<Mutex<PendingTable>>,
     /// Delegation channels to each migrated thread's original thread.
     pub(crate) delegation: Mutex<HashMap<Tid, SimChannel<DelegationJob>>>,
-    /// Per-node migration bookkeeping.
-    pub(crate) remote_nodes: Vec<Mutex<RemoteNodeState>>,
+    /// Per node, the channel to this process's remote worker there, once
+    /// the first migration to the node has built it.
+    pub(crate) remote_workers: Vec<Mutex<Option<SimChannel<VmaJob>>>>,
     /// Per-node shared memory-bandwidth pipes.
     pub mem_bw: Vec<Resource>,
     /// Per-node core pools.
@@ -191,6 +184,10 @@ pub struct ProcessShared {
     /// reclaim + broadcast completion ran). Idempotence guard for
     /// [`ProcessShared::maybe_handle_crashes`].
     crashes_handled: Mutex<Vec<bool>>,
+    /// When the run ended (`None` while it runs): from then on every node
+    /// the fault plan crashed by that instant is dead to
+    /// [`ProcessShared::read_coherent`].
+    run_end: Mutex<Option<SimTime>>,
     /// Bump pointer inside the shared heap VMA.
     pub(crate) heap_cursor: Mutex<u64>,
     /// End of the shared heap VMA.
@@ -268,9 +265,7 @@ impl ProcessShared {
                 .map(|_| Mutex::new(PendingTable::default()))
                 .collect(),
             delegation: Mutex::new(HashMap::new()),
-            remote_nodes: (0..nodes)
-                .map(|_| Mutex::new(RemoteNodeState::default()))
-                .collect(),
+            remote_workers: (0..nodes).map(|_| Mutex::new(None)).collect(),
             mem_bw,
             cores,
             fault_hist: Histogram::new(),
@@ -282,6 +277,7 @@ impl ProcessShared {
             objects: Mutex::new(Vec::new()),
             node_threads: Mutex::new(vec![0; nodes]),
             crashes_handled: Mutex::new(vec![false; nodes]),
+            run_end: Mutex::new(None),
             heap_cursor: Mutex::new(heap_base.as_u64()),
             heap_end: heap_base.as_u64() + heap_pages * PAGE_SIZE as u64,
             next_req_id: AtomicU64::new(1),
@@ -463,40 +459,41 @@ impl ProcessShared {
         self.space(self.origin).lock().write(addr, bytes);
     }
 
-    /// Reads bytes from the cluster-wide *up-to-date* view of memory:
-    /// each page is sourced from its current exclusive writer, else from a
-    /// node holding a read replica, else from the origin replica. Used to
+    /// Records that the run ended at `end`.
+    pub(crate) fn end_run(&self, end: SimTime) {
+        *self.run_end.lock() = Some(end);
+    }
+
+    /// Reads bytes from the cluster-wide *authoritative* view of memory,
+    /// each page from the copy its directory names: the exclusive writer,
+    /// else a live sharer, else the page's home. A dead node is never
+    /// read: one the directory declared dead, or, once the run ended, one
+    /// the fault plan crashed by then (its copies are lost). Used to
     /// collect results after a run.
     pub fn read_coherent(&self, addr: VirtAddr, dst: &mut [u8]) {
+        let end = *self.run_end.lock();
         let mut cursor = addr;
         let mut filled = 0usize;
         while filled < dst.len() {
             let offset = cursor.page_offset();
             let chunk = (PAGE_SIZE - offset).min(dst.len() - filled);
-            let node = self.up_to_date_node(cursor.vpn());
+            let node = {
+                let dir = self.directory_for(cursor.vpn()).lock();
+                let live = |n: &NodeId| {
+                    !dir.dead_nodes().contains(*n)
+                        && !end.is_some_and(|t| self.fabric.node_crashed(*n, t))
+                };
+                let vpn = cursor.vpn();
+                (dir.current_writer(vpn).filter(live))
+                    .or_else(|| dir.owners(vpn).iter().find(live))
+                    .unwrap_or(dir.home())
+            };
             self.space(node)
                 .lock()
                 .read(cursor, &mut dst[filled..filled + chunk]);
             filled += chunk;
             cursor = cursor.add(chunk as u64);
         }
-    }
-
-    fn up_to_date_node(&self, vpn: Vpn) -> NodeId {
-        // The directory does not expose writer lookup publicly; consult
-        // per-node PTEs instead. Once the run is quiescent a writable
-        // mapping is the authoritative copy; failing that, every read
-        // replica is current, while the origin's frame may be stale: a
-        // sharded home other than the origin grants without staging there.
-        let pte = |node: NodeId| self.space(node).lock().page_table.entry(vpn);
-        let nodes = || (0..self.nodes).map(|n| NodeId(n as u16));
-        nodes()
-            .find(|&node| {
-                let pte = pte(node);
-                pte.present && pte.writable
-            })
-            .or_else(|| nodes().find(|&node| pte(node).present))
-            .unwrap_or(self.origin)
     }
 
     // ---- pending request plumbing ----
@@ -797,21 +794,57 @@ mod tests {
         assert_eq!(buf, [1, 2, 3, 4]);
     }
 
+    /// Node 1 takes `addr`'s page exclusively in the directory and holds
+    /// `[9; 8]` there; the origin's replica keeps `[1; 8]`.
+    fn written_on_node_1(p: &ProcessShared, addr: VirtAddr) {
+        p.write_init(addr, &[1; 8]);
+        let requester = crate::Requester::Remote {
+            node: NodeId(1),
+            req_id: 1,
+        };
+        let vpn = addr.vpn();
+        p.directory_for(vpn)
+            .lock()
+            .request(vpn, dex_os::Access::Write, requester);
+        p.space(NodeId(1)).lock().write(addr, &[9; 8]);
+    }
+
     #[test]
     fn read_coherent_prefers_writable_replica() {
         let p = shared(2);
         let addr = p.alloc_raw(8, 8, None);
-        p.write_init(addr, &[1; 8]);
-        // Simulate node 1 having taken the page exclusively.
-        {
-            let mut s1 = p.space(NodeId(1)).lock();
-            s1.write(addr, &[9; 8]);
-            s1.page_table.set(addr.vpn(), dex_os::Pte::READ_WRITE);
-            let mut s0 = p.space(NodeId(0)).lock();
-            s0.page_table.clear(addr.vpn());
-        }
+        written_on_node_1(&p, addr);
         let mut buf = [0u8; 8];
         p.read_coherent(addr, &mut buf);
         assert_eq!(buf, [9; 8]);
+    }
+
+    #[test]
+    fn read_coherent_never_reads_a_node_crashed_by_the_run_end() {
+        let mut plan = dex_sim::FaultPlan::new();
+        plan.crash(1, SimTime::from_nanos(1_000));
+        let metrics = dex_net::MetricsRegistry::with_histogram_cap(2, 0);
+        let fabric = Fabric::with_instrumentation(NetConfig::default(), 2, plan, metrics);
+        let p = ProcessShared::new(
+            Pid(1),
+            NodeId(0),
+            2,
+            CostModel::default(),
+            fabric,
+            SpanBuffer::disabled(),
+            crate::race::RaceTrace::disabled(),
+            1024,
+            crate::ProtocolMutation::None,
+            1,
+        );
+        let addr = p.alloc_raw(8, 8, None);
+        written_on_node_1(&p, addr);
+        let mut buf = [0u8; 8];
+        p.end_run(SimTime::from_nanos(999));
+        p.read_coherent(addr, &mut buf);
+        assert_eq!(buf, [9; 8], "node 1 is alive until its crash");
+        p.end_run(SimTime::from_nanos(1_000));
+        p.read_coherent(addr, &mut buf);
+        assert_eq!(buf, [1; 8], "the dead writer's copy is lost");
     }
 }

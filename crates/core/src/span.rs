@@ -11,31 +11,34 @@
 //!
 //! # Zero cost when disabled
 //!
-//! Instrumentation sites follow one canonical pattern:
+//! Every instrumentation site is one start/finish pair:
 //!
 //! ```ignore
-//! let t0 = ctx.now();                               // reads the clock only
-//! let span = spans.is_enabled().then(|| spans.alloc_id());
-//! /* ... the operation; `span` may ride outgoing messages ... */
-//! if let Some(id) = span {
-//!     spans.record(Span { id, parent, kind, node, task, start: t0,
-//!                         end: ctx.now(), label, tag: None, site: "", addr: None });
-//! }
+//! let span = shared.spans.start(ctx.now());         // allocates the id when on
+//! /* ... the operation; `span.wire()` may ride outgoing messages ... */
+//! shared.spans.finish(span, ctx, || SpanKind::VmaSync.on(node, tid, "vma_pull"));
 //! ```
 //!
-//! Everything behind the `is_enabled()` test is pure bookkeeping — no
+//! While recording is off, [`SpanBuffer::start`] returns an off timer and
+//! `finish` evaluates neither the clock nor its closure, so whatever
+//! attributes the span (e.g. `tag_for`'s object-table scan) runs only in
+//! traced runs. Everything behind a timer is pure bookkeeping — no
 //! `advance`, no park, no messages — so a run with spans enabled takes
 //! **exactly** the same schedule as a run without (verified by the
-//! bit-identity test in `crates/core/tests/observability.rs`, and
-//! enforced textually by the `span-unguarded` lint in `dex-check`).
+//! bit-identity test in `crates/core/tests/observability.rs`). Ids are
+//! allocated and spans appended only here: a site cannot record a span
+//! behind the timer's back.
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use dex_net::NodeId;
+use dex_net::{NodeId, SpanContext};
 use dex_os::{Tid, VirtAddr};
-use dex_sim::SimTime;
+use dex_sim::{SimCtx, SimTime};
+
+/// The task id span records use for protocol handlers (no app thread).
+pub(crate) const PROTOCOL_TASK: Tid = Tid(u64::MAX);
 
 /// Identifies a span within one run. Ids are allocated sequentially
 /// starting at 1; 0 is reserved for "no span" (the wire encoding of an
@@ -50,6 +53,12 @@ impl SpanId {
     /// Whether this is the reserved "no span" id.
     pub fn is_none(self) -> bool {
         self.0 == 0
+    }
+}
+
+impl From<SpanContext> for SpanId {
+    fn from(wire: SpanContext) -> SpanId {
+        SpanId(wire.0)
     }
 }
 
@@ -99,50 +108,38 @@ pub enum SpanKind {
     VmaSync,
 }
 
+/// Every kind with its stable lowercase name, in declaration order.
+const KIND_NAMES: [(SpanKind, &str); 16] = [
+    (SpanKind::Fault, "fault"),
+    (SpanKind::FaultRetry, "fault_retry"),
+    (SpanKind::FollowerWait, "follower_wait"),
+    (SpanKind::DirectoryHandling, "directory_handling"),
+    (SpanKind::PageFixup, "page_fixup"),
+    (SpanKind::Invalidation, "invalidation"),
+    (SpanKind::OwnerForward, "owner_forward"),
+    (SpanKind::InvalidateBatch, "invalidate_batch"),
+    (SpanKind::MigrationForward, "migration_forward"),
+    (SpanKind::MigrationPhase, "migration_phase"),
+    (SpanKind::MigrationBack, "migration_back"),
+    (SpanKind::Delegation, "delegation"),
+    (SpanKind::DelegationService, "delegation_service"),
+    (SpanKind::FutexWait, "futex_wait"),
+    (SpanKind::FutexWake, "futex_wake"),
+    (SpanKind::VmaSync, "vma_sync"),
+];
+
 impl SpanKind {
     /// Stable lowercase name used by the `# dex-spans v2` codec.
     pub fn as_str(self) -> &'static str {
-        match self {
-            SpanKind::Fault => "fault",
-            SpanKind::FaultRetry => "fault_retry",
-            SpanKind::FollowerWait => "follower_wait",
-            SpanKind::DirectoryHandling => "directory_handling",
-            SpanKind::PageFixup => "page_fixup",
-            SpanKind::Invalidation => "invalidation",
-            SpanKind::OwnerForward => "owner_forward",
-            SpanKind::InvalidateBatch => "invalidate_batch",
-            SpanKind::MigrationForward => "migration_forward",
-            SpanKind::MigrationPhase => "migration_phase",
-            SpanKind::MigrationBack => "migration_back",
-            SpanKind::Delegation => "delegation",
-            SpanKind::DelegationService => "delegation_service",
-            SpanKind::FutexWait => "futex_wait",
-            SpanKind::FutexWake => "futex_wake",
-            SpanKind::VmaSync => "vma_sync",
-        }
+        KIND_NAMES[self as usize].1
     }
 
     /// Parses the name produced by [`SpanKind::as_str`].
     pub fn parse(name: &str) -> Option<SpanKind> {
-        Some(match name {
-            "fault" => SpanKind::Fault,
-            "fault_retry" => SpanKind::FaultRetry,
-            "follower_wait" => SpanKind::FollowerWait,
-            "directory_handling" => SpanKind::DirectoryHandling,
-            "page_fixup" => SpanKind::PageFixup,
-            "invalidation" => SpanKind::Invalidation,
-            "owner_forward" => SpanKind::OwnerForward,
-            "invalidate_batch" => SpanKind::InvalidateBatch,
-            "migration_forward" => SpanKind::MigrationForward,
-            "migration_phase" => SpanKind::MigrationPhase,
-            "migration_back" => SpanKind::MigrationBack,
-            "delegation" => SpanKind::Delegation,
-            "delegation_service" => SpanKind::DelegationService,
-            "futex_wait" => SpanKind::FutexWait,
-            "futex_wake" => SpanKind::FutexWake,
-            "vma_sync" => SpanKind::VmaSync,
-            _ => return None,
-        })
+        KIND_NAMES
+            .iter()
+            .find(|(_, n)| *n == name)
+            .map(|&(kind, _)| kind)
     }
 }
 
@@ -203,27 +200,14 @@ impl Span {
 /// # Examples
 ///
 /// ```
-/// use dex_core::{Span, SpanBuffer, SpanId, SpanKind};
-/// use dex_net::NodeId;
-/// use dex_os::Tid;
-/// use dex_sim::SimTime;
+/// use dex_core::{Cluster, ClusterConfig, SpanBuffer, SpanKind};
 ///
-/// let spans = SpanBuffer::enabled();
-/// let id = spans.alloc_id();
-/// spans.record(Span {
-///     id,
-///     parent: SpanId::NONE,
-///     kind: SpanKind::Fault,
-///     node: NodeId(1),
-///     task: Tid(3),
-///     start: SimTime::ZERO,
-///     end: SimTime::from_nanos(158_800),
-///     label: "page_fault",
-///     tag: None,
-///     site: "",
-///     addr: None,
+/// assert!(!SpanBuffer::disabled().is_enabled());
+/// let report = Cluster::new(ClusterConfig::new(2).with_spans()).run(|p| {
+///     p.spawn(|ctx| ctx.migrate(1).unwrap());
 /// });
-/// assert_eq!(spans.snapshot().len(), 1);
+/// let forward = report.spans.iter().filter(|s| s.kind == SpanKind::MigrationForward);
+/// assert_eq!(forward.count(), 1);
 /// ```
 #[derive(Clone)]
 pub struct SpanBuffer {
@@ -258,16 +242,29 @@ impl SpanBuffer {
         }
     }
 
-    /// Whether recording is active. Every instrumentation site tests
-    /// this before doing *any* span work (the `span-unguarded` lint
-    /// rejects sites that don't).
+    /// Whether recording is active.
     pub fn is_enabled(&self) -> bool {
         self.enabled
     }
 
-    /// Allocates a fresh span id. Only meaningful when enabled — callers
-    /// guard with `is_enabled().then(|| spans.alloc_id())`.
-    pub fn alloc_id(&self) -> SpanId {
+    /// Starts timing a span that began at `start`, allocating its id now;
+    /// an off timer while recording is off.
+    pub(crate) fn start(&self, start: SimTime) -> SpanTimer {
+        SpanTimer(self.enabled.then(|| (self.alloc_id(), start)))
+    }
+
+    /// Records `timer`'s span as ending now. The clock and `what` are read
+    /// only when the timer is on.
+    pub(crate) fn finish(&self, timer: SpanTimer, ctx: &SimCtx, what: impl FnOnce() -> SpanMeta) {
+        if let Some((id, start)) = timer.0 {
+            let SpanMeta(mut span) = what();
+            (span.id, span.start, span.end) = (id, start, ctx.now());
+            self.record(span);
+        }
+    }
+
+    /// Allocates a fresh span id.
+    fn alloc_id(&self) -> SpanId {
         let mut inner = self.inner.lock();
         let id = inner.next_id;
         inner.next_id += 1;
@@ -275,7 +272,7 @@ impl SpanBuffer {
     }
 
     /// Appends a completed span (no-op when disabled).
-    pub fn record(&self, span: Span) {
+    fn record(&self, span: Span) {
         if self.enabled {
             self.inner.lock().spans.push(span);
         }
@@ -294,6 +291,75 @@ impl SpanBuffer {
     /// Returns `true` if nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.inner.lock().spans.is_empty()
+    }
+}
+
+/// A span being timed: its id, allocated when the timer started, and its
+/// start. Off (no id, records nothing) while recording is off.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct SpanTimer(Option<(SpanId, SimTime)>);
+
+impl SpanTimer {
+    /// A timer that records nothing, for sites that span only some cases.
+    pub(crate) const OFF: SpanTimer = SpanTimer(None);
+
+    /// The span's id ([`SpanId::NONE`] when off).
+    pub(crate) fn id(self) -> SpanId {
+        self.0.map_or(SpanId::NONE, |(id, _)| id)
+    }
+
+    /// The id in its wire form, for a message envelope.
+    pub(crate) fn wire(self) -> SpanContext {
+        self.wire_or(SpanContext::NONE)
+    }
+
+    /// The wire form of this span when on, else `incoming` (which is
+    /// `SpanContext::NONE` whenever recording is off).
+    pub(crate) fn wire_or(self, incoming: SpanContext) -> SpanContext {
+        self.0.map_or(incoming, |(id, _)| SpanContext(id.0))
+    }
+}
+
+/// What a finished span says besides its id and times: built by
+/// [`SpanKind::on`], a root with no tag, site or address unless told.
+pub(crate) struct SpanMeta(Span);
+
+impl SpanKind {
+    /// A span of this kind run by `task` on `node`.
+    pub(crate) fn on(self, node: NodeId, task: Tid, label: &'static str) -> SpanMeta {
+        SpanMeta(Span {
+            id: SpanId::NONE,
+            parent: SpanId::NONE,
+            kind: self,
+            node,
+            task,
+            start: SimTime::ZERO,
+            end: SimTime::ZERO,
+            label,
+            tag: None,
+            site: "",
+            addr: None,
+        })
+    }
+}
+
+impl SpanMeta {
+    /// Parents the span to `parent` (possibly on another node).
+    pub(crate) fn under(mut self, parent: impl Into<SpanId>) -> Self {
+        self.0.parent = parent.into();
+        self
+    }
+
+    /// Makes the span a fault record (§IV-A): the object `tag`, the code
+    /// `site` and the address `at`.
+    pub(crate) fn at(
+        mut self,
+        tag: Option<&'static str>,
+        site: &'static str,
+        at: VirtAddr,
+    ) -> Self {
+        (self.0.tag, self.0.site, self.0.addr) = (tag, site, Some(at));
+        self
     }
 }
 

@@ -1,14 +1,16 @@
-//! The per-thread execution context: transparent memory access, thread
-//! migration, and delegated system calls.
+//! The per-thread execution context: the access path, the fault path,
+//! prefetch and the thread lifecycle.
 //!
 //! A [`ThreadCtx`] is what application code sees. Its memory operations
 //! perform the same PTE permission check the MMU would; misses enter the
-//! DEX fault path (leader–follower coalescing, then the ownership
-//! protocol). [`ThreadCtx::migrate`] relocates the thread to another node
-//! exactly as §III-A describes: context capture at the origin side,
-//! remote-worker creation on the first migration of the process to a node,
-//! thread fork on later ones, and a paired original thread at the origin
-//! that services delegated work while the thread is away.
+//! DEX fault path: a VMA miss pulls the mapping (`vma_sync.rs`), a page
+//! miss runs leader–follower coalescing and then the ownership protocol
+//! (`protocol.rs`). The thread's other mechanisms are `ThreadCtx` methods
+//! written beside the far end of their exchange: migration in
+//! `migration.rs`, delegated futexes and syscalls in `delegation.rs`,
+//! address-space calls in `vma_sync.rs`. This module keeps what they share:
+//! the request round ([`ThreadCtx::round`]), the move between nodes and
+//! the re-home after a crash.
 
 use std::cell::Cell;
 use std::sync::Arc;
@@ -16,26 +18,16 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use dex_net::{NodeId, SpanContext};
-use dex_os::{
-    Access, AddressSpace, ExecutionContext, MemFault, Prot, Tid, VirtAddr, VmaKind, Vpn, PAGE_SIZE,
-};
-use dex_sim::{SimChannel, SimCtx, SimDuration, ThreadId};
+use dex_os::{Access, AddressSpace, MemFault, Tid, VirtAddr, Vpn, PAGE_SIZE};
+use dex_sim::{SimCtx, SimDuration, ThreadId};
 
 use crate::counters::Counter;
 use crate::dispatch::perform_outputs;
-use crate::msg::{DelegatedOp, DexMsg, Reply, VmaOp};
-use crate::process::{DelegationJob, MigrationSample, ProcessShared, WaitError, UNWATCHED};
-use crate::protocol::{self, requester_step, HomeIn, Output, PageMsg, RequesterIn};
+use crate::msg::Reply;
+use crate::process::{Endpoint, ProcessShared, WaitError, UNWATCHED};
+use crate::protocol::{requester_step, HomeIn, Output, PageMsg, RequesterIn};
 use crate::race::{RaceEvent, RaceEventKind};
-use crate::span::{Span, SpanId, SpanKind};
-
-/// The wire form of an optional span id (0 encodes "no span").
-fn span_ctx(span: Option<SpanId>) -> SpanContext {
-    span.map_or(SpanContext::NONE, |s| SpanContext(s.0))
-}
-
-/// `EAGAIN`-style result of a futex wait whose word changed first.
-pub const FUTEX_EAGAIN: i64 = -11;
+use crate::span::{SpanId, SpanKind};
 
 /// The value an access event records: the first `min(len, 8)` bytes of
 /// the transferred data, little-endian, gathered from the access's page
@@ -65,42 +57,6 @@ impl Head {
     }
 }
 
-/// Error from [`ThreadCtx::migrate`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum MigrateError {
-    /// The destination node does not exist in this cluster.
-    NoSuchNode {
-        /// The requested destination.
-        requested: NodeId,
-        /// Number of nodes in the cluster.
-        nodes: usize,
-    },
-    /// The destination node fail-stopped before the migration completed
-    /// (fault-injection runs only); the thread stays where it was.
-    NodeCrashed {
-        /// The crashed destination.
-        node: NodeId,
-    },
-}
-
-impl std::fmt::Display for MigrateError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MigrateError::NoSuchNode { requested, nodes } => {
-                write!(
-                    f,
-                    "cannot migrate to {requested}: cluster has {nodes} nodes"
-                )
-            }
-            MigrateError::NodeCrashed { node } => {
-                write!(f, "cannot migrate to {node}: the node crashed")
-            }
-        }
-    }
-}
-
-impl std::error::Error for MigrateError {}
-
 /// Handle to a spawned application thread; lets the parent join it.
 #[derive(Clone)]
 pub struct DexThread {
@@ -115,15 +71,39 @@ struct JoinState {
 }
 
 impl DexThread {
-    pub(crate) fn new(tid: Tid) -> Self {
-        DexThread {
-            tid,
+    /// A new application thread of `shared`: its handle, and the body to
+    /// spawn. The thread starts at the origin, counts toward its node's
+    /// load while it runs, and marks the handle done when `f` returns.
+    pub(crate) fn start<F>(
+        shared: &Arc<ProcessShared>,
+        f: F,
+    ) -> (DexThread, impl FnOnce(&SimCtx) + Send + 'static)
+    where
+        F: FnOnce(&ThreadCtx<'_>) + Send + 'static,
+    {
+        let shared = Arc::clone(shared);
+        let handle = DexThread {
+            tid: shared.new_tid(),
             state: Arc::new(Mutex::new(JoinState::default())),
-        }
+        };
+        let done = handle.clone();
+        let body = move |ctx: &SimCtx| {
+            shared.adjust_load(shared.origin, 1);
+            let tctx = ThreadCtx::new(ctx, shared, done.tid);
+            f(&tctx);
+            tctx.process().adjust_load(tctx.node(), -1);
+            done.mark_done(&tctx);
+        };
+        (handle, body)
+    }
+
+    /// The thread's id within the process.
+    pub(crate) fn tid(&self) -> Tid {
+        self.tid
     }
 
     /// Called by the thread itself once its closure has returned.
-    pub(crate) fn mark_done(&self, tctx: &ThreadCtx<'_>) {
+    fn mark_done(&self, tctx: &ThreadCtx<'_>) {
         tctx.record_race_event(RaceEventKind::ThreadExit);
         let waiters = {
             let mut st = self.state.lock();
@@ -174,9 +154,9 @@ pub struct ThreadCtx<'a> {
     pub(crate) shared: Arc<ProcessShared>,
     tid: Tid,
     node: Cell<NodeId>,
-    site: Cell<&'static str>,
-    has_migrated: Cell<bool>,
-    pair_started: Cell<bool>,
+    pub(crate) site: Cell<&'static str>,
+    /// The thread has migrated once, so its original thread is running.
+    pub(crate) has_migrated: Cell<bool>,
     /// Nesting depth inside synchronization primitives: while positive,
     /// raw access/futex events are suppressed and the primitives emit
     /// semantic race events instead.
@@ -193,7 +173,6 @@ impl<'a> ThreadCtx<'a> {
             node: Cell::new(origin),
             site: Cell::new("unknown"),
             has_migrated: Cell::new(false),
-            pair_started: Cell::new(false),
             sync_depth: Cell::new(0),
         }
     }
@@ -225,7 +204,7 @@ impl<'a> ThreadCtx<'a> {
     }
 
     /// Records an access/futex event unless inside a sync primitive.
-    fn record_race_event(&self, kind: RaceEventKind) {
+    pub(crate) fn record_race_event(&self, kind: RaceEventKind) {
         if self.sync_depth.get() == 0 {
             self.record_sync_event(kind);
         }
@@ -377,6 +356,13 @@ impl<'a> ThreadCtx<'a> {
         let mut cursor = addr;
         let mut done = 0usize;
         while done < len {
+            let fabric = &self.shared.fabric;
+            if fabric.faults_enabled() && fabric.node_crashed(self.node.get(), self.sim.now()) {
+                // Fail-stop: a thread on a crashed node runs no further
+                // access there; it re-homes and the access re-runs at the
+                // origin.
+                self.rehome_after_crash();
+            }
             let n = (PAGE_SIZE - cursor.page_offset()).min(len - done);
             let check = {
                 let mut space = self.shared.space(self.node.get()).lock();
@@ -447,32 +433,26 @@ impl<'a> ThreadCtx<'a> {
 
     /// Atomic compare-and-swap on a `u32`; returns the previous value.
     pub fn cas_u32(&self, addr: VirtAddr, expected: u32, new: u32) -> u32 {
-        let mut old = 0u32;
-        self.rmw_bytes(addr, 4, |b| {
-            old = u32::from_le_bytes(b.try_into().expect("4 bytes"));
-            if old == expected {
-                b.copy_from_slice(&new.to_le_bytes());
-            }
-        });
-        old
+        self.rmw_u32(addr, |old| if old == expected { new } else { old })
     }
 
     /// Atomic fetch-add on a `u32`; returns the previous value.
     pub fn fetch_add_u32(&self, addr: VirtAddr, delta: u32) -> u32 {
-        let mut old = 0u32;
-        self.rmw_bytes(addr, 4, |b| {
-            old = u32::from_le_bytes(b.try_into().expect("4 bytes"));
-            b.copy_from_slice(&old.wrapping_add(delta).to_le_bytes());
-        });
-        old
+        self.rmw_u32(addr, |old| old.wrapping_add(delta))
     }
 
     /// Atomic swap on a `u32`; returns the previous value.
     pub fn swap_u32(&self, addr: VirtAddr, new: u32) -> u32 {
+        self.rmw_u32(addr, |_| new)
+    }
+
+    /// Atomically replaces the `u32` at `addr` with `f` of it; returns the
+    /// previous value.
+    fn rmw_u32(&self, addr: VirtAddr, f: impl FnOnce(u32) -> u32) -> u32 {
         let mut old = 0u32;
         self.rmw_bytes(addr, 4, |b| {
             old = u32::from_le_bytes(b.try_into().expect("4 bytes"));
-            b.copy_from_slice(&new.to_le_bytes());
+            b.copy_from_slice(&f(old).to_le_bytes());
         });
         old
     }
@@ -482,19 +462,7 @@ impl<'a> ThreadCtx<'a> {
     /// Ensures an access of kind `access` at `addr` can proceed locally,
     /// running VMA synchronization and the consistency protocol as needed.
     pub(crate) fn ensure(&self, addr: VirtAddr, access: Access) {
-        loop {
-            // Bound first: the guard must be gone before the fault path
-            // can switch contexts.
-            let check = self
-                .shared
-                .space(self.node.get())
-                .lock()
-                .check(addr, access);
-            match check {
-                Ok(()) => return,
-                Err(fault) => self.fault(fault, addr, access),
-            }
-        }
+        self.walk(addr, 1, access, |_, _, _| {});
     }
 
     /// Runs the fault path for one failed check; the caller re-checks.
@@ -505,84 +473,13 @@ impl<'a> ThreadCtx<'a> {
         }
     }
 
-    fn vma_fault(&self, addr: VirtAddr, access: Access) {
-        let shared = &self.shared;
-        let node = self.node.get();
-        if node == shared.origin {
-            // The origin's VMAs are authoritative: this is a real illegal
-            // access.
-            panic!(
-                "segmentation fault: {} {access} at {addr} (site {})",
-                self.tid,
-                self.site.get()
-            );
-        }
-        shared.count(self.node.get(), Counter::VmaSyncs, 1);
-        let t0 = self.sim.now();
-        let span = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
-        let reply = self.round(UNWATCHED, false, |req_id| {
-            let pull = DexMsg::VmaRequest {
-                pid: shared.pid,
-                addr,
-                req_id,
-            };
-            self.endpoint(node)
-                .send_traced(self.sim, shared.origin, pull, span_ctx(span));
-        });
-        match reply {
-            Err(WaitError::OwnNodeCrashed) => {
-                // The node fail-stopped; re-home and let ensure() re-check
-                // at the origin, where the VMAs are authoritative.
-                self.rehome_after_crash();
-            }
-            Ok(Reply::Vma(Some(vma))) => {
-                // Check the authoritative protection before installing:
-                // a permission mismatch is a real fault, not staleness.
-                let ok = match access {
-                    Access::Read => vma.prot.read,
-                    Access::Write => vma.prot.write,
-                };
-                if !ok {
-                    panic!(
-                        "segmentation fault: {} {access} at {addr} (protection) (site {})",
-                        self.tid,
-                        self.site.get()
-                    );
-                }
-                shared.space(node).lock().vmas.install(vma);
-            }
-            Ok(Reply::Vma(None)) => panic!(
-                "segmentation fault: {} {access} at {addr} (no mapping) (site {})",
-                self.tid,
-                self.site.get()
-            ),
-            Ok(other) => unreachable!("vma request answered with {other:?}"),
-        }
-        if let Some(id) = span {
-            shared.spans.record(Span {
-                id,
-                parent: SpanId::NONE,
-                kind: SpanKind::VmaSync,
-                node,
-                task: self.tid,
-                start: t0,
-                end: self.sim.now(),
-                label: "vma_pull",
-                tag: None,
-                site: "",
-                addr: None,
-            });
-        }
-    }
-
     fn page_fault(&self, vpn: Vpn, access: Access, addr: VirtAddr) {
         let shared = Arc::clone(&self.shared);
         let node = self.node.get();
         let is_write = access.is_write();
         let ctx = self.sim;
 
-        let span_t0 = ctx.now();
-        let fault_span = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
+        let fault_span = shared.spans.start(ctx.now());
 
         ctx.advance(shared.cost.fault_entry);
 
@@ -596,7 +493,7 @@ impl<'a> ThreadCtx<'a> {
                 vpn,
                 access,
                 thread: ctx.id().0,
-                tag: fault_span.map_or(0, |s| s.0),
+                tag: fault_span.id().0,
             };
             shared.with_node(node, |n| requester_step(n, fault)).pop()
         } else {
@@ -614,26 +511,16 @@ impl<'a> ThreadCtx<'a> {
             ctx.park();
             // The follower's wait parents to the leader's fault span —
             // the coalescing relationship made visible in the timeline.
-            if let Some(id) = fault_span {
-                shared.spans.record(Span {
-                    id,
-                    parent: SpanId(leader_tag),
-                    kind: SpanKind::FollowerWait,
-                    node,
-                    task: self.tid,
-                    start: span_t0,
-                    end: ctx.now(),
-                    label: "follower_wait",
-                    tag: None,
-                    site: "",
-                    addr: None,
-                });
-            }
+            shared.spans.finish(fault_span, ctx, || {
+                SpanKind::FollowerWait
+                    .on(node, self.tid, "follower_wait")
+                    .under(SpanId(leader_tag))
+            });
             return; // the outer ensure() loop re-checks the updated PTE
         }
 
         let t0 = ctx.now();
-        let wire_span = span_ctx(fault_span);
+        let wire_span = fault_span.wire();
         let mut rounds = 0u64;
         let mut origin_inline = false;
         loop {
@@ -656,25 +543,14 @@ impl<'a> ThreadCtx<'a> {
             // Deterministic per-thread jitter keeps retrying threads from
             // re-colliding in lockstep (the kernel's backoff has natural
             // jitter from scheduling).
-            let retry_t0 = ctx.now();
-            let retry_span = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
+            let retry_span = shared.spans.start(ctx.now());
             let jitter = (self.tid.0 * 7_000 + rounds * 13_000) % 60_000;
-            ctx.advance(shared.cost.retry_backoff + dex_sim::SimDuration::from_nanos(jitter));
-            if let Some(id) = retry_span {
-                shared.spans.record(Span {
-                    id,
-                    parent: fault_span.unwrap_or(SpanId::NONE),
-                    kind: SpanKind::FaultRetry,
-                    node,
-                    task: self.tid,
-                    start: retry_t0,
-                    end: ctx.now(),
-                    label: "retry_backoff",
-                    tag: None,
-                    site: "",
-                    addr: None,
-                });
-            }
+            ctx.advance(shared.cost.retry_backoff + SimDuration::from_nanos(jitter));
+            shared.spans.finish(retry_span, ctx, || {
+                SpanKind::FaultRetry
+                    .on(node, self.tid, "retry_backoff")
+                    .under(fault_span.id())
+            });
         }
         ctx.advance(shared.cost.fault_fixup);
 
@@ -693,26 +569,17 @@ impl<'a> ThreadCtx<'a> {
             shared.count(node, kind, 1);
             shared.fault_hist.record(ctx.now() - t0);
         }
-        if let Some(id) = fault_span {
+        shared.spans.finish(fault_span, ctx, || {
+            let label = match (minor, is_write) {
+                (true, _) => "minor_fault",
+                (false, true) => "write_fault",
+                (false, false) => "read_fault",
+            };
             let tag = shared.tag_for(node, addr);
-            shared.spans.record(Span {
-                id,
-                parent: SpanId::NONE,
-                kind: SpanKind::Fault,
-                node,
-                task: self.tid,
-                start: span_t0,
-                end: ctx.now(),
-                label: match (minor, is_write) {
-                    (true, _) => "minor_fault",
-                    (false, true) => "write_fault",
-                    (false, false) => "read_fault",
-                },
-                tag,
-                site: self.site.get(),
-                addr: Some(addr),
-            });
-        }
+            SpanKind::Fault
+                .on(node, self.tid, label)
+                .at(tag, self.site.get(), addr)
+        });
 
         if coalesce {
             let resolved = RequesterIn::Resolved { vpn, access };
@@ -805,172 +672,6 @@ impl<'a> ThreadCtx<'a> {
         }
     }
 
-    // ---- futexes ----
-
-    /// `FUTEX_WAIT`: blocks while the word at `addr` equals `expected`.
-    /// Returns `0` when woken, [`FUTEX_EAGAIN`] when the word had already
-    /// changed. Remote threads delegate this to their original thread at
-    /// the origin (§III-A).
-    pub fn futex_wait(&self, addr: VirtAddr, expected: u32) -> i64 {
-        match self.futex_wait_woken(addr, expected) {
-            Ok(waker) => {
-                // An actual wakeup orders this thread after the waker.
-                self.record_race_event(RaceEventKind::FutexWaitReturn { addr, waker });
-                0
-            }
-            Err(result) => result,
-        }
-    }
-
-    /// [`Self::futex_wait`] reporting the thread whose wake ended the wait
-    /// (see [`ProcessShared::take_waker`]); `Err` carries any other result.
-    pub(crate) fn futex_wait_woken(&self, addr: VirtAddr, expected: u32) -> Result<Tid, i64> {
-        let shared = &self.shared;
-        let t0 = self.sim.now();
-        let span = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
-        shared.count(self.node.get(), Counter::FutexWaits, 1);
-        let result = self.at_origin(DelegatedOp::FutexWait { addr, expected }, span_ctx(span));
-        if let Some(id) = span {
-            shared.spans.record(Span {
-                id,
-                parent: SpanId::NONE,
-                kind: SpanKind::FutexWait,
-                node: self.node.get(),
-                task: self.tid,
-                start: t0,
-                end: self.sim.now(),
-                label: if result.is_ok() {
-                    "futex_woken"
-                } else {
-                    "futex_eagain"
-                },
-                tag: None,
-                site: "",
-                addr: None,
-            });
-        }
-        result
-    }
-
-    /// `FUTEX_WAKE`: wakes up to `count` waiters of the word at `addr`.
-    /// Returns the number woken.
-    pub fn futex_wake(&self, addr: VirtAddr, count: u32) -> i64 {
-        self.record_race_event(RaceEventKind::FutexWake { addr });
-        let shared = &self.shared;
-        shared.count(self.node.get(), Counter::FutexWakes, 1);
-        let t0 = self.sim.now();
-        let span = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
-        let node = self.node.get();
-        let result = self
-            .at_origin(DelegatedOp::FutexWake { addr, count }, span_ctx(span))
-            .expect_err("only FUTEX_WAIT is woken");
-        if let Some(id) = span {
-            shared.spans.record(Span {
-                id,
-                parent: SpanId::NONE,
-                kind: SpanKind::FutexWake,
-                node,
-                task: self.tid,
-                start: t0,
-                end: self.sim.now(),
-                label: "futex_wake",
-                tag: None,
-                site: "",
-                addr: None,
-            });
-        }
-        result
-    }
-
-    // ---- migration ----
-
-    /// Relocates this thread to `dst`. A no-op when already there; a
-    /// remote→remote move goes home first (backward) and then forward.
-    ///
-    /// # Errors
-    ///
-    /// [`MigrateError::NoSuchNode`] if `dst` is outside the cluster;
-    /// [`MigrateError::NodeCrashed`] if a fault plan crashed `dst` (the
-    /// thread stays at the origin in that case).
-    pub fn migrate(&self, dst: impl Into<NodeId>) -> Result<(), MigrateError> {
-        let dst = dst.into();
-        let shared = Arc::clone(&self.shared);
-        if (dst.0 as usize) >= shared.nodes {
-            return Err(MigrateError::NoSuchNode {
-                requested: dst,
-                nodes: shared.nodes,
-            });
-        }
-        if dst == self.node.get() {
-            return Ok(());
-        }
-        if self.node.get() != shared.origin {
-            self.migrate_back_inner();
-        }
-        if dst == shared.origin {
-            return Ok(());
-        }
-        self.migrate_forward(dst)
-    }
-
-    /// Brings the thread back to its origin node (backward migration).
-    /// No-op when already home.
-    pub fn migrate_back(&self) -> Result<(), MigrateError> {
-        if self.node.get() != self.shared.origin {
-            self.migrate_back_inner();
-        }
-        Ok(())
-    }
-
-    /// The node currently holding the page of `addr` exclusively (the
-    /// origin when the page is shared or untouched). At the origin this
-    /// reads the directory; remote threads delegate the query to their
-    /// original thread, like any stateful kernel feature.
-    pub fn data_home(&self, addr: VirtAddr) -> NodeId {
-        let node = self.delegate(DelegatedOp::QueryOwner { addr });
-        NodeId(u16::try_from(node).expect("node id fits"))
-    }
-
-    /// Relocates this thread to the node that owns the data at `addr` —
-    /// the "relocating the computation near data" scenario of the paper's
-    /// conclusion (§VII). Returns the destination.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`MigrateError`] from the underlying migration.
-    pub fn migrate_to_data(&self, addr: VirtAddr) -> Result<NodeId, MigrateError> {
-        let target = self.data_home(addr);
-        self.migrate(target)?;
-        Ok(target)
-    }
-
-    /// Relocates this thread to the node currently running the fewest
-    /// application threads (itself excluded) — the simple load-balancing
-    /// policy §III-A says schedulers or user-space libraries could drive.
-    /// Returns the destination (possibly the current node).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`MigrateError`] from the underlying migration.
-    pub fn migrate_least_loaded(&self) -> Result<NodeId, MigrateError> {
-        let here = self.node.get();
-        let target = {
-            let loads = self.shared.thread_counts();
-            let mut best = here;
-            let mut best_load = loads[here.0 as usize] - 1; // exclude self
-            for (n, &load) in loads.iter().enumerate() {
-                let node = NodeId(n as u16);
-                if node != here && load < best_load {
-                    best = node;
-                    best_load = load;
-                }
-            }
-            best
-        };
-        self.migrate(target)?;
-        Ok(target)
-    }
-
     /// Requests read or write ownership of every page covering
     /// `[addr, addr + len)` in one pipelined batch — the data-access-hint
     /// mechanism of §IV-A, which amortizes protocol round trips that a
@@ -1024,27 +725,20 @@ impl<'a> ThreadCtx<'a> {
                 // Granted pages were installed by the dispatcher.
                 Ok(Reply::PageGrant { retry: false }) => granted += 1,
                 Ok(_) => denied += 1,
-                Err(WaitError::OwnNodeCrashed) => {
-                    // Drop the remaining requests and go home. Grants
-                    // already applied to the dead node's page table are
-                    // moot.
+                Err(crash) => {
+                    // This node or a directory home died mid-prefetch.
+                    // Unlike the mandatory fault path, a hint can simply
+                    // be dropped: abandon the outstanding slots and let
+                    // first touch (and crash recovery) sort the rest out.
+                    // Grants already applied to a dead node are moot; a
+                    // thread on one goes home.
                     denied += 1;
                     for (_, rid, _) in outstanding.by_ref() {
                         shared.abandon_pending(node, rid);
                         denied += 1;
                     }
-                    self.rehome_after_crash();
-                    break;
-                }
-                Err(WaitError::PeerCrashed(_)) => {
-                    // A directory home died mid-prefetch. Unlike the
-                    // mandatory fault path, a hint can simply be dropped:
-                    // abandon the outstanding slots and let first touch
-                    // (and crash recovery) sort the rest out.
-                    denied += 1;
-                    for (_, rid, _) in outstanding.by_ref() {
-                        shared.abandon_pending(node, rid);
-                        denied += 1;
+                    if crash == WaitError::OwnNodeCrashed {
+                        self.rehome_after_crash();
                     }
                     break;
                 }
@@ -1054,309 +748,25 @@ impl<'a> ThreadCtx<'a> {
         shared.count(node, Counter::PrefetchDenied, denied);
     }
 
+    /// Moves this thread's execution (and its share of the node load) to
+    /// `dst`.
+    pub(crate) fn move_to(&self, dst: NodeId) {
+        self.shared.adjust_load(self.node.get(), -1);
+        self.shared.adjust_load(dst, 1);
+        self.node.set(dst);
+    }
+
     /// Picks the thread up off its fail-stopped node and re-homes it to
     /// the origin — the graceful-degradation half of the fault model. Any
     /// dirty pages whose only copy lived on the dead node are lost (the
     /// directory reverts them to the origin's last flushed frame);
     /// cluster-wide recovery itself is idempotent and may already have
     /// run on behalf of another thread.
-    fn rehome_after_crash(&self) {
+    pub(crate) fn rehome_after_crash(&self) {
         let shared = &self.shared;
-        let old = self.node.get();
-        shared.count(old, Counter::MigrationsCrashRehomed, 1);
+        shared.count(self.node.get(), Counter::MigrationsCrashRehomed, 1);
         shared.maybe_handle_crashes(self.sim);
-        shared.adjust_load(old, -1);
-        shared.adjust_load(shared.origin, 1);
-        self.node.set(shared.origin);
-    }
-
-    fn migrate_forward(&self, dst: NodeId) -> Result<(), MigrateError> {
-        let shared = &self.shared;
-        let ctx = self.sim;
-        let t0 = ctx.now();
-        let span = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
-
-        // Origin side: capture the execution context; the first migration
-        // of a thread also builds its per-thread migration structures.
-        let origin_cost = if self.has_migrated.get() {
-            shared.cost.context_capture_next
-        } else {
-            shared.cost.context_capture_first
-        };
-        ctx.advance(origin_cost);
-
-        let node = self.node.get();
-        let reply = self.round(Some(dst), false, |req_id| {
-            let request = DexMsg::MigrateRequest {
-                pid: shared.pid,
-                tid: self.tid,
-                context: self.synthesize_context(),
-                req_id,
-            };
-            self.endpoint(node)
-                .send_traced(ctx, dst, request, span_ctx(span));
-        });
-        let phases = match reply {
-            Ok(Reply::MigrateAck(phases)) => phases,
-            Ok(other) => unreachable!("migration answered with {other:?}"),
-            Err(WaitError::PeerCrashed(node)) => {
-                // The destination died before acking: the thread never
-                // left the origin, so it simply stays put.
-                shared.count(shared.origin, Counter::MigrationsDestCrashed, 1);
-                return Err(MigrateError::NodeCrashed { node });
-            }
-            Err(WaitError::OwnNodeCrashed) => {
-                unreachable!("forward migration starts at the origin, which cannot crash")
-            }
-        };
-        shared.adjust_load(self.node.get(), -1);
-        shared.adjust_load(dst, 1);
-        self.node.set(dst);
-        self.has_migrated.set(true);
-        self.ensure_pair_thread();
-
-        let remote_side: SimDuration = phases.iter().map(|(_, d)| *d).sum();
-        let first_on_node = phases.iter().any(|(name, _)| *name == "remote_worker");
-        shared.count(shared.origin, Counter::MigrationsForward, 1);
-        shared.migrations.lock().push(MigrationSample {
-            forward: true,
-            first_on_node,
-            origin_side: origin_cost,
-            remote_side,
-            total: ctx.now() - t0,
-            phases,
-        });
-        if let Some(id) = span {
-            shared.spans.record(Span {
-                id,
-                parent: SpanId::NONE,
-                kind: SpanKind::MigrationForward,
-                node,
-                task: self.tid,
-                start: t0,
-                end: ctx.now(),
-                label: if first_on_node {
-                    "first_on_node"
-                } else {
-                    "worker_reused"
-                },
-                tag: None,
-                site: "",
-                addr: None,
-            });
-        }
-        Ok(())
-    }
-
-    fn migrate_back_inner(&self) {
-        let shared = &self.shared;
-        let ctx = self.sim;
-        let node = self.node.get();
-        if shared.fabric.node_crashed(node, ctx.now()) {
-            // The node died under the thread: there is no remote side left
-            // to capture context from, so skip the protocol round trip.
-            self.rehome_after_crash();
-            return;
-        }
-        let t0 = ctx.now();
-        let span = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
-        ctx.advance(shared.cost.backward_capture);
-
-        let reply = self.round(UNWATCHED, false, |req_id| {
-            let request = DexMsg::MigrateBack {
-                pid: shared.pid,
-                tid: self.tid,
-                context: self.synthesize_context(),
-                req_id,
-            };
-            self.endpoint(node)
-                .send_traced(ctx, shared.origin, request, span_ctx(span));
-        });
-        match reply {
-            Ok(Reply::MigrateBackAck) => {}
-            Ok(other) => unreachable!("backward migration answered with {other:?}"),
-            Err(WaitError::OwnNodeCrashed) => {
-                // Crashed mid-backward-migration: the context capture is
-                // lost with the node; re-home the thread directly.
-                self.rehome_after_crash();
-                return;
-            }
-        }
-        shared.adjust_load(self.node.get(), -1);
-        shared.adjust_load(shared.origin, 1);
-        self.node.set(shared.origin);
-        shared.count(node, Counter::MigrationsBackward, 1);
-        shared.migrations.lock().push(MigrationSample {
-            forward: false,
-            first_on_node: false,
-            origin_side: shared.cost.backward_update,
-            remote_side: shared.cost.backward_capture,
-            total: ctx.now() - t0,
-            phases: vec![("capture", shared.cost.backward_capture)],
-        });
-        if let Some(id) = span {
-            shared.spans.record(Span {
-                id,
-                parent: SpanId::NONE,
-                kind: SpanKind::MigrationBack,
-                node,
-                task: self.tid,
-                start: t0,
-                end: ctx.now(),
-                label: "migrate_back",
-                tag: None,
-                site: "",
-                addr: None,
-            });
-        }
-    }
-
-    /// Builds a deterministic register file for the context transfer so
-    /// its integrity is testable end to end.
-    fn synthesize_context(&self) -> ExecutionContext {
-        let mut context = ExecutionContext::default();
-        for (i, r) in context.regs.iter_mut().enumerate() {
-            *r = self.tid.0.wrapping_mul(0x9E3779B9).wrapping_add(i as u64);
-        }
-        context.ip = 0x400000 + self.tid.0 * 0x10;
-        context.sp = 0x7fff_0000_0000 - self.tid.0 * 0x100000;
-        context
-    }
-
-    fn ensure_pair_thread(&self) {
-        if self.pair_started.get() {
-            return;
-        }
-        self.pair_started.set(true);
-        let chan: SimChannel<DelegationJob> = SimChannel::unbounded();
-        self.shared.delegation.lock().insert(self.tid, chan.clone());
-        let shared = Arc::clone(&self.shared);
-        let tid = self.tid;
-        self.sim.spawn_daemon(format!("pair-{tid}"), move |ctx| {
-            pair_thread_loop(ctx, shared, tid, chan);
-        });
-    }
-
-    // ---- address-space system calls ----
-
-    /// `mmap`: creates an anonymous mapping (performed at the origin via
-    /// delegation when the thread is remote; permissive, so not eagerly
-    /// broadcast).
-    pub fn mmap(&self, len: u64, prot: Prot) -> VirtAddr {
-        let result = self.delegate(DelegatedOp::Mmap { len, prot });
-        assert!(result >= 0, "delegated mmap failed: {result}");
-        VirtAddr::new(result as u64)
-    }
-
-    /// `munmap`: removes mappings. Shrinking operations are broadcast
-    /// eagerly to every node (§III-D).
-    pub fn munmap(&self, addr: VirtAddr, len: u64) {
-        let result = self.delegate(DelegatedOp::Munmap { addr, len });
-        assert!(result >= 0, "delegated munmap failed: {result}");
-    }
-
-    /// `mprotect`: changes protection; downgrades are broadcast eagerly.
-    pub fn mprotect(&self, addr: VirtAddr, len: u64, prot: Prot) {
-        let result = self.delegate(DelegatedOp::Mprotect { addr, len, prot });
-        assert!(result >= 0, "delegated mprotect failed: {result}");
-    }
-
-    /// Performs a stateful system call at the origin (file I/O stand-in),
-    /// keeping the original thread busy for `busy`.
-    pub fn syscall(&self, busy: SimDuration) {
-        let result = self.delegate(DelegatedOp::Syscall { busy });
-        assert_eq!(result, 0);
-    }
-
-    /// Runs `op` (anything but `FUTEX_WAIT`) through [`Self::at_origin`];
-    /// a remote caller's round is recorded as a `Delegation` span.
-    fn delegate(&self, op: DelegatedOp) -> i64 {
-        let shared = &self.shared;
-        let span = if self.node.get() == shared.origin {
-            None
-        } else {
-            shared.spans.is_enabled().then(|| shared.spans.alloc_id())
-        };
-        let t0 = self.sim.now();
-        let result = self
-            .at_origin(op, span_ctx(span))
-            .expect_err("only FUTEX_WAIT is woken");
-        if let Some(id) = span {
-            shared.spans.record(Span {
-                id,
-                parent: SpanId::NONE,
-                kind: SpanKind::Delegation,
-                node: self.node.get(),
-                task: self.tid,
-                start: t0,
-                end: self.sim.now(),
-                label: "delegate",
-                tag: None,
-                site: "",
-                addr: None,
-            });
-        }
-        result
-    }
-
-    /// The one delegation round (§III-A): runs `op` in the origin's
-    /// context and returns `Ok(waker)` when a `FUTEX_WAIT` was woken,
-    /// `Err(result)` for every other result. At the origin the executor
-    /// runs in place; elsewhere the op travels to the thread's original
-    /// thread, and `span` rides the request. If this thread's node
-    /// crashes first, the thread re-homes and the op runs again at the
-    /// origin (at-least-once; DESIGN.md lists what a re-run does per op).
-    fn at_origin(&self, op: DelegatedOp, span: SpanContext) -> Result<Tid, i64> {
-        let shared = &self.shared;
-        let wait = matches!(op, DelegatedOp::FutexWait { .. });
-        loop {
-            let node = self.node.get();
-            if node == shared.origin {
-                // Only a FUTEX_WAIT takes an id here: it keys the queued waiter.
-                let req_id = if wait { shared.new_req_id() } else { 0 };
-                return match run_at_origin(self, &op, node, req_id) {
-                    AtOrigin::Done(result) => Err(result),
-                    AtOrigin::Queued(slot) => match shared.wait_reply(self.sim, &slot) {
-                        Reply::FutexWoken => Ok(shared.take_waker(req_id)),
-                        other => unreachable!("futex wait answered with {other:?}"),
-                    },
-                };
-            }
-            shared.count(node, Counter::Delegations, 1);
-            // The id keys a queued FUTEX_WAIT waiter: its wake and the
-            // crash clean-up below both need it.
-            let mut req_id = 0;
-            // Unbounded for a futex wait only: it legitimately blocks for
-            // as long as the application keeps the waiter asleep.
-            let reply = self.round(UNWATCHED, wait, |id| {
-                req_id = id;
-                let request = DexMsg::Delegate {
-                    pid: shared.pid,
-                    tid: self.tid,
-                    op: op.clone(),
-                    req_id,
-                };
-                self.endpoint(node)
-                    .send_traced(self.sim, shared.origin, request, span);
-            });
-            match reply {
-                Ok(Reply::Delegate(result)) => return Err(result),
-                Ok(Reply::FutexWoken) => return Ok(shared.take_waker(req_id)),
-                Ok(other) => unreachable!("delegation answered with {other:?}"),
-                Err(WaitError::OwnNodeCrashed) => {
-                    if let DelegatedOp::FutexWait { addr, .. } = op {
-                        // Remove the (possibly) queued waiter so a later
-                        // wake does not target the dead node. A wake lost
-                        // in the crash window is recovered by the standard
-                        // futex pattern: the re-run re-checks the word.
-                        shared.futex.lock().cancel(addr, ThreadId(req_id));
-                        shared.futex_nodes.lock().remove(&req_id);
-                        shared.futex_wakers.lock().remove(&req_id);
-                    }
-                    self.rehome_after_crash();
-                }
-            }
-        }
+        self.move_to(shared.origin);
     }
 
     // ---- synchronization primitive constructors ----
@@ -1390,22 +800,13 @@ impl<'a> ThreadCtx<'a> {
     where
         F: FnOnce(&ThreadCtx<'_>) + Send + 'static,
     {
-        let shared = Arc::clone(&self.shared);
-        let tid = shared.new_tid();
-        let handle = DexThread::new(tid);
-        let handle2 = handle.clone();
-        self.record_race_event(RaceEventKind::Spawn { child: tid });
-        self.sim.spawn(name, move |ctx| {
-            shared.adjust_load(shared.origin, 1);
-            let tctx = ThreadCtx::new(ctx, shared, tid);
-            f(&tctx);
-            tctx.process().adjust_load(tctx.node(), -1);
-            handle2.mark_done(&tctx);
-        });
+        let (handle, body) = DexThread::start(&self.shared, f);
+        self.record_race_event(RaceEventKind::Spawn { child: handle.tid });
+        self.sim.spawn(name, body);
         handle
     }
 
-    fn endpoint(&self, node: NodeId) -> crate::process::Endpoint {
+    pub(crate) fn endpoint(&self, node: NodeId) -> Endpoint {
         self.shared.fabric.endpoint(node)
     }
 
@@ -1415,7 +816,7 @@ impl<'a> ThreadCtx<'a> {
     /// and `peer` for a crash ([`UNWATCHED`]: this node only, and
     /// `PeerCrashed` cannot occur). `unbounded` exempts a wait with no
     /// deadline of its own (a futex wait) from the stuck-run check.
-    fn round<P: Copy + Into<NodeId>>(
+    pub(crate) fn round<P: Copy + Into<NodeId>>(
         &self,
         peer: Option<P>,
         unbounded: bool,
@@ -1435,246 +836,5 @@ impl std::fmt::Debug for ThreadCtx<'_> {
             .field("tid", &self.tid)
             .field("node", &self.node.get())
             .finish()
-    }
-}
-
-/// What [`run_at_origin`] did with a delegated operation.
-enum AtOrigin {
-    /// The operation finished with this result.
-    Done(i64),
-    /// A `FUTEX_WAIT` waiter is queued; the slot resolves on `FUTEX_WAKE`.
-    Queued(Arc<Mutex<Option<Reply>>>),
-}
-
-/// The one executor of delegated work (§III-A): runs `op` in the origin's
-/// context on behalf of thread `tctx`, whether `tctx` is an
-/// origin-resident thread, a thread re-homed by a crash, or a migrated
-/// thread's original thread servicing a request from `waiter_node`.
-/// `req_id` keys a queued `FUTEX_WAIT` waiter; other ops ignore it.
-fn run_at_origin(
-    tctx: &ThreadCtx<'_>,
-    op: &DelegatedOp,
-    waiter_node: NodeId,
-    req_id: u64,
-) -> AtOrigin {
-    let (ctx, shared) = (tctx.sim, &tctx.shared);
-    AtOrigin::Done(match *op {
-        DelegatedOp::FutexWait { addr, expected } => {
-            return futex_wait_at_origin(tctx, addr, expected, waiter_node, req_id)
-        }
-        DelegatedOp::FutexWake { addr, count } => {
-            futex_wake_at_origin(ctx, shared, addr, count, tctx.tid)
-        }
-        DelegatedOp::Mmap { len, prot } => {
-            let mut space = shared.space(shared.origin).lock();
-            space.vmas.mmap(len, prot, VmaKind::Anon, None).as_u64() as i64
-        }
-        DelegatedOp::Munmap { addr, len } => {
-            munmap_at_origin(ctx, shared, addr, len);
-            0
-        }
-        DelegatedOp::Mprotect { addr, len, prot } => {
-            mprotect_at_origin(ctx, shared, addr, len, prot);
-            0
-        }
-        DelegatedOp::QueryOwner { addr } => {
-            let dir = shared.directory_for(addr.vpn()).lock();
-            dir.current_writer(addr.vpn()).unwrap_or(shared.origin).0 as i64
-        }
-        DelegatedOp::Syscall { busy } => {
-            ctx.advance(busy);
-            0
-        }
-    })
-}
-
-/// The origin-side half of `FUTEX_WAIT`: runs in the context of a thread
-/// executing at the origin (an origin-resident app thread, or a migrated
-/// thread's original thread servicing a delegation).
-///
-/// `waiter_node`/`waiter_req` identify where the eventual wake must be
-/// delivered. Reading the futex word may itself fault through the DSM —
-/// exactly what happens on Linux when the futex syscall touches the word.
-fn futex_wait_at_origin(
-    tctx: &ThreadCtx<'_>,
-    addr: VirtAddr,
-    expected: u32,
-    waiter_node: NodeId,
-    waiter_req: u64,
-) -> AtOrigin {
-    let shared = &tctx.shared;
-    tctx.ensure(addr, Access::Read);
-    // Value check and enqueue must be atomic: no yields below.
-    let space = shared.space(shared.origin).lock();
-    let mut buf = [0u8; 4];
-    space.read(addr, &mut buf);
-    let value = u32::from_le_bytes(buf);
-    if value != expected {
-        return AtOrigin::Done(FUTEX_EAGAIN);
-    }
-    let mut futex = shared.futex.lock();
-    futex.enqueue(addr, ThreadId(waiter_req));
-    shared.futex_nodes.lock().insert(waiter_req, waiter_node);
-    drop(futex);
-    drop(space);
-    // For a local waiter the pending entry is registered by the caller
-    // before parking; for a remote waiter the pending entry lives at the
-    // remote node and resolves via FutexWoken.
-    let slot = if waiter_node == shared.origin {
-        shared.register(tctx.sim, shared.origin, waiter_req, &[])
-    } else {
-        Arc::new(Mutex::new(None))
-    };
-    AtOrigin::Queued(slot)
-}
-
-/// The origin-side half of `FUTEX_WAKE` on behalf of thread `waker`.
-/// Returns the number woken.
-fn futex_wake_at_origin(
-    ctx: &SimCtx,
-    shared: &Arc<ProcessShared>,
-    addr: VirtAddr,
-    count: u32,
-    waker: Tid,
-) -> i64 {
-    let woken: Vec<u64> = shared
-        .futex
-        .lock()
-        .wake(addr, count as usize)
-        .into_iter()
-        .map(|t| t.0)
-        .collect();
-    let mut remote: Vec<(NodeId, u64)> = Vec::new();
-    {
-        let mut nodes = shared.futex_nodes.lock();
-        for req in &woken {
-            let node = nodes.remove(req).expect("waiter node recorded");
-            remote.push((node, *req));
-        }
-    }
-    if shared.race.is_enabled() {
-        let mut wakers = shared.futex_wakers.lock();
-        wakers.extend(woken.iter().map(|&req| (req, waker)));
-    }
-    let n = woken.len() as i64;
-    let endpoint = shared.fabric.endpoint(shared.origin);
-    for (node, req_id) in remote {
-        if node == shared.origin {
-            shared.complete(ctx, node, req_id, node, Reply::FutexWoken);
-        } else {
-            let (pid, reply) = (shared.pid, Reply::FutexWoken);
-            endpoint.send(ctx, node, DexMsg::Reply { pid, req_id, reply });
-        }
-    }
-    n
-}
-
-/// `munmap` executed at the origin: updates the authoritative VMAs, drops
-/// directory state, and eagerly broadcasts the shrink to every node.
-fn munmap_at_origin(ctx: &SimCtx, shared: &Arc<ProcessShared>, addr: VirtAddr, len: u64) {
-    let pages = {
-        let mut space = shared.space(shared.origin).lock();
-        let pages = space.vmas.munmap(addr, len).expect("munmap with bad range");
-        let (page_table, frames) = space.page_table_and_frames();
-        for vpn in &pages {
-            protocol::unmap(page_table, frames, *vpn);
-        }
-        pages
-    };
-    for dir in &shared.directories {
-        let _ = dir.lock().drop_pages(&pages);
-    }
-    broadcast_vma_op(ctx, shared, VmaOp::Unmap { addr, len });
-}
-
-/// `mprotect` executed at the origin; downgrades broadcast eagerly,
-/// permissive changes propagate lazily through on-demand synchronization.
-fn mprotect_at_origin(
-    ctx: &SimCtx,
-    shared: &Arc<ProcessShared>,
-    addr: VirtAddr,
-    len: u64,
-    prot: Prot,
-) {
-    let downgraded = shared
-        .space(shared.origin)
-        .lock()
-        .vmas
-        .mprotect(addr, len, prot)
-        .expect("mprotect with bad range");
-    if downgraded {
-        broadcast_vma_op(ctx, shared, VmaOp::Protect { addr, len, prot });
-    }
-}
-
-fn broadcast_vma_op(ctx: &SimCtx, shared: &Arc<ProcessShared>, op: VmaOp) {
-    let now = ctx.now();
-    let peers: Vec<NodeId> = (0..shared.nodes as u16)
-        .map(NodeId)
-        .filter(|n| *n != shared.origin && !shared.fabric.node_crashed(*n, now))
-        .collect();
-    if peers.is_empty() {
-        return;
-    }
-    shared.count(shared.origin, Counter::VmaBroadcasts, 1);
-    let req_id = shared.new_req_id();
-    let slot = shared.register(ctx, shared.origin, req_id, &peers);
-    let endpoint = shared.fabric.endpoint(shared.origin);
-    for peer in &peers {
-        endpoint.send(
-            ctx,
-            *peer,
-            DexMsg::VmaUpdate {
-                pid: shared.pid,
-                op: op.clone(),
-                req_id,
-            },
-        );
-    }
-    // A peer that crashes after the filter above is handled by crash
-    // recovery (`complete_broadcasts_for_dead`), which the watching wait
-    // triggers on timeout.
-    let done = shared.wait_reply_watching(ctx, &slot, shared.origin, req_id, UNWATCHED, false);
-    let Ok(Reply::BroadcastDone) = done else {
-        unreachable!("vma broadcast at the origin, which cannot crash, ended with {done:?}")
-    };
-}
-
-/// Service loop of a migrated thread's original thread at the origin: it
-/// sleeps until a work request arrives, performs it in the origin context,
-/// and replies (§III-A).
-fn pair_thread_loop(
-    ctx: &SimCtx,
-    shared: Arc<ProcessShared>,
-    tid: Tid,
-    chan: SimChannel<DelegationJob>,
-) {
-    let tctx = ThreadCtx::new(ctx, Arc::clone(&shared), tid);
-    let endpoint = shared.fabric.endpoint(shared.origin);
-    while let Some(job) = chan.recv(ctx) {
-        let t0 = ctx.now();
-        let service = shared.spans.is_enabled().then(|| shared.spans.alloc_id());
-        let outcome = run_at_origin(&tctx, &job.op, job.from, job.req_id);
-        if let Some(id) = service {
-            shared.spans.record(Span {
-                id,
-                parent: SpanId(job.span.0),
-                kind: SpanKind::DelegationService,
-                node: shared.origin,
-                task: tid,
-                start: t0,
-                end: ctx.now(),
-                label: "delegation_service",
-                tag: None,
-                site: "",
-                addr: None,
-            });
-        }
-        // A queued waiter is answered by the FUTEX_WAKE that dequeues it.
-        if let AtOrigin::Done(result) = outcome {
-            let (pid, req_id, reply) = (shared.pid, job.req_id, Reply::Delegate(result));
-            let answer = DexMsg::Reply { pid, req_id, reply };
-            endpoint.send_traced(ctx, job.from, answer, job.span);
-        }
     }
 }

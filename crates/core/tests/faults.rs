@@ -189,6 +189,34 @@ fn node_crash_rehomes_threads_and_reclaims_pages() {
     }
 }
 
+/// Fail-stop means stopped: a thread on node 2 after its crash instant
+/// writes only a page it still holds writable, so nothing on the wire
+/// would stop it. Its first access must trap, re-home it and re-run the
+/// write at the origin, and no snapshot may see that node's copy.
+#[test]
+fn a_thread_on_a_crashed_node_traps_on_its_next_access() {
+    let mut plan = FaultPlan::default();
+    plan.crash(2, SimTime::ZERO + SimDuration::from_millis(3));
+    let cluster = Cluster::new(ClusterConfig::new(3).with_fault_plan(plan));
+    let mut handle = None;
+    let report = cluster.run(|p| {
+        let page = p.alloc_vec_aligned::<u64>(512, "page");
+        handle = Some(page);
+        p.spawn(move |ctx| {
+            ctx.migrate(2).unwrap();
+            page.set(ctx, 0, 1); // takes the page writable on node 2
+            ctx.compute_ops(16_000_000); // ~8 ms, past the crash
+            page.set(ctx, 1, 2);
+            assert_eq!(ctx.node(), NodeId(0), "the write trapped and re-homed");
+        });
+    });
+    let counters = report.process().counters();
+    assert_eq!(counters.get("migrations.crash_rehomed"), 1);
+    let data = handle.expect("allocated").snapshot(&report);
+    assert_eq!(data[0], 0, "the pre-crash write died with node 2");
+    assert_eq!(data[1], 2, "the post-crash write ran at the origin");
+}
+
 #[test]
 fn node_crash_recovery_is_deterministic() {
     let (first, _) = crash_workload();

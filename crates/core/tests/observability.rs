@@ -235,7 +235,9 @@ fn per_node_counts_sum_to_cluster_totals() {
     assert_totals_are_per_node_sums(&sharded);
     assert_eq!(sharded.stats.forward_migrations, 3);
 
-    // Node 2 dies at 3 ms while a thread works there; it re-homes.
+    // Node 2 dies at 3 ms while a thread works there; it re-homes. A
+    // second thread then tries to migrate there, and the fabric drops its
+    // request.
     let mut plan = FaultPlan::default();
     plan.crash(2, SimTime::ZERO + SimDuration::from_millis(3));
     let crashed =
@@ -251,6 +253,10 @@ fn per_node_counts_sum_to_cluster_totals() {
                     data.set(ctx, i, i as u64);
                 }
                 assert_eq!(ctx.node(), NodeId(0), "crashed off node 2, now home");
+            });
+            p.spawn(|ctx| {
+                ctx.compute_ops(16_000_000);
+                assert!(ctx.migrate(2).is_err(), "node 2 is down");
             });
         });
     assert_totals_are_per_node_sums(&crashed);
