@@ -195,18 +195,22 @@ fn crash_mid_run() -> FaultOutcome {
     let first = canonical_workload(3, Some(plan.clone()));
     let second = canonical_workload(3, Some(plan));
 
-    let mut ok = true;
-    let mut detail = Vec::new();
-
-    if fingerprint(&first) != fingerprint(&second) {
-        ok = false;
-        detail.push("** crash recovery diverged between replays **".to_string());
-    }
+    let deterministic = fingerprint(&first) == fingerprint(&second);
     let shared = first.process();
     let counters = shared.counters();
     let rehomed = counters.get("migrations.crash_rehomed");
     let handled = counters.get("faults.crashes_handled");
     let reclaimed = counters.get("faults.pages_reclaimed");
+    let mut detail = vec![format!(
+        "completed in {} µs, {rehomed} thread(s) re-homed, {reclaimed} pages reclaimed, replay {}",
+        first.virtual_time.as_micros_f64(),
+        if deterministic {
+            "deterministic"
+        } else {
+            "** DIVERGED **"
+        }
+    )];
+    let mut ok = deterministic;
     if rehomed < 1 {
         ok = false;
         detail.push("** the node-2 thread never re-homed **".to_string());
@@ -225,11 +229,6 @@ fn crash_mid_run() -> FaultOutcome {
             ok = false;
             detail.push("** directory never learned of the crash **".to_string());
         }
-    }
-    if ok {
-        detail.push(format!(
-            "1 thread re-homed, {reclaimed} pages reclaimed, replay deterministic"
-        ));
     }
     FaultOutcome { ok, detail }
 }

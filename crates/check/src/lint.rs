@@ -24,11 +24,14 @@
 //!   added to the protocol later.
 //! * **fabric-unwrap** — no `unwrap()` on the fabric send/receive paths
 //!   (`crates/net` non-test code); messaging errors must propagate.
-//! * **relaxed-ordering** — `Ordering::Relaxed` on shared atomics is
-//!   reserved for an allowlist of counters and ID allocators whose
-//!   values never order protocol state. A relaxed load/store on a
-//!   protocol atomic would let the real-hardware build reorder what the
-//!   simulator (and the exploration engine) treat as program order.
+//! * **sync-free** — the simulator and the fabric (non-test
+//!   `crates/{sim,net}/src`) run on the one OS thread that called
+//!   `Engine::run` and are `!Send` by construction (`Rc`, `RefCell`,
+//!   `Cell`). A `Mutex`, `RwLock`, `Condvar`, `Atomic*`, `Arc` or
+//!   `unsafe impl Send`/`Sync` there is a lock nobody contends, or a
+//!   claim to thread-safety the compiler can no longer check. The one
+//!   exception is the `Mutex` of `sim/src/codec.rs`'s process-wide string
+//!   interner, which engines on parallel OS threads (tests) share.
 //! * **raw-park** — protocol and application code must block through
 //!   the `dex_core::sync` primitives, never by calling `ctx.park()` /
 //!   `ctx.unpark(..)` directly: raw parks bypass the schedule-policy
@@ -106,10 +109,13 @@ const DIRACTION_ALLOWLIST: [&str; 2] = [
     "crates/core/src/protocol.rs",
 ];
 
-/// Files allowed to use `Ordering::Relaxed` on shared atomics: the
-/// counter store (metrics) and monotonic ID allocators (process) whose
-/// values never order protocol state.
-const RELAXED_ALLOWLIST: [&str; 2] = ["crates/net/src/metrics.rs", "crates/core/src/process.rs"];
+/// Thread-safety vocabulary with no place in the single-threaded
+/// simulator and fabric, besides any `Atomic*` type.
+const SYNC_WORDS: [&str; 4] = ["Mutex", "RwLock", "Condvar", "Arc"];
+
+/// The one exception to `sync-free`: the file and the word allowed there
+/// (the process-wide string interner).
+const SYNC_EXCEPTION: (&str, &str) = ("crates/sim/src/codec.rs", "Mutex");
 
 /// Files allowed to call `ctx.park()` / `ctx.unpark(..)` directly — the
 /// blocking primitives themselves. Everything else in the protocol and
@@ -160,6 +166,16 @@ fn has_keyword(line: &str, word: &str) -> bool {
         code.match_indices(word).any(|(pos, _)| {
             !code[..pos].ends_with(ident) && !code[pos + word.len()..].starts_with(ident)
         })
+    })
+}
+
+/// Whether an identifier starting with `prefix` occurs in `line` outside
+/// string literals (as in [`has_keyword`]).
+fn has_ident_prefix(line: &str, prefix: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    line.split('"').step_by(2).any(|code| {
+        code.match_indices(prefix)
+            .any(|(pos, _)| !code[..pos].ends_with(ident))
     })
 }
 
@@ -218,8 +234,16 @@ pub fn lint_source(rel: &str, content: &str) -> Vec<LintHit> {
             push("fabric-unwrap");
         }
 
-        if !RELAXED_ALLOWLIST.contains(&rel) && !in_tests && line.contains("Ordering::Relaxed") {
-            push("relaxed-ordering");
+        let sync_scope = rel.starts_with("crates/sim/src/") || rel.starts_with("crates/net/src/");
+        if sync_scope && !in_tests {
+            let word = SYNC_WORDS
+                .iter()
+                .any(|w| (rel, *w) != SYNC_EXCEPTION && has_keyword(line, w));
+            let claims = has_keyword(line, "unsafe")
+                && (line.contains("impl Send") || line.contains("impl Sync"));
+            if word || has_ident_prefix(line, "Atomic") || claims {
+                push("sync-free");
+            }
         }
 
         if rel.starts_with("crates/core/src/") && rel != COUNTER_NAMES && !in_tests {
@@ -716,19 +740,33 @@ fn f() {
     }
 
     #[test]
-    fn relaxed_ordering_is_flagged_outside_the_allowlist() {
-        let bad = "fn f() { c.fetch_add(1, Ordering::Relaxed); }\n";
-        let hits = lint_source("crates/core/src/dispatch.rs", bad);
-        assert_eq!(hits.len(), 1, "{hits:?}");
-        assert_eq!(hits[0].rule, "relaxed-ordering");
-        // The counter store and ID allocators are allowlisted.
-        assert!(lint_source("crates/net/src/metrics.rs", bad).is_empty());
-        assert!(lint_source("crates/core/src/process.rs", bad).is_empty());
-        // Doc comments and test code do not count.
-        let doc = "/// assert_eq!(hits.load(Ordering::Relaxed), 4);\nfn f() {}\n";
-        assert!(lint_source("crates/sim/src/engine.rs", doc).is_empty());
-        let test_code = "#[cfg(test)]\nmod tests {\n fn t() { c.load(Ordering::Relaxed); }\n}\n";
-        assert!(lint_source("crates/core/src/dispatch.rs", test_code).is_empty());
+    fn sync_primitives_are_flagged_in_sim_and_net() {
+        let sync_free = |rel: &str, src: &str| -> Vec<usize> {
+            let hits = lint_source(rel, src).into_iter();
+            hits.filter(|h| h.rule == "sync-free")
+                .map(|h| h.line)
+                .collect()
+        };
+        let bad = "use std::sync::Arc;\n\
+                   struct S { m: parking_lot::Mutex<u8>, n: std::sync::atomic::AtomicU64 }\n\
+                   unsafe impl Send for S {}\n\
+                   static L: RwLock<()> = RwLock::new(());\n\
+                   fn f(c: &Condvar) {}\n";
+        assert_eq!(sync_free("crates/net/src/pool.rs", bad), [1, 2, 3, 4, 5]);
+        assert_eq!(sync_free("crates/sim/src/engine.rs", bad), [1, 2, 3, 4, 5]);
+        // The interner's `Mutex` is the one exception, and only in codec.rs.
+        let interner =
+            "static INTERNED: Mutex<Option<HashMap<String, &'static str>>> = Mutex::new(None);\n";
+        assert!(sync_free("crates/sim/src/codec.rs", interner).is_empty());
+        assert_eq!(sync_free("crates/sim/src/codec.rs", bad), [1, 2, 3, 4, 5]);
+        assert_eq!(sync_free("crates/sim/src/stats.rs", interner), [1]);
+        // Test code, comments, strings, look-alike names and other crates pass.
+        let test_code = "#[cfg(test)]\nmod tests {\n use std::sync::{Arc, Mutex};\n}\n";
+        assert!(sync_free("crates/net/src/fabric.rs", test_code).is_empty());
+        let benign =
+            "// an Arc<Mutex<_>> no longer\nfn f() { g(\"Mutex\"); let arcs = Searcher; }\n";
+        assert!(sync_free("crates/sim/src/engine.rs", benign).is_empty());
+        assert!(sync_free("crates/core/src/process.rs", bad).is_empty());
     }
 
     #[test]
@@ -789,7 +827,12 @@ fn f() {
             assert_eq!(hits[0].rule, "unsafe-confined");
         }
         assert!(lint_source("crates/sim/src/context.rs", block).is_empty());
-        assert!(lint_source("crates/sim/src/context.rs", imp).is_empty());
+        // There an `unsafe impl Send` is still a claim `sync-free` refuses.
+        let rules: Vec<_> = lint_source("crates/sim/src/context.rs", imp)
+            .iter()
+            .map(|h| h.rule)
+            .collect();
+        assert_eq!(rules, ["sync-free"]);
         // Comments, strings, longer identifiers and test code do not count.
         let ok = "// no unsafe here\n#![forbid(unsafe_code)]\nfn f() { g(\"unsafe\"); }\n";
         assert!(lint_source("crates/core/src/thread.rs", ok).is_empty());

@@ -7,7 +7,8 @@
 //! [`RunReport`] with timing, protocol statistics, migration samples, and
 //! (optionally) the causal spans that carry the page-fault record.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use dex_net::{
     MetricsRegistry, MetricsSnapshot, NetConfig, NodeCounter, NodeId, SeriesBuilder, TimeSeries,
@@ -280,14 +281,14 @@ impl Cluster {
             cfg.net.clone(),
             cfg.nodes,
             cfg.fault_plan.clone().unwrap_or_default(),
-            Arc::clone(&metrics),
+            Rc::clone(&metrics),
         );
         let registry = ProcessRegistry::new();
 
         // One dispatcher daemon per node drains that node's inbox.
         for n in 0..cfg.nodes {
             let node = NodeId(n as u16);
-            let registry = Arc::clone(&registry);
+            let registry = Rc::clone(&registry);
             let endpoint = fabric.endpoint(node);
             engine.spawn_daemon(format!("dispatcher-{node}"), move |ctx| {
                 dispatcher_loop(ctx, node, registry, endpoint);
@@ -299,7 +300,7 @@ impl Cluster {
             fabric,
             registry,
             config: cfg,
-            created: std::cell::RefCell::new(Vec::new()),
+            created: RefCell::new(Vec::new()),
         };
         setup(&handle);
         let created = handle.created.into_inner();
@@ -313,11 +314,11 @@ impl Cluster {
         // counters and closes the histogram window between events) —
         // installing it adds no events.
         let builder = cfg.telemetry.map(|window| {
-            let builder = SeriesBuilder::new(Arc::clone(&metrics), window);
-            let builder = Arc::new(parking_lot::Mutex::new(Some(builder)));
-            let sampler = Arc::clone(&builder);
+            let builder = SeriesBuilder::new(Rc::clone(&metrics), window);
+            let builder = Rc::new(RefCell::new(Some(builder)));
+            let sampler = Rc::clone(&builder);
             engine.set_sampler(window, move |_| {
-                let mut builder = sampler.lock();
+                let mut builder = sampler.borrow_mut();
                 builder.as_mut().expect("sampled during the run").sample();
             });
             builder
@@ -328,8 +329,8 @@ impl Cluster {
             Err(e) => panic!("dex simulation failed: {e}"),
         };
 
-        let series = builder.map(|b| b.lock().take().expect("finished once").finish(end));
-        let schedule_text = schedule.map(|log| log.lock().to_text());
+        let series = builder.map(|b| b.borrow_mut().take().expect("finished once").finish(end));
+        let schedule_text = schedule.map(|log| log.borrow().to_text());
         created
             .into_iter()
             .map(|shared| {
@@ -360,10 +361,10 @@ impl Cluster {
 /// Handle for creating processes inside [`Cluster::run_multi`].
 pub struct ClusterHandle<'e> {
     engine: &'e Engine,
-    fabric: Arc<crate::process::Fabric>,
-    registry: Arc<ProcessRegistry>,
+    fabric: Rc<crate::process::Fabric>,
+    registry: Rc<ProcessRegistry>,
     config: &'e ClusterConfig,
-    created: std::cell::RefCell<Vec<Arc<ProcessShared>>>,
+    created: RefCell<Vec<Rc<ProcessShared>>>,
 }
 
 impl<'e> ClusterHandle<'e> {
@@ -394,15 +395,15 @@ impl<'e> ClusterHandle<'e> {
             origin,
             self.config.nodes,
             self.config.cost.clone(),
-            Arc::clone(&self.fabric),
+            Rc::clone(&self.fabric),
             spans,
             race,
             self.config.heap_pages,
             self.config.mutation,
             self.config.dir_shards,
         );
-        self.registry.insert(Arc::clone(&shared));
-        self.created.borrow_mut().push(Arc::clone(&shared));
+        self.registry.insert(Rc::clone(&shared));
+        self.created.borrow_mut().push(Rc::clone(&shared));
         DexProcess {
             shared,
             engine: self.engine,
@@ -421,7 +422,7 @@ impl std::fmt::Debug for ClusterHandle<'_> {
 /// Handle to the distributed process during setup: allocate memory, create
 /// synchronization primitives, spawn threads.
 pub struct DexProcess<'e> {
-    shared: Arc<ProcessShared>,
+    shared: Rc<ProcessShared>,
     engine: &'e Engine,
 }
 
@@ -433,7 +434,7 @@ impl ProcessRef for DexProcess<'_> {
 
 impl DexProcess<'_> {
     /// The shared process state (advanced use).
-    pub fn shared(&self) -> &Arc<ProcessShared> {
+    pub fn shared(&self) -> &Rc<ProcessShared> {
         &self.shared
     }
 
@@ -451,7 +452,7 @@ impl DexProcess<'_> {
     /// virtual time with a [`ThreadCtx`].
     pub fn spawn<F>(&self, f: F) -> DexThread
     where
-        F: FnOnce(&ThreadCtx<'_>) + Send + 'static,
+        F: FnOnce(&ThreadCtx<'_>) + 'static,
     {
         let (handle, body) = DexThread::start(&self.shared, f);
         self.engine.spawn(format!("app-{}", handle.tid()), body);
@@ -676,7 +677,7 @@ pub struct RunReport {
     /// Text rendering of the deterministic schedule (present only when
     /// [`ClusterConfig::with_schedule_recording`] was set).
     pub schedule: Option<String>,
-    shared: Arc<ProcessShared>,
+    shared: Rc<ProcessShared>,
 }
 
 impl ProcessRef for RunReport {
@@ -688,7 +689,7 @@ impl ProcessRef for RunReport {
 impl RunReport {
     /// The shared process state, for reading final memory contents via
     /// [`DsmVec::snapshot`] / [`DsmCell::snapshot`].
-    pub fn process(&self) -> &Arc<ProcessShared> {
+    pub fn process(&self) -> &Rc<ProcessShared> {
         &self.shared
     }
 }

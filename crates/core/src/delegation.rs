@@ -8,6 +8,7 @@
 //! the op in [`run_at_origin`], the one executor, and replies. A queued
 //! `FUTEX_WAIT` is answered later by the `FUTEX_WAKE` that dequeues it.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -186,11 +187,11 @@ pub(crate) fn route_to_pair(
 /// and replies (§III-A).
 pub(crate) fn pair_thread_loop(
     ctx: &SimCtx,
-    shared: Arc<ProcessShared>,
+    shared: Rc<ProcessShared>,
     tid: Tid,
     chan: SimChannel<DelegationJob>,
 ) {
-    let tctx = ThreadCtx::new(ctx, Arc::clone(&shared), tid);
+    let tctx = ThreadCtx::new(ctx, Rc::clone(&shared), tid);
     let endpoint = shared.fabric.endpoint(shared.origin);
     while let Some((op, from, req_id, span)) = chan.recv(ctx) {
         let service = shared.spans.start(ctx.now());
@@ -302,7 +303,7 @@ fn futex_wait_at_origin(
 /// Returns the number woken.
 fn futex_wake_at_origin(
     ctx: &SimCtx,
-    shared: &Arc<ProcessShared>,
+    shared: &Rc<ProcessShared>,
     addr: VirtAddr,
     count: u32,
     waker: Tid,

@@ -12,7 +12,7 @@
 //! later acks complete — so the protocol cannot deadlock across
 //! dispatchers.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use parking_lot::Mutex;
 
@@ -35,24 +35,24 @@ use crate::vma_sync::{serve_vma_pull, serve_vma_update};
 /// state by pid.
 #[derive(Default)]
 pub(crate) struct ProcessRegistry {
-    processes: Mutex<Vec<(Pid, Arc<ProcessShared>)>>,
+    processes: Mutex<Vec<(Pid, Rc<ProcessShared>)>>,
 }
 
 impl ProcessRegistry {
-    pub(crate) fn new() -> Arc<Self> {
-        Arc::new(Self::default())
+    pub(crate) fn new() -> Rc<Self> {
+        Rc::new(Self::default())
     }
 
-    pub(crate) fn insert(&self, shared: Arc<ProcessShared>) {
+    pub(crate) fn insert(&self, shared: Rc<ProcessShared>) {
         self.processes.lock().push((shared.pid, shared));
     }
 
-    pub(crate) fn get(&self, pid: Pid) -> Arc<ProcessShared> {
+    pub(crate) fn get(&self, pid: Pid) -> Rc<ProcessShared> {
         self.processes
             .lock()
             .iter()
             .find(|(p, _)| *p == pid)
-            .map(|(_, s)| Arc::clone(s))
+            .map(|(_, s)| Rc::clone(s))
             .unwrap_or_else(|| panic!("message for unknown process {pid}"))
     }
 }
@@ -62,7 +62,7 @@ impl ProcessRegistry {
 pub(crate) fn dispatcher_loop(
     ctx: &SimCtx,
     node: NodeId,
-    registry: Arc<ProcessRegistry>,
+    registry: Rc<ProcessRegistry>,
     endpoint: Endpoint,
 ) {
     while let Some(delivery) = endpoint.recv(ctx) {
@@ -124,7 +124,7 @@ pub(crate) fn dispatcher_loop(
 /// otherwise.
 fn handle_home_msg(
     ctx: &SimCtx,
-    shared: &Arc<ProcessShared>,
+    shared: &Rc<ProcessShared>,
     endpoint: &Endpoint,
     node: NodeId,
     from: NodeId,
@@ -169,7 +169,7 @@ fn handle_home_msg(
 /// directory-handling span of the transaction that produced them.
 pub(crate) fn perform_outputs(
     ctx: &SimCtx,
-    shared: &Arc<ProcessShared>,
+    shared: &Rc<ProcessShared>,
     endpoint: &Endpoint,
     node: NodeId,
     outs: Vec<Output<PageFrame>>,
@@ -204,7 +204,7 @@ pub(crate) fn perform_outputs(
 /// protocol work parked behind the grant, then wake the leader.
 fn handle_grant(
     ctx: &SimCtx,
-    shared: &Arc<ProcessShared>,
+    shared: &Rc<ProcessShared>,
     endpoint: &Endpoint,
     node: NodeId,
     msg: PageMsg<PageFrame>,
@@ -231,7 +231,7 @@ fn handle_grant(
 /// Runs protocol work a node parked until its in-flight grant landed.
 fn run_deferred(
     ctx: &SimCtx,
-    shared: &Arc<ProcessShared>,
+    shared: &Rc<ProcessShared>,
     endpoint: &Endpoint,
     node: NodeId,
     work: Deferred<PageFrame>,
@@ -284,7 +284,7 @@ fn count_invalidations(shared: &ProcessShared, node: NodeId, ack: &Output<PageFr
 ///   to the home asynchronously, both under the forward's own span.
 fn serve_holder_msg(
     ctx: &SimCtx,
-    shared: &Arc<ProcessShared>,
+    shared: &Rc<ProcessShared>,
     endpoint: &Endpoint,
     node: NodeId,
     from: NodeId,

@@ -7,7 +7,7 @@
 //! frames, so results are checkable against ground truth.
 
 use std::marker::PhantomData;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use dex_os::{VirtAddr, PAGE_SIZE};
 
@@ -201,7 +201,7 @@ impl ProcessRef for ProcessShared {
     }
 }
 
-impl ProcessRef for Arc<ProcessShared> {
+impl ProcessRef for Rc<ProcessShared> {
     fn shared_ref(&self) -> &ProcessShared {
         self
     }

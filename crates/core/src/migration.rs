@@ -11,7 +11,7 @@
 //! work while it is away. A backward migration ships the context home
 //! ([`serve_migrate_back`]); it only updates the original thread's state.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use dex_net::{NodeId, SpanContext};
 use dex_os::{ExecutionContext, Tid, VirtAddr};
@@ -271,7 +271,7 @@ impl ThreadCtx<'_> {
         let chan: SimChannel<DelegationJob> = SimChannel::unbounded();
         let tid = self.tid();
         self.shared.delegation.lock().insert(tid, chan.clone());
-        let shared = Arc::clone(&self.shared);
+        let shared = Rc::clone(&self.shared);
         self.sim.spawn_daemon(format!("pair-{tid}"), move |ctx| {
             pair_thread_loop(ctx, shared, tid, chan);
         });
@@ -285,7 +285,7 @@ impl ThreadCtx<'_> {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn handle_migrate_request(
     ctx: &SimCtx,
-    shared: &Arc<ProcessShared>,
+    shared: &Rc<ProcessShared>,
     endpoint: &Endpoint,
     node: NodeId,
     from: NodeId,
@@ -305,7 +305,7 @@ pub(crate) fn handle_migrate_request(
         if first {
             let chan = SimChannel::unbounded();
             *worker = Some(chan.clone());
-            let shared2 = Arc::clone(shared);
+            let shared2 = Rc::clone(shared);
             let endpoint2 = endpoint.clone();
             ctx.spawn_daemon(format!("remote-worker-{}-{node}", shared.pid), move |ctx| {
                 remote_worker_loop(ctx, shared2, endpoint2, node, chan);

@@ -8,9 +8,10 @@
 //! fault path, the node dispatchers, the remote workers) operate on this
 //! structure.
 
+use std::cell::Cell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -128,7 +129,7 @@ pub struct ProcessShared {
     /// Calibrated kernel-path costs.
     pub cost: CostModel,
     /// The messaging fabric.
-    pub fabric: Arc<Fabric>,
+    pub fabric: Rc<Fabric>,
     /// Per-node address-space replicas (`spaces[origin]` is authoritative
     /// for VMAs).
     pub spaces: Vec<Mutex<AddressSpace>>,
@@ -167,7 +168,7 @@ pub struct ProcessShared {
     pub migrations: Mutex<Vec<MigrationSample>>,
     /// This process's protocol counters, one row per node: its table in
     /// the fabric's metrics registry.
-    counters: Arc<CounterTable>,
+    counters: Rc<CounterTable>,
     /// Causal span sink (disabled unless `ClusterConfig::with_spans`).
     pub spans: SpanBuffer,
     /// Synchronization/access event sink for dynamic race detection.
@@ -192,8 +193,8 @@ pub struct ProcessShared {
     pub(crate) heap_cursor: Mutex<u64>,
     /// End of the shared heap VMA.
     pub(crate) heap_end: u64,
-    next_req_id: AtomicU64,
-    next_tid: AtomicU64,
+    next_req_id: Cell<u64>,
+    next_tid: Cell<u64>,
 }
 
 impl ProcessShared {
@@ -205,13 +206,13 @@ impl ProcessShared {
         origin: NodeId,
         nodes: usize,
         cost: CostModel,
-        fabric: Arc<Fabric>,
+        fabric: Rc<Fabric>,
         spans: SpanBuffer,
         race: crate::race::RaceTrace,
         heap_pages: u64,
         mutation: crate::ProtocolMutation,
         dir_shards: usize,
-    ) -> Arc<Self> {
+    ) -> Rc<Self> {
         let mut spaces: Vec<Mutex<AddressSpace>> = (0..nodes)
             .map(|_| Mutex::new(AddressSpace::new()))
             .collect();
@@ -248,7 +249,7 @@ impl ProcessShared {
             vec![Mutex::new(Directory::new(origin))]
         };
         let counters = fabric.metrics().add_node_table(Counter::NAMES);
-        Arc::new(ProcessShared {
+        Rc::new(ProcessShared {
             pid,
             origin,
             nodes,
@@ -280,8 +281,8 @@ impl ProcessShared {
             run_end: Mutex::new(None),
             heap_cursor: Mutex::new(heap_base.as_u64()),
             heap_end: heap_base.as_u64() + heap_pages * PAGE_SIZE as u64,
-            next_req_id: AtomicU64::new(1),
-            next_tid: AtomicU64::new(0),
+            next_req_id: Cell::new(1),
+            next_tid: Cell::new(0),
         })
     }
 
@@ -310,7 +311,7 @@ impl ProcessShared {
 
     /// Allocates a cluster-unique request id.
     pub(crate) fn new_req_id(&self) -> u64 {
-        self.next_req_id.fetch_add(1, Ordering::Relaxed)
+        self.next_req_id.replace(self.next_req_id.get() + 1)
     }
 
     /// Takes the thread whose `FUTEX_WAKE` woke waiter `req_id`; `Tid(0)`
@@ -325,7 +326,7 @@ impl ProcessShared {
 
     /// Allocates the next thread id.
     pub(crate) fn new_tid(&self) -> Tid {
-        Tid(self.next_tid.fetch_add(1, Ordering::Relaxed))
+        Tid(self.next_tid.replace(self.next_tid.get() + 1))
     }
 
     /// The address-space replica of `node`.
@@ -549,7 +550,7 @@ impl ProcessShared {
     /// `unbounded` suppresses the stuck-run panic for waits with no
     /// deadline of their own (futex waits).
     pub(crate) fn wait_reply_watching<P: Copy + Into<NodeId>>(
-        self: &Arc<Self>,
+        self: &Rc<Self>,
         ctx: &SimCtx,
         slot: &Arc<Mutex<Option<Reply>>>,
         local: NodeId,
@@ -594,7 +595,7 @@ impl ProcessShared {
     /// has not been processed yet. Idempotent; any thread that notices a
     /// crash (via a watch timeout) calls this, and exactly one performs
     /// the recovery.
-    pub(crate) fn maybe_handle_crashes(self: &Arc<Self>, ctx: &SimCtx) {
+    pub(crate) fn maybe_handle_crashes(self: &Rc<Self>, ctx: &SimCtx) {
         if !self.fabric.faults_enabled() {
             return;
         }
@@ -623,7 +624,7 @@ impl ProcessShared {
     ///
     /// Panics when `dead` is the origin: the directory and every thread's
     /// home live there, so an origin crash is process death.
-    fn handle_node_crash(self: &Arc<Self>, ctx: &SimCtx, dead: NodeId) {
+    fn handle_node_crash(self: &Rc<Self>, ctx: &SimCtx, dead: NodeId) {
         assert_ne!(
             dead, self.origin,
             "origin node crashed: unsupported (process death)"
@@ -727,7 +728,7 @@ mod tests {
     use super::*;
     use dex_net::NetConfig;
 
-    fn shared(nodes: usize) -> Arc<ProcessShared> {
+    fn shared(nodes: usize) -> Rc<ProcessShared> {
         let fabric = Fabric::new(NetConfig::default(), nodes);
         ProcessShared::new(
             Pid(1),

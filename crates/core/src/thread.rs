@@ -13,6 +13,7 @@
 //! the re-home after a crash.
 
 use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -75,13 +76,13 @@ impl DexThread {
     /// spawn. The thread starts at the origin, counts toward its node's
     /// load while it runs, and marks the handle done when `f` returns.
     pub(crate) fn start<F>(
-        shared: &Arc<ProcessShared>,
+        shared: &Rc<ProcessShared>,
         f: F,
-    ) -> (DexThread, impl FnOnce(&SimCtx) + Send + 'static)
+    ) -> (DexThread, impl FnOnce(&SimCtx) + 'static)
     where
-        F: FnOnce(&ThreadCtx<'_>) + Send + 'static,
+        F: FnOnce(&ThreadCtx<'_>) + 'static,
     {
-        let shared = Arc::clone(shared);
+        let shared = Rc::clone(shared);
         let handle = DexThread {
             tid: shared.new_tid(),
             state: Arc::new(Mutex::new(JoinState::default())),
@@ -151,7 +152,7 @@ impl std::fmt::Debug for DexThread {
 /// whole lifetime.
 pub struct ThreadCtx<'a> {
     pub(crate) sim: &'a SimCtx,
-    pub(crate) shared: Arc<ProcessShared>,
+    pub(crate) shared: Rc<ProcessShared>,
     tid: Tid,
     node: Cell<NodeId>,
     pub(crate) site: Cell<&'static str>,
@@ -164,7 +165,7 @@ pub struct ThreadCtx<'a> {
 }
 
 impl<'a> ThreadCtx<'a> {
-    pub(crate) fn new(sim: &'a SimCtx, shared: Arc<ProcessShared>, tid: Tid) -> Self {
+    pub(crate) fn new(sim: &'a SimCtx, shared: Rc<ProcessShared>, tid: Tid) -> Self {
         let origin = shared.origin;
         ThreadCtx {
             sim,
@@ -231,7 +232,7 @@ impl<'a> ThreadCtx<'a> {
     }
 
     /// The shared process state (allocation, statistics).
-    pub fn process(&self) -> &Arc<ProcessShared> {
+    pub fn process(&self) -> &Rc<ProcessShared> {
         &self.shared
     }
 
@@ -474,7 +475,7 @@ impl<'a> ThreadCtx<'a> {
     }
 
     fn page_fault(&self, vpn: Vpn, access: Access, addr: VirtAddr) {
-        let shared = Arc::clone(&self.shared);
+        let shared = Rc::clone(&self.shared);
         let node = self.node.get();
         let is_write = access.is_write();
         let ctx = self.sim;
@@ -798,7 +799,7 @@ impl<'a> ThreadCtx<'a> {
     /// every thread of the process), returning a joinable handle.
     pub fn spawn_thread<F>(&self, name: impl Into<String>, f: F) -> DexThread
     where
-        F: FnOnce(&ThreadCtx<'_>) + Send + 'static,
+        F: FnOnce(&ThreadCtx<'_>) + 'static,
     {
         let (handle, body) = DexThread::start(&self.shared, f);
         self.record_race_event(RaceEventKind::Spawn { child: handle.tid });

@@ -9,7 +9,7 @@
 //! update to it ([`remote_worker_loop`]), any other node's dispatcher
 //! applies it in place; either acknowledges to the origin.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use dex_net::NodeId;
 use dex_os::{Access, AddressSpace, Prot, VirtAddr, Vpn};
@@ -146,7 +146,7 @@ pub(crate) fn serve_vma_update(
 /// acknowledges each to the node that sent it.
 pub(crate) fn remote_worker_loop(
     ctx: &SimCtx,
-    shared: Arc<ProcessShared>,
+    shared: Rc<ProcessShared>,
     endpoint: Endpoint,
     node: NodeId,
     chan: SimChannel<VmaJob>,
@@ -191,7 +191,7 @@ fn apply_vma_op(shared: &ProcessShared, node: NodeId, op: &VmaOp) {
 /// authoritative VMAs (an unmap also drops directory state) and eagerly
 /// broadcasts a shrink or a downgrade to every node; permissive changes
 /// propagate lazily through on-demand synchronization.
-pub(crate) fn vma_op_at_origin(ctx: &SimCtx, shared: &Arc<ProcessShared>, op: VmaOp) {
+pub(crate) fn vma_op_at_origin(ctx: &SimCtx, shared: &Rc<ProcessShared>, op: VmaOp) {
     let shrinks = match op {
         VmaOp::Unmap { addr, len } => {
             let pages = unmap_range(&mut shared.space(shared.origin).lock(), addr, len)
@@ -216,7 +216,7 @@ pub(crate) fn vma_op_at_origin(ctx: &SimCtx, shared: &Arc<ProcessShared>, op: Vm
 
 /// Sends `op` to every live node but the origin and waits for each
 /// acknowledgment.
-fn broadcast_vma_op(ctx: &SimCtx, shared: &Arc<ProcessShared>, op: VmaOp) {
+fn broadcast_vma_op(ctx: &SimCtx, shared: &Rc<ProcessShared>, op: VmaOp) {
     let now = ctx.now();
     let peers: Vec<NodeId> = (0..shared.nodes as u16)
         .map(NodeId)

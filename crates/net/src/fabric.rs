@@ -31,11 +31,10 @@
 //! and every message addressed to it. An empty plan disables the whole
 //! layer — no extra branches on the hot path beyond one boolean test.
 
+use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use dex_sim::{FaultPlan, Resource, SimCtx, SimTime, ThreadId};
 
@@ -76,7 +75,7 @@ impl From<i32> for NodeId {
 /// Control messages report their payload via [`WireMessage::control_bytes`]
 /// (a fixed header is added); messages carrying page data additionally
 /// report [`WireMessage::page_bytes`], which selects the RDMA path.
-pub trait WireMessage: Send + 'static {
+pub trait WireMessage: 'static {
     /// Bytes of control payload (excluding the fixed header).
     fn control_bytes(&self) -> usize;
 
@@ -146,7 +145,7 @@ struct Link {
     sink: CreditPool,
     /// Latest delivery time handed out on this link; RC ordering is
     /// enforced by clamping each new delivery time to be no earlier.
-    last_deliver: Mutex<SimTime>,
+    last_deliver: Cell<SimTime>,
 }
 
 impl Link {
@@ -156,7 +155,7 @@ impl Link {
             send_pool: TimedPool::new(config.send_pool_chunks),
             recv_pool: CreditPool::new(config.recv_pool_chunks),
             sink: CreditPool::new(config.rdma_sink_chunks),
-            last_deliver: Mutex::new(SimTime::ZERO),
+            last_deliver: Cell::new(SimTime::ZERO),
         }
     }
 }
@@ -197,10 +196,6 @@ impl<M> Ord for QueuedEnvelope<M> {
 /// slept until the head envelope's `deliver_at` even when a later-queued
 /// envelope from a faster link had already arrived.
 struct Inbox<M> {
-    inner: Mutex<InboxInner<M>>,
-}
-
-struct InboxInner<M> {
     heap: BinaryHeap<Reverse<QueuedEnvelope<M>>>,
     next_seq: u64,
     /// Receivers parked waiting for the inbox state to change; every push
@@ -211,27 +206,24 @@ struct InboxInner<M> {
 impl<M> Inbox<M> {
     fn new() -> Self {
         Inbox {
-            inner: Mutex::new(InboxInner {
-                heap: BinaryHeap::new(),
-                next_seq: 0,
-                waiters: Vec::new(),
-            }),
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+            waiters: Vec::new(),
         }
     }
 
-    fn push(&self, ctx: &SimCtx, env: Envelope<M>) {
-        let mut inner = self.inner.lock();
-        let seq = inner.next_seq;
-        inner.next_seq += 1;
-        inner.heap.push(Reverse(QueuedEnvelope {
+    fn push(&mut self, ctx: &SimCtx, env: Envelope<M>) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Reverse(QueuedEnvelope {
             deliver_at: env.deliver_at,
             seq,
             env,
         }));
-        // `unpark` only queues an event: nothing runs, and so nothing can
-        // want this lock, before it is released. Draining in place keeps
-        // the buffer for the receivers' next wait.
-        for tid in inner.waiters.drain(..) {
+        // `unpark` only queues an event, so no receiver runs while the
+        // inbox is borrowed. Draining in place keeps the buffer for the
+        // receivers' next wait.
+        for tid in self.waiters.drain(..) {
             ctx.unpark(tid);
         }
     }
@@ -241,7 +233,7 @@ impl<M> Inbox<M> {
 ///
 /// Handlers on each node receive messages through an [`Endpoint`]; any
 /// simulated thread can send through one. The fabric is cheap to share
-/// (`Arc` internally).
+/// (`Rc` internally).
 ///
 /// # Examples
 ///
@@ -276,13 +268,13 @@ pub struct Fabric<M> {
     /// `None` (loopback never touches the fabric, so self-links get no
     /// pools — the setup counters only account real pairs).
     links: Vec<Option<Link>>,
-    inboxes: Vec<Inbox<M>>,
+    inboxes: Vec<RefCell<Inbox<M>>>,
     plan: FaultPlan,
     /// Cached `!plan.is_empty()`: an empty plan disables fault handling
     /// entirely so clean runs stay bit-identical to plan-free runs.
     faults_enabled: bool,
     /// Where the fabric counts its traffic, per node and per link.
-    metrics: Arc<MetricsRegistry>,
+    metrics: Rc<MetricsRegistry>,
 }
 
 impl<M: WireMessage> Fabric<M> {
@@ -292,7 +284,7 @@ impl<M: WireMessage> Fabric<M> {
     /// # Panics
     ///
     /// As [`Fabric::with_instrumentation`].
-    pub fn new(config: NetConfig, nodes: usize) -> Arc<Self> {
+    pub fn new(config: NetConfig, nodes: usize) -> Rc<Self> {
         let counters_only = MetricsRegistry::with_histogram_cap(nodes, 0);
         Self::with_instrumentation(config, nodes, FaultPlan::new(), counters_only)
     }
@@ -312,8 +304,8 @@ impl<M: WireMessage> Fabric<M> {
         config: NetConfig,
         nodes: usize,
         plan: FaultPlan,
-        metrics: Arc<MetricsRegistry>,
-    ) -> Arc<Self> {
+        metrics: Rc<MetricsRegistry>,
+    ) -> Rc<Self> {
         assert!(nodes > 0, "fabric needs at least one node");
         assert_eq!(metrics.nodes(), nodes, "registry sized for the fabric");
         // A zero rate would charge every copy `u64::MAX` ns.
@@ -335,11 +327,11 @@ impl<M: WireMessage> Fabric<M> {
             metrics.count(node, NodeCounter::SetupMrRegistrations, peers * sinks);
         }
         let faults_enabled = !plan.is_empty();
-        Arc::new(Fabric {
+        Rc::new(Fabric {
             config,
             nodes,
             links,
-            inboxes: (0..nodes).map(|_| Inbox::new()).collect(),
+            inboxes: (0..nodes).map(|_| RefCell::new(Inbox::new())).collect(),
             plan,
             faults_enabled,
             metrics,
@@ -352,7 +344,7 @@ impl<M: WireMessage> Fabric<M> {
     }
 
     /// The registry the fabric counts into.
-    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
+    pub fn metrics(&self) -> &Rc<MetricsRegistry> {
         &self.metrics
     }
 
@@ -382,7 +374,7 @@ impl<M: WireMessage> Fabric<M> {
     /// # Panics
     ///
     /// Panics if `node` is outside the fabric.
-    pub fn endpoint(self: &Arc<Self>, node: NodeId) -> Endpoint<M> {
+    pub fn endpoint(self: &Rc<Self>, node: NodeId) -> Endpoint<M> {
         assert!(
             (node.0 as usize) < self.nodes,
             "node {node} outside fabric of {} nodes",
@@ -390,7 +382,7 @@ impl<M: WireMessage> Fabric<M> {
         );
         Endpoint {
             node,
-            fabric: Arc::clone(self),
+            fabric: Rc::clone(self),
         }
     }
 
@@ -420,16 +412,25 @@ impl<M> std::fmt::Debug for Fabric<M> {
 
 /// One node's attachment to the fabric: send to any peer, receive from
 /// the node's inbox.
+///
+/// Like the engine, an endpoint stays on the OS thread that made it:
+///
+/// ```compile_fail,E0277
+/// # struct Ping;
+/// # impl dex_net::WireMessage for Ping { fn control_bytes(&self) -> usize { 0 } }
+/// let endpoint = dex_net::Fabric::<Ping>::new(Default::default(), 2).endpoint(dex_net::NodeId(0));
+/// std::thread::spawn(move || endpoint.node());
+/// ```
 pub struct Endpoint<M> {
     node: NodeId,
-    fabric: Arc<Fabric<M>>,
+    fabric: Rc<Fabric<M>>,
 }
 
 impl<M> Clone for Endpoint<M> {
     fn clone(&self) -> Self {
         Endpoint {
             node: self.node,
-            fabric: Arc::clone(&self.fabric),
+            fabric: Rc::clone(&self.fabric),
         }
     }
 }
@@ -441,7 +442,7 @@ impl<M: WireMessage> Endpoint<M> {
     }
 
     /// The owning fabric.
-    pub fn fabric(&self) -> &Arc<Fabric<M>> {
+    pub fn fabric(&self) -> &Rc<Fabric<M>> {
         &self.fabric
     }
 
@@ -541,13 +542,10 @@ impl<M: WireMessage> Endpoint<M> {
         // RC ordering: a message never arrives before an earlier message on
         // the same connection, even when its raw latency is smaller (e.g. a
         // control message composed after an RDMA page).
-        {
-            let mut last = link.last_deliver.lock();
-            deliver_at = deliver_at.max(*last);
-            *last = deliver_at;
-        }
+        deliver_at = deliver_at.max(link.last_deliver.get());
+        link.last_deliver.set(deliver_at);
         self.timed(ctx, "net.recv_credit_wait", || link.recv_pool.acquire(ctx));
-        fabric.inboxes[dst.0 as usize].push(
+        fabric.inboxes[dst.0 as usize].borrow_mut().push(
             ctx,
             Envelope {
                 src: self.node,
@@ -588,7 +586,7 @@ impl<M: WireMessage> Endpoint<M> {
                 return None;
             }
             let wait = {
-                let mut inner = inbox.inner.lock();
+                let mut inner = inbox.borrow_mut();
                 let me = ctx.id();
                 inner.waiters.retain(|w| *w != me);
                 match inner.heap.peek() {
@@ -653,7 +651,7 @@ impl<M: WireMessage> Endpoint<M> {
         }
         let inbox = &self.fabric.inboxes[self.node.0 as usize];
         let env = {
-            let mut inner = inbox.inner.lock();
+            let mut inner = inbox.borrow_mut();
             match inner.heap.peek() {
                 Some(Reverse(head)) if head.deliver_at <= ctx.now() => {
                     let Reverse(q) = inner.heap.pop().expect("peeked entry exists");
@@ -700,7 +698,6 @@ mod tests {
     use super::*;
     use crate::SeriesScope;
     use dex_sim::{Engine, SimDuration};
-    use parking_lot::Mutex;
 
     struct TestMsg {
         tag: u64,
@@ -716,12 +713,12 @@ mod tests {
         }
     }
 
-    fn with_plan(nodes: usize, plan: FaultPlan) -> Arc<Fabric<TestMsg>> {
+    fn with_plan(nodes: usize, plan: FaultPlan) -> Rc<Fabric<TestMsg>> {
         let counters_only = MetricsRegistry::with_histogram_cap(nodes, 0);
         Fabric::with_instrumentation(NetConfig::default(), nodes, plan, counters_only)
     }
 
-    fn fabric_with(strategy: RdmaStrategy, nodes: usize) -> Arc<Fabric<TestMsg>> {
+    fn fabric_with(strategy: RdmaStrategy, nodes: usize) -> Rc<Fabric<TestMsg>> {
         let cfg = NetConfig {
             rdma_strategy: strategy,
             ..NetConfig::default()
@@ -760,17 +757,17 @@ mod tests {
                 tx.send(ctx, NodeId(1), TestMsg { tag, page: 0 });
             }
         });
-        let got = Arc::new(Mutex::new(Vec::new()));
+        let got = Rc::new(RefCell::new(Vec::new()));
         {
-            let got = Arc::clone(&got);
+            let got = Rc::clone(&got);
             engine.spawn("rx", move |ctx| {
                 for _ in 0..20 {
-                    got.lock().push(rx.recv(ctx).unwrap().msg.tag);
+                    got.borrow_mut().push(rx.recv(ctx).unwrap().msg.tag);
                 }
             });
         }
         engine.run().unwrap();
-        assert_eq!(*got.lock(), (0..20).collect::<Vec<_>>());
+        assert_eq!(*got.borrow_mut(), (0..20).collect::<Vec<_>>());
     }
 
     #[test]
@@ -823,13 +820,13 @@ mod tests {
         let fabric = Fabric::<TestMsg>::new(cfg, 2);
         let tx = fabric.endpoint(NodeId(0));
         let rx = fabric.endpoint(NodeId(1));
-        let sent_at = Arc::new(Mutex::new(Vec::new()));
+        let sent_at = Rc::new(RefCell::new(Vec::new()));
         {
-            let sent_at = Arc::clone(&sent_at);
+            let sent_at = Rc::clone(&sent_at);
             engine.spawn("tx", move |ctx| {
                 for tag in 0..4 {
                     tx.send(ctx, NodeId(1), TestMsg { tag, page: 4096 });
-                    sent_at.lock().push(ctx.now().as_nanos());
+                    sent_at.borrow_mut().push(ctx.now().as_nanos());
                 }
             });
         }
@@ -840,7 +837,7 @@ mod tests {
             }
         });
         engine.run().unwrap();
-        let at = sent_at.lock().clone();
+        let at = sent_at.borrow_mut().clone();
         assert!(at[1] < 50_000, "two sink credits available: {at:?}");
         assert!(at[2] >= 50_000, "third page waits for a drain: {at:?}");
     }
@@ -862,15 +859,15 @@ mod tests {
             });
         }
         let rx = fabric.endpoint(NodeId(1));
-        let got = Arc::new(Mutex::new(Vec::new()));
-        let seen = Arc::clone(&got);
+        let got = Rc::new(RefCell::new(Vec::new()));
+        let seen = Rc::clone(&got);
         engine.spawn("rx", move |ctx| {
             for _ in 0..2 {
-                seen.lock().push(rx.recv(ctx).unwrap().msg.tag);
+                seen.borrow_mut().push(rx.recv(ctx).unwrap().msg.tag);
             }
         });
         let end = engine.run().unwrap();
-        assert_eq!(*got.lock(), vec![0, 1]);
+        assert_eq!(*got.borrow_mut(), vec![0, 1]);
         assert!(end < SimTime::from_nanos(10_000), "ended at {end}");
     }
 
@@ -959,9 +956,9 @@ mod tests {
             // Control sent *later* but arriving earlier (~3.5µs).
             fast.send(ctx, NodeId(2), TestMsg { tag: 1, page: 0 });
         });
-        let got = Arc::new(Mutex::new(Vec::new()));
+        let got = Rc::new(RefCell::new(Vec::new()));
         {
-            let got = Arc::clone(&got);
+            let got = Rc::clone(&got);
             engine.spawn("rx", move |ctx| {
                 let first = rx.recv(ctx).unwrap();
                 assert!(
@@ -969,13 +966,13 @@ mod tests {
                     "first delivery must not wait for the slow page: {}",
                     ctx.now()
                 );
-                got.lock().push((first.src, first.msg.tag));
+                got.borrow_mut().push((first.src, first.msg.tag));
                 let second = rx.recv(ctx).unwrap();
-                got.lock().push((second.src, second.msg.tag));
+                got.borrow_mut().push((second.src, second.msg.tag));
             });
         }
         engine.run().unwrap();
-        assert_eq!(*got.lock(), vec![(NodeId(1), 1), (NodeId(0), 0)]);
+        assert_eq!(*got.borrow_mut(), vec![(NodeId(1), 1), (NodeId(0), 0)]);
     }
 
     #[test]
@@ -1066,7 +1063,7 @@ mod tests {
         let dead = fabric.endpoint(NodeId(1));
         let dead_rx = fabric.endpoint(NodeId(1));
         {
-            let fabric = Arc::clone(&fabric);
+            let fabric = Rc::clone(&fabric);
             engine.spawn("a", move |ctx| {
                 ctx.advance(SimDuration::from_micros(10));
                 a.send(ctx, NodeId(1), TestMsg { tag: 0, page: 0 });
@@ -1109,7 +1106,7 @@ mod tests {
     fn metrics_registry_observes_per_node_and_per_link_traffic() {
         use crate::metrics::MetricsRegistry;
 
-        fn run(metrics: Arc<MetricsRegistry>) -> u64 {
+        fn run(metrics: Rc<MetricsRegistry>) -> u64 {
             let engine = Engine::new();
             let fabric = Fabric::<TestMsg>::with_instrumentation(
                 NetConfig::default(),
@@ -1130,7 +1127,7 @@ mod tests {
         }
 
         let registry = MetricsRegistry::new(3);
-        let instrumented = run(Arc::clone(&registry));
+        let instrumented = run(Rc::clone(&registry));
         let bare = run(MetricsRegistry::with_histogram_cap(3, 0));
         assert_eq!(instrumented, bare, "metrics must not perturb the schedule");
 

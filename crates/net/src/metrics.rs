@@ -2,18 +2,16 @@
 //!
 //! Every count is recorded once, at a node (or on a directed link), under
 //! one name spelled in a [`counter_set!`] enum; a cluster total is the sum
-//! of its per-node cells. Cells are fixed lock-free atomics, so a count
-//! is one relaxed add and no name lookup. Every run has a registry; the
+//! of its per-node cells. Cells are fixed `Cell<u64>`s, so a count is one
+//! add and no name lookup. Every run has a registry; the
 //! histograms are kept only on request (`ClusterConfig::with_metrics` in
 //! `dex-core`). Recording is pure bookkeeping: it never advances virtual
 //! time, parks, or sends, so an instrumented run takes exactly the same
 //! schedule as a bare one.
 
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use dex_sim::{Histogram, SimDuration};
 
@@ -74,25 +72,25 @@ counter_set! {
     }
 }
 
-/// One lock-free cell per counter of a [`counter_set!`] and row (a node,
+/// One cell per counter of a [`counter_set!`] and row (a node,
 /// or a directed link). A counter that never moved is in no view.
 pub struct CounterTable {
     names: &'static [&'static str],
     /// Row-major `row * names.len() + counter`.
-    cells: Box<[AtomicU64]>,
+    cells: Box<[Cell<u64>]>,
 }
 
 impl CounterTable {
     /// `rows` rows of the counters `names` (a set's `NAMES`), all zero.
     pub fn new(names: &'static [&'static str], rows: usize) -> Self {
-        let cells = (0..rows * names.len()).map(|_| AtomicU64::new(0)).collect();
+        let cells = (0..rows * names.len()).map(|_| Cell::new(0)).collect();
         CounterTable { names, cells }
     }
 
     /// Adds `n` to counter number `counter` (`Variant as usize`) in `row`.
     pub fn add(&self, row: usize, counter: usize, n: u64) {
         let cell = &self.cells[row * self.names.len() + counter];
-        cell.fetch_add(n, Ordering::Relaxed);
+        cell.set(cell.get() + n);
     }
 
     /// The counters of `row` that moved, as `(name, value)`.
@@ -100,9 +98,7 @@ impl CounterTable {
         let width = self.names.len();
         let cells = self.cells[row * width..(row + 1) * width].iter();
         let named = self.names.iter().copied().zip(cells);
-        named
-            .map(|(n, c)| (n, c.load(Ordering::Relaxed)))
-            .filter(|c| c.1 > 0)
+        named.map(|(n, c)| (n, c.get())).filter(|c| c.1 > 0)
     }
 
     /// The counter `name` summed over the rows (zero if it never moved).
@@ -149,8 +145,8 @@ pub struct MetricsRegistry {
     /// The fabric's per-link counters, row-major `src * nodes + dst`.
     link: CounterTable,
     /// Each process's per-node table, merged into the per-node views.
-    tables: Mutex<Vec<Arc<CounterTable>>>,
-    hists: Mutex<HistTable>,
+    tables: RefCell<Vec<Rc<CounterTable>>>,
+    hists: RefCell<HistTable>,
     /// Maximum number of distinct `(name, node)` histogram keys; zero
     /// keeps no histograms. A buggy caller interpolating identifiers into
     /// histogram names cannot grow the registry without bound: past the
@@ -180,7 +176,7 @@ impl MetricsRegistry {
     /// # Panics
     ///
     /// Panics if `nodes` is zero.
-    pub fn new(nodes: usize) -> Arc<Self> {
+    pub fn new(nodes: usize) -> Rc<Self> {
         Self::with_histogram_cap(nodes, DEFAULT_HIST_CAP)
     }
 
@@ -190,14 +186,14 @@ impl MetricsRegistry {
     /// # Panics
     ///
     /// Panics if `nodes` is zero.
-    pub fn with_histogram_cap(nodes: usize, cap: usize) -> Arc<Self> {
+    pub fn with_histogram_cap(nodes: usize, cap: usize) -> Rc<Self> {
         assert!(nodes > 0, "metrics registry needs at least one node");
-        Arc::new(MetricsRegistry {
+        Rc::new(MetricsRegistry {
             nodes,
             node: CounterTable::new(NodeCounter::NAMES, nodes),
             link: CounterTable::new(LinkCounter::NAMES, nodes * nodes),
-            tables: Mutex::new(Vec::new()),
-            hists: Mutex::new(HistTable {
+            tables: RefCell::new(Vec::new()),
+            hists: RefCell::new(HistTable {
                 map: BTreeMap::new(),
                 dropped: 0,
                 window: None,
@@ -233,9 +229,9 @@ impl MetricsRegistry {
 
     /// Adds a per-node table of the counters `names` (one process's)
     /// whose rows join the per-node views.
-    pub fn add_node_table(&self, names: &'static [&'static str]) -> Arc<CounterTable> {
-        let table = Arc::new(CounterTable::new(names, self.nodes));
-        self.tables.lock().push(Arc::clone(&table));
+    pub fn add_node_table(&self, names: &'static [&'static str]) -> Rc<CounterTable> {
+        let table = Rc::new(CounterTable::new(names, self.nodes));
+        self.tables.borrow_mut().push(Rc::clone(&table));
         table
     }
 
@@ -244,7 +240,7 @@ impl MetricsRegistry {
     pub fn counts(&self, scope: SeriesScope) -> Vec<(&'static str, u64)> {
         match scope {
             SeriesScope::Node(n) => {
-                let tables = self.tables.lock();
+                let tables = self.tables.borrow();
                 let added = tables.iter().flat_map(|t| t.row(n as usize));
                 sum_by_name(self.node.row(n as usize).chain(added))
             }
@@ -265,8 +261,7 @@ impl MetricsRegistry {
         if !self.records_histograms() {
             return;
         }
-        let mut guard = self.hists.lock();
-        let t = &mut *guard;
+        let t = &mut *self.hists.borrow_mut();
         let key = (name, node.0);
         if !t.map.contains_key(&key) && t.map.len() >= self.hist_cap {
             t.dropped += 1;
@@ -285,7 +280,10 @@ impl MetricsRegistry {
     /// window's samples. Used by the continuous-telemetry sampler; pure
     /// bookkeeping, like the rest of the registry.
     pub fn open_windows(&self) {
-        self.hists.lock().window.get_or_insert_with(BTreeMap::new);
+        self.hists
+            .borrow_mut()
+            .window
+            .get_or_insert_with(BTreeMap::new);
     }
 
     /// Closes the open window and opens the next: moves every sample of
@@ -293,8 +291,7 @@ impl MetricsRegistry {
     /// by `(name, node)`, in nanoseconds in recording order. Empty if no
     /// window was opened.
     pub fn close_window(&self) -> BTreeMap<(&'static str, u16), Vec<u64>> {
-        let mut guard = self.hists.lock();
-        let t = &mut *guard;
+        let t = &mut *self.hists.borrow_mut();
         let samples = t.window.as_mut().map(std::mem::take).unwrap_or_default();
         for (key, values) in &samples {
             for &n in values {
@@ -325,7 +322,7 @@ impl MetricsRegistry {
                 .map(|(n, v)| (n.to_string(), v))
                 .collect()
         };
-        let t = self.hists.lock();
+        let t = self.hists.borrow();
         let histograms = t
             .map
             .iter()

@@ -13,11 +13,10 @@
 //!   receive work request / drains the sink), which is not known in
 //!   advance.
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use dex_sim::{SimCtx, SimTime, ThreadId};
 
@@ -42,7 +41,7 @@ use dex_sim::{SimCtx, SimTime, ThreadId};
 /// ```
 #[derive(Clone)]
 pub struct TimedPool {
-    idle: Arc<Mutex<IdleChunks>>,
+    idle: Rc<RefCell<IdleChunks>>,
     /// One credit per idle chunk: where acquirers wait, in arrival order,
     /// while every chunk is out on a grant.
     ungranted: CreditPool,
@@ -69,7 +68,7 @@ impl TimedPool {
         assert!(chunks > 0, "buffer pool must have at least one chunk");
         let idle = (0..chunks).map(|i| Reverse((SimTime::ZERO, i))).collect();
         TimedPool {
-            idle: Arc::new(Mutex::new(idle)),
+            idle: Rc::new(RefCell::new(idle)),
             ungranted: CreditPool::new(chunks),
         }
     }
@@ -87,7 +86,11 @@ impl TimedPool {
     /// park and are served by the next `hold`s in arrival order.
     pub fn acquire(&self, ctx: &SimCtx) -> ChunkGrant {
         self.ungranted.acquire(ctx);
-        let chunk = self.idle.lock().pop().expect("a credit per idle chunk");
+        let chunk = self
+            .idle
+            .borrow_mut()
+            .pop()
+            .expect("a credit per idle chunk");
         let Reverse((free_at, index)) = chunk;
         // An engine event even when the chunk is free already: dropping it
         // would reorder same-instant ties (ROADMAP item 1 (c)).
@@ -98,13 +101,15 @@ impl TimedPool {
     /// Marks the granted chunk free again at `busy_until`, and hands it to
     /// the longest-waiting acquirer, if any.
     pub fn hold(&self, ctx: &SimCtx, grant: ChunkGrant, busy_until: SimTime) {
-        self.idle.lock().push(Reverse((busy_until, grant.index)));
+        self.idle
+            .borrow_mut()
+            .push(Reverse((busy_until, grant.index)));
         self.ungranted.release(ctx);
     }
 
     /// Number of chunks free at `now`.
     pub fn free_at(&self, now: SimTime) -> usize {
-        let idle = self.idle.lock();
+        let idle = self.idle.borrow();
         idle.iter().filter(|Reverse((at, _))| *at <= now).count()
     }
 }
@@ -112,7 +117,7 @@ impl TimedPool {
 impl std::fmt::Debug for TimedPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TimedPool")
-            .field("idle", &self.idle.lock().len())
+            .field("idle", &self.idle.borrow().len())
             .finish()
     }
 }
@@ -143,7 +148,7 @@ impl std::fmt::Debug for TimedPool {
 /// ```
 #[derive(Clone)]
 pub struct CreditPool {
-    inner: Arc<Mutex<CreditInner>>,
+    inner: Rc<RefCell<CreditInner>>,
 }
 
 struct CreditInner {
@@ -165,7 +170,7 @@ impl CreditPool {
     pub fn new(chunks: usize) -> Self {
         assert!(chunks > 0, "credit pool must have at least one chunk");
         CreditPool {
-            inner: Arc::new(Mutex::new(CreditInner {
+            inner: Rc::new(RefCell::new(CreditInner {
                 free: chunks,
                 capacity: chunks,
                 waiters: VecDeque::new(),
@@ -182,7 +187,7 @@ impl CreditPool {
         let mut queued = false;
         loop {
             {
-                let mut inner = self.inner.lock();
+                let mut inner = self.inner.borrow_mut();
                 if queued {
                     if let Some(pos) = inner.handoffs.iter().position(|w| *w == me) {
                         inner.handoffs.swap_remove(pos);
@@ -203,7 +208,7 @@ impl CreditPool {
 
     /// Takes one chunk without blocking; `false` if none free.
     pub fn try_acquire(&self) -> bool {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         if inner.free > 0 {
             inner.free -= 1;
             true
@@ -222,7 +227,7 @@ impl CreditPool {
     /// Panics if released more times than acquired.
     pub fn release(&self, ctx: &SimCtx) {
         let waiter = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             assert!(
                 inner.free + inner.handoffs.len() < inner.capacity,
                 "credit pool released more chunks than it holds"
@@ -245,13 +250,13 @@ impl CreditPool {
 
     /// Currently-free chunks.
     pub fn free(&self) -> usize {
-        self.inner.lock().free
+        self.inner.borrow().free
     }
 }
 
 impl std::fmt::Debug for CreditPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         f.debug_struct("CreditPool")
             .field("free", &inner.free)
             .field("capacity", &inner.capacity)
@@ -308,15 +313,15 @@ mod tests {
         // used to pick a granted chunk and sleep until `SimTime::MAX`.
         let engine = Engine::new();
         let pool = TimedPool::new(1);
-        let order = Arc::new(Mutex::new(Vec::new()));
+        let order = Rc::new(RefCell::new(Vec::new()));
         let user = |name: &'static str, arrive_after: [u64; 2]| {
-            let (pool, order) = (pool.clone(), Arc::clone(&order));
+            let (pool, order) = (pool.clone(), Rc::clone(&order));
             engine.spawn(name, move |ctx| {
                 for gap in arrive_after {
                     ctx.advance(SimDuration::from_nanos(gap));
                 }
                 let grant = pool.acquire(ctx);
-                order.lock().push((name, ctx.now().as_nanos()));
+                order.borrow_mut().push((name, ctx.now().as_nanos()));
                 ctx.advance(SimDuration::from_nanos(10));
                 pool.hold(ctx, grant, ctx.now() + SimDuration::from_nanos(5));
             });
@@ -329,7 +334,7 @@ mod tests {
         user("barger", [5, 5]);
         assert_eq!(engine.run(), Ok(SimTime::from_nanos(55)));
         let expected = vec![("a", 0), ("b", 15), ("c", 30), ("barger", 45)];
-        assert_eq!(*order.lock(), expected);
+        assert_eq!(*order.borrow_mut(), expected);
     }
 
     /// The first-minimum scan `TimedPool` used to be, kept as the oracle.
@@ -400,19 +405,19 @@ mod tests {
     fn credit_pool_blocks_and_wakes_fifo() {
         let engine = Engine::new();
         let pool = CreditPool::new(1);
-        let order = Arc::new(Mutex::new(Vec::new()));
+        let order = Rc::new(RefCell::new(Vec::new()));
         for i in 0..3 {
             let pool = pool.clone();
-            let order = Arc::clone(&order);
+            let order = Rc::clone(&order);
             engine.spawn(format!("acquirer-{i}"), move |ctx| {
                 pool.acquire(ctx);
-                order.lock().push(i);
+                order.borrow_mut().push(i);
                 ctx.advance(SimDuration::from_micros(10));
                 pool.release(ctx);
             });
         }
         engine.run().unwrap();
-        assert_eq!(*order.lock(), vec![0, 1, 2]);
+        assert_eq!(*order.borrow_mut(), vec![0, 1, 2]);
     }
 
     #[test]
@@ -422,7 +427,7 @@ mod tests {
         // woken thread could steal the credit and re-park it indefinitely.
         let engine = Engine::new();
         let pool = CreditPool::new(1);
-        let order = Arc::new(Mutex::new(Vec::new()));
+        let order = Rc::new(RefCell::new(Vec::new()));
         {
             let pool = pool.clone();
             engine.spawn("holder", move |ctx| {
@@ -433,28 +438,28 @@ mod tests {
         }
         {
             let pool = pool.clone();
-            let order = Arc::clone(&order);
+            let order = Rc::clone(&order);
             engine.spawn("waiter", move |ctx| {
                 pool.acquire(ctx); // parks at t=0 behind the holder
-                order.lock().push("waiter");
+                order.borrow_mut().push("waiter");
                 pool.release(ctx);
             });
         }
         {
             let pool = pool.clone();
-            let order = Arc::clone(&order);
+            let order = Rc::clone(&order);
             engine.spawn("barger", move |ctx| {
                 ctx.advance(SimDuration::from_micros(10));
                 // Runs after the holder's release but before the woken
                 // waiter: the credit is in handoff, not stealable.
                 assert!(!pool.try_acquire(), "barger must not steal the handoff");
                 pool.acquire(ctx);
-                order.lock().push("barger");
+                order.borrow_mut().push("barger");
                 pool.release(ctx);
             });
         }
         engine.run().unwrap();
-        assert_eq!(*order.lock(), vec!["waiter", "barger"]);
+        assert_eq!(*order.borrow_mut(), vec!["waiter", "barger"]);
     }
 
     #[test]

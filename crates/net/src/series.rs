@@ -15,7 +15,7 @@
 //! schedule as one without (enforced by test in `dex-core`).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use dex_sim::{SimDuration, SimTime};
 
@@ -112,7 +112,7 @@ impl TimeSeries {
 /// closing the histogram window); [`SeriesBuilder::finish`] closes a
 /// trailing partial window if the run ended mid-window.
 pub struct SeriesBuilder {
-    registry: Arc<MetricsRegistry>,
+    registry: Rc<MetricsRegistry>,
     window: SimDuration,
     next_window: u64,
     /// Each counter's value at the last boundary.
@@ -128,7 +128,7 @@ impl SeriesBuilder {
     /// # Panics
     ///
     /// Panics if `window` is zero.
-    pub fn new(registry: Arc<MetricsRegistry>, window: SimDuration) -> Self {
+    pub fn new(registry: Rc<MetricsRegistry>, window: SimDuration) -> Self {
         assert!(!window.is_zero(), "series window must be positive");
         registry.open_windows();
         SeriesBuilder {
@@ -213,8 +213,8 @@ mod tests {
     use super::*;
     use crate::{LinkCounter, NodeCounter, NodeId};
 
-    fn builder(m: &Arc<MetricsRegistry>) -> SeriesBuilder {
-        SeriesBuilder::new(Arc::clone(m), SimDuration::from_micros(10))
+    fn builder(m: &Rc<MetricsRegistry>) -> SeriesBuilder {
+        SeriesBuilder::new(Rc::clone(m), SimDuration::from_micros(10))
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! when the rules still ran inside the engine's sampler, one window at a
 //! time; judging after the run must reproduce them line for line.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use dex_core::{Cluster, ClusterConfig, DsmCell, RunReport, Span, SpanId, SpanKind};
 use dex_net::{LinkCounter, MetricsRegistry, NodeId, SeriesBuilder, TimeSeries};
@@ -315,7 +315,7 @@ fn retry_storm_and_stall_fire_per_span_conditions() {
 #[test]
 fn fabric_buildup_uses_link_deltas_and_anchors_a_span() {
     let registry = MetricsRegistry::new(2);
-    let mut builder = SeriesBuilder::new(Arc::clone(&registry), SimDuration::from_micros(10));
+    let mut builder = SeriesBuilder::new(Rc::clone(&registry), SimDuration::from_micros(10));
     registry.count_link(NodeId(0), NodeId(1), LinkCounter::Msgs, 6);
     builder.sample();
     // Below threshold in the next window: no second alarm.

@@ -5,10 +5,9 @@
 //! *virtual* time via [`SimCtx::park`]/[`SimCtx::unpark`]. Waiters are
 //! woken strictly in arrival order, so runs are reproducible.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::rc::Rc;
 
 use crate::engine::{SimCtx, ThreadId};
 
@@ -57,21 +56,28 @@ struct ChanInner<T> {
 /// });
 /// engine.run().unwrap();
 /// ```
+///
+/// Like the engine, a channel stays on the OS thread that made it:
+///
+/// ```compile_fail,E0277
+/// let chan: dex_sim::SimChannel<u32> = dex_sim::SimChannel::unbounded();
+/// std::thread::spawn(move || chan.len());
+/// ```
 pub struct SimChannel<T> {
-    inner: Arc<Mutex<ChanInner<T>>>,
+    inner: Rc<RefCell<ChanInner<T>>>,
 }
 
 impl<T> Clone for SimChannel<T> {
     fn clone(&self) -> Self {
         SimChannel {
-            inner: Arc::clone(&self.inner),
+            inner: Rc::clone(&self.inner),
         }
     }
 }
 
 impl<T> std::fmt::Debug for SimChannel<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         f.debug_struct("SimChannel")
             .field("len", &inner.queue.len())
             .field("capacity", &inner.capacity)
@@ -105,7 +111,7 @@ impl<T> SimChannel<T> {
 
     fn with_capacity(capacity: Option<usize>) -> Self {
         SimChannel {
-            inner: Arc::new(Mutex::new(ChanInner {
+            inner: Rc::new(RefCell::new(ChanInner {
                 queue: VecDeque::new(),
                 capacity,
                 recv_waiters: VecDeque::new(),
@@ -117,7 +123,7 @@ impl<T> SimChannel<T> {
 
     /// Number of items currently queued.
     pub fn len(&self) -> usize {
-        self.inner.lock().queue.len()
+        self.inner.borrow().queue.len()
     }
 
     /// Returns `true` if no items are queued.
@@ -131,10 +137,10 @@ impl<T> SimChannel<T> {
     /// # Errors
     ///
     /// Returns [`SendError`] if the channel has been closed.
-    pub fn send(&self, ctx: &SimCtx, mut item: T) -> Result<(), SendError> {
+    pub fn send(&self, ctx: &SimCtx, item: T) -> Result<(), SendError> {
         loop {
             {
-                let mut inner = self.inner.lock();
+                let mut inner = self.inner.borrow_mut();
                 if inner.closed {
                     return Err(SendError);
                 }
@@ -152,25 +158,15 @@ impl<T> SimChannel<T> {
                 }
                 inner.send_waiters.push_back(ctx.id());
             }
+            // Re-check once woken; another sender may have taken the slot.
             ctx.park();
-            // Re-check; another sender may have raced us to the free slot.
-            item = match self.try_reclaim(item) {
-                Some(i) => i,
-                None => return Ok(()),
-            };
         }
-    }
-
-    /// Helper for the send retry loop: placeholder that simply returns the
-    /// item so the loop re-attempts the send (kept separate for clarity).
-    fn try_reclaim(&self, item: T) -> Option<T> {
-        Some(item)
     }
 
     /// Attempts to send without blocking. Returns the item back if the
     /// channel is full or closed.
     pub fn try_send(&self, ctx: &SimCtx, item: T) -> Result<(), T> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         if inner.closed {
             return Err(item);
         }
@@ -194,7 +190,7 @@ impl<T> SimChannel<T> {
     pub fn recv(&self, ctx: &SimCtx) -> Option<T> {
         loop {
             {
-                let mut inner = self.inner.lock();
+                let mut inner = self.inner.borrow_mut();
                 if let Some(item) = inner.queue.pop_front() {
                     if let Some(waiter) = inner.send_waiters.pop_front() {
                         drop(inner);
@@ -213,7 +209,7 @@ impl<T> SimChannel<T> {
 
     /// Attempts to receive without blocking.
     pub fn try_recv(&self, ctx: &SimCtx) -> Option<T> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         let item = inner.queue.pop_front();
         if item.is_some() {
             if let Some(waiter) = inner.send_waiters.pop_front() {
@@ -228,7 +224,7 @@ impl<T> SimChannel<T> {
     /// sends fail; all parked waiters are woken.
     pub fn close(&self, ctx: &SimCtx) {
         let waiters: Vec<ThreadId> = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.inner.borrow_mut();
             inner.closed = true;
             let mut waiters: Vec<ThreadId> = inner.recv_waiters.drain(..).collect();
             waiters.extend(inner.send_waiters.drain(..));
@@ -245,13 +241,14 @@ mod tests {
     use super::*;
     use crate::engine::Engine;
     use crate::time::SimDuration;
-    use std::sync::Arc as StdArc;
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     #[test]
     fn fifo_order_is_preserved() {
         let engine = Engine::new();
         let chan = SimChannel::unbounded();
-        let got = StdArc::new(Mutex::new(Vec::new()));
+        let got = Rc::new(RefCell::new(Vec::new()));
         {
             let chan = chan.clone();
             engine.spawn("producer", move |ctx| {
@@ -262,29 +259,29 @@ mod tests {
             });
         }
         {
-            let got = StdArc::clone(&got);
+            let got = Rc::clone(&got);
             engine.spawn("consumer", move |ctx| {
                 for _ in 0..10 {
-                    got.lock().push(chan.recv(ctx).unwrap());
+                    got.borrow_mut().push(chan.recv(ctx).unwrap());
                 }
             });
         }
         engine.run().unwrap();
-        assert_eq!(*got.lock(), (0..10).collect::<Vec<_>>());
+        assert_eq!(*got.borrow_mut(), (0..10).collect::<Vec<_>>());
     }
 
     #[test]
     fn bounded_channel_applies_backpressure() {
         let engine = Engine::new();
         let chan = SimChannel::bounded(2);
-        let produced_at = StdArc::new(Mutex::new(Vec::new()));
+        let produced_at = Rc::new(RefCell::new(Vec::new()));
         {
             let chan = chan.clone();
-            let produced_at = StdArc::clone(&produced_at);
+            let produced_at = Rc::clone(&produced_at);
             engine.spawn("producer", move |ctx| {
                 for i in 0..4 {
                     chan.send(ctx, i).unwrap();
-                    produced_at.lock().push(ctx.now().as_nanos());
+                    produced_at.borrow_mut().push(ctx.now().as_nanos());
                 }
             });
         }
@@ -298,7 +295,7 @@ mod tests {
             });
         }
         engine.run().unwrap();
-        let at = produced_at.lock().clone();
+        let at = produced_at.borrow_mut().clone();
         // First two sends fill the buffer at t=0; the rest wait for drains.
         assert_eq!(at[0], 0);
         assert_eq!(at[1], 0);
@@ -310,14 +307,14 @@ mod tests {
     fn recv_blocks_until_item_arrives() {
         let engine = Engine::new();
         let chan: SimChannel<&str> = SimChannel::unbounded();
-        let when = StdArc::new(Mutex::new(None));
+        let when = Rc::new(RefCell::new(None));
         {
             let chan = chan.clone();
-            let when = StdArc::clone(&when);
+            let when = Rc::clone(&when);
             engine.spawn("consumer", move |ctx| {
                 let item = chan.recv(ctx).unwrap();
                 assert_eq!(item, "hello");
-                *when.lock() = Some(ctx.now().as_nanos());
+                *when.borrow_mut() = Some(ctx.now().as_nanos());
             });
         }
         {
@@ -327,20 +324,20 @@ mod tests {
             });
         }
         engine.run().unwrap();
-        assert_eq!(when.lock().unwrap(), 7_000);
+        assert_eq!(when.borrow_mut().unwrap(), 7_000);
     }
 
     #[test]
     fn close_wakes_blocked_receiver_with_none() {
         let engine = Engine::new();
         let chan: SimChannel<u8> = SimChannel::unbounded();
-        let got_none = StdArc::new(Mutex::new(false));
+        let got_none = Rc::new(RefCell::new(false));
         {
             let chan = chan.clone();
-            let got_none = StdArc::clone(&got_none);
+            let got_none = Rc::clone(&got_none);
             engine.spawn("consumer", move |ctx| {
                 assert!(chan.recv(ctx).is_none());
-                *got_none.lock() = true;
+                *got_none.borrow_mut() = true;
             });
         }
         engine.spawn("closer", move |ctx| {
@@ -348,7 +345,7 @@ mod tests {
             chan.close(ctx);
         });
         engine.run().unwrap();
-        assert!(*got_none.lock());
+        assert!(*got_none.borrow_mut());
     }
 
     #[test]

@@ -12,9 +12,10 @@
 //! thread-local), not an argument a caller could get wrong. A context's
 //! closure returns the context to resume after it: the last switch off a
 //! stack never returns, so it is made here, once the closure has dropped
-//! all it owned. A context belongs to the OS thread that first resumes it —
-//! its frames may hold values that are not `Send`, and references into that
-//! thread's thread-locals — so resuming it anywhere else is a checked panic.
+//! all it owned. Contexts are handed around as `Rc<Context>`, so the
+//! compiler keeps each one on the OS thread that made it — where its frames,
+//! which may hold values that are not `Send` and references into that
+//! thread's thread-locals, can be resumed.
 //!
 //! # The ABI facts the assembly relies on (x86_64 System V, Linux)
 //!
@@ -47,8 +48,7 @@ compile_error!(
 );
 
 use std::cell::{Cell, RefCell};
-use std::sync::{Arc, OnceLock};
-use std::thread::{self, ThreadId};
+use std::rc::Rc;
 
 /// What a simulated thread's OS thread used to get.
 const STACK_SIZE: usize = 512 * 1024;
@@ -68,7 +68,7 @@ const MAP_FLAGS: i32 = 0x02 | 0x20 | 0x2_0000;
 /// A context's body: runs once, on the context's own stack, and returns the
 /// context to resume when it is done. A panic that escapes it, or a context
 /// returned that cannot be resumed, aborts the process.
-pub(crate) type Entry = Box<dyn FnOnce() -> Arc<Context> + Send>;
+pub(crate) type Entry = Box<dyn FnOnce() -> Rc<Context>>;
 
 #[derive(Clone, Copy, PartialEq, Debug)]
 enum Status {
@@ -80,8 +80,6 @@ enum Status {
 
 /// A stack and the place execution stopped on it. See the module docs.
 pub(crate) struct Context {
-    /// The OS thread this context belongs to: the first to resume it.
-    owner: OnceLock<ThreadId>,
     status: Cell<Status>,
     /// The saved stack pointer while `Suspended`.
     rsp: Cell<usize>,
@@ -91,47 +89,32 @@ pub(crate) struct Context {
     stack: *mut u8,
 }
 
-// SAFETY: `owner` is a `OnceLock`, `stack` is never written after
-// construction, and `Entry` is `Send`, so a context may be built on one OS
-// thread and started or dropped on another. The cells are touched only by
-// the constructor, before the context is shared, and then by `transfer` and
-// `enter` after they have checked that `owner` — set once, by the first
-// thread to resume the context — is the calling thread: one OS thread ever
-// touches them, and a started context never leaves it. Through `&Context`
-// any other thread reaches `owner` and is stopped there.
-unsafe impl Send for Context {}
-// SAFETY: see `Send` above.
-unsafe impl Sync for Context {}
-
 /// What one OS thread knows about its contexts.
 struct PerThread {
-    id: ThreadId,
     /// The context running on this OS thread; its root until a switch.
-    current: RefCell<Arc<Context>>,
+    current: RefCell<Rc<Context>>,
     /// Whoever switched to `current`, kept until the switch is over: the
     /// last handle to a context unmaps its stack when dropped, which must
     /// not happen while the thread still stands on it.
-    previous: Cell<Option<Arc<Context>>>,
+    previous: Cell<Option<Rc<Context>>>,
 }
 
 thread_local! {
     static THREAD: PerThread = {
-        let id = thread::current().id();
         let root = Context {
-            owner: OnceLock::from(id),
             status: Cell::new(Status::Running),
             rsp: Cell::new(0),
             entry: Cell::new(None),
             stack: std::ptr::null_mut(),
         };
-        PerThread { id, current: RefCell::new(Arc::new(root)), previous: Cell::new(None) }
+        PerThread { current: RefCell::new(Rc::new(root)), previous: Cell::new(None) }
     };
 }
 
 impl Context {
     /// Builds a context that runs `entry` when first resumed. Panics if the
     /// kernel refuses the mapping.
-    pub(crate) fn new(entry: Entry) -> Arc<Context> {
+    pub(crate) fn new(entry: Entry) -> Rc<Context> {
         let len = GUARD_SIZE + STACK_SIZE;
         // SAFETY: a fresh anonymous mapping wherever the kernel likes
         // aliases nothing; the result is checked below.
@@ -151,8 +134,7 @@ impl Context {
         // SAFETY: `top - 16` is inside the writable part and 8-byte aligned
         // (the mapping is page-aligned and `len` a multiple of 16).
         unsafe { ((top - 16) as *mut usize).write(enter as extern "C" fn() -> ! as usize) };
-        Arc::new(Context {
-            owner: OnceLock::new(),
+        Rc::new(Context {
             status: Cell::new(Status::Suspended),
             rsp: Cell::new(top - 64),
             entry: Cell::new(Some(entry)),
@@ -161,8 +143,8 @@ impl Context {
     }
 
     /// The context running on the calling OS thread.
-    pub(crate) fn current() -> Arc<Context> {
-        THREAD.with(|t| Arc::clone(&t.current.borrow()))
+    pub(crate) fn current() -> Rc<Context> {
+        THREAD.with(|t| Rc::clone(&t.current.borrow()))
     }
 }
 
@@ -180,18 +162,16 @@ impl Drop for Context {
 
 /// Suspends the running context and resumes `target`; returns when some
 /// context switches back to this one. Panics, switching nothing, if
-/// `target` is running, has finished, or belongs to another OS thread.
-pub(crate) fn switch_to(target: Arc<Context>) {
+/// `target` is running or has finished.
+pub(crate) fn switch_to(target: Rc<Context>) {
     transfer(target, Status::Suspended);
 }
 
 /// Leaves the running context in `status` and moves the OS thread to
 /// `target`. Owns nothing across the switch, so it can be the last thing a
 /// finished context does.
-fn transfer(target: Arc<Context>, status: Status) {
+fn transfer(target: Rc<Context>, status: Status) {
     THREAD.with(|t| {
-        let owner = *target.owner.get_or_init(|| t.id);
-        assert!(owner == t.id, "resumed a context of another OS thread");
         let found = target.status.get();
         assert!(found == Status::Suspended, "resumed a {found:?} context");
         target.status.set(Status::Running);
@@ -200,10 +180,10 @@ fn transfer(target: Arc<Context>, status: Status) {
         me.status.set(status);
         let save = me.rsp.as_ptr();
         t.previous.set(Some(me));
-        // SAFETY: `to` is the saved stack pointer of a suspended context of
-        // this OS thread (both checked above) — the frame `new` laid out or
-        // one an earlier `switch` pushed — on a stack `current` now keeps
-        // mapped. `save` points into `me`, which `previous` keeps alive
+        // SAFETY: `to` is the saved stack pointer of a suspended context
+        // (checked above) of this OS thread, the only one an `Rc<Context>`
+        // can be on — the frame `new` laid out or one an earlier `switch`
+        // pushed — on a stack `current` now keeps mapped. `save` points into `me`, which `previous` keeps alive
         // until the target has landed, and whose cells are this thread's.
         unsafe { switch(save, to) };
         // Resumed, necessarily on the same OS thread: `t` is still ours.
@@ -246,29 +226,29 @@ unsafe extern "C" fn switch(save: *mut usize, to: usize) {
 mod tests {
     use super::*;
     use crate::engine::panic_message;
+    use std::cell::OnceCell;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// The message `switch_to(target)` panics with.
-    fn refusal(target: &Arc<Context>) -> String {
-        let payload = catch_unwind(AssertUnwindSafe(|| switch_to(Arc::clone(target))))
+    fn refusal(target: &Rc<Context>) -> String {
+        let payload = catch_unwind(AssertUnwindSafe(|| switch_to(Rc::clone(target))))
             .expect_err("the switch should have been refused");
         panic_message(&*payload)
     }
 
     #[test]
     fn two_contexts_ping_pong_a_counter() {
-        let counter = Arc::new(AtomicU64::new(0));
-        let players: Arc<OnceLock<[Arc<Context>; 2]>> = Arc::new(OnceLock::new());
+        let counter = Rc::new(Cell::new(0));
+        let players: Rc<OnceCell<[Rc<Context>; 2]>> = Rc::new(OnceCell::new());
         let player = |me: usize| {
             let (root, counter, players) = (Context::current(), counter.clone(), players.clone());
             Context::new(Box::new(move || {
-                let other =
-                    Arc::clone(&players.get().expect("set before the first switch")[1 - me]);
+                let other = Rc::clone(&players.get().expect("set before the first switch")[1 - me]);
                 for _ in 0..500 {
                     // Strict alternation: player 0 finds even counts.
-                    assert_eq!(counter.fetch_add(1, Ordering::SeqCst) % 2, me as u64);
-                    switch_to(Arc::clone(&other));
+                    assert_eq!(counter.get() % 2, me);
+                    counter.set(counter.get() + 1);
+                    switch_to(Rc::clone(&other));
                 }
                 // Player 0 finishes into player 1, which finishes into the test.
                 if me == 0 {
@@ -279,8 +259,8 @@ mod tests {
             }))
         };
         assert!(players.set([player(0), player(1)]).is_ok());
-        switch_to(Arc::clone(&players.get().expect("just set")[0]));
-        assert_eq!(counter.load(Ordering::SeqCst), 1000);
+        switch_to(Rc::clone(&players.get().expect("just set")[0]));
+        assert_eq!(counter.get(), 1000);
         for finished in players.get().expect("just set") {
             assert_eq!(refusal(finished), "resumed a Finished context");
         }
@@ -291,35 +271,29 @@ mod tests {
         let root = Context::current();
         assert_eq!(refusal(&root), "resumed a Running context");
         // A context that comes back here half-way through, twice.
-        let back = Arc::clone(&root);
+        let back = Rc::clone(&root);
         let visitor = Context::new(Box::new(move || {
             assert_eq!(refusal(&Context::current()), "resumed a Running context");
-            switch_to(Arc::clone(&back));
-            switch_to(Arc::clone(&back));
+            switch_to(Rc::clone(&back));
+            switch_to(Rc::clone(&back));
             back
         }));
-        switch_to(Arc::clone(&visitor));
-        // Started here, so it is this OS thread's: another may not resume it.
-        let stolen = Arc::clone(&visitor);
-        let theft = thread::spawn(move || refusal(&stolen))
-            .join()
-            .expect("refused, not crashed");
-        assert_eq!(theft, "resumed a context of another OS thread");
-        switch_to(Arc::clone(&visitor));
-        switch_to(Arc::clone(&visitor));
+        switch_to(Rc::clone(&visitor));
+        switch_to(Rc::clone(&visitor));
+        switch_to(Rc::clone(&visitor));
         assert_eq!(refusal(&visitor), "resumed a Finished context");
     }
 
     #[test]
     fn a_context_dropped_unresumed_drops_its_closure_and_unmaps_its_stack() {
-        let token = Arc::new(());
+        let token = Rc::new(());
         // A leak would hit `vm.max_map_count` (65 530) after ≈ 32 000.
         for _ in 0..100_000 {
-            let held = Arc::clone(&token);
+            let held = Rc::clone(&token);
             drop(Context::new(Box::new(move || {
                 unreachable!("never resumed: {held:?}")
             })));
         }
-        assert_eq!(Arc::strong_count(&token), 1);
+        assert_eq!(Rc::strong_count(&token), 1);
     }
 }

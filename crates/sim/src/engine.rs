@@ -32,32 +32,26 @@
 //! returns.
 //!
 //! Exactly one context runs at any moment and a switch is an ordinary
-//! function call on one OS thread, so simulated threads may freely share
-//! state via ordinary `Mutex`es — the locks are never contended. (A guard
-//! held *across* `advance` or `park` blocks every other simulated thread
-//! that wants the lock forever, as it always has.)
+//! function call on one OS thread, so an engine and everything its threads
+//! share need no lock: the engine is `!Send` — `Rc`, `RefCell` and `Cell`
+//! inside — and the compiler refuses to move it, a `SimChannel` or a
+//! `SimCtx` to another OS thread. Spawned closures need not be `Send`
+//! either; simulated threads may share state through `Rc<RefCell<_>>`. (A
+//! `RefCell` borrow held *across* `advance` or `park` makes the next thread
+//! that borrows it panic.)
 //!
-//! # Locking
+//! # Borrowing
 //!
-//! The scheduling state sits behind one `Mutex` that is never contended, so
-//! what it costs is acquisitions, and a turn makes one: `advance`, `park`,
-//! `park_until` and thread exit lock it for their own bookkeeping and hand
-//! the guard *by value* to `pass_baton` and `step()`, which picks, accepts
-//! and marks the next thread running under it and returns owned values
-//! only. No guard can therefore be alive at a switch — `std`'s mutex is not
-//! re-entrant, and behind a guard left on a suspended stack the next
-//! context's first `lock()` would wait on its own OS thread forever.
-//! `step()` lets go early only around sampler callbacks that are due.
-//!
-//! Three values are read without the lock, each one atomic with one
-//! writer: the clock (`accept`), whether a policy is installed
-//! (`set_schedule_policy`) and whether shutdown has begun (`shutdown_all`).
-//! Inside `run()` writer and readers are the same OS thread. Before it an
-//! `Engine` may be shared or moved between OS threads, but then the clock
-//! is zero whoever reads it, and only contexts read the other two: inside
-//! `run(self)` or `drop(&mut self)`, which whatever handed over the whole
-//! engine orders after every earlier call. `Release` stores and `Acquire`
-//! loads say so and are plain moves on x86_64.
+//! The scheduling state sits in one `RefCell`, and a turn borrows it once:
+//! `advance`, `park`, `park_until` and thread exit borrow it for their own
+//! bookkeeping and hand the `RefMut` *by value* to `pass_baton` and
+//! `step()`, which picks, accepts and marks the next thread running under
+//! it and returns owned values only. No borrow is therefore alive at a
+//! switch; one that were — left on a suspended stack — would make the next
+//! context's first `borrow_mut()` panic there with "already borrowed".
+//! `step()` lets go early only around sampler callbacks that are due. The
+//! clock, whether a policy is installed and whether shutdown has begun are
+//! `Cell`s beside the state, read without borrowing it.
 //!
 //! Callbacks — the sampler, [`SchedulePolicy::choose_event`] — run inside
 //! `step()`, so always on the `run()` caller's OS thread, but after the
@@ -79,15 +73,11 @@
 //! them; a remaining parked **non-daemon** thread is reported as a
 //! deadlock.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell, RefMut};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::{Mutex, MutexGuard};
+use std::rc::Rc;
 
 use crate::context::{self, Context};
 use crate::replay::ScheduleLog;
@@ -169,7 +159,7 @@ pub struct ScheduleChoice {
 ///
 /// [`choose_event`]: SchedulePolicy::choose_event
 /// [`choose_value`]: SchedulePolicy::choose_value
-pub trait SchedulePolicy: Send {
+pub trait SchedulePolicy {
     /// Picks which of `candidates` runs next. All candidates are pending
     /// at virtual instant `now` and are presented in queue order (lowest
     /// sequence number first), so returning `0` reproduces the default
@@ -205,23 +195,23 @@ impl SchedulePolicy for DefaultSchedulePolicy {}
 /// [`Engine::set_schedule_policy`].
 #[derive(Clone)]
 pub struct SchedulePolicyHandle {
-    inner: Arc<Mutex<Box<dyn SchedulePolicy>>>,
+    inner: Rc<RefCell<Box<dyn SchedulePolicy>>>,
 }
 
 impl SchedulePolicyHandle {
     /// Wraps a policy for installation.
     pub fn new(policy: impl SchedulePolicy + 'static) -> Self {
         SchedulePolicyHandle {
-            inner: Arc::new(Mutex::new(Box::new(policy))),
+            inner: Rc::new(RefCell::new(Box::new(policy))),
         }
     }
 
     fn choose_event(&self, now: SimTime, candidates: &[ScheduleChoice]) -> usize {
-        self.inner.lock().choose_event(now, candidates)
+        self.inner.borrow_mut().choose_event(now, candidates)
     }
 
     fn choose_value(&self, tag: &str, n: usize) -> usize {
-        self.inner.lock().choose_value(tag, n)
+        self.inner.borrow_mut().choose_value(tag, n)
     }
 }
 
@@ -257,7 +247,7 @@ enum End {
 struct ThreadSlot {
     name: String,
     daemon: bool,
-    context: Arc<Context>,
+    context: Rc<Context>,
     park: ParkState,
     /// Set by the thread when its closure is done, or by `shutdown_all`
     /// before it resumes the thread one last time: a context that finds
@@ -303,18 +293,17 @@ struct State {
     ended: Option<End>,
     /// The context inside [`Engine::run`] (or the engine's `Drop`): where a
     /// thread that found the end, or was shut down, switches to.
-    driver: Option<Arc<Context>>,
+    driver: Option<Rc<Context>>,
     events_processed: u64,
     /// When present, every accepted scheduling decision is appended here
     /// (pure bookkeeping: recording never schedules, parks, or advances,
     /// so it cannot perturb the run it observes).
-    schedule: Option<Arc<Mutex<ScheduleLog>>>,
+    schedule: Option<Rc<RefCell<ScheduleLog>>>,
     /// When present, same-instant event ties and `SimCtx::choose` calls
     /// are routed through this policy instead of the fixed heap order.
     policy: Option<SchedulePolicyHandle>,
     /// Taken out by `step()` while its callback runs, so that the callback
-    /// runs with this state unlocked and may read shared simulation data
-    /// (metric registries, span buffers) that simulated threads lock.
+    /// runs with this state unborrowed.
     sampler: Option<Sampler>,
 }
 
@@ -328,8 +317,8 @@ impl State {
     }
 
     /// Where to switch when the run is over, or after being shut down.
-    fn driver(&self) -> Arc<Context> {
-        Arc::clone(self.driver.as_ref().expect("only a driver resumes threads"))
+    fn driver(&self) -> Rc<Context> {
+        Rc::clone(self.driver.as_ref().expect("only a driver resumes threads"))
     }
 
     fn schedule(&mut self, at: SimTime, tid: ThreadId) {
@@ -365,9 +354,9 @@ impl State {
     /// Accepts an event: advances the clock, counts it, and records it to
     /// the schedule log if recording is on. The single point every
     /// scheduling decision — default or policy-picked — flows through.
-    fn accept(&mut self, clock: &AtomicU64, time: SimTime, tid: ThreadId) {
+    fn accept(&mut self, clock: &Cell<SimTime>, time: SimTime, tid: ThreadId) {
         self.events_processed += 1;
-        clock.store(time.as_nanos(), Ordering::Release);
+        clock.set(time);
         if self.schedule.is_some() {
             let label = format!(
                 "t={} {}",
@@ -375,7 +364,7 @@ impl State {
                 self.slot(tid).map(|s| s.name.as_str()).unwrap_or("?")
             );
             if let Some(log) = &self.schedule {
-                log.lock().push(tid.0, label);
+                log.borrow_mut().push(tid.0, label);
             }
         }
     }
@@ -388,7 +377,7 @@ impl State {
 /// accepts the chosen event exactly as the default path would.
 fn pick_with_policy(
     st: &mut State,
-    clock: &AtomicU64,
+    clock: &Cell<SimTime>,
     policy: &SchedulePolicyHandle,
 ) -> Option<(SimTime, ThreadId)> {
     // Find the first live event; its time defines the frontier.
@@ -449,7 +438,7 @@ fn pick_with_policy(
 
 /// The default scheduling path: pops the earliest live event in
 /// `(time, seq)` order and accepts it.
-fn pick_default(st: &mut State, clock: &AtomicU64) -> Option<(SimTime, ThreadId)> {
+fn pick_default(st: &mut State, clock: &Cell<SimTime>) -> Option<(SimTime, ThreadId)> {
     loop {
         let Reverse((key, tid, epoch)) = st.queue.pop()?;
         if epoch != NORMAL_EVENT {
@@ -481,31 +470,31 @@ fn pick_default(st: &mut State, clock: &AtomicU64) -> Option<(SimTime, ThreadId)
 struct Sampler {
     period: SimDuration,
     next_boundary: SimTime,
-    callback: Box<dyn FnMut(SimTime) + Send>,
+    callback: Box<dyn FnMut(SimTime)>,
 }
 
 struct Shared {
-    state: Mutex<State>,
-    /// The virtual clock in nanoseconds. This and the two flags below are
-    /// read without the state lock; see "Locking" in the module docs.
-    clock: AtomicU64,
+    state: RefCell<State>,
+    /// The virtual clock. This and the two flags below are read without
+    /// borrowing the state; see "Borrowing" in the module docs.
+    clock: Cell<SimTime>,
     /// Whether `State::policy` is set.
-    has_policy: AtomicBool,
+    has_policy: Cell<bool>,
     /// Set by `shutdown_all`: a context resumed from now on may have been
     /// resumed to unwind, and looks at its slot to find out.
-    shutdown: AtomicBool,
+    shutdown: Cell<bool>,
     event_budget: u64,
 }
 
 impl Shared {
     fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.clock.load(Ordering::Acquire))
+        self.clock.get()
     }
 
     /// Whether `tid` was resumed to unwind, not to carry on.
     fn shut_down(&self, tid: ThreadId) -> bool {
         let exited = |st: &State| st.slot(tid).expect("own slot missing").exited;
-        self.shutdown.load(Ordering::Acquire) && exited(&self.state.lock())
+        self.shutdown.get() && exited(&self.state.borrow())
     }
 }
 
@@ -516,24 +505,31 @@ impl Shared {
 ///
 /// ```
 /// use dex_sim::{Engine, SimDuration, SimTime};
-/// use std::sync::Arc;
-/// use std::sync::atomic::{AtomicU64, Ordering};
+/// use std::cell::Cell;
+/// use std::rc::Rc;
 ///
 /// let engine = Engine::new();
-/// let hits = Arc::new(AtomicU64::new(0));
+/// let hits = Rc::new(Cell::new(0));
 /// for i in 0..4 {
-///     let hits = Arc::clone(&hits);
+///     let hits = Rc::clone(&hits);
 ///     engine.spawn(format!("worker-{i}"), move |ctx| {
 ///         ctx.advance(SimDuration::from_micros(i + 1));
-///         hits.fetch_add(1, Ordering::Relaxed);
+///         hits.set(hits.get() + 1);
 ///     });
 /// }
 /// let end = engine.run().expect("no deadlock");
-/// assert_eq!(hits.load(Ordering::Relaxed), 4);
+/// assert_eq!(hits.get(), 4);
 /// assert_eq!(end, SimTime::ZERO + SimDuration::from_micros(4));
 /// ```
+///
+/// An engine stays on the OS thread that built it:
+///
+/// ```compile_fail,E0277
+/// let engine = dex_sim::Engine::new();
+/// std::thread::spawn(move || engine.run());
+/// ```
 pub struct Engine {
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
 }
 
 impl Default for Engine {
@@ -553,8 +549,8 @@ impl Engine {
     /// a guard against livelocked simulations.
     pub fn with_event_budget(budget: u64) -> Self {
         Engine {
-            shared: Arc::new(Shared {
-                state: Mutex::new(State {
+            shared: Rc::new(Shared {
+                state: RefCell::new(State {
                     next_seq: 0,
                     queue: BinaryHeap::new(),
                     threads: Vec::new(),
@@ -565,9 +561,9 @@ impl Engine {
                     policy: None,
                     sampler: None,
                 }),
-                clock: AtomicU64::new(0),
-                has_policy: AtomicBool::new(false),
-                shutdown: AtomicBool::new(false),
+                clock: Cell::new(SimTime::ZERO),
+                has_policy: Cell::new(false),
+                shutdown: Cell::new(false),
                 event_budget: budget,
             }),
         }
@@ -583,9 +579,9 @@ impl Engine {
     /// unrecorded one. This is the substrate of the observability
     /// layer's bit-identity guarantee: two runs are the same run iff
     /// their recorded logs are byte-identical.
-    pub fn record_schedule(&self, header: impl Into<String>) -> Arc<Mutex<ScheduleLog>> {
-        let log = Arc::new(Mutex::new(ScheduleLog::new(header)));
-        self.shared.state.lock().schedule = Some(Arc::clone(&log));
+    pub fn record_schedule(&self, header: impl Into<String>) -> Rc<RefCell<ScheduleLog>> {
+        let log = Rc::new(RefCell::new(ScheduleLog::new(header)));
+        self.shared.state.borrow_mut().schedule = Some(Rc::clone(&log));
         log
     }
 
@@ -595,9 +591,8 @@ impl Engine {
     /// with [`DefaultSchedulePolicy`] — the engine produces byte-identical
     /// schedules to builds that predate the hook.
     pub fn set_schedule_policy(&self, policy: SchedulePolicyHandle) {
-        let mut st = self.shared.state.lock();
-        st.policy = Some(policy);
-        self.shared.has_policy.store(true, Ordering::Release);
+        self.shared.state.borrow_mut().policy = Some(policy);
+        self.shared.has_policy.set(true);
     }
 
     /// Installs a recurring virtual-time sampler: `callback` is invoked
@@ -612,7 +607,7 @@ impl Engine {
     /// event, afterwards a simulated thread's 512 KiB stack, so it must not
     /// recurse deeply. Thread-locals it sees are the `run()` caller's, the
     /// same ones every simulated thread sees. No simulated
-    /// code is running and the engine's scheduling state is unlocked: it
+    /// code is running and the engine's scheduling state is unborrowed: it
     /// may read any shared simulation data, but it cannot advance time,
     /// park, send, or spawn. Like schedule recording, sampling is pure
     /// observation — it adds no events and is byte-identical to a run
@@ -628,10 +623,10 @@ impl Engine {
     /// Panics if `period` is zero.
     pub fn set_sampler<F>(&self, period: SimDuration, callback: F)
     where
-        F: FnMut(SimTime) + Send + 'static,
+        F: FnMut(SimTime) + 'static,
     {
         assert!(!period.is_zero(), "sampler period must be positive");
-        self.shared.state.lock().sampler = Some(Sampler {
+        self.shared.state.borrow_mut().sampler = Some(Sampler {
             period,
             next_boundary: SimTime::ZERO + period,
             callback: Box::new(callback),
@@ -642,7 +637,7 @@ impl Engine {
     /// virtual time. The engine reports a deadlock if it can never finish.
     pub fn spawn<F>(&self, name: impl Into<String>, f: F) -> ThreadId
     where
-        F: FnOnce(&SimCtx) + Send + 'static,
+        F: FnOnce(&SimCtx) + 'static,
     {
         spawn_thread(&self.shared, name.into(), false, f)
     }
@@ -652,7 +647,7 @@ impl Engine {
     /// drains.
     pub fn spawn_daemon<F>(&self, name: impl Into<String>, f: F) -> ThreadId
     where
-        F: FnOnce(&SimCtx) + Send + 'static,
+        F: FnOnce(&SimCtx) + 'static,
     {
         spawn_thread(&self.shared, name.into(), true, f)
     }
@@ -675,17 +670,17 @@ impl Engine {
     pub fn run(self) -> Result<SimTime, SimError> {
         let shared = &*self.shared;
         let driver = Context::current();
-        let mut st = shared.state.lock();
-        st.driver = Some(Arc::clone(&driver));
+        let mut st = shared.state.borrow_mut();
+        st.driver = Some(Rc::clone(&driver));
         // Pick the first event and switch to its thread; the baton travels
         // between the simulated threads until one finds the end and
         // switches back. With nothing to run, or a callback that panics at
         // once, the driver has found the end itself and stays where it is.
         let first = pass_baton(shared, st, None).expect("the driver has no event of its own");
-        if !Arc::ptr_eq(&first, &driver) {
+        if !Rc::ptr_eq(&first, &driver) {
             context::switch_to(first);
         }
-        let end = shared.state.lock().ended.take();
+        let end = shared.state.borrow_mut().ended.take();
         let end = end.expect("the driver is resumed with a reason");
 
         // The run is over. Shut down every thread that is still alive; the
@@ -719,15 +714,15 @@ impl Drop for Engine {
 /// installed policy's choice among same-instant ties), accepts it, fires
 /// the sampler, and marks the chosen thread running. Everything the engine
 /// decides between one thread's turn and the next is in here, and whoever
-/// holds the baton calls it, handing over the lock it holds: the guard ends
-/// in here, so that none is alive when the caller switches. `Ok` is the
+/// holds the baton calls it, handing over the borrow it holds: the `RefMut`
+/// ends in here, so that none is alive when the caller switches. `Ok` is the
 /// context to switch to, `None` when the next event is `me`'s own; `Err`
 /// says why there is no next thread.
 fn step<'a>(
     shared: &'a Shared,
-    mut st: MutexGuard<'a, State>,
+    mut st: RefMut<'a, State>,
     me: Option<ThreadId>,
-) -> Result<Option<Arc<Context>>, End> {
+) -> Result<Option<Rc<Context>>, End> {
     loop {
         // The budget only fires when a live event is waiting: a run that
         // finishes on its last budgeted event has drained.
@@ -753,8 +748,7 @@ fn step<'a>(
         // crossed, *before* the chosen thread runs: the event at `time`
         // belongs to the window starting at the boundary, so a callback at
         // boundary `b` sees exactly the state produced by events strictly
-        // before `b`. The state lock is released around the callbacks — they
-        // may read shared simulation data freely.
+        // before `b`. The state borrow is released around the callbacks.
         if st.sampler.as_ref().is_some_and(|s| s.next_boundary <= time) {
             let mut s = st.sampler.take().expect("just seen");
             drop(st);
@@ -763,7 +757,7 @@ fn step<'a>(
                 s.next_boundary = boundary + s.period;
                 (s.callback)(boundary);
             }
-            st = shared.state.lock();
+            st = shared.state.borrow_mut();
             st.sampler = Some(s);
         }
 
@@ -776,30 +770,30 @@ fn step<'a>(
         if matches!(slot.park, ParkState::Parked | ParkState::ParkedScheduled) {
             slot.park = ParkState::Running;
         }
-        return Ok((Some(tid) != me).then(|| Arc::clone(&slot.context)));
+        return Ok((Some(tid) != me).then(|| Rc::clone(&slot.context)));
     }
 }
 
-/// Holding the baton: runs one `step()` under the caller's lock and returns
+/// Holding the baton: runs one `step()` under the caller's borrow and returns
 /// the context to switch to — the next thread's, or the driver's with the
 /// reason the run ended left for it. `None` when the next event is `me`'s
 /// own. A panic in a callback ends the run under its own message, whichever
-/// context it happened on; the guard it unwound through is gone by then.
+/// context it happened on; the borrow it unwound through is gone by then.
 fn pass_baton<'a>(
     shared: &'a Shared,
-    st: MutexGuard<'a, State>,
+    st: RefMut<'a, State>,
     me: Option<ThreadId>,
-) -> Option<Arc<Context>> {
+) -> Option<Rc<Context>> {
     let end = match panic::catch_unwind(AssertUnwindSafe(|| step(shared, st, me))) {
         Ok(Ok(next)) => return next,
         Ok(Err(end)) => end,
         Err(payload) => End::Panicked(panic_message(&*payload)),
     };
-    Some(end_run(&mut shared.state.lock(), end))
+    Some(end_run(&mut shared.state.borrow_mut(), end))
 }
 
 /// Leaves `end` for the driver and returns the driver's context.
-fn end_run(st: &mut State, end: End) -> Arc<Context> {
+fn end_run(st: &mut State, end: End) -> Rc<Context> {
     st.ended = Some(end);
     st.driver()
 }
@@ -824,11 +818,11 @@ fn shutdown_all(shared: &Shared) -> (Vec<String>, Option<String>) {
     let mut panic_msg = None;
     // The caller is the driver: `run`, which has said so already, or the
     // `Drop` of an engine never run.
-    shared.state.lock().driver = Some(Context::current());
-    shared.shutdown.store(true, Ordering::Release);
+    shared.state.borrow_mut().driver = Some(Context::current());
+    shared.shutdown.set(true);
     for i in 0.. {
         let context = {
-            let mut st = shared.state.lock();
+            let mut st = shared.state.borrow_mut();
             let Some(slot) = st.threads.get_mut(i) else {
                 break;
             };
@@ -838,26 +832,25 @@ fn shutdown_all(shared: &Shared) -> (Vec<String>, Option<String>) {
             if !slot.daemon {
                 stuck.push(slot.name.clone());
             }
-            Arc::clone(&slot.context)
+            Rc::clone(&slot.context)
         };
         context::switch_to(context);
-        if let Some(End::Panicked(msg)) = shared.state.lock().ended.take() {
+        if let Some(End::Panicked(msg)) = shared.state.borrow_mut().ended.take() {
             panic_msg.get_or_insert(msg);
         }
     }
     (stuck, panic_msg)
 }
 
-fn spawn_thread<F>(shared: &Arc<Shared>, name: String, daemon: bool, f: F) -> ThreadId
+fn spawn_thread<F>(shared: &Rc<Shared>, name: String, daemon: bool, f: F) -> ThreadId
 where
-    F: FnOnce(&SimCtx) + Send + 'static,
+    F: FnOnce(&SimCtx) + 'static,
 {
-    let mut st = shared.state.lock();
+    let mut st = shared.state.borrow_mut();
     let tid = ThreadId(st.threads.len() as u64);
     let ctx = SimCtx {
         tid,
-        shared: Arc::clone(shared),
-        _not_sync: PhantomData,
+        shared: Rc::clone(shared),
     };
     // The context starts when `step()` first picks its event, or when it is
     // shut down before that. It returns the context to run after it, having
@@ -867,13 +860,13 @@ where
         if ctx.shared.shut_down(tid) {
             // Shut down before it ever ran: `f` is dropped unrun and there
             // is nothing to report.
-            return ctx.shared.state.lock().driver();
+            return ctx.shared.state.borrow().driver();
         }
         let panicked = match panic::catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
             Err(payload) if !payload.is::<ShutdownToken>() => Some(panic_message(&*payload)),
             _ => None,
         };
-        let mut st = ctx.shared.state.lock();
+        let mut st = ctx.shared.state.borrow_mut();
         let slot = st.slot_mut(tid).expect("own slot missing");
         // Already marked exited: the driver shut this thread down and is
         // waiting for it, so the baton is not this thread's to pass.
@@ -903,12 +896,10 @@ where
 
 /// Handle through which a simulated thread interacts with virtual time and
 /// other simulated threads. Each thread receives a `&SimCtx` for its whole
-/// lifetime; the context is bound to that thread and is not `Sync`.
+/// lifetime; like the engine, it is neither `Send` nor `Sync`.
 pub struct SimCtx {
     tid: ThreadId,
-    shared: Arc<Shared>,
-    /// Only the owning thread may yield through it.
-    _not_sync: PhantomData<Cell<()>>,
+    shared: Rc<Shared>,
 }
 
 impl SimCtx {
@@ -925,7 +916,7 @@ impl SimCtx {
     /// Number of events the engine has processed so far (a monotone,
     /// deterministic activity measure).
     pub fn events_processed(&self) -> u64 {
-        self.shared.state.lock().events_processed
+        self.shared.state.borrow().events_processed
     }
 
     /// Resolves an `n`-way nondeterministic value choice through the
@@ -938,7 +929,7 @@ impl SimCtx {
         if n <= 1 || !self.has_schedule_policy() {
             return 0;
         }
-        let policy = self.shared.state.lock().policy.clone();
+        let policy = self.shared.state.borrow().policy.clone();
         match policy {
             Some(p) => p.choose_value(tag, n).min(n - 1),
             None => 0,
@@ -949,14 +940,14 @@ impl SimCtx {
     /// Lets hot paths skip building candidate sets for [`SimCtx::choose`]
     /// when nobody is listening.
     pub fn has_schedule_policy(&self) -> bool {
-        self.shared.has_policy.load(Ordering::Acquire)
+        self.shared.has_policy.get()
     }
 
     /// Advances this thread's virtual time by `d`, letting other threads run
     /// in the meantime. `advance(ZERO)` yields the (virtual) CPU without
     /// moving the clock.
     pub fn advance(&self, d: SimDuration) {
-        let mut st = self.shared.state.lock();
+        let mut st = self.shared.state.borrow_mut();
         st.schedule(self.now() + d, self.tid);
         self.yield_and_wait(st);
     }
@@ -972,7 +963,7 @@ impl SimCtx {
     /// its id. If an unpark was already delivered since the last `park`,
     /// returns immediately (token semantics, like [`std::thread::park`]).
     pub fn park(&self) {
-        let mut st = self.shared.state.lock();
+        let mut st = self.shared.state.borrow_mut();
         let slot = st.slot_mut(self.tid).expect("own slot missing");
         slot.park_epoch += 1; // invalidate timers from earlier park_untils
         match slot.park {
@@ -1003,7 +994,7 @@ impl SimCtx {
     /// actually times out produces exactly the same schedule as code using
     /// plain `park`.
     pub fn park_until(&self, deadline: SimTime) -> bool {
-        let mut st = self.shared.state.lock();
+        let mut st = self.shared.state.borrow_mut();
         let slot = st.slot_mut(self.tid).expect("own slot missing");
         slot.park_epoch += 1;
         slot.timed_out = false;
@@ -1020,7 +1011,7 @@ impl SimCtx {
         let epoch = slot.park_epoch;
         st.schedule_timer(deadline.max(self.now()), self.tid, epoch);
         self.yield_and_wait(st);
-        let mut st = self.shared.state.lock();
+        let mut st = self.shared.state.borrow_mut();
         let slot = st.slot_mut(self.tid).expect("own slot missing");
         std::mem::take(&mut slot.timed_out)
     }
@@ -1028,7 +1019,7 @@ impl SimCtx {
     /// Wakes the thread `target`. If it is parked, it resumes at the current
     /// virtual time; otherwise its next `park()` returns immediately.
     pub fn unpark(&self, target: ThreadId) {
-        let mut st = self.shared.state.lock();
+        let mut st = self.shared.state.borrow_mut();
         let Some(slot) = st.slot_mut(target) else {
             return;
         };
@@ -1049,7 +1040,7 @@ impl SimCtx {
     /// virtual time.
     pub fn spawn<F>(&self, name: impl Into<String>, f: F) -> ThreadId
     where
-        F: FnOnce(&SimCtx) + Send + 'static,
+        F: FnOnce(&SimCtx) + 'static,
     {
         spawn_thread(&self.shared, name.into(), false, f)
     }
@@ -1057,15 +1048,15 @@ impl SimCtx {
     /// Spawns a daemon (infrastructure) thread; see [`Engine::spawn_daemon`].
     pub fn spawn_daemon<F>(&self, name: impl Into<String>, f: F) -> ThreadId
     where
-        F: FnOnce(&SimCtx) + Send + 'static,
+        F: FnOnce(&SimCtx) + 'static,
     {
         spawn_thread(&self.shared, name.into(), true, f)
     }
 
-    /// The end of this thread's turn: passes the baton under the lock the
+    /// The end of this thread's turn: passes the baton under the borrow the
     /// caller took for its own bookkeeping, and — unless its own event was
     /// next — is suspended until this thread is resumed or shut down.
-    fn yield_and_wait(&self, st: MutexGuard<'_, State>) {
+    fn yield_and_wait(&self, st: RefMut<'_, State>) {
         if let Some(next) = pass_baton(&self.shared, st, Some(self.tid)) {
             context::switch_to(next);
             // Resumed: to carry on, or — slot marked `exited` — to unwind.
@@ -1085,8 +1076,6 @@ impl std::fmt::Debug for SimCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc as StdArc;
 
     #[test]
     fn empty_engine_finishes_at_zero() {
@@ -1108,61 +1097,100 @@ mod tests {
     #[test]
     fn threads_interleave_in_time_order() {
         let engine = Engine::new();
-        let log = StdArc::new(Mutex::new(Vec::new()));
+        let log = Rc::new(RefCell::new(Vec::new()));
         for (name, delay) in [("late", 30u64), ("early", 10), ("mid", 20)] {
-            let log = StdArc::clone(&log);
+            let log = Rc::clone(&log);
             engine.spawn(name, move |ctx| {
                 ctx.advance(SimDuration::from_nanos(delay));
-                log.lock().push(name);
+                log.borrow_mut().push(name);
             });
         }
         engine.run().unwrap();
-        assert_eq!(*log.lock(), vec!["early", "mid", "late"]);
+        assert_eq!(*log.borrow_mut(), vec!["early", "mid", "late"]);
+    }
+
+    #[test]
+    fn spawned_closures_share_state_through_rc_and_refcell() {
+        let engine = Engine::new();
+        let inbox = Rc::new(RefCell::new(Vec::new()));
+        let senders = Rc::new(Cell::new(0));
+        let (out, live) = (Rc::clone(&inbox), Rc::clone(&senders));
+        engine.spawn("parent", move |ctx| {
+            for i in 0..3u64 {
+                let (out, live) = (Rc::clone(&out), Rc::clone(&live));
+                live.set(live.get() + 1);
+                ctx.spawn(format!("child{i}"), move |ctx| {
+                    ctx.advance(SimDuration::from_nanos(10 - i));
+                    out.borrow_mut().push((i, ctx.now().as_nanos()));
+                    live.set(live.get() - 1);
+                });
+            }
+        });
+        engine.run().unwrap();
+        assert_eq!(*inbox.borrow(), vec![(2, 8), (1, 9), (0, 10)]);
+        assert_eq!((senders.get(), Rc::strong_count(&inbox)), (0, 1));
+    }
+
+    #[test]
+    fn a_state_borrow_held_into_a_switch_panics_where_it_was_kept() {
+        let engine = Engine::new();
+        let shared = Rc::downgrade(&engine.shared);
+        engine.spawn("keeper", move |ctx| {
+            let shared = shared.upgrade().expect("the engine is running");
+            let _kept = shared.state.borrow();
+            ctx.advance(SimDuration::from_nanos(1));
+        });
+        let msg = run_panics(engine);
+        assert!(
+            msg.starts_with("simulated thread 'keeper#0' panicked: "),
+            "{msg}"
+        );
+        assert!(msg.contains("already"), "{msg}");
     }
 
     #[test]
     fn same_time_events_run_in_schedule_order() {
         let engine = Engine::new();
-        let log = StdArc::new(Mutex::new(Vec::new()));
+        let log = Rc::new(RefCell::new(Vec::new()));
         for i in 0..8 {
-            let log = StdArc::clone(&log);
+            let log = Rc::clone(&log);
             engine.spawn(format!("t{i}"), move |ctx| {
                 ctx.advance(SimDuration::from_nanos(7));
-                log.lock().push(i);
+                log.borrow_mut().push(i);
             });
         }
         engine.run().unwrap();
-        assert_eq!(*log.lock(), (0..8).collect::<Vec<_>>());
+        assert_eq!(*log.borrow_mut(), (0..8).collect::<Vec<_>>());
     }
 
     #[test]
     fn park_unpark_roundtrip() {
         let engine = Engine::new();
-        let waiter_tid = StdArc::new(Mutex::new(None));
-        let order = StdArc::new(Mutex::new(Vec::new()));
+        let waiter_tid = Rc::new(RefCell::new(None));
+        let order = Rc::new(RefCell::new(Vec::new()));
         {
-            let waiter_tid = StdArc::clone(&waiter_tid);
-            let order = StdArc::clone(&order);
-            let tid_holder = StdArc::clone(&waiter_tid);
+            let waiter_tid = Rc::clone(&waiter_tid);
+            let order = Rc::clone(&order);
+            let tid_holder = Rc::clone(&waiter_tid);
             engine.spawn("waiter", move |ctx| {
-                *tid_holder.lock() = Some(ctx.id());
-                order.lock().push("waiting");
+                *tid_holder.borrow_mut() = Some(ctx.id());
+                order.borrow_mut().push("waiting");
                 ctx.park();
-                order.lock().push("woken");
+                order.borrow_mut().push("woken");
             });
         }
         {
-            let waiter_tid = StdArc::clone(&waiter_tid);
-            let order = StdArc::clone(&order);
+            let waiter_tid = Rc::clone(&waiter_tid);
+            let order = Rc::clone(&order);
             engine.spawn("waker", move |ctx| {
                 ctx.advance(SimDuration::from_micros(1));
-                order.lock().push("waking");
-                let tid = waiter_tid.lock().unwrap();
+                order.borrow_mut().push("waking");
+                let tid = waiter_tid.borrow_mut().unwrap();
                 ctx.unpark(tid);
             });
         }
         engine.run().unwrap();
-        assert_eq!(*order.lock(), vec!["waiting", "waking", "woken"]);
+        assert_eq!(*order.borrow_mut(), vec!["waiting", "waking", "woken"]);
     }
 
     #[test]
@@ -1195,11 +1223,11 @@ mod tests {
     #[test]
     fn daemon_threads_do_not_deadlock() {
         let engine = Engine::new();
-        let ran = StdArc::new(AtomicU64::new(0));
+        let ran = Rc::new(Cell::new(0));
         {
-            let ran = StdArc::clone(&ran);
+            let ran = Rc::clone(&ran);
             engine.spawn_daemon("handler-loop", move |ctx| {
-                ran.fetch_add(1, Ordering::Relaxed);
+                ran.set(ran.get() + 1);
                 loop {
                     ctx.park(); // shut down by the engine at drain
                 }
@@ -1208,28 +1236,28 @@ mod tests {
         engine.spawn("work", |ctx| ctx.advance(SimDuration::from_micros(2)));
         let end = engine.run().unwrap();
         assert_eq!(end, SimTime::from_nanos(2_000));
-        assert_eq!(ran.load(Ordering::Relaxed), 1);
+        assert_eq!(ran.get(), 1);
     }
 
     #[test]
     fn spawn_from_sim_thread_starts_at_now() {
         let engine = Engine::new();
-        let seen = StdArc::new(Mutex::new(Vec::new()));
+        let seen = Rc::new(RefCell::new(Vec::new()));
         {
-            let seen = StdArc::clone(&seen);
+            let seen = Rc::clone(&seen);
             engine.spawn("parent", move |ctx| {
                 ctx.advance(SimDuration::from_micros(3));
-                let seen2 = StdArc::clone(&seen);
+                let seen2 = Rc::clone(&seen);
                 ctx.spawn("child", move |ctx| {
-                    seen2.lock().push(ctx.now());
+                    seen2.borrow_mut().push(ctx.now());
                 });
                 ctx.advance(SimDuration::from_micros(1));
-                seen.lock().push(ctx.now());
+                seen.borrow_mut().push(ctx.now());
             });
         }
         engine.run().unwrap();
         assert_eq!(
-            *seen.lock(),
+            *seen.borrow_mut(),
             vec![SimTime::from_nanos(3_000), SimTime::from_nanos(4_000)]
         );
     }
@@ -1258,18 +1286,18 @@ mod tests {
     fn determinism_same_run_same_trace() {
         fn run_once() -> Vec<(u64, u64)> {
             let engine = Engine::new();
-            let log = StdArc::new(Mutex::new(Vec::new()));
+            let log = Rc::new(RefCell::new(Vec::new()));
             for i in 0..10u64 {
-                let log = StdArc::clone(&log);
+                let log = Rc::clone(&log);
                 engine.spawn(format!("t{i}"), move |ctx| {
                     for k in 0..5 {
                         ctx.advance(SimDuration::from_nanos((i * 7 + k * 13) % 29 + 1));
-                        log.lock().push((i, ctx.now().as_nanos()));
+                        log.borrow_mut().push((i, ctx.now().as_nanos()));
                     }
                 });
             }
             engine.run().unwrap();
-            let v = log.lock().clone();
+            let v = log.borrow_mut().clone();
             v
         }
         assert_eq!(run_once(), run_once());
@@ -1288,7 +1316,7 @@ mod tests {
                 });
             }
             let end = engine.run().unwrap();
-            (end, log.map(|l| l.lock().to_text()))
+            (end, log.map(|l| l.borrow_mut().to_text()))
         }
         let (plain_end, none) = run_once(false);
         let (rec_end, text_a) = run_once(true);
@@ -1305,21 +1333,21 @@ mod tests {
     fn policy_workload(engine: &Engine) {
         // A mix of same-time spawns (t=0 ties), park/unpark, and a
         // park_until whose timer goes stale — every choice-point class.
-        let waiter_tid = StdArc::new(Mutex::new(None));
+        let waiter_tid = Rc::new(RefCell::new(None));
         {
-            let waiter_tid = StdArc::clone(&waiter_tid);
+            let waiter_tid = Rc::clone(&waiter_tid);
             engine.spawn("waiter", move |ctx| {
-                *waiter_tid.lock() = Some(ctx.id());
+                *waiter_tid.borrow_mut() = Some(ctx.id());
                 let timed_out = ctx.park_until(SimTime::from_nanos(90_000));
                 assert!(!timed_out);
                 ctx.advance(SimDuration::from_nanos(3));
             });
         }
         {
-            let waiter_tid = StdArc::clone(&waiter_tid);
+            let waiter_tid = Rc::clone(&waiter_tid);
             engine.spawn("waker", move |ctx| {
                 ctx.advance(SimDuration::from_micros(1));
-                let tid = waiter_tid.lock().unwrap();
+                let tid = waiter_tid.borrow_mut().unwrap();
                 ctx.unpark(tid);
             });
         }
@@ -1342,7 +1370,7 @@ mod tests {
             }
             policy_workload(&engine);
             let end = engine.run().unwrap();
-            let text = log.lock().to_text();
+            let text = log.borrow_mut().to_text();
             (end, text)
         }
         let (plain_end, plain_text) = run_once(false);
@@ -1365,16 +1393,16 @@ mod tests {
             if flip {
                 engine.set_schedule_policy(SchedulePolicyHandle::new(LastPick));
             }
-            let order = StdArc::new(Mutex::new(Vec::new()));
+            let order = Rc::new(RefCell::new(Vec::new()));
             for name in ["a", "b", "c"] {
-                let order = StdArc::clone(&order);
+                let order = Rc::clone(&order);
                 // No advance: the t=0 spawn tie alone decides the order.
                 engine.spawn(name, move |_ctx| {
-                    order.lock().push(name);
+                    order.borrow_mut().push(name);
                 });
             }
             engine.run().unwrap();
-            let v = order.lock().clone();
+            let v = order.borrow_mut().clone();
             v
         }
         assert_eq!(run_once(false), vec!["a", "b", "c"]);
@@ -1383,24 +1411,24 @@ mod tests {
 
     #[test]
     fn policy_sees_candidate_names_and_timer_flags() {
-        struct Spy(StdArc<Mutex<Vec<(String, bool)>>>);
+        struct Spy(Rc<RefCell<Vec<(String, bool)>>>);
         impl SchedulePolicy for Spy {
             fn choose_event(&mut self, _now: SimTime, candidates: &[ScheduleChoice]) -> usize {
                 if candidates.len() > 1 {
                     self.0
-                        .lock()
+                        .borrow_mut()
                         .extend(candidates.iter().map(|c| (c.name.clone(), c.is_timer)));
                 }
                 0
             }
         }
         let engine = Engine::new();
-        let seen = StdArc::new(Mutex::new(Vec::new()));
-        engine.set_schedule_policy(SchedulePolicyHandle::new(Spy(StdArc::clone(&seen))));
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        engine.set_schedule_policy(SchedulePolicyHandle::new(Spy(Rc::clone(&seen))));
         engine.spawn("left", |ctx| ctx.advance(SimDuration::from_nanos(1)));
         engine.spawn("right", |ctx| ctx.advance(SimDuration::from_nanos(2)));
         engine.run().unwrap();
-        let seen = seen.lock();
+        let seen = seen.borrow_mut();
         // The t=0 spawn tie exposes both threads as non-timer candidates.
         assert!(seen.contains(&("left".to_string(), false)), "{seen:?}");
         assert!(seen.contains(&("right".to_string(), false)), "{seen:?}");
@@ -1417,29 +1445,29 @@ mod tests {
             }
         }
         let engine = Engine::new();
-        let picks = StdArc::new(Mutex::new(Vec::new()));
+        let picks = Rc::new(RefCell::new(Vec::new()));
         {
-            let picks = StdArc::clone(&picks);
+            let picks = Rc::clone(&picks);
             engine.spawn("chooser", move |ctx| {
-                picks.lock().push(ctx.choose("test.choice", 3));
-                picks.lock().push(ctx.choose("test.choice", 1)); // n<=1: no policy call
+                picks.borrow_mut().push(ctx.choose("test.choice", 3));
+                picks.borrow_mut().push(ctx.choose("test.choice", 1)); // n<=1: no policy call
             });
         }
         engine.set_schedule_policy(SchedulePolicyHandle::new(PickOne));
         engine.run().unwrap();
-        assert_eq!(*picks.lock(), vec![1, 0]);
+        assert_eq!(*picks.borrow_mut(), vec![1, 0]);
 
         let engine = Engine::new();
-        let got = StdArc::new(Mutex::new(None));
+        let got = Rc::new(RefCell::new(None));
         {
-            let got = StdArc::clone(&got);
+            let got = Rc::clone(&got);
             engine.spawn("no-policy", move |ctx| {
                 assert!(!ctx.has_schedule_policy());
-                *got.lock() = Some(ctx.choose("test.choice", 5));
+                *got.borrow_mut() = Some(ctx.choose("test.choice", 5));
             });
         }
         engine.run().unwrap();
-        assert_eq!(*got.lock(), Some(0));
+        assert_eq!(*got.borrow_mut(), Some(0));
     }
 
     #[test]
@@ -1449,28 +1477,28 @@ mod tests {
         // (two), and boundary 20µs must NOT see the bump at exactly 20µs
         // (half-open windows: the boundary event is in the next window).
         let engine = Engine::new();
-        let counter = StdArc::new(AtomicU64::new(0));
-        let samples = StdArc::new(Mutex::new(Vec::new()));
+        let counter = Rc::new(Cell::new(0));
+        let samples = Rc::new(RefCell::new(Vec::new()));
         {
-            let counter = StdArc::clone(&counter);
-            let samples = StdArc::clone(&samples);
+            let counter = Rc::clone(&counter);
+            let samples = Rc::clone(&samples);
             engine.set_sampler(SimDuration::from_micros(10), move |boundary| {
                 samples
-                    .lock()
-                    .push((boundary.as_nanos(), counter.load(Ordering::Relaxed)));
+                    .borrow_mut()
+                    .push((boundary.as_nanos(), counter.get()));
             });
         }
         {
-            let counter = StdArc::clone(&counter);
+            let counter = Rc::clone(&counter);
             engine.spawn("worker", move |ctx| {
                 for _ in 0..5 {
                     ctx.advance(SimDuration::from_micros(4));
-                    counter.fetch_add(1, Ordering::Relaxed);
+                    counter.set(counter.get() + 1);
                 }
             });
         }
         engine.run().unwrap();
-        assert_eq!(*samples.lock(), vec![(10_000, 2), (20_000, 4)]);
+        assert_eq!(*samples.borrow_mut(), vec![(10_000, 2), (20_000, 4)]);
     }
 
     #[test]
@@ -1478,17 +1506,17 @@ mod tests {
         // One event far past several boundaries: every skipped boundary
         // fires, in order, before the event's thread resumes.
         let engine = Engine::new();
-        let samples = StdArc::new(Mutex::new(Vec::new()));
+        let samples = Rc::new(RefCell::new(Vec::new()));
         {
-            let samples = StdArc::clone(&samples);
+            let samples = Rc::clone(&samples);
             engine.set_sampler(SimDuration::from_micros(1), move |boundary| {
-                samples.lock().push(boundary.as_nanos());
+                samples.borrow_mut().push(boundary.as_nanos());
             });
         }
         engine.spawn("jumper", |ctx| ctx.advance(SimDuration::from_micros(3)));
         engine.run().unwrap();
         // t=0 spawn event fires no boundary; the jump to 3µs fires 1, 2, 3.
-        assert_eq!(*samples.lock(), vec![1_000, 2_000, 3_000]);
+        assert_eq!(*samples.borrow_mut(), vec![1_000, 2_000, 3_000]);
     }
 
     #[test]
@@ -1501,7 +1529,7 @@ mod tests {
             }
             policy_workload(&engine);
             let end = engine.run().unwrap();
-            let text = log.lock().to_text();
+            let text = log.borrow_mut().to_text();
             (end, text)
         }
         let (plain_end, plain_text) = run_once(false);
@@ -1517,9 +1545,10 @@ mod tests {
     /// `advance`, `park`/`unpark`, a `park_until` that times out and one
     /// that does not, and a thread that exits mid-run. Every thread notes
     /// `now()` in `seen` each time it starts or is resumed.
-    fn every_way_to_yield(engine: &Engine, seen: &StdArc<Mutex<Vec<u64>>>) {
-        let note = |seen: &Mutex<Vec<u64>>, ctx: &SimCtx| seen.lock().push(ctx.now().as_nanos());
-        let log = StdArc::clone(seen);
+    fn every_way_to_yield(engine: &Engine, seen: &Rc<RefCell<Vec<u64>>>) {
+        let note =
+            |seen: &RefCell<Vec<u64>>, ctx: &SimCtx| seen.borrow_mut().push(ctx.now().as_nanos());
+        let log = Rc::clone(seen);
         let waiter = engine.spawn("waiter", move |ctx| {
             note(&log, ctx);
             ctx.park();
@@ -1531,7 +1560,7 @@ mod tests {
             ctx.advance(SimDuration::from_nanos(3));
             note(&log, ctx);
         });
-        let log = StdArc::clone(seen);
+        let log = Rc::clone(seen);
         engine.spawn("waker", move |ctx| {
             note(&log, ctx);
             for gap in [1_000, 2_000] {
@@ -1540,13 +1569,13 @@ mod tests {
                 ctx.unpark(waiter);
             }
         });
-        let log = StdArc::clone(seen);
+        let log = Rc::clone(seen);
         engine.spawn("short-lived", move |ctx| {
             note(&log, ctx);
             ctx.advance(SimDuration::from_nanos(500));
             note(&log, ctx);
         });
-        let log = StdArc::clone(seen);
+        let log = Rc::clone(seen);
         engine.spawn("ticker", move |ctx| {
             note(&log, ctx);
             for _ in 0..8 {
@@ -1564,19 +1593,19 @@ mod tests {
         fn run_once(sample: bool, policy: bool) -> Run {
             let engine = Engine::new();
             let log = engine.record_schedule("every-way-to-yield");
-            let seen = StdArc::new(Mutex::new(Vec::new()));
-            let samples = StdArc::new(Mutex::new(Vec::new()));
+            let seen = Rc::new(RefCell::new(Vec::new()));
+            let samples = Rc::new(RefCell::new(Vec::new()));
             if sample {
-                let (seen, samples) = (StdArc::clone(&seen), StdArc::clone(&samples));
-                let shared = StdArc::downgrade(&engine.shared);
+                let (seen, samples) = (Rc::clone(&seen), Rc::clone(&samples));
+                let shared = Rc::downgrade(&engine.shared);
                 engine.set_sampler(SimDuration::from_nanos(PERIOD_NS), move |boundary| {
                     let shared = shared.upgrade().expect("the engine is running");
-                    // The scheduling state is unlocked, and so is whatever
-                    // the simulated threads lock: nobody is mid-turn.
-                    assert!(shared.state.try_lock().is_some(), "state locked");
-                    assert!(!seen.lock().is_empty(), "thread 0 started at t=0");
+                    // The scheduling state is unborrowed, and so is whatever
+                    // the simulated threads borrow: nobody is mid-turn.
+                    assert!(shared.state.try_borrow_mut().is_ok(), "state borrowed");
+                    assert!(!seen.borrow_mut().is_empty(), "thread 0 started at t=0");
                     let now = shared.now().as_nanos();
-                    samples.lock().push((boundary.as_nanos(), now));
+                    samples.borrow_mut().push((boundary.as_nanos(), now));
                 });
             }
             if policy {
@@ -1584,8 +1613,8 @@ mod tests {
             }
             every_way_to_yield(&engine, &seen);
             assert_eq!(engine.run(), Ok(SimTime::from_nanos(3_600)));
-            let text = log.lock().to_text();
-            let (seen, samples) = (seen.lock().clone(), samples.lock().clone());
+            let text = log.borrow_mut().to_text();
+            let (seen, samples) = (seen.borrow_mut().clone(), samples.borrow_mut().clone());
             (text, seen, samples)
         }
         let bare = run_once(false, false);
@@ -1640,9 +1669,9 @@ mod tests {
     fn threads_suspended_in_any_call_unwind_however_the_run_ends() {
         for ending in [Ending::Drain, Ending::Budget, Ending::Panic] {
             let engine = Engine::with_event_budget(40);
-            let token = StdArc::new(());
+            let token = Rc::new(());
             let far = SimDuration::from_secs(1);
-            let held = StdArc::clone(&token);
+            let held = Rc::clone(&token);
             engine.spawn_daemon("in-park", move |ctx| {
                 let _held = held;
                 ctx.park();
@@ -1650,18 +1679,18 @@ mod tests {
             // A queued resume or timer is a live event: these two cannot be
             // suspended when a run drains.
             if !matches!(ending, Ending::Drain) {
-                let held = StdArc::clone(&token);
+                let held = Rc::clone(&token);
                 engine.spawn_daemon("in-advance", move |ctx| {
                     let _held = held;
                     ctx.advance(far);
                 });
-                let held = StdArc::clone(&token);
+                let held = Rc::clone(&token);
                 engine.spawn_daemon("in-park-until", move |ctx| {
                     let _held = held;
                     ctx.park_until(ctx.now() + far);
                 });
             }
-            let held = StdArc::clone(&token);
+            let held = Rc::clone(&token);
             engine.spawn("main", move |ctx| {
                 let _held = held;
                 ctx.advance(SimDuration::from_nanos(10));
@@ -1687,14 +1716,14 @@ mod tests {
                 }
             }
             // Every `_held` was dropped by its thread unwinding.
-            assert_eq!(StdArc::strong_count(&token), 1, "{ending:?}");
+            assert_eq!(Rc::strong_count(&token), 1, "{ending:?}");
         }
     }
 
     #[test]
     fn a_policy_panic_takes_the_guard_with_it_and_leaves_the_state_lockable() {
-        // `choose_event` runs under the state lock, inside the
-        // `catch_unwind` whose closure owns the guard. Its third call is
+        // `choose_event` runs under the state borrow, inside the
+        // `catch_unwind` whose closure owns the `RefMut`. Its third call is
         // made from a simulated thread's `advance`.
         struct ThirdCallBomb(u32);
         impl SchedulePolicy for ThirdCallBomb {
@@ -1708,12 +1737,15 @@ mod tests {
         let token = populate(&engine);
         engine.spawn("clock", |ctx| ctx.advance(SimDuration::from_nanos(1)));
         engine.set_schedule_policy(SchedulePolicyHandle::new(ThirdCallBomb(0)));
-        let shared = StdArc::clone(&engine.shared);
+        let shared = Rc::clone(&engine.shared);
         assert_eq!(run_panics(engine), "policy boom");
-        // `end_run`, `shutdown_all` and the engine's `Drop` all locked the
+        // `end_run`, `shutdown_all` and the engine's `Drop` all borrowed the
         // state after the panic, and the last of them let go.
-        assert_eq!(StdArc::strong_count(&token), 1);
-        let st = shared.state.try_lock().expect("no guard was left behind");
+        assert_eq!(Rc::strong_count(&token), 1);
+        let st = shared
+            .state
+            .try_borrow_mut()
+            .expect("no borrow was left behind");
         assert!(st.ended.is_none() && st.threads.iter().all(|slot| slot.exited));
     }
 
@@ -1738,21 +1770,21 @@ mod tests {
     #[test]
     fn park_until_woken_early_returns_false_and_discards_timer() {
         let engine = Engine::new();
-        let waiter_tid = StdArc::new(Mutex::new(None));
+        let waiter_tid = Rc::new(RefCell::new(None));
         {
-            let waiter_tid = StdArc::clone(&waiter_tid);
+            let waiter_tid = Rc::clone(&waiter_tid);
             engine.spawn("waiter", move |ctx| {
-                *waiter_tid.lock() = Some(ctx.id());
+                *waiter_tid.borrow_mut() = Some(ctx.id());
                 let timed_out = ctx.park_until(SimTime::from_nanos(100_000));
                 assert!(!timed_out);
                 assert_eq!(ctx.now(), SimTime::from_nanos(1_000));
             });
         }
         {
-            let waiter_tid = StdArc::clone(&waiter_tid);
+            let waiter_tid = Rc::clone(&waiter_tid);
             engine.spawn("waker", move |ctx| {
                 ctx.advance(SimDuration::from_micros(1));
-                let tid = waiter_tid.lock().unwrap();
+                let tid = waiter_tid.borrow_mut().unwrap();
                 ctx.unpark(tid);
             });
         }
@@ -1775,31 +1807,31 @@ mod tests {
     #[test]
     fn park_after_timed_out_park_until_still_works() {
         let engine = Engine::new();
-        let waiter_tid = StdArc::new(Mutex::new(None));
-        let order = StdArc::new(Mutex::new(Vec::new()));
+        let waiter_tid = Rc::new(RefCell::new(None));
+        let order = Rc::new(RefCell::new(Vec::new()));
         {
-            let waiter_tid = StdArc::clone(&waiter_tid);
-            let order = StdArc::clone(&order);
+            let waiter_tid = Rc::clone(&waiter_tid);
+            let order = Rc::clone(&order);
             engine.spawn("waiter", move |ctx| {
-                *waiter_tid.lock() = Some(ctx.id());
+                *waiter_tid.borrow_mut() = Some(ctx.id());
                 assert!(ctx.park_until(SimTime::from_nanos(1_000)));
-                order.lock().push("timed-out");
+                order.borrow_mut().push("timed-out");
                 ctx.park();
-                order.lock().push("woken");
+                order.borrow_mut().push("woken");
             });
         }
         {
-            let waiter_tid = StdArc::clone(&waiter_tid);
-            let order = StdArc::clone(&order);
+            let waiter_tid = Rc::clone(&waiter_tid);
+            let order = Rc::clone(&order);
             engine.spawn("waker", move |ctx| {
                 ctx.advance(SimDuration::from_micros(2));
-                order.lock().push("waking");
-                let tid = waiter_tid.lock().unwrap();
+                order.borrow_mut().push("waking");
+                let tid = waiter_tid.borrow_mut().unwrap();
                 ctx.unpark(tid);
             });
         }
         engine.run().unwrap();
-        assert_eq!(*order.lock(), vec!["timed-out", "waking", "woken"]);
+        assert_eq!(*order.borrow_mut(), vec!["timed-out", "waking", "woken"]);
     }
 
     #[test]
@@ -1833,16 +1865,16 @@ mod tests {
     #[test]
     fn unpark_before_first_run_is_not_lost() {
         let engine = Engine::new();
-        let target = StdArc::new(Mutex::new(None));
+        let target = Rc::new(RefCell::new(None));
         {
-            let target = StdArc::clone(&target);
+            let target = Rc::clone(&target);
             engine.spawn("early", move |ctx| {
                 // Spawned at t=0 after this thread: queued, not yet run.
-                let late = target.lock().expect("set before run()");
+                let late = target.borrow_mut().expect("set before run()");
                 ctx.unpark(late);
             });
         }
-        *target.lock() = Some(engine.spawn("late", |ctx| ctx.park()));
+        *target.borrow_mut() = Some(engine.spawn("late", |ctx| ctx.park()));
         assert_eq!(engine.run(), Ok(SimTime::ZERO));
     }
 
@@ -1859,10 +1891,10 @@ mod tests {
 
     /// Adds four threads that park forever (the first a daemon), each
     /// holding a clone of the returned token until it exits or is dropped.
-    fn populate(engine: &Engine) -> StdArc<()> {
-        let token = StdArc::new(());
+    fn populate(engine: &Engine) -> Rc<()> {
+        let token = Rc::new(());
         for i in 0..4 {
-            let token = StdArc::clone(&token);
+            let token = Rc::clone(&token);
             let body = move |ctx: &SimCtx| {
                 let _held = token;
                 ctx.park();
@@ -1880,10 +1912,10 @@ mod tests {
     fn dropping_an_engine_without_run_shuts_down_its_threads() {
         let engine = Engine::new();
         let token = populate(&engine);
-        assert_eq!(StdArc::strong_count(&token), 5);
+        assert_eq!(Rc::strong_count(&token), 5);
         drop(engine);
         // Shut down, not merely marked: every closure is already dropped.
-        assert_eq!(StdArc::strong_count(&token), 1);
+        assert_eq!(Rc::strong_count(&token), 1);
     }
 
     #[test]
@@ -1894,7 +1926,7 @@ mod tests {
             engine.run(),
             Err(SimError::EventBudgetExhausted { budget: 2 })
         );
-        assert_eq!(StdArc::strong_count(&token), 1);
+        assert_eq!(Rc::strong_count(&token), 1);
     }
 
     #[test]
@@ -1903,7 +1935,7 @@ mod tests {
         let token = populate(&engine);
         let parked = vec!["t1".to_string(), "t2".to_string(), "t3".to_string()];
         assert_eq!(engine.run(), Err(SimError::Deadlock { parked }));
-        assert_eq!(StdArc::strong_count(&token), 1);
+        assert_eq!(Rc::strong_count(&token), 1);
     }
 
     /// Runs `engine`, expecting `run()` to unwind; returns the panic text.
@@ -1923,7 +1955,7 @@ mod tests {
             run_panics(engine),
             "simulated thread 'bomber#0' panicked: boom"
         );
-        assert_eq!(StdArc::strong_count(&token), 1);
+        assert_eq!(Rc::strong_count(&token), 1);
 
         // In the sampler, on the driver thread, with every thread mid-run.
         let engine = Engine::new();
@@ -1931,9 +1963,9 @@ mod tests {
         engine.spawn("clock", |ctx| ctx.advance(SimDuration::from_micros(3)));
         engine.set_sampler(SimDuration::from_micros(1), |_| panic!("sampler boom"));
         assert_eq!(run_panics(engine), "sampler boom");
-        assert_eq!(StdArc::strong_count(&token), 1);
+        assert_eq!(Rc::strong_count(&token), 1);
 
-        // In a policy, under the state lock, before anything ran.
+        // In a policy, under the state borrow, before anything ran.
         struct Bomb;
         impl SchedulePolicy for Bomb {
             fn choose_event(&mut self, _now: SimTime, _c: &[ScheduleChoice]) -> usize {
@@ -1944,7 +1976,7 @@ mod tests {
         let token = populate(&engine);
         engine.set_schedule_policy(SchedulePolicyHandle::new(Bomb));
         assert_eq!(run_panics(engine), "policy boom");
-        assert_eq!(StdArc::strong_count(&token), 1);
+        assert_eq!(Rc::strong_count(&token), 1);
     }
 
     #[test]
@@ -1968,9 +2000,9 @@ mod tests {
         // Budget: the fourth event resumes t0, whose next `advance` finds
         // the budget spent with t1's event waiting.
         let engine = Engine::with_event_budget(4);
-        let token = StdArc::new(());
+        let token = Rc::new(());
         for i in 0..3 {
-            let token = StdArc::clone(&token);
+            let token = Rc::clone(&token);
             engine.spawn(format!("t{i}"), move |ctx| {
                 let _held = token;
                 ctx.advance(SimDuration::from_nanos(1));
@@ -1981,7 +2013,7 @@ mod tests {
             engine.run(),
             Err(SimError::EventBudgetExhausted { budget: 4 })
         );
-        assert_eq!(StdArc::strong_count(&token), 1);
+        assert_eq!(Rc::strong_count(&token), 1);
 
         // Deadlock: the last runner exits and finds the queue drained with
         // non-daemons still parked.
@@ -1990,7 +2022,7 @@ mod tests {
         engine.spawn("runner", |ctx| ctx.advance(SimDuration::from_nanos(1)));
         let parked = vec!["t1".to_string(), "t2".to_string(), "t3".to_string()];
         assert_eq!(engine.run(), Err(SimError::Deadlock { parked }));
-        assert_eq!(StdArc::strong_count(&token), 1);
+        assert_eq!(Rc::strong_count(&token), 1);
     }
 
     #[test]
@@ -2011,7 +2043,7 @@ mod tests {
         });
         engine.set_schedule_policy(SchedulePolicyHandle::new(FifthCallBomb(0)));
         assert_eq!(run_panics(engine), "policy boom on call 5");
-        assert_eq!(StdArc::strong_count(&token), 1);
+        assert_eq!(Rc::strong_count(&token), 1);
 
         // The sampler's third boundary is crossed by a simulated thread.
         let engine = Engine::new();
@@ -2023,14 +2055,14 @@ mod tests {
             assert!(boundary < SimTime::from_nanos(3_000), "sampler boom");
         });
         assert_eq!(run_panics(engine), "sampler boom");
-        assert_eq!(StdArc::strong_count(&token), 1);
+        assert_eq!(Rc::strong_count(&token), 1);
     }
 
     #[test]
     fn exit_passes_the_baton_down_a_chain_of_a_thousand_threads() {
-        fn link(ctx: &SimCtx, left: u64, last_count: StdArc<AtomicU64>) {
+        fn link(ctx: &SimCtx, left: u64, last_count: Rc<Cell<u64>>) {
             if left == 0 {
-                last_count.store(ctx.events_processed(), Ordering::SeqCst);
+                last_count.set(ctx.events_processed());
             } else {
                 ctx.spawn(format!("link{left}"), move |ctx| {
                     link(ctx, left - 1, last_count)
@@ -2038,11 +2070,11 @@ mod tests {
             }
         }
         let engine = Engine::new();
-        let last_count = StdArc::new(AtomicU64::new(0));
-        let seen = StdArc::clone(&last_count);
+        let last_count = Rc::new(Cell::new(0));
+        let seen = Rc::clone(&last_count);
         engine.spawn("link1000", move |ctx| link(ctx, 999, seen));
         assert_eq!(engine.run(), Ok(SimTime::ZERO));
-        assert_eq!(last_count.load(Ordering::SeqCst), 1000);
+        assert_eq!(last_count.get(), 1000);
     }
 
     #[test]
@@ -2054,29 +2086,29 @@ mod tests {
         const ROUNDS: u64 = 40;
         const STEPS_NS: [u64; 4] = [300, 500, 700, 1_000];
         let engine = Engine::new();
-        let counter = StdArc::new(AtomicU64::new(0));
-        let samples = StdArc::new(Mutex::new(Vec::new()));
+        let counter = Rc::new(Cell::new(0));
+        let samples = Rc::new(RefCell::new(Vec::new()));
         {
-            let counter = StdArc::clone(&counter);
-            let samples = StdArc::clone(&samples);
+            let counter = Rc::clone(&counter);
+            let samples = Rc::clone(&samples);
             engine.set_sampler(SimDuration::from_micros(1), move |boundary| {
                 samples
-                    .lock()
-                    .push((boundary.as_nanos(), counter.load(Ordering::SeqCst)));
+                    .borrow_mut()
+                    .push((boundary.as_nanos(), counter.get()));
             });
         }
         for step in STEPS_NS {
-            let counter = StdArc::clone(&counter);
+            let counter = Rc::clone(&counter);
             engine.spawn(format!("every{step}"), move |ctx| {
                 for _ in 0..ROUNDS {
-                    counter.fetch_add(1, Ordering::SeqCst);
+                    counter.set(counter.get() + 1);
                     ctx.advance(SimDuration::from_nanos(step));
-                    counter.fetch_add(1, Ordering::SeqCst);
+                    counter.set(counter.get() + 1);
                 }
             });
         }
         assert_eq!(engine.run(), Ok(SimTime::from_nanos(ROUNDS * 1_000)));
-        let samples = samples.lock();
+        let samples = samples.borrow_mut();
         assert_eq!(samples.len() as u64, ROUNDS);
         for &(boundary, seen) in samples.iter() {
             let expected: u64 = STEPS_NS
@@ -2109,18 +2141,18 @@ mod tests {
             }
         }
         let engine = Engine::new();
-        let delta = StdArc::new(AtomicU64::new(u64::MAX));
-        let out = StdArc::clone(&delta);
+        let delta = Rc::new(Cell::new(u64::MAX));
+        let out = Rc::clone(&delta);
         engine.spawn("measured", move |ctx| {
             let before = voluntary_switches();
             advance_10_000(ctx);
-            out.store(voluntary_switches() - before, Ordering::SeqCst);
+            out.set(voluntary_switches() - before);
         });
         for i in 0..others {
             engine.spawn(format!("other{i}"), advance_10_000);
         }
         assert_eq!(engine.run(), Ok(SimTime::from_nanos(10_000)));
-        delta.load(Ordering::SeqCst)
+        delta.get()
     }
 
     /// The own-event path: a thread whose own event is next just carries on.
@@ -2142,31 +2174,31 @@ mod tests {
 
     #[test]
     fn everything_runs_on_the_os_thread_that_called_run() {
-        struct Spy(StdArc<Mutex<Vec<std::thread::ThreadId>>>);
+        struct Spy(Rc<RefCell<Vec<std::thread::ThreadId>>>);
         impl SchedulePolicy for Spy {
             fn choose_event(&mut self, _now: SimTime, _c: &[ScheduleChoice]) -> usize {
-                self.0.lock().push(std::thread::current().id());
+                self.0.borrow_mut().push(std::thread::current().id());
                 0
             }
         }
         let engine = Engine::new();
-        let seen = StdArc::new(Mutex::new(Vec::new()));
-        engine.set_schedule_policy(SchedulePolicyHandle::new(Spy(StdArc::clone(&seen))));
-        let in_sampler = StdArc::clone(&seen);
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        engine.set_schedule_policy(SchedulePolicyHandle::new(Spy(Rc::clone(&seen))));
+        let in_sampler = Rc::clone(&seen);
         engine.set_sampler(SimDuration::from_nanos(2), move |_| {
-            in_sampler.lock().push(std::thread::current().id());
+            in_sampler.borrow_mut().push(std::thread::current().id());
         });
         for i in 0..4 {
-            let seen = StdArc::clone(&seen);
+            let seen = Rc::clone(&seen);
             engine.spawn(format!("t{i}"), move |ctx| {
                 for _ in 0..3 {
-                    seen.lock().push(std::thread::current().id());
+                    seen.borrow_mut().push(std::thread::current().id());
                     ctx.advance(SimDuration::from_nanos(1));
                 }
             });
         }
         assert_eq!(engine.run(), Ok(SimTime::from_nanos(3)));
-        let seen = seen.lock();
+        let seen = seen.borrow_mut();
         // 12 turns, 16 events, one boundary.
         assert_eq!(seen.len(), 12 + 16 + 1);
         let here = std::thread::current().id();
@@ -2189,19 +2221,19 @@ mod tests {
     fn a_simulated_thread_runs_on_a_real_stack() {
         // Deep frames survive being switched away from and back to.
         let engine = Engine::new();
-        let depth = StdArc::new(AtomicU64::new(0));
-        let out = StdArc::clone(&depth);
+        let depth = Rc::new(Cell::new(0));
+        let out = Rc::clone(&depth);
         engine.spawn("deep", move |ctx| {
             // A misaligned stack faults on the `movaps` spills in here.
             let text = format!("{:.3} {}", 1.5f64, u128::MAX);
             assert_eq!(text, "1.500 340282366920938463463374607431768211455");
             let top = &text as *const String as usize;
             let reached = descend(top, &mut || ctx.advance(SimDuration::from_nanos(2)));
-            out.store(reached as u64, Ordering::SeqCst);
+            out.set(reached as u64);
         });
         engine.spawn("other", |ctx| ctx.advance(SimDuration::from_nanos(1)));
         assert_eq!(engine.run(), Ok(SimTime::from_nanos(2)));
-        assert!(depth.load(Ordering::SeqCst) > 100);
+        assert!(depth.get() > 100);
 
         // A panic down there unwinds to the entry function, and the
         // backtrace printer (also run by the panic hook when

@@ -14,9 +14,8 @@
 //! `r / k` — this is what makes memory-bandwidth-bound applications (the
 //! paper's BP) scale super-linearly when spread over more nodes.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 use crate::engine::SimCtx;
 use crate::time::{SimDuration, SimTime};
@@ -43,7 +42,7 @@ use crate::time::{SimDuration, SimTime};
 /// ```
 #[derive(Clone)]
 pub struct Resource {
-    inner: Arc<Mutex<SimTime>>,
+    inner: Rc<Cell<SimTime>>,
     nanos_per_byte: f64,
 }
 
@@ -57,7 +56,7 @@ impl Resource {
     pub fn with_rate_bytes_per_sec(bytes_per_sec: u64) -> Self {
         assert!(bytes_per_sec > 0, "resource rate must be non-zero");
         Resource {
-            inner: Arc::new(Mutex::new(SimTime::ZERO)),
+            inner: Rc::new(Cell::new(SimTime::ZERO)),
             nanos_per_byte: 1e9 / bytes_per_sec as f64,
         }
     }
@@ -72,20 +71,14 @@ impl Resource {
     /// Serves a request with an explicit service time.
     pub fn acquire(&self, ctx: &SimCtx, service: SimDuration) -> SimDuration {
         let now = ctx.now();
-        let finish = {
-            let mut available_at = self.inner.lock();
-            let start = available_at.max(now);
-            let finish = start + service;
-            *available_at = finish;
-            finish
-        };
+        let finish = self.reserve(now, service);
         ctx.sleep_until(finish);
         finish.saturating_since(now)
     }
 
     /// The earliest instant at which a new request could start service.
     pub fn available_at(&self) -> SimTime {
-        *self.inner.lock()
+        self.inner.get()
     }
 
     /// Reserves service for `bytes` starting no earlier than `now`
@@ -100,10 +93,8 @@ impl Resource {
     /// Reserves `service` time starting no earlier than `now` without
     /// blocking; returns the finish time.
     pub fn reserve(&self, now: SimTime, service: SimDuration) -> SimTime {
-        let mut available_at = self.inner.lock();
-        let start = available_at.max(now);
-        let finish = start + service;
-        *available_at = finish;
+        let finish = self.inner.get().max(now) + service;
+        self.inner.set(finish);
         finish
     }
 }
@@ -111,7 +102,7 @@ impl Resource {
 impl std::fmt::Debug for Resource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Resource")
-            .field("available_at", &*self.inner.lock())
+            .field("available_at", &self.inner.get())
             .field("nanos_per_byte", &self.nanos_per_byte)
             .finish()
     }
@@ -137,7 +128,7 @@ impl std::fmt::Debug for Resource {
 /// ```
 #[derive(Clone)]
 pub struct MultiResource {
-    servers: Arc<Mutex<Vec<SimTime>>>,
+    servers: Rc<RefCell<Vec<SimTime>>>,
 }
 
 impl MultiResource {
@@ -149,13 +140,13 @@ impl MultiResource {
     pub fn new(k: usize) -> Self {
         assert!(k > 0, "resource pool must have at least one server");
         MultiResource {
-            servers: Arc::new(Mutex::new(vec![SimTime::ZERO; k])),
+            servers: Rc::new(RefCell::new(vec![SimTime::ZERO; k])),
         }
     }
 
     /// Number of servers in the pool.
     pub fn servers(&self) -> usize {
-        self.servers.lock().len()
+        self.servers.borrow().len()
     }
 
     /// Occupies the earliest-free server for `service`, advancing the
@@ -163,7 +154,7 @@ impl MultiResource {
     pub fn acquire(&self, ctx: &SimCtx, service: SimDuration) -> SimDuration {
         let now = ctx.now();
         let finish = {
-            let mut servers = self.servers.lock();
+            let mut servers = self.servers.borrow_mut();
             let earliest = servers
                 .iter_mut()
                 .min_by_key(|t| **t)
@@ -181,7 +172,7 @@ impl MultiResource {
 impl std::fmt::Debug for MultiResource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MultiResource")
-            .field("servers", &*self.servers.lock())
+            .field("servers", &*self.servers.borrow())
             .finish()
     }
 }
@@ -207,18 +198,18 @@ mod tests {
     fn contended_resource_serializes_fifo() {
         let engine = Engine::new();
         let r = Resource::with_rate_bytes_per_sec(1_000_000_000);
-        let finishes = Arc::new(Mutex::new(Vec::new()));
+        let finishes = Rc::new(RefCell::new(Vec::new()));
         for i in 0..3 {
             let r = r.clone();
-            let finishes = Arc::clone(&finishes);
+            let finishes = Rc::clone(&finishes);
             engine.spawn(format!("t{i}"), move |ctx| {
                 r.acquire_bytes(ctx, 1000);
-                finishes.lock().push((i, ctx.now().as_nanos()));
+                finishes.borrow_mut().push((i, ctx.now().as_nanos()));
             });
         }
         engine.run().unwrap();
         assert_eq!(
-            *finishes.lock(),
+            *finishes.borrow_mut(),
             vec![(0, 1000), (1, 2000), (2, 3000)],
             "requests issued at the same instant serialize in spawn order"
         );
@@ -255,18 +246,18 @@ mod tests {
     fn multi_resource_queues_beyond_k() {
         let engine = Engine::new();
         let cores = MultiResource::new(2);
-        let finishes = Arc::new(Mutex::new(Vec::new()));
+        let finishes = Rc::new(RefCell::new(Vec::new()));
         for i in 0..5 {
             let cores = cores.clone();
-            let finishes = Arc::clone(&finishes);
+            let finishes = Rc::clone(&finishes);
             engine.spawn(format!("t{i}"), move |ctx| {
                 cores.acquire(ctx, SimDuration::from_micros(10));
-                finishes.lock().push(ctx.now().as_nanos());
+                finishes.borrow_mut().push(ctx.now().as_nanos());
             });
         }
         engine.run().unwrap();
         assert_eq!(
-            *finishes.lock(),
+            *finishes.borrow_mut(),
             vec![10_000, 10_000, 20_000, 20_000, 30_000]
         );
     }

@@ -1,8 +1,7 @@
 //! Measurement utilities: sample histograms collected under virtual time.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use crate::time::SimDuration;
 
@@ -25,13 +24,13 @@ use crate::time::SimDuration;
 /// ```
 #[derive(Clone)]
 pub struct Histogram {
-    inner: Arc<Mutex<HistInner>>,
+    inner: Rc<RefCell<HistInner>>,
 }
 
 struct HistInner {
     samples: Vec<u64>,
     /// Whether `samples` is currently sorted ascending. Percentile
-    /// queries sort in place under the lock and set this; `record`
+    /// queries sort in place and set this; `record`
     /// clears it. Avoids the old clone-and-sort on every query.
     sorted: bool,
     cap: usize,
@@ -59,7 +58,7 @@ impl Histogram {
     /// cap).
     pub fn with_sample_cap(cap: usize) -> Self {
         Histogram {
-            inner: Arc::new(Mutex::new(HistInner {
+            inner: Rc::new(RefCell::new(HistInner {
                 samples: Vec::new(),
                 sorted: true,
                 cap,
@@ -75,7 +74,7 @@ impl Histogram {
     /// Records one sample.
     pub fn record(&self, d: SimDuration) {
         let n = d.as_nanos();
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         inner.sum += n as u128;
         inner.count += 1;
         inner.min = inner.min.min(n);
@@ -98,17 +97,17 @@ impl Histogram {
     /// [`Histogram::split_at`] cover only the first `cap` samples;
     /// `count`/`mean`/`min`/`max` remain exact.
     pub fn dropped(&self) -> u64 {
-        self.inner.lock().dropped
+        self.inner.borrow().dropped
     }
 
     /// Number of samples recorded.
     pub fn count(&self) -> u64 {
-        self.inner.lock().count
+        self.inner.borrow().count
     }
 
     /// Arithmetic mean (zero when empty).
     pub fn mean(&self) -> SimDuration {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         if inner.count == 0 {
             return SimDuration::ZERO;
         }
@@ -117,7 +116,7 @@ impl Histogram {
 
     /// Smallest sample (zero when empty).
     pub fn min(&self) -> SimDuration {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         if inner.count == 0 {
             SimDuration::ZERO
         } else {
@@ -127,7 +126,7 @@ impl Histogram {
 
     /// Largest sample.
     pub fn max(&self) -> SimDuration {
-        SimDuration::from_nanos(self.inner.lock().max)
+        SimDuration::from_nanos(self.inner.borrow().max)
     }
 
     /// The `p`-th percentile (0.0–100.0) over retained samples.
@@ -136,11 +135,11 @@ impl Histogram {
     /// computed over the retained prefix only (the first `cap` samples
     /// recorded), not the full population.
     ///
-    /// Sorts the retained samples **in place** under the lock the first
+    /// Sorts the retained samples **in place** the first
     /// time after a record; repeated queries reuse the sorted cache, so
     /// a report that asks for p50/p95/p99 sorts once, not three times.
     pub fn percentile(&self, p: f64) -> SimDuration {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow_mut();
         if inner.samples.is_empty() {
             return SimDuration::ZERO;
         }
@@ -157,7 +156,7 @@ impl Histogram {
     /// `(count_below, mean_below, count_at_or_above, mean_at_or_above)` —
     /// used to report the bimodal fault-handling cost of §V-D.
     pub fn split_at(&self, threshold: SimDuration) -> (u64, SimDuration, u64, SimDuration) {
-        let inner = self.inner.lock();
+        let inner = self.inner.borrow();
         let t = threshold.as_nanos();
         let (mut cb, mut sb, mut ca, mut sa) = (0u64, 0u128, 0u64, 0u128);
         for &s in &inner.samples {
@@ -183,7 +182,7 @@ impl Histogram {
     /// unspecified: percentile queries may have sorted the reservoir in
     /// place.
     pub fn samples(&self) -> Vec<u64> {
-        self.inner.lock().samples.clone()
+        self.inner.borrow().samples.clone()
     }
 }
 

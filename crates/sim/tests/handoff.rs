@@ -1,9 +1,9 @@
 //! The engine's hand-off transport under load: a lost wake-up is a hang,
 //! so these tests pass by finishing.
 
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use dex_sim::{Engine, SimDuration, SimTime};
 
@@ -14,7 +14,7 @@ use dex_sim::{Engine, SimDuration, SimTime};
 fn short_engine(shape: u64) -> SimTime {
     let engine = Engine::new();
     let kids = 3 + shape % 3;
-    let done = Arc::new(AtomicU64::new(0));
+    let done = Rc::new(Cell::new(0));
     engine.spawn_daemon("daemon", |ctx| loop {
         ctx.park();
     });
@@ -22,14 +22,14 @@ fn short_engine(shape: u64) -> SimTime {
         let root = ctx.id();
         let spawned: Vec<_> = (0..kids)
             .map(|k| {
-                let done = Arc::clone(&done);
+                let done = Rc::clone(&done);
                 ctx.spawn(format!("kid{k}"), move |ctx| {
                     // Deadlines straddle the root's wake-up at 100 ns.
                     let deadline = ctx.now() + SimDuration::from_nanos(45 + 30 * k);
                     let timed_out = ctx.park_until(deadline);
                     assert_eq!(timed_out, deadline < SimTime::from_nanos(100));
                     ctx.advance(SimDuration::from_nanos(k + shape % 7));
-                    done.fetch_add(1, Ordering::SeqCst);
+                    done.set(done.get() + 1);
                     ctx.unpark(root);
                 })
             })
@@ -38,7 +38,7 @@ fn short_engine(shape: u64) -> SimTime {
         for kid in spawned {
             ctx.unpark(kid);
         }
-        while done.load(Ordering::SeqCst) < kids {
+        while done.get() < kids {
             ctx.park();
         }
     });
@@ -53,23 +53,4 @@ fn thousands_of_short_engines_all_finish() {
         let end = short_engine(shape);
         assert_eq!(*ends.entry(shape).or_insert(end), end, "shape {shape}");
     }
-}
-
-#[test]
-fn engine_built_on_one_os_thread_runs_on_another() {
-    let engine = std::thread::spawn(|| {
-        let engine = Engine::new();
-        for i in 1..=3u64 {
-            engine.spawn(format!("t{i}"), move |ctx| {
-                ctx.advance(SimDuration::from_micros(i));
-            });
-        }
-        engine
-    })
-    .join()
-    .expect("builder thread");
-    let end = std::thread::spawn(move || engine.run())
-        .join()
-        .expect("runner thread");
-    assert_eq!(end, Ok(SimTime::from_nanos(3_000)));
 }
